@@ -244,7 +244,6 @@ def nonhermitian_downfold_energy(
     n_so = full_hamiltonian.num_spin_orbitals
 
     h_q = full_hamiltonian.to_qubit("jordan-wigner")
-    mat = h_q.to_sparse()
     n_elec = full_hamiltonian.num_electrons
     sector = sector_indices(n_so, num_particles=n_elec, sz=0)
 
@@ -260,10 +259,10 @@ def nonhermitian_downfold_energy(
     if idx_a.size == 0:
         raise ValueError("active reference block is empty")
 
-    h_aa = mat[np.ix_(idx_a, idx_a)].toarray()
-    h_ax = mat[np.ix_(idx_a, idx_x)].toarray()
-    h_xa = mat[np.ix_(idx_x, idx_a)].toarray()
-    h_xx = mat[np.ix_(idx_x, idx_x)].toarray()
+    h_aa = h_q.matrix_block(idx_a, idx_a).toarray()
+    h_ax = h_q.matrix_block(idx_a, idx_x).toarray()
+    h_xa = h_q.matrix_block(idx_x, idx_a).toarray()
+    h_xx = h_q.matrix_block(idx_x, idx_x).toarray()
 
     e = float(energy_guess) if energy_guess is not None else float(
         np.min(np.real(np.diag(h_aa)))

@@ -42,7 +42,7 @@ import numpy as np
 
 from repro import obs
 from repro.ir.pauli import PauliSum
-from repro.utils.bitops import I_POW, basis_indices, count_set_bits
+from repro.utils.bitops import basis_indices
 
 __all__ = ["CompiledPauliSum", "compile_observable"]
 
@@ -74,39 +74,15 @@ class CompiledPauliSum:
         self.num_terms = pauli_sum.num_terms
         self.source_version = pauli_sum.version
 
+        # One chunked sign-matrix matmul per distinct x-mask over the
+        # packed symplectic form (x = 0, the gather-free diagonal pass,
+        # sorts first).
         idx = basis_indices(n)
-        if pauli_sum.num_terms == 0:
-            masks: List[int] = []
-            diagonals = np.zeros((0, dim), dtype=np.complex128)
-            gathers: List[Optional[np.ndarray]] = []
-        else:
-            # Vectorized build over the packed symplectic form: phase
-            # weights for all terms at once, then one chunked sign-matrix
-            # matmul per distinct x-mask (x = 0, the gather-free diagonal
-            # pass, sorts first).
-            symp = pauli_sum.to_symplectic()
-            xs = symp.x[:, 0].astype(np.int64)
-            zs = symp.z[:, 0].astype(np.int64)
-            phases = count_set_bits(symp.x & symp.z).sum(axis=-1) % 4
-            weights = symp.coeffs * np.asarray(I_POW)[phases]
-            ux, inverse = np.unique(xs, return_inverse=True)
-            order = np.argsort(inverse, kind="stable")
-            bounds = np.searchsorted(inverse[order], np.arange(len(ux) + 1))
-            masks = [int(x) for x in ux]
-            diagonals = np.zeros((len(ux), dim), dtype=np.complex128)
-            gathers = []
-            for row in range(len(ux)):
-                rows = order[bounds[row] : bounds[row + 1]]
-                for lo in range(0, rows.size, 512):
-                    sub = rows[lo : lo + 512]
-                    signs = 1.0 - 2.0 * (
-                        count_set_bits(idx[None, :] & zs[sub, None]) & 1
-                    )
-                    diagonals[row] += weights[sub] @ signs
-                gathers.append(None if ux[row] == 0 else idx ^ int(ux[row]))
-        self.x_masks: Tuple[int, ...] = tuple(masks)
-        self.diagonals = diagonals
-        self.gathers = gathers
+        masks, self.diagonals = pauli_sum.to_symplectic().x_mask_diagonals(idx)
+        self.x_masks: Tuple[int, ...] = tuple(masks.tolist())
+        self.gathers: List[Optional[np.ndarray]] = [
+            None if x == 0 else idx ^ x for x in self.x_masks
+        ]
         obs.mem_track(self, "compiled_observable", self.nbytes())
         if obs.enabled():
             obs.inc(

@@ -547,20 +547,18 @@ class PauliSum:
         """<state| H |state> (direct, no sampling)."""
         return complex(np.vdot(state, self.apply(state)))
 
+    def matrix_block(self, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
+        """``<rows| H |cols>`` for arrays of basis-state indices, built
+        from the packed symplectic form in O(terms x len(cols)) — the
+        2^n x 2^n matrix is never formed, so symmetry-sector blocks
+        (FCI, Loewdin partitioning) cost what the sector costs.  See
+        :meth:`repro.ir.symplectic.SymplecticPauli.matrix_block`."""
+        return self.to_symplectic().matrix_block(rows, cols)
+
     def to_sparse(self) -> sp.csr_matrix:
-        """Sparse matrix of the whole sum."""
-        dim = 1 << self.num_qubits
-        acc = sp.csr_matrix((dim, dim), dtype=np.complex128)
+        """Sparse matrix of the whole sum (the block over every index)."""
         idx = basis_indices(self.num_qubits)
-        for (x, z), coeff in self.terms.items():
-            cols = idx
-            rows = cols ^ x
-            vals = (1.0 - 2.0 * (count_set_bits(cols & z) & 1)).astype(
-                np.complex128
-            )
-            vals *= coeff * _I_POW[_popcount(x & z) % 4]
-            acc = acc + sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-        return acc
+        return self.matrix_block(idx, idx)
 
     def to_matrix(self) -> np.ndarray:
         return self.to_sparse().toarray()

@@ -41,6 +41,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro import obs
 from repro.utils.bitops import count_set_bits
@@ -592,6 +593,75 @@ class SymplecticPauli:
                 gocc[n_groups] = occ_all[idx]
                 n_groups += 1
         return groups
+
+    # -- computational-basis matrix elements ---------------------------------
+
+    def x_mask_diagonals(self, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Summed sign diagonals per distinct x-mask, on ``cols`` only.
+
+        Every term with x-mask ``x`` maps ``|k>`` to ``|k ^ x>``, so the
+        whole sum is ``H|k> = sum_x d_x[k] |k ^ x>`` with
+
+            d_x[k] = sum_z c_{x,z} * i^{|x & z|} * (-1)^{parity(k & z)}.
+
+        Returns ``(masks, d)``: the distinct masks ascending (x = 0
+        first) and ``d[m, c] = <cols[c] ^ masks[m]| H |cols[c]>`` —
+        O(terms x len(cols)) work, one chunked sign-matrix matmul per
+        mask.
+        """
+        if self.num_qubits > 62:
+            raise ValueError(
+                f"int64 basis indices need num_qubits <= 62, got {self.num_qubits}"
+            )
+        cols = np.asarray(cols, dtype=np.int64)
+        xs = self.x[:, 0].astype(np.int64)
+        zs = self.z[:, 0].astype(np.int64)
+        weights = self.coeffs * I_POW_ARR[popcount_words(self.x & self.z) % 4]
+        masks, inverse = np.unique(xs, return_inverse=True)
+        order = np.argsort(inverse, kind="stable")
+        bounds = np.searchsorted(inverse[order], np.arange(len(masks) + 1))
+        d = np.zeros((len(masks), cols.size), dtype=np.complex128)
+        for m in range(len(masks)):
+            group = order[bounds[m] : bounds[m + 1]]
+            for lo in range(0, group.size, 512):
+                sub = group[lo : lo + 512]
+                signs = 1.0 - 2.0 * (
+                    count_set_bits(cols[None, :] & zs[sub, None]) & 1
+                )
+                d[m] += weights[sub] @ signs
+        return masks, d
+
+    def matrix_block(self, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
+        """``<rows| H |cols>`` for arrays of basis-state indices.
+
+        Each column's amplitudes land on ``cols ^ x``; those that fall
+        in ``rows`` are scattered into one COO assembly.  Cost is
+        O(terms x len(cols)); nothing of size 2^n is allocated, so a
+        symmetry-sector block of a wide register stays cheap.  ``rows``
+        must not repeat (a repeated row has no single scatter target).
+        """
+        dim = 1 << self.num_qubits
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        for name, arr in (("rows", rows), ("cols", cols)):
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be a 1-D index array")
+            if arr.size and (arr.min() < 0 or arr.max() >= dim):
+                raise ValueError(
+                    f"{name} holds basis indices outside [0, 2^{self.num_qubits})"
+                )
+        by_value = np.argsort(rows, kind="stable")
+        sorted_rows = rows[by_value]
+        if np.any(sorted_rows[1:] == sorted_rows[:-1]):
+            raise ValueError("rows holds a repeated basis index")
+        shape = (rows.size, cols.size)
+        if rows.size == 0:  # no slot to clip the search to
+            return sp.csr_matrix(shape, dtype=np.complex128)
+        masks, d = self.x_mask_diagonals(cols)
+        target = cols[None, :] ^ masks[:, None]
+        slot = np.minimum(np.searchsorted(sorted_rows, target), rows.size - 1)
+        m, c = np.nonzero((sorted_rows[slot] == target) & (d != 0))
+        return sp.csr_matrix((d[m, c], (by_value[slot[m, c]], c)), shape=shape)
 
 
 def _concat(pieces: List[SymplecticPauli]) -> SymplecticPauli:

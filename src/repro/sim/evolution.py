@@ -1,23 +1,29 @@
 """Exact statevector evolution under Pauli-sum generators.
 
 The VQE/ADAPT drivers evolve states as products of exponentials
-``exp(theta_k A_k)`` with anti-Hermitian generators ``A_k``.  When the
-Pauli terms of ``A_k`` mutually commute (true for every fermionic
-UCCSD excitation block and for single-string qubit-pool operators) the
-exponential factorizes exactly and each factor applies in two
-vectorized passes:
+``exp(theta_k A_k)`` with anti-Hermitian generators ``A_k``.  In the
+x-mask-batched compiled form (``repro.ir.compiled``) the terms sharing
+an x-mask ``x`` act together as ``A_x |k> = d[k] |k ^ x>``: a direct sum
+of anti-Hermitian blocks on the pairs ``{j, j ^ x}`` (1x1 when x = 0)
+with ``A_x^2 = -omega^2``, ``omega[j] = |d[j]|``, so
 
-    exp(i phi P) |psi> = cos(phi) |psi> + i sin(phi) P |psi>.
+    exp(theta A_x) psi = cos(omega theta) o psi
+                         + sin(omega theta) / omega o (A_x psi)
 
-Non-commuting generators fall back to Krylov ``expm_multiply`` on the
-sparse matrix — exact to machine precision either way, so drivers can
-treat this as an oracle.
+— one gather and a few elementwise passes, exact whether or not the
+terms inside the group commute; the trigonometry is evaluated once per
+*distinct* omega (0 and 1 for a fermionic excitation).  Every UCCSD
+single/double and qubit-pool string has a single x-mask.  A generator
+with several masks is one such step per mask when terms of different
+masks commute, and otherwise falls back to Krylov ``expm_multiply`` on
+the sparse matrix — exact to machine precision either way, so drivers
+can treat this as an oracle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -37,20 +43,52 @@ def apply_pauli_rotation(
 
 def terms_commute(a: PauliSum) -> bool:
     """True if all Pauli terms of ``a`` mutually commute."""
-    strings = [p for _, p in a]
-    for i, p in enumerate(strings):
-        for q in strings[i + 1:]:
-            if not p.commutes_with(q):
-                return False
-    return True
+    return not a.to_symplectic().anticommutation_matrix().any()
+
+
+def _mask_groups_commute(a: PauliSum) -> bool:
+    """True if every two terms of ``a`` with different x-masks commute
+    (terms sharing a mask may anticommute: their group is exponentiated
+    in closed form as a whole)."""
+    symp = a.to_symplectic()
+    other_mask = (symp.x[:, None, :] != symp.x[None, :, :]).any(axis=-1)
+    return not (symp.anticommutation_matrix() & other_mask).any()
+
+
+class _MaskStep:
+    """exp(theta * A_x) for the terms of one x-mask: the diagonal and
+    gather table of the compiled form, the distinct rotation rates
+    omega, and which of them each amplitude turns at."""
+
+    __slots__ = ("diagonal", "gather", "rates", "inverse_rates", "rate_of")
+
+    def __init__(self, diagonal: np.ndarray, gather: Optional[np.ndarray]):
+        self.diagonal = diagonal
+        self.gather = gather
+        self.rates, self.rate_of = np.unique(np.abs(diagonal), return_inverse=True)
+        # omega = 0 only where A_x psi vanishes, so any finite stand-in
+        # for sin(omega theta) / omega serves there
+        self.inverse_rates = np.divide(
+            1.0, self.rates, out=np.zeros_like(self.rates), where=self.rates > 0
+        )
+
+    def apply(self, state: np.ndarray, theta: float) -> np.ndarray:
+        angles = theta * self.rates
+        out = self.diagonal * state
+        if self.gather is not None:
+            out = out[self.gather]
+        out *= (np.sin(angles) * self.inverse_rates)[self.rate_of]
+        out += np.cos(angles)[self.rate_of] * state
+        return out
 
 
 class GeneratorEvolution:
     """Prepared applicator for exp(theta * A), A anti-Hermitian.
 
-    Precomputes either the commuting-term factorization (fast path) or
-    the sparse matrix (Krylov path) once, so repeated applications
-    during optimization are cheap.
+    Precomputes either the per-x-mask closed-form steps (exact fast
+    path) or the sparse matrix (Krylov path) once, so repeated
+    applications during optimization are cheap.  ``apply`` never writes
+    to its input and always returns a fresh array.
     """
 
     def __init__(self, generator: PauliSum):
@@ -58,30 +96,34 @@ class GeneratorEvolution:
             raise ValueError("generator must be anti-Hermitian")
         self.generator = generator
         self.num_qubits = generator.num_qubits
-        self._factors: Optional[List[Tuple[float, PauliString]]] = None
-        self._sparse = None
-        if terms_commute(generator):
-            # A = sum_j (i c_j) P_j  with real c_j; exp(theta A) =
-            # prod_j exp(i theta c_j P_j).
-            self._factors = [(coeff.imag, pstr) for coeff, pstr in generator]
-        else:
-            self._sparse = generator.to_sparse()
         # compiled once here: the adjoint sweep calls apply_generator in
         # a tight loop and should not pay the memoization version check
         self._compiled = compile_observable(generator)
+        self._steps: Optional[List[_MaskStep]] = None
+        self._sparse = None
+        if self._compiled.num_passes <= 1 or _mask_groups_commute(generator):
+            self._steps = [
+                _MaskStep(d, g)
+                for d, g in zip(self._compiled.diagonals, self._compiled.gathers)
+            ]
+        else:
+            self._sparse = generator.to_sparse()
 
     @property
     def exact_factorization(self) -> bool:
-        return self._factors is not None
+        return self._steps is not None
 
     def apply(self, state: np.ndarray, theta: float) -> np.ndarray:
         """Return exp(theta * A) @ state."""
-        if self._factors is not None:
-            out = state
-            for c, pstr in self._factors:
-                out = apply_pauli_rotation(out, pstr, theta * c)
-            return out
-        return spla.expm_multiply(self._sparse * theta, state)
+        if self._steps is None:
+            return spla.expm_multiply(self._sparse * theta, state)
+        if state.shape[0] != self._compiled.dim:
+            raise ValueError("state dimension mismatch")
+        if not self._steps:  # the zero generator
+            return state.astype(np.complex128)
+        for step in self._steps:
+            state = step.apply(state, theta)
+        return state
 
     def apply_generator(self, state: np.ndarray) -> np.ndarray:
         """Return A @ state (used for adjoint gradients).

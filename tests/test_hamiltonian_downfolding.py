@@ -4,6 +4,7 @@ both downfolding variants (the paper's §2)."""
 import numpy as np
 import pytest
 
+from repro.chem.ci import run_ci
 from repro.chem.downfolding import (
     external_sigma,
     hermitian_downfold,
@@ -16,7 +17,7 @@ from repro.chem.hamiltonian import (
     synthetic_two_body_hamiltonian,
 )
 from repro.chem.mappings import jordan_wigner
-from repro.chem.molecule import h2, h2o, lih
+from repro.chem.molecule import h2, h2o, h4_chain, lih
 from repro.chem.mp2 import run_mp2
 from repro.chem.scf import run_rhf
 from repro.ir.pauli import PauliString, PauliSum
@@ -91,6 +92,49 @@ class TestSectorIndices:
         e, state = exact_ground_state(h)
         assert np.isclose(np.linalg.norm(state), 1.0)
         assert np.isclose(h.expectation(state).real, e, atol=1e-9)
+
+
+class TestFCIReference:
+    """The sector-native reference against the values the full-matrix
+    implementation returned, the determinant-space CI, and bad input."""
+
+    @pytest.mark.parametrize(
+        "factory,n_e,pinned",
+        [(h2, 2, -1.1372701752425916), (h4_chain, 4, -2.180316616376807)],
+    )
+    def test_pinned_and_equal_to_determinant_ci(self, factory, n_e, pinned):
+        mh = build_molecular_hamiltonian(run_rhf(factory()))
+        hq = mh.to_qubit()
+        e = exact_ground_energy(hq, num_particles=n_e, sz=0)
+        assert abs(e - pinned) < 1e-10
+        assert abs(e - run_ci(mh, "fci").energy) < 1e-10
+        # the neutral singlet is the global ground state of both
+        assert abs(exact_ground_energy(hq) - pinned) < 1e-10
+
+    def test_pinned_downfolded_h2o(self, h2o_system):
+        """The Fig. 5 reference: a 225 x 225 block of a 4747-term sum."""
+        scf, mh = h2o_system
+        res = hermitian_downfold(mh, scf.mo_energies, [0], [1, 2, 3, 4, 5, 6])
+        heff = res.effective_hamiltonian.chop(1e-8)
+        e, state = exact_ground_state(heff, num_particles=8, sz=0)
+        assert abs(e - -75.01240060686116) < 1e-10
+        assert np.isclose(heff.expectation(state).real, e, atol=1e-9)
+
+    def test_bad_sector_names_its_inputs(self):
+        h = PauliSum.from_label_dict({"ZZII": 1.0, "XXII": 0.5})
+        with pytest.raises(ValueError, match="num_particles=3 with sz=0"):
+            exact_ground_state(h, num_particles=3, sz=0)  # odd N, integer sz
+        with pytest.raises(ValueError, match="num_particles=5 .* num_qubits=4"):
+            exact_ground_state(h, num_particles=5)
+        with pytest.raises(ValueError, match="sz=0.3 is not a multiple of 1/2"):
+            exact_ground_state(h, num_particles=2, sz=0.3)
+
+    def test_non_hermitian_sum_is_rejected(self):
+        """eigh reads one triangle: without the check this returns a
+        wrong eigenvalue silently."""
+        h = PauliSum.from_label_dict({"ZZ": 1.0, "XY": 0.25j})
+        with pytest.raises(ValueError, match=r"not Hermitian \(max .* 5\.000e-01"):
+            exact_ground_state(h)
 
 
 class TestProjection:

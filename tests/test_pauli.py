@@ -191,3 +191,65 @@ class TestPauliSum:
     def test_norm1(self):
         h = PauliSum.from_label_dict({"XX": 3.0, "ZZ": -4.0})
         assert h.norm1() == 7.0
+
+
+# -- <rows|H|cols> straight from the symplectic form -------------------------
+
+block_coeffs = st.complex_numbers(
+    min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def sums_with_index_sets(draw):
+    """A 2-8 qubit sum (complex coefficients, Y-containing strings) with
+    two independent index subsets: rectangular and empty blocks included."""
+    n = draw(st.integers(2, 8))
+    label = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    terms = draw(st.dictionaries(label, block_coeffs, min_size=1, max_size=6))
+    index = st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=12)
+    return terms, draw(index), draw(index)
+
+
+def dense_from_terms(terms) -> np.ndarray:
+    """The reference: per-string Kronecker products, summed."""
+    return sum(c * dense_from_label(lbl) for lbl, c in terms.items())
+
+
+class TestMatrixBlock:
+    @given(sums_with_index_sets())
+    def test_block_matches_kronecker_reference(self, case):
+        terms, rows, cols = case
+        block = PauliSum.from_label_dict(terms).matrix_block(rows, cols)
+        assert block.shape == (len(rows), len(cols))
+        expected = dense_from_terms(terms)[np.ix_(rows, cols)]
+        assert np.allclose(block.toarray(), expected, atol=1e-12)
+
+    @given(sums_with_index_sets())
+    def test_to_sparse_matches_kronecker_reference(self, case):
+        terms, _, _ = case
+        got = PauliSum.from_label_dict(terms).to_sparse()
+        assert np.allclose(got.toarray(), dense_from_terms(terms), atol=1e-12)
+
+    def test_empty_sum_and_empty_index_sets(self):
+        assert PauliSum.zero(3).to_sparse().nnz == 0
+        h = PauliSum.from_label_dict({"XY": 1.0, "ZI": -0.5j})
+        assert h.matrix_block([], [0, 3]).shape == (0, 2)
+        assert h.matrix_block([1, 2], []).shape == (2, 0)
+
+    def test_sector_block_of_a_wide_register(self):
+        """40 qubits: only O(terms x len(cols)) work, nothing 2^n-sized."""
+        n = 40
+        hop = PauliSum(n, {(0b11 << 38, 0): 0.5, (0b11 << 38, 0b11 << 38): 0.5})
+        lo, hi = 1 << 38, 1 << 39
+        block = hop.matrix_block([lo, hi], [lo, hi]).toarray()
+        assert np.allclose(block, [[0, 1], [1, 0]])
+
+    def test_bad_index_arrays_are_named(self):
+        h = PauliSum.from_label_dict({"XX": 1.0})
+        with pytest.raises(ValueError, match="rows holds a repeated"):
+            h.matrix_block([1, 1], [0])
+        with pytest.raises(ValueError, match="cols holds basis indices outside"):
+            h.matrix_block([0], [4])
+        with pytest.raises(ValueError, match="rows must be a 1-D"):
+            h.matrix_block([[0, 1]], [0])

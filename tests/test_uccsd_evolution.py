@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from repro.chem.downfolding import hermitian_downfold
+from repro.chem.fci import exact_ground_energy
+from repro.chem.hamiltonian import build_molecular_hamiltonian
+from repro.chem.molecule import h2o
 from repro.chem.pools import qubit_pool, uccsd_pool
 from repro.chem.reference import hartree_fock_state
+from repro.chem.scf import run_rhf
 from repro.chem.uccsd import (
     build_uccsd_circuit,
     compile_evolution,
@@ -15,6 +20,7 @@ from repro.chem.uccsd import (
     uccsd_excitations,
     uccsd_generators,
 )
+from repro.core.adapt import AdaptVQE
 from repro.ir.circuit import Circuit
 from repro.ir.pauli import PauliString, PauliSum
 from repro.sim.evolution import GeneratorEvolution, apply_pauli_rotation, terms_commute
@@ -122,6 +128,98 @@ class TestGeneratorEvolution:
             state = random_statevector(4, rng)
             out = ev.apply(state, 1.3)
             assert np.isclose(np.linalg.norm(out), 1.0, atol=1e-10)
+
+
+def _closed_form_cases():
+    """(id, generator) for every shape of generator the closed form
+    covers; labels are highest qubit first."""
+    cases = [(f"h4-{label}", a) for label, a in uccsd_generators(8, 4)]
+    cases += [(f"qubit-{op.label}", op.generator) for op in qubit_pool(4, 2)]
+    double = uccsd_generators(8, 4)[-1][1]
+    cases += [
+        ("scaled-0.37", double * 0.37),  # omega in {0, 0.37}
+        # one x-mask, anticommuting terms: not a product of rotations
+        ("one-mask-noncommuting", PauliSum.from_label_dict({"IX": 1j, "ZY": 1j})),
+        # ... and with a different omega on each amplitude pair
+        (
+            "one-mask-per-amplitude-omega",
+            PauliSum.from_label_dict({"IX": 1j, "ZX": 0.5j, "ZY": 0.3j}),
+        ),
+        ("z-only", PauliSum.from_label_dict({"ZI": 0.5j, "IZ": -0.8j, "II": 0.2j})),
+        ("two-masks-commuting", PauliSum.from_label_dict({"XI": 0.5j, "IX": -0.8j})),
+        (
+            "diagonal-plus-mask",
+            PauliSum.from_label_dict({"ZZ": 0.5j, "XX": 0.3j, "YY": 0.1j}),
+        ),
+        # masks commute with each other, terms inside one mask do not
+        (
+            "commuting-masks-noncommuting-inside",
+            PauliSum.from_label_dict({"IIX": 1j, "IZY": 1j, "XII": 0.4j}),
+        ),
+    ]
+    return [pytest.param(a, id=name) for name, a in cases]
+
+
+class TestClosedFormEvolution:
+    """exp(theta A) per x-mask group against scipy's dense expm."""
+
+    @pytest.mark.parametrize("a", _closed_form_cases())
+    @pytest.mark.parametrize("theta", [0.0, 0.4, -1.7])
+    def test_matches_expm_and_is_unitary(self, a, theta, rng):
+        ev = GeneratorEvolution(a)
+        assert ev.exact_factorization
+        state = random_statevector(a.num_qubits, rng)
+        kept = state.copy()
+        out = ev.apply(state, theta)
+        assert out is not state and np.array_equal(state, kept)
+        expected = expm(theta * a.to_matrix()) @ state
+        assert np.abs(out - expected).max() < 1e-12
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+        assert np.abs(ev.apply(out, -theta) - state).max() < 1e-12
+
+    def test_noncommuting_inside_one_mask_needs_no_krylov(self):
+        a = PauliSum.from_label_dict({"IX": 1j, "ZY": 1j})
+        assert not terms_commute(a)
+        assert GeneratorEvolution(a).exact_factorization
+
+    def test_zero_generator_returns_a_copy(self, rng):
+        state = random_statevector(2, rng)
+        out = GeneratorEvolution(PauliSum.zero(2)).apply(state, 0.3)
+        assert out is not state and np.array_equal(out, state)
+
+    def test_state_dimension_checked(self):
+        ev = GeneratorEvolution(PauliSum.from_label_dict({"XY": 1j}))
+        with pytest.raises(ValueError, match="dimension"):
+            ev.apply(np.ones(8, dtype=complex), 0.1)
+
+    def test_adapt_h2o_reproduces_sequence_and_energies(self):
+        """Quick-size Fig. 5 (8-qubit downfolded H2O), run to 1e-6 Ha so
+        singles are selected too; operators and energies are the ones
+        the per-term rotation loop produced."""
+        scf = run_rhf(h2o())
+        res = hermitian_downfold(
+            build_molecular_hamiltonian(scf), scf.mo_energies, [0, 1], [2, 3, 4, 5]
+        )
+        heff = res.effective_hamiltonian.chop(1e-8)
+        n_q, n_e = heff.num_qubits, res.num_electrons
+        e_exact = exact_ground_energy(heff, num_particles=n_e, sz=0)
+        assert abs(e_exact - -75.0086679629034) < 1e-10
+        result = AdaptVQE(
+            heff, uccsd_pool(n_q, n_e), hartree_fock_state(n_q, n_e),
+            max_iterations=25, reference_energy=e_exact, energy_tolerance=1e-6,
+        ).run()
+        labels = [it.selected_label for it in result.iterations]
+        assert labels[:3] == ["d(0,1->6,7)", "d(2,3->6,7)", "d(4,5->6,7)"]
+        # the two singles are spin partners with equal gradients
+        assert sorted(labels[3:]) == ["s(2->6)", "s(3->7)"]
+        assert np.allclose(
+            [it.energy for it in result.iterations],
+            [
+                -75.00489607403729, -75.00773137172754, -75.00855004133302,
+                -75.00862011307649, -75.00866796288064,
+            ],
+            rtol=0, atol=1e-10,
+        )
 
 
 class TestUCCSDCircuit:
