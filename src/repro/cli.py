@@ -825,6 +825,9 @@ def _obs_requested(args: argparse.Namespace) -> bool:
 _PLAN_STAT_ROWS = [
     ("repro_plan_compile_total", "plans compiled"),
     ("repro_plan_ops_total", "compiled ops emitted"),
+    ("repro_plan_frame_gates_absorbed_total", "gates cancelled in the frame"),
+    ("repro_plan_rotation_steps_total", "rotation steps"),
+    ("repro_plan_rotations_merged_total", "rotations merged into steps"),
     ("repro_plan_fused_gates_removed_total", "gates removed by fusion"),
     ("repro_plan_diag_gates_folded_total", "diagonal gates folded"),
     ("repro_plan_executions_total", "plan executions"),

@@ -46,6 +46,7 @@ from repro.utils.bitops import (
     count_set_bits,
     insert_zero_bit,
     popcount,
+    xor_indices,
 )
 
 __all__ = ["DistributedStatevector"]
@@ -94,6 +95,7 @@ class DistributedStatevector:
         # layout[logical qubit] = physical position; positions >= local_qubits
         # are rank bits.
         self.layout = list(range(num_qubits))
+        self._logical_table: Tuple[Optional[tuple], Optional[np.ndarray]] = (None, None)
         self.exchanges = 0
         self.gates_applied = 0
         self._swap_cursor = 0
@@ -117,16 +119,42 @@ class DistributedStatevector:
         phys = self.comm.gather(self.slices)
         if self.layout == list(range(self.num_qubits)):
             return phys.copy()
-        # Un-permute: logical index bits live at physical positions layout[q].
-        n = self.num_qubits
-        idx = np.arange(1 << n, dtype=np.int64)
-        logical_idx = np.zeros_like(idx)
-        for q in range(n):
-            bit = (idx >> self.layout[q]) & 1
-            logical_idx |= bit << q
         out = np.zeros_like(phys)
-        out[logical_idx] = phys
+        out[self._logical_indices()] = phys
         return out
+
+    def _logical_indices(self) -> np.ndarray:
+        """The logical basis index of every physical index: logical bit
+        ``q`` lives at physical position ``layout[q]``.  Kept until the
+        layout changes (every rotation step under a permuted layout
+        reads it)."""
+        key = tuple(self.layout)
+        if self._logical_table[0] != key:
+            idx = basis_indices(self.num_qubits)
+            logical_idx = np.zeros_like(idx)
+            for q, pos in enumerate(key):
+                logical_idx |= ((idx >> pos) & 1) << q
+            self._logical_table = (key, logical_idx)
+        return self._logical_table[1]
+
+    def _to_phys(self, mask: int) -> int:
+        """A logical qubit mask translated to physical bit positions."""
+        out = 0
+        for q in range(self.num_qubits):
+            if (mask >> q) & 1:
+                out |= 1 << self.layout[q]
+        return out
+
+    def _exchange_slices(self, rank_xor: int) -> List[np.ndarray]:
+        """Every rank's copy of the slice of rank ``k ^ rank_xor``: one
+        full-slice pairwise exchange."""
+        partners = [k ^ rank_xor for k in range(self.num_ranks)]
+        # full-state staging copy exchanged with the partners
+        scratch = obs.mem_alloc("dsv_scratch", sum(s.nbytes for s in self.slices))
+        received = self.comm.exchange([s.copy() for s in self.slices], partners)
+        obs.mem_free(scratch)
+        self.exchanges += 1
+        return received
 
     def memory_per_rank_bytes(self) -> int:
         return self.slices[0].nbytes
@@ -252,13 +280,17 @@ class DistributedStatevector:
         """Execute a compiled :class:`repro.sim.plan.ExecutionPlan`
         slice-by-slice.
 
-        Each plan op is resolved to its (kind, payload) form with the
-        parameters substituted, the op's logical qubits are relocated to
-        local physical slots exactly as in :meth:`apply_gate`, and the
-        matching kernel runs on every rank's slice — no ``Gate``
-        objects and no bound-circuit copies on the distributed path
-        either.  Prefix-state reuse does not apply here (the state lives
-        in per-rank slices under a mutable layout).
+        A rotation step runs the shared rotation kernel on every rank's
+        slice under the current layout, with one full-slice exchange
+        with rank ``k ^ x_global`` when its x-mask has global bits and
+        no relocation.  Every other op is resolved to its (kind,
+        payload) form with the parameters substituted, its logical
+        qubits are relocated to local physical slots exactly as in
+        :meth:`apply_gate`, and the matching kernel runs on every
+        rank's slice — no ``Gate`` objects and no bound-circuit copies
+        on the distributed path either.  Prefix-state reuse does not
+        apply here (the state lives in per-rank slices under a mutable
+        layout).
 
         Plans containing full-register diagonal folds are rejected: a
         2^n diagonal indexed by *physical* position cannot be applied
@@ -303,36 +335,56 @@ class DistributedStatevector:
     def _apply_plan_op(self, op, params: np.ndarray) -> None:
         if self.comm.fault_injector is not None:
             self.comm.fault_injector.check_gate_faults(self.gates_applied)
-        kind, payload = op.resolve(params)
-        phys = self._ensure_local(op.qubits)
         self.gates_applied += 1
         L = self.local_qubits
-        if kind == "x":
-            kernel = lambda s: kernels.apply_x(s, phys[0], L)  # noqa: E731
-        elif kind == "cx":
-            kernel = lambda s: kernels.apply_cx(s, phys[0], phys[1], L)  # noqa: E731
-        elif kind == "diag1":
-            kernel = lambda s: kernels.apply_diag_1q(  # noqa: E731
-                s, payload[0], payload[1], phys[0], L
-            )
-        elif kind == "diag2":
-            kernel = lambda s: kernels.apply_diag_2q(  # noqa: E731
-                s, payload, phys[0], phys[1], L
-            )
-        elif len(phys) == 1:
-            kernel = lambda s: kernels.apply_1q(s, payload, phys[0], L)  # noqa: E731
-        elif len(phys) == 2:
-            kernel = lambda s: kernels.apply_2q(s, payload, phys[0], phys[1], L)  # noqa: E731
+        if op.kind == "rot":
+            step, theta = op.data, op.theta(params)
+            x = self._to_phys(step.x)
+            partners = self._exchange_slices(x >> L) if x >> L else self.slices
+            local_x = x & (self.local_dim - 1)
+            gather = xor_indices(L, local_x) if local_x else slice(None)
+            classes = step.classes
+            if self.layout != list(range(self.num_qubits)):
+                classes = classes[self._logical_indices()]
+
+            def kernel(k, s):
+                kernels.apply_rotation(
+                    s, theta, step,
+                    classes=classes[k << L:(k + 1) << L],
+                    source=partners[k][gather] if x else None,
+                )
+
         else:
-            kernel = lambda s: kernels.apply_kq_dense(s, payload, phys, L)  # noqa: E731
+            kind, payload = op.resolve(params)
+            phys = self._ensure_local(op.qubits)
+            if kind == "x":
+                kernel = lambda k, s: kernels.apply_x(s, phys[0], L)  # noqa: E731
+            elif kind == "cx":
+                kernel = lambda k, s: kernels.apply_cx(s, phys[0], phys[1], L)  # noqa: E731
+            elif kind == "diag1":
+                kernel = lambda k, s: kernels.apply_diag_1q(  # noqa: E731
+                    s, payload[0], payload[1], phys[0], L
+                )
+            elif kind == "diag2":
+                kernel = lambda k, s: kernels.apply_diag_2q(  # noqa: E731
+                    s, payload, phys[0], phys[1], L
+                )
+            elif len(phys) == 1:
+                kernel = lambda k, s: kernels.apply_1q(s, payload, phys[0], L)  # noqa: E731
+            elif len(phys) == 2:
+                kernel = lambda k, s: kernels.apply_2q(  # noqa: E731
+                    s, payload, phys[0], phys[1], L
+                )
+            else:
+                kernel = lambda k, s: kernels.apply_kq_dense(s, payload, phys, L)  # noqa: E731
         if obs.enabled():
             for k, s in enumerate(self.slices):
                 t0 = time.perf_counter()
-                kernel(s)
+                kernel(k, s)
                 self.rank_compute_s[k] += time.perf_counter() - t0
         else:
-            for s in self.slices:
-                kernel(s)
+            for k, s in enumerate(self.slices):
+                kernel(k, s)
 
     def _flush_rank_compute(self, sp, compute_before: Sequence[float]) -> None:
         """Attach the per-rank compute-second delta to the enclosing
@@ -391,14 +443,6 @@ class DistributedStatevector:
         L = self.local_qubits
         local_mask = (1 << L) - 1
 
-        # translate logical masks to physical bit positions
-        def to_phys(mask: int) -> int:
-            out = 0
-            for q in range(self.num_qubits):
-                if (mask >> q) & 1:
-                    out |= 1 << self.layout[q]
-            return out
-
         # Two-level grouping: by global-x pattern (one slice exchange
         # each), then by local x-mask (one gather each).  The per-term
         # local sign vectors are combined into one complex diagonal per
@@ -407,7 +451,7 @@ class DistributedStatevector:
         # compiled x-mask batching in ``repro.ir.compiled``.
         groups: Dict[int, Dict[int, List[Tuple[int, int, complex]]]] = {}
         for (x, z), coeff in observable.terms.items():
-            px, pz = to_phys(x), to_phys(z)
+            px, pz = self._to_phys(x), self._to_phys(z)
             groups.setdefault(px >> L, {}).setdefault(
                 px & local_mask, []
             ).append((px, pz, coeff))
@@ -415,19 +459,9 @@ class DistributedStatevector:
         jloc = basis_indices(L)
         total = 0.0 + 0.0j
         for rank_xor, by_xloc in groups.items():
-            scratch = 0
-            if rank_xor == 0:
-                partner_slices = self.slices
-            else:
-                partners = [k ^ rank_xor for k in range(self.num_ranks)]
-                # full-state staging copy exchanged with the partners
-                scratch = obs.mem_alloc(
-                    "dsv_scratch", sum(s.nbytes for s in self.slices)
-                )
-                partner_slices = self.comm.exchange(
-                    [s.copy() for s in self.slices], partners
-                )
-                self.exchanges += 1
+            partner_slices = (
+                self._exchange_slices(rank_xor) if rank_xor else self.slices
+            )
             # Rank-independent precomputation, shared by every rank:
             # gather table, per-term sign rows, base weights, global-Z
             # masks (whose rank-dependent parity flips the weight sign).
@@ -459,7 +493,6 @@ class DistributedStatevector:
                 per_rank.append(acc)
                 if timing:
                     self.rank_compute_s[k] += time.perf_counter() - t0
-            obs.mem_free(scratch)
             total += self.comm.allreduce(per_rank)
         if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
             raise ValueError("non-Hermitian observable")

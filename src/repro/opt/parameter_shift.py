@@ -131,71 +131,6 @@ def _apply_resolved_inverse(state, kind, payload, qubits, n) -> None:
             kernels.apply_kq_dense(state, m, qubits, n)
 
 
-# Diagonal derivative factors d(U)/d(theta) for the diagonal rotation
-# gates; dense gates build -i/2 * G @ U from the generator below.
-_DIAG_GENERATORS = {
-    "rz": lambda th: (
-        -0.5j * complex(math.cos(th / 2), -math.sin(th / 2)),
-        0.5j * complex(math.cos(th / 2), math.sin(th / 2)),
-    ),
-    "p": lambda th: (0.0j, 1j * complex(math.cos(th), math.sin(th))),
-    "rzz": lambda th: (
-        -0.5j * complex(math.cos(th / 2), -math.sin(th / 2)),
-        0.5j * complex(math.cos(th / 2), math.sin(th / 2)),
-        0.5j * complex(math.cos(th / 2), math.sin(th / 2)),
-        -0.5j * complex(math.cos(th / 2), -math.sin(th / 2)),
-    ),
-}
-
-_XX = np.fliplr(np.eye(4)).astype(np.complex128)
-_YY = np.array(
-    [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
-    dtype=np.complex128,
-)
-
-
-def _du_bracket(lam, phi, name, theta, qubits, n) -> complex:
-    """<lam| dU/dtheta |phi> evaluated on the op's index tables only."""
-    from repro.ir.gates import GATE_SET
-    from repro.utils.bitops import indices_1q, indices_2q
-
-    diag = _DIAG_GENERATORS.get(name)
-    if diag is not None:
-        d = diag(theta)
-        if len(d) == 2:
-            i0, i1 = indices_1q(n, qubits[0])
-            return d[0] * np.vdot(lam[i0], phi[i0]) + d[1] * np.vdot(
-                lam[i1], phi[i1]
-            )
-        tables = indices_2q(n, qubits[0], qubits[1])
-        return sum(
-            d[s] * np.vdot(lam[tables[s]], phi[tables[s]]) for s in range(4)
-        )
-    if name in ("rx", "ry"):
-        ch = 0.5 * math.cos(theta / 2)
-        sh = 0.5 * math.sin(theta / 2)
-        if name == "rx":
-            du = np.array([[-sh, -1j * ch], [-1j * ch, -sh]])
-        else:
-            du = np.array([[-sh, -ch], [ch, -sh]])
-        i0, i1 = indices_1q(n, qubits[0])
-        return np.vdot(lam[i0], du[0, 0] * phi[i0] + du[0, 1] * phi[i1]) + np.vdot(
-            lam[i1], du[1, 0] * phi[i0] + du[1, 1] * phi[i1]
-        )
-    # rxx / ryy: dU = -i/2 * G @ U with G the two-qubit Pauli generator
-    g = _XX if name == "rxx" else _YY
-    du = -0.5j * (g @ GATE_SET[name][2](theta))
-    tables = indices_2q(n, qubits[0], qubits[1])
-    amps = [phi[t] for t in tables]
-    total = 0.0j
-    for row in range(4):
-        total += np.vdot(
-            lam[tables[row]],
-            sum(du[row, col] * amps[col] for col in range(4)),
-        )
-    return total
-
-
 def _plan_parameter_shift_gradient(
     circuit: Circuit,
     hamiltonian: PauliSum,
@@ -210,14 +145,18 @@ def _plan_parameter_shift_gradient(
     forward pass, one ``H|psi>`` application, and one backward sweep
     undoing ops pairwise on ``|phi>`` and ``|lambda> = H|psi>`` — the
     classic adjoint trick, here running on prepacked plan ops instead
-    of ``Gate`` objects.  Cost is ~3 plan executions plus one observable
+    of ``Gate`` objects.  A rotation step ``exp(theta A)`` contributes
+    ``2 Re <lambda| A |phi>`` and is undone by the same kernel at
+    ``-theta``.  Cost is ~3 plan executions plus one observable
     apply, independent of parameter count, versus the naive ``2 m``
     bound circuit runs and ``2 m`` expectations.  Identical values to
     the two-term formula to machine precision.
     """
     from repro import obs
     from repro.ir.compiled import compile_observable
+    from repro.sim.kernels import apply_rotation, rotation_bracket
     from repro.sim.plan import compile_circuit
+    from repro.utils.bitops import indices_1q
 
     names = circuit.parameters
     plan = compile_circuit(circuit)
@@ -229,19 +168,24 @@ def _plan_parameter_shift_gradient(
     phi = psi  # backward sweep updates the forward buffer in place
     grad = np.zeros(len(names))
     for op in reversed(plan.ops):
+        if op.kind == "rot":
+            # exp(theta A): dU/dtheta = A U, and the inverse is the same
+            # step at -theta
+            step = op.data
+            back = -op.theta(params)
+            for k in op.param_deps:
+                grad[k] += 2.0 * rotation_bracket(lam, phi, step).real
+            apply_rotation(phi, back, step)
+            apply_rotation(lam, back, step)
+            continue
+        if op.is_parametric:
+            # the phase gate, the one shift-rule gate that is not a
+            # rotation step: dU/dtheta = i |1><1| U
+            _, coeff, k, _ = op.param_refs[0]
+            _, i1 = indices_1q(n, op.qubits[0])
+            grad[k] += 2.0 * coeff * (1j * np.vdot(lam[i1], phi[i1])).real
         kind, payload = op.resolve(params)
         _apply_resolved_inverse(phi, kind, payload, op.qubits, n)
-        if op.is_parametric:
-            _, coeff, k, offset = op.param_refs[0]
-            if coeff != 0.0:
-                theta = coeff * params[k] + offset
-                grad[k] += (
-                    2.0
-                    * coeff
-                    * _du_bracket(
-                        lam, phi, op.gate_name, theta, op.qubits, n
-                    ).real
-                )
         _apply_resolved_inverse(lam, kind, payload, op.qubits, n)
     if obs.enabled():
         obs.inc(

@@ -15,22 +15,23 @@ companion ``repro.opt.parameter_shift.batched_parameter_shift_gradient``
 and the batching benchmark quantify the win over one-at-a-time
 execution.
 
-Parameterized gates receive a per-batch-row angle vector; fixed gates
-broadcast one matrix over the batch.
+Execution is always through a compiled plan
+(:mod:`repro.sim.plan`): rotation steps receive a per-batch-row angle
+vector, fixed ops broadcast one matrix over the batch.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from repro import obs
 from repro.ir.circuit import Circuit
 from repro.ir.compiled import CompiledPauliSum, compile_observable
-from repro.ir.gates import Gate, Parameter
 from repro.ir.pauli import PauliSum
+from repro.sim.kernels import apply_rotation
+from repro.sim.plan import compile_circuit
 from repro.utils.bitops import indices_1q, indices_2q
 
 __all__ = ["BatchedStatevectorSimulator"]
@@ -72,111 +73,26 @@ class BatchedStatevectorSimulator:
         self.states[:, i0] = m[0, 0] * a0 + m[0, 1] * a1
         self.states[:, i1] = m[1, 0] * a0 + m[1, 1] * a1
 
-    def _apply_1q_batched(self, ms: np.ndarray, q: int) -> None:
-        """ms has shape (B, 2, 2): a distinct 1q matrix per batch row."""
-        i0, i1 = indices_1q(self.num_qubits, q)
-        a0 = self.states[:, i0]
-        a1 = self.states[:, i1]
-        self.states[:, i0] = ms[:, 0, 0, None] * a0 + ms[:, 0, 1, None] * a1
-        self.states[:, i1] = ms[:, 1, 0, None] * a0 + ms[:, 1, 1, None] * a1
-
     def _apply_2q_fixed(self, m: np.ndarray, q0: int, q1: int) -> None:
         idx = np.vstack(indices_2q(self.num_qubits, q0, q1))
         sub = self.states[:, idx]  # (B, 4, dim/4)
         self.states[:, idx] = np.einsum("rc,bcj->brj", m, sub)
 
-    def _apply_2q_batched(self, ms: np.ndarray, q0: int, q1: int) -> None:
-        idx = np.vstack(indices_2q(self.num_qubits, q0, q1))
-        sub = self.states[:, idx]  # (B, 4, dim/4)
-        self.states[:, idx] = np.einsum("brc,bcj->brj", ms, sub)
-
-    @staticmethod
-    def _batched_matrix(name: str, angles: np.ndarray) -> np.ndarray:
-        """Per-batch gate matrices for single-parameter rotation gates."""
-        b = angles.shape[0]
-        c = np.cos(angles / 2.0)
-        s = np.sin(angles / 2.0)
-        if name == "rx":
-            out = np.zeros((b, 2, 2), dtype=np.complex128)
-            out[:, 0, 0] = out[:, 1, 1] = c
-            out[:, 0, 1] = out[:, 1, 0] = -1j * s
-            return out
-        if name == "ry":
-            out = np.zeros((b, 2, 2), dtype=np.complex128)
-            out[:, 0, 0] = out[:, 1, 1] = c
-            out[:, 0, 1] = -s
-            out[:, 1, 0] = s
-            return out
-        if name == "rz":
-            out = np.zeros((b, 2, 2), dtype=np.complex128)
-            e = np.exp(-0.5j * angles)
-            out[:, 0, 0] = e
-            out[:, 1, 1] = e.conj()
-            return out
-        if name == "p":
-            out = np.zeros((b, 2, 2), dtype=np.complex128)
-            out[:, 0, 0] = 1.0
-            out[:, 1, 1] = np.exp(1j * angles)
-            return out
-        if name == "rzz":
-            e = np.exp(-0.5j * angles)
-            out = np.zeros((b, 4, 4), dtype=np.complex128)
-            out[:, 0, 0] = out[:, 3, 3] = e
-            out[:, 1, 1] = out[:, 2, 2] = e.conj()
-            return out
-        if name == "rxx":
-            out = np.zeros((b, 4, 4), dtype=np.complex128)
-            for d in range(4):
-                out[:, d, d] = c
-            isn = -1j * s
-            out[:, 0, 3] = out[:, 3, 0] = out[:, 1, 2] = out[:, 2, 1] = isn
-            return out
-        if name == "ryy":
-            out = np.zeros((b, 4, 4), dtype=np.complex128)
-            for d in range(4):
-                out[:, d, d] = c
-            out[:, 0, 3] = out[:, 3, 0] = 1j * s
-            out[:, 1, 2] = out[:, 2, 1] = -1j * s
-            return out
-        if name == "cp":
-            out = np.zeros((b, 4, 4), dtype=np.complex128)
-            out[:, 0, 0] = out[:, 1, 1] = out[:, 2, 2] = 1.0
-            out[:, 3, 3] = np.cos(angles) + 1j * np.sin(angles)
-            return out
-        if name == "crz":
-            e = np.cos(angles / 2.0) - 1j * np.sin(angles / 2.0)
-            out = np.zeros((b, 4, 4), dtype=np.complex128)
-            out[:, 0, 0] = out[:, 2, 2] = 1.0
-            out[:, 1, 1] = e
-            out[:, 3, 3] = e.conj()
-            return out
-        raise ValueError(
-            f"no batched form for parameterized gate {name!r}; supported "
-            "affine-parameter gates: rx, ry, rz, p, cp, crz, rzz, rxx, ryy"
-        )
-
     @staticmethod
     def _batched_diag(name: str, angles: np.ndarray):
-        """Per-row diagonal factors for affine-parameter phase gates.
+        """Per-row diagonal factors for the affine-parameter phase gates
+        ``p``/``cp``/``crz`` (the parametric gates the frame pass leaves
+        in a plan besides rotation steps).
 
         Returns ``[(sub_index, values), ...]`` listing only the
         non-identity columns of the (batched) diagonal — the same
-        sparse update the scalar plan path applies — or ``None`` when
-        the gate is not diagonal in the computational basis.  The
-        trig forms mirror :meth:`repro.sim.plan.PlanOp.resolve`
-        exactly so batched and scalar execution agree bitwise.
+        sparse update the scalar plan path applies — or ``None`` for any
+        other gate.  The trig forms mirror
+        :meth:`repro.sim.plan.PlanOp.resolve` exactly so batched and
+        scalar execution agree bitwise.
         """
-        if name == "rz":
-            h = angles / 2.0
-            e = np.cos(h) - 1j * np.sin(h)
-            return [(0, e), (1, e.conj())]
         if name == "p":
             return [(1, np.cos(angles) + 1j * np.sin(angles))]
-        if name == "rzz":
-            h = angles / 2.0
-            e = np.cos(h) - 1j * np.sin(h)
-            ec = e.conj()
-            return [(0, e), (1, ec), (2, ec), (3, e)]
         if name == "cp":
             return [(3, np.cos(angles) + 1j * np.sin(angles))]
         if name == "crz":
@@ -196,8 +112,9 @@ class BatchedStatevectorSimulator:
         """Execute the circuit template with per-row parameters.
 
         ``parameter_table[name]`` is a length-B vector of values for
-        the named circuit parameter.  Returns the (B, 2^n) amplitude
-        matrix (live buffer).
+        the named circuit parameter.  The circuit is compiled (memoized
+        on the circuit) and executed by :meth:`run_plan`.  Returns the
+        (B, 2^n) amplitude matrix (live buffer).
         """
         if circuit.num_qubits != self.num_qubits:
             raise ValueError("circuit width mismatch")
@@ -212,28 +129,11 @@ class BatchedStatevectorSimulator:
                 raise ValueError(
                     f"parameter {k!r}: expected shape ({self.batch_size},)"
                 )
-        if reset:
-            self.reset()
-        for g in circuit.gates:
-            if g.is_parameterized:
-                (p,) = g.params  # single-angle rotation gates only
-                if not isinstance(p, Parameter):
-                    raise ValueError("mixed symbolic/concrete params unsupported")
-                angles = p.coeff * table[p.name] + p.offset
-                ms = self._batched_matrix(g.name, angles)
-                if g.num_qubits == 1:
-                    self._apply_1q_batched(ms, g.qubits[0])
-                else:
-                    self._apply_2q_batched(ms, g.qubits[0], g.qubits[1])
-            else:
-                m = g.to_matrix()
-                if g.num_qubits == 1:
-                    self._apply_1q_fixed(m, g.qubits[0])
-                elif g.num_qubits == 2:
-                    self._apply_2q_fixed(m, g.qubits[0], g.qubits[1])
-                else:
-                    raise ValueError("batched mode supports <=2-qubit gates")
-        return self.states
+        plan = compile_circuit(circuit)
+        rows = np.empty((self.batch_size, plan.num_parameters))
+        for k, name in enumerate(plan.parameters):
+            rows[:, k] = table[name]
+        return self.run_plan(plan, rows, reset=reset)
 
     def run_plan(
         self,
@@ -246,10 +146,12 @@ class BatchedStatevectorSimulator:
 
         ``param_rows`` has shape (B, P), row b holding the flat
         parameter vector (ordered like ``plan.parameters``) for batch
-        instance b.  Dispatches on the plan's op metadata — static ops
-        (including fused blocks and folded diagonal passes) broadcast
-        one matrix/diagonal over the batch; parametric ops build their
-        per-row matrices once per op.  Returns the (B, 2^n) buffer.
+        instance b.  Dispatches on the plan's op metadata — rotation
+        steps run the shared ``(B, 2^n)`` kernel with one angle per
+        row, static ops (including fused blocks and folded diagonal
+        passes) broadcast one matrix/diagonal over the batch, and the
+        parametric phase gates scale per row.  Returns the (B, 2^n)
+        buffer.
         """
         if plan.num_qubits != self.num_qubits:
             raise ValueError("plan width mismatch")
@@ -264,7 +166,9 @@ class BatchedStatevectorSimulator:
         n = self.num_qubits
         for op in plan.ops:
             kind = op.kind
-            if kind == "x":
+            if kind == "rot":
+                apply_rotation(self.states, op.theta(param_rows), op.data)
+            elif kind == "x":
                 i0, i1 = indices_1q(n, op.qubits[0])
                 tmp = self.states[:, i0].copy()
                 self.states[:, i0] = self.states[:, i1]
@@ -299,28 +203,25 @@ class BatchedStatevectorSimulator:
                 )
             else:
                 refs = op.param_refs
-                if len(refs) != 1 or refs[0][0] != "p":
-                    raise ValueError(
-                        f"batched plan execution supports single-angle "
-                        f"affine-parameter gates; {op.gate_name!r} has "
-                        f"parameter refs {refs!r}"
+                diag = None
+                if len(refs) == 1 and refs[0][0] == "p":
+                    _, coeff, slot, offset = refs[0]
+                    diag = self._batched_diag(
+                        op.gate_name, coeff * param_rows[:, slot] + offset
                     )
-                _, coeff, slot, offset = refs[0]
-                angles = coeff * param_rows[:, slot] + offset
-                diag = self._batched_diag(op.gate_name, angles)
-                if diag is not None:
-                    if len(op.qubits) == 1:
-                        idx = indices_1q(n, op.qubits[0])
-                    else:
-                        idx = indices_2q(n, op.qubits[0], op.qubits[1])
-                    for sub, vals in diag:
-                        self.states[:, idx[sub]] *= vals[:, None]
+                if diag is None:
+                    raise ValueError(
+                        f"no batched form for parameterized gate "
+                        f"{op.gate_name!r} with parameter refs "
+                        f"{refs!r}; supported: rotation steps "
+                        "(rx, ry, rz, rzz, rxx, ryy) and p, cp, crz"
+                    )
+                if len(op.qubits) == 1:
+                    idx = indices_1q(n, op.qubits[0])
                 else:
-                    ms = self._batched_matrix(op.gate_name, angles)
-                    if len(op.qubits) == 1:
-                        self._apply_1q_batched(ms, op.qubits[0])
-                    else:
-                        self._apply_2q_batched(ms, op.qubits[0], op.qubits[1])
+                    idx = indices_2q(n, op.qubits[0], op.qubits[1])
+                for sub, vals in diag:
+                    self.states[:, idx[sub]] *= vals[:, None]
         return self.states
 
     # -- observation ---------------------------------------------------------------

@@ -12,7 +12,9 @@ with ``A_x^2 = -omega^2``, ``omega[j] = |d[j]|``, so
 
 — one gather and a few elementwise passes, exact whether or not the
 terms inside the group commute; the trigonometry is evaluated once per
-*distinct* omega (0 and 1 for a fermionic excitation).  Every UCCSD
+*distinct* weight (three for a fermionic excitation).  This is the
+kernel compiled circuit plans run their rotation steps on
+(:func:`repro.sim.kernels.apply_rotation`).  Every UCCSD
 single/double and qubit-pool string has a single x-mask.  A generator
 with several masks is one such step per mask when terms of different
 masks commute, and otherwise falls back to Krylov ``expm_multiply`` on
@@ -30,6 +32,7 @@ import scipy.sparse.linalg as spla
 
 from repro.ir.compiled import compile_observable
 from repro.ir.pauli import PauliString, PauliSum
+from repro.sim.kernels import MaskRotation, apply_rotation
 
 __all__ = ["apply_pauli_rotation", "terms_commute", "GeneratorEvolution"]
 
@@ -55,33 +58,6 @@ def _mask_groups_commute(a: PauliSum) -> bool:
     return not (symp.anticommutation_matrix() & other_mask).any()
 
 
-class _MaskStep:
-    """exp(theta * A_x) for the terms of one x-mask: the diagonal and
-    gather table of the compiled form, the distinct rotation rates
-    omega, and which of them each amplitude turns at."""
-
-    __slots__ = ("diagonal", "gather", "rates", "inverse_rates", "rate_of")
-
-    def __init__(self, diagonal: np.ndarray, gather: Optional[np.ndarray]):
-        self.diagonal = diagonal
-        self.gather = gather
-        self.rates, self.rate_of = np.unique(np.abs(diagonal), return_inverse=True)
-        # omega = 0 only where A_x psi vanishes, so any finite stand-in
-        # for sin(omega theta) / omega serves there
-        self.inverse_rates = np.divide(
-            1.0, self.rates, out=np.zeros_like(self.rates), where=self.rates > 0
-        )
-
-    def apply(self, state: np.ndarray, theta: float) -> np.ndarray:
-        angles = theta * self.rates
-        out = self.diagonal * state
-        if self.gather is not None:
-            out = out[self.gather]
-        out *= (np.sin(angles) * self.inverse_rates)[self.rate_of]
-        out += np.cos(angles)[self.rate_of] * state
-        return out
-
-
 class GeneratorEvolution:
     """Prepared applicator for exp(theta * A), A anti-Hermitian.
 
@@ -99,12 +75,17 @@ class GeneratorEvolution:
         # compiled once here: the adjoint sweep calls apply_generator in
         # a tight loop and should not pay the memoization version check
         self._compiled = compile_observable(generator)
-        self._steps: Optional[List[_MaskStep]] = None
+        self._steps: Optional[List[MaskRotation]] = None
         self._sparse = None
         if self._compiled.num_passes <= 1 or _mask_groups_commute(generator):
+            # compiled form: A_x |k> = d[k] |k ^ x>, i.e. w[i] = d[i ^ x]
             self._steps = [
-                _MaskStep(d, g)
-                for d, g in zip(self._compiled.diagonals, self._compiled.gathers)
+                MaskRotation(x, *np.unique(d if g is None else d[g], return_inverse=True))
+                for x, d, g in zip(
+                    self._compiled.x_masks,
+                    self._compiled.diagonals,
+                    self._compiled.gathers,
+                )
             ]
         else:
             self._sparse = generator.to_sparse()
@@ -119,11 +100,10 @@ class GeneratorEvolution:
             return spla.expm_multiply(self._sparse * theta, state)
         if state.shape[0] != self._compiled.dim:
             raise ValueError("state dimension mismatch")
-        if not self._steps:  # the zero generator
-            return state.astype(np.complex128)
+        out = state.astype(np.complex128)  # always a copy
         for step in self._steps:
-            state = step.apply(state, theta)
-        return state
+            apply_rotation(out, theta, step)
+        return out
 
     def apply_generator(self, state: np.ndarray) -> np.ndarray:
         """Return A @ state (used for adjoint gradients).

@@ -17,6 +17,12 @@ Addressing tables are pulled from the process-wide LRU cache in
 campaign applies the same few (width, qubit) combinations millions of
 times, so the tables are built once and shared.  They are read-only —
 kernels only ever use them as gather/scatter indices.
+
+The one kernel that is not per-gate is :func:`apply_rotation`: the
+closed-form exponential of an anti-Hermitian single-x-mask operator
+over one state or a ``(B, 2^n)`` block (:class:`MaskRotation`).  Compiled plans
+(scalar, batched and per distributed slice), the reverse-mode gradient
+and ``GeneratorEvolution`` all evolve through it.
 """
 
 from __future__ import annotations
@@ -25,9 +31,19 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.utils.bitops import indices_1q, indices_2q, insert_zero_bit
+from repro.utils.bitops import (
+    basis_indices,
+    indices_1q,
+    indices_2q,
+    insert_zero_bit,
+    parity_mask,
+    xor_indices,
+)
 
 __all__ = [
+    "MaskRotation",
+    "apply_rotation",
+    "rotation_bracket",
     "apply_1q",
     "apply_2q",
     "apply_diag_1q",
@@ -134,3 +150,100 @@ def apply_kq_dense(
         idx[sub] = i0 | offset
     block = state[idx]  # (dim_sub, groups)
     state[idx] = matrix @ block
+
+
+class MaskRotation:
+    """``exp(theta A)`` for an anti-Hermitian ``A`` with a single x-mask,
+    ``(A psi)[i] = w[i] psi[i ^ x]``.
+
+    ``A`` is a direct sum of anti-Hermitian blocks on the pairs
+    ``{i, i ^ x}`` (1x1 when ``x = 0``) with ``A^2 = -|w|^2``, so
+
+        exp(theta A) psi = cos(theta |w|) o psi
+                           + sin(theta |w|) w / |w| o psi[i ^ x]
+
+    exactly, whether or not the Pauli terms summed into ``w`` commute.
+    The weights are stored as a class index per amplitude (smallest
+    unsigned dtype) plus per-class tables — three classes for a UCCSD
+    excitation — instead of 2^n complex values.
+    """
+
+    __slots__ = ("x", "classes", "weights", "rates", "directions")
+
+    def __init__(self, x: int, weights: np.ndarray, classes: np.ndarray):
+        self.x = int(x)
+        self.weights = weights
+        self.classes = classes.astype(np.min_scalar_type(weights.size - 1))
+        rates = np.abs(weights)
+        # one entry when every amplitude turns at the same rate (any
+        # single-Pauli rotation): cos(theta |w|) is then a scalar per row
+        self.rates = rates[:1] if np.all(rates == rates[0]) else rates
+        # |w| = 0 only where A psi vanishes: sin(0) w / 0 is read as 0
+        self.directions = np.divide(
+            weights, self.rates, out=np.zeros_like(weights), where=self.rates > 0
+        )
+
+    @classmethod
+    def from_terms(cls, x: int, terms, num_qubits: int) -> "MaskRotation":
+        """From ``w[i] = sum_j c_j (-1)^{|i & z_j|}`` given as ``(z_j, c_j)``
+        pairs: each term splits the classes so far by its parity and
+        classes of equal weight merge again, so no 2^n array is sorted."""
+        idx = basis_indices(num_qubits)
+        weights = np.zeros(1, dtype=np.complex128)
+        classes = np.zeros(idx.size, dtype=np.intp)
+        for z, c in terms:
+            split = 2 * classes + parity_mask(idx, z)
+            seen = np.flatnonzero(np.bincount(split))
+            weights, merged = np.unique(
+                weights[seen >> 1] + np.where(seen & 1, -c, c), return_inverse=True
+            )
+            relabel = np.zeros(seen[-1] + 1, dtype=np.intp)
+            relabel[seen] = merged
+            classes = relabel[split]
+        return cls(x, weights, classes)
+
+    @property
+    def nbytes(self) -> int:
+        tables = (self.classes, self.weights, self.rates, self.directions)
+        return sum(t.nbytes for t in tables)
+
+
+def apply_rotation(
+    block: np.ndarray,
+    theta: "float | np.ndarray",
+    step: MaskRotation,
+    classes: "np.ndarray | None" = None,
+    source: "np.ndarray | None" = None,
+) -> None:
+    """``block <- exp(theta A) block`` in place along the last axis: one
+    state and a scalar ``theta``, or a ``(B, D)`` block with ``theta`` of
+    shape ``(B,)``.
+
+    ``source``, when given, is ``psi[..., i ^ x]`` already gathered by
+    the caller — a distributed slice gathers it from its partner rank's
+    slice under the physical layout and passes the class indices of its
+    own amplitudes as ``classes`` — otherwise it is gathered from
+    ``block`` itself.
+    """
+    if classes is None:
+        classes = step.classes
+    if source is None:
+        if step.x == 0:  # A is diagonal: exp(theta w) itself
+            block *= np.exp(np.multiply.outer(theta, step.weights)).take(classes, axis=-1)
+            return
+        n = block.shape[-1].bit_length() - 1
+        source = block.take(xor_indices(n, step.x), axis=-1)
+    angles = np.multiply.outer(theta, step.rates)
+    keep = np.cos(angles)
+    if step.rates.size > 1:
+        classes = classes.astype(np.intp)  # one cast for both takes
+        keep = keep.take(classes, axis=-1)
+    moved = source * (np.sin(angles) * step.directions).take(classes, axis=-1)
+    block *= keep
+    block += moved
+
+
+def rotation_bracket(lam: np.ndarray, phi: np.ndarray, step: MaskRotation) -> complex:
+    """``<lam| A |phi>`` for the generator of ``step`` (1-D states)."""
+    moved = phi[xor_indices(phi.shape[0].bit_length() - 1, step.x)] if step.x else phi
+    return complex(np.vdot(lam, step.weights.take(step.classes) * moved))

@@ -1,28 +1,35 @@
 """Compiled circuit execution: bind-free plans with prefix-state reuse.
 
-PR 3 compiled the *observable* side of the VQE hot loop
-(``repro.ir.compiled``); this module compiles the *circuit* side.  The
-per-gate path re-walks Python ``Gate`` objects, re-binds parameters
-(one full circuit copy per evaluation), and re-dispatches through the
-``apply_gate`` name if-chain for every one of the thousands of energy
-and gradient evaluations an optimization makes.  ``compile_circuit``
-pays all of that exactly once:
+``compile_circuit`` lowers a (possibly parameterized) circuit once to a
+flat list of prepacked kernel ops, so that the thousands of energy and
+gradient evaluations of an optimization re-walk no ``Gate`` objects,
+re-bind no parameters and dispatch on no gate names.  Lowering is two
+passes:
 
-* every gate is resolved to a **prepacked kernel op** — a closure over
-  the kernel arithmetic, the frozen matrix or diagonal, and the
-  addressing tables from the :mod:`repro.utils.bitops` caches (captured
-  at compile time, so execution does not even pay the LRU lookup);
-* parameterized gates keep a **parameter slot**: an affine reference
-  ``(index, coeff, offset)`` into the flat parameter vector plus a
-  closed-form matrix/diagonal builder (rz/ry/rx/p/rzz/rxx/ryy/cp/crz;
-  anything else falls back to its registry factory) — no ``bind()``,
-  no ``Gate`` construction, ever;
-* maximal **static segments** (runs of parameter-free gates) are fused
-  under the paper's <= 2-qubit rule (§4.3) at compile time, so the
-  fusion cost is paid once instead of per evaluation;
-* **adjacent diagonal gates fold** into a single diagonal pass — small
-  (<= 2-qubit support) folds always, wider runs into one full-register
-  diagonal when the register is narrow enough to afford it.
+* **Pauli-frame pass.**  Clifford gates are not emitted as they are
+  seen; they are kept as a *frame*: the literal list of pending gates
+  (adjacent inverse pairs cancelled) plus the inverse tableau
+  ``M(P) = C^dag P C`` of their product ``C`` on the 2n generators,
+  updated per gate from a numerically derived, cached local action
+  (``repro.ir.clifford.conjugate_pauli``; no per-gate rules).  A
+  rotation ``rz/rx/ry/rzz/rxx/ryy`` about the Pauli ``Q`` — symbolic or
+  constant angle — is pulled in front of the frame as
+  ``exp(-i theta/2 M(Q))``.  Adjacent pulled rotations that share an
+  x-mask and a parameter slot and mutually commute merge into one
+  **rotation step** ``exp(theta A)``, ``(A psi)[i] = w[i] psi[i ^ x]``,
+  executed by the one closed-form kernel
+  :func:`repro.sim.kernels.apply_rotation`.  A Trotterized UCCSD
+  circuit — Clifford-conjugated rotations ``V^dag Rz(theta) V`` — thus
+  collapses to one step per excitation plus the reference ``x`` gates
+  (H4: 2692 gates -> 30 ops).
+* **Residue.**  Whatever the frame cannot absorb is a barrier:
+  parametric ``p/cp/crz/u3`` gates keep an affine parameter slot
+  ``(index, coeff, offset)`` and a matrix/diagonal builder; static
+  non-Clifford gates (``t``, opaque unitaries, >= 3-qubit gates) join
+  the pending gates and make them opaque to rotations.  Pending gates
+  are flushed through the paper's <= 2-qubit fusion (§4.3), and
+  adjacent static diagonal ops fold into a single pass.  The emitted
+  tail is the literal gate list, so plans are phase-exact.
 
 On top of the flat op list, plans support cross-evaluation
 **prefix-state reuse**: consecutive ``execute`` calls record the last
@@ -43,16 +50,19 @@ slice-aware ``DistributedStatevector.run_plan``.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.ir.circuit import Circuit
+from repro.ir.clifford import conjugate_pauli
 from repro.ir.gates import GATE_SET, Gate, Parameter
+from repro.ir.pauli import PauliString
 from repro.sim import kernels
 from repro.sim.fusion import fuse_circuit
-from repro.utils.bitops import indices_1q, indices_2q
+from repro.utils.bitops import I_POW, indices_1q, indices_2q, popcount
 
 __all__ = [
     "ExecutionPlan",
@@ -74,10 +84,15 @@ _DIAG_1Q_STATIC: Dict[str, Tuple[complex, complex]] = {
     "tdg": (1.0 + 0j, complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))),
 }
 
-# Parametric gates with closed-form *diagonal* builders.
-_PARAM_DIAG_GATES = {"rz", "p", "rzz", "cp", "crz"}
-# Parametric gates with closed-form *dense* builders.
-_PARAM_DENSE_GATES = {"rx", "ry", "rxx", "ryy"}
+# Rotation gates exp(-i theta/2 Q): the local (x, z) bits of Q.
+_ROTATION_AXES: Dict[str, Tuple[int, int]] = {
+    "rz": (0, 1),
+    "rx": (1, 0),
+    "ry": (1, 1),
+    "rzz": (0, 3),
+    "rxx": (3, 0),
+    "ryy": (3, 3),
+}
 
 
 def unbound_parameter_message(circuit: Circuit) -> str:
@@ -102,12 +117,17 @@ class PlanOp:
     The metadata fields let alternative executors (batched, distributed
     slices) re-dispatch the op without touching ``Gate`` objects:
 
-    * ``kind`` — ``x``/``cx``/``diag1``/``diag2``/``diag_full``/
-      ``dense1``/``dense2``/``densek`` for static ops, the same names
-      prefixed with ``p`` for parametric ops;
-    * ``data`` — frozen diagonal/matrix payload for static ops;
+    * ``kind`` — ``rot`` for a rotation step (parametric when it has a
+      parameter slot, static for a constant angle); ``x``/``cx``/
+      ``diag1``/``diag2``/``diag_full``/``dense1``/``dense2``/``densek``
+      for the static residue; ``pdiag1``/``pdiag2``/``pdense1``/
+      ``pdense2``/``pdensek`` for parametric barrier gates;
+    * ``data`` — the :class:`repro.sim.kernels.MaskRotation` of a
+      rotation step, the frozen diagonal/matrix payload of a static op;
     * ``gate_name``/``param_refs`` — builder identity and the affine
-      parameter slots ``(index, coeff, offset)`` for parametric ops;
+      parameter slots ``(index, coeff, offset)`` for parametric ops (a
+      rotation step's slot has coefficient 1 and offset 0: its
+      coefficients live in the step's weights);
     * ``param_deps`` — parameter indices this op depends on (empty for
       static ops), used by prefix-reuse bookkeeping;
     * ``source_gates`` — how many source gates this op absorbs.
@@ -155,24 +175,26 @@ class PlanOp:
             for ref in self.param_refs
         )
 
+    def theta(self, params: np.ndarray) -> "float | np.ndarray":
+        """The angle of a rotation step, for one flat parameter vector
+        (a scalar) or a (B, P) block of them (shape (B,))."""
+        if not self.param_refs:
+            return 1.0 if params.ndim == 1 else np.ones(params.shape[0])
+        return params[..., self.param_refs[0][2]]
+
     def resolve(self, params: np.ndarray):
-        """(kind, payload) with parameters substituted — the form the
-        distributed executor dispatches on.  ``kind`` is one of
-        ``x``/``cx``/``diag1``/``diag2``/``diag_full``/``dense``."""
+        """(kind, payload) of a non-rotation op with parameters
+        substituted — the form the distributed executor dispatches on.
+        ``kind`` is one of ``x``/``cx``/``diag1``/``diag2``/
+        ``diag_full``/``dense``."""
         if not self.is_parametric:
             if self.kind in ("x", "cx", "diag1", "diag2", "diag_full"):
                 return self.kind, self.data
             return "dense", self.data
         angles = self.angles(params)
         name = self.gate_name
-        if name == "rz":
-            d = complex(math.cos(angles[0] / 2), -math.sin(angles[0] / 2))
-            return "diag1", (d, d.conjugate())
         if name == "p":
             return "diag1", (1.0 + 0j, complex(math.cos(angles[0]), math.sin(angles[0])))
-        if name == "rzz":
-            e = complex(math.cos(angles[0] / 2), -math.sin(angles[0] / 2))
-            return "diag2", (e, e.conjugate(), e.conjugate(), e)
         if name == "cp":
             return "diag2", (1.0 + 0j, 1.0 + 0j, 1.0 + 0j,
                              complex(math.cos(angles[0]), math.sin(angles[0])))
@@ -215,24 +237,14 @@ def _static_op(gate: Gate, n: int) -> PlanOp:
             return PlanOp(run, "cx", qs)
         if name in _DIAG_1Q_STATIC:
             return _diag1_op(_DIAG_1Q_STATIC[name], qs, n)
-        if name in ("rz", "p"):
-            (theta,) = gate.params
-            theta = float(theta)
-            if name == "rz":
-                d0 = complex(math.cos(theta / 2), -math.sin(theta / 2))
-                d1 = d0.conjugate()
-            else:
-                d0, d1 = 1.0 + 0j, complex(math.cos(theta), math.sin(theta))
-            return _diag1_op((d0, d1), qs, n)
+        if name == "p":
+            theta = float(gate.params[0])
+            return _diag1_op((1.0, complex(math.cos(theta), math.sin(theta))), qs, n)
         if name == "cz":
             return _diag2_op((1, 1, 1, -1), qs, n)
-        if name in ("rzz", "cp", "crz"):
-            (theta,) = gate.params
-            theta = float(theta)
-            if name == "rzz":
-                e = complex(math.cos(theta / 2), -math.sin(theta / 2))
-                diag = (e, e.conjugate(), e.conjugate(), e)
-            elif name == "cp":
+        if name in ("cp", "crz"):
+            theta = float(gate.params[0])
+            if name == "cp":
                 diag = (1, 1, 1, complex(math.cos(theta), math.sin(theta)))
             else:
                 e = complex(math.cos(theta / 2), -math.sin(theta / 2))
@@ -328,27 +340,15 @@ def _param_refs(gate: Gate, index_of: Dict[str, int]) -> Tuple:
 
 
 def _parametric_op(gate: Gate, n: int, index_of: Dict[str, int]) -> PlanOp:
-    """Prepack a gate with symbolic parameters: an affine parameter slot
-    plus a closed-form matrix/diagonal builder."""
+    """Prepack a parametric barrier gate (anything but a rotation): an
+    affine parameter slot plus a closed-form matrix/diagonal builder."""
     name = gate.name
     qs = gate.qubits
     refs = _param_refs(gate, index_of)
     deps = frozenset(r[2] for r in refs if r[0] == "p")
-    # Fast path: single-angle gates with one symbolic parameter.
-    single = len(refs) == 1 and refs[0][0] == "p"
-    if single:
+    # Fast path: the controlled/uncontrolled phase gates.
+    if name in ("p", "cp", "crz"):
         _, coeff, idx, offset = refs[0]
-        if name == "rz":
-            i0, i1 = indices_1q(n, qs[0])
-
-            def run(state, params, i0=i0, i1=i1, c=coeff, k=idx, o=offset):
-                th = c * params[k] + o
-                d0 = complex(math.cos(th / 2), -math.sin(th / 2))
-                state[i0] *= d0
-                state[i1] *= d0.conjugate()
-
-            return PlanOp(run, "pdiag1", qs, gate_name=name,
-                          param_refs=refs, param_deps=deps)
         if name == "p":
             _, i1 = indices_1q(n, qs[0])
 
@@ -358,51 +358,21 @@ def _parametric_op(gate: Gate, n: int, index_of: Dict[str, int]) -> PlanOp:
 
             return PlanOp(run, "pdiag1", qs, gate_name=name,
                           param_refs=refs, param_deps=deps)
-        if name in ("rx", "ry"):
-            i0, i1 = indices_1q(n, qs[0])
-            is_rx = name == "rx"
+        tables = indices_2q(n, qs[0], qs[1])
 
-            def run(state, params, i0=i0, i1=i1, c=coeff, k=idx, o=offset,
-                    is_rx=is_rx):
-                th = c * params[k] + o
-                ch = math.cos(th / 2)
-                sh = math.sin(th / 2)
-                a0 = state[i0]
-                a1 = state[i1]
-                if is_rx:
-                    ish = -1j * sh
-                    state[i0] = ch * a0 + ish * a1
-                    state[i1] = ish * a0 + ch * a1
-                else:
-                    state[i0] = ch * a0 - sh * a1
-                    state[i1] = sh * a0 + ch * a1
+        def run(state, params, tables=tables, c=coeff, k=idx, o=offset,
+                name=name):
+            th = c * params[k] + o
+            if name == "cp":
+                state[tables[3]] *= complex(math.cos(th), math.sin(th))
+            else:  # crz
+                e = complex(math.cos(th / 2), -math.sin(th / 2))
+                state[tables[1]] *= e
+                state[tables[3]] *= e.conjugate()
 
-            return PlanOp(run, "pdense1", qs, gate_name=name,
-                          param_refs=refs, param_deps=deps)
-        if name in ("rzz", "cp", "crz"):
-            tables = indices_2q(n, qs[0], qs[1])
-
-            def run(state, params, tables=tables, c=coeff, k=idx, o=offset,
-                    name=name):
-                th = c * params[k] + o
-                if name == "rzz":
-                    e = complex(math.cos(th / 2), -math.sin(th / 2))
-                    ec = e.conjugate()
-                    state[tables[0]] *= e
-                    state[tables[1]] *= ec
-                    state[tables[2]] *= ec
-                    state[tables[3]] *= e
-                elif name == "cp":
-                    state[tables[3]] *= complex(math.cos(th), math.sin(th))
-                else:  # crz
-                    e = complex(math.cos(th / 2), -math.sin(th / 2))
-                    state[tables[1]] *= e
-                    state[tables[3]] *= e.conjugate()
-
-            return PlanOp(run, "pdiag2", qs, gate_name=name,
-                          param_refs=refs, param_deps=deps)
-    # Generic fallback: registry factory with resolved angles (u3,
-    # rxx/ryy, multi-parameter gates).
+        return PlanOp(run, "pdiag2", qs, gate_name=name,
+                      param_refs=refs, param_deps=deps)
+    # Generic fallback: registry factory with resolved angles (u3).
     factory = GATE_SET[name][2]
     nq = len(qs)
 
@@ -421,6 +391,219 @@ def _parametric_op(gate: Gate, n: int, index_of: Dict[str, int]) -> PlanOp:
     kind = "pdense1" if nq == 1 else ("pdense2" if nq == 2 else "pdensek")
     return PlanOp(run, kind, qs, gate_name=name,
                   param_refs=refs, param_deps=deps)
+
+
+# ---------------------------------------------------------------------------
+# The Pauli-frame pass
+# ---------------------------------------------------------------------------
+
+# A Pauli is carried as (x, z, k) = i^k X^x Z^z on Python ints.
+_Pauli = Tuple[int, int, int]
+
+
+def _pauli_mul(a: _Pauli, b: _Pauli) -> _Pauli:
+    return a[0] ^ b[0], a[1] ^ b[1], (a[2] + b[2] + 2 * popcount(a[1] & b[0])) & 3
+
+
+@lru_cache(maxsize=4096)
+def _clifford_action(name: str, params: Tuple[float, ...]):
+    """``g^dag P g`` for the local generators ``X_0, Z_0, X_1, Z_1`` of a
+    parameter-free registry gate ``g`` on <= 2 qubits, each as
+    ``(sign, x bits, z bits)``; ``None`` when ``g`` is not Clifford."""
+    nq = GATE_SET[name][0]
+    if nq > 2:
+        return None
+    inverse = Gate(name, tuple(range(nq)), params).dagger()
+    u = inverse.to_matrix()
+    images = []
+    try:
+        for q in range(nq):
+            for x, z in ((1 << q, 0), (0, 1 << q)):
+                pauli = PauliString(nq, x, z)
+                sign, image = conjugate_pauli(inverse, 1.0, pauli)
+                # conjugate_pauli matches to 1e-9; rotations pulled through
+                # the tableau are exact only if the gate is that Clifford
+                if not np.allclose(u @ pauli.to_matrix() @ u.conj().T,
+                                   sign * image.to_matrix(), rtol=0.0, atol=1e-14):
+                    return None
+                images.append((sign, image.x, image.z))
+    except ValueError:
+        return None
+    return tuple(images)
+
+
+@lru_cache(maxsize=4096)
+def _cancels(name_a: str, params_a: Tuple, name_b: str, params_b: Tuple) -> bool:
+    """True when two registry gates on the same qubit tuple multiply to
+    the identity, phase included."""
+    product = GATE_SET[name_b][2](*params_b) @ GATE_SET[name_a][2](*params_a)
+    return bool(np.allclose(product, np.eye(product.shape[0]), rtol=0.0, atol=1e-14))
+
+
+class _Frame:
+    """The pending static gates of the frame pass and, while all of them
+    are Clifford, the inverse tableau of their product."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.absorbed = 0
+        self.reset()
+
+    def reset(self) -> None:
+        self.pending: List[Optional[Gate]] = []
+        # per qubit, the pending gates touching it (indices, oldest first)
+        self.touching: List[List[int]] = [[] for _ in range(self.n)]
+        # rows[2q] = M(X_q), rows[2q + 1] = M(Z_q)
+        self.rows: List[_Pauli] = []
+        for q in range(self.n):
+            self.rows += [(1 << q, 0, 0), (0, 1 << q, 0)]
+        self.opaque = False
+
+    def image(self, qubits: Sequence[int], sign: float, lx: int, lz: int) -> _Pauli:
+        """``M(P)`` of the Hermitian Pauli ``sign * P(lx, lz)`` given by
+        its bits on ``qubits``."""
+        out = (0, 0, 0 if sign > 0 else 2)
+        for j, q in enumerate(qubits):
+            xb, zb = (lx >> j) & 1, (lz >> j) & 1
+            if xb:
+                out = _pauli_mul(out, self.rows[2 * q])
+            if zb:
+                out = _pauli_mul(out, self.rows[2 * q + 1])
+            if xb and zb:  # Y = i X Z
+                out = out[0], out[1], (out[2] + 1) & 3
+        return out
+
+    def push(self, gate: Gate, action) -> None:
+        """Append a static gate; ``action`` is its Clifford action, or
+        ``None`` for a gate rotations cannot be pulled through."""
+        qs = gate.qubits
+        if action is None:
+            self.opaque = True
+        elif not self.opaque:
+            images = [self.image(qs, *local) for local in action]
+            for j, q in enumerate(qs):
+                self.rows[2 * q], self.rows[2 * q + 1] = images[2 * j], images[2 * j + 1]
+        tops = {self.touching[q][-1] if self.touching[q] else -1 for q in qs}
+        if len(tops) == 1 and -1 not in tops and gate.matrix is None:
+            (top,) = tops
+            last = self.pending[top]
+            if (
+                last.qubits == qs
+                and last.matrix is None
+                and _cancels(last.name, last.params, gate.name, gate.params)
+            ):
+                self.pending[top] = None
+                for q in qs:
+                    self.touching[q].pop()
+                self.absorbed += 2
+                return
+        for q in qs:
+            self.touching[q].append(len(self.pending))
+        self.pending.append(gate)
+
+
+class _RotationDraft:
+    """A rotation step under construction: Pauli terms sharing the
+    x-mask ``x`` and the parameter slot ``slot`` (``None``: constant)."""
+
+    def __init__(self, x: int, slot: Optional[int]):
+        self.x = x
+        self.slot = slot
+        self.terms: List[Tuple[int, complex]] = []  # (z mask, coefficient)
+        self.gates = 0  # source gates (an offset piece is not its own gate)
+
+    def accepts(self, x: int, z: int, slot: Optional[int]) -> bool:
+        return (
+            x == self.x
+            and slot == self.slot
+            and all(popcount(x & (z ^ other)) % 2 == 0 for other, _ in self.terms)
+        )
+
+    def to_op(self, n: int) -> PlanOp:
+        # (X^x Z^z psi)[i] = (-1)^{|(i ^ x) & z|} psi[i ^ x]
+        step = kernels.MaskRotation.from_terms(
+            self.x,
+            [(z, -c if popcount(self.x & z) & 1 else c) for z, c in self.terms],
+            n,
+        )
+        slot = self.slot
+        refs = () if slot is None else (("p", 1.0, slot, 0.0),)
+
+        def run(state, params, step=step, slot=slot):
+            kernels.apply_rotation(state, 1.0 if slot is None else params[slot], step)
+
+        support = self.x
+        for z, _ in self.terms:
+            support |= z
+        return PlanOp(
+            run, "rot", tuple(q for q in range(n) if (support >> q) & 1),
+            data=step, gate_name="rot", param_refs=refs,
+            param_deps=frozenset(r[2] for r in refs),
+            source_gates=self.gates,
+        )
+
+
+def _lower(circuit: Circuit, index_of: Dict[str, int], fuse: bool):
+    """The frame pass: ``circuit`` to (ops, fused gates removed, frame
+    gates absorbed, rotations merged into an earlier step)."""
+    n = circuit.num_qubits
+    ops: List[PlanOp] = []
+    frame = _Frame(n)
+    draft: Optional[_RotationDraft] = None
+    fused_removed = 0
+    merged = 0
+
+    def close_draft() -> None:
+        nonlocal draft, merged
+        if draft is not None:
+            ops.append(draft.to_op(n))
+            merged += len(draft.terms) - 1
+            draft = None
+
+    def flush() -> None:
+        nonlocal fused_removed
+        close_draft()
+        gates = [g for g in frame.pending if g is not None]
+        if fuse and gates:
+            fr = fuse_circuit(Circuit(n, gates), max_qubits=2)
+            gates = fr.circuit.gates
+            fused_removed += fr.original_gates - fr.fused_gates
+        ops.extend(_static_op(g, n) for g in gates)
+        frame.reset()
+
+    def rotate(pauli: _Pauli, slot: Optional[int], scale: float, gates: int = 1) -> None:
+        nonlocal draft
+        x, z, k = pauli
+        if draft is None or not draft.accepts(x, z, slot):
+            close_draft()
+            draft = _RotationDraft(x, slot)
+        draft.terms.append((z, scale * -0.5j * I_POW[k]))
+        draft.gates += gates
+
+    for g in circuit.gates:
+        axes = _ROTATION_AXES.get(g.name) if g.matrix is None else None
+        if g.is_parameterized:
+            if axes is None:
+                flush()
+                ops.append(_parametric_op(g, n, index_of))
+                continue
+        else:
+            action = _clifford_action(g.name, g.params) if g.matrix is None else None
+            if action is not None or axes is None:
+                frame.push(g, action)
+                continue
+        if frame.opaque:
+            flush()
+        pauli = frame.image(g.qubits, 1.0, *axes)
+        (theta,) = g.params
+        if isinstance(theta, Parameter):
+            if theta.offset:
+                rotate(pauli, None, theta.offset, gates=0)
+            rotate(pauli, index_of[theta.name], theta.coeff)
+        else:
+            rotate(pauli, None, float(theta))
+    flush()
+    return ops, fused_removed, frame.absorbed, merged
 
 
 # ---------------------------------------------------------------------------
@@ -533,19 +716,9 @@ class ExecutionPlan:
         index_of = {name: k for k, name in enumerate(self.parameters)}
 
         n = self.num_qubits
-        stream = circuit.gates
-        self.fused_gates_removed = 0
-        if fuse:
-            fr = fuse_circuit(circuit, max_qubits=2)
-            stream = fr.circuit.gates
-            self.fused_gates_removed = fr.original_gates - fr.fused_gates
-
-        ops: List[PlanOp] = []
-        for g in stream:
-            if g.is_parameterized:
-                ops.append(_parametric_op(g, n, index_of))
-            else:
-                ops.append(_static_op(g, n))
+        (ops, self.fused_gates_removed, self.frame_gates_absorbed,
+         self.rotations_merged) = _lower(circuit, index_of, fuse)
+        self.rotation_steps = sum(1 for op in ops if op.kind == "rot")
 
         self.diag_gates_folded = 0
         if fold_diagonals:
@@ -607,21 +780,20 @@ class ExecutionPlan:
 
         if obs.enabled():
             obs.inc("repro_plan_compile_total", help="Circuit-plan compilations")
-            obs.inc(
-                "repro_plan_ops_total",
-                self.num_ops,
-                help="Kernel ops emitted by circuit-plan compilation",
-            )
-            obs.inc(
-                "repro_plan_fused_gates_removed_total",
-                self.fused_gates_removed,
-                help="Gates removed by compile-time static-segment fusion",
-            )
-            obs.inc(
-                "repro_plan_diag_gates_folded_total",
-                self.diag_gates_folded,
-                help="Gates absorbed by compile-time diagonal folding",
-            )
+            for name, value, text in (
+                ("ops", self.num_ops, "Kernel ops emitted by circuit-plan compilation"),
+                ("frame_gates_absorbed", self.frame_gates_absorbed,
+                 "Clifford gates cancelled inside the compile-time Pauli frame"),
+                ("rotation_steps", self.rotation_steps,
+                 "Rotation steps emitted by circuit-plan compilation"),
+                ("rotations_merged", self.rotations_merged,
+                 "Rotations merged into an earlier rotation step"),
+                ("fused_gates_removed", self.fused_gates_removed,
+                 "Gates removed by compile-time static-segment fusion"),
+                ("diag_gates_folded", self.diag_gates_folded,
+                 "Gates absorbed by compile-time diagonal folding"),
+            ):
+                obs.inc(f"repro_plan_{name}_total", value, help=text)
 
     # -- inspection ----------------------------------------------------------
 
@@ -646,11 +818,11 @@ class ExecutionPlan:
 
     def data_bytes(self) -> int:
         """Bytes frozen into the plan's prepacked kernel data (dense
-        matrices, folded diagonals, gather tables)."""
+        matrices, folded diagonals, rotation-step tables)."""
         total = 0
         for op in self._ops:
             data = op.data
-            if isinstance(data, np.ndarray):
+            if isinstance(data, (np.ndarray, kernels.MaskRotation)):
                 total += data.nbytes
             elif isinstance(data, (tuple, list)):
                 for item in data:
@@ -659,12 +831,21 @@ class ExecutionPlan:
         return total
 
     def stats(self) -> Dict[str, object]:
-        """Compile/execute statistics (the ``--plan-stats`` payload)."""
+        """Compile/execute statistics (the ``--plan-stats`` payload).
+
+        ``frame_gates_absorbed`` counts Clifford gates cancelled inside
+        the frame, ``rotations_merged`` rotations folded into an earlier
+        step; ``fused_gates_removed`` is still what <= 2-qubit fusion
+        removed, now from the residue only (about 0 on UCCSD, where the
+        frame leaves nothing to fuse)."""
         cache = self._prefix_cache
         return {
             "source_gates": self.source_gate_count,
             "ops": self.num_ops,
             "parametric_ops": self.num_parametric_ops,
+            "frame_gates_absorbed": self.frame_gates_absorbed,
+            "rotation_steps": self.rotation_steps,
+            "rotations_merged": self.rotations_merged,
             "fused_gates_removed": self.fused_gates_removed,
             "diag_gates_folded": self.diag_gates_folded,
             "prefix_resumes": self.prefix_resumes,
@@ -704,7 +885,8 @@ class ExecutionPlan:
 
     def _find_resume(self, params: np.ndarray):
         cache = self._prefix_cache
-        for pos in reversed(self._boundaries):
+        # only positions with a state parked right now can hit
+        for pos in sorted({int(key[0]) for key in cache.keys()}, reverse=True):
             snap = cache.get(self._prefix_key(pos, params))
             if snap is not None:
                 return pos, snap

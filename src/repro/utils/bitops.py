@@ -28,6 +28,7 @@ __all__ = [
     "parity_mask",
     "sign_vector",
     "basis_indices",
+    "xor_indices",
     "indices_1q",
     "indices_2q",
     "index_table_cache_info",
@@ -149,6 +150,14 @@ def basis_indices(num_qubits: int) -> np.ndarray:
     return _frozen(np.arange(1 << num_qubits, dtype=np.int64))
 
 
+@lru_cache(maxsize=128)
+def xor_indices(num_qubits: int, x_mask: int) -> np.ndarray:
+    """Read-only gather table ``i ^ x_mask`` over all 2^n basis indices
+    (the partner of every amplitude under an x-mask); LRU-shared by the
+    rotation steps of every plan and generator with that mask."""
+    return _frozen(basis_indices(num_qubits) ^ x_mask)
+
+
 @lru_cache(maxsize=4096)
 def indices_1q(num_qubits: int, qubit: int) -> "tuple[np.ndarray, np.ndarray]":
     """Read-only amplitude-pair index tables ``(i0, i1)`` for a 1-qubit
@@ -181,6 +190,7 @@ def index_table_cache_info() -> "dict[str, object]":
     """Hit/miss statistics of the index-table caches (diagnostics)."""
     return {
         "basis_indices": basis_indices.cache_info(),
+        "xor_indices": xor_indices.cache_info(),
         "indices_1q": indices_1q.cache_info(),
         "indices_2q": indices_2q.cache_info(),
     }
@@ -189,5 +199,6 @@ def index_table_cache_info() -> "dict[str, object]":
 def clear_index_tables() -> None:
     """Drop all cached index tables (frees memory after wide-register runs)."""
     basis_indices.cache_clear()
+    xor_indices.cache_clear()
     indices_1q.cache_clear()
     indices_2q.cache_clear()

@@ -107,9 +107,9 @@ class TestBatchedPlanEquivalence:
         "gate", ["rz", "p", "rzz", "cp", "crz", "rx", "ry", "rxx", "ryy"]
     )
     def test_every_parametric_gate_matches_scalar(self, gate, rng):
-        """Directed coverage of the diagonal fast path (rz/p/rzz/cp/crz)
-        and the dense batched matrices — including the 2q controlled
-        phases the batched simulator used to reject."""
+        """Directed coverage of the rotation steps (rz/rzz/rx/ry/rxx/ryy)
+        and the diagonal phase gates (p/cp/crz) — including the 2q
+        controlled phases the batched simulator used to reject."""
         c = Circuit(3).h(0).h(1).h(2)
         nq = 2 if gate in ("rzz", "rxx", "ryy", "cp", "crz") else 1
         c.add(gate, [0, 2][:nq], Parameter("a", coeff=0.7, offset=-0.2))
@@ -123,8 +123,8 @@ class TestBatchedPlanEquivalence:
         assert np.allclose(got, ref, atol=1e-12)
 
     def test_direct_run_supports_cp_and_crz(self, rng):
-        """The ``run`` (circuit template) path shares ``_batched_matrix``
-        with the plan path; cp/crz work there too."""
+        """The ``run`` (circuit template) path is compile + ``run_plan``;
+        cp/crz work there too."""
         for gate in ("cp", "crz"):
             c = Circuit(2).h(0).h(1)
             c.add(gate, [0, 1], Parameter("a"))
@@ -139,8 +139,9 @@ class TestBatchedPlanEquivalence:
                 assert np.allclose(sim.states[b], ref, atol=1e-12)
 
     def test_unsupported_gate_error_names_gate(self):
+        c = Circuit(1).add("u3", [0], Parameter("a"), 0.1, 0.2)
         with pytest.raises(ValueError, match="u3"):
-            BatchedStatevectorSimulator._batched_matrix("u3", np.zeros(2))
+            BatchedStatevectorSimulator(1, 2).run(c, {"a": np.zeros(2)})
 
 
 # -- the wave protocol --------------------------------------------------------

@@ -17,22 +17,56 @@ from repro.sim.statevector import StatevectorSimulator
 
 # -- strategies ---------------------------------------------------------------
 
-_STATIC_1Q = ["h", "x", "y", "z", "s", "sdg", "t", "tdg"]
+_STATIC_1Q = ["h", "x", "y", "z", "s", "sdg", "sx", "t", "tdg"]
 _STATIC_2Q = ["cx", "cz", "swap"]
 _PARAM_1Q = ["rx", "ry", "rz", "p"]
 _PARAM_2Q = ["rzz", "rxx", "ryy", "cp", "crz"]
+_SHIFT_RULE = ["rx", "ry", "rz", "p", "rzz", "rxx", "ryy"]
 
 angles = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+# constant angles: arbitrary (non-Clifford rotation steps) or a multiple
+# of pi/2 (the gate is Clifford and joins the frame)
+constant_angles = st.one_of(
+    angles, st.integers(-4, 4).map(lambda k: k * np.pi / 2)
+)
+
+
+def _opaque_2q(seed):
+    """A fused-style opaque two-qubit unitary (explicit matrix)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q
 
 
 @st.composite
-def parameterized_circuits(draw, max_qubits=4, max_gates=14, max_params=4):
-    """Random circuit mixing static and symbolic-parameter gates; the
-    same named parameter may feed several gates with distinct affine
-    coefficients (the trotterized-ansatz pattern)."""
+def parameterized_circuits(
+    draw, max_qubits=4, max_gates=14, max_params=4, wide=True, shift_rule=False
+):
+    """Random circuit mixing Clifford gates, rotations and barriers.
+
+    Rotations (rx/ry/rz/rzz/rxx/ryy) take a ``Parameter(coeff, offset)``
+    — the same named parameter may feed several gates, the
+    trotterized-ansatz pattern — or a constant angle, Clifford or not;
+    barriers are t/tdg, p/cp/crz, u3, ccx and an opaque unitary.
+    ``wide=False`` leaves out what the batched and distributed executors
+    do not take (ccx, parametric u3); ``shift_rule=True`` gives every
+    parametric gate its own parameter in a gate the shift rule covers.
+    """
     n = draw(st.integers(2, max_qubits))
     m = draw(st.integers(0, max_params))
     circ = Circuit(n)
+    used = 0
+
+    def parameter():
+        nonlocal used
+        name = f"t{used}" if shift_rule else f"t{draw(st.integers(0, m - 1))}"
+        used += 1
+        return Parameter(
+            name,
+            coeff=draw(st.sampled_from([1.0, -1.0, 0.5, 2.0])),
+            offset=draw(st.sampled_from([0.0, 0.25])),
+        )
+
     for _ in range(draw(st.integers(1, max_gates))):
         two_q = draw(st.booleans())
         parametric = m > 0 and draw(st.booleans())
@@ -42,31 +76,31 @@ def parameterized_circuits(draw, max_qubits=4, max_gates=14, max_params=4):
             if q1 >= q0:
                 q1 += 1
             if parametric:
-                name = draw(st.sampled_from(_PARAM_2Q))
-                p = Parameter(
-                    f"t{draw(st.integers(0, m - 1))}",
-                    coeff=draw(st.sampled_from([1.0, -1.0, 0.5, 2.0])),
-                    offset=draw(st.sampled_from([0.0, 0.25])),
-                )
-                circ.add(name, [q0, q1], p)
-            else:
+                names = [g for g in _PARAM_2Q if not shift_rule or g in _SHIFT_RULE]
+                circ.add(draw(st.sampled_from(names)), [q0, q1], parameter())
+            elif draw(st.booleans()):
                 circ.add(draw(st.sampled_from(_STATIC_2Q)), [q0, q1])
+            elif draw(st.booleans()):
+                circ.add(draw(st.sampled_from(_PARAM_2Q)), [q0, q1], draw(constant_angles))
+            elif wide and n >= 3 and draw(st.booleans()):
+                q2 = next(q for q in range(n) if q not in (q0, q1))
+                circ.add("ccx", [q0, q1, q2])
+            else:
+                matrix = _opaque_2q(draw(st.integers(0, 50)))
+                circ.append(Gate("fused2", (q0, q1), (), matrix))
         else:
             q = draw(st.integers(0, n - 1))
             if parametric:
-                name = draw(st.sampled_from(_PARAM_1Q))
-                p = Parameter(
-                    f"t{draw(st.integers(0, m - 1))}",
-                    coeff=draw(st.sampled_from([1.0, -1.0, 0.5, 2.0])),
-                    offset=draw(st.sampled_from([0.0, 0.25])),
-                )
-                circ.add(name, [q], p)
+                if wide and not shift_rule and draw(st.integers(0, 4)) == 0:
+                    circ.add("u3", [q], parameter(), draw(angles), draw(angles))
+                else:
+                    circ.add(draw(st.sampled_from(_PARAM_1Q)), [q], parameter())
             elif draw(st.booleans()):
                 circ.add(draw(st.sampled_from(_STATIC_1Q)), [q])
-            else:  # concrete-angle rotation: static but matrix-valued
-                circ.add(
-                    draw(st.sampled_from(_PARAM_1Q)), [q], draw(angles)
-                )
+            elif draw(st.booleans()):
+                circ.add(draw(st.sampled_from(_PARAM_1Q)), [q], draw(constant_angles))
+            else:
+                circ.add("u3", [q], draw(angles), draw(angles), draw(angles))
     return circ
 
 
@@ -140,6 +174,198 @@ class TestPlanEquivalence:
         np.testing.assert_allclose(state, _naive_state(circ, params), atol=1e-10)
 
 
+# -- the Pauli-frame pass -----------------------------------------------------
+
+
+def _random_observable(n, seed):
+    rng = np.random.default_rng(seed)
+    labels = {
+        "".join(rng.choice(list("IXYZ")) for _ in range(n)): float(rng.uniform(-1, 1))
+        for _ in range(4)
+    }
+    return PauliSum.from_label_dict(labels)
+
+
+class TestFramePass:
+    """One differential check of the frame pass and the rotation kernel
+    under every executor, against gate-by-gate execution."""
+
+    @given(parameterized_circuits(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_phase_exact_and_slices_compose(self, circ, data):
+        plan = ExecutionPlan(circ, enable_prefix=False)
+        params = np.array([data.draw(angles) for _ in range(plan.num_parameters)])
+        expected = _naive_state(circ, params)
+        state = np.empty(plan.dim, dtype=np.complex128)
+        plan.execute(state, params)
+        # not up to a global phase: the same amplitudes
+        np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
+        cut = data.draw(st.integers(0, plan.num_ops))
+        state[:] = 0.0
+        state[0] = 1.0
+        plan.execute_slice(state, params, 0, cut)
+        plan.execute_slice(state, params, cut)
+        np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
+
+    @given(parameterized_circuits(wide=False), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batched_and_distributed_match_scalar(self, circ, data):
+        from repro.hpc.distributed import DistributedStatevector
+        from repro.sim.batched import BatchedStatevectorSimulator
+
+        n = circ.num_qubits
+        plan = compile_circuit(circ, fold_full_diag=False)
+        rows = np.array(
+            [[data.draw(angles) for _ in range(plan.num_parameters)] for _ in range(3)]
+        ).reshape(3, plan.num_parameters)
+        expected = [_naive_state(circ, row) for row in rows]
+        got = BatchedStatevectorSimulator(n, 3).run_plan(plan, rows)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        for ranks in (2, 4):
+            if n - ranks.bit_length() + 1 < 2:
+                continue  # each rank keeps at least two local qubits
+            dsv = DistributedStatevector(n, ranks)
+            dsv.run_plan(plan, rows[0])
+            np.testing.assert_allclose(dsv.gather(), expected[0], rtol=0, atol=1e-12)
+
+    def test_distributed_rotation_after_relocation(self):
+        """Barrier gates on the global qubits relocate them between
+        rotation steps: the steps then run under a permuted layout, and
+        a step whose x-mask has a global bit pays one exchange."""
+        from repro.hpc.distributed import DistributedStatevector
+
+        n = 4
+        circ = Circuit(n)
+        for q in range(n):
+            circ.h(q)
+        circ.ry(Parameter("a"), 3).t(3).add("rzz", [1, 3], Parameter("b"))
+        circ.t(2).cx(2, 0).rx(Parameter("c"), 2).add("ryy", [0, 3], Parameter("a", 0.5))
+        circ.add("p", [3], Parameter("d")).add("rxx", [2, 3], 0.7).rz(Parameter("d"), 3)
+        plan = compile_circuit(circ, fold_full_diag=False)
+        assert plan.rotation_steps >= 5
+        params = np.array([0.4, -1.3, 0.9, 2.1])
+        for ranks in (2, 4):
+            dsv = DistributedStatevector(n, ranks)
+            dsv.run_plan(plan, params)
+            assert dsv.layout != list(range(n)) and dsv.exchanges > 0
+            np.testing.assert_allclose(
+                dsv.gather(), _naive_state(circ, params), rtol=0, atol=1e-12
+            )
+
+    @given(parameterized_circuits(shift_rule=True), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_reverse_mode_gradient_is_the_two_term_shift(self, circ, data):
+        from repro.opt.parameter_shift import parameter_shift_gradient
+
+        h = _random_observable(circ.num_qubits, data.draw(st.integers(0, 99)))
+        params = np.array([data.draw(angles) for _ in range(circ.num_parameters)])
+        np.testing.assert_allclose(
+            parameter_shift_gradient(circ, h, params),
+            parameter_shift_gradient(
+                circ, h, params, estimate=DirectEstimator().estimate
+            ),
+            atol=1e-10,
+        )
+
+    @pytest.mark.parametrize("spin_orbitals, ops", [(8, 30), (12, 96)])
+    def test_uccsd_collapses_to_one_step_per_excitation(self, spin_orbitals, ops):
+        from repro.chem.uccsd import build_uccsd_circuit
+
+        ansatz = build_uccsd_circuit(spin_orbitals, 4)
+        stats = compile_circuit(ansatz.circuit).stats()
+        assert stats["ops"] == ops  # the steps plus the four reference x gates
+        assert stats["rotation_steps"] == ansatz.num_parameters == ops - 4
+        assert (
+            stats["frame_gates_absorbed"] + stats["rotation_steps"]
+            + stats["rotations_merged"] + 4 == stats["source_gates"]
+        )
+
+    def test_offset_split_compiles_with_obs_enabled(self):
+        """A Parameter offset is split off as a constant step: two steps
+        from one gate, nothing merged — a count that once went negative
+        and made the obs counter refuse the compile."""
+        from repro import obs
+
+        circ = Circuit(2).h(0).rz(Parameter("a", offset=0.25), 0)
+        circ.add("rzz", [0, 1], Parameter("b", coeff=2.0, offset=0.25))
+        obs.configure(enabled=True)
+        try:
+            plan = ExecutionPlan(circ)
+        finally:
+            obs.disable()
+            obs.reset()
+        stats = plan.stats()
+        assert (stats["rotation_steps"], stats["rotations_merged"]) == (4, 0)
+        assert sum(op.source_gates for op in plan.ops if op.kind == "rot") == 2
+        state = np.empty(plan.dim, dtype=np.complex128)
+        plan.execute(state, [0.3, -0.8])
+        np.testing.assert_allclose(
+            state, _naive_state(circ, [0.3, -0.8]), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("name", ["rx", "ry", "rz"])
+    def test_almost_clifford_constant_is_a_rotation_step(self, name):
+        """pi/2 + 1e-10 passes conjugate_pauli's 1e-9 match; pulling later
+        rotations through it as if it were the Clifford costs 1e-10."""
+        circ = Circuit(2).h(0).add(name, [0], np.pi / 2 + 1e-10)
+        circ.ry(Parameter("a"), 0).cx(0, 1).rx(Parameter("b"), 1)
+        plan = ExecutionPlan(circ)
+        assert plan.rotation_steps == 3
+        state = np.empty(plan.dim, dtype=np.complex128)
+        plan.execute(state, [1.1, -0.6])
+        np.testing.assert_allclose(
+            state, _naive_state(circ, [1.1, -0.6]), rtol=0, atol=1e-13
+        )
+
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_frame_conjugation_matches_both_oracles(self, n, data):
+        """M(P) = C^dag P C against gate-by-gate ``conjugate_pauli`` and
+        against dense matrices built from the (X|Z) string convention
+        (Y where both bits are set)."""
+        from repro.ir.clifford import conjugate_through_circuit
+        from repro.ir.pauli import PauliString
+        from repro.sim.plan import _clifford_action, _Frame
+
+        circ = Circuit(n)
+        for _ in range(data.draw(st.integers(0, 12))):
+            if n > 1 and data.draw(st.booleans()):
+                q0, q1 = data.draw(st.permutations(range(n)))[:2]
+                circ.add(data.draw(st.sampled_from(_STATIC_2Q)), [q0, q1])
+            else:
+                q = data.draw(st.integers(0, n - 1))
+                if data.draw(st.booleans()):
+                    name = data.draw(st.sampled_from(["h", "x", "y", "z", "s", "sdg", "sx"]))
+                    circ.add(name, [q])
+                else:
+                    turns = data.draw(st.integers(-3, 3))
+                    circ.add(data.draw(st.sampled_from(["rx", "ry", "rz"])), [q], turns * np.pi / 2)
+        frame = _Frame(n)
+        for g in circ.gates:
+            frame.push(g, _clifford_action(g.name, g.params))
+        assert not frame.opaque
+        x, z = data.draw(st.integers(0, 2**n - 1)), data.draw(st.integers(0, 2**n - 1))
+        fx, fz, fk = frame.image(range(n), 1.0, x, z)
+        sign = {0: 1.0, 2: -1.0}[(fk - bin(fx & fz).count("1")) % 4]
+        ref_sign, ref = conjugate_through_circuit(circ.inverse(), 1.0, PauliString(n, x, z))
+        assert (sign, fx, fz) == (ref_sign, ref.x, ref.z)
+
+        def dense(px, pz):
+            single = {
+                (0, 0): np.eye(2), (1, 0): np.array([[0, 1], [1, 0]]),
+                (1, 1): np.array([[0, -1j], [1j, 0]]), (0, 1): np.diag([1, -1]),
+            }
+            out = np.eye(1)
+            for q in range(n):  # qubit 0 is the low bit: rightmost factor
+                out = np.kron(single[(px >> q) & 1, (pz >> q) & 1], out)
+            return out
+
+        c = circ.to_matrix()
+        np.testing.assert_allclose(
+            c.conj().T @ dense(x, z) @ c, sign * dense(fx, fz), atol=1e-12
+        )
+
+
 # -- prefix reuse and invalidation -------------------------------------------
 
 
@@ -171,6 +397,17 @@ class TestPrefixReuse:
             plan.execute(state, base)
         assert plan.prefix_resumes > 0
         assert plan.prefix_ops_skipped > 0
+
+    def test_resume_probes_only_parked_positions(self):
+        """A miss is a parked state whose parameters do not match — not
+        one of the plan's boundaries with nothing parked at it."""
+        plan = ExecutionPlan(_shift_circuit(m=12), prefix_budget=2)
+        state = np.empty(plan.dim, dtype=np.complex128)
+        plan.execute(state, np.zeros(plan.num_parameters))
+        assert plan.stats()["prefix_cache_misses"] == 0  # nothing parked yet
+        for k in range(1, 6):
+            plan.execute(state, np.full(plan.num_parameters, 0.1 * k))
+        assert plan.stats()["prefix_cache_misses"] <= 5 * 2  # budget per call
 
     def test_tiny_budget_still_exact(self):
         circ = _shift_circuit()
