@@ -7,16 +7,27 @@ integrals R built on the Boys function.
 
 This module is the "NWChem role" substrate of the reproduction: it
 supplies the real one- and two-electron integrals behind the H2O
-Hamiltonian of Fig. 5.  Matrix sizes here are tiny (<=~20 basis
-functions), so clarity and correctness win over micro-optimization;
-the 8-fold permutation symmetry of the ERI tensor is still exploited
-because it is a 16x reduction for free.
+Hamiltonian of Fig. 5, and it is the set-up cost of every workflow,
+scan point and served job, so it is written for arrays, not for
+primitives.  :class:`HermitePairs` expands every contracted pair
+``i >= j`` once — the E recursion runs over all primitive pairs of the
+basis at a time — and files the resulting Hermite Gaussians
+``Lambda_tuv(p, P)`` by ``(t, u, v)`` class (10 classes for an s/p
+basis).  Every integral reads that table: the one-electron matrices
+are a weighted ``bincount`` over primitive pairs, and the ERI tensor is
+one block of Hermite Coulomb integrals per pair of classes (the R
+recursion on arrays, one ``hyp1f1`` per block) folded back onto
+contracted pairs by a segment matmul.  Class-pair symmetry halves the
+blocks; ``_BLOCK`` bounds what a block allocates.  The scalar
+per-primitive routines this replaced live on in
+``tests/test_integrals_scf.py`` as the oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import hyp1f1
@@ -25,13 +36,27 @@ from repro.chem.basis import BasisFunction
 from repro.chem.molecule import Molecule
 
 __all__ = [
+    "HermitePairs",
     "boys",
     "overlap_matrix",
     "kinetic_matrix",
     "nuclear_attraction_matrix",
     "eri_tensor",
     "core_hamiltonian",
+    "dipole_matrices",
 ]
+
+# Grid points (primitive pair x primitive pair) per ERI block; larger
+# class pairs are cut into row chunks.  A block holds ~20 float64
+# temporaries of this size, so the cap bounds a call's scratch (~10 MiB)
+# whatever the basis.  It is deliberately not small: at 512 KiB the
+# temporaries sit above malloc's mmap threshold and go back to the OS
+# when freed, whereas 2-32 KiB chunks live on the heap and fragment it.
+# Ladder adapt_h2o, whose peak comes long after the integrals, ten
+# pairs each: peak RSS 171.8 MiB with the scalar engine, 175.8 at 2^12,
+# 174.3 at 2^16 (H2O fits one block; that row moves in ~2 MiB steps
+# with any change of heap layout, the scalar engine's included).
+_BLOCK = 1 << 16
 
 
 def boys(n: int, x: float) -> float:
@@ -39,360 +64,229 @@ def boys(n: int, x: float) -> float:
     return float(hyp1f1(n + 0.5, n + 1.5, -x)) / (2 * n + 1)
 
 
-def _hermite_e(
-    i: int, j: int, t: int, Qx: float, a: float, b: float, memo: Dict
-) -> float:
-    """Hermite expansion coefficient E_t^{ij} for a 1-D Gaussian product."""
-    if t < 0 or t > i + j:
-        return 0.0
-    key = (i, j, t)
-    if key in memo:
-        return memo[key]
+def _hermite_e(imax: int, jmax: int, a, b, ab) -> np.ndarray:
+    """Hermite expansion coefficients E_t^{ij} of 1-D Gaussian products,
+    for all ``i <= imax``, ``j <= jmax`` at once: shape
+    ``(imax+1, jmax+1, imax+jmax+1) + ab.shape``, zero where t > i+j."""
     p = a + b
     q = a * b / p
-    if i == j == t == 0:
-        val = math.exp(-q * Qx * Qx)
-    elif j == 0:
-        val = (
-            (1.0 / (2.0 * p)) * _hermite_e(i - 1, j, t - 1, Qx, a, b, memo)
-            - (q * Qx / a) * _hermite_e(i - 1, j, t, Qx, a, b, memo)
-            + (t + 1) * _hermite_e(i - 1, j, t + 1, Qx, a, b, memo)
-        )
-    else:
-        val = (
-            (1.0 / (2.0 * p)) * _hermite_e(i, j - 1, t - 1, Qx, a, b, memo)
-            + (q * Qx / b) * _hermite_e(i, j - 1, t, Qx, a, b, memo)
-            + (t + 1) * _hermite_e(i, j - 1, t + 1, Qx, a, b, memo)
-        )
-    memo[key] = val
-    return val
+    table = np.zeros((imax + 1, jmax + 1, imax + jmax + 2) + ab.shape)
+    table[0, 0, 0] = np.exp(-q * ab * ab)
+
+    # the t axis carries one slot of zero padding so t+1 always reads
+    rising = np.arange(1, table.shape[2]).reshape((-1,) + (1,) * ab.ndim)
+
+    def raise_index(src, dst, shift):
+        # E_t^{+1} = E_{t-1} / 2p + shift E_t + (t + 1) E_{t+1}
+        dst[1:] = src[:-1] / (2.0 * p)
+        dst += shift * src
+        dst[:-1] += rising * src[1:]
+
+    for j in range(jmax + 1):
+        if j:
+            raise_index(table[0, j - 1], table[0, j], q * ab / b)
+        for i in range(1, imax + 1):
+            raise_index(table[i - 1, j], table[i, j], -q * ab / a)
+    return table[:, :, :-1]
 
 
-def _overlap_prim(
-    a: float,
-    lmn1: Tuple[int, int, int],
-    A: Sequence[float],
-    b: float,
-    lmn2: Tuple[int, int, int],
-    B: Sequence[float],
-) -> float:
-    """<prim_a | prim_b> for unnormalized primitives."""
-    p = a + b
-    s = (math.pi / p) ** 1.5
-    for d in range(3):
-        memo: Dict = {}
-        s *= _hermite_e(lmn1[d], lmn2[d], 0, A[d] - B[d], a, b, memo)
-    return s
+class HermitePairs:
+    """Every contracted pair ``i >= j`` of a basis as Hermite Gaussians.
 
-
-def _kinetic_prim(
-    a: float,
-    lmn1: Tuple[int, int, int],
-    A: Sequence[float],
-    b: float,
-    lmn2: Tuple[int, int, int],
-    B: Sequence[float],
-) -> float:
-    """Kinetic-energy integral via overlap integrals of shifted momenta."""
-    l2, m2, n2 = lmn2
-
-    def S(d_lmn2: Tuple[int, int, int]) -> float:
-        if min(d_lmn2) < 0:
-            return 0.0
-        return _overlap_prim(a, lmn1, A, b, d_lmn2, B)
-
-    term0 = b * (2 * (l2 + m2 + n2) + 3) * S((l2, m2, n2))
-    term1 = -2.0 * b * b * (
-        S((l2 + 2, m2, n2)) + S((l2, m2 + 2, n2)) + S((l2, m2, n2 + 2))
-    )
-    term2 = -0.5 * (
-        l2 * (l2 - 1) * S((l2 - 2, m2, n2))
-        + m2 * (m2 - 1) * S((l2, m2 - 2, n2))
-        + n2 * (n2 - 1) * S((l2, m2, n2 - 2))
-    )
-    return term0 + term1 + term2
-
-
-def _hermite_coulomb(
-    t: int,
-    u: int,
-    v: int,
-    n: int,
-    p: float,
-    PC: np.ndarray,
-    memo: Dict,
-) -> float:
-    """Hermite Coulomb integral R^n_{tuv}(p, P - C)."""
-    key = (t, u, v, n)
-    if key in memo:
-        return memo[key]
-    if t == u == v == 0:
-        r2 = float(PC @ PC)
-        val = (-2.0 * p) ** n * boys(n, p * r2)
-    elif t > 0:
-        val = (t - 1) * _hermite_coulomb(t - 2, u, v, n + 1, p, PC, memo) if t > 1 else 0.0
-        val += PC[0] * _hermite_coulomb(t - 1, u, v, n + 1, p, PC, memo)
-    elif u > 0:
-        val = (u - 1) * _hermite_coulomb(t, u - 2, v, n + 1, p, PC, memo) if u > 1 else 0.0
-        val += PC[1] * _hermite_coulomb(t, u - 1, v, n + 1, p, PC, memo)
-    else:
-        val = (v - 1) * _hermite_coulomb(t, u, v - 2, n + 1, p, PC, memo) if v > 1 else 0.0
-        val += PC[2] * _hermite_coulomb(t, u, v - 1, n + 1, p, PC, memo)
-    memo[key] = val
-    return val
-
-
-def _nuclear_prim(
-    a: float,
-    lmn1: Tuple[int, int, int],
-    A: np.ndarray,
-    b: float,
-    lmn2: Tuple[int, int, int],
-    B: np.ndarray,
-    C: np.ndarray,
-) -> float:
-    """<prim_a| 1/|r - C| |prim_b> (positive; caller applies -Z)."""
-    p = a + b
-    P = (a * A + b * B) / p
-    e_memos = [{}, {}, {}]
-    r_memo: Dict = {}
-    total = 0.0
-    l1, m1, n1 = lmn1
-    l2, m2, n2 = lmn2
-    for t in range(l1 + l2 + 1):
-        Et = _hermite_e(l1, l2, t, A[0] - B[0], a, b, e_memos[0])
-        if Et == 0.0:
-            continue
-        for u in range(m1 + m2 + 1):
-            Eu = _hermite_e(m1, m2, u, A[1] - B[1], a, b, e_memos[1])
-            if Eu == 0.0:
-                continue
-            for v in range(n1 + n2 + 1):
-                Ev = _hermite_e(n1, n2, v, A[2] - B[2], a, b, e_memos[2])
-                if Ev == 0.0:
-                    continue
-                total += Et * Eu * Ev * _hermite_coulomb(
-                    t, u, v, 0, p, P - C, r_memo
-                )
-    return (2.0 * math.pi / p) * total
-
-
-def _eri_prim(
-    a: float, lmn1, A: np.ndarray,
-    b: float, lmn2, B: np.ndarray,
-    c: float, lmn3, C: np.ndarray,
-    d: float, lmn4, D: np.ndarray,
-) -> float:
-    """Two-electron repulsion integral (ab|cd) over primitives
-    (chemists' notation: electron 1 in a,b; electron 2 in c,d)."""
-    p = a + b
-    q = c + d
-    alpha = p * q / (p + q)
-    P = (a * A + b * B) / p
-    Q = (c * C + d * D) / q
-    e1 = [{}, {}, {}]
-    e2 = [{}, {}, {}]
-    r_memo: Dict = {}
-    l1, m1, n1 = lmn1
-    l2, m2, n2 = lmn2
-    l3, m3, n3 = lmn3
-    l4, m4, n4 = lmn4
-    total = 0.0
-    for t in range(l1 + l2 + 1):
-        E1t = _hermite_e(l1, l2, t, A[0] - B[0], a, b, e1[0])
-        if E1t == 0.0:
-            continue
-        for u in range(m1 + m2 + 1):
-            E1u = _hermite_e(m1, m2, u, A[1] - B[1], a, b, e1[1])
-            if E1u == 0.0:
-                continue
-            for v in range(n1 + n2 + 1):
-                E1v = _hermite_e(n1, n2, v, A[2] - B[2], a, b, e1[2])
-                if E1v == 0.0:
-                    continue
-                w1 = E1t * E1u * E1v
-                for tau in range(l3 + l4 + 1):
-                    E2t = _hermite_e(l3, l4, tau, C[0] - D[0], c, d, e2[0])
-                    if E2t == 0.0:
-                        continue
-                    for nu in range(m3 + m4 + 1):
-                        E2u = _hermite_e(m3, m4, nu, C[1] - D[1], c, d, e2[1])
-                        if E2u == 0.0:
-                            continue
-                        for phi in range(n3 + n4 + 1):
-                            E2v = _hermite_e(n3, n4, phi, C[2] - D[2], c, d, e2[2])
-                            if E2v == 0.0:
-                                continue
-                            sign = -1.0 if (tau + nu + phi) % 2 else 1.0
-                            total += (
-                                w1
-                                * E2t * E2u * E2v * sign
-                                * _hermite_coulomb(
-                                    t + tau, u + nu, v + phi, 0, alpha, P - Q, r_memo
-                                )
-                            )
-    pref = 2.0 * math.pi ** 2.5 / (p * q * math.sqrt(p + q))
-    return pref * total
-
-
-# -- contracted, matrix-level API -----------------------------------------------
-
-
-def _contract_1e(bfs: List[BasisFunction], prim_fn) -> np.ndarray:
-    n = len(bfs)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            fi, fj = bfs[i], bfs[j]
-            val = 0.0
-            for ci, ai in zip(fi.coeffs, fi.exponents):
-                for cj, aj in zip(fj.coeffs, fj.exponents):
-                    val += ci * cj * prim_fn(ai, fi, aj, fj)
-            out[i, j] = out[j, i] = val
-    return out
-
-
-def overlap_matrix(bfs: List[BasisFunction]) -> np.ndarray:
-    """AO overlap matrix S."""
-    return _contract_1e(
-        bfs,
-        lambda a, fi, b, fj: _overlap_prim(
-            a, fi.lmn, fi.center, b, fj.lmn, fj.center
-        ),
-    )
-
-
-def kinetic_matrix(bfs: List[BasisFunction]) -> np.ndarray:
-    """AO kinetic-energy matrix T."""
-    return _contract_1e(
-        bfs,
-        lambda a, fi, b, fj: _kinetic_prim(
-            a, fi.lmn, fi.center, b, fj.lmn, fj.center
-        ),
-    )
-
-
-def nuclear_attraction_matrix(
-    bfs: List[BasisFunction], molecule: Molecule
-) -> np.ndarray:
-    """AO nuclear-attraction matrix V (includes the -Z factors)."""
-    n = len(bfs)
-    out = np.zeros((n, n))
-    centers = [
-        (atom.atomic_number, np.asarray(atom.position)) for atom in molecule.atoms
-    ]
-    for i in range(n):
-        for j in range(i + 1):
-            fi, fj = bfs[i], bfs[j]
-            A = np.asarray(fi.center)
-            B = np.asarray(fj.center)
-            val = 0.0
-            for ci, ai in zip(fi.coeffs, fi.exponents):
-                for cj, aj in zip(fj.coeffs, fj.exponents):
-                    for Z, Cpos in centers:
-                        val -= Z * ci * cj * _nuclear_prim(
-                            ai, fi.lmn, A, aj, fj.lmn, B, Cpos
-                        )
-            out[i, j] = out[j, i] = val
-    return out
-
-
-def core_hamiltonian(bfs: List[BasisFunction], molecule: Molecule) -> np.ndarray:
-    """H_core = T + V."""
-    return kinetic_matrix(bfs) + nuclear_attraction_matrix(bfs, molecule)
-
-
-def eri_tensor(bfs: List[BasisFunction]) -> np.ndarray:
-    """Two-electron integrals (ij|kl), chemists' notation, 8-fold
-    symmetry exploited."""
-    n = len(bfs)
-    eri = np.zeros((n, n, n, n))
-
-    def contracted(i: int, j: int, k: int, l: int) -> float:
-        fi, fj, fk, fl = bfs[i], bfs[j], bfs[k], bfs[l]
-        A = np.asarray(fi.center)
-        B = np.asarray(fj.center)
-        C = np.asarray(fk.center)
-        D = np.asarray(fl.center)
-        val = 0.0
-        for ci, ai in zip(fi.coeffs, fi.exponents):
-            for cj, aj in zip(fj.coeffs, fj.exponents):
-                w = ci * cj
-                for ck, ak in zip(fk.coeffs, fk.exponents):
-                    for cl, al in zip(fl.coeffs, fl.exponents):
-                        val += w * ck * cl * _eri_prim(
-                            ai, fi.lmn, A,
-                            aj, fj.lmn, B,
-                            ak, fk.lmn, C,
-                            al, fl.lmn, D,
-                        )
-        return val
-
-    for i in range(n):
-        for j in range(i + 1):
-            ij = i * (i + 1) // 2 + j
-            for k in range(n):
-                for l in range(k + 1):
-                    kl = k * (k + 1) // 2 + l
-                    if ij < kl:
-                        continue
-                    v = contracted(i, j, k, l)
-                    for a, b in ((i, j), (j, i)):
-                        for c, d in ((k, l), (l, k)):
-                            eri[a, b, c, d] = v
-                            eri[c, d, a, b] = v
-    return eri
-
-
-def _dipole_prim(
-    a: float,
-    lmn1: Tuple[int, int, int],
-    A: np.ndarray,
-    b: float,
-    lmn2: Tuple[int, int, int],
-    B: np.ndarray,
-    origin: np.ndarray,
-    direction: int,
-) -> float:
-    """<prim_a| (r - origin)_direction |prim_b>.
-
-    McMurchie-Davidson: the 1-D moment integral is
-    E_1^{ij} + (P - C) E_0^{ij}, times sqrt(pi/p); the other two
-    dimensions contribute plain overlaps.
+    Built once per (basis, geometry) and accepted by every integral
+    function of this module in place of the basis-function list, so a
+    caller that needs several integrals (``run_rhf``) pays for the
+    expansion once.  Arrays run over the primitive pairs of all
+    contracted pairs; ``classes`` maps ``(t, u, v)`` to the primitive
+    pairs with a non-zero coefficient ``c_i c_j E_t E_u E_v`` there.
     """
-    p = a + b
-    P = (a * A + b * B) / p
-    total = 1.0
+
+    def __init__(self, bfs: Sequence[BasisFunction]):
+        n = len(bfs)
+        self.npair = n * (n + 1) // 2
+        fn = np.repeat(np.arange(n), [len(f.exponents) for f in bfs])
+        expo = np.concatenate([f.exponents for f in bfs])
+        coef = np.concatenate([f.coeffs for f in bfs])
+        ka, kb = np.nonzero(fn[:, None] >= fn[None, :])
+        i, j = fn[ka], fn[kb]
+        centers = np.array([f.center for f in bfs], dtype=float)
+        lmn = np.array([f.lmn for f in bfs], dtype=np.intp)
+        a, self.b = expo[ka], expo[kb]
+        A, B = centers[i].T, centers[j].T  # (3, primitive pairs)
+        self.pair = i * (i + 1) // 2 + j
+        self.p = a + self.b
+        self.P = (a * A + self.b * B) / self.p
+        cc = coef[ka] * coef[kb]
+        self.norm = cc * (math.pi / self.p) ** 1.5
+        # index[i, j] = contracted-pair number of (max, min): unpacks a
+        # per-pair vector into the symmetric matrix
+        ar = np.arange(n)
+        hi, lo = np.maximum.outer(ar, ar), np.minimum.outer(ar, ar)
+        self.index = hi * (hi + 1) // 2 + lo
+
+        lmax = int(lmn.max())
+        # j runs two past lmax: the kinetic operator raises the ket
+        self._table = _hermite_e(lmax, lmax + 2, a, self.b, A - B)
+        self._l1, self.l2 = lmn[i].T, lmn[j].T
+        self._where = (np.arange(3)[:, None], np.arange(self.p.size)[None, :])
+        # e[t, d] = E_t^{l1 l2} along axis d, per primitive pair
+        self.e = np.moveaxis(
+            self._table[(self._l1, self.l2, slice(None)) + self._where], -1, 0
+        )
+        self.classes: Dict[Tuple[int, int, int], Tuple[np.ndarray, np.ndarray]] = {}
+        for tuv in itertools.product(range(2 * lmax + 1), repeat=3):
+            t, u, v = tuv
+            c = cc * self.e[t, 0] * self.e[u, 1] * self.e[v, 2]
+            k = np.flatnonzero(c)
+            if k.size:
+                self.classes[tuv] = (k, c[k])
+
+    def ket_shifted(self, dj: int) -> np.ndarray:
+        """E_0^{l1, l2+dj} per axis and primitive pair (0 where l2+dj < 0
+        would be read: its kinetic prefactor l2 (l2 - 1) vanishes)."""
+        return self._table[(self._l1, np.maximum(self.l2 + dj, 0), 0) + self._where]
+
+    def contract(self, weights: np.ndarray) -> np.ndarray:
+        """Sum per-primitive-pair values onto the symmetric AO matrix."""
+        return np.bincount(self.pair, weights=weights, minlength=self.npair)[self.index]
+
+
+Basis = Union[Sequence[BasisFunction], HermitePairs]
+
+
+def _pairs(bfs: Basis) -> HermitePairs:
+    return bfs if isinstance(bfs, HermitePairs) else HermitePairs(bfs)
+
+
+def _with_axis(e0: np.ndarray, d: int, new: np.ndarray) -> np.ndarray:
+    """Product over the three axes of ``e0`` with axis ``d`` replaced."""
+    parts = list(e0)
+    parts[d] = new
+    return parts[0] * parts[1] * parts[2]
+
+
+def _hermite_coulomb(tuv: Tuple[int, int, int], alpha, X) -> np.ndarray:
+    """Hermite Coulomb integrals R^0_{tuv}(alpha, X) on arrays; ``X`` has
+    shape ``(3, ...)`` and ``alpha`` broadcasts against ``X[0]``."""
+    order = sum(tuv)
+    x = alpha * (X[0] * X[0] + X[1] * X[1] + X[2] * X[2])
+    f = hyp1f1(order + 0.5, order + 1.5, -x) / (2 * order + 1)
+    if order == 0:
+        return f
+    # Boys table by the stable downward recursion, then
+    # R^n_{000} = (-2 alpha)^n F_n for n = 0..order
+    ex = np.exp(-x)
+    r = [f]
+    for n in range(order - 1, -1, -1):
+        f = (2.0 * x * f + ex) / (2 * n + 1)
+        r.append(f)
+    r.reverse()
+    scale = 1.0
+    for n in range(1, order + 1):
+        scale = scale * (-2.0 * alpha)
+        r[n] = r[n] * scale
+    # raise one Cartesian index at a time:
+    # R^n_{.. k ..} = (k - 1) R^{n+1}_{.. k-2 ..} + X_d R^{n+1}_{.. k-1 ..}
+    for d in (2, 1, 0):
+        below: List[np.ndarray] = []
+        for k in range(1, tuv[d] + 1):
+            above = [
+                X[d] * r[n + 1] + ((k - 1) * below[n + 1] if k > 1 else 0.0)
+                for n in range(len(r) - 1)
+            ]
+            below, r = r, above
+    return r[0]
+
+
+def overlap_matrix(bfs: Basis) -> np.ndarray:
+    """AO overlap matrix S."""
+    tab = _pairs(bfs)
+    return tab.contract(tab.norm * tab.e[0].prod(axis=0))
+
+
+def kinetic_matrix(bfs: Basis) -> np.ndarray:
+    """AO kinetic-energy matrix T, via overlaps of the ket with its
+    angular momentum shifted by +-2."""
+    tab = _pairs(bfs)
+    e0, b, l2 = tab.e[0], tab.b, tab.l2
+    up = tab.ket_shifted(2)
+    down = l2 * (l2 - 1) * tab.ket_shifted(-2)
+    value = b * (2 * l2.sum(axis=0) + 3) * e0.prod(axis=0)
     for d in range(3):
-        memo: Dict = {}
-        if d == direction:
-            e1 = _hermite_e(lmn1[d], lmn2[d], 1, A[d] - B[d], a, b, memo)
-            e0 = _hermite_e(lmn1[d], lmn2[d], 0, A[d] - B[d], a, b, memo)
-            total *= e1 + (P[d] - origin[d]) * e0
-        else:
-            total *= _hermite_e(lmn1[d], lmn2[d], 0, A[d] - B[d], a, b, memo)
-    return total * (math.pi / p) ** 1.5
+        value -= 2.0 * b * b * _with_axis(e0, d, up[d]) + 0.5 * _with_axis(e0, d, down[d])
+    return tab.contract(tab.norm * value)
+
+
+def nuclear_attraction_matrix(bfs: Basis, molecule: Molecule) -> np.ndarray:
+    """AO nuclear-attraction matrix V (includes the -Z factors)."""
+    tab = _pairs(bfs)
+    charges = np.array([float(atom.atomic_number) for atom in molecule.atoms])
+    C = np.array([atom.position for atom in molecule.atoms], dtype=float).T
+    weights = np.zeros(tab.p.size)
+    for tuv, (k, coef) in tab.classes.items():
+        p = tab.p[k]
+        r = _hermite_coulomb(tuv, p[:, None], tab.P[:, k, None] - C[:, None, :])
+        weights[k] -= coef * (2.0 * math.pi / p) * (r @ charges)
+    return tab.contract(weights)
+
+
+def core_hamiltonian(bfs: Basis, molecule: Molecule) -> np.ndarray:
+    """H_core = T + V."""
+    tab = _pairs(bfs)
+    return kinetic_matrix(tab) + nuclear_attraction_matrix(tab, molecule)
+
+
+def eri_tensor(bfs: Basis) -> np.ndarray:
+    """Two-electron integrals (ij|kl), chemists' notation.
+
+    Per pair of Hermite classes, one block
+    ``2 pi^{5/2} / (p q sqrt(p+q)) (-1)^{t'+u'+v'} R_{t+t',u+u',v+v'}``
+    over (primitive pairs) x (primitive pairs), summed onto contracted
+    pairs; the block of the swapped class pair is its transpose.
+    """
+    tab = _pairs(bfs)
+    classes = []
+    for tuv, (k, coef) in tab.classes.items():
+        seg = np.zeros((tab.npair, k.size))
+        seg[tab.pair[k], np.arange(k.size)] = coef / tab.p[k]
+        classes.append((tuv, tab.p[k], tab.P[:, k], seg))
+    g = np.zeros((tab.npair, tab.npair))
+    for first, (tuv1, p1, P1, seg1) in enumerate(classes):
+        for tuv2, p2, P2, seg2 in classes[first:]:
+            total = (tuv1[0] + tuv2[0], tuv1[1] + tuv2[1], tuv1[2] + tuv2[2])
+            half = np.zeros((tab.npair, p2.size))
+            step = max(1, _BLOCK // p2.size)
+            for lo in range(0, p1.size, step):
+                rows = slice(lo, lo + step)
+                s = p1[rows, None] + p2
+                r = _hermite_coulomb(
+                    total, p1[rows, None] * p2 / s, P1[:, rows, None] - P2[:, None, :]
+                )
+                r /= np.sqrt(s)
+                half += seg1[:, rows] @ r
+            sign = -1.0 if sum(tuv2) % 2 else 1.0
+            block = (2.0 * math.pi ** 2.5 * sign) * (half @ seg2.T)
+            g += block
+            if tuv1 != tuv2:
+                g += block.T
+    return g[tab.index[:, :, None, None], tab.index]
 
 
 def dipole_matrices(
-    bfs: List[BasisFunction], origin: Sequence[float] = (0.0, 0.0, 0.0)
+    bfs: Basis, origin: Sequence[float] = (0.0, 0.0, 0.0)
 ) -> np.ndarray:
     """Electric-dipole integral matrices: shape (3, n, n), one matrix
-    per Cartesian direction, relative to ``origin`` (Bohr)."""
-    n = len(bfs)
+    per Cartesian direction, relative to ``origin`` (Bohr).  The 1-D
+    moment integral is E_1^{ij} + (P - origin) E_0^{ij}; the other two
+    dimensions contribute plain overlaps."""
+    tab = _pairs(bfs)
     origin = np.asarray(origin, dtype=float)
-    out = np.zeros((3, n, n))
-    for d in range(3):
-        for i in range(n):
-            for j in range(i + 1):
-                fi, fj = bfs[i], bfs[j]
-                A = np.asarray(fi.center)
-                B = np.asarray(fj.center)
-                val = 0.0
-                for ci, ai in zip(fi.coeffs, fi.exponents):
-                    for cj, aj in zip(fj.coeffs, fj.exponents):
-                        val += ci * cj * _dipole_prim(
-                            ai, fi.lmn, A, aj, fj.lmn, B, origin, d
-                        )
-                out[d, i, j] = out[d, j, i] = val
-    return out
+    e0, e1 = tab.e[0], tab.e[1]
+    return np.array(
+        [
+            tab.contract(
+                tab.norm * _with_axis(e0, d, e1[d] + (tab.P[d] - origin[d]) * e0[d])
+            )
+            for d in range(3)
+        ]
+    )

@@ -144,15 +144,22 @@ class _Mapper:
             ]
         )
 
+        self._ladders: Dict[Tuple[int, bool], PauliSum] = {}
+
     def ladder(self, p: int, dagger: bool) -> PauliSum:
-        """a+_p or a_p as a 2-term PauliSum."""
-        n = self.n
-        x_u = PauliSum.from_string(PauliString(n, x=self.update_masks[p]))
-        z_p = PauliSum.from_string(PauliString(n, z=self.parity_masks[p]))
-        z_f = PauliSum.from_string(PauliString(n, z=self.flip_masks[p]))
-        sign = 1.0 if dagger else -1.0
-        projector = (PauliSum.identity(n) + sign * z_f) * 0.5
-        return x_u.dot(z_p).dot(projector)
+        """a+_p or a_p as a 2-term PauliSum.  Built once per (p, dagger)
+        and shared: callers combine it with ``dot`` / ``*`` / ``+``,
+        which return new sums, and must not mutate it."""
+        cached = self._ladders.get((p, dagger))
+        if cached is None:
+            n = self.n
+            x_u = PauliSum.from_string(PauliString(n, x=self.update_masks[p]))
+            z_p = PauliSum.from_string(PauliString(n, z=self.parity_masks[p]))
+            z_f = PauliSum.from_string(PauliString(n, z=self.flip_masks[p]))
+            sign = 1.0 if dagger else -1.0
+            projector = (PauliSum.identity(n) + sign * z_f) * 0.5
+            cached = self._ladders[p, dagger] = x_u.dot(z_p).dot(projector)
+        return cached
 
 
 _MAPPER_CACHE: Dict[Tuple[str, int], _Mapper] = {}

@@ -67,8 +67,13 @@ class Molecule:
         """Sum over pairs Z_i Z_j / |R_i - R_j| (atomic units)."""
         e = 0.0
         for i, a in enumerate(self.atoms):
-            for b in self.atoms[i + 1:]:
+            for j, b in enumerate(self.atoms[i + 1:], start=i + 1):
                 r = np.linalg.norm(np.asarray(a.position) - np.asarray(b.position))
+                if r == 0.0:
+                    raise ValueError(
+                        f"atoms {i} ({a.symbol}) and {j} ({b.symbol}) coincide "
+                        f"at {tuple(a.position)}"
+                    )
                 e += a.atomic_number * b.atomic_number / r
         return e
 

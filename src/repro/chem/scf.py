@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.chem.basis import BasisFunction, build_basis
 from repro.chem.integrals import (
+    HermitePairs,
     core_hamiltonian,
     eri_tensor,
     overlap_matrix,
@@ -88,12 +89,19 @@ def run_rhf(
     if n_elec % 2 != 0:
         raise ValueError("RHF requires an even number of electrons")
     n_occ = n_elec // 2
+    for index, atom in enumerate(molecule.atoms):
+        if not np.all(np.isfinite(atom.position)):
+            raise ValueError(
+                f"atom {index} ({atom.symbol}) has a non-finite coordinate: "
+                f"{tuple(atom.position)}"
+            )
+    e_nuc = molecule.nuclear_repulsion()
 
     bfs = build_basis(molecule, basis_name)
-    s = overlap_matrix(bfs)
-    h = core_hamiltonian(bfs, molecule)
-    eri = eri_tensor(bfs)
-    e_nuc = molecule.nuclear_repulsion()
+    pairs = HermitePairs(bfs)  # one Hermite expansion behind all three integrals
+    s = overlap_matrix(pairs)
+    h = core_hamiltonian(pairs, molecule)
+    eri = eri_tensor(pairs)
 
     # Symmetric (Loewdin) orthogonalization.
     s_vals, s_vecs = np.linalg.eigh(s)

@@ -41,6 +41,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import threading
@@ -251,6 +252,15 @@ class _ServerState:
             job.detail = p.get("reason", "")
 
 
+@functools.lru_cache(maxsize=None)
+def _uccsd_gates(num_qubits: int) -> int:
+    """UCCSD gate count of one register width: the LPT estimate asks for
+    it per queued job per tick, and it only depends on the width."""
+    from repro.core.counting import uccsd_gate_count
+
+    return uccsd_gate_count(num_qubits)
+
+
 class _JobExecution:
     """Volatile driver of one running campaign (checkpoints persist)."""
 
@@ -447,6 +457,9 @@ class CampaignServer:
         # pairs that disappear (drained/idle tenants) are zeroed rather
         # than frozen at their last value
         self._published_tenant_states: set = set()
+        # job id -> (to_dict() snapshot, its JSON text) as last written
+        # to status.json; a row is re-encoded only when it changed
+        self._status_rows: Dict[str, Tuple[Dict[str, Any], str]] = {}
         self.ticks = 0
         self.shed_count = 0
         self.dedup_hits = 0
@@ -782,10 +795,8 @@ class CampaignServer:
     # -- scheduling + dispatch ------------------------------------------------
 
     def _estimate_job(self, job: JobRecord) -> Job:
-        from repro.core.counting import uccsd_gate_count
-
         n = qubits_for_molecule(job.spec.molecule)
-        gates = uccsd_gate_count(n) * max(1, job.spec.max_iterations)
+        gates = _uccsd_gates(n) * max(1, job.spec.max_iterations)
         return Job(job.job_id, n, gates, mem_bytes=job.est_bytes)
 
     def _plan_placements(self) -> Dict[str, int]:
@@ -874,7 +885,9 @@ class CampaignServer:
                 continue
             key = job.spec.content_key()
             # dedup: an identical problem already finished -> instant hit
-            stored = self.store.get_result(key)
+            # (the store's key set answers the common case, a miss,
+            # without touching the result tier's file I/O)
+            stored = self.store.get_result(key) if self.store.has_result(key) else None
             if stored is not None:
                 self._complete(job, stored, dedup=True)
                 continue
@@ -1338,13 +1351,23 @@ class CampaignServer:
 
     def _publish_health(self) -> None:
         health = self.health()
+        # {"health": ..., "jobs": [row, ...]} assembled from per-job
+        # encoded rows.  A row is re-encoded when its to_dict() differs
+        # from the one it was encoded from — by comparison, not by an
+        # invalidation hook, because several JobRecord fields are set
+        # outside the journal fold.
+        rows = []
+        for jid in self.state.order:
+            row = self.state.jobs[jid].to_dict()
+            cached = self._status_rows.get(jid)
+            if cached is None or cached[0] != row:
+                cached = self._status_rows[jid] = (row, json.dumps(row))
+            rows.append(cached[1])
         tmp = os.path.join(self.state_dir, "status.json.tmp")
         with open(tmp, "w") as fh:
-            json.dump(
-                {"health": health, "jobs": [
-                    self.state.jobs[jid].to_dict() for jid in self.state.order
-                ]},
-                fh,
+            fh.write(
+                '{"health": %s, "jobs": [%s]}'
+                % (json.dumps(health), ", ".join(rows))
             )
         os.replace(tmp, os.path.join(self.state_dir, "status.json"))
         if obs.enabled():

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "SPEC_VERSION",
@@ -52,6 +53,8 @@ _CONTENT_FIELDS = (
     "max_iterations",
     "seed",
 )
+_FAMILY_FIELDS = tuple(f for f in _CONTENT_FIELDS if f != "geometry")
+_PHYSICS_FIELDS = ("kind", "molecule", "geometry", "basis")
 
 
 class SpecError(ValueError):
@@ -141,24 +144,38 @@ class JobSpec:
             raise SpecError("deadline_s must be positive")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise SpecError("timeout_s must be positive")
+        # nan would iterate the SCF to its cap and return energy=nan, 0
+        # puts two nuclei on one point, and a negative length is a
+        # second content key for the physics of its absolute value
+        if self.geometry is not None and not (
+            math.isfinite(self.geometry) and self.geometry > 0
+        ):
+            raise SpecError(
+                f"geometry must be a finite positive length in Angstrom, "
+                f"got {self.geometry!r}"
+            )
 
     # -- content addressing ---------------------------------------------------
 
-    def _content_payload(self, with_geometry: bool = True) -> Dict[str, Any]:
-        payload = {f: getattr(self, f) for f in _CONTENT_FIELDS}
-        if not with_geometry:
-            payload.pop("geometry")
-        return payload
+    def _key(self, name: str, fields: Tuple[str, ...]) -> str:
+        """SHA-256 over the named fields, computed on first use: the
+        spec is frozen, and the server asks for every key of every
+        queued job on every tick."""
+        key = self.__dict__.get(name)
+        if key is None:
+            blob = json.dumps({f: getattr(self, f) for f in fields}, sort_keys=True)
+            # straight into __dict__: a cache, not a field (asdict,
+            # equality and from_dict see dataclass fields only)
+            key = self.__dict__[name] = hashlib.sha256(blob.encode()).hexdigest()
+        return key
 
     def content_key(self) -> str:
         """SHA-256 over the physics fields — the dedup/store address."""
-        blob = json.dumps(self._content_payload(), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return self._key("_content_key", _CONTENT_FIELDS)
 
     def family_key(self) -> str:
         """Content key minus geometry — the warm-start neighborhood."""
-        blob = json.dumps(self._content_payload(with_geometry=False), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return self._key("_family_key", _FAMILY_FIELDS)
 
     def physics_key(self) -> str:
         """Batching compatibility key: jobs whose (kind, molecule,
@@ -168,14 +185,7 @@ class JobSpec:
         differ.  Coarser than :meth:`content_key` (which also hashes
         solver knobs) on purpose — the whole point of the evaluation
         broker is that *distinct* campaigns batch together."""
-        payload = {
-            "kind": self.kind,
-            "molecule": self.molecule,
-            "geometry": self.geometry,
-            "basis": self.basis,
-        }
-        blob = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return self._key("_physics_key", _PHYSICS_FIELDS)
 
     def class_key(self) -> str:
         """Failure-domain key for the circuit breaker: jobs of one

@@ -20,14 +20,22 @@ Three tiers, addressed by the hashes of :mod:`repro.serve.spec`:
   (``repro.sim.plan``) and compiled-observable (``repro.ir.compiled``)
   engines memoize on the *object*, sharing the objects is what makes
   their caches hit across jobs — the expensive compile happens once
-  per distinct problem per server process.
+  per distinct problem per server process.  What does not depend on
+  the geometry (UCCSD generators, the ansatz circuit and so its plan)
+  is built once per (spin orbitals, electrons) and shared by every
+  problem of that shape: a bond scan pays per point only for numbers.
+
+The results tier keeps the set of stored keys and the warm tier its
+families in memory (both seeded from disk, both written through), so
+the per-tick question "is this queued job already solved?" costs a set
+lookup and only a hit opens a file.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +48,7 @@ __all__ = ["ContentStore", "ProblemCache"]
 def _atomic_write_json(payload: dict, path: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))  # dumps, not dump: the C encoder
     os.replace(tmp, path)
 
 
@@ -53,6 +61,18 @@ class ContentStore:
         self._warm_dir = os.path.join(root, "warm")
         os.makedirs(self._results_dir, exist_ok=True)
         os.makedirs(self._warm_dir, exist_ok=True)
+        # content keys with a result file: whatever an earlier server
+        # left here, plus every put_result of this one.  The dispatch
+        # loop asks about every queued job on every tick, and nearly
+        # all of those are misses; they are answered from this set.
+        self._result_keys = {
+            name[: -len(".json")]
+            for name in os.listdir(self._results_dir)
+            if name.endswith(".json")
+        }
+        # family key -> warm-start entries, read from disk on first use
+        # and written through on every add
+        self._warm: Dict[str, List[Dict[str, Any]]] = {}
 
     # -- results --------------------------------------------------------------
 
@@ -60,11 +80,10 @@ class ContentStore:
         return os.path.join(self._results_dir, f"{content_key}.json")
 
     def get_result(self, content_key: str) -> Optional[Dict[str, Any]]:
-        path = self._result_path(content_key)
-        if not os.path.isfile(path):
+        if content_key not in self._result_keys:
             return None
         try:
-            with open(path) as fh:
+            with open(self._result_path(content_key)) as fh:
                 return json.load(fh)
         except (json.JSONDecodeError, OSError):
             # a torn result write is treated as absent: the journal
@@ -75,12 +94,13 @@ class ContentStore:
         """Idempotent: re-putting the same key just overwrites with the
         same content (journal replay safety)."""
         _atomic_write_json(result, self._result_path(content_key))
+        self._result_keys.add(content_key)
 
     def has_result(self, content_key: str) -> bool:
-        return os.path.isfile(self._result_path(content_key))
+        return content_key in self._result_keys
 
     def num_results(self) -> int:
-        return sum(1 for f in os.listdir(self._results_dir) if f.endswith(".json"))
+        return len(self._result_keys)
 
     # -- warm starts ----------------------------------------------------------
 
@@ -88,15 +108,17 @@ class ContentStore:
         return os.path.join(self._warm_dir, f"{family_key}.json")
 
     def _load_warm(self, family_key: str) -> List[Dict[str, Any]]:
-        path = self._warm_path(family_key)
-        if not os.path.isfile(path):
-            return []
-        try:
-            with open(path) as fh:
-                entries = json.load(fh)
-            return entries if isinstance(entries, list) else []
-        except (json.JSONDecodeError, OSError):
-            return []
+        entries = self._warm.get(family_key)
+        if entries is None:
+            try:
+                with open(self._warm_path(family_key)) as fh:
+                    entries = json.load(fh)
+            except (json.JSONDecodeError, OSError):
+                entries = []
+            if not isinstance(entries, list):
+                entries = []
+            self._warm[family_key] = entries
+        return entries
 
     def add_warm_start(
         self, family_key: str, geometry: Optional[float], parameters: np.ndarray
@@ -113,6 +135,7 @@ class ContentStore:
             }
         )
         _atomic_write_json(entries, self._warm_path(family_key))  # type: ignore[arg-type]
+        self._warm[family_key] = entries
 
     def warm_start(
         self, family_key: str, geometry: Optional[float], num_parameters: int
@@ -159,6 +182,11 @@ class ProblemCache:
         # which is what lets the evaluation broker stack their
         # evaluation requests into a single batched sweep.
         self._physics: Dict[str, Dict[str, Any]] = {}
+        # third tier, keyed by (spin orbitals, electrons): the UCCSD
+        # generators and the trotterized circuit do not depend on the
+        # geometry, so every point of a scan carries the SAME Circuit
+        # and, through compile_circuit's memo on it, one ExecutionPlan
+        self._uccsd: Dict[Tuple[int, int], Tuple[List[Any], Any]] = {}
         self.builds = 0
         self.hits = 0
         self.physics_hits = 0
@@ -218,13 +246,13 @@ class ProblemCache:
             )
         return problem
 
-    @staticmethod
-    def _build(spec: JobSpec) -> Dict[str, Any]:
+    def _build(self, spec: JobSpec) -> Dict[str, Any]:
         from repro.chem.hamiltonian import build_molecular_hamiltonian
         from repro.chem.pools import uccsd_pool
         from repro.chem.reference import hartree_fock_state
         from repro.chem.scf import run_rhf
         from repro.chem.uccsd import build_uccsd_circuit, uccsd_generators
+        from repro.sim.plan import compile_circuit
 
         with obs.span(
             "serve.build_problem", molecule=spec.molecule, kind=spec.kind
@@ -245,15 +273,24 @@ class ProblemCache:
             if spec.kind == "adapt":
                 problem["pool"] = uccsd_pool(n_so, n_e)
             else:
-                problem["generators"] = [
-                    a for _, a in uccsd_generators(n_so, n_e)
-                ]
-                # one shared trotterized-UCCSD circuit per physics key:
-                # compile_circuit memoizes on the object, so every job
-                # aliasing this problem executes the SAME ExecutionPlan
-                # — the compatibility unit the evaluation broker
-                # batches on
-                problem["ansatz"] = build_uccsd_circuit(n_so, n_e).circuit
+                structure = self._uccsd.get((n_so, n_e))
+                if structure is None:
+                    circuit = build_uccsd_circuit(n_so, n_e).circuit
+                    # compile_circuit memoizes on the circuit object, so
+                    # every job carrying it executes the SAME
+                    # ExecutionPlan — the compatibility unit the
+                    # evaluation broker batches on (its groups are
+                    # still per physics key: the Hamiltonian differs
+                    # from geometry to geometry).  Lowered here, on the
+                    # server thread: campaigns start in worker threads,
+                    # and those that reach an empty memo together
+                    # would each lower the circuit.
+                    compile_circuit(circuit)
+                    structure = self._uccsd[n_so, n_e] = (
+                        [a for _, a in uccsd_generators(n_so, n_e)],
+                        circuit,
+                    )
+                problem["generators"], problem["ansatz"] = structure
         return problem
 
     def __len__(self) -> int:

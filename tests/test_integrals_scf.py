@@ -1,5 +1,15 @@
 """Tests for the Gaussian-integral engine, SCF, and MP2 against known
-reference values and structural invariants."""
+reference values and structural invariants.
+
+The scalar McMurchie-Davidson routines below (one primitive pair or
+quartet per call, recursion per Hermite index) are the implementation
+``repro.chem.integrals`` shipped before it was rewritten over arrays;
+they are kept here, arithmetic untouched, as the oracle the array
+engine is compared against.
+"""
+
+import math
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -7,17 +17,419 @@ import pytest
 from repro.chem.basis import build_basis, primitive_norm
 from repro.chem.hamiltonian import build_molecular_hamiltonian
 from repro.chem.integrals import (
+    HermitePairs,
     boys,
     core_hamiltonian,
+    dipole_matrices,
     eri_tensor,
     kinetic_matrix,
     nuclear_attraction_matrix,
     overlap_matrix,
 )
 from repro.chem.mo import transform_to_mo
-from repro.chem.molecule import Molecule, h2, h2o, h4_chain, lih
+from repro.chem.molecule import Atom, Molecule, h2, h2o, h4_chain, lih
 from repro.chem.mp2 import run_mp2
 from repro.chem.scf import run_rhf
+
+# -- scalar oracle ------------------------------------------------------------
+
+
+def _hermite_e(
+    i: int, j: int, t: int, Qx: float, a: float, b: float, memo: Dict
+) -> float:
+    """Hermite expansion coefficient E_t^{ij} for a 1-D Gaussian product."""
+    if t < 0 or t > i + j:
+        return 0.0
+    key = (i, j, t)
+    if key in memo:
+        return memo[key]
+    p = a + b
+    q = a * b / p
+    if i == j == t == 0:
+        val = math.exp(-q * Qx * Qx)
+    elif j == 0:
+        val = (
+            (1.0 / (2.0 * p)) * _hermite_e(i - 1, j, t - 1, Qx, a, b, memo)
+            - (q * Qx / a) * _hermite_e(i - 1, j, t, Qx, a, b, memo)
+            + (t + 1) * _hermite_e(i - 1, j, t + 1, Qx, a, b, memo)
+        )
+    else:
+        val = (
+            (1.0 / (2.0 * p)) * _hermite_e(i, j - 1, t - 1, Qx, a, b, memo)
+            + (q * Qx / b) * _hermite_e(i, j - 1, t, Qx, a, b, memo)
+            + (t + 1) * _hermite_e(i, j - 1, t + 1, Qx, a, b, memo)
+        )
+    memo[key] = val
+    return val
+
+
+def _overlap_prim(
+    a: float,
+    lmn1: Tuple[int, int, int],
+    A: Sequence[float],
+    b: float,
+    lmn2: Tuple[int, int, int],
+    B: Sequence[float],
+) -> float:
+    """<prim_a | prim_b> for unnormalized primitives."""
+    p = a + b
+    s = (math.pi / p) ** 1.5
+    for d in range(3):
+        memo: Dict = {}
+        s *= _hermite_e(lmn1[d], lmn2[d], 0, A[d] - B[d], a, b, memo)
+    return s
+
+
+def _kinetic_prim(
+    a: float,
+    lmn1: Tuple[int, int, int],
+    A: Sequence[float],
+    b: float,
+    lmn2: Tuple[int, int, int],
+    B: Sequence[float],
+) -> float:
+    """Kinetic-energy integral via overlap integrals of shifted momenta."""
+    l2, m2, n2 = lmn2
+
+    def S(d_lmn2: Tuple[int, int, int]) -> float:
+        if min(d_lmn2) < 0:
+            return 0.0
+        return _overlap_prim(a, lmn1, A, b, d_lmn2, B)
+
+    term0 = b * (2 * (l2 + m2 + n2) + 3) * S((l2, m2, n2))
+    term1 = -2.0 * b * b * (
+        S((l2 + 2, m2, n2)) + S((l2, m2 + 2, n2)) + S((l2, m2, n2 + 2))
+    )
+    term2 = -0.5 * (
+        l2 * (l2 - 1) * S((l2 - 2, m2, n2))
+        + m2 * (m2 - 1) * S((l2, m2 - 2, n2))
+        + n2 * (n2 - 1) * S((l2, m2, n2 - 2))
+    )
+    return term0 + term1 + term2
+
+
+def _hermite_coulomb(
+    t: int,
+    u: int,
+    v: int,
+    n: int,
+    p: float,
+    PC: np.ndarray,
+    memo: Dict,
+) -> float:
+    """Hermite Coulomb integral R^n_{tuv}(p, P - C)."""
+    key = (t, u, v, n)
+    if key in memo:
+        return memo[key]
+    if t == u == v == 0:
+        r2 = float(PC @ PC)
+        val = (-2.0 * p) ** n * boys(n, p * r2)
+    elif t > 0:
+        val = (t - 1) * _hermite_coulomb(t - 2, u, v, n + 1, p, PC, memo) if t > 1 else 0.0
+        val += PC[0] * _hermite_coulomb(t - 1, u, v, n + 1, p, PC, memo)
+    elif u > 0:
+        val = (u - 1) * _hermite_coulomb(t, u - 2, v, n + 1, p, PC, memo) if u > 1 else 0.0
+        val += PC[1] * _hermite_coulomb(t, u - 1, v, n + 1, p, PC, memo)
+    else:
+        val = (v - 1) * _hermite_coulomb(t, u, v - 2, n + 1, p, PC, memo) if v > 1 else 0.0
+        val += PC[2] * _hermite_coulomb(t, u, v - 1, n + 1, p, PC, memo)
+    memo[key] = val
+    return val
+
+
+def _nuclear_prim(
+    a: float,
+    lmn1: Tuple[int, int, int],
+    A: np.ndarray,
+    b: float,
+    lmn2: Tuple[int, int, int],
+    B: np.ndarray,
+    C: np.ndarray,
+) -> float:
+    """<prim_a| 1/|r - C| |prim_b> (positive; caller applies -Z)."""
+    p = a + b
+    P = (a * A + b * B) / p
+    e_memos = [{}, {}, {}]
+    r_memo: Dict = {}
+    total = 0.0
+    l1, m1, n1 = lmn1
+    l2, m2, n2 = lmn2
+    for t in range(l1 + l2 + 1):
+        Et = _hermite_e(l1, l2, t, A[0] - B[0], a, b, e_memos[0])
+        if Et == 0.0:
+            continue
+        for u in range(m1 + m2 + 1):
+            Eu = _hermite_e(m1, m2, u, A[1] - B[1], a, b, e_memos[1])
+            if Eu == 0.0:
+                continue
+            for v in range(n1 + n2 + 1):
+                Ev = _hermite_e(n1, n2, v, A[2] - B[2], a, b, e_memos[2])
+                if Ev == 0.0:
+                    continue
+                total += Et * Eu * Ev * _hermite_coulomb(
+                    t, u, v, 0, p, P - C, r_memo
+                )
+    return (2.0 * math.pi / p) * total
+
+
+def _eri_prim(
+    a: float, lmn1, A: np.ndarray,
+    b: float, lmn2, B: np.ndarray,
+    c: float, lmn3, C: np.ndarray,
+    d: float, lmn4, D: np.ndarray,
+) -> float:
+    """Two-electron repulsion integral (ab|cd) over primitives
+    (chemists' notation: electron 1 in a,b; electron 2 in c,d)."""
+    p = a + b
+    q = c + d
+    alpha = p * q / (p + q)
+    P = (a * A + b * B) / p
+    Q = (c * C + d * D) / q
+    e1 = [{}, {}, {}]
+    e2 = [{}, {}, {}]
+    r_memo: Dict = {}
+    l1, m1, n1 = lmn1
+    l2, m2, n2 = lmn2
+    l3, m3, n3 = lmn3
+    l4, m4, n4 = lmn4
+    total = 0.0
+    for t in range(l1 + l2 + 1):
+        E1t = _hermite_e(l1, l2, t, A[0] - B[0], a, b, e1[0])
+        if E1t == 0.0:
+            continue
+        for u in range(m1 + m2 + 1):
+            E1u = _hermite_e(m1, m2, u, A[1] - B[1], a, b, e1[1])
+            if E1u == 0.0:
+                continue
+            for v in range(n1 + n2 + 1):
+                E1v = _hermite_e(n1, n2, v, A[2] - B[2], a, b, e1[2])
+                if E1v == 0.0:
+                    continue
+                w1 = E1t * E1u * E1v
+                for tau in range(l3 + l4 + 1):
+                    E2t = _hermite_e(l3, l4, tau, C[0] - D[0], c, d, e2[0])
+                    if E2t == 0.0:
+                        continue
+                    for nu in range(m3 + m4 + 1):
+                        E2u = _hermite_e(m3, m4, nu, C[1] - D[1], c, d, e2[1])
+                        if E2u == 0.0:
+                            continue
+                        for phi in range(n3 + n4 + 1):
+                            E2v = _hermite_e(n3, n4, phi, C[2] - D[2], c, d, e2[2])
+                            if E2v == 0.0:
+                                continue
+                            sign = -1.0 if (tau + nu + phi) % 2 else 1.0
+                            total += (
+                                w1
+                                * E2t * E2u * E2v * sign
+                                * _hermite_coulomb(
+                                    t + tau, u + nu, v + phi, 0, alpha, P - Q, r_memo
+                                )
+                            )
+    pref = 2.0 * math.pi ** 2.5 / (p * q * math.sqrt(p + q))
+    return pref * total
+
+
+def _dipole_prim(
+    a: float,
+    lmn1: Tuple[int, int, int],
+    A: np.ndarray,
+    b: float,
+    lmn2: Tuple[int, int, int],
+    B: np.ndarray,
+    origin: np.ndarray,
+    direction: int,
+) -> float:
+    """<prim_a| (r - origin)_direction |prim_b>.
+
+    McMurchie-Davidson: the 1-D moment integral is
+    E_1^{ij} + (P - C) E_0^{ij}, times sqrt(pi/p); the other two
+    dimensions contribute plain overlaps.
+    """
+    p = a + b
+    P = (a * A + b * B) / p
+    total = 1.0
+    for d in range(3):
+        memo: Dict = {}
+        if d == direction:
+            e1 = _hermite_e(lmn1[d], lmn2[d], 1, A[d] - B[d], a, b, memo)
+            e0 = _hermite_e(lmn1[d], lmn2[d], 0, A[d] - B[d], a, b, memo)
+            total *= e1 + (P[d] - origin[d]) * e0
+        else:
+            total *= _hermite_e(lmn1[d], lmn2[d], 0, A[d] - B[d], a, b, memo)
+    return total * (math.pi / p) ** 1.5
+
+
+def _oracle_matrix(bfs, prim_fn) -> np.ndarray:
+    """Contract ``prim_fn(a, fi, b, fj)`` over the primitives of i >= j."""
+    n = len(bfs)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1):
+            fi, fj = bfs[i], bfs[j]
+            val = 0.0
+            for ci, ai in zip(fi.coeffs, fi.exponents):
+                for cj, aj in zip(fj.coeffs, fj.exponents):
+                    val += ci * cj * prim_fn(ai, fi, aj, fj)
+            out[i, j] = out[j, i] = val
+    return out
+
+
+def oracle_overlap(bfs) -> np.ndarray:
+    return _oracle_matrix(
+        bfs,
+        lambda a, fi, b, fj: _overlap_prim(a, fi.lmn, fi.center, b, fj.lmn, fj.center),
+    )
+
+
+def oracle_kinetic(bfs) -> np.ndarray:
+    return _oracle_matrix(
+        bfs,
+        lambda a, fi, b, fj: _kinetic_prim(a, fi.lmn, fi.center, b, fj.lmn, fj.center),
+    )
+
+
+def oracle_nuclear(bfs, molecule) -> np.ndarray:
+    nuclei = [(atom.atomic_number, np.asarray(atom.position)) for atom in molecule.atoms]
+    return _oracle_matrix(
+        bfs,
+        lambda a, fi, b, fj: -sum(
+            Z
+            * _nuclear_prim(
+                a, fi.lmn, np.asarray(fi.center), b, fj.lmn, np.asarray(fj.center), C
+            )
+            for Z, C in nuclei
+        ),
+    )
+
+
+def oracle_dipole(bfs, origin) -> np.ndarray:
+    origin = np.asarray(origin, dtype=float)
+    return np.array(
+        [
+            _oracle_matrix(
+                bfs,
+                lambda a, fi, b, fj: _dipole_prim(
+                    a, fi.lmn, np.asarray(fi.center),
+                    b, fj.lmn, np.asarray(fj.center),
+                    origin, d,
+                ),
+            )
+            for d in range(3)
+        ]
+    )
+
+
+def oracle_eri(bfs) -> np.ndarray:
+    """(ij|kl) per contracted quartet, 8-fold symmetry exploited."""
+    n = len(bfs)
+    eri = np.zeros((n, n, n, n))
+
+    def contracted(i: int, j: int, k: int, l: int) -> float:
+        fi, fj, fk, fl = bfs[i], bfs[j], bfs[k], bfs[l]
+        A, B, C, D = (np.asarray(f.center) for f in (fi, fj, fk, fl))
+        val = 0.0
+        for ci, ai in zip(fi.coeffs, fi.exponents):
+            for cj, aj in zip(fj.coeffs, fj.exponents):
+                for ck, ak in zip(fk.coeffs, fk.exponents):
+                    for cl, al in zip(fl.coeffs, fl.exponents):
+                        val += ci * cj * ck * cl * _eri_prim(
+                            ai, fi.lmn, A, aj, fj.lmn, B, ak, fk.lmn, C, al, fl.lmn, D
+                        )
+        return val
+
+    for i in range(n):
+        for j in range(i + 1):
+            ij = i * (i + 1) // 2 + j
+            for k in range(n):
+                for l in range(k + 1):
+                    if ij < k * (k + 1) // 2 + l:
+                        continue
+                    v = contracted(i, j, k, l)
+                    for a, b in ((i, j), (j, i)):
+                        for c, d in ((k, l), (l, k)):
+                            eri[a, b, c, d] = v
+                            eri[c, d, a, b] = v
+    return eri
+
+
+def _rigid_motion(molecule: Molecule) -> Molecule:
+    """The molecule rotated by a seeded proper rotation and translated,
+    so that every p function points off every axis."""
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] *= -1.0
+    shift = np.array([0.3, -1.1, 0.7])
+    return Molecule(
+        [Atom(a.symbol, tuple(q @ np.asarray(a.position) + shift)) for a in molecule.atoms]
+    )
+
+
+_ORACLE_MOLECULES = {
+    "h2": h2,
+    "h4": h4_chain,
+    "lih": lih,
+    "h2o": h2o,
+    "h2o-moved": lambda: _rigid_motion(h2o()),
+}
+
+
+class TestAgainstScalarOracle:
+    """Every public integral function equals the scalar oracle to 1e-12."""
+
+    @pytest.fixture(scope="class", params=sorted(_ORACLE_MOLECULES))
+    def system(self, request):
+        molecule = _ORACLE_MOLECULES[request.param]()
+        return molecule, build_basis(molecule)
+
+    def test_overlap(self, system):
+        _, bfs = system
+        assert np.abs(overlap_matrix(bfs) - oracle_overlap(bfs)).max() < 1e-12
+
+    def test_kinetic(self, system):
+        _, bfs = system
+        assert np.abs(kinetic_matrix(bfs) - oracle_kinetic(bfs)).max() < 1e-12
+
+    def test_nuclear_attraction_and_core(self, system):
+        molecule, bfs = system
+        v = oracle_nuclear(bfs, molecule)
+        assert np.abs(nuclear_attraction_matrix(bfs, molecule) - v).max() < 1e-12
+        h = oracle_kinetic(bfs) + v
+        assert np.abs(core_hamiltonian(bfs, molecule) - h).max() < 1e-12
+
+    def test_dipole(self, system):
+        _, bfs = system
+        origin = (0.1, -0.2, 0.3)
+        assert np.abs(dipole_matrices(bfs, origin) - oracle_dipole(bfs, origin)).max() < 1e-12
+
+    def test_eri(self, system):
+        _, bfs = system
+        assert np.abs(eri_tensor(bfs) - oracle_eri(bfs)).max() < 1e-12
+
+    def test_moved_water_has_p_functions_off_axis(self):
+        bfs = build_basis(_ORACLE_MOLECULES["h2o-moved"]())
+        s = overlap_matrix(bfs)
+        # O 2p (functions 2..4) against the first H 1s: all three components
+        assert np.all(np.abs(s[2:5, 5]) > 1e-3)
+
+    def test_expanded_pairs_are_accepted_in_place_of_the_basis(self):
+        molecule = h2o()
+        bfs = build_basis(molecule)
+        pairs = HermitePairs(bfs)
+        assert np.array_equal(overlap_matrix(pairs), overlap_matrix(bfs))
+        assert np.array_equal(
+            core_hamiltonian(pairs, molecule), core_hamiltonian(bfs, molecule)
+        )
+        assert np.array_equal(eri_tensor(pairs), eri_tensor(bfs))
+
+    def test_eri_coincident_centres(self):
+        """Two functions on one centre: P - Q = 0 in every block, the
+        Boys argument is exactly 0."""
+        twice = Molecule([Atom("H", (0.2, 0.0, -0.4)), Atom("H", (0.2, 0.0, -0.4))])
+        bfs = build_basis(twice)
+        eri = eri_tensor(bfs)
+        assert np.abs(eri - oracle_eri(bfs)).max() < 1e-12
+        assert np.allclose(eri, eri[0, 0, 0, 0], atol=1e-12) and eri[0, 0, 0, 0] > 0
 
 
 class TestBoys:
@@ -145,6 +557,31 @@ class TestSCF:
         kinetic = float(np.einsum("pq,pq->", dm, t))
         potential = res.energy - kinetic
         assert 1.5 < -potential / kinetic < 2.5
+
+    @pytest.mark.parametrize(
+        "factory, energy",
+        [
+            (h2, -1.116684390004),
+            (lih, -7.862026961314),
+            (h2o, -74.962928190590),
+        ],
+    )
+    def test_energies_pinned_to_the_scalar_engine(self, factory, energy):
+        res = run_rhf(factory())
+        assert res.converged
+        assert abs(res.energy - energy) < 1e-10
+
+    def test_non_finite_coordinate_rejected_up_front(self):
+        mol = Molecule([Atom("H", (0.0, 0.0, 0.0)), Atom("H", (0.0, 0.0, float("nan")))])
+        with pytest.raises(ValueError, match=r"atom 1 \(H\).*non-finite"):
+            run_rhf(mol)
+
+    def test_coincident_atoms_rejected_by_name(self):
+        mol = Molecule([Atom("Li", (0.0, 0.0, 1.0)), Atom("H", (0.0, 0.0, 1.0))])
+        with pytest.raises(ValueError, match=r"atoms 0 \(Li\) and 1 \(H\) coincide"):
+            mol.nuclear_repulsion()
+        with pytest.raises(ValueError, match="coincide"):
+            run_rhf(mol)
 
     def test_open_shell_rejected(self):
         mol = Molecule.from_angstrom([("H", (0, 0, 0))])

@@ -35,6 +35,22 @@ from repro.serve import (
 from repro.serve.server import _ServerState
 
 
+def _count_sha256(monkeypatch, spec_mod):
+    """Route ``repro.serve.spec``'s SHA-256 through a counter; returns
+    the list that grows by one per key computed."""
+    import hashlib
+    import types
+
+    calls = []
+
+    def sha256(data):
+        calls.append(1)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(spec_mod, "hashlib", types.SimpleNamespace(sha256=sha256))
+    return calls
+
+
 # -- specs --------------------------------------------------------------------
 
 
@@ -65,6 +81,33 @@ class TestJobSpec:
             JobSpec(tenant="t", kind="qpe")
         with pytest.raises(SpecError):
             JobSpec(tenant="")
+
+    @pytest.mark.parametrize(
+        "geometry", [float("nan"), float("inf"), 0.0, -1.0], ids=repr
+    )
+    def test_rejects_non_finite_and_non_positive_geometry(self, geometry):
+        with pytest.raises(SpecError, match="geometry") as err:
+            JobSpec(tenant="t", geometry=geometry)
+        assert repr(geometry) in str(err.value)
+        payload = JobSpec(tenant="t").to_dict()
+        payload["geometry"] = geometry
+        # through JSON, as a spooled submission arrives (NaN/Infinity
+        # are what json.dumps writes and json.loads reads back)
+        with pytest.raises(SpecError, match="geometry"):
+            JobSpec.from_dict(json.loads(json.dumps(payload)))
+
+    def test_keys_are_computed_once_per_spec(self, monkeypatch):
+        import repro.serve.spec as spec_mod
+
+        calls = _count_sha256(monkeypatch, spec_mod)
+        spec = JobSpec(tenant="t", molecule="h2", geometry=0.9, seed=3)
+        keys = [(spec.content_key(), spec.family_key(), spec.physics_key()) for _ in range(5)]
+        assert len(set(keys)) == 1 and len(set(keys[0])) == 3
+        assert len(calls) == 3
+        # the cache is not a field: equality, serialisation and copies ignore it
+        fresh = JobSpec.from_dict(spec.to_dict())
+        assert fresh == spec and "_content_key" not in spec.to_dict()
+        assert fresh.content_key() == keys[0][0]
 
     def test_rejects_unknown_version_and_fields(self):
         payload = JobSpec(tenant="t").to_dict()
@@ -261,6 +304,34 @@ class TestContentStore:
             fh.write('{"ener')  # torn write
         assert store.get_result("k") is None
 
+    def test_reopened_store_sees_earlier_results_and_torn_files(self, tmp_path):
+        first = ContentStore(str(tmp_path))
+        first.put_result("whole", {"energy": -1.0})
+        first.put_result("torn", {"energy": -2.0})
+        with open(os.path.join(str(tmp_path), "results", "torn.json"), "w") as fh:
+            fh.write('{"ener')
+        reopened = ContentStore(str(tmp_path))
+        assert reopened.get_result("whole") == {"energy": -1.0}
+        assert reopened.get_result("torn") is None  # listed, unreadable: absent
+        assert reopened.get_result("never-written") is None
+        assert reopened.num_results() == 2
+
+    def test_warm_index_is_written_through(self, tmp_path):
+        store = ContentStore(str(tmp_path))
+        store.add_warm_start("fam", 0.7, np.array([0.1]))
+        store.add_warm_start("fam", 0.7, np.array([0.3]))  # last write wins
+        store.add_warm_start("fam", 1.1, np.array([0.5]))
+        with open(os.path.join(str(tmp_path), "warm", "fam.json")) as fh:
+            on_disk = json.load(fh)
+        assert on_disk == [
+            {"geometry": 0.7, "parameters": [0.3]},
+            {"geometry": 1.1, "parameters": [0.5]},
+        ]
+        # a second store on the directory answers from the file
+        np.testing.assert_allclose(
+            ContentStore(str(tmp_path)).warm_start("fam", 0.8, 1), [0.3]
+        )
+
     def test_warm_start_picks_nearest_geometry(self, tmp_path):
         store = ContentStore(str(tmp_path))
         store.add_warm_start("fam", 0.7, np.array([0.1, 0.2]))
@@ -365,6 +436,38 @@ class TestServerAdmission:
         (job,) = srv.jobs.values()
         assert job.state == JobState.REJECTED
         assert "malformed" in job.detail
+
+    @pytest.mark.parametrize("geometry", [float("nan"), 0.0])
+    def test_bad_geometry_in_inbox_never_reaches_chemistry(
+        self, tmp_path, monkeypatch, geometry
+    ):
+        """A geometry that used to fail (or return NaN) inside the SCF,
+        after admission, is now rejected where the spec is parsed: no
+        execution failure, so the class breaker never hears of it."""
+        srv = _server(tmp_path, breaker_failure_threshold=1)
+        monkeypatch.setattr(
+            srv.problems, "get", lambda spec: pytest.fail("chemistry stage reached")
+        )
+        payload = JobSpec(tenant="t", molecule="h2").to_dict()
+        payload["geometry"] = geometry
+        for k in range(3):
+            with open(os.path.join(srv.inbox_dir, f"sub{k}.json"), "w") as fh:
+                json.dump(payload, fh)
+        for _ in range(3):
+            srv.tick()
+        assert [j.state for j in srv.jobs.values()] == [JobState.REJECTED] * 3
+        assert all("geometry" in j.detail for j in srv.jobs.values())
+        srv.close()
+        rejected = [
+            r for r in Journal(os.path.join(srv.state_dir, "journal.jsonl")).replay()
+            if r.type == "rejected"
+        ]
+        assert len(rejected) == 3
+        assert all(b.state == "closed" for b in srv.breakers.values())
+        ok = CampaignServer(srv.state_dir, srv.config).submit(
+            JobSpec(tenant="t", molecule="h2")
+        )
+        assert ok.state == JobState.QUEUED
 
     def test_job_counter_skips_malformed_rejections(self, tmp_path):
         """The recovered jNNNNN counter counts only counter-allocated
@@ -802,6 +905,105 @@ class TestServerEndToEnd:
         assert view["jobs"][0]["energy"] == pytest.approx(
             next(iter(srv.jobs.values())).energy
         )
+
+
+# -- per-family structure, per-tick derived values ----------------------------
+
+
+def _mini_scan(tmp_path, name, num_ranks, monkeypatch):
+    """40 H2 jobs: 20 distinct geometries from each of two tenants, so
+    half are dedup hits.  Returns the drained server, the SHA-256 key
+    computations and the ExecutionPlan lowerings the scan took."""
+    import repro.serve.spec as spec_mod
+    import repro.sim.plan as plan_mod
+
+    sha_calls = _count_sha256(monkeypatch, spec_mod)
+    lowerings = []
+    lower = plan_mod.ExecutionPlan.__init__
+
+    def counting_init(self, *args, **kwargs):
+        lowerings.append(1)
+        lower(self, *args, **kwargs)
+
+    monkeypatch.setattr(plan_mod.ExecutionPlan, "__init__", counting_init)
+    srv = _server(
+        tmp_path,
+        name=name,
+        num_ranks=num_ranks,
+        global_queue_limit=64,
+        default_tenant_policy=TenantPolicy(max_queued=64),
+    )
+    for k in range(20):
+        for tenant in ("alice", "bob"):
+            srv.submit(JobSpec(tenant=tenant, molecule="h2", geometry=round(0.6 + 0.04 * k, 4)))
+    srv.run(stop_when_idle=True, max_ticks=200)
+    assert all(j.state == JobState.SUCCEEDED for j in srv.jobs.values())
+    return srv, len(sha_calls), len(lowerings)
+
+
+class TestScanSharesStructureAndDerivedValues:
+    def test_status_file_equals_a_fresh_encoding(self, tmp_path, monkeypatch):
+        srv, _, _ = _mini_scan(tmp_path, "srv", 2, monkeypatch)
+        with open(os.path.join(srv.state_dir, "status.json")) as fh:
+            on_disk = json.load(fh)
+        fresh = {
+            "health": srv.health(),
+            "jobs": [srv.jobs[jid].to_dict() for jid in srv.state.order],
+        }
+        assert on_disk == json.loads(json.dumps(fresh))
+        assert len(on_disk["jobs"]) == 40
+        # a field set outside the journal fold still reaches the file
+        job = srv.jobs[srv.state.order[0]]
+        job.detail = "edited behind the fold"
+        srv._publish_health()
+        with open(os.path.join(srv.state_dir, "status.json")) as fh:
+            assert json.load(fh)["jobs"][0]["detail"] == "edited behind the fold"
+
+    def test_distinct_geometries_share_one_ansatz_and_one_plan(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.sim.plan import compile_circuit
+
+        srv, _, lowerings = _mini_scan(tmp_path, "srv", 2, monkeypatch)
+        problems = [srv.problems.get(j.spec) for j in srv.jobs.values()]
+        assert srv.problems.builds == 20
+        assert len({id(p["hamiltonian"]) for p in problems}) == 20
+        assert len({id(p["ansatz"]) for p in problems}) == 1
+        assert len({id(p["generators"]) for p in problems}) == 1
+        assert len({id(compile_circuit(p["ansatz"])) for p in problems}) == 1
+        assert lowerings == 1
+
+    def test_key_hashing_is_per_job_not_per_tick(self, tmp_path, monkeypatch):
+        slow, sha_slow, _ = _mini_scan(tmp_path, "one-rank", 1, monkeypatch)
+        fast, sha_fast, _ = _mini_scan(tmp_path, "four-ranks", 4, monkeypatch)
+        assert slow.ticks > fast.ticks  # same jobs, more scheduling rounds
+        # _count_sha256 was re-installed by the second scan: each count is its own
+        assert sha_slow == sha_fast
+        assert sha_slow <= 8 * len(slow.jobs)
+
+    def test_previous_servers_result_is_a_dedup_hit_after_reopen(self, tmp_path):
+        srv = _server(tmp_path)
+        first = srv.submit(JobSpec(tenant="alice", molecule="h2", geometry=0.8))
+        srv.run(stop_when_idle=True, max_ticks=30)
+        energy = srv.jobs[first.job_id].energy
+        srv.close()
+        reopened = CampaignServer(srv.state_dir, srv.config)
+        again = reopened.submit(JobSpec(tenant="bob", molecule="h2", geometry=0.8))
+        reopened.run(stop_when_idle=True, max_ticks=30)
+        job = reopened.jobs[again.job_id]
+        assert job.state == JobState.SUCCEEDED and job.dedup_hit
+        assert job.energy == energy
+        assert reopened.problems.builds == 0  # nothing was recomputed
+        # a result file truncated under the server still reads as absent:
+        # the next identical submission recomputes instead of failing
+        path = reopened.store._result_path(job.spec.content_key())
+        with open(path, "w") as fh:
+            fh.write('{"ener')
+        third = reopened.submit(JobSpec(tenant="carol", molecule="h2", geometry=0.8))
+        reopened.run(stop_when_idle=True, max_ticks=30)
+        job = reopened.jobs[third.job_id]
+        assert job.state == JobState.SUCCEEDED and not job.dedup_hit
+        assert job.energy == pytest.approx(energy, abs=1e-8)
 
 
 # -- satellite: checkpoint schema guard ---------------------------------------
