@@ -19,6 +19,7 @@ from repro.hpc.perfmodel import (
     campaign_runtime_with_failures,
     checkpoint_write_time,
     count_exchanges,
+    count_expectation_exchanges,
     estimate_circuit_time,
     max_qubits_for_memory,
     optimal_checkpoint_period,
@@ -46,6 +47,7 @@ __all__ = [
     "SimulatedClock",
     "estimate_circuit_time",
     "count_exchanges",
+    "count_expectation_exchanges",
     "strong_scaling_curve",
     "weak_scaling_curve",
     "max_qubits_for_memory",

@@ -18,16 +18,18 @@ no further communication — this is where distributed simulation wins
 or loses, and the exchange counter + ``SimComm`` byte ledger make the
 cost observable for the scaling benchmarks.
 
-Expectation values are computed term-by-term with at most one
-half-duplex slice exchange per distinct global-X pattern and a scalar
-allreduce (§4.2 direct method, distributed).
+Expectation values read per-rank slices of the observable's x-mask
+diagonals (compiled once per observable and layout): one full-slice
+exchange per distinct nonzero global-X pattern, one gather-multiply-
+reduce per (rank, x-mask) and one scalar allreduce (§4.2 direct
+method, distributed).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,14 +42,7 @@ from repro.ir.circuit import Circuit
 from repro.ir.gates import Gate
 from repro.ir.pauli import PauliSum
 from repro.sim import kernels
-from repro.utils.bitops import (
-    I_POW,
-    basis_indices,
-    count_set_bits,
-    insert_zero_bit,
-    popcount,
-    xor_indices,
-)
+from repro.utils.bitops import basis_indices, insert_zero_bit, xor_indices
 
 __all__ = ["DistributedStatevector"]
 
@@ -96,6 +91,8 @@ class DistributedStatevector:
         # are rank bits.
         self.layout = list(range(num_qubits))
         self._logical_table: Tuple[Optional[tuple], Optional[np.ndarray]] = (None, None)
+        # (observable, (version, layout), ledger handles, program)
+        self._observable_slices: tuple = (None, None, (), [])
         self.exchanges = 0
         self.gates_applied = 0
         self._swap_cursor = 0
@@ -244,7 +241,9 @@ class DistributedStatevector:
 
     def run(self, circuit: Circuit, reset: bool = True) -> None:
         if circuit.num_qubits != self.num_qubits:
-            raise ValueError("circuit width mismatch")
+            raise ValueError(
+                f"circuit has {circuit.num_qubits} qubits, register has {self.num_qubits}"
+            )
         if circuit.num_parameters:
             from repro.sim.plan import unbound_parameter_message
 
@@ -298,7 +297,9 @@ class DistributedStatevector:
         ``fold_full_diag=False`` for distributed execution.
         """
         if plan.num_qubits != self.num_qubits:
-            raise ValueError("plan width mismatch")
+            raise ValueError(
+                f"plan has {plan.num_qubits} qubits, register has {self.num_qubits}"
+            )
         if any(op.kind == "diag_full" for op in plan.ops):
             raise ValueError(
                 "plan contains full-register diagonal folds; compile with "
@@ -415,12 +416,17 @@ class DistributedStatevector:
     def expectation(self, observable: PauliSum) -> float:
         """<psi|H|psi> with distributed direct evaluation.
 
-        Terms are grouped by their global-X pattern so each pattern
-        pays one full-slice pairwise exchange, then every term in the
-        group reduces locally; one scalar allreduce finishes the job.
+        The observable is resolved once per (observable version, layout)
+        into per-rank slices of its x-mask diagonals, grouped by
+        global-X pattern; an evaluation pays one full-slice pairwise
+        exchange per nonzero pattern, one gather-multiply-reduce per
+        (rank, x-mask), and one scalar allreduce.
         """
         if observable.num_qubits != self.num_qubits:
-            raise ValueError("observable width mismatch")
+            raise ValueError(
+                f"observable has {observable.num_qubits} qubits, "
+                f"register has {self.num_qubits}"
+            )
         exchanges_before = self.exchanges
         compute_before = list(self.rank_compute_s)
         with obs.span(
@@ -439,61 +445,62 @@ class DistributedStatevector:
             )
         return value
 
-    def _expectation_impl(self, observable: PauliSum) -> float:
+    def _observable_program(self, observable: PauliSum) -> list:
+        """``[(global pattern, [(gather, rows), ...]), ...]``: for each
+        x-mask of ``observable`` under the current layout, the local
+        gather table (``None`` for a purely global mask) and the
+        ``(ranks, 2^L)`` view of its diagonal, row k being rank k's
+        slice.  Rebuilt only when the observable or the layout moved."""
+        key = (observable.version, tuple(self.layout))
+        source, built_for, handles, program = self._observable_slices
+        if source is observable and built_for == key:
+            return program
+        for handle in handles:
+            obs.mem_free(handle)
+        # imported on first use, as in PauliSum.to_symplectic: not part of `import repro`
+        from repro.ir.symplectic import SymplecticPauli
+
         L = self.local_qubits
-        local_mask = (1 << L) - 1
+        # Diagonals straight in physical positions: a bit permutation of
+        # the term masks, so no 2^n index table under a relocated layout.
+        sym = observable.to_symplectic()
+        logical = np.stack([sym.x, sym.z])
+        phys = np.zeros_like(logical)
+        for q, pos in enumerate(self.layout):
+            phys |= ((logical >> np.uint64(q)) & np.uint64(1)) << np.uint64(pos)
+        masks, d = SymplecticPauli(self.num_qubits, phys[0], phys[1], sym.coeffs).x_mask_diagonals()
+        program: list = []
+        for mask, diagonal in zip(masks.tolist(), d):
+            local_x = mask & (self.local_dim - 1)
+            if not program or program[-1][0] != mask >> L:  # masks ascend
+                program.append((mask >> L, []))
+            program[-1][1].append((
+                xor_indices(L, local_x) if local_x else None,
+                diagonal.reshape(self.num_ranks, self.local_dim),
+            ))
+        handles = [
+            obs.mem_track(self, "dsv_observable", d.nbytes // self.num_ranks, rank=k)
+            for k in range(self.num_ranks)
+        ]
+        self._observable_slices = (observable, key, handles, program)
+        return program
 
-        # Two-level grouping: by global-x pattern (one slice exchange
-        # each), then by local x-mask (one gather each).  The per-term
-        # local sign vectors are combined into one complex diagonal per
-        # (rank, local x-mask) via a small matvec, so no rank pays a
-        # full-vector pass per term — the distributed analogue of the
-        # compiled x-mask batching in ``repro.ir.compiled``.
-        groups: Dict[int, Dict[int, List[Tuple[int, int, complex]]]] = {}
-        for (x, z), coeff in observable.terms.items():
-            px, pz = self._to_phys(x), self._to_phys(z)
-            groups.setdefault(px >> L, {}).setdefault(
-                px & local_mask, []
-            ).append((px, pz, coeff))
-
-        jloc = basis_indices(L)
-        total = 0.0 + 0.0j
-        for rank_xor, by_xloc in groups.items():
-            partner_slices = (
-                self._exchange_slices(rank_xor) if rank_xor else self.slices
-            )
-            # Rank-independent precomputation, shared by every rank:
-            # gather table, per-term sign rows, base weights, global-Z
-            # masks (whose rank-dependent parity flips the weight sign).
-            compiled = []
-            for x_loc, terms in by_xloc.items():
-                src = jloc ^ x_loc
-                sign_rows = np.empty((len(terms), self.local_dim))
-                base_w = np.empty(len(terms), dtype=np.complex128)
-                gz_masks = np.empty(len(terms), dtype=np.int64)
-                for t, (px, pz, coeff) in enumerate(terms):
-                    z_loc = pz & local_mask
-                    sign_rows[t] = 1.0 - 2.0 * (count_set_bits(src & z_loc) & 1)
-                    base_w[t] = coeff * I_POW[popcount(px & pz) % 4]
-                    gz_masks[t] = pz >> L
-                compiled.append((src, sign_rows, base_w, gz_masks))
-            timing = obs.enabled()
-            per_rank = []
-            for k in range(self.num_ranks):
+    def _expectation_impl(self, observable: PauliSum) -> float:
+        timing = obs.enabled()
+        partial = [0.0 + 0.0j] * self.num_ranks
+        for pattern, passes in self._observable_program(observable):
+            partners = self._exchange_slices(pattern) if pattern else self.slices
+            for k, (mine, theirs) in enumerate(zip(self.slices, partners)):
                 t0 = time.perf_counter() if timing else 0.0
-                acc = 0.0 + 0.0j
-                mine = self.slices[k]
-                theirs = partner_slices[k]
-                src_rank = k ^ rank_xor  # global Z sign comes from the source slice
-                for src, sign_rows, base_w, gz_masks in compiled:
-                    gpar = count_set_bits(gz_masks & src_rank) & 1
-                    weights = base_w * (1.0 - 2.0 * gpar)
-                    diag = weights @ sign_rows
-                    acc += np.vdot(mine, theirs[src] * diag)
-                per_rank.append(acc)
+                for gather, rows in passes:
+                    partial[k] += np.vdot(
+                        theirs if gather is None else theirs[gather], rows[k] * mine
+                    )
                 if timing:
                     self.rank_compute_s[k] += time.perf_counter() - t0
-            total += self.comm.allreduce(per_rank)
+        total = self.comm.allreduce(partial)
         if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
-            raise ValueError("non-Hermitian observable")
+            raise ValueError(
+                f"non-Hermitian observable: expectation has imaginary part {total.imag:.3e}"
+            )
         return float(total.real)

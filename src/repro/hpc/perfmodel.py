@@ -34,6 +34,7 @@ __all__ = [
     "SimulatedClock",
     "estimate_circuit_time",
     "count_exchanges",
+    "count_expectation_exchanges",
     "strong_scaling_curve",
     "weak_scaling_curve",
     "max_qubits_for_memory",
@@ -113,6 +114,16 @@ def count_exchanges(circuit: Circuit, num_qubits: int, num_ranks: int) -> int:
                 layout[ql], layout[q] = layout[q], victim
                 exchanges += 1
     return exchanges
+
+
+def count_expectation_exchanges(observable, num_qubits: int, num_ranks: int) -> int:
+    """Full-slice exchanges one ``DistributedStatevector.expectation``
+    of ``observable`` performs under the identity layout: the distinct
+    nonzero global parts ``x >> L`` of its x-masks (every evaluation
+    also pays one scalar allreduce).  Pricing the exchanges a *plan*
+    performs, and a relocated layout, stay with ROADMAP item 7."""
+    local = num_qubits - int(math.log2(num_ranks))
+    return len({x >> local for x, _ in observable.terms} - {0})
 
 
 def estimate_circuit_time(

@@ -28,10 +28,11 @@ Compiled forms are cached on the source :class:`PauliSum` (invalidated
 by ``add_term``/``chop``) via :func:`compile_observable`, so every
 consumer — the estimators, the adjoint-gradient sweep, ADAPT pool
 screening, batched simulation — shares one compilation per observable
-per campaign.  Compile cost is one pass per term (the same as a single
-naive ``apply``), so the engine pays for itself from the second
-evaluation on; memory is ``num_passes * 2^n * 24`` bytes (complex
-diagonal + int64 gather table per non-zero mask).
+per campaign.  Compile cost is one n-level Walsh-Hadamard transform per
+distinct x-mask (``num_passes * n * 2^n``, whatever the term count —
+a few naive ``apply`` calls' worth), so the engine pays for itself
+within the first evaluations; memory is ``num_passes * 2^n * 24`` bytes
+(complex diagonal + int64 gather table per non-zero mask).
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ class CompiledPauliSum:
         self.num_terms = pauli_sum.num_terms
         self.source_version = pauli_sum.version
 
-        # One chunked sign-matrix matmul per distinct x-mask over the
-        # packed symplectic form (x = 0, the gather-free diagonal pass,
-        # sorts first).
+        # One in-place Walsh-Hadamard transform per distinct x-mask over
+        # the packed symplectic form (x = 0, the gather-free diagonal
+        # pass, sorts first).
         idx = basis_indices(n)
-        masks, self.diagonals = pauli_sum.to_symplectic().x_mask_diagonals(idx)
+        masks, self.diagonals = pauli_sum.to_symplectic().x_mask_diagonals()
         self.x_masks: Tuple[int, ...] = tuple(masks.tolist())
         self.gathers: List[Optional[np.ndarray]] = [
             None if x == 0 else idx ^ x for x in self.x_masks

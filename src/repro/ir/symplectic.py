@@ -78,6 +78,12 @@ _PACKED_PAIR_CHUNK = 1 << 22
 _SHIFT32 = np.uint64(32)
 _MASK32 = np.uint64(0xFFFFFFFF)
 
+# Elements in flight while building x-mask diagonals: a butterfly block
+# small enough to stay in cache, and the terms x columns sign matrix of
+# the subset path (int64 popcount temporaries, ~40 bytes per element).
+_WHT_BLOCK = 1 << 13
+_SIGN_CHUNK = 1 << 18
+
 
 def _dedup_packed(
     packed: np.ndarray, coeffs: np.ndarray, threshold: float
@@ -596,8 +602,8 @@ class SymplecticPauli:
 
     # -- computational-basis matrix elements ---------------------------------
 
-    def x_mask_diagonals(self, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Summed sign diagonals per distinct x-mask, on ``cols`` only.
+    def x_mask_diagonals(self, cols: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """Summed sign diagonals per distinct x-mask.
 
         Every term with x-mask ``x`` maps ``|k>`` to ``|k ^ x>``, so the
         whole sum is ``H|k> = sum_x d_x[k] |k ^ x>`` with
@@ -605,26 +611,38 @@ class SymplecticPauli:
             d_x[k] = sum_z c_{x,z} * i^{|x & z|} * (-1)^{parity(k & z)}.
 
         Returns ``(masks, d)``: the distinct masks ascending (x = 0
-        first) and ``d[m, c] = <cols[c] ^ masks[m]| H |cols[c]>`` —
-        O(terms x len(cols)) work, one chunked sign-matrix matmul per
-        mask.
+        first) and ``d[m, c] = <cols[c] ^ masks[m]| H |cols[c]>``.
+
+        Without ``cols`` the columns are all 2^n indices and ``d_x`` is
+        the unnormalised Walsh-Hadamard transform of the vector holding
+        ``c_{x,z} i^{|x & z|}`` at index ``z``: scatter, then n
+        in-place butterfly levels — n * 2^n per mask whatever the term
+        count, and no allocation besides the result.  A subset of a
+        register too wide for that (a symmetry sector of 40 qubits)
+        gets the terms x ``len(cols)`` sign matrix instead, in chunks.
         """
         if self.num_qubits > 62:
             raise ValueError(
                 f"int64 basis indices need num_qubits <= 62, got {self.num_qubits}"
             )
-        cols = np.asarray(cols, dtype=np.int64)
         xs = self.x[:, 0].astype(np.int64)
         zs = self.z[:, 0].astype(np.int64)
         weights = self.coeffs * I_POW_ARR[popcount_words(self.x & self.z) % 4]
         masks, inverse = np.unique(xs, return_inverse=True)
+        if cols is None:
+            d = np.zeros((len(masks), 1 << self.num_qubits), dtype=np.complex128)
+            np.add.at(d, (inverse, zs), weights)
+            _walsh_hadamard(d)
+            return masks, d
+        cols = np.asarray(cols, dtype=np.int64)
         order = np.argsort(inverse, kind="stable")
         bounds = np.searchsorted(inverse[order], np.arange(len(masks) + 1))
         d = np.zeros((len(masks), cols.size), dtype=np.complex128)
+        chunk = max(1, _SIGN_CHUNK // max(1, cols.size))
         for m in range(len(masks)):
             group = order[bounds[m] : bounds[m + 1]]
-            for lo in range(0, group.size, 512):
-                sub = group[lo : lo + 512]
+            for lo in range(0, group.size, chunk):
+                sub = group[lo : lo + chunk]
                 signs = 1.0 - 2.0 * (
                     count_set_bits(cols[None, :] & zs[sub, None]) & 1
                 )
@@ -635,10 +653,11 @@ class SymplecticPauli:
         """``<rows| H |cols>`` for arrays of basis-state indices.
 
         Each column's amplitudes land on ``cols ^ x``; those that fall
-        in ``rows`` are scattered into one COO assembly.  Cost is
-        O(terms x len(cols)); nothing of size 2^n is allocated, so a
-        symmetry-sector block of a wide register stays cheap.  ``rows``
-        must not repeat (a repeated row has no single scatter target).
+        in ``rows`` are scattered into one COO assembly.  On a subset
+        of the columns the cost is O(terms x len(cols)) and nothing of
+        size 2^n is allocated, so a symmetry-sector block of a wide
+        register stays cheap.  ``rows`` must not repeat (a repeated row
+        has no single scatter target).
         """
         dim = 1 << self.num_qubits
         rows = np.asarray(rows, dtype=np.int64)
@@ -657,11 +676,30 @@ class SymplecticPauli:
         shape = (rows.size, cols.size)
         if rows.size == 0:  # no slot to clip the search to
             return sp.csr_matrix(shape, dtype=np.complex128)
-        masks, d = self.x_mask_diagonals(cols)
+        every = cols.size == dim and np.array_equal(cols, np.arange(dim))
+        masks, d = self.x_mask_diagonals(None if every else cols)
         target = cols[None, :] ^ masks[:, None]
         slot = np.minimum(np.searchsorted(sorted_rows, target), rows.size - 1)
         m, c = np.nonzero((sorted_rows[slot] == target) & (d != 0))
         return sp.csr_matrix((d[m, c], (by_value[slot[m, c]], c)), shape=shape)
+
+
+def _walsh_hadamard(d: np.ndarray) -> None:
+    """Unnormalised Walsh-Hadamard transform of every row of the
+    C-contiguous ``(rows, 2^n)`` array ``d``, in place:
+    ``d[r, k] <- sum_z d[r, z] * (-1)^{|k & z|}``."""
+    rows, dim = d.shape
+    step = max(1, _WHT_BLOCK // dim)
+    for lo in range(0, rows, step):
+        blk = d[lo : lo + step]
+        h = 1
+        while h < dim:
+            v = blk.reshape(blk.shape[0], dim // (2 * h), 2, h)
+            a, b = v[:, :, 0], v[:, :, 1]
+            t = a - b
+            a += b
+            b[...] = t
+            h *= 2
 
 
 def _concat(pieces: List[SymplecticPauli]) -> SymplecticPauli:

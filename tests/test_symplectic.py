@@ -2,6 +2,8 @@
 tapering: engine kernels vs the per-term reference loops, phase
 conventions, GF(2) linear algebra, and tapered-vs-full ground energies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -27,13 +29,17 @@ from repro.chem.tapering import (
 )
 from repro.ir.pauli import PauliString, PauliSum
 from repro.ir.symplectic import (
+    I_POW_ARR,
     SymplecticPauli,
     gf2_kernel,
     gf2_rref,
     pack_masks,
     pauli_mul_batch,
+    popcount_words,
     unpack_masks,
 )
+from repro.utils.bitops import count_set_bits
+from tests.test_pauli import dense_from_label
 
 coeffs = st.complex_numbers(
     min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False
@@ -223,6 +229,113 @@ class TestQWCGrouping:
         b = ps._group_qwc_engine()
         key = lambda g: sorted((p.x, p.z) for _, p in g)  # noqa: E731
         assert sorted(map(key, a)) == sorted(map(key, b))
+
+
+# -- x-mask diagonals: Walsh-Hadamard vs the sign-matrix oracle ---------------
+
+
+def sign_matrix_diagonals(symp: SymplecticPauli):
+    """The full-range oracle: the terms x 2^n sign matrix per x-mask
+    that ``x_mask_diagonals`` evaluated before it became a transform."""
+    cols = np.arange(1 << symp.num_qubits, dtype=np.int64)
+    xs = symp.x[:, 0].astype(np.int64)
+    zs = symp.z[:, 0].astype(np.int64)
+    weights = symp.coeffs * I_POW_ARR[popcount_words(symp.x & symp.z) % 4]
+    masks = np.unique(xs)
+    d = np.zeros((len(masks), cols.size), dtype=np.complex128)
+    for m, x in enumerate(masks):
+        sub = np.flatnonzero(xs == x)
+        signs = 1.0 - 2.0 * (count_set_bits(cols[None, :] & zs[sub, None]) & 1)
+        d[m] = weights[sub] @ signs
+    return masks, d
+
+
+@st.composite
+def sized_symplectic(draw):
+    """1-10 qubits, complex coefficients, repeated (x, z) rows allowed
+    (a ``SymplecticPauli`` does not dedup) and few distinct x-masks, so
+    several terms share a diagonal."""
+    n = draw(st.integers(1, 10))
+    top = (1 << n) - 1
+    x_pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
+    terms = draw(
+        st.lists(
+            st.tuples(st.sampled_from(x_pool), st.integers(0, top), coeffs),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return SymplecticPauli(
+        n,
+        pack_masks([t[0] for t in terms], n),
+        pack_masks([t[1] for t in terms], n),
+        np.array([t[2] for t in terms]),
+    )
+
+
+class TestXMaskDiagonals:
+    @given(sized_symplectic())
+    def test_transform_matches_sign_matrix_oracle(self, symp):
+        masks, d = symp.x_mask_diagonals()
+        ref_masks, ref = sign_matrix_diagonals(symp)
+        tol = 1e-12 * np.abs(symp.coeffs).sum()
+        assert masks.tolist() == ref_masks.tolist() == sorted(set(symp.x_masks()))
+        assert np.abs(d - ref).max() <= tol
+        # the subset path, asked for every column, is the same function
+        _, sub = symp.x_mask_diagonals(np.arange(1 << symp.num_qubits))
+        assert np.abs(sub - ref).max() <= tol
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {"Y": 0.7},  # one qubit, one term
+            {"I": 0.25, "Z": -1.5, "X": 0.5, "Y": 2.0},  # one qubit, every letter
+            {"XYZI": 1.0 - 0.5j},  # a single term
+            {"IIII": 0.3, "ZIZI": -1.1, "IZZZ": 0.4},  # x = 0 only
+            {"XZYI": 1.0, "IIXY": 2.0j, "YYII": -0.5, "XZXI": 0.25, "ZZZZ": 3.0},
+        ],
+    )
+    def test_label_conventions(self, terms):
+        """(X|Z) <-> string: X sets x, Z sets z, Y sets both, leftmost
+        letter = highest qubit.  ``d_x[k]`` is the matrix element
+        ``<k ^ x| H |k>`` of the Kronecker-product matrix."""
+        h = PauliSum.from_label_dict(terms)
+        dense = sum(c * dense_from_label(lbl) for lbl, c in terms.items())
+        masks, d = h.to_symplectic().x_mask_diagonals()
+        k = np.arange(dense.shape[0])
+        rebuilt = np.zeros_like(dense)
+        for x, row in zip(masks.tolist(), d):
+            rebuilt[k ^ x, k] = row
+        np.testing.assert_allclose(rebuilt, dense, rtol=0, atol=1e-12)
+
+    def test_zero_sum_has_no_masks(self):
+        masks, d = SymplecticPauli.zero(3).x_mask_diagonals()
+        assert masks.size == 0 and d.shape == (0, 8)
+
+    def test_subset_path_transients_are_bounded(self):
+        """600 Z-strings on 60 000 columns of a 20-qubit register: the
+        sign matrix is built a few terms at a time (a fixed 512-term
+        chunk would hold 245 MB per temporary)."""
+        n, terms, width = 20, 600, 60_000
+        rng = np.random.default_rng(5)
+        symp = SymplecticPauli(
+            n,
+            np.zeros((terms, 1), dtype=np.uint64),
+            rng.integers(0, 1 << n, size=(terms, 1)).astype(np.uint64),
+            rng.standard_normal(terms),
+        )
+        cols = rng.choice(1 << n, size=width, replace=False)
+        tracemalloc.start()
+        try:
+            masks, d = symp.x_mask_diagonals(cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert masks.tolist() == [0] and d.shape == (1, width)
+        probe = cols[:50]
+        signs = 1.0 - 2.0 * (count_set_bits(probe[None, :] & symp.z.astype(np.int64)) & 1)
+        np.testing.assert_allclose(d[0, :50], symp.coeffs @ signs, rtol=0, atol=1e-9)
 
 
 # -- GF(2) linear algebra -----------------------------------------------------
