@@ -30,7 +30,6 @@ from repro.ir.pauli import PauliSum
 from repro.opt.base import Optimizer
 from repro.opt.gradient import AnsatzObjective
 from repro.opt.scipy_wrap import LBFGSB
-from repro.utils.profiling import Timer
 
 __all__ = [
     "AdaptVQE",
@@ -154,7 +153,6 @@ class AdaptVQE:
         gradient_tolerance: float = 1e-4,
         energy_tolerance: Optional[float] = None,
         reference_energy: Optional[float] = None,
-        timer: Optional[Timer] = None,
         flight_context: Optional[Dict[str, Any]] = None,
     ):
         if not pool:
@@ -170,7 +168,6 @@ class AdaptVQE:
         self.gradient_tolerance = gradient_tolerance
         self.energy_tolerance = energy_tolerance
         self.reference_energy = reference_energy
-        self.timer = timer
         # one growth iteration per sample is cheap enough to always
         # record; verdict events still no-op without a bus installed
         self.flight = FlightRecorder(
@@ -247,15 +244,9 @@ class AdaptVQE:
             iteration=st.iteration,
             parameters=len(params),
         ):
-            if self.timer is not None:
-                with self.timer.section("adapt_reoptimize"):
-                    res = self.optimizer.minimize(
-                        objective.energy, params, gradient=objective.gradient
-                    )
-            else:
-                res = self.optimizer.minimize(
-                    objective.energy, params, gradient=objective.gradient
-                )
+            res = self.optimizer.minimize(
+                objective.energy, params, gradient=objective.gradient
+            )
         st.parameters = res.x
         st.energy = res.fun
         st.statevector = objective.prepare_state(st.parameters)

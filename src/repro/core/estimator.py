@@ -13,7 +13,6 @@ them cleanly:
 from __future__ import annotations
 
 from abc import ABC
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from repro.sim.expectation import (
     expectation_sampled,
 )
 from repro.sim.statevector import StatevectorSimulator
-from repro.utils.profiling import Timer
 
 __all__ = [
     "Estimator",
@@ -40,10 +38,6 @@ __all__ = [
 class Estimator(ABC):
     """Turns a bound circuit + observable into an expectation value.
 
-    ``timer`` (optional) is handed to every internally created
-    :class:`StatevectorSimulator`, so driver-level profiles include
-    the simulator's ``run_circuit`` sections.
-
     Simulators are pooled per register width: a VQE loop calls
     ``estimate`` thousands of times with the same-width circuit, and
     re-allocating a 2^n amplitude buffer (plus a second one inside the
@@ -56,13 +50,8 @@ class Estimator(ABC):
 
     name = "abstract"
 
-    def __init__(
-        self,
-        timer: Optional[Timer] = None,
-        pool_capacity_bytes: int = 1 << 30,
-    ) -> None:
+    def __init__(self, pool_capacity_bytes: int = 1 << 30) -> None:
         self.evaluations = 0
-        self.timer = timer
         self._sims: dict = {}  # insertion order == LRU order
         self.pool_capacity_bytes = pool_capacity_bytes
         self.pool_bytes = 0
@@ -85,7 +74,7 @@ class Estimator(ABC):
     def _simulator(self, num_qubits: int) -> StatevectorSimulator:
         sim = self._sims.get(num_qubits)
         if sim is None:
-            sim = StatevectorSimulator(num_qubits, timer=self.timer)
+            sim = StatevectorSimulator(num_qubits)
             new_bytes = sim.state.nbytes
             # LRU eviction: never evict below one simulator — the one
             # we are about to use must stay, however large
@@ -198,12 +187,8 @@ class CachingEstimator(Estimator):
 
     name = "caching"
 
-    def __init__(
-        self,
-        timer: Optional[Timer] = None,
-        pool_capacity_bytes: int = 1 << 30,
-    ) -> None:
-        super().__init__(timer=timer, pool_capacity_bytes=pool_capacity_bytes)
+    def __init__(self, pool_capacity_bytes: int = 1 << 30) -> None:
+        super().__init__(pool_capacity_bytes=pool_capacity_bytes)
         self.extra_gates = 0
 
     def _evaluate(self, sim: StatevectorSimulator, observable: PauliSum) -> float:
@@ -224,10 +209,9 @@ class SamplingEstimator(Estimator):
         self,
         shots_per_group: int = 4096,
         seed: int = 7,
-        timer: Optional[Timer] = None,
         pool_capacity_bytes: int = 1 << 30,
     ):
-        super().__init__(timer=timer, pool_capacity_bytes=pool_capacity_bytes)
+        super().__init__(pool_capacity_bytes=pool_capacity_bytes)
         self.shots_per_group = shots_per_group
         self.rng = np.random.default_rng(seed)
 

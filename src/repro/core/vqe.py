@@ -33,7 +33,6 @@ from repro.opt.base import Optimizer, OptimizeResult
 from repro.opt.gradient import AnsatzObjective
 from repro.opt.scipy_wrap import LBFGSB
 from repro.sim.plan import compile_circuit
-from repro.utils.profiling import Timer
 
 __all__ = ["VQE", "VQEResult"]
 
@@ -85,7 +84,6 @@ class VQE:
         reference_state: Optional[np.ndarray] = None,
         optimizer: Optional[Optimizer] = None,
         evaluation_callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
-        timer: Optional[Timer] = None,
         flight_context: Optional[Dict[str, Any]] = None,
         fd_gradient: bool = False,
         fd_epsilon: float = 1e-6,
@@ -94,7 +92,6 @@ class VQE:
             raise ValueError("hamiltonian must be Hermitian")
         self.hamiltonian = hamiltonian
         self.optimizer = optimizer or LBFGSB()
-        self.timer = timer
         # called as callback(eval_index, params, energy) after every
         # energy evaluation; the campaign layer uses it for periodic
         # parameter checkpoints and fault-injection hooks
@@ -131,9 +128,7 @@ class VQE:
             self.estimator = None
         elif ansatz is not None:
             self.ansatz = ansatz
-            self.estimator = estimator or DirectEstimator(timer=timer)
-            if timer is not None and getattr(self.estimator, "timer", None) is None:
-                self.estimator.timer = timer
+            self.estimator = estimator or DirectEstimator()
             self.objective = None
             self.mode = "circuit"
             self.num_parameters = ansatz.num_parameters
@@ -144,11 +139,7 @@ class VQE:
         """One energy evaluation at the given parameters."""
         params = np.atleast_1d(np.asarray(params, dtype=float))
         with obs.span("vqe.energy_eval", mode=self.mode):
-            if self.timer is not None:
-                with self.timer.section("vqe_energy"):
-                    e = self._energy_impl(params)
-            else:
-                e = self._energy_impl(params)
+            e = self._energy_impl(params)
         self.num_evaluations += 1
         if obs.enabled():
             obs.inc(

@@ -27,7 +27,6 @@ from repro.chem.uccsd import uccsd_generators
 from repro.core.vqe import VQE, VQEResult
 from repro.ir.pauli import PauliSum
 from repro.opt.base import Optimizer
-from repro.utils.profiling import Timer
 
 __all__ = ["WorkflowResult", "run_vqe_workflow"]
 
@@ -67,7 +66,6 @@ def run_vqe_workflow(
     optimizer: Optional[Optimizer] = None,
     compute_exact: bool = True,
     basis_name: str = "sto-3g",
-    timer: Optional[Timer] = None,
     taper: bool = False,
 ) -> WorkflowResult:
     """Run the complete Fig. 2 pipeline on one molecule.
@@ -79,8 +77,7 @@ def run_vqe_workflow(
     removes the Hamiltonian's Z2 symmetry qubits before VQE (sector
     from the Hartree–Fock occupation); the exact reference energy is
     still computed on the untapered operator so the tapered VQE answer
-    is checked against the full problem.  ``timer`` (optional) collects
-    per-stage wall time and is forwarded to the VQE driver.
+    is checked against the full problem.
     """
     with obs.span("workflow.scf", atoms=len(molecule.atoms)):
         scf = run_rhf(molecule, basis_name)
@@ -141,14 +138,9 @@ def run_vqe_workflow(
         generators=gens,
         reference_state=reference,
         optimizer=optimizer,
-        timer=timer,
     )
     with obs.span("workflow.vqe", qubits=num_qubits):
-        if timer is not None:
-            with timer.section("workflow_vqe"):
-                result = vqe.run()
-        else:
-            result = vqe.run()
+        result = vqe.run()
 
     with obs.span("workflow.exact_diagonalization", enabled=compute_exact):
         exact = (

@@ -219,25 +219,36 @@ class DistributedStatevector:
     def apply_gate(self, gate: Gate) -> None:
         if self.comm.fault_injector is not None:
             self.comm.fault_injector.check_gate_faults(self.gates_applied)
-        phys = self._ensure_local(gate.qubits)
         self.gates_applied += 1
+        self._apply_local(
+            *kernels.lower_gate(gate.name, gate.params, gate.matrix), gate.qubits
+        )
+
+    def _apply_local(self, kind: str, payload, logical_qubits: Sequence[int]) -> None:
+        """Relocate the op's qubits to local slots, then run the shared
+        kernel on every rank's slice."""
+        phys = self._ensure_local(logical_qubits)
         L = self.local_qubits
-        m = gate.to_matrix()
-        if len(phys) == 1:
-            kernel = lambda s: kernels.apply_1q(s, m, phys[0], L)  # noqa: E731
-        elif len(phys) == 2:
-            kernel = lambda s: kernels.apply_2q(s, m, phys[0], phys[1], L)  # noqa: E731
-        else:
-            kernel = lambda s: kernels.apply_kq_dense(s, m, phys, L)  # noqa: E731
+        self._on_slices(lambda k, s: kernels.apply_op(s, kind, payload, phys, L))
+
+    def _on_slices(self, kernel) -> None:
+        """``kernel(k, slice_k)`` for every rank; timed per rank while
+        observability is enabled (per-rank attribution)."""
         if obs.enabled():
-            # per-rank attribution: time each rank's slice separately
             for k, s in enumerate(self.slices):
                 t0 = time.perf_counter()
-                kernel(s)
+                kernel(k, s)
                 self.rank_compute_s[k] += time.perf_counter() - t0
         else:
-            for s in self.slices:
-                kernel(s)
+            for k, s in enumerate(self.slices):
+                kernel(k, s)
+
+    def _in_physical_order(self, table: np.ndarray) -> np.ndarray:
+        """A 2^n table indexed by logical basis index, re-indexed by
+        physical position under the current layout."""
+        if self.layout == list(range(self.num_qubits)):
+            return table
+        return table[self._logical_indices()]
 
     def run(self, circuit: Circuit, reset: bool = True) -> None:
         if circuit.num_qubits != self.num_qubits:
@@ -282,28 +293,20 @@ class DistributedStatevector:
         A rotation step runs the shared rotation kernel on every rank's
         slice under the current layout, with one full-slice exchange
         with rank ``k ^ x_global`` when its x-mask has global bits and
-        no relocation.  Every other op is resolved to its (kind,
-        payload) form with the parameters substituted, its logical
-        qubits are relocated to local physical slots exactly as in
-        :meth:`apply_gate`, and the matching kernel runs on every
-        rank's slice — no ``Gate`` objects and no bound-circuit copies
-        on the distributed path either.  Prefix-state reuse does not
-        apply here (the state lives in per-rank slices under a mutable
-        layout).
-
-        Plans containing full-register diagonal folds are rejected: a
-        2^n diagonal indexed by *physical* position cannot be applied
-        per-slice under relocation.  Compile with
-        ``fold_full_diag=False`` for distributed execution.
+        no relocation; a full-register diagonal fold multiplies each
+        slice by its part of the diagonal, read through the same
+        logical-index table, with no communication at all.  Every other
+        op is resolved to its (kind, payload) form with the parameters
+        substituted, its logical qubits are relocated to local physical
+        slots exactly as in :meth:`apply_gate`, and
+        :func:`repro.sim.kernels.apply_op` runs on every rank's slice —
+        no ``Gate`` objects and no bound-circuit copies on the
+        distributed path either.  Prefix-state reuse does not apply here
+        (the state lives in per-rank slices under a mutable layout).
         """
         if plan.num_qubits != self.num_qubits:
             raise ValueError(
                 f"plan has {plan.num_qubits} qubits, register has {self.num_qubits}"
-            )
-        if any(op.kind == "diag_full" for op in plan.ops):
-            raise ValueError(
-                "plan contains full-register diagonal folds; compile with "
-                "fold_full_diag=False for distributed execution"
             )
         params = plan._check_params(params)
         if reset:
@@ -338,54 +341,26 @@ class DistributedStatevector:
             self.comm.fault_injector.check_gate_faults(self.gates_applied)
         self.gates_applied += 1
         L = self.local_qubits
-        if op.kind == "rot":
-            step, theta = op.data, op.theta(params)
+        kind, payload = op.resolve(params)
+        if kind == "rot":
+            theta, step = payload
             x = self._to_phys(step.x)
             partners = self._exchange_slices(x >> L) if x >> L else self.slices
             local_x = x & (self.local_dim - 1)
             gather = xor_indices(L, local_x) if local_x else slice(None)
-            classes = step.classes
-            if self.layout != list(range(self.num_qubits)):
-                classes = classes[self._logical_indices()]
-
-            def kernel(k, s):
-                kernels.apply_rotation(
-                    s, theta, step,
-                    classes=classes[k << L:(k + 1) << L],
-                    source=partners[k][gather] if x else None,
-                )
-
+            classes = self._in_physical_order(step.classes)
+            self._on_slices(lambda k, s: kernels.apply_rotation(
+                s, theta, step,
+                classes=classes[k << L:(k + 1) << L],
+                source=partners[k][gather] if x else None,
+            ))
+        elif kind == "diag_full":
+            diagonal = self._in_physical_order(payload)
+            self._on_slices(lambda k, s: kernels.apply_op(
+                s, kind, diagonal[k << L:(k + 1) << L], op.qubits, L
+            ))
         else:
-            kind, payload = op.resolve(params)
-            phys = self._ensure_local(op.qubits)
-            if kind == "x":
-                kernel = lambda k, s: kernels.apply_x(s, phys[0], L)  # noqa: E731
-            elif kind == "cx":
-                kernel = lambda k, s: kernels.apply_cx(s, phys[0], phys[1], L)  # noqa: E731
-            elif kind == "diag1":
-                kernel = lambda k, s: kernels.apply_diag_1q(  # noqa: E731
-                    s, payload[0], payload[1], phys[0], L
-                )
-            elif kind == "diag2":
-                kernel = lambda k, s: kernels.apply_diag_2q(  # noqa: E731
-                    s, payload, phys[0], phys[1], L
-                )
-            elif len(phys) == 1:
-                kernel = lambda k, s: kernels.apply_1q(s, payload, phys[0], L)  # noqa: E731
-            elif len(phys) == 2:
-                kernel = lambda k, s: kernels.apply_2q(  # noqa: E731
-                    s, payload, phys[0], phys[1], L
-                )
-            else:
-                kernel = lambda k, s: kernels.apply_kq_dense(s, payload, phys, L)  # noqa: E731
-        if obs.enabled():
-            for k, s in enumerate(self.slices):
-                t0 = time.perf_counter()
-                kernel(k, s)
-                self.rank_compute_s[k] += time.perf_counter() - t0
-        else:
-            for k, s in enumerate(self.slices):
-                kernel(k, s)
+            self._apply_local(kind, payload, op.qubits)
 
     def _flush_rank_compute(self, sp, compute_before: Sequence[float]) -> None:
         """Attach the per-rank compute-second delta to the enclosing

@@ -102,35 +102,6 @@ def parameter_shift_gradient(
     return grad
 
 
-def _apply_resolved_inverse(state, kind, payload, qubits, n) -> None:
-    """Apply the inverse of a resolved plan op in place (all plan ops
-    are unitary: diagonals conjugate, dense blocks conjugate-transpose)."""
-    from repro.sim import kernels
-
-    if kind == "x":
-        kernels.apply_x(state, qubits[0], n)
-    elif kind == "cx":
-        kernels.apply_cx(state, qubits[0], qubits[1], n)
-    elif kind == "diag1":
-        kernels.apply_diag_1q(
-            state, payload[0].conjugate(), payload[1].conjugate(), qubits[0], n
-        )
-    elif kind == "diag2":
-        kernels.apply_diag_2q(
-            state, [d.conjugate() for d in payload], qubits[0], qubits[1], n
-        )
-    elif kind == "diag_full":
-        state *= payload.conj()
-    else:  # dense
-        m = np.asarray(payload).conj().T
-        if len(qubits) == 1:
-            kernels.apply_1q(state, m, qubits[0], n)
-        elif len(qubits) == 2:
-            kernels.apply_2q(state, m, qubits[0], qubits[1], n)
-        else:
-            kernels.apply_kq_dense(state, m, qubits, n)
-
-
 def _plan_parameter_shift_gradient(
     circuit: Circuit,
     hamiltonian: PauliSum,
@@ -146,17 +117,16 @@ def _plan_parameter_shift_gradient(
     undoing ops pairwise on ``|phi>`` and ``|lambda> = H|psi>`` — the
     classic adjoint trick, here running on prepacked plan ops instead
     of ``Gate`` objects.  A rotation step ``exp(theta A)`` contributes
-    ``2 Re <lambda| A |phi>`` and is undone by the same kernel at
-    ``-theta``.  Cost is ~3 plan executions plus one observable
-    apply, independent of parameter count, versus the naive ``2 m``
-    bound circuit runs and ``2 m`` expectations.  Identical values to
-    the two-term formula to machine precision.
+    ``2 Re <lambda| A |phi>``; every op is undone by
+    ``apply_op(..., adjoint=True)``.  Cost is ~3 plan executions plus
+    one observable apply, independent of parameter count, versus the
+    naive ``2 m`` bound circuit runs and ``2 m`` expectations.
+    Identical values to the two-term formula to machine precision.
     """
     from repro import obs
     from repro.ir.compiled import compile_observable
-    from repro.sim.kernels import apply_rotation, rotation_bracket
+    from repro.sim.kernels import apply_op, phase_bracket, rotation_bracket
     from repro.sim.plan import compile_circuit
-    from repro.utils.bitops import indices_1q
 
     names = circuit.parameters
     plan = compile_circuit(circuit)
@@ -169,24 +139,17 @@ def _plan_parameter_shift_gradient(
     grad = np.zeros(len(names))
     for op in reversed(plan.ops):
         if op.kind == "rot":
-            # exp(theta A): dU/dtheta = A U, and the inverse is the same
-            # step at -theta
-            step = op.data
-            back = -op.theta(params)
+            # exp(theta A): dU/dtheta = A U
             for k in op.param_deps:
-                grad[k] += 2.0 * rotation_bracket(lam, phi, step).real
-            apply_rotation(phi, back, step)
-            apply_rotation(lam, back, step)
-            continue
-        if op.is_parametric:
+                grad[k] += 2.0 * rotation_bracket(lam, phi, op.data).real
+        elif op.is_parametric:
             # the phase gate, the one shift-rule gate that is not a
             # rotation step: dU/dtheta = i |1><1| U
             _, coeff, k, _ = op.param_refs[0]
-            _, i1 = indices_1q(n, op.qubits[0])
-            grad[k] += 2.0 * coeff * (1j * np.vdot(lam[i1], phi[i1])).real
+            grad[k] += 2.0 * coeff * phase_bracket(lam, phi, op.qubits[0]).real
         kind, payload = op.resolve(params)
-        _apply_resolved_inverse(phi, kind, payload, op.qubits, n)
-        _apply_resolved_inverse(lam, kind, payload, op.qubits, n)
+        apply_op(phi, kind, payload, op.qubits, n, adjoint=True)
+        apply_op(lam, kind, payload, op.qubits, n, adjoint=True)
     if obs.enabled():
         obs.inc(
             "repro_plan_adjoint_gradients_total",

@@ -16,8 +16,10 @@ and the batching benchmark quantify the win over one-at-a-time
 execution.
 
 Execution is always through a compiled plan
-(:mod:`repro.sim.plan`): rotation steps receive a per-batch-row angle
-vector, fixed ops broadcast one matrix over the batch.
+(:mod:`repro.sim.plan`) and the one kernel set
+(:func:`repro.sim.kernels.apply_op`), which acts along the last axis of
+the ``(B, 2^n)`` block: rotation steps and the phase gates receive a
+per-row angle vector, static ops broadcast one payload over the batch.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from repro import obs
 from repro.ir.circuit import Circuit
 from repro.ir.compiled import CompiledPauliSum, compile_observable
 from repro.ir.pauli import PauliSum
-from repro.sim.kernels import apply_rotation
+from repro.sim.kernels import apply_op
 from repro.sim.plan import compile_circuit
-from repro.utils.bitops import indices_1q, indices_2q
 
 __all__ = ["BatchedStatevectorSimulator"]
 
@@ -63,43 +64,6 @@ class BatchedStatevectorSimulator:
     def reset(self) -> None:
         self.states.fill(0)
         self.states[:, 0] = 1.0
-
-    # -- gate application ---------------------------------------------------
-
-    def _apply_1q_fixed(self, m: np.ndarray, q: int) -> None:
-        i0, i1 = indices_1q(self.num_qubits, q)
-        a0 = self.states[:, i0]
-        a1 = self.states[:, i1]
-        self.states[:, i0] = m[0, 0] * a0 + m[0, 1] * a1
-        self.states[:, i1] = m[1, 0] * a0 + m[1, 1] * a1
-
-    def _apply_2q_fixed(self, m: np.ndarray, q0: int, q1: int) -> None:
-        idx = np.vstack(indices_2q(self.num_qubits, q0, q1))
-        sub = self.states[:, idx]  # (B, 4, dim/4)
-        self.states[:, idx] = np.einsum("rc,bcj->brj", m, sub)
-
-    @staticmethod
-    def _batched_diag(name: str, angles: np.ndarray):
-        """Per-row diagonal factors for the affine-parameter phase gates
-        ``p``/``cp``/``crz`` (the parametric gates the frame pass leaves
-        in a plan besides rotation steps).
-
-        Returns ``[(sub_index, values), ...]`` listing only the
-        non-identity columns of the (batched) diagonal — the same
-        sparse update the scalar plan path applies — or ``None`` for any
-        other gate.  The trig forms mirror
-        :meth:`repro.sim.plan.PlanOp.resolve` exactly so batched and
-        scalar execution agree bitwise.
-        """
-        if name == "p":
-            return [(1, np.cos(angles) + 1j * np.sin(angles))]
-        if name == "cp":
-            return [(3, np.cos(angles) + 1j * np.sin(angles))]
-        if name == "crz":
-            h = angles / 2.0
-            e = np.cos(h) - 1j * np.sin(h)
-            return [(1, e), (3, e.conj())]
-        return None
 
     # -- execution ------------------------------------------------------------
 
@@ -146,12 +110,12 @@ class BatchedStatevectorSimulator:
 
         ``param_rows`` has shape (B, P), row b holding the flat
         parameter vector (ordered like ``plan.parameters``) for batch
-        instance b.  Dispatches on the plan's op metadata — rotation
-        steps run the shared ``(B, 2^n)`` kernel with one angle per
-        row, static ops (including fused blocks and folded diagonal
-        passes) broadcast one matrix/diagonal over the batch, and the
-        parametric phase gates scale per row.  Returns the (B, 2^n)
-        buffer.
+        instance b.  Every op the scalar executor takes runs here through
+        the same kernel: rotation steps and the parametric phase gates
+        (``p``/``cp``/``crz``) with one angle per row, static ops with one
+        payload over the batch.  A parametric gate that would need a
+        dense matrix per row (``u3``) raises a ``ValueError`` naming it.
+        Returns the (B, 2^n) buffer.
         """
         if plan.num_qubits != self.num_qubits:
             raise ValueError("plan width mismatch")
@@ -163,65 +127,9 @@ class BatchedStatevectorSimulator:
             )
         if reset:
             self.reset()
-        n = self.num_qubits
         for op in plan.ops:
-            kind = op.kind
-            if kind == "rot":
-                apply_rotation(self.states, op.theta(param_rows), op.data)
-            elif kind == "x":
-                i0, i1 = indices_1q(n, op.qubits[0])
-                tmp = self.states[:, i0].copy()
-                self.states[:, i0] = self.states[:, i1]
-                self.states[:, i1] = tmp
-            elif kind == "cx":
-                idx = indices_2q(n, op.qubits[0], op.qubits[1])
-                tmp = self.states[:, idx[1]].copy()
-                self.states[:, idx[1]] = self.states[:, idx[3]]
-                self.states[:, idx[3]] = tmp
-            elif kind == "diag1":
-                i0, i1 = indices_1q(n, op.qubits[0])
-                d0, d1 = op.data
-                if d0 != 1.0:
-                    self.states[:, i0] *= d0
-                if d1 != 1.0:
-                    self.states[:, i1] *= d1
-            elif kind == "diag2":
-                idx = indices_2q(n, op.qubits[0], op.qubits[1])
-                for sub in range(4):
-                    if op.data[sub] != 1.0:
-                        self.states[:, idx[sub]] *= op.data[sub]
-            elif kind == "diag_full":
-                self.states *= op.data[None, :]
-            elif kind == "dense1":
-                self._apply_1q_fixed(op.data, op.qubits[0])
-            elif kind == "dense2":
-                self._apply_2q_fixed(op.data, op.qubits[0], op.qubits[1])
-            elif not op.is_parametric:
-                raise ValueError(
-                    f"batched plan execution supports <=2-qubit static ops; "
-                    f"got kind {kind!r} on qubits {tuple(op.qubits)}"
-                )
-            else:
-                refs = op.param_refs
-                diag = None
-                if len(refs) == 1 and refs[0][0] == "p":
-                    _, coeff, slot, offset = refs[0]
-                    diag = self._batched_diag(
-                        op.gate_name, coeff * param_rows[:, slot] + offset
-                    )
-                if diag is None:
-                    raise ValueError(
-                        f"no batched form for parameterized gate "
-                        f"{op.gate_name!r} with parameter refs "
-                        f"{refs!r}; supported: rotation steps "
-                        "(rx, ry, rz, rzz, rxx, ryy) and p, cp, crz"
-                    )
-                if len(op.qubits) == 1:
-                    idx = indices_1q(n, op.qubits[0])
-                else:
-                    idx = indices_2q(n, op.qubits[0], op.qubits[1])
-                for sub, vals in diag:
-                    self.states[:, idx[sub]] *= vals[:, None]
+            kind, payload = op.resolve(param_rows)
+            apply_op(self.states, kind, payload, op.qubits, self.num_qubits)
         return self.states
 
     # -- observation ---------------------------------------------------------------

@@ -1,49 +1,54 @@
-"""Vectorized gate-application kernels.
+"""Vectorized gate-application kernels: the one place gates are applied.
 
-These are the NumPy analogue of NWQ-Sim's GPU gate kernels: each gate
-application is a small, fixed number of vectorized passes over the
-state vector, with no per-amplitude Python loop.  The addressing trick
-is the standard one — enumerate the 2^(n-k) amplitude groups of a
-k-qubit gate by inserting zero bits at the target-qubit positions
-(see ``repro.utils.bitops.insert_zero_bit``) — which mirrors how
-GPU threads are indexed in the real simulator.
+These are the NumPy analogue of NWQ-Sim's GPU gate kernels (paper
+§4.3): one kernel set that every execution mode calls.  Each kernel
+updates, **in place**, the last axis of ``block`` — one ``(2^n,)``
+state, a ``(B, 2^n)`` batch or one rank's ``(2^L,)`` slice — and takes
+any leading axes unchanged.
 
-All kernels update the state **in place** (in-place operations avoid a
-full-vector allocation per gate, the dominant memory cost at scale) and
-assume ``state`` is a contiguous complex128 array of length 2^n.
+Static gates address amplitudes through **strided views**, not index
+tables: the last axis is reshaped so that each target qubit becomes an
+axis of length 2 (qubit ``q`` is bit ``q`` of the basis index, so its
+axis sits between a ``2^(n-q-1)`` and a ``2^q`` span) and those axes are
+moved to the front.  ``view[b_{k-1}, ..., b_0]`` is then the sub-block
+with ``qubits[j]`` in state ``b_j`` — the little-endian convention of
+``repro.ir.gates`` — and a swap, a scaling or one small matrix product
+over it is the whole gate.
 
-Addressing tables are pulled from the process-wide LRU cache in
-``repro.utils.bitops`` (``indices_1q`` / ``indices_2q``): a VQE
-campaign applies the same few (width, qubit) combinations millions of
-times, so the tables are built once and shared.  They are read-only —
-kernels only ever use them as gather/scatter indices.
+Two entry points sit on top of the per-gate kernels:
 
-The one kernel that is not per-gate is :func:`apply_rotation`: the
-closed-form exponential of an anti-Hermitian single-x-mask operator
-over one state or a ``(B, 2^n)`` block (:class:`MaskRotation`).  Compiled plans
-(scalar, batched and per distributed slice), the reverse-mode gradient
-and ``GeneratorEvolution`` all evolve through it.
+* :func:`lower_gate` — the single ``gate -> (kind, payload)`` rule
+  table (which gates are swaps, which are diagonals and what those
+  diagonals are), vectorised in the angle so a ``(B,)`` angle vector
+  yields per-row diagonals;
+* :func:`apply_op` — the single dispatch over the kinds ``rot / x / cx
+  / diag1 / diag2 / diag_full / dense`` (and their inverses).  Compiled
+  plans (scalar, batched and per distributed slice), gate-by-gate
+  simulation and the reverse-mode gradient all apply gates through it.
+
+``rot`` is the closed-form exponential of an anti-Hermitian
+single-x-mask operator (:class:`MaskRotation`, :func:`apply_rotation`),
+which ``GeneratorEvolution`` also evolves through.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from functools import lru_cache
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.bitops import (
-    basis_indices,
-    indices_1q,
-    indices_2q,
-    insert_zero_bit,
-    parity_mask,
-    xor_indices,
-)
+from repro.ir.gates import GATE_SET
+from repro.utils.bitops import basis_indices, parity_mask, xor_indices
 
 __all__ = [
     "MaskRotation",
     "apply_rotation",
     "rotation_bracket",
+    "phase_bracket",
+    "lower_gate",
+    "apply_op",
     "apply_1q",
     "apply_2q",
     "apply_diag_1q",
@@ -54,102 +59,190 @@ __all__ = [
 ]
 
 
-def apply_1q(state: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> None:
-    """Apply a dense 2x2 unitary to ``qubit``; two vectorized passes."""
-    i0, i1 = indices_1q(n, qubit)
-    a0 = state[i0]
-    a1 = state[i1]
-    m = matrix
-    state[i0] = m[0, 0] * a0 + m[0, 1] * a1
-    state[i1] = m[1, 0] * a0 + m[1, 1] * a1
+@lru_cache(maxsize=4096)
+def _qubit_layout(n: int, qubits: Tuple[int, ...], lead: int):
+    """How a block with ``lead`` leading axes and 2^n amplitudes along
+    the last one splits around ``qubits``: the shape the last axis
+    takes (a length-2 axis per qubit between the spans of untouched
+    bits), and the permutation that brings the qubits' axes to the
+    front, most significant sub-index bit first."""
+    tail, axis_of, top = [], {}, n
+    for q in sorted(qubits, reverse=True):
+        tail += [1 << (top - q - 1), 2]
+        axis_of[q] = lead + len(tail) - 1
+        top = q
+    tail.append(1 << top)
+    bits = [axis_of[q] for q in reversed(qubits)]
+    rest = [a for a in range(lead + len(tail)) if a not in bits]
+    return tuple(tail), tuple(bits + rest)
 
 
-def apply_diag_1q(state: np.ndarray, d0: complex, d1: complex, qubit: int, n: int) -> None:
-    """Apply diag(d0, d1) on ``qubit`` — no gather needed, pure scaling."""
-    i0, i1 = indices_1q(n, qubit)
-    if d0 != 1.0:
-        state[i0] *= d0
-    if d1 != 1.0:
-        state[i1] *= d1
+def _qubit_view(block: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
+    """A view of ``block`` with the bits of ``qubits`` as leading axes:
+    ``view[b_{k-1}, ..., b_0]`` holds the amplitudes with ``qubits[j]``
+    in state ``b_j``, over every leading axis of ``block``."""
+    if block.shape[-1] != 1 << n or block.strides[-1] != block.itemsize:
+        # Only the last axis is split, which never copies while that axis
+        # is packed; anything else is refused rather than risk a kernel
+        # that updates a copy and leaves the caller's state untouched.
+        raise ValueError(
+            f"gate kernels need a block whose last axis holds 2^{n} = {1 << n} "
+            f"packed amplitudes; got shape {block.shape} with strides "
+            f"{block.strides} (itemsize {block.itemsize})"
+        )
+    tail, order = _qubit_layout(n, tuple(qubits), block.ndim - 1)
+    return block.reshape(block.shape[:-1] + tail).transpose(order)
 
 
-def apply_x(state: np.ndarray, qubit: int, n: int) -> None:
+def _scale(view: np.ndarray, d) -> None:
+    """``view *= d`` for a scalar, or one factor per leading row."""
+    if np.ndim(d):
+        view *= np.reshape(d, np.shape(d) + (1,) * (view.ndim - np.ndim(d)))
+    elif d != 1.0:
+        view *= d
+
+
+def apply_x(block: np.ndarray, qubit: int, n: int) -> None:
     """Pauli-X as a pure swap of amplitude halves."""
-    i0, i1 = indices_1q(n, qubit)
-    tmp = state[i0].copy()
-    state[i0] = state[i1]
-    state[i1] = tmp
+    v = _qubit_view(block, (qubit,), n)
+    tmp = v[0].copy()
+    v[0] = v[1]
+    v[1] = tmp
 
 
-def apply_2q(
-    state: np.ndarray, matrix: np.ndarray, q0: int, q1: int, n: int
-) -> None:
-    """Apply a dense 4x4 unitary to ``(q0, q1)``.
-
-    Matrix convention is little-endian on (q0, q1): row/col index
-    ``b1 b0`` with ``b0`` the state of ``q0`` (matches
-    ``repro.ir.gates``).
-    """
-    i00, i01, i10, i11 = indices_2q(n, q0, q1)
-    a00 = state[i00]
-    a01 = state[i01]
-    a10 = state[i10]
-    a11 = state[i11]
-    m = matrix
-    state[i00] = m[0, 0] * a00 + m[0, 1] * a01 + m[0, 2] * a10 + m[0, 3] * a11
-    state[i01] = m[1, 0] * a00 + m[1, 1] * a01 + m[1, 2] * a10 + m[1, 3] * a11
-    state[i10] = m[2, 0] * a00 + m[2, 1] * a01 + m[2, 2] * a10 + m[2, 3] * a11
-    state[i11] = m[3, 0] * a00 + m[3, 1] * a01 + m[3, 2] * a10 + m[3, 3] * a11
-
-
-def apply_diag_2q(
-    state: np.ndarray,
-    diag: Sequence[complex],
-    q0: int,
-    q1: int,
-    n: int,
-) -> None:
-    """Apply diag(d00, d01, d10, d11) on (q0, q1) by scaling only."""
-    tables = indices_2q(n, q0, q1)
-    for sub, idx in enumerate(tables):
-        d = diag[sub]
-        if d != 1.0:
-            state[idx] *= d
-
-
-def apply_cx(state: np.ndarray, control: int, target: int, n: int) -> None:
+def apply_cx(block: np.ndarray, control: int, target: int, n: int) -> None:
     """CNOT as a conditional swap — half the traffic of a dense 4x4."""
-    # indices_2q is keyed on (control, target): sub-block bit 0 is the
-    # control, so blocks 1 (c=1, t=0) and 3 (c=1, t=1) swap.
-    _, ic, _, ict = indices_2q(n, control, target)
-    tmp = state[ic].copy()
-    state[ic] = state[ict]
-    state[ict] = tmp
+    v = _qubit_view(block, (control, target), n)  # v[target bit, control bit]
+    tmp = v[0, 1].copy()
+    v[0, 1] = v[1, 1]
+    v[1, 1] = tmp
+
+
+def apply_diag_1q(block: np.ndarray, d0, d1, qubit: int, n: int) -> None:
+    """Apply diag(d0, d1) on ``qubit`` — pure scaling; an entry may be a
+    ``(B,)`` vector holding one factor per row of a ``(B, 2^n)`` block."""
+    v = _qubit_view(block, (qubit,), n)
+    _scale(v[0], d0)
+    _scale(v[1], d1)
+
+
+def apply_diag_2q(block: np.ndarray, diag: Sequence, q0: int, q1: int, n: int) -> None:
+    """Apply diag(d00, d01, d10, d11) on (q0, q1) by scaling only (index
+    ``b1 b0`` with ``b0`` the state of ``q0``); entries as in
+    :func:`apply_diag_1q`."""
+    v = _qubit_view(block, (q0, q1), n)
+    for sub in range(4):
+        _scale(v[sub >> 1, sub & 1], diag[sub])
 
 
 def apply_kq_dense(
-    state: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], n: int
+    block: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], n: int
 ) -> None:
-    """General k-qubit dense unitary (used by tests and by fusion when
-    validating; production circuits stay at k <= 2 per the paper's
-    design point §4.3)."""
-    k = len(qubits)
-    dim_sub = 1 << k
-    if matrix.shape != (dim_sub, dim_sub):
-        raise ValueError("matrix shape mismatch")
-    base = np.arange(1 << (n - k), dtype=np.int64)
-    i0 = base
-    for p in sorted(qubits):
-        i0 = insert_zero_bit(i0, p)
-    idx = np.empty((dim_sub, i0.shape[0]), dtype=np.int64)
-    for sub in range(dim_sub):
-        offset = 0
-        for j, q in enumerate(qubits):
-            if (sub >> j) & 1:
-                offset |= 1 << q
-        idx[sub] = i0 | offset
-    block = state[idx]  # (dim_sub, groups)
-    state[idx] = matrix @ block
+    """Apply a dense 2^k x 2^k unitary to ``qubits``: one matrix product
+    over the sub-block axis.
+
+    Matrix convention is little-endian on ``qubits``: row/col index
+    ``b_{k-1} ... b_0`` with ``b_0`` the state of ``qubits[0]`` (matches
+    ``repro.ir.gates``).
+    """
+    dim = 1 << len(qubits)
+    if matrix.shape != (dim, dim):
+        raise ValueError(
+            f"matrix shape {matrix.shape} does not act on {len(qubits)} qubit(s)"
+        )
+    v = _qubit_view(block, qubits, n)
+    v[...] = (matrix @ v.reshape(dim, -1)).reshape(v.shape)
+
+
+def apply_1q(block: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> None:
+    """Apply a dense 2x2 unitary to ``qubit``."""
+    apply_kq_dense(block, matrix, (qubit,), n)
+
+
+def apply_2q(block: np.ndarray, matrix: np.ndarray, q0: int, q1: int, n: int) -> None:
+    """Apply a dense 4x4 unitary to ``(q0, q1)``."""
+    apply_kq_dense(block, matrix, (q0, q1), n)
+
+
+# -- gate -> (kind, payload) --------------------------------------------------
+
+
+def _phase(angle):
+    return np.cos(angle) + 1j * np.sin(angle)
+
+
+_T = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
+
+# Diagonal gates: 2 entries on one qubit, 4 on two (index b1 b0).
+_CONSTANT_DIAGONALS = {
+    "i": (1.0 + 0j, 1.0 + 0j),
+    "z": (1.0 + 0j, -1.0 + 0j),
+    "s": (1.0 + 0j, 1j),
+    "sdg": (1.0 + 0j, -1j),
+    "t": (1.0 + 0j, _T),
+    "tdg": (1.0 + 0j, _T.conjugate()),
+    "cz": (1.0 + 0j, 1.0 + 0j, 1.0 + 0j, -1.0 + 0j),
+}
+_ANGLE_DIAGONALS = {
+    "p": lambda t: (1.0, _phase(t)),
+    "rz": lambda t: (_phase(-t / 2), _phase(t / 2)),
+    "cp": lambda t: (1.0, 1.0, 1.0, _phase(t)),
+    "crz": lambda t: (1.0, _phase(-t / 2), 1.0, _phase(t / 2)),
+    "rzz": lambda t: (_phase(-t / 2), _phase(t / 2), _phase(t / 2), _phase(-t / 2)),
+}
+#: parametric gates with a closed form in a vector of angles
+ANGLE_DIAGONAL_GATES = frozenset(_ANGLE_DIAGONALS)
+
+
+def lower_gate(name: str, angles: Sequence = (), matrix: "np.ndarray | None" = None):
+    """``(kind, payload)`` of one gate, the form :func:`apply_op` takes.
+
+    ``x``/``cx`` are swaps (no payload), diagonal gates lower to
+    ``diag1``/``diag2`` with their entries, everything else — and any
+    gate carrying an explicit ``matrix`` — to ``dense`` with its
+    unitary.  The angle of a diagonal gate may be a ``(B,)`` vector: the
+    diagonal entries are then per-row vectors.
+    """
+    if matrix is None:
+        if name in ("x", "cx"):
+            return name, None
+        diag = _CONSTANT_DIAGONALS.get(name)
+        if diag is None and name in _ANGLE_DIAGONALS:
+            diag = _ANGLE_DIAGONALS[name](angles[0])
+        if diag is not None:
+            return ("diag1" if len(diag) == 2 else "diag2"), diag
+        matrix = GATE_SET[name][2](*angles)
+    return "dense", matrix
+
+
+def apply_op(
+    block: np.ndarray, kind: str, payload, qubits: Sequence[int], n: int,
+    adjoint: bool = False,
+) -> None:
+    """Apply one lowered op — or, with ``adjoint``, its inverse — to
+    ``block`` in place.  Every op is unitary: swaps are their own
+    inverse, diagonals conjugate, dense blocks conjugate-transpose and a
+    rotation step ``(theta, step)`` runs at ``-theta``."""
+    if kind == "rot":
+        theta, step = payload
+        apply_rotation(block, np.negative(theta) if adjoint else theta, step)
+    elif kind == "x":
+        apply_x(block, qubits[0], n)
+    elif kind == "cx":
+        apply_cx(block, qubits[0], qubits[1], n)
+    elif kind == "diag1" or kind == "diag2":
+        if adjoint:
+            payload = [np.conjugate(d) for d in payload]
+        if kind == "diag1":
+            apply_diag_1q(block, payload[0], payload[1], qubits[0], n)
+        else:
+            apply_diag_2q(block, payload, qubits[0], qubits[1], n)
+    elif kind == "diag_full":
+        block *= payload.conj() if adjoint else payload
+    elif kind == "dense":
+        apply_kq_dense(block, payload.conj().T if adjoint else payload, qubits, n)
+    else:
+        raise ValueError(f"unknown op kind {kind!r}")
 
 
 class MaskRotation:
@@ -247,3 +340,10 @@ def rotation_bracket(lam: np.ndarray, phi: np.ndarray, step: MaskRotation) -> co
     """``<lam| A |phi>`` for the generator of ``step`` (1-D states)."""
     moved = phi[xor_indices(phi.shape[0].bit_length() - 1, step.x)] if step.x else phi
     return complex(np.vdot(lam, step.weights.take(step.classes) * moved))
+
+
+def phase_bracket(lam: np.ndarray, phi: np.ndarray, qubit: int) -> complex:
+    """``<lam| i |1><1|_qubit |phi>``: the bracket of the phase gate's
+    generator, ``d/dtheta p(theta) = i |1><1| p(theta)`` (1-D states)."""
+    split = (-1, 2, 1 << qubit)
+    return 1j * complex(np.vdot(lam.reshape(split)[:, 1], phi.reshape(split)[:, 1]))

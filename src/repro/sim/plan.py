@@ -1,9 +1,13 @@
 """Compiled circuit execution: bind-free plans with prefix-state reuse.
 
 ``compile_circuit`` lowers a (possibly parameterized) circuit once to a
-flat list of prepacked kernel ops, so that the thousands of energy and
-gradient evaluations of an optimization re-walk no ``Gate`` objects,
-re-bind no parameters and dispatch on no gate names.  Lowering is two
+flat list of ops, so that the thousands of energy and gradient
+evaluations of an optimization re-walk no ``Gate`` objects and re-bind
+no parameters.  A plan op is **plain data** — ``(kind, qubits, data,
+parameter slots)``, see :class:`PlanOp` — and this module applies none
+of it: every executor (``ExecutionPlan.execute`` here, the batched and
+distributed simulators, the reverse-mode gradient) walks the list and
+hands each op to :func:`repro.sim.kernels.apply_op`.  Lowering is two
 passes:
 
 * **Pauli-frame pass.**  Clifford gates are not emitted as they are
@@ -23,23 +27,25 @@ passes:
   collapses to one step per excitation plus the reference ``x`` gates
   (H4: 2692 gates -> 30 ops).
 * **Residue.**  Whatever the frame cannot absorb is a barrier:
-  parametric ``p/cp/crz/u3`` gates keep an affine parameter slot
-  ``(index, coeff, offset)`` and a matrix/diagonal builder; static
+  parametric ``p/cp/crz/u3`` gates keep their name and one affine
+  parameter slot ``(coeff, index, offset)`` per angle and are lowered
+  per call by :func:`repro.sim.kernels.lower_gate`; static
   non-Clifford gates (``t``, opaque unitaries, >= 3-qubit gates) join
   the pending gates and make them opaque to rotations.  Pending gates
-  are flushed through the paper's <= 2-qubit fusion (§4.3), and
-  adjacent static diagonal ops fold into a single pass.  The emitted
-  tail is the literal gate list, so plans are phase-exact.
+  are flushed through the paper's <= 2-qubit fusion (§4.3), lowered by
+  the same ``lower_gate``, and adjacent static diagonal ops fold into a
+  single pass.  The emitted tail is the literal gate list, so plans are
+  phase-exact.
 
 On top of the flat op list, plans support cross-evaluation
 **prefix-state reuse**: consecutive ``execute`` calls record the last
 parameter vector, and intermediate states are parked at parametric-op
-boundaries (budgeted through :class:`repro.core.cache.PostAnsatzCache`
-device/host accounting).  When only a suffix of the parameters changes
-— exactly the access pattern of parameter-shift gradients (2P shifted
-evaluations differing in one parameter) and ADAPT warm starts — the
-plan resumes from the longest parked prefix instead of replaying the
-whole circuit.
+boundaries (at most ``PREFIX_BUDGET`` of them, budgeted through
+:class:`repro.core.cache.PostAnsatzCache` device/host accounting).
+When only a suffix of the parameters changes — exactly the access
+pattern of parameter-shift gradients (2P shifted evaluations differing
+in one parameter) and ADAPT warm starts — the plan resumes from the
+longest parked prefix instead of replaying the whole circuit.
 
 Consumers: ``StatevectorSimulator.run_plan``, the estimators'
 ``estimate_plan``, ``CachedEnergyEvaluator``, the parameter-shift
@@ -49,9 +55,9 @@ slice-aware ``DistributedStatevector.run_plan``.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +68,7 @@ from repro.ir.gates import GATE_SET, Gate, Parameter
 from repro.ir.pauli import PauliString
 from repro.sim import kernels
 from repro.sim.fusion import fuse_circuit
-from repro.utils.bitops import I_POW, indices_1q, indices_2q, popcount
+from repro.utils.bitops import I_POW, popcount
 
 __all__ = [
     "ExecutionPlan",
@@ -75,14 +81,10 @@ __all__ = [
 # folded into one dense 2^n diagonal (16 MiB of complex128 at 20).
 FULL_DIAG_FOLD_MAX_QUBITS = 20
 
-_DIAG_1Q_STATIC: Dict[str, Tuple[complex, complex]] = {
-    "i": (1.0 + 0j, 1.0 + 0j),
-    "z": (1.0 + 0j, -1.0 + 0j),
-    "s": (1.0 + 0j, 1j),
-    "sdg": (1.0 + 0j, -1j),
-    "t": (1.0 + 0j, complex(math.cos(math.pi / 4), math.sin(math.pi / 4))),
-    "tdg": (1.0 + 0j, complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))),
-}
+# Prefix-state reuse: how many intermediate states one plan may park,
+# and the device-tier byte budget of the cache that holds them.
+PREFIX_BUDGET = 8
+PREFIX_DEVICE_BYTES = 1 << 30
 
 # Rotation gates exp(-i theta/2 Q): the local (x, z) bits of Q.
 _ROTATION_AXES: Dict[str, Tuple[int, int]] = {
@@ -111,30 +113,26 @@ def unbound_parameter_message(circuit: Circuit) -> str:
 
 
 class PlanOp:
-    """One prepacked kernel op of an :class:`ExecutionPlan`.
-
-    ``run(state, params)`` performs the in-place kernel arithmetic.
-    The metadata fields let alternative executors (batched, distributed
-    slices) re-dispatch the op without touching ``Gate`` objects:
+    """One op of an :class:`ExecutionPlan` — plain data, applied by
+    :func:`repro.sim.kernels.apply_op` under every executor.
 
     * ``kind`` — ``rot`` for a rotation step (parametric when it has a
       parameter slot, static for a constant angle); ``x``/``cx``/
-      ``diag1``/``diag2``/``diag_full``/``dense1``/``dense2``/``densek``
-      for the static residue; ``pdiag1``/``pdiag2``/``pdense1``/
-      ``pdense2``/``pdensek`` for parametric barrier gates;
+      ``diag1``/``diag2``/``diag_full``/``dense`` for the static
+      residue; ``gate`` for a parametric barrier gate, lowered per call
+      from ``gate_name`` and its angles;
     * ``data`` — the :class:`repro.sim.kernels.MaskRotation` of a
       rotation step, the frozen diagonal/matrix payload of a static op;
-    * ``gate_name``/``param_refs`` — builder identity and the affine
-      parameter slots ``(index, coeff, offset)`` for parametric ops (a
-      rotation step's slot has coefficient 1 and offset 0: its
-      coefficients live in the step's weights);
+    * ``gate_name``/``param_refs`` — registry name and the affine
+      parameter slots ``("p", coeff, index, offset)`` / ``("c", value)``
+      of a ``gate`` op (a rotation step's slot has coefficient 1 and
+      offset 0: its coefficients live in the step's weights);
     * ``param_deps`` — parameter indices this op depends on (empty for
       static ops), used by prefix-reuse bookkeeping;
     * ``source_gates`` — how many source gates this op absorbs.
     """
 
     __slots__ = (
-        "run",
         "kind",
         "qubits",
         "data",
@@ -146,251 +144,80 @@ class PlanOp:
 
     def __init__(
         self,
-        run: Callable[[np.ndarray, np.ndarray], None],
         kind: str,
         qubits: Tuple[int, ...],
         data=None,
         gate_name: str = "",
         param_refs: Tuple = (),
-        param_deps: frozenset = frozenset(),
         source_gates: int = 1,
     ):
-        self.run = run
         self.kind = kind
         self.qubits = qubits
         self.data = data
         self.gate_name = gate_name
         self.param_refs = param_refs
-        self.param_deps = param_deps
+        self.param_deps = frozenset(r[2] for r in param_refs if r[0] == "p")
         self.source_gates = source_gates
 
     @property
     def is_parametric(self) -> bool:
         return bool(self.param_deps)
 
-    def angles(self, params: np.ndarray) -> Tuple[float, ...]:
-        """Resolve this op's gate angles from the flat parameter vector."""
-        return tuple(
-            ref[1] if ref[0] == "c" else ref[1] * params[ref[2]] + ref[3]
-            for ref in self.param_refs
-        )
-
-    def theta(self, params: np.ndarray) -> "float | np.ndarray":
-        """The angle of a rotation step, for one flat parameter vector
-        (a scalar) or a (B, P) block of them (shape (B,))."""
-        if not self.param_refs:
-            return 1.0 if params.ndim == 1 else np.ones(params.shape[0])
-        return params[..., self.param_refs[0][2]]
-
     def resolve(self, params: np.ndarray):
-        """(kind, payload) of a non-rotation op with parameters
-        substituted — the form the distributed executor dispatches on.
-        ``kind`` is one of ``x``/``cx``/``diag1``/``diag2``/
-        ``diag_full``/``dense``."""
-        if not self.is_parametric:
-            if self.kind in ("x", "cx", "diag1", "diag2", "diag_full"):
-                return self.kind, self.data
-            return "dense", self.data
-        angles = self.angles(params)
-        name = self.gate_name
-        if name == "p":
-            return "diag1", (1.0 + 0j, complex(math.cos(angles[0]), math.sin(angles[0])))
-        if name == "cp":
-            return "diag2", (1.0 + 0j, 1.0 + 0j, 1.0 + 0j,
-                             complex(math.cos(angles[0]), math.sin(angles[0])))
-        if name == "crz":
-            e = complex(math.cos(angles[0] / 2), -math.sin(angles[0] / 2))
-            return "diag2", (1.0 + 0j, e, 1.0 + 0j, e.conjugate())
-        return "dense", GATE_SET[name][2](*angles)
+        """``(kind, payload)`` for :func:`repro.sim.kernels.apply_op`,
+        with parameters substituted from one flat vector or a ``(B, P)``
+        block of them (angles are then ``(B,)`` vectors)."""
+        if self.kind == "rot":
+            refs = self.param_refs
+            return "rot", (params[..., refs[0][2]] if refs else 1.0, self.data)
+        if self.kind != "gate":
+            return self.kind, self.data
+        if params.ndim > 1 and self.gate_name not in kernels.ANGLE_DIAGONAL_GATES:
+            raise ValueError(
+                f"no batched form for parameterized gate {self.gate_name!r} "
+                f"on qubits {self.qubits}: a dense matrix per row is not "
+                "supported; supported: rotation steps (rx, ry, rz, rzz, rxx, "
+                "ryy) and p, cp, crz"
+            )
+        angles = [
+            ref[1] if ref[0] == "c" else ref[1] * params[..., ref[2]] + ref[3]
+            for ref in self.param_refs
+        ]
+        return kernels.lower_gate(self.gate_name, angles)
 
     def __repr__(self) -> str:
         return f"PlanOp({self.kind}, q={list(self.qubits)}, src={self.source_gates})"
 
 
-# ---------------------------------------------------------------------------
-# Op construction helpers (closures capture index tables at compile time)
-# ---------------------------------------------------------------------------
-
-
-def _static_op(gate: Gate, n: int) -> PlanOp:
-    """Prepack one parameter-free gate into a kernel closure."""
-    name = gate.name
-    qs = gate.qubits
-    if gate.matrix is None:
-        if name == "x":
-            i0, i1 = indices_1q(n, qs[0])
-
-            def run(state, params, i0=i0, i1=i1):
-                tmp = state[i0].copy()
-                state[i0] = state[i1]
-                state[i1] = tmp
-
-            return PlanOp(run, "x", qs)
-        if name == "cx":
-            _, ic, _, ict = indices_2q(n, qs[0], qs[1])
-
-            def run(state, params, ic=ic, ict=ict):
-                tmp = state[ic].copy()
-                state[ic] = state[ict]
-                state[ict] = tmp
-
-            return PlanOp(run, "cx", qs)
-        if name in _DIAG_1Q_STATIC:
-            return _diag1_op(_DIAG_1Q_STATIC[name], qs, n)
-        if name == "p":
-            theta = float(gate.params[0])
-            return _diag1_op((1.0, complex(math.cos(theta), math.sin(theta))), qs, n)
-        if name == "cz":
-            return _diag2_op((1, 1, 1, -1), qs, n)
-        if name in ("cp", "crz"):
-            theta = float(gate.params[0])
-            if name == "cp":
-                diag = (1, 1, 1, complex(math.cos(theta), math.sin(theta)))
-            else:
-                e = complex(math.cos(theta / 2), -math.sin(theta / 2))
-                diag = (1, e, 1, e.conjugate())
-            return _diag2_op(diag, qs, n)
-    # Copy before freezing: to_matrix() may hand back the gate's own
-    # (shared) matrix object for opaque/fused gates.
-    m = np.array(gate.to_matrix(), dtype=np.complex128)
-    m.flags.writeable = False
-    return _dense_op(m, qs, n)
-
-
-def _diag1_op(diag: Tuple[complex, complex], qs: Tuple[int, ...], n: int,
-              source_gates: int = 1) -> PlanOp:
-    i0, i1 = indices_1q(n, qs[0])
-    d0, d1 = complex(diag[0]), complex(diag[1])
-
-    def run(state, params, i0=i0, i1=i1, d0=d0, d1=d1):
-        if d0 != 1.0:
-            state[i0] *= d0
-        if d1 != 1.0:
-            state[i1] *= d1
-
-    return PlanOp(run, "diag1", qs, data=(d0, d1), source_gates=source_gates)
-
-
-def _diag2_op(diag: Sequence[complex], qs: Tuple[int, ...], n: int,
-              source_gates: int = 1) -> PlanOp:
-    tables = indices_2q(n, qs[0], qs[1])
-    diag = tuple(complex(d) for d in diag)
-
-    def run(state, params, tables=tables, diag=diag):
-        for sub in range(4):
-            d = diag[sub]
-            if d != 1.0:
-                state[tables[sub]] *= d
-
-    return PlanOp(run, "diag2", qs, data=diag, source_gates=source_gates)
-
-
-def _diag_full_op(diag: np.ndarray, qs: Tuple[int, ...],
-                  source_gates: int) -> PlanOp:
-    diag = np.ascontiguousarray(diag)
-    diag.flags.writeable = False
-
-    def run(state, params, diag=diag):
-        state *= diag
-
-    return PlanOp(run, "diag_full", qs, data=diag, source_gates=source_gates)
-
-
-def _dense_op(m: np.ndarray, qs: Tuple[int, ...], n: int,
-              source_gates: int = 1) -> PlanOp:
-    if len(qs) == 1:
-        i0, i1 = indices_1q(n, qs[0])
-        m00, m01, m10, m11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-
-        def run(state, params, i0=i0, i1=i1,
-                m00=m00, m01=m01, m10=m10, m11=m11):
-            a0 = state[i0]
-            a1 = state[i1]
-            state[i0] = m00 * a0 + m01 * a1
-            state[i1] = m10 * a0 + m11 * a1
-
-        return PlanOp(run, "dense1", qs, data=m, source_gates=source_gates)
-    if len(qs) == 2:
-        tables = indices_2q(n, qs[0], qs[1])
-
-        def run(state, params, tables=tables, m=m):
-            a = [state[t] for t in tables]
-            for row in range(4):
-                state[tables[row]] = (
-                    m[row, 0] * a[0] + m[row, 1] * a[1]
-                    + m[row, 2] * a[2] + m[row, 3] * a[3]
-                )
-
-        return PlanOp(run, "dense2", qs, data=m, source_gates=source_gates)
-
-    def run(state, params, m=m, qs=qs, n=n):
-        kernels.apply_kq_dense(state, m, qs, n)
-
-    return PlanOp(run, "densek", qs, data=m, source_gates=source_gates)
-
-
-def _param_refs(gate: Gate, index_of: Dict[str, int]) -> Tuple:
-    refs = []
-    for p in gate.params:
-        if isinstance(p, Parameter):
-            refs.append(("p", p.coeff, index_of[p.name], p.offset))
+def _static_op(gate: Gate) -> PlanOp:
+    """One parameter-free gate as a plan op; a dense block that is in
+    fact diagonal becomes a diagonal op, so that it can fold."""
+    kind, payload = kernels.lower_gate(gate.name, gate.params, gate.matrix)
+    if kind == "dense":
+        # Copy before freezing: the gate may hand back its own (shared)
+        # matrix object for opaque/fused gates.
+        payload = np.array(payload, dtype=np.complex128)
+        if len(gate.qubits) <= 2 and not np.count_nonzero(
+            payload - np.diag(np.diagonal(payload))
+        ):
+            kind, payload = f"diag{len(gate.qubits)}", np.diagonal(payload)
         else:
-            refs.append(("c", float(p)))
-    return tuple(refs)
+            payload.flags.writeable = False
+    if kind in ("diag1", "diag2"):
+        payload = tuple(complex(d) for d in payload)
+    return PlanOp(kind, gate.qubits, payload)
 
 
-def _parametric_op(gate: Gate, n: int, index_of: Dict[str, int]) -> PlanOp:
-    """Prepack a parametric barrier gate (anything but a rotation): an
-    affine parameter slot plus a closed-form matrix/diagonal builder."""
-    name = gate.name
-    qs = gate.qubits
-    refs = _param_refs(gate, index_of)
-    deps = frozenset(r[2] for r in refs if r[0] == "p")
-    # Fast path: the controlled/uncontrolled phase gates.
-    if name in ("p", "cp", "crz"):
-        _, coeff, idx, offset = refs[0]
-        if name == "p":
-            _, i1 = indices_1q(n, qs[0])
-
-            def run(state, params, i1=i1, c=coeff, k=idx, o=offset):
-                th = c * params[k] + o
-                state[i1] *= complex(math.cos(th), math.sin(th))
-
-            return PlanOp(run, "pdiag1", qs, gate_name=name,
-                          param_refs=refs, param_deps=deps)
-        tables = indices_2q(n, qs[0], qs[1])
-
-        def run(state, params, tables=tables, c=coeff, k=idx, o=offset,
-                name=name):
-            th = c * params[k] + o
-            if name == "cp":
-                state[tables[3]] *= complex(math.cos(th), math.sin(th))
-            else:  # crz
-                e = complex(math.cos(th / 2), -math.sin(th / 2))
-                state[tables[1]] *= e
-                state[tables[3]] *= e.conjugate()
-
-        return PlanOp(run, "pdiag2", qs, gate_name=name,
-                      param_refs=refs, param_deps=deps)
-    # Generic fallback: registry factory with resolved angles (u3).
-    factory = GATE_SET[name][2]
-    nq = len(qs)
-
-    def run(state, params, refs=refs, factory=factory, qs=qs, n=n, nq=nq):
-        angles = [
-            r[1] if r[0] == "c" else r[1] * params[r[2]] + r[3] for r in refs
-        ]
-        m = factory(*angles)
-        if nq == 1:
-            kernels.apply_1q(state, m, qs[0], n)
-        elif nq == 2:
-            kernels.apply_2q(state, m, qs[0], qs[1], n)
-        else:
-            kernels.apply_kq_dense(state, m, qs, n)
-
-    kind = "pdense1" if nq == 1 else ("pdense2" if nq == 2 else "pdensek")
-    return PlanOp(run, kind, qs, gate_name=name,
-                  param_refs=refs, param_deps=deps)
+def _parametric_op(gate: Gate, index_of: Dict[str, int]) -> PlanOp:
+    """A parametric barrier gate (anything but a rotation): its name
+    and one affine parameter slot per angle."""
+    refs = tuple(
+        ("p", p.coeff, index_of[p.name], p.offset)
+        if isinstance(p, Parameter)
+        else ("c", float(p))
+        for p in gate.params
+    )
+    return PlanOp("gate", gate.qubits, gate_name=gate.name, param_refs=refs)
 
 
 # ---------------------------------------------------------------------------
@@ -526,24 +353,18 @@ class _RotationDraft:
             [(z, -c if popcount(self.x & z) & 1 else c) for z, c in self.terms],
             n,
         )
-        slot = self.slot
-        refs = () if slot is None else (("p", 1.0, slot, 0.0),)
-
-        def run(state, params, step=step, slot=slot):
-            kernels.apply_rotation(state, 1.0 if slot is None else params[slot], step)
-
         support = self.x
         for z, _ in self.terms:
             support |= z
         return PlanOp(
-            run, "rot", tuple(q for q in range(n) if (support >> q) & 1),
-            data=step, gate_name="rot", param_refs=refs,
-            param_deps=frozenset(r[2] for r in refs),
+            "rot", tuple(q for q in range(n) if (support >> q) & 1),
+            data=step, gate_name="rot",
+            param_refs=() if self.slot is None else (("p", 1.0, self.slot, 0.0),),
             source_gates=self.gates,
         )
 
 
-def _lower(circuit: Circuit, index_of: Dict[str, int], fuse: bool):
+def _lower(circuit: Circuit, index_of: Dict[str, int]):
     """The frame pass: ``circuit`` to (ops, fused gates removed, frame
     gates absorbed, rotations merged into an earlier step)."""
     n = circuit.num_qubits
@@ -564,11 +385,11 @@ def _lower(circuit: Circuit, index_of: Dict[str, int], fuse: bool):
         nonlocal fused_removed
         close_draft()
         gates = [g for g in frame.pending if g is not None]
-        if fuse and gates:
+        if gates:
             fr = fuse_circuit(Circuit(n, gates), max_qubits=2)
             gates = fr.circuit.gates
             fused_removed += fr.original_gates - fr.fused_gates
-        ops.extend(_static_op(g, n) for g in gates)
+        ops.extend(_static_op(g) for g in gates)
         frame.reset()
 
     def rotate(pauli: _Pauli, slot: Optional[int], scale: float, gates: int = 1) -> None:
@@ -585,7 +406,7 @@ def _lower(circuit: Circuit, index_of: Dict[str, int], fuse: bool):
         if g.is_parameterized:
             if axes is None:
                 flush()
-                ops.append(_parametric_op(g, n, index_of))
+                ops.append(_parametric_op(g, index_of))
                 continue
         else:
             action = _clifford_action(g.name, g.params) if g.matrix is None else None
@@ -611,73 +432,36 @@ def _lower(circuit: Circuit, index_of: Dict[str, int], fuse: bool):
 # ---------------------------------------------------------------------------
 
 
-def _is_static_diag(op: PlanOp) -> bool:
-    if op.kind in ("diag1", "diag2", "diag_full"):
-        return True
-    if op.kind in ("dense1", "dense2") and op.data is not None:
-        m = op.data
-        return bool(np.count_nonzero(m - np.diag(np.diagonal(m))) == 0)
-    return False
-
-
-def _op_full_diag(op: PlanOp, n: int) -> np.ndarray:
-    """The 2^n diagonal of a static diagonal op."""
-    d = np.ones(1 << n, dtype=np.complex128)
-    if op.kind == "diag_full":
-        return op.data.copy()
-    if op.kind == "diag1" or (op.kind == "dense1"):
-        vals = op.data if op.kind == "diag1" else np.diagonal(op.data)
-        i0, i1 = indices_1q(n, op.qubits[0])
-        d[i0] = vals[0]
-        d[i1] = vals[1]
-        return d
-    vals = op.data if op.kind == "diag2" else np.diagonal(op.data)
-    tables = indices_2q(n, op.qubits[0], op.qubits[1])
-    for sub in range(4):
-        d[tables[sub]] = vals[sub]
-    return d
-
-
 def _fold_diag_run(run: List[PlanOp], n: int, fold_full: bool
                    ) -> Tuple[List[PlanOp], int]:
     """Collapse a run of adjacent static diagonal ops into one pass.
 
     Returns (replacement ops, gates folded away).  Diagonal matrices
-    commute, so any in-stream-adjacent combination is legal.
+    commute, so any in-stream-adjacent combination is legal.  The folded
+    diagonal is what the run does to a vector of ones over its support
+    (the whole register when the support is wider than two qubits).
     """
     if len(run) < 2:
         return run, 0
     support = sorted({q for op in run for q in op.qubits})
+    register = support
+    if len(support) > 2:
+        if not fold_full or n > FULL_DIAG_FOLD_MAX_QUBITS:
+            return run, 0
+        register = range(n)
+    local = {q: j for j, q in enumerate(register)}
+    diag = np.ones(1 << len(register), dtype=np.complex128)
+    for op in run:
+        kernels.apply_op(
+            diag, op.kind, op.data, [local[q] for q in op.qubits], len(register)
+        )
+    if len(support) > 2:
+        kind = "diag_full"
+        diag.flags.writeable = False
+    else:
+        kind, diag = f"diag{len(support)}", tuple(complex(d) for d in diag)
     src = sum(op.source_gates for op in run)
-    if len(support) == 1:
-        d0, d1 = 1.0 + 0j, 1.0 + 0j
-        for op in run:
-            vals = op.data if op.kind == "diag1" else np.diagonal(op.data)
-            d0 *= vals[0]
-            d1 *= vals[1]
-        return [_diag1_op((d0, d1), (support[0],), n, source_gates=src)], len(run) - 1
-    if len(support) == 2:
-        q0, q1 = support
-        diag = np.ones(4, dtype=np.complex128)
-        for op in run:
-            vals = op.data if op.kind in ("diag1", "diag2") else np.diagonal(op.data)
-            if len(op.qubits) == 1:
-                slot = 0 if op.qubits[0] == q0 else 1
-                for sub in range(4):
-                    diag[sub] *= vals[(sub >> slot) & 1]
-            else:
-                # (q0', q1') may be the support pair in either order.
-                swapped = op.qubits[0] != q0
-                for sub in range(4):
-                    s = ((sub & 1) << 1 | (sub >> 1)) if swapped else sub
-                    diag[sub] *= vals[s]
-        return [_diag2_op(tuple(diag), (q0, q1), n, source_gates=src)], len(run) - 1
-    if fold_full and n <= FULL_DIAG_FOLD_MAX_QUBITS:
-        d = np.ones(1 << n, dtype=np.complex128)
-        for op in run:
-            d *= _op_full_diag(op, n)
-        return [_diag_full_op(d, tuple(support), src)], len(run) - 1
-    return run, 0
+    return [PlanOp(kind, tuple(support), diag, source_gates=src)], len(run) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -692,20 +476,15 @@ class ExecutionPlan:
     :class:`repro.ir.compiled.CompiledPauliSum` for observables); use
     :func:`compile_circuit` for the memoized, auto-invalidating entry
     point.  ``execute(state, params)`` is a tight loop over the op
-    closures — zero ``Gate`` construction, zero ``bind`` copies, zero
-    name dispatch per call.
+    ops through :func:`repro.sim.kernels.apply_op` — zero ``Gate``
+    construction, zero ``bind`` copies per call.
+
+    ``fold_full_diag=False`` keeps runs of wide-support diagonal gates
+    unfolded instead of one 2^n diagonal; every executor takes either
+    form (the argument survives for one caller, see ROADMAP item 1).
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        fuse: bool = True,
-        fold_diagonals: bool = True,
-        fold_full_diag: bool = True,
-        prefix_budget: int = 8,
-        prefix_device_bytes: int = 1 << 30,
-        enable_prefix: bool = True,
-    ):
+    def __init__(self, circuit: Circuit, fold_full_diag: bool = True):
         self.source = circuit
         self._source_gates = tuple(circuit.gates)
         self.num_qubits = circuit.num_qubits
@@ -715,28 +494,20 @@ class ExecutionPlan:
         self.source_gate_count = len(circuit.gates)
         index_of = {name: k for k, name in enumerate(self.parameters)}
 
-        n = self.num_qubits
-        (ops, self.fused_gates_removed, self.frame_gates_absorbed,
-         self.rotations_merged) = _lower(circuit, index_of, fuse)
-        self.rotation_steps = sum(1 for op in ops if op.kind == "rot")
+        (lowered, self.fused_gates_removed, self.frame_gates_absorbed,
+         self.rotations_merged) = _lower(circuit, index_of)
+        self.rotation_steps = sum(1 for op in lowered if op.kind == "rot")
 
         self.diag_gates_folded = 0
-        if fold_diagonals:
-            folded: List[PlanOp] = []
-            run: List[PlanOp] = []
-            for op in ops:
-                if not op.is_parametric and _is_static_diag(op):
-                    run.append(op)
-                    continue
-                merged, saved = _fold_diag_run(run, n, fold_full_diag)
-                folded.extend(merged)
+        ops: List[PlanOp] = []
+        for diagonal, run in groupby(
+            lowered, key=lambda op: op.kind in ("diag1", "diag2", "diag_full")
+        ):
+            run = list(run)
+            if diagonal:
+                run, saved = _fold_diag_run(run, self.num_qubits, fold_full_diag)
                 self.diag_gates_folded += saved
-                run = []
-                folded.append(op)
-            merged, saved = _fold_diag_run(run, n, fold_full_diag)
-            folded.extend(merged)
-            self.diag_gates_folded += saved
-            ops = folded
+            ops.extend(run)
 
         self._ops = ops
         self.num_ops = len(ops)
@@ -765,16 +536,7 @@ class ExecutionPlan:
                 seen |= ops[i].param_deps
         self._deps_before = deps_before
 
-        self._prefix_cache = None
-        if enable_prefix:
-            from repro.core.cache import PostAnsatzCache  # lazy: avoids cycle
-
-            self._prefix_cache = PostAnsatzCache(
-                device_capacity_bytes=prefix_device_bytes,
-                max_entries=prefix_budget,
-                mem_category="prefix_cache",
-            )
-        self._last_params: Optional[np.ndarray] = None
+        self.clear_prefix_cache()
         self.prefix_resumes = 0
         self.prefix_ops_skipped = 0
 
@@ -850,9 +612,9 @@ class ExecutionPlan:
             "diag_gates_folded": self.diag_gates_folded,
             "prefix_resumes": self.prefix_resumes,
             "prefix_ops_skipped": self.prefix_ops_skipped,
-            "prefix_cache_hits": cache.hits if cache else 0,
-            "prefix_cache_misses": cache.misses if cache else 0,
-            "prefix_cache_entries": len(cache) if cache else 0,
+            "prefix_cache_hits": cache.hits,
+            "prefix_cache_misses": cache.misses,
+            "prefix_cache_entries": len(cache),
         }
 
     def __repr__(self) -> str:
@@ -929,12 +691,10 @@ class ExecutionPlan:
         if state.shape != (self.dim,):
             raise ValueError("state dimension mismatch")
         start = 0
-        if reset:
-            resume = (
-                self._find_resume(params)
-                if self._prefix_cache is not None
-                else None
-            )
+        if not reset:
+            self._run(state, params, 0, self.num_ops)
+        else:
+            resume = self._find_resume(params)
             if resume is not None:
                 start, snap = resume
                 state[:] = snap
@@ -943,24 +703,15 @@ class ExecutionPlan:
             else:
                 state.fill(0)
                 state[0] = 1.0
-        ops = self._ops
-        if reset and self._prefix_cache is not None:
-            cache = self._prefix_cache
             i = start
-            for pos in self._park_targets(params):
+            for pos in self._park_targets(params):  # ends at num_ops
                 if pos < i:
                     continue
-                for j in range(i, pos):
-                    ops[j].run(state, params)
+                self._run(state, params, i, pos)
                 i = pos
                 if pos < self.num_ops or i > start:
-                    cache.put(self._prefix_key(pos, params), state.copy())
-            for j in range(i, self.num_ops):
-                ops[j].run(state, params)
+                    self._prefix_cache.put(self._prefix_key(pos, params), state.copy())
             self._last_params = params.copy()
-        else:
-            for j in range(start, self.num_ops):
-                ops[j].run(state, params)
         if obs.enabled():
             obs.inc(
                 "repro_plan_executions_total", help="Compiled-plan executions"
@@ -996,65 +747,48 @@ class ExecutionPlan:
         stop = self.num_ops if stop is None else stop
         if not (0 <= start <= stop <= self.num_ops):
             raise ValueError(f"invalid op range [{start}, {stop})")
-        ops = self._ops
-        for j in range(start, stop):
-            ops[j].run(state, params)
+        self._run(state, params, start, stop)
         return state
+
+    def _run(self, state: np.ndarray, params: np.ndarray, start: int, stop: int) -> None:
+        n, apply_op = self.num_qubits, kernels.apply_op
+        for op in self._ops[start:stop]:
+            kind, payload = op.resolve(params)
+            apply_op(state, kind, payload, op.qubits, n)
 
     def clear_prefix_cache(self) -> None:
         """Drop parked prefix states (frees memory; never affects
         correctness — only future reuse opportunities)."""
-        if self._prefix_cache is not None:
-            from repro.core.cache import PostAnsatzCache
+        from repro.core.cache import PostAnsatzCache  # lazy: avoids cycle
 
-            self._prefix_cache = PostAnsatzCache(
-                device_capacity_bytes=self._prefix_cache.device_capacity_bytes,
-                max_entries=self._prefix_cache.max_entries,
-                mem_category="prefix_cache",
-            )
-        self._last_params = None
+        self._prefix_cache = PostAnsatzCache(
+            device_capacity_bytes=PREFIX_DEVICE_BYTES,
+            max_entries=PREFIX_BUDGET,
+            mem_category="prefix_cache",
+        )
+        self._last_params: Optional[np.ndarray] = None
 
 
-def compile_circuit(
-    circuit: Circuit,
-    fuse: bool = True,
-    fold_diagonals: bool = True,
-    fold_full_diag: bool = True,
-    prefix_budget: int = 8,
-    enable_prefix: bool = True,
-) -> ExecutionPlan:
+def compile_circuit(circuit: Circuit, fold_full_diag: bool = True) -> ExecutionPlan:
     """The memoizing entry point: compile ``circuit`` to an
     :class:`ExecutionPlan`, reusing the plan cached on the circuit when
     the gate list is unchanged (mutation via ``append``/``add``/
     ``compose`` invalidates it — a stale plan is never returned).
     """
-    options = (fuse, fold_diagonals, fold_full_diag, prefix_budget, enable_prefix)
     cached = getattr(circuit, "_plan", None)
-    if (
+    hit = (
         cached is not None
-        and cached[0] == options
+        and cached[0] == fold_full_diag
         and not cached[1].is_stale()
-    ):
-        if obs.enabled():
-            obs.inc(
-                "repro_plan_cache_total",
-                help="Plan cache lookups by outcome",
-                labels={"outcome": "hit"},
-            )
-        return cached[1]
+    )
     if obs.enabled():
         obs.inc(
             "repro_plan_cache_total",
             help="Plan cache lookups by outcome",
-            labels={"outcome": "miss"},
+            labels={"outcome": "hit" if hit else "miss"},
         )
-    plan = ExecutionPlan(
-        circuit,
-        fuse=fuse,
-        fold_diagonals=fold_diagonals,
-        fold_full_diag=fold_full_diag,
-        prefix_budget=prefix_budget,
-        enable_prefix=enable_prefix,
-    )
-    circuit._plan = (options, plan)
+    if hit:
+        return cached[1]
+    plan = ExecutionPlan(circuit, fold_full_diag=fold_full_diag)
+    circuit._plan = (fold_full_diag, plan)
     return plan

@@ -19,7 +19,7 @@ mode builds on:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -27,18 +27,8 @@ from repro import obs
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Gate
 from repro.sim import kernels
-from repro.utils.profiling import Timer
 
 __all__ = ["StatevectorSimulator"]
-
-_DIAG_1Q: Dict[str, "tuple[complex, complex]"] = {
-    "i": (1.0, 1.0),
-    "z": (1.0, -1.0),
-    "s": (1.0, 1j),
-    "sdg": (1.0, -1j),
-    "t": (1.0, complex(math.cos(math.pi / 4), math.sin(math.pi / 4))),
-    "tdg": (1.0, complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))),
-}
 
 
 class StatevectorSimulator:
@@ -48,12 +38,9 @@ class StatevectorSimulator:
     ----------
     num_qubits:
         Register width; allocates 2^n complex128 amplitudes.
-    timer:
-        Optional :class:`repro.utils.profiling.Timer` for kernel-level
-        time accounting.
     """
 
-    def __init__(self, num_qubits: int, timer: Optional[Timer] = None):
+    def __init__(self, num_qubits: int):
         if num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         if num_qubits > 30:
@@ -65,7 +52,6 @@ class StatevectorSimulator:
         self.dim = 1 << num_qubits
         self.state = np.zeros(self.dim, dtype=np.complex128)
         self.state[0] = 1.0
-        self.timer = timer
         self.gates_applied = 0
         obs.mem_track(self, "statevector", self.state.nbytes)
 
@@ -98,67 +84,9 @@ class StatevectorSimulator:
 
     def apply_gate(self, gate: Gate) -> None:
         """Apply one gate instruction in place."""
-        n = self.num_qubits
-        st = self.state
-        name = gate.name
         self.gates_applied += 1
-        if gate.matrix is not None:
-            qs = gate.qubits
-            if len(qs) == 1:
-                kernels.apply_1q(st, gate.matrix, qs[0], n)
-            elif len(qs) == 2:
-                kernels.apply_2q(st, gate.matrix, qs[0], qs[1], n)
-            else:
-                kernels.apply_kq_dense(st, gate.matrix, qs, n)
-            return
-        if name in _DIAG_1Q:
-            d0, d1 = _DIAG_1Q[name]
-            kernels.apply_diag_1q(st, d0, d1, gate.qubits[0], n)
-            return
-        if name == "x":
-            kernels.apply_x(st, gate.qubits[0], n)
-            return
-        if name == "cx":
-            kernels.apply_cx(st, gate.qubits[0], gate.qubits[1], n)
-            return
-        if name in ("rz", "p"):
-            (theta,) = gate.params
-            theta = float(theta)
-            if name == "rz":
-                d0 = complex(math.cos(theta / 2), -math.sin(theta / 2))
-                d1 = d0.conjugate()
-            else:
-                d0, d1 = 1.0, complex(math.cos(theta), math.sin(theta))
-            kernels.apply_diag_1q(st, d0, d1, gate.qubits[0], n)
-            return
-        if name == "cz":
-            kernels.apply_diag_2q(st, (1, 1, 1, -1), *gate.qubits, n=n)
-            return
-        if name == "rzz":
-            (theta,) = gate.params
-            e = complex(math.cos(float(theta) / 2), -math.sin(float(theta) / 2))
-            kernels.apply_diag_2q(
-                st, (e, e.conjugate(), e.conjugate(), e), *gate.qubits, n=n
-            )
-            return
-        if name in ("cp", "crz"):
-            (theta,) = gate.params
-            theta = float(theta)
-            if name == "cp":
-                diag = (1, 1, 1, complex(math.cos(theta), math.sin(theta)))
-            else:
-                e = complex(math.cos(theta / 2), -math.sin(theta / 2))
-                diag = (1, e, 1, e.conjugate())
-            kernels.apply_diag_2q(st, diag, *gate.qubits, n=n)
-            return
-        # Fall back to dense matrix kernels.
-        m = gate.to_matrix()
-        if gate.num_qubits == 1:
-            kernels.apply_1q(st, m, gate.qubits[0], n)
-        elif gate.num_qubits == 2:
-            kernels.apply_2q(st, m, gate.qubits[0], gate.qubits[1], n)
-        else:
-            kernels.apply_kq_dense(st, m, gate.qubits, n)
+        kind, payload = kernels.lower_gate(gate.name, gate.params, gate.matrix)
+        kernels.apply_op(self.state, kind, payload, gate.qubits, self.num_qubits)
 
     def run(self, circuit: Circuit, reset: bool = True) -> np.ndarray:
         """Execute a circuit; returns the live statevector (no copy)."""
@@ -175,13 +103,8 @@ class StatevectorSimulator:
         with obs.span(
             "sim.run_circuit", gates=len(circuit.gates), qubits=self.num_qubits
         ):
-            if self.timer is not None:
-                with self.timer.section("run_circuit"):
-                    for g in circuit.gates:
-                        self.apply_gate(g)
-            else:
-                for g in circuit.gates:
-                    self.apply_gate(g)
+            for g in circuit.gates:
+                self.apply_gate(g)
         if obs.enabled():
             obs.inc(
                 "repro_sim_circuits_total", help="Circuit executions on the dense simulator"
@@ -208,8 +131,8 @@ class StatevectorSimulator:
         the given parameter vector; returns the live statevector.
 
         The bind-free fast path of :meth:`run`: no ``Gate`` objects, no
-        circuit copies — the plan's prepacked kernel ops run directly on
-        the simulator's buffer, with prefix-state reuse when ``reset``.
+        circuit copies — the plan's ops run directly on the simulator's
+        buffer, with prefix-state reuse when ``reset``.
         """
         if plan.num_qubits != self.num_qubits:
             raise ValueError(
@@ -218,11 +141,7 @@ class StatevectorSimulator:
         with obs.span(
             "sim.run_plan", ops=plan.num_ops, qubits=self.num_qubits
         ):
-            if self.timer is not None:
-                with self.timer.section("run_circuit"):
-                    plan.execute(self.state, params, reset=reset)
-            else:
-                plan.execute(self.state, params, reset=reset)
+            plan.execute(self.state, params, reset=reset)
         self.gates_applied += plan.num_ops
         if obs.enabled():
             obs.inc(

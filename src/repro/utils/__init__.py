@@ -1,4 +1,4 @@
-"""Shared utilities: bit manipulation, linear algebra helpers, timers."""
+"""Shared utilities: bit manipulation, linear algebra helpers, retries."""
 
 from repro.utils.bitops import (
     bit_at,
@@ -14,7 +14,6 @@ from repro.utils.linalg import (
     random_statevector,
     random_unitary,
 )
-from repro.utils.profiling import Timer, timed
 from repro.utils.retry import RetryExhaustedError, RetryPolicy, RetryStats
 
 __all__ = [
@@ -31,6 +30,4 @@ __all__ = [
     "kron_all",
     "random_statevector",
     "random_unitary",
-    "Timer",
-    "timed",
 ]

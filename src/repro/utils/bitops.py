@@ -128,14 +128,14 @@ def sign_vector(z_mask: int, num_qubits: int) -> np.ndarray:
     return 1.0 - 2.0 * (count_set_bits(idx & z_mask) & 1)
 
 
-# -- cached gate index tables -------------------------------------------------
+# -- cached index tables ------------------------------------------------------
 #
-# Every gate application needs the same `np.arange` + `insert_zero_bit`
-# addressing tables for a given (register width, target qubits); the
-# simulators used to rebuild them per gate, which for a VQE campaign
-# means millions of redundant allocations.  These process-wide LRU
-# caches build each table once.  Returned arrays are marked read-only —
-# kernels must treat them as shared immutable state.
+# Process-wide LRU caches: each table is built once per (register width,
+# mask or target qubits).  Returned arrays are marked read-only — callers
+# must treat them as shared immutable state.  The rotation and Pauli
+# kernels gather through `basis_indices` / `xor_indices`; the static gate
+# kernels (`repro.sim.kernels`) address amplitudes through strided views
+# and use no table.
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -203,7 +203,7 @@ class TestDistributedExpectation:
     def test_matches_serial_compiled_observable(self, case, h):
         circ, angles = case
         bound = circ.bind(angles) if angles else circ
-        plan = compile_circuit(circ, fold_full_diag=False)
+        plan = compile_circuit(circ)
         state = StatevectorSimulator(_N).run(bound).copy()
         expected = compile_observable(h).expectation(state).real
         for ranks in (1, 2, 4, 8):
@@ -249,7 +249,7 @@ class TestDistributedExpectation:
         with pytest.raises(ValueError, match="circuit has 6 qubits, register has 8"):
             dsv.run(Circuit(6).h(0))
         with pytest.raises(ValueError, match="plan has 6 qubits, register has 8"):
-            dsv.run_plan(compile_circuit(Circuit(6).h(0), fold_full_diag=False))
+            dsv.run_plan(compile_circuit(Circuit(6).h(0)))
         dsv.run(Circuit(8).h(0).h(7))
         with pytest.raises(ValueError, match=r"non-Hermitian.*imaginary part 5\.000e-01"):
             dsv.expectation(PauliSum(8, {(1 << 7, 0): 0.5j, (1, 0): 1.0}))

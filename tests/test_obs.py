@@ -1,5 +1,4 @@
-"""Tests for repro.obs — tracing, metrics, run reports — plus the
-dormant-Timer regression coverage (simulator/estimator/VQE plumbing)."""
+"""Tests for repro.obs — tracing, metrics, run reports."""
 
 import json
 import math
@@ -8,12 +7,10 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.ir.circuit import Circuit, Parameter
 from repro.ir.pauli import PauliSum
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 from repro.obs.report import RunReport, as_plain_dict
 from repro.obs.trace import NULL_SPAN, Tracer
-from repro.utils.profiling import Timer
 
 
 @pytest.fixture(autouse=True)
@@ -399,70 +396,3 @@ class TestDriverReports:
         result = VQE(h, generators=[gen], reference_state=ref).run()
         assert result.report is None
         assert obs.get_tracer().spans == []
-
-
-class TestTimerPlumbing:
-    """Regression: the pre-existing ``timer=`` params must actually fill."""
-
-    def test_statevector_simulator_timer(self):
-        from repro.sim.statevector import StatevectorSimulator
-
-        c = Circuit(2)
-        c.h(0).cx(0, 1)
-        t = Timer()
-        StatevectorSimulator(2, timer=t).run(c)
-        assert "run_circuit" in t.totals
-        assert t.counts["run_circuit"] == 1
-
-    def test_estimator_timer_reaches_simulator(self):
-        from repro.core.estimator import make_estimator
-
-        h = PauliSum.from_label_dict({"ZZ": 1.0})
-        c = Circuit(2)
-        c.ry(Parameter("a"), 0)
-        for name in ("direct", "caching", "sampling"):
-            t = Timer()
-            est = make_estimator(name, timer=t)
-            est.estimate(c.bind([0.3]), h)
-            assert "run_circuit" in t.totals, name
-
-    def test_vqe_chemistry_mode_timer_sections(self):
-        from repro.core.vqe import VQE
-
-        h, gen, ref = _toy_problem()
-        t = Timer()
-        VQE(h, generators=[gen], reference_state=ref, timer=t).run()
-        assert "vqe_energy" in t.totals
-        assert t.counts["vqe_energy"] >= 1
-
-    def test_vqe_circuit_mode_timer_reaches_simulator(self):
-        from repro.core.vqe import VQE
-
-        h = PauliSum.from_label_dict({"ZZ": 1.0, "XI": 0.2})
-        c = Circuit(2)
-        c.ry(Parameter("a"), 0)
-        c.cx(0, 1)
-        t = Timer()
-        VQE(h, ansatz=c, timer=t).run()
-        assert "run_circuit" in t.totals
-        assert "vqe_energy" in t.totals
-
-    def test_adapt_timer_sections(self):
-        from repro.chem.pools import qubit_pool
-        from repro.chem.reference import hartree_fock_state
-        from repro.core.adapt import AdaptVQE
-
-        h = PauliSum.from_label_dict(
-            {"ZZII": 0.4, "XXII": 0.2, "IZZI": -0.3, "IIXX": 0.1}
-        )
-        t = Timer()
-        adapt = AdaptVQE(
-            h,
-            qubit_pool(4, 2),
-            hartree_fock_state(4, 2),
-            max_iterations=2,
-            timer=t,
-        )
-        result = adapt.run()
-        if result.iterations:  # reoptimized at least once
-            assert "adapt_reoptimize" in t.totals

@@ -1,7 +1,9 @@
-"""Compiled circuit plans (repro.sim.plan): equivalence against the
-naive bind+run path, prefix-reuse correctness and invalidation, the
->=3-qubit dense fallback, and the plan wiring through estimators,
-gradients, batched and distributed executors."""
+"""Compiled circuit plans (repro.sim.plan) and the one kernel set under
+them (repro.sim.kernels): every executor against gate-by-gate
+simulation, prefix-reuse correctness and invalidation, the >=3-qubit
+dense fallback, and the plan wiring through estimators and gradients."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.estimator import DirectEstimator, Estimator
+from repro.hpc.distributed import DistributedStatevector
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Gate, Parameter
 from repro.ir.pauli import PauliSum
+from repro.sim import kernels
+from repro.sim import plan as plan_module
+from repro.sim.batched import BatchedStatevectorSimulator
 from repro.sim.plan import ExecutionPlan, compile_circuit, unbound_parameter_message
 from repro.sim.statevector import StatevectorSimulator
 
@@ -40,7 +46,7 @@ def _opaque_2q(seed):
 
 @st.composite
 def parameterized_circuits(
-    draw, max_qubits=4, max_gates=14, max_params=4, wide=True, shift_rule=False
+    draw, max_qubits=4, max_gates=14, max_params=4, parametric_u3=True, shift_rule=False
 ):
     """Random circuit mixing Clifford gates, rotations and barriers.
 
@@ -48,9 +54,10 @@ def parameterized_circuits(
     — the same named parameter may feed several gates, the
     trotterized-ansatz pattern — or a constant angle, Clifford or not;
     barriers are t/tdg, p/cp/crz, u3, ccx and an opaque unitary.
-    ``wide=False`` leaves out what the batched and distributed executors
-    do not take (ccx, parametric u3); ``shift_rule=True`` gives every
-    parametric gate its own parameter in a gate the shift rule covers.
+    ``parametric_u3=False`` leaves out the one gate the batched executor
+    does not take (a dense matrix per row); ``shift_rule=True`` gives
+    every parametric gate its own parameter in a gate the shift rule
+    covers.
     """
     n = draw(st.integers(2, max_qubits))
     m = draw(st.integers(0, max_params))
@@ -82,7 +89,7 @@ def parameterized_circuits(
                 circ.add(draw(st.sampled_from(_STATIC_2Q)), [q0, q1])
             elif draw(st.booleans()):
                 circ.add(draw(st.sampled_from(_PARAM_2Q)), [q0, q1], draw(constant_angles))
-            elif wide and n >= 3 and draw(st.booleans()):
+            elif n >= 3 and draw(st.booleans()):
                 q2 = next(q for q in range(n) if q not in (q0, q1))
                 circ.add("ccx", [q0, q1, q2])
             else:
@@ -91,7 +98,7 @@ def parameterized_circuits(
         else:
             q = draw(st.integers(0, n - 1))
             if parametric:
-                if wide and not shift_rule and draw(st.integers(0, 4)) == 0:
+                if parametric_u3 and not shift_rule and draw(st.integers(0, 4)) == 0:
                     circ.add("u3", [q], parameter(), draw(angles), draw(angles))
                 else:
                     circ.add(draw(st.sampled_from(_PARAM_1Q)), [q], parameter())
@@ -110,26 +117,65 @@ def _naive_state(circuit, params):
     return sim.run(bound).copy()
 
 
+def _every_kind_circuit(parametric_u3=True):
+    """Five qubits holding every op kind a plan can carry — each in its
+    own segment between parametric barrier gates so that fusion leaves it
+    alone — and every parametric gate: rot (parametric and constant), x,
+    cx, diag1, diag2, diag_full, dense on 1, 2 and 3 qubits, p, cp, crz
+    and u3 (parametric only on request: the batched executor refuses a
+    dense matrix per row).  The two high qubits are global under 4 ranks,
+    so the distributed executor relocates."""
+    circ = Circuit(5)
+    circ.x(0).x(4)
+    circ.add("p", [4], Parameter("a"))
+    circ.h(3)  # dense on one qubit
+    circ.add("cp", [3, 1], Parameter("b", coeff=0.5, offset=0.25))
+    circ.cx(4, 2)
+    circ.add("crz", [0, 4], Parameter("c"))
+    circ.t(1)  # diag1
+    circ.add("u3", [2], Parameter("d") if parametric_u3 else 0.9, 0.4, -1.1)
+    circ.cz(0, 3).t(3)  # folds to one diag2
+    circ.add("p", [0], Parameter("a", coeff=-1.0))
+    circ.t(0).add("cp", [1, 2], 0.6).add("tdg", [4])  # three qubits wide: diag_full
+    circ.add("crz", [2, 3], Parameter("b"))
+    circ.append(Gate("fused2", (4, 1), (), _opaque_2q(3)))
+    circ.add("cp", [4, 0], Parameter("c", coeff=2.0))
+    circ.add("ccx", [3, 0, 4])
+    circ.ry(Parameter("e"), 4).add("rxx", [1, 4], Parameter("e", coeff=0.5)).rx(0.3, 3)
+    return circ
+
+
+def _assert_executors_agree(circ, rows, batched=True):
+    """Gate-by-gate ``run`` == ``plan.execute`` == each batched row ==
+    distributed on 2 and 4 ranks, to 1e-12 including the global phase."""
+    n = circ.num_qubits
+    plan = compile_circuit(circ)
+    expected = [_naive_state(circ, row) for row in rows]
+    state = np.empty(plan.dim, dtype=np.complex128)
+    for row, want in zip(rows, expected):
+        plan.execute(state, row)
+        np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
+    if batched:
+        got = BatchedStatevectorSimulator(n, len(rows)).run_plan(plan, rows)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    for ranks in (2, 4):
+        if n - ranks.bit_length() + 1 < 2:
+            continue  # each rank keeps at least two local qubits
+        dsv = DistributedStatevector(n, ranks)
+        dsv.run_plan(plan, rows[0])
+        np.testing.assert_allclose(dsv.gather(), expected[0], rtol=0, atol=1e-12)
+    return plan
+
+
 # -- equivalence --------------------------------------------------------------
 
 
 class TestPlanEquivalence:
-    @given(
-        parameterized_circuits(),
-        st.data(),
-        st.booleans(),
-        st.booleans(),
-        st.booleans(),
-    )
+    @given(parameterized_circuits(), st.data(), st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_matches_naive_bind_run(self, circ, data, fuse, fold, prefix):
-        plan = ExecutionPlan(
-            circ,
-            fuse=fuse,
-            fold_diagonals=fold,
-            enable_prefix=prefix,
-            prefix_budget=3,
-        )
+    def test_matches_naive_bind_run(self, circ, data, fold_full):
+        with mock.patch.object(plan_module, "PREFIX_BUDGET", 3):
+            plan = ExecutionPlan(circ, fold_full_diag=fold_full)
         state = np.empty(plan.dim, dtype=np.complex128)
         # several evaluations against one plan: some fresh vectors, some
         # single-parameter perturbations (the prefix-reuse pattern)
@@ -164,7 +210,7 @@ class TestPlanEquivalence:
             circ.h(q)
             circ.rz(Parameter(f"a{q}"), q)
             circ.cx(q, (q + 1) % 3)
-        plan = ExecutionPlan(circ, enable_prefix=False)
+        plan = ExecutionPlan(circ)
         params = np.array([0.3, -1.1, 2.2])
         state = np.zeros(plan.dim, dtype=np.complex128)
         state[0] = 1.0
@@ -193,7 +239,7 @@ class TestFramePass:
     @given(parameterized_circuits(), st.data())
     @settings(max_examples=120, deadline=None)
     def test_phase_exact_and_slices_compose(self, circ, data):
-        plan = ExecutionPlan(circ, enable_prefix=False)
+        plan = ExecutionPlan(circ)
         params = np.array([data.draw(angles) for _ in range(plan.num_parameters)])
         expected = _naive_state(circ, params)
         state = np.empty(plan.dim, dtype=np.complex128)
@@ -207,33 +253,57 @@ class TestFramePass:
         plan.execute_slice(state, params, cut)
         np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
 
-    @given(parameterized_circuits(wide=False), st.data())
+    @given(parameterized_circuits(parametric_u3=False), st.data())
     @settings(max_examples=60, deadline=None)
     def test_batched_and_distributed_match_scalar(self, circ, data):
-        from repro.hpc.distributed import DistributedStatevector
-        from repro.sim.batched import BatchedStatevectorSimulator
-
-        n = circ.num_qubits
-        plan = compile_circuit(circ, fold_full_diag=False)
         rows = np.array(
-            [[data.draw(angles) for _ in range(plan.num_parameters)] for _ in range(3)]
-        ).reshape(3, plan.num_parameters)
-        expected = [_naive_state(circ, row) for row in rows]
-        got = BatchedStatevectorSimulator(n, 3).run_plan(plan, rows)
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            [[data.draw(angles) for _ in range(circ.num_parameters)] for _ in range(3)]
+        ).reshape(3, circ.num_parameters)
+        _assert_executors_agree(circ, rows)
+
+    def test_every_kind_under_every_executor(self):
+        """The fixed circuit: all seven kinds are in the plan, the
+        distributed runs relocate, and the one op the batched executor
+        refuses is refused by name."""
+        rows = np.random.default_rng(11).uniform(-3, 3, (3, 5))
+        plan = _assert_executors_agree(_every_kind_circuit(parametric_u3=False), rows[:, :4])
+        assert {op.kind for op in plan.ops} == {
+            "rot", "x", "cx", "diag1", "diag2", "diag_full", "dense", "gate"
+        }
+        assert {len(op.qubits) for op in plan.ops if op.kind == "dense"} == {1, 2, 3}
+        assert {bool(op.param_refs) for op in plan.ops if op.kind == "rot"} == {True, False}
+        dsv = DistributedStatevector(5, 4)
+        dsv.run_plan(plan, rows[0, :4])
+        assert dsv.layout != list(range(5)) and dsv.exchanges > 0
+
+        circ = _every_kind_circuit()
+        plan = _assert_executors_agree(circ, rows, batched=False)
+        assert "u3" in {op.gate_name for op in plan.ops}
+        with pytest.raises(ValueError, match=r"'u3' on qubits \(2,\).*p, cp, crz"):
+            BatchedStatevectorSimulator(5, 3).run_plan(plan, rows)
+
+    def test_diag_full_after_relocation(self):
+        """A full-register diagonal reaches each rank through the
+        logical-index table once barrier gates have permuted the layout
+        — the plan a default ``compile_circuit`` used to be refused for."""
+        circ = Circuit(4).h(0).h(1).h(2).h(3)
+        circ.add("p", [3], Parameter("a")).t(0).t(2).add("cp", [3, 1], 0.8)
+        circ.add("p", [2], Parameter("b")).s(3).cz(2, 0).t(1).ry(Parameter("a"), 3)
+        plan = compile_circuit(circ)
+        assert [op.kind for op in plan.ops].count("diag_full") == 2
+        params = np.array([0.7, -1.9])
         for ranks in (2, 4):
-            if n - ranks.bit_length() + 1 < 2:
-                continue  # each rank keeps at least two local qubits
-            dsv = DistributedStatevector(n, ranks)
-            dsv.run_plan(plan, rows[0])
-            np.testing.assert_allclose(dsv.gather(), expected[0], rtol=0, atol=1e-12)
+            dsv = DistributedStatevector(4, ranks)
+            dsv.run_plan(plan, params)
+            assert dsv.layout != list(range(4))
+            np.testing.assert_allclose(
+                dsv.gather(), _naive_state(circ, params), rtol=0, atol=1e-12
+            )
 
     def test_distributed_rotation_after_relocation(self):
         """Barrier gates on the global qubits relocate them between
         rotation steps: the steps then run under a permuted layout, and
         a step whose x-mask has a global bit pays one exchange."""
-        from repro.hpc.distributed import DistributedStatevector
-
         n = 4
         circ = Circuit(n)
         for q in range(n):
@@ -241,7 +311,7 @@ class TestFramePass:
         circ.ry(Parameter("a"), 3).t(3).add("rzz", [1, 3], Parameter("b"))
         circ.t(2).cx(2, 0).rx(Parameter("c"), 2).add("ryy", [0, 3], Parameter("a", 0.5))
         circ.add("p", [3], Parameter("d")).add("rxx", [2, 3], 0.7).rz(Parameter("d"), 3)
-        plan = compile_circuit(circ, fold_full_diag=False)
+        plan = compile_circuit(circ)
         assert plan.rotation_steps >= 5
         params = np.array([0.4, -1.3, 0.9, 2.1])
         for ranks in (2, 4):
@@ -366,6 +436,61 @@ class TestFramePass:
         )
 
 
+# -- the kernel set ------------------------------------------------------------
+
+_LOWERED_KINDS = {"rot", "x", "cx", "diag1", "diag2", "diag_full", "dense"}
+
+
+class TestKernelSet:
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_adjoint_undoes_every_kind(self, batch):
+        """``apply_op(adjoint=True)`` after ``apply_op`` restores the
+        block, on one state and on a (3, 2^n) block whose rows carry
+        their own angles."""
+        rng = np.random.default_rng(5)
+        plan = compile_circuit(_every_kind_circuit(parametric_u3=not batch))
+        params = rng.uniform(-3, 3, batch + (plan.num_parameters,))
+        block = rng.normal(size=batch + (32,)) + 1j * rng.normal(size=batch + (32,))
+        seen = set()
+        for op in plan.ops:
+            kind, payload = op.resolve(params)
+            seen.add(kind)
+            before = block.copy()
+            kernels.apply_op(block, kind, payload, op.qubits, 5)
+            assert not np.allclose(block, before)
+            kernels.apply_op(block, kind, payload, op.qubits, 5, adjoint=True)
+            np.testing.assert_allclose(block, before, rtol=0, atol=1e-12)
+            kernels.apply_op(block, kind, payload, op.qubits, 5)  # walk on
+        assert seen == _LOWERED_KINDS
+
+    @pytest.mark.parametrize(
+        "kind, payload, qubits",
+        [
+            ("x", None, (1,)),
+            ("cx", None, (0, 2)),
+            ("diag1", (1.0, 1j), (2,)),
+            ("diag2", (1.0, 1j, -1.0, -1j), (2, 0)),
+            ("dense", np.eye(2, dtype=complex)[::-1], (0,)),
+        ],
+    )
+    def test_unpacked_block_is_refused(self, kind, payload, qubits):
+        """The static kernels write through a reshaped view of the last
+        axis; a block they cannot take says so, with shape and strides,
+        instead of being copied and silently left unchanged."""
+        strided = np.ones((8, 2), dtype=np.complex128)[:, 0]
+        with pytest.raises(ValueError, match=r"shape \(8,\) with strides \(32,\)"):
+            kernels.apply_op(strided, kind, payload, qubits, 3)
+        columns = np.ones((8, 3), dtype=np.complex128).T  # (3, 8), rows strided
+        with pytest.raises(ValueError, match=r"shape \(3, 8\) with strides \(16, 48\)"):
+            kernels.apply_op(columns, kind, payload, qubits, 3)
+        with pytest.raises(ValueError, match=r"2\^3 = 8 .* got shape \(6,\)"):
+            kernels.apply_op(np.ones(6, dtype=np.complex128), kind, payload, qubits, 3)
+
+    def test_unknown_kind_is_named(self):
+        with pytest.raises(ValueError, match="unknown op kind 'swap'"):
+            kernels.apply_op(np.ones(8, dtype=np.complex128), "swap", None, (0, 1), 3)
+
+
 # -- prefix reuse and invalidation -------------------------------------------
 
 
@@ -401,7 +526,8 @@ class TestPrefixReuse:
     def test_resume_probes_only_parked_positions(self):
         """A miss is a parked state whose parameters do not match — not
         one of the plan's boundaries with nothing parked at it."""
-        plan = ExecutionPlan(_shift_circuit(m=12), prefix_budget=2)
+        with mock.patch.object(plan_module, "PREFIX_BUDGET", 2):
+            plan = ExecutionPlan(_shift_circuit(m=12))
         state = np.empty(plan.dim, dtype=np.complex128)
         plan.execute(state, np.zeros(plan.num_parameters))
         assert plan.stats()["prefix_cache_misses"] == 0  # nothing parked yet
@@ -411,7 +537,8 @@ class TestPrefixReuse:
 
     def test_tiny_budget_still_exact(self):
         circ = _shift_circuit()
-        plan = ExecutionPlan(circ, prefix_budget=1)
+        with mock.patch.object(plan_module, "PREFIX_BUDGET", 1):
+            plan = ExecutionPlan(circ)
         state = np.empty(plan.dim, dtype=np.complex128)
         rng = np.random.default_rng(7)
         for _ in range(6):
@@ -465,7 +592,7 @@ class TestInvalidation:
     def test_option_change_recompiles(self):
         circ = _shift_circuit()
         plan = compile_circuit(circ)
-        other = compile_circuit(circ, fuse=False)
+        other = compile_circuit(circ, fold_full_diag=False)
         assert other is not plan
 
     def test_stale_plan_never_served_after_inplace_edit(self):
@@ -569,8 +696,6 @@ class TestConsumers:
         assert abs(got - DirectEstimator().estimate(circ.bind(list(params)), h)) < 1e-10
 
     def test_batched_run_plan_matches_scalar(self):
-        from repro.sim.batched import BatchedStatevectorSimulator
-
         circ, h, params = self._setup()
         rows = np.stack([params, params + 0.5, params * -1.0])
         plan = compile_circuit(circ)
@@ -582,10 +707,8 @@ class TestConsumers:
             )
 
     def test_distributed_run_plan_matches_scalar(self):
-        from repro.hpc.distributed import DistributedStatevector
-
         circ, h, params = self._setup()
-        plan = compile_circuit(circ, fold_full_diag=False)
+        plan = compile_circuit(circ)
         dsv = DistributedStatevector(circ.num_qubits, num_ranks=2)
         dsv.run_plan(plan, params)
         np.testing.assert_allclose(

@@ -1,10 +1,8 @@
-"""Tests for the utility layer: bit operations, linear algebra helpers,
-and timers."""
+"""Tests for the utility layer: bit operations and linear algebra
+helpers."""
 
-import time
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -26,7 +24,6 @@ from repro.utils.linalg import (
     random_statevector,
     random_unitary,
 )
-from repro.utils.profiling import Timer, timed
 
 
 class TestBitops:
@@ -98,50 +95,3 @@ class TestLinalg:
         assert global_phase_aligned(v, v * np.exp(0.7j))
         w = random_statevector(3, rng)
         assert not global_phase_aligned(v, w)
-
-
-class TestTimer:
-    def test_sections_accumulate(self):
-        t = Timer()
-        with t.section("a"):
-            time.sleep(0.002)
-        with t.section("a"):
-            pass
-        assert t.counts["a"] == 2
-        assert t.totals["a"] > 0
-        assert "a" in t.report()
-
-    def test_reset(self):
-        t = Timer()
-        with t.section("x"):
-            pass
-        t.reset()
-        assert not t.totals
-        assert not t.counts
-
-    def test_section_records_on_exception(self):
-        t = Timer()
-        with pytest.raises(RuntimeError):
-            with t.section("boom"):
-                raise RuntimeError("x")
-        assert t.counts["boom"] == 1
-
-    def test_report_orders_slowest_first(self):
-        t = Timer()
-        t.totals = {"fast": 0.1, "slow": 2.0, "mid": 0.5}
-        t.counts = {"fast": 1, "slow": 1, "mid": 1}
-        lines = t.report().splitlines()
-        assert [ln.split()[0] for ln in lines] == ["slow", "mid", "fast"]
-
-    def test_nested_sections(self):
-        t = Timer()
-        with t.section("outer"):
-            with t.section("inner"):
-                pass
-        assert t.counts == {"outer": 1, "inner": 1}
-        assert t.totals["outer"] >= t.totals["inner"]
-
-    def test_timed(self):
-        with timed() as box:
-            time.sleep(0.002)
-        assert box[0] >= 0.002
