@@ -1,11 +1,13 @@
 """Symplectic Pauli-algebra engine: packed-bit kernels vs per-term loops.
 
 ``repro.ir.symplectic`` stores a whole Pauli sum as packed (X|Z) uint64
-bit-matrices and replaces the per-term dict loops of ``PauliSum`` with
-vectorized kernels: sum x sum products with popcount phase tracking,
-commutator adjacency, qubitwise-commuting (QWC) grouping, and batched
-fermion-to-qubit mapping.  ``repro.chem.tapering`` sits on top and
-removes the Hamiltonian's Z2 symmetry qubits.
+bit-matrices and is the only Pauli algebra ``PauliSum`` runs: sum x sum
+products with popcount phase tracking, commutator adjacency,
+qubitwise-commuting (QWC) grouping, and batched fermion-to-qubit
+mapping.  The per-term dict loops it replaced are the baselines here,
+imported from the test oracle (``tests/pauli_oracle.py``).
+``repro.chem.tapering`` sits on top and removes the Hamiltonian's Z2
+symmetry qubits.
 
 Headline numbers come from the Fig. 5 system (12-qubit downfolded H2O,
 4747 terms) and the full-space H2O / LiH Hamiltonians; the size sweep
@@ -25,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from _util import write_table
 from repro.chem.fci import exact_ground_energy
@@ -32,15 +35,19 @@ from repro.chem.hamiltonian import (
     build_molecular_hamiltonian,
     synthetic_two_body_hamiltonian,
 )
-from repro.chem.mappings import (
-    _map_fermion_operator_per_term,
-    map_fermion_operator,
-)
+from repro.chem.mappings import map_fermion_operator, map_fermion_operators
 from repro.chem.molecule import h2o, lih
 from repro.chem.reference import hartree_fock_bitstring
 from repro.chem.scf import run_rhf
 from repro.chem.tapering import taper_hamiltonian
+from repro.chem.uccsd import excitation_generator, uccsd_excitations
 from repro.ir.pauli import PauliSum
+from tests.pauli_oracle import (
+    commutator_per_term,
+    dot_per_term,
+    group_qwc_per_term,
+    map_fermion_operator_per_term,
+)
 
 # Acceptance floors (12-qubit downfolded H2O / full-space H2O).
 MIN_PRODUCT_SPEEDUP = 10.0  # full 4747-term sum x sum; measured ~15x
@@ -48,6 +55,7 @@ MIN_QWC_SPEEDUP = 10.0      # full 4747-term grouping; measured ~25x
 MIN_JW_SPEEDUP = 5.0        # full-space H2O mapping; measured ~20x
 MIN_TAPERED_QUBITS = 3      # LiH and H2O both lose 4
 TAPER_ENERGY_TOL = 1e-8
+POOL_MAP_TOL = 1e-12        # one-call pool mapping vs the per-operator oracle
 
 SWEEP_SPATIAL_ORBITALS = (4, 6, 8, 10, 14)  # -> 8/12/16/20/28 qubits
 
@@ -73,7 +81,16 @@ def _top_slice(h: PauliSum, k: int) -> PauliSum:
 
 def _max_term_diff(a: PauliSum, b: PauliSum) -> float:
     keys = set(a.terms) | set(b.terms)
-    return max(abs(a.terms.get(k, 0.0) - b.terms.get(k, 0.0)) for k in keys)
+    return max(
+        (abs(a.terms.get(k, 0.0) - b.terms.get(k, 0.0)) for k in keys),
+        default=0.0,
+    )
+
+
+def _fresh_groups(h: PauliSum):
+    """QWC grouping with the memoized result dropped first."""
+    h.invalidate_caches()
+    return h.group_qubitwise_commuting()
 
 
 # -- pytest-benchmark entry points ------------------------------------------
@@ -92,7 +109,7 @@ def _heff_from_fixture(h2o_hamiltonian):
 
 def test_product_per_term_h2o_slice(benchmark, h2o_hamiltonian):
     sl = _top_slice(_heff_from_fixture(h2o_hamiltonian), 1200)
-    result = benchmark(sl._dot_per_term, sl)
+    result = benchmark(dot_per_term, sl, sl)
     assert result.num_terms > 0
 
 
@@ -100,7 +117,7 @@ def test_product_engine_h2o_slice(benchmark, h2o_hamiltonian):
     sl = _top_slice(_heff_from_fixture(h2o_hamiltonian), 1200)
     symp = sl.to_symplectic()  # pack once, outside the timer
     result = benchmark(symp.mul, symp)
-    reference = sl._dot_per_term(sl)
+    reference = dot_per_term(sl, sl)
     engine = PauliSum(sl.num_qubits, result.to_terms_dict())
     assert _max_term_diff(reference, engine) < 1e-9
 
@@ -115,7 +132,7 @@ def test_product_engine_h2o_full(benchmark, h2o_hamiltonian):
 def test_commutator_per_term_h2o(benchmark, h2o_hamiltonian):
     heff = _heff_from_fixture(h2o_hamiltonian)
     probe = _top_slice(heff, 64)
-    result = benchmark(heff._commutator_per_term, probe)
+    result = benchmark(commutator_per_term, heff, probe)
     assert result.num_qubits == heff.num_qubits
 
 
@@ -124,27 +141,27 @@ def test_commutator_engine_h2o(benchmark, h2o_hamiltonian):
     probe = _top_slice(heff, 64)
     sh, sp = heff.to_symplectic(), probe.to_symplectic()
     result = benchmark(sh.commutator, sp)
-    reference = heff._commutator_per_term(probe)
+    reference = commutator_per_term(heff, probe)
     engine = PauliSum(heff.num_qubits, result.to_terms_dict())
     assert _max_term_diff(reference, engine) < 1e-9
 
 
 def test_qwc_per_term_h2o(benchmark, h2o_hamiltonian):
     heff = _heff_from_fixture(h2o_hamiltonian)
-    groups = benchmark(heff._group_qwc_per_term)
+    groups = benchmark(group_qwc_per_term, heff)
     assert sum(len(g) for g in groups) == heff.num_terms
 
 
 def test_qwc_engine_h2o(benchmark, h2o_hamiltonian):
     heff = _heff_from_fixture(h2o_hamiltonian)
-    groups = benchmark(heff._group_qwc_engine)
-    assert len(groups) == len(heff._group_qwc_per_term())
+    groups = benchmark(_fresh_groups, heff)
+    assert len(groups) == len(group_qwc_per_term(heff))
 
 
 def test_jw_per_term_h2o(benchmark, h2o_hamiltonian):
     _, mh = h2o_hamiltonian
     fop = mh.to_fermion_operator()
-    result = benchmark(_map_fermion_operator_per_term, fop, 2 * mh.num_orbitals)
+    result = benchmark(map_fermion_operator_per_term, fop, 2 * mh.num_orbitals)
     assert result.num_terms > 0
 
 
@@ -153,7 +170,7 @@ def test_jw_engine_h2o(benchmark, h2o_hamiltonian):
     fop = mh.to_fermion_operator()
     n = 2 * mh.num_orbitals
     result = benchmark(map_fermion_operator, fop, n)
-    reference = _map_fermion_operator_per_term(fop, n)
+    reference = map_fermion_operator_per_term(fop, n)
     assert _max_term_diff(reference, result) < 1e-10
 
 
@@ -218,7 +235,7 @@ def run_smoke() -> int:
 
     # Sum x sum product: full 4747^2 pairs, per-term baseline run once.
     t0 = time.perf_counter()
-    reference = heff._dot_per_term(heff)
+    reference = dot_per_term(heff, heff)
     t_prod_pt = time.perf_counter() - t0
     t_prod_en = _best_of(lambda: symp.mul(symp), 3)
     prod_speedup = t_prod_pt / t_prod_en
@@ -236,15 +253,15 @@ def run_smoke() -> int:
     # Commutator with a 64-term probe (the ADAPT gradient shape).
     probe = _top_slice(heff, 64)
     sprobe = probe.to_symplectic()
-    t_comm_pt = _best_of(lambda: heff._commutator_per_term(probe), 1)
+    t_comm_pt = _best_of(lambda: commutator_per_term(heff, probe), 1)
     t_comm_en = _best_of(lambda: symp.commutator(sprobe), 3)
 
     # QWC grouping of the full Hamiltonian.
-    t_qwc_pt = _best_of(heff._group_qwc_per_term, 1)
-    t_qwc_en = _best_of(heff._group_qwc_engine, 3)
+    t_qwc_pt = _best_of(lambda: group_qwc_per_term(heff), 1)
+    t_qwc_en = _best_of(lambda: _fresh_groups(heff), 3)
     qwc_speedup = t_qwc_pt / t_qwc_en
-    n_groups = len(heff._group_qwc_engine())
-    if len(heff._group_qwc_per_term()) != n_groups:
+    n_groups = len(_fresh_groups(heff))
+    if len(group_qwc_per_term(heff)) != n_groups:
         failures.append("QWC engine/per-term group counts differ")
     if qwc_speedup < MIN_QWC_SPEEDUP:
         failures.append(
@@ -257,18 +274,36 @@ def run_smoke() -> int:
     fop = mh.to_fermion_operator()
     n_modes = 2 * mh.num_orbitals
     t_jw_pt = _best_of(
-        lambda: _map_fermion_operator_per_term(fop, n_modes), 2
+        lambda: map_fermion_operator_per_term(fop, n_modes), 2
     )
     t_jw_en = _best_of(lambda: map_fermion_operator(fop, n_modes), 3)
     jw_speedup = t_jw_pt / t_jw_en
     jw_err = _max_term_diff(
-        _map_fermion_operator_per_term(fop, n_modes),
+        map_fermion_operator_per_term(fop, n_modes),
         map_fermion_operator(fop, n_modes),
     )
     if jw_err > 1e-10:
         failures.append(f"JW mismatch: {jw_err:.3e} > 1e-10")
     if jw_speedup < MIN_JW_SPEEDUP:
         failures.append(f"JW speedup {jw_speedup:.1f}x < {MIN_JW_SPEEDUP}x")
+
+    # Agreement row, no floor: the 12-qubit UCCSD generator list (the
+    # Fig. 5 pool) through one map_fermion_operators call vs the oracle
+    # operator by operator.
+    singles, doubles = uccsd_excitations(12, 8)
+    gens = [excitation_generator(e) for e in list(singles) + list(doubles)]
+    t_pool_pt = _best_of(
+        lambda: [map_fermion_operator_per_term(g, 12) for g in gens], 3
+    )
+    t_pool_en = _best_of(lambda: map_fermion_operators(gens, 12), 5)
+    pool_err = max(
+        _max_term_diff(map_fermion_operator_per_term(g, 12), a)
+        for g, a in zip(gens, map_fermion_operators(gens, 12))
+    )
+    if pool_err > POOL_MAP_TOL:
+        failures.append(
+            f"UCCSD pool mapping mismatch: {pool_err:.3e} > {POOL_MAP_TOL}"
+        )
 
     table = write_table(
         "pauli_algebra",
@@ -301,6 +336,13 @@ def run_smoke() -> int:
                 f"{t_jw_pt:.3f}",
                 f"{t_jw_en:.3f}",
                 f"{jw_speedup:.1f}x",
+            ),
+            (
+                "UCCSD pool mapping (one call)",
+                f"{len(gens)} generators, 12 modes, max |dc| {pool_err:.1e}",
+                f"{t_pool_pt:.4f}",
+                f"{t_pool_en:.4f}",
+                f"{t_pool_pt / t_pool_en:.1f}x",
             ),
         ],
         caption="Symplectic engine vs per-term loops "

@@ -46,6 +46,7 @@ from repro.chem.mappings import (
     bravyi_kitaev,
     jordan_wigner,
     map_fermion_operator,
+    map_fermion_operators,
     parity_transform,
 )
 from repro.chem.molecule import Atom, Molecule, beh2, h2, h2o, h4_chain, hydrogen_fluoride, lih
@@ -113,6 +114,7 @@ __all__ = [
     "parity_transform",
     "bravyi_kitaev",
     "map_fermion_operator",
+    "map_fermion_operators",
     "MolecularHamiltonian",
     "build_molecular_hamiltonian",
     "synthetic_two_body_hamiltonian",

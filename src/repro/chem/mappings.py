@@ -14,37 +14,33 @@ follow from ``beta``:
   (the occupation projector).
 
 Then  a+_p = X_U . Z_P . (I + Z_F)/2   and   a_p = X_U . Z_P . (I - Z_F)/2,
-with all products carried out exactly in the Pauli algebra of
-``repro.ir.pauli`` (phases emerge automatically where X and Z strings
-overlap).  Jordan–Wigner is ``beta = I``; parity is the prefix-sum
+with all products carried out exactly in the packed Pauli algebra of
+``repro.ir.symplectic`` (phases emerge automatically where X and Z
+strings overlap).  Jordan–Wigner is ``beta = I``; parity is the prefix-sum
 matrix; Bravyi–Kitaev is the Seeley–Richard–Love block-doubling matrix
 (log-depth parity/update sets).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Literal, Tuple
+from typing import Dict, List, Literal, Sequence, Tuple
 
 import numpy as np
 
 from repro.chem.fermion import FermionOperator
-from repro.ir.pauli import PauliString, PauliSum
-from repro.ir.symplectic import SymplecticPauli, pack_masks, pauli_mul_batch
+from repro.ir.pauli import PauliSum
+from repro.ir.symplectic import dedup_rows, pack_masks, pauli_mul_batch, unpack_masks
 
 __all__ = [
     "jordan_wigner",
     "parity_transform",
     "bravyi_kitaev",
     "map_fermion_operator",
+    "map_fermion_operators",
     "encoding_matrix",
 ]
 
 MappingName = Literal["jordan-wigner", "parity", "bravyi-kitaev"]
-
-# Below this many fermionic terms the per-term mapping loop is used —
-# it is fast enough there and preserves its historical output ordering
-# (which seeds the QWC-grouping scan order for small systems).
-_BATCH_TERM_CUTOFF = 512
 
 
 def encoding_matrix(name: str, n: int) -> np.ndarray:
@@ -117,7 +113,7 @@ class _Mapper:
             self.update_masks.append(u)
             self.parity_masks.append(pmask)
             self.flip_masks.append(f)
-        # Packed factor tables for the batched mapping path.  A ladder
+        # Packed factor tables for map_fermion_operators.  A ladder
         # operator expands into two Hermitian-convention rows:
         #   a(+/-)_p = 0.5 i^{-|U&P|}       P(U, P)
         #            +/- 0.5 i^{-|U&(P^F)|} P(U, P^F)
@@ -144,23 +140,6 @@ class _Mapper:
             ]
         )
 
-        self._ladders: Dict[Tuple[int, bool], PauliSum] = {}
-
-    def ladder(self, p: int, dagger: bool) -> PauliSum:
-        """a+_p or a_p as a 2-term PauliSum.  Built once per (p, dagger)
-        and shared: callers combine it with ``dot`` / ``*`` / ``+``,
-        which return new sums, and must not mutate it."""
-        cached = self._ladders.get((p, dagger))
-        if cached is None:
-            n = self.n
-            x_u = PauliSum.from_string(PauliString(n, x=self.update_masks[p]))
-            z_p = PauliSum.from_string(PauliString(n, z=self.parity_masks[p]))
-            z_f = PauliSum.from_string(PauliString(n, z=self.flip_masks[p]))
-            sign = 1.0 if dagger else -1.0
-            projector = (PauliSum.identity(n) + sign * z_f) * 0.5
-            cached = self._ladders[p, dagger] = x_u.dot(z_p).dot(projector)
-        return cached
-
 
 _MAPPER_CACHE: Dict[Tuple[str, int], _Mapper] = {}
 
@@ -172,53 +151,55 @@ def _get_mapper(name: str, n: int) -> _Mapper:
     return _MAPPER_CACHE[key]
 
 
-def map_fermion_operator(
-    op: FermionOperator, num_modes: int, mapping: str = "jordan-wigner"
-) -> PauliSum:
-    """Map a fermionic operator to a qubit operator on ``num_modes`` qubits.
+def map_fermion_operators(
+    ops: Sequence[FermionOperator],
+    num_modes: int,
+    mapping: str = "jordan-wigner",
+) -> List[PauliSum]:
+    """Map a list of fermionic operators to qubit operators on
+    ``num_modes`` qubits in one pass — the one fermion-to-qubit path.
 
-    Large operators take the batched path: fermionic terms are bucketed
-    by ladder length ``k`` and each bucket's products expanded
-    simultaneously — a (terms, 2^t, words) symplectic batch doubled once
-    per ladder factor via :func:`repro.ir.symplectic.pauli_mul_batch`,
-    then collapsed with one global dedup — instead of per-term
-    ``PauliSum.dot`` chains.  Small operators keep the per-term loop
-    (and its output term ordering).
+    Every ladder term of every operator is bucketed by its length ``k``
+    and each bucket expanded at once: a (terms, 2^k, words) symplectic
+    batch doubled per ladder factor by
+    :func:`repro.ir.symplectic.pauli_mul_batch`, each row tagged with the
+    operator it came from.  One sort on (owner, x, z)
+    (:func:`repro.ir.symplectic.dedup_rows`) sums duplicates within each
+    operator and leaves the operators as contiguous runs, which split
+    back into one :class:`PauliSum` each, terms in ascending ``(x, z)``
+    order.  Mapping a whole list (a UCCSD pool, every RDM element) pays
+    the array set-up once instead of once per operator.
     """
-    if op.max_orbital >= num_modes:
-        raise ValueError(
-            f"operator touches orbital {op.max_orbital} >= num_modes {num_modes}"
-        )
-    if len(op.terms) <= _BATCH_TERM_CUTOFF:
-        return _map_fermion_operator_per_term(op, num_modes, mapping)
     mapper = _get_mapper(mapping, num_modes)
     words = mapper._fx.shape[1]
-    identity_coeff = 0.0 + 0j
     buckets: Dict[int, list] = {}
-    for term, coeff in op:
-        if not term:
-            identity_coeff += complex(coeff)
-            continue
-        buckets.setdefault(len(term), []).append((term, complex(coeff)))
+    for owner, op in enumerate(ops):
+        for term, coeff in op:
+            buckets.setdefault(len(term), []).append((owner, term, coeff))
+    if not buckets:
+        return [PauliSum.zero(num_modes) for _ in ops]
 
+    # The owner column costs a byte per expanded row when ops < 256.
+    owner_dtype = np.min_scalar_type(len(ops))
     pieces = []
-    if identity_coeff != 0:
-        pieces.append(
-            (
-                np.zeros((1, words), dtype=np.uint64),
-                np.zeros((1, words), dtype=np.uint64),
-                np.array([identity_coeff]),
-            )
-        )
     for k, entries in buckets.items():
         m = len(entries)
+        owners = np.array([owner for owner, _, _ in entries], dtype=owner_dtype)
         # Per-factor choice arrays: (m, k) index tables into the mapper's
         # packed factor rows, plus the dagger sign on the z^F choice.
-        orbs = np.array([[orb for orb, _ in term] for term, _ in entries])
+        orbs = np.array(
+            [[orb for orb, _ in term] for _, term, _ in entries], dtype=np.int64
+        ).reshape(m, k)
+        if k and orbs.max() >= num_modes:
+            row = int(np.argmax(orbs.max(axis=1)))
+            raise ValueError(
+                f"operator {owners[row]} touches orbital {orbs[row].max()} "
+                f">= num_modes {num_modes}"
+            )
         signs = np.array(
-            [[1.0 if dag else -1.0 for _, dag in term] for term, _ in entries]
-        )
-        coeffs = np.array([c for _, c in entries])
+            [[1.0 if dag else -1.0 for _, dag in term] for _, term, _ in entries]
+        ).reshape(m, k)
+        coeffs = np.array([c for _, _, c in entries], dtype=np.complex128)
         # Running batch product, doubling per ladder factor.
         bx = np.zeros((m, 1, words), dtype=np.uint64)
         bz = np.zeros((m, 1, words), dtype=np.uint64)
@@ -226,58 +207,42 @@ def map_fermion_operator(
         for t in range(k):
             p = orbs[:, t]
             fx = mapper._fx[p][:, None, :]
-            out = []
-            for fz, fc in (
-                (mapper._fz0[p], mapper._fc0[p]),
-                (mapper._fz1[p], mapper._fc1[p] * signs[:, t]),
-            ):
-                out.append(
-                    pauli_mul_batch(
-                        bx, bz, bc, fx, fz[:, None, :], fc[:, None]
-                    )
+            out = [
+                pauli_mul_batch(bx, bz, bc, fx, fz[:, None, :], fc[:, None])
+                for fz, fc in (
+                    (mapper._fz0[p], mapper._fc0[p]),
+                    (mapper._fz1[p], mapper._fc1[p] * signs[:, t]),
                 )
+            ]
             bx = np.concatenate([o[0] for o in out], axis=1)
             bz = np.concatenate([o[1] for o in out], axis=1)
             bc = np.concatenate([o[2] for o in out], axis=1)
-        bc = bc * coeffs[:, None]
         pieces.append(
             (
                 bx.reshape(-1, words),
                 bz.reshape(-1, words),
-                bc.reshape(-1),
+                (bc * coeffs[:, None]).reshape(-1),
+                np.repeat(owners, 1 << k),
             )
         )
 
-    if not pieces:
-        return PauliSum.zero(num_modes)
-    symp = SymplecticPauli(
-        num_modes,
-        np.concatenate([p[0] for p in pieces], axis=0),
-        np.concatenate([p[1] for p in pieces], axis=0),
-        np.concatenate([p[2] for p in pieces]),
-    ).dedup(threshold=1e-14)
-    return PauliSum(num_modes, symp.to_terms_dict())
+    x, z, c, owner = (np.concatenate([p[i] for p in pieces]) for i in range(4))
+    x, z, c, owner = dedup_rows(num_modes, x, z, c, 1e-14, owner)
+    keys = list(zip(unpack_masks(x), unpack_masks(z)))
+    cs = c.tolist()
+    bounds = np.searchsorted(owner, np.arange(len(ops) + 1)).tolist()
+    return [
+        PauliSum(num_modes, dict(zip(keys[lo:hi], cs[lo:hi])))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
-def _map_fermion_operator_per_term(
+def map_fermion_operator(
     op: FermionOperator, num_modes: int, mapping: str = "jordan-wigner"
 ) -> PauliSum:
-    """Reference per-term mapping loop (baseline for benchmarks)."""
-    if op.max_orbital >= num_modes:
-        raise ValueError(
-            f"operator touches orbital {op.max_orbital} >= num_modes {num_modes}"
-        )
-    mapper = _get_mapper(mapping, num_modes)
-    result = PauliSum.zero(num_modes)
-    for term, coeff in op:
-        if not term:
-            result = result + PauliSum.identity(num_modes, coeff)
-            continue
-        acc = mapper.ladder(*term[0])
-        for orb, dag in term[1:]:
-            acc = acc.dot(mapper.ladder(orb, dag))
-        result = result + acc * coeff
-    return result.chop(1e-14)
+    """Map one fermionic operator to a qubit operator on ``num_modes``
+    qubits: the one-element :func:`map_fermion_operators` call."""
+    return map_fermion_operators([op], num_modes, mapping)[0]
 
 
 def jordan_wigner(op: FermionOperator, num_modes: int) -> PauliSum:

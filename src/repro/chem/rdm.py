@@ -9,8 +9,9 @@ The 1- and 2-RDMs
 are the chemistry-side observables a converged VQE state is *for*:
 every one- and two-body property (energies, dipoles, natural
 occupations, correlation functions) is a contraction against them.
-Computed here by mapping each ladder pair/quadruple through
-Jordan–Wigner and taking direct expectations — exact, no sampling.
+Computed here by mapping every ladder pair/quadruple through
+Jordan–Wigner in one batched call and taking direct expectations —
+exact, no sampling.
 
 The energy-reconstruction identity
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from repro.chem.fermion import FermionOperator
 from repro.chem.hamiltonian import MolecularHamiltonian
-from repro.chem.mappings import jordan_wigner
+from repro.chem.mappings import map_fermion_operators
 
 __all__ = [
     "one_rdm",
@@ -44,15 +45,15 @@ def one_rdm(state: np.ndarray, num_spin_orbitals: int) -> np.ndarray:
     if state.shape != (1 << n,):
         raise ValueError("state dimension mismatch")
     d1 = np.zeros((n, n), dtype=np.complex128)
-    for p in range(n):
-        for q in range(p, n):
-            op = jordan_wigner(
-                FermionOperator.term([(p, True), (q, False)]), n
-            )
-            val = op.expectation(state)
-            d1[p, q] = val
-            if p != q:
-                d1[q, p] = val.conjugate()
+    pairs = [(p, q) for p in range(n) for q in range(p, n)]
+    ops = map_fermion_operators(
+        [FermionOperator.term([(p, True), (q, False)]) for p, q in pairs], n
+    )
+    for (p, q), op in zip(pairs, ops):
+        val = op.expectation(state)
+        d1[p, q] = val
+        if p != q:
+            d1[q, p] = val.conjugate()
     return d1
 
 
@@ -64,26 +65,23 @@ def two_rdm(state: np.ndarray, num_spin_orbitals: int) -> np.ndarray:
     if state.shape != (1 << n,):
         raise ValueError("state dimension mismatch")
     d2 = np.zeros((n, n, n, n), dtype=np.complex128)
-    for p in range(n):
-        for q in range(p + 1, n):
-            for r in range(n):
-                for s in range(r + 1, n):
-                    if (p, q) > (r, s):
-                        continue  # fill by Hermiticity below
-                    op = jordan_wigner(
-                        FermionOperator.term(
-                            [(p, True), (q, True), (s, False), (r, False)]
-                        ),
-                        n,
-                    )
-                    val = op.expectation(state)
-                    for (a, b), sgn1 in (((p, q), 1.0), ((q, p), -1.0)):
-                        for (c, d), sgn2 in (((r, s), 1.0), ((s, r), -1.0)):
-                            d2[a, b, c, d] = sgn1 * sgn2 * val
-                            # Hermitian partner: <a+_c a+_d a_b a_a>* ...
-                            d2[c, d, a, b] = (
-                                sgn1 * sgn2 * val.conjugate()
-                            )
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    # (p, q) <= (r, s) only: the rest fill by Hermiticity below
+    quads = [(p, q, r, s) for p, q in pairs for r, s in pairs if (p, q) <= (r, s)]
+    ops = map_fermion_operators(
+        [
+            FermionOperator.term([(p, True), (q, True), (s, False), (r, False)])
+            for p, q, r, s in quads
+        ],
+        n,
+    )
+    for (p, q, r, s), op in zip(quads, ops):
+        val = op.expectation(state)
+        for (a, b), sgn1 in (((p, q), 1.0), ((q, p), -1.0)):
+            for (c, d), sgn2 in (((r, s), 1.0), ((s, r), -1.0)):
+                d2[a, b, c, d] = sgn1 * sgn2 * val
+                # Hermitian partner: <a+_c a+_d a_b a_a>* ...
+                d2[c, d, a, b] = sgn1 * sgn2 * val.conjugate()
     return d2
 
 

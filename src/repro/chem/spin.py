@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.chem.fermion import FermionOperator
-from repro.chem.mappings import jordan_wigner
+from repro.chem.mappings import map_fermion_operators
 from repro.ir.pauli import PauliSum
 
 __all__ = ["s_z_operator", "s_plus_operator", "s_squared_operator", "spin_expectations"]
@@ -52,8 +52,9 @@ def spin_expectations(
     n_so = 2 * num_spatial
     if state.shape != (1 << n_so,):
         raise ValueError("state dimension mismatch")
-    sz_q = jordan_wigner(s_z_operator(num_spatial), n_so)
-    s2_q = jordan_wigner(s_squared_operator(num_spatial), n_so)
+    sz_q, s2_q = map_fermion_operators(
+        [s_z_operator(num_spatial), s_squared_operator(num_spatial)], n_so
+    )
     return (
         float(sz_q.expectation(state).real),
         float(s2_q.expectation(state).real),

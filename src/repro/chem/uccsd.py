@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.chem.fermion import FermionOperator
-from repro.chem.mappings import jordan_wigner
+from repro.chem.mappings import map_fermion_operators
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Parameter
 from repro.ir.pauli import PauliString, PauliSum
@@ -115,13 +115,11 @@ def uccsd_generators(
     singles, doubles = uccsd_excitations(
         num_spin_orbitals, num_electrons, generalized
     )
-    out = []
-    for exc in list(singles) + list(doubles):
-        gen = excitation_generator(exc)
-        a = jordan_wigner(gen, num_spin_orbitals)
-        if a.num_terms:
-            out.append((tuple(exc), a))
-    return out
+    excitations = list(singles) + list(doubles)
+    mapped = map_fermion_operators(
+        [excitation_generator(exc) for exc in excitations], num_spin_orbitals
+    )
+    return [(tuple(exc), a) for exc, a in zip(excitations, mapped) if a.num_terms]
 
 
 def pauli_exponential(

@@ -8,9 +8,14 @@ and Lagrange optimization gives the classic answer: allocate shots
 proportionally to the square root of each group's variance,
 ``s_g ~ sqrt(Var_g)``.  Uniform allocation — what a naive driver does —
 wastes budget on tiny-coefficient groups.  Both policies are provided
-so the benchmark can quantify the gap; group variances are either
-supplied (from a pilot run) or bounded by ``(sum_i |c_i|)^2`` per
-group, the worst case.
+so the benchmark can quantify the gap.  :func:`allocate_shots` takes
+any per-group variances (true ones, or estimates from a pilot run);
+:func:`sampled_energy_with_allocation` always weights by the worst-case
+bound ``(sum_i |c_i|)^2`` per group, which can be far from the true
+variance — on a UCCSD state of STO-3G H2 it is ~120x loose on the
+11-term group and ~1.04x on the one-term groups, so the ``"variance"``
+policy there is *worse* than uniform (RMS 0.0121 vs 0.0093 Ha at 2 000
+shots, against 0.0076 for the true-variance optimum).
 """
 
 from __future__ import annotations
@@ -63,7 +68,8 @@ def sampled_energy_with_allocation(
     """Finite-shot <H> under a shot-allocation policy.
 
     ``policy`` is ``"variance"`` (sqrt-weighted by the group coefficient
-    1-norm squared — the worst-case variance bound) or ``"uniform"``.
+    1-norm squared — the worst-case variance bound, not the group's
+    actual variance) or ``"uniform"``.
     """
     rng = rng or np.random.default_rng()
     n = hamiltonian.num_qubits

@@ -14,9 +14,11 @@ contributes ``i X Z``), so every ``PauliString`` is Hermitian and a
 ``PauliSum`` is Hermitian iff all its coefficients are real.
 
 This representation makes products, commutators and statevector
-application O(1)-per-term bit arithmetic — which is what lets the
-downfolding commutator expansion (``repro.chem.downfolding``) run over
-thousands of terms without symbolic blowup.
+application bit arithmetic — which is what lets the downfolding
+commutator expansion (``repro.chem.downfolding``) run over thousands of
+terms without symbolic blowup.  Every sum-level operation (product,
+commutator, grouping, simplification) runs on the packed form of
+:mod:`repro.ir.symplectic`.
 """
 
 from __future__ import annotations
@@ -33,15 +35,13 @@ from repro.utils.bitops import popcount as _popcount
 
 __all__ = ["PauliString", "PauliSum"]
 
-# Products/commutators with at most this many term pairs stay on the
-# per-term dict loop; above it the packed symplectic engine
-# (repro.ir.symplectic) wins despite its array set-up cost.  Grouping
-# switches on term count for the same reason.
-_ENGINE_PAIR_CUTOFF = 4096
-_ENGINE_GROUP_CUTOFF = 48
-
 _CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_CHAR = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+
+
+def _check_width(left: int, right: int) -> None:
+    if left != right:
+        raise ValueError(f"qubit count mismatch: {left} vs {right}")
 
 
 class PauliString:
@@ -84,7 +84,12 @@ class PauliString:
         for q, ch in ops.items():
             if q < 0 or q >= num_qubits:
                 raise ValueError(f"qubit {q} out of range")
-            xb, zb = _CHAR_TO_XZ[ch.upper()]
+            try:
+                xb, zb = _CHAR_TO_XZ[ch.upper()]
+            except KeyError:
+                raise ValueError(
+                    f"invalid Pauli character {ch!r} on qubit {q}"
+                ) from None
             if (xb, zb) == (0, 0):
                 continue
             x |= xb << q
@@ -136,8 +141,7 @@ class PauliString:
         The result of a product of two Pauli strings is always a phase
         in {1, i, -1, -i} times another Pauli string.
         """
-        if self.num_qubits != other.num_qubits:
-            raise ValueError("qubit count mismatch")
+        _check_width(self.num_qubits, other.num_qubits)
         x3 = self.x ^ other.x
         z3 = self.z ^ other.z
         # i^{c1 + c2 - c3} * (-1)^{|z1 & x2|}
@@ -343,8 +347,7 @@ class PauliSum:
     # -- mutation ---------------------------------------------------------------
 
     def add_term(self, pauli: PauliString, coeff: complex) -> None:
-        if pauli.num_qubits != self.num_qubits:
-            raise ValueError("qubit count mismatch")
+        _check_width(self.num_qubits, pauli.num_qubits)
         key = (pauli.x, pauli.z)
         new = self.terms.get(key, 0.0) + complex(coeff)
         if new == 0:
@@ -370,8 +373,9 @@ class PauliSum:
         so this is mainly a convenience for code that built ``terms``
         out-of-band or wants a chop that does not mutate in place.
         """
-        engine = self.to_symplectic().dedup(threshold=threshold)
-        return PauliSum(self.num_qubits, engine.to_terms_dict())
+        return PauliSum.from_symplectic(
+            self.to_symplectic().dedup(threshold=threshold)
+        )
 
     # -- inspection ---------------------------------------------------------------
 
@@ -402,8 +406,7 @@ class PauliSum:
     # -- algebra ---------------------------------------------------------------------
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
-        if self.num_qubits != other.num_qubits:
-            raise ValueError("qubit count mismatch")
+        _check_width(self.num_qubits, other.num_qubits)
         out = PauliSum(self.num_qubits, dict(self.terms))
         for key, coeff in other.terms.items():
             new = out.terms.get(key, 0.0) + coeff
@@ -441,85 +444,23 @@ class PauliSum:
         return self * -1.0
 
     def dot(self, other: "PauliSum") -> "PauliSum":
-        """Operator product (collapses duplicate strings as it goes).
-
-        Small products run the per-term dict loop; large ones route
-        through the packed symplectic engine (chunked outer product with
-        vectorized phase tracking), which is ≥10x faster on
-        Hamiltonian-sized sums.
-        """
-        if self.num_qubits != other.num_qubits:
-            raise ValueError("qubit count mismatch")
-        if len(self.terms) * len(other.terms) > _ENGINE_PAIR_CUTOFF:
-            engine = self.to_symplectic().mul(other.to_symplectic())
-            return PauliSum(self.num_qubits, engine.to_terms_dict())
-        return self._dot_per_term(other)
-
-    def _dot_per_term(self, other: "PauliSum") -> "PauliSum":
-        """Reference per-term product loop (baseline for benchmarks)."""
-        n = self.num_qubits
-        out: Dict[Tuple[int, int], complex] = {}
-        for (x1, z1), c1 in self.terms.items():
-            c11 = _popcount(x1 & z1)
-            for (x2, z2), c2 in other.terms.items():
-                x3 = x1 ^ x2
-                z3 = z1 ^ z2
-                exponent = (
-                    c11
-                    + _popcount(x2 & z2)
-                    - _popcount(x3 & z3)
-                    + 2 * _popcount(z1 & x2)
-                ) % 4
-                coeff = c1 * c2 * _I_POW[exponent]
-                key = (x3, z3)
-                new = out.get(key, 0.0) + coeff
-                if new == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = new
-        return PauliSum(n, out)
+        """Operator product on the packed symplectic engine: every term
+        pair multiplied with vectorized phase tracking, then one
+        dedup-and-sum; terms come out in ascending ``(x, z)`` order."""
+        return PauliSum.from_symplectic(
+            self.to_symplectic().mul(other.to_symplectic())
+        )
 
     def commutator(self, other: "PauliSum") -> "PauliSum":
-        """[self, other], skipping commuting pairs.
+        """[self, other] on the packed symplectic engine.
 
         For Pauli strings either the pair commutes (contribution zero)
-        or anticommutes (contribution ``2 * P1 P2``), so the commutator
-        costs one product per anticommuting pair.  Large commutators
-        route through the symplectic engine's vectorized adjacency +
-        gather path.
+        or anticommutes (contribution ``2 * P1 P2``), so the engine
+        multiplies only the anticommuting pairs of its adjacency matrix.
         """
-        if self.num_qubits != other.num_qubits:
-            raise ValueError("qubit count mismatch")
-        if len(self.terms) * len(other.terms) > _ENGINE_PAIR_CUTOFF:
-            engine = self.to_symplectic().commutator(other.to_symplectic())
-            return PauliSum(self.num_qubits, engine.to_terms_dict())
-        return self._commutator_per_term(other)
-
-    def _commutator_per_term(self, other: "PauliSum") -> "PauliSum":
-        """Reference per-term commutator loop (baseline for benchmarks)."""
-        n = self.num_qubits
-        out: Dict[Tuple[int, int], complex] = {}
-        for (x1, z1), c1 in self.terms.items():
-            c11 = _popcount(x1 & z1)
-            for (x2, z2), c2 in other.terms.items():
-                if (_popcount(x1 & z2) + _popcount(z1 & x2)) % 2 == 0:
-                    continue  # commuting pair contributes nothing
-                x3 = x1 ^ x2
-                z3 = z1 ^ z2
-                exponent = (
-                    c11
-                    + _popcount(x2 & z2)
-                    - _popcount(x3 & z3)
-                    + 2 * _popcount(z1 & x2)
-                ) % 4
-                coeff = 2.0 * c1 * c2 * _I_POW[exponent]
-                key = (x3, z3)
-                new = out.get(key, 0.0) + coeff
-                if new == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = new
-        return PauliSum(n, out)
+        return PauliSum.from_symplectic(
+            self.to_symplectic().commutator(other.to_symplectic())
+        )
 
     # -- numerics --------------------------------------------------------------------
 
@@ -582,52 +523,21 @@ class PauliSum:
         copy of the cached post-ansatz state, which is exactly the
         saving quantified in Fig. 3 of the paper.
 
-        The greedy pass is O(terms^2); the result is memoized on the
-        instance (invalidated by ``add_term``/``chop``) because every
-        basis-rotated / sampled expectation needs the same grouping.
-        Callers share the returned structure — treat it as read-only.
+        The greedy first-fit scan (:meth:`SymplecticPauli.group_qubitwise`:
+        descending ``|coeff|``, ties in ``(x, z)`` order, so the groups
+        depend only on the terms, not on their insertion order) is
+        memoized on the instance (invalidated by ``add_term``/``chop``)
+        because every basis-rotated / sampled expectation needs the same
+        grouping.  Callers share the returned structure — treat it as
+        read-only.
         """
-        if self._qwc_groups is not None:
-            return self._qwc_groups
-        if len(self.terms) > _ENGINE_GROUP_CUTOFF:
-            groups = self._group_qwc_engine()
-        else:
-            groups = self._group_qwc_per_term()
-        self._qwc_groups = groups
-        return groups
-
-    def _group_qwc_engine(self) -> List[List[Tuple[complex, PauliString]]]:
-        """Engine grouping: greedy first-fit against packed group union
-        masks, scanning terms by descending |coeff|."""
-        symp = self.to_symplectic()
-        # Stable descending-|coeff| scan: ties keep dict insertion order,
-        # matching the per-term reference path exactly.
-        order = np.argsort(-np.abs(symp.coeffs), kind="stable")
-        terms = list(self)
-        return [
-            [terms[i] for i in group]
-            for group in symp.group_qubitwise(order=order)
-        ]
-
-    def _group_qwc_per_term(self) -> List[List[Tuple[complex, PauliString]]]:
-        """Reference per-term grouping loop (baseline for benchmarks)."""
-        groups: List[List[Tuple[complex, PauliString]]] = []
-        # Greedy first-fit over terms sorted by descending |coeff| so that
-        # heavy terms seed the groups.
-        ordered = sorted(self, key=lambda t: -abs(t[0]))
-        reps: List[List[PauliString]] = []
-        for coeff, pstr in ordered:
-            placed = False
-            for gi, members in enumerate(reps):
-                if all(pstr.qubitwise_commutes_with(m) for m in members):
-                    groups[gi].append((coeff, pstr))
-                    members.append(pstr)
-                    placed = True
-                    break
-            if not placed:
-                groups.append([(coeff, pstr)])
-                reps.append([pstr])
-        return groups
+        if self._qwc_groups is None:
+            terms = list(self)
+            self._qwc_groups = [
+                [terms[i] for i in group]
+                for group in self.to_symplectic().group_qubitwise()
+            ]
+        return self._qwc_groups
 
     def group_general_commuting(
         self, strategy: str = "largest_first"

@@ -1,11 +1,10 @@
 """Vectorized symplectic Pauli algebra on packed (X|Z) bit-matrices.
 
-``repro.ir.pauli`` stores one term per dict entry and runs products,
-commutators, and grouping as per-term Python loops — fine for tens of
-terms, quadratic-with-a-large-constant for the 4747-term downfolded
-H2O Hamiltonian that every real workload (downfolding commutator
-expansions, ADAPT pool screening, QWC grouping, term-counting sweeps)
-funnels through.
+``repro.ir.pauli`` stores one term per dict entry; per-term Python
+loops over those dicts are quadratic-with-a-large-constant for the
+4747-term downfolded H2O Hamiltonian that every real workload
+(downfolding commutator expansions, ADAPT pool screening, QWC grouping,
+term-counting sweeps) funnels through.
 
 This module is the batched core: a whole Pauli sum becomes three NumPy
 arrays —
@@ -30,10 +29,18 @@ string).  All algebra is then bit arithmetic over whole matrices:
   the kernel of the stacked Hamiltonian bit-matrix is exactly the Z2
   symmetry group that :mod:`repro.chem.tapering` tapers away.
 
-:class:`repro.ir.pauli.PauliSum` routes its ``dot`` / ``commutator`` /
-``group_qubitwise_commuting`` / ``simplify`` through this engine above
-a small size cutoff and memoizes the packed form under its ``_version``
-cache protocol; nothing here mutates a source sum.
+This is the only sum-level Pauli algebra in the package:
+:class:`repro.ir.pauli.PauliSum` runs every ``dot`` / ``commutator`` /
+``group_qubitwise_commuting`` / ``simplify`` here, at every size, and
+memoizes the packed form under its ``_version`` cache protocol;
+:func:`repro.chem.mappings.map_fermion_operators` expands ladder
+products with :func:`pauli_mul_batch` and collapses them with the same
+dedup.  Nothing here mutates a source sum.
+
+Term order is defined once: dedup (and so every product, commutator
+and mapping) emits rows in ascending ``(x, z)`` order, the masks read
+as integers, and QWC grouping scans by descending ``|coeff|`` with ties
+in that order — a sum's measurement groups depend only on its terms.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ __all__ = [
     "popcount_words",
     "parity_words",
     "pauli_mul_batch",
+    "dedup_rows",
     "gf2_rref",
     "gf2_kernel",
 ]
@@ -88,11 +96,11 @@ _SIGN_CHUNK = 1 << 18
 def _dedup_packed(
     packed: np.ndarray, coeffs: np.ndarray, threshold: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sort packed ``(x << 32) | z`` keys, sum coefficients of equal
-    keys (``np.add.reduceat`` over run boundaries), drop
-    ``|coeff| <= threshold``.  Returns ``(unique_keys, coeffs)`` in
-    ascending key order — the same lexicographic (X|Z) order the
-    general row-matrix path produces."""
+    """Sort packed uint64 row keys (``(x << 32) | z`` and the like),
+    sum coefficients of equal keys (``np.add.reduceat`` over run
+    boundaries), drop ``|coeff| <= threshold``.  Returns
+    ``(unique_keys, coeffs)`` in ascending key order — the same (x, z)
+    order the general row-matrix path produces."""
     order = np.argsort(packed)
     srt = packed[order]
     boundary = np.empty(len(srt), dtype=bool)
@@ -102,6 +110,68 @@ def _dedup_packed(
     summed = np.add.reduceat(coeffs[order], idx)
     keep = np.abs(summed) > threshold
     return srt[idx][keep], summed[keep]
+
+
+def _key_columns(x: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``np.lexsort`` keys (last = primary) ordering rows by ``(x, z)``
+    as integers: highest x word first, lowest z word last."""
+    return tuple(z.T) + tuple(x.T)
+
+
+def dedup_rows(
+    num_qubits: int,
+    x: np.ndarray,
+    z: np.ndarray,
+    coeffs: np.ndarray,
+    threshold: float = 0.0,
+    owner: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sort non-empty rows by ``(owner, x, z)``, sum the coefficients of
+    equal rows and drop ``|coeff| <= threshold``.
+
+    ``owner`` (non-negative ints, ``None`` = one sum) says which of
+    several sums a row belongs to, so they all dedup in one sort and come
+    back as contiguous runs, each in ascending ``(x, z)`` order.  Returns
+    ``(x, z, coeffs, owner)``.  When the whole key fits in one uint64 —
+    a one-word register and few owners; always for one sum of <= 32
+    qubits — that is a single argsort of ``(owner << 2n) | (x << n) | z``;
+    wider keys take a typed ``np.lexsort`` over the columns (not
+    ``np.unique(axis=0)``, which sorts a void view with per-row memcmp
+    and dominates large products).
+    """
+    n = num_qubits
+    owner_bits = 0 if owner is None else int(owner.max()).bit_length()
+    if 2 * n + owner_bits <= 64:
+        key = x[:, 0] << np.uint64(n)
+        key |= z[:, 0]
+        if owner_bits:
+            key |= owner.astype(np.uint64) << np.uint64(2 * n)
+        key, coeffs = _dedup_packed(key, coeffs, threshold)
+        low = np.uint64((1 << n) - 1)
+        owner = (
+            (key >> np.uint64(2 * n)).astype(np.int64)
+            if owner_bits
+            else np.zeros(len(key), dtype=np.int64)
+        )
+        return (
+            ((key >> np.uint64(n)) & low)[:, None],
+            (key & low)[:, None],
+            coeffs,
+            owner,
+        )
+    w = x.shape[1]
+    if owner is None:
+        owner = np.zeros(len(coeffs), dtype=np.uint8)
+    order = np.lexsort(_key_columns(x, z) + (owner,))
+    srt = np.concatenate([x, z, owner[:, None].astype(np.uint64)], axis=1)[order]
+    boundary = np.empty(len(srt), dtype=bool)
+    boundary[0] = True
+    np.any(srt[1:] != srt[:-1], axis=1, out=boundary[1:])
+    idx = np.flatnonzero(boundary)
+    summed = np.add.reduceat(coeffs[order], idx)
+    keep = np.abs(summed) > threshold
+    uniq = srt[idx][keep]
+    return uniq[:, :w], uniq[:, w : 2 * w], summed[keep], uniq[:, -1].astype(np.int64)
 
 
 def _num_words(num_qubits: int) -> int:
@@ -312,43 +382,13 @@ class SymplecticPauli:
     def dedup(self, threshold: float = 0.0) -> "SymplecticPauli":
         """Collapse duplicate (x, z) rows (coefficients summed) and
         drop rows with ``|coeff| <= threshold``; rows come back in
-        lexicographic (X|Z) word order.
-
-        Uses a typed ``np.lexsort`` over the uint64 columns rather than
-        ``np.unique(axis=0)`` — the latter sorts a packed void view with
-        per-row memcmp comparisons and dominates large products.
-        """
+        ascending ``(x, z)`` order (:func:`dedup_rows`)."""
         if self.num_terms == 0:
             return SymplecticPauli.zero(self.num_qubits)
-        if self.num_qubits <= 32:
-            # x and z each fit in 32 bits: sort one packed uint64 key
-            # and never materialize the concatenated row matrix.
-            packed = (self.x[:, 0] << _SHIFT32) | self.z[:, 0]
-            up, coeffs = _dedup_packed(packed, self.coeffs, threshold)
-            return SymplecticPauli(
-                self.num_qubits,
-                (up >> _SHIFT32)[:, None],
-                (up & _MASK32)[:, None],
-                coeffs,
-            )
-        key = np.concatenate([self.x, self.z], axis=1)
-        # lexsort treats its LAST key as primary; unique(axis=0) compares
-        # columns left to right, so feed them reversed.
-        order = np.lexsort(
-            tuple(key[:, j] for j in range(key.shape[1] - 1, -1, -1))
+        x, z, coeffs, _ = dedup_rows(
+            self.num_qubits, self.x, self.z, self.coeffs, threshold
         )
-        srt = key[order]
-        boundary = np.empty(len(srt), dtype=bool)
-        boundary[0] = True
-        np.any(srt[1:] != srt[:-1], axis=1, out=boundary[1:])
-        idx = np.flatnonzero(boundary)
-        uniq = srt[idx]
-        coeffs = np.add.reduceat(self.coeffs[order], idx)
-        keep = np.abs(coeffs) > threshold
-        w = self.num_words
-        return SymplecticPauli(
-            self.num_qubits, uniq[keep, :w], uniq[keep, w:], coeffs[keep]
-        )
+        return SymplecticPauli(self.num_qubits, x, z, coeffs)
 
     def chop(self, threshold: float) -> "SymplecticPauli":
         """Drop rows with ``|coeff| <= threshold`` (no dedup)."""
@@ -366,7 +406,9 @@ class SymplecticPauli:
 
     def _check_compatible(self, other: "SymplecticPauli") -> None:
         if self.num_qubits != other.num_qubits:
-            raise ValueError("qubit count mismatch")
+            raise ValueError(
+                f"qubit count mismatch: {self.num_qubits} vs {other.num_qubits}"
+            )
 
     def mul(
         self, other: "SymplecticPauli", threshold: float = 0.0
@@ -471,7 +513,7 @@ class SymplecticPauli:
         self, other: "SymplecticPauli", threshold: float = 0.0
     ) -> "SymplecticPauli":
         """[self, other]: only anticommuting row pairs contribute, each
-        with ``2 * P1 P2`` (same identity the per-term path uses)."""
+        with ``2 * P1 P2``."""
         self._check_compatible(other)
         ta, tb = self.num_terms, other.num_terms
         if ta == 0 or tb == 0:
@@ -555,20 +597,21 @@ class SymplecticPauli:
 
     # -- qubitwise-commuting grouping ----------------------------------------
 
-    def group_qubitwise(
-        self, order: Optional[np.ndarray] = None
-    ) -> List[List[int]]:
+    def group_qubitwise(self) -> List[List[int]]:
         """Greedy first-fit QWC grouping; returns term-index groups.
 
-        ``order`` is the scan order (default: rows as stored).  The fit
-        test against every existing group is one vectorized conflict
-        check on the groups' union letter masks — equivalent to testing
-        against every member, because members of a QWC group agree on
-        each occupied qubit.
+        Terms are scanned by descending ``|coeff|`` so heavy terms seed
+        the groups, ties in ascending ``(x, z)`` order — one lexsort, so
+        the groups do not depend on the row order.  The fit test against
+        every existing group is one vectorized conflict check on the
+        groups' union letter masks — equivalent to testing against every
+        member, because members of a QWC group agree on each occupied
+        qubit.
         """
         t = self.num_terms
-        if order is None:
-            order = np.arange(t)
+        order = np.lexsort(
+            _key_columns(self.x, self.z) + (-np.abs(self.coeffs),)
+        )
         occ_all = self.x | self.z
         w = self.num_words
         cap = max(1, t)

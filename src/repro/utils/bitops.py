@@ -29,9 +29,6 @@ __all__ = [
     "sign_vector",
     "basis_indices",
     "xor_indices",
-    "indices_1q",
-    "indices_2q",
-    "index_table_cache_info",
     "clear_index_tables",
 ]
 
@@ -158,47 +155,7 @@ def xor_indices(num_qubits: int, x_mask: int) -> np.ndarray:
     return _frozen(basis_indices(num_qubits) ^ x_mask)
 
 
-@lru_cache(maxsize=4096)
-def indices_1q(num_qubits: int, qubit: int) -> "tuple[np.ndarray, np.ndarray]":
-    """Read-only amplitude-pair index tables ``(i0, i1)`` for a 1-qubit
-    gate on ``qubit`` in an ``num_qubits``-wide register."""
-    base = np.arange(1 << (num_qubits - 1), dtype=np.int64)
-    i0 = insert_zero_bit(base, qubit)
-    return _frozen(i0), _frozen(i0 | (1 << qubit))
-
-
-@lru_cache(maxsize=4096)
-def indices_2q(
-    num_qubits: int, q0: int, q1: int
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
-    """Read-only index tables ``(i00, i01, i10, i11)`` for a 2-qubit
-    gate on ``(q0, q1)``; sub-block ``b1 b0`` has ``b0`` = state of
-    ``q0`` (little-endian, matching ``repro.ir.gates``)."""
-    lo, hi = (q0, q1) if q0 < q1 else (q1, q0)
-    base = np.arange(1 << (num_qubits - 2), dtype=np.int64)
-    i00 = insert_zero_bit(insert_zero_bit(base, lo), hi)
-    b0, b1 = 1 << q0, 1 << q1
-    return (
-        _frozen(i00),
-        _frozen(i00 | b0),
-        _frozen(i00 | b1),
-        _frozen(i00 | b0 | b1),
-    )
-
-
-def index_table_cache_info() -> "dict[str, object]":
-    """Hit/miss statistics of the index-table caches (diagnostics)."""
-    return {
-        "basis_indices": basis_indices.cache_info(),
-        "xor_indices": xor_indices.cache_info(),
-        "indices_1q": indices_1q.cache_info(),
-        "indices_2q": indices_2q.cache_info(),
-    }
-
-
 def clear_index_tables() -> None:
     """Drop all cached index tables (frees memory after wide-register runs)."""
     basis_indices.cache_clear()
     xor_indices.cache_clear()
-    indices_1q.cache_clear()
-    indices_2q.cache_clear()

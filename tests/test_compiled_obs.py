@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.ir.compiled import CompiledPauliSum, compile_observable
 from repro.ir.pauli import PauliString, PauliSum
 from repro.sim.batched import BatchedStatevectorSimulator
-from repro.utils.bitops import basis_indices, indices_1q, indices_2q
+from repro.utils.bitops import basis_indices
 from repro.utils.linalg import random_statevector
 
 coeffs = st.complex_numbers(
@@ -229,20 +229,3 @@ class TestIndexTableCache:
         assert a is basis_indices(6)
         assert not a.flags.writeable
         assert np.array_equal(a, np.arange(64))
-
-    def test_indices_1q_partition(self):
-        i0, i1 = indices_1q(5, 2)
-        assert not i0.flags.writeable and not i1.flags.writeable
-        combined = np.sort(np.concatenate([i0, i1]))
-        assert np.array_equal(combined, np.arange(32))
-        assert np.array_equal(i1, i0 | (1 << 2))
-
-    def test_indices_2q_partition(self):
-        blocks = indices_2q(5, 1, 3)
-        combined = np.sort(np.concatenate(blocks))
-        assert np.array_equal(combined, np.arange(32))
-        i00, i01, i10, i11 = blocks
-        # little-endian within the pair: block index bit0 = qubit q0
-        assert np.array_equal(i01, i00 | (1 << 1))
-        assert np.array_equal(i10, i00 | (1 << 3))
-        assert np.array_equal(i11, i00 | (1 << 1) | (1 << 3))

@@ -102,6 +102,44 @@ class TestPauliString:
         assert not PauliString.from_label("XIZ").is_diagonal
 
 
+_P3 = PauliString.from_label("XYZ")
+_P4 = PauliString.from_label("XYZI")
+_S3 = PauliSum.from_label_dict({"XYZ": 1.0, "ZZI": 0.5})
+_S4 = PauliSum.from_label_dict({"XYZI": 1.0})
+
+
+@pytest.mark.parametrize(
+    "bad_call, message",
+    [
+        (lambda: PauliString.from_ops(3, {0: "Q"}), "'Q' on qubit 0"),
+        (lambda: PauliString.from_ops(3, {2: "x", 1: "?"}), "'\\?' on qubit 1"),
+        (lambda: _P3.mul(_P4), "3 vs 4"),
+        (lambda: PauliSum.zero(3).add_term(_P4, 1.0), "3 vs 4"),
+        (lambda: _S3 + _S4, "3 vs 4"),
+        (lambda: _S4 - _S3, "4 vs 3"),
+        (lambda: _S3.dot(_S4), "3 vs 4"),
+        (lambda: _S3.commutator(_S4), "3 vs 4"),
+        (lambda: _S3.to_symplectic().mul(_S4.to_symplectic()), "3 vs 4"),
+    ],
+    ids=[
+        "from_ops",
+        "from_ops-second-letter",
+        "PauliString.mul",
+        "add_term",
+        "add",
+        "sub",
+        "dot",
+        "commutator",
+        "SymplecticPauli.mul",
+    ],
+)
+def test_bad_input_names_itself(bad_call, message):
+    """A bad Pauli letter names the letter and its qubit; a width
+    mismatch states both widths."""
+    with pytest.raises(ValueError, match=message):
+        bad_call()
+
+
 class TestPauliSum:
     def test_add_collapses(self):
         h = PauliSum.from_label_dict({"XX": 1.0, "ZZ": 2.0})

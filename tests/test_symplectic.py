@@ -1,6 +1,7 @@
 """Property tests for the packed symplectic Pauli engine and Z2 qubit
-tapering: engine kernels vs the per-term reference loops, phase
-conventions, GF(2) linear algebra, and tapered-vs-full ground energies."""
+tapering: engine kernels vs the per-term oracle loops
+(``tests/pauli_oracle.py``), phase conventions, term order, GF(2)
+linear algebra, and tapered-vs-full ground energies."""
 
 import tracemalloc
 
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import repro.chem.mappings as mappings
 from repro import obs
 from repro.chem.fermion import FermionOperator
 from repro.chem.fci import exact_ground_energy
@@ -17,7 +17,7 @@ from repro.chem.hamiltonian import (
     build_molecular_hamiltonian,
     synthetic_two_body_hamiltonian,
 )
-from repro.chem.mappings import map_fermion_operator
+from repro.chem.mappings import map_fermion_operator, map_fermion_operators
 from repro.chem.molecule import h2, lih
 from repro.chem.reference import hartree_fock_bitstring, hartree_fock_state
 from repro.chem.scf import run_rhf
@@ -39,6 +39,12 @@ from repro.ir.symplectic import (
     unpack_masks,
 )
 from repro.utils.bitops import count_set_bits
+from tests.pauli_oracle import (
+    commutator_per_term,
+    dot_per_term,
+    group_qwc_per_term,
+    map_fermion_operator_per_term,
+)
 from tests.test_pauli import dense_from_label
 
 coeffs = st.complex_numbers(
@@ -96,31 +102,32 @@ class TestPacking:
         assert set(symp.labels()) == expect
 
 
-# -- engine vs per-term loops -------------------------------------------------
+def _ascending(ps: PauliSum) -> bool:
+    keys = list(ps.terms)
+    return keys == sorted(keys)
+
+
+# -- engine vs per-term oracle ------------------------------------------------
 
 
 class TestEngineMatchesPerTerm:
     @given(pauli_sums(n=6), pauli_sums(n=6))
     def test_product(self, a, b):
-        reference = a._dot_per_term(b)
-        engine = PauliSum(6, a.to_symplectic().mul(b.to_symplectic()).to_terms_dict())
-        assert _terms_close(reference, engine)
+        engine = a.dot(b)
+        assert _terms_close(dot_per_term(a, b), engine)
+        assert _ascending(engine)
 
     @given(pauli_sums(n=70, max_terms=5), pauli_sums(n=70, max_terms=5))
     def test_product_multiword(self, a, b):
-        reference = a._dot_per_term(b)
-        engine = PauliSum(
-            70, a.to_symplectic().mul(b.to_symplectic()).to_terms_dict()
-        )
-        assert _terms_close(reference, engine)
+        engine = a.dot(b)
+        assert _terms_close(dot_per_term(a, b), engine)
+        assert _ascending(engine)
 
     @given(pauli_sums(n=6), pauli_sums(n=6))
     def test_commutator(self, a, b):
-        reference = a._commutator_per_term(b)
-        engine = PauliSum(
-            6, a.to_symplectic().commutator(b.to_symplectic()).to_terms_dict()
-        )
-        assert _terms_close(reference, engine)
+        engine = a.commutator(b)
+        assert _terms_close(commutator_per_term(a, b), engine)
+        assert _ascending(engine)
 
     def test_phase_convention_vs_pauli_string(self):
         rng = np.random.default_rng(7)
@@ -210,10 +217,15 @@ class TestQWCGrouping:
             )
         return ps
 
-    @pytest.mark.parametrize("n_terms", [20, 120])  # per-term and engine paths
+    @staticmethod
+    def _keys(groups):
+        return [[(p.x, p.z) for _, p in g] for g in groups]
+
+    @pytest.mark.parametrize("n_terms", [20, 120])
     def test_groups_partition_and_commute(self, n_terms):
         ps = self._random_sum(n_terms)
         groups = ps.group_qubitwise_commuting()
+        assert self._keys(groups) == self._keys(group_qwc_per_term(ps))
         seen = []
         for g in groups:
             for _, p in g:
@@ -224,11 +236,24 @@ class TestQWCGrouping:
         assert sorted(seen) == sorted(ps.terms.keys())
 
     def test_engine_matches_per_term_groups(self):
+        """Same groups, same members, same order as the oracle — also
+        when many terms tie on |coeff| and only the (x, z) order breaks
+        the tie."""
         ps = self._random_sum(150, seed=11)
-        a = ps._group_qwc_per_term()
-        b = ps._group_qwc_engine()
-        key = lambda g: sorted((p.x, p.z) for _, p in g)  # noqa: E731
-        assert sorted(map(key, a)) == sorted(map(key, b))
+        ties = PauliSum(8, {k: (1.0 if c.real > 0 else -1.0) for k, c in ps.terms.items()})
+        for h in (ps, ties):
+            assert self._keys(h.group_qubitwise_commuting()) == self._keys(
+                group_qwc_per_term(h)
+            )
+
+    @given(pauli_sums(n=5, max_terms=24), st.randoms(use_true_random=False))
+    def test_groups_ignore_insertion_order(self, ps, rnd):
+        items = list(ps.terms.items())
+        rnd.shuffle(items)
+        shuffled = PauliSum(ps.num_qubits, dict(items))
+        assert self._keys(shuffled.group_qubitwise_commuting()) == self._keys(
+            ps.group_qubitwise_commuting()
+        )
 
 
 # -- x-mask diagonals: Walsh-Hadamard vs the sign-matrix oracle ---------------
@@ -386,26 +411,72 @@ ladder_ops = st.lists(
 @st.composite
 def fermion_operators(draw, max_terms=6):
     op = FermionOperator()
-    for _ in range(draw(st.integers(1, max_terms))):
+    for _ in range(draw(st.integers(0, max_terms))):
         op = op + FermionOperator.term(draw(ladder_ops), draw(coeffs))
     return op
+
+
+@st.composite
+def operator_lists(draw):
+    """Lists that include the edge cases: empty operators, identity-only
+    operators, and one whose terms all cancel once mapped
+    (a+_2 a_2 + a_2 a+_2 - 1 = 0)."""
+    special = st.sampled_from(
+        [
+            FermionOperator(),
+            FermionOperator.identity(0.75),
+            FermionOperator(
+                {((2, True), (2, False)): 1.0, ((2, False), (2, True)): 1.0, (): -1.0}
+            ),
+        ]
+    )
+    return draw(st.lists(st.one_of(fermion_operators(), special), max_size=6))
 
 
 class TestBatchedMapping:
     @pytest.mark.parametrize(
         "mapping", ["jordan-wigner", "parity", "bravyi-kitaev"]
     )
-    @given(op=fermion_operators())
-    def test_batched_matches_per_term(self, mapping, op):
-        # Force the batched path regardless of operator size.
-        old = mappings._BATCH_TERM_CUTOFF
-        mappings._BATCH_TERM_CUTOFF = 0
-        try:
-            batched = map_fermion_operator(op, 6, mapping)
-        finally:
-            mappings._BATCH_TERM_CUTOFF = old
-        reference = mappings._map_fermion_operator_per_term(op, 6, mapping)
-        assert _terms_close(reference, batched, atol=1e-10)
+    @given(ops=operator_lists())
+    def test_batched_matches_per_term(self, mapping, ops):
+        """One ``map_fermion_operators`` call equals the oracle run per
+        operator, element by element, and each element equals the
+        one-element call, with terms in ascending (x, z) order."""
+        batched = map_fermion_operators(ops, 6, mapping)
+        assert len(batched) == len(ops)
+        for op, qubit_op in zip(ops, batched):
+            reference = map_fermion_operator_per_term(op, 6, mapping)
+            assert _terms_close(reference, qubit_op, atol=1e-12)
+            single = map_fermion_operator(op, 6, mapping)
+            assert _terms_close(single, qubit_op, atol=1e-12)
+            assert _ascending(qubit_op)
+
+    @pytest.mark.parametrize("num_modes", [31, 70])
+    def test_wide_registers_take_the_column_sort(self, num_modes):
+        """Eight operators on 31 modes (62 mask bits + 3 owner bits) and
+        on 70 (two words) do not fit one packed key; the column lexsort
+        must give the same per-operator result."""
+        top = num_modes - 1
+        ops = [
+            FermionOperator.term([(p, True), (q, False)], 0.5 + 0.1j * p)
+            + FermionOperator.term([(q, True), (p, False)], 0.5 - 0.1j * p)
+            for p, q in [(0, top), (1, top - 1), (top, 2), (5, 5), (3, 29)]
+        ] + [
+            FermionOperator(),
+            FermionOperator.identity(-1.25),
+            FermionOperator.term([(top, True), (top - 2, True), (1, False), (0, False)]),
+        ]
+        for mapping in ("jordan-wigner", "bravyi-kitaev"):
+            batched = map_fermion_operators(ops, num_modes, mapping)
+            for op, qubit_op in zip(ops, batched):
+                reference = map_fermion_operator_per_term(op, num_modes, mapping)
+                assert _terms_close(reference, qubit_op, atol=1e-12)
+                assert _ascending(qubit_op)
+
+    def test_out_of_range_orbital_names_the_operator(self):
+        ops = [FermionOperator.term([(1, True)]), FermionOperator.term([(7, False)])]
+        with pytest.raises(ValueError, match="operator 1 touches orbital 7"):
+            map_fermion_operators(ops, 6)
 
 
 # -- Z2 tapering --------------------------------------------------------------

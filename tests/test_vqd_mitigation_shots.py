@@ -14,7 +14,7 @@ from repro.core.shots import allocate_shots, sampled_energy_with_allocation
 from repro.core.vqd import run_vqd
 from repro.ir.circuit import Circuit
 from repro.ir.pauli import PauliSum
-from repro.sim.expectation import expectation_direct
+from repro.sim.expectation import basis_change_circuit, expectation_direct
 from repro.sim.mitigation import (
     ReadoutErrorModel,
     fold_circuit,
@@ -23,6 +23,7 @@ from repro.sim.mitigation import (
 )
 from repro.sim.noise import DepolarizingChannel, NoiseModel
 from repro.sim.statevector import StatevectorSimulator
+from repro.utils.bitops import count_set_bits
 
 
 @pytest.fixture(scope="module")
@@ -192,24 +193,67 @@ class TestShotAllocation:
         assert sum(shots) == 100
         assert abs(shots[0] - shots[1]) <= 1
 
-    def test_variance_policy_beats_uniform(self, h2_problem):
-        """Weighted allocation should reduce RMS error at equal budget."""
+    @staticmethod
+    def _case(h2_problem):
+        """H2 at a UCCSD point: the state, <H>, the measurable QWC groups
+        and each group's exact single-shot variance, read off the
+        probabilities of the basis-rotated state."""
         hq, _ = h2_problem
         from repro.chem.uccsd import build_uccsd_circuit
 
         ansatz = build_uccsd_circuit(4, 2)
         bound = ansatz.circuit.bind([0.05, -0.02, -0.1])
         state = StatevectorSimulator(4).run(bound).copy()
-        exact = expectation_direct(state, hq)
+        groups = [
+            g
+            for g in hq.group_qubitwise_commuting()
+            if not all(p.is_identity for _, p in g)
+        ]
+        k = np.arange(16)
+        variances = []
+        for g in groups:
+            sim = StatevectorSimulator(4)
+            sim.set_state(state)
+            sim.apply_circuit(basis_change_circuit([p for _, p in g], 4))
+            probs = sim.probabilities()
+            outcome = sum(
+                c.real * (1.0 - 2.0 * (count_set_bits(k & (p.x | p.z)) & 1))
+                for c, p in g
+                if not p.is_identity
+            )
+            variances.append(float(probs @ outcome**2 - (probs @ outcome) ** 2))
+        return state, hq, expectation_direct(state, hq), groups, variances
 
-        def rms(policy, reps=20):
-            errs = []
-            for i in range(reps):
-                est = sampled_energy_with_allocation(
-                    state, hq, 2000, policy=policy,
-                    rng=np.random.default_rng(500 + i),
-                )
-                errs.append((est - exact) ** 2)
-            return float(np.sqrt(np.mean(errs)))
+    def test_variance_policy_beats_uniform(self, h2_problem):
+        """sum_g Var_g / s_g with shots sqrt-weighted by the exact group
+        variances (the Lagrange optimum) is no worse than a uniform split
+        and no better than the continuous bound (sum_g sqrt Var_g)^2 / S;
+        the worst-case weight (sum_i |c_i|)^2 bounds every group."""
+        _, _, _, groups, variances = self._case(h2_problem)
+        budget = 2000
 
-        assert rms("variance") < rms("uniform") * 1.05  # at least on par
+        def estimator_variance(shots):
+            return sum(v / s for v, s in zip(variances, shots))
+
+        optimal = estimator_variance(allocate_shots(variances, budget))
+        uniform = estimator_variance(allocate_shots([1.0] * len(groups), budget))
+        assert optimal <= uniform
+        assert optimal >= sum(np.sqrt(variances)) ** 2 / budget
+        for g, v in zip(groups, variances):
+            assert sum(abs(c) for c, _ in g) ** 2 >= v
+
+    def test_sampled_energy_unbiased(self, h2_problem):
+        """The mean of 20 seeded estimates lies within 4 sigma of <H>,
+        sigma from the exact group variances at the shots the policy
+        assigns."""
+        state, hq, exact, groups, variances = self._case(h2_problem)
+        shots = allocate_shots([sum(abs(c) for c, _ in g) ** 2 for g in groups], 2000)
+        reps = 20
+        sigma = np.sqrt(sum(v / s for v, s in zip(variances, shots)) / reps)
+        estimates = [
+            sampled_energy_with_allocation(
+                state, hq, 2000, rng=np.random.default_rng(500 + i)
+            )
+            for i in range(reps)
+        ]
+        assert abs(np.mean(estimates) - exact) <= 4 * sigma
