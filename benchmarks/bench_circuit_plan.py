@@ -107,8 +107,8 @@ def test_plan_energy_h2o(benchmark, h2o_hamiltonian):
 
 def test_plan_prefix_shift_pattern_h2o(benchmark, h2o_hamiltonian):
     """The parameter-shift access pattern through ``plan.execute``:
-    every second evaluation resumes from a parked prefix (the counters
-    this moves are the BENCH-file fingerprint of prefix reuse)."""
+    every second evaluation resumes from a parked prefix, which
+    ``plan.prefix_resumes`` and ``plan.prefix_ops_skipped`` count."""
     heff, circ, params = _workload(h2o_hamiltonian)
     plan = ExecutionPlan(circ)
     state = np.empty(plan.dim, dtype=np.complex128)

@@ -15,8 +15,6 @@ The commands cover the workflows the paper demonstrates:
 * ``analyze`` — the performance observatory: per-rank timelines, the
   communication matrix, load imbalance, and the critical path, read
   from a saved run report or Chrome trace,
-* ``bench-diff`` — compare two ``BENCH_*.json`` files written by
-  ``benchmarks/run_suite.py`` and exit non-zero on regressions,
 * ``serve`` / ``submit`` / ``status`` — the crash-safe multi-tenant
   campaign server (``repro.serve``): spool submissions into a server's
   inbox, run the server (kill it, restart it, it resumes), inspect
@@ -575,43 +573,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_diff(args: argparse.Namespace) -> int:
-    from repro.obs.bench import BenchReport, compare, counter_deltas
-
-    old = BenchReport.load(args.old)
-    new = BenchReport.load(args.new)
-    diff = compare(
-        old,
-        new,
-        threshold=args.threshold,
-        min_wall_s=args.min_wall_s,
-        mem_threshold=args.mem_threshold,
-    )
-    if args.json:
-        _emit_json(diff.to_dict())
-    else:
-        print(diff.render())
-        if args.explain and (diff.regressions or diff.failed):
-            print()
-            print("explain (top counter movements per flagged benchmark):")
-            for delta in diff.regressions:
-                old_entry = old.entry(delta.name)
-                new_entry = new.entry(delta.name)
-                if old_entry is None or new_entry is None:
-                    continue
-                rows = counter_deltas(old_entry, new_entry, top_k=args.top_k)
-                print(f"  {delta.name}")
-                if not rows:
-                    print("    (no key counters moved — look at the code, "
-                          "not the harness)")
-                for name, old_v, new_v in rows:
-                    change = (
-                        f"{new_v / old_v:.2f}x" if old_v else "new"
-                    )
-                    print(f"    {name:<46} {old_v:>14g} -> {new_v:<14g} {change}")
-    return 1 if diff.has_regressions else 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.hpc.faults import FaultSpec
     from repro.serve import CampaignServer, ServerConfig, TenantPolicy
@@ -1008,46 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(per-category peaks, per-rank peaks, top allocating spans)",
     )
     p_analyze.set_defaults(func=_cmd_analyze)
-
-    p_bdiff = sub.add_parser(
-        "bench-diff",
-        help="compare two BENCH_*.json files; exit 1 on regressions",
-    )
-    p_bdiff.add_argument("old", help="baseline BENCH_*.json")
-    p_bdiff.add_argument("new", help="candidate BENCH_*.json")
-    p_bdiff.add_argument(
-        "--threshold",
-        type=float,
-        default=1.25,
-        help="flag entries slower than baseline by this factor (default 1.25)",
-    )
-    p_bdiff.add_argument(
-        "--min-wall-s",
-        type=float,
-        default=0.05,
-        help="ignore entries where both sides are faster than this (noise floor)",
-    )
-    p_bdiff.add_argument(
-        "--mem-threshold",
-        type=float,
-        default=None,
-        help="flag entries whose peak ledger bytes grew by this factor "
-        "(default: same as --threshold)",
-    )
-    p_bdiff.add_argument(
-        "--explain",
-        action="store_true",
-        help="on flagged regressions, print the top counter movements "
-        "between the two runs",
-    )
-    p_bdiff.add_argument(
-        "--top-k", type=int, default=5,
-        help="counter movements to list per flagged benchmark (--explain)",
-    )
-    p_bdiff.add_argument(
-        "--json", action="store_true", help="emit the diff as JSON"
-    )
-    p_bdiff.set_defaults(func=_cmd_bench_diff)
 
     p_serve = sub.add_parser(
         "serve",

@@ -150,7 +150,10 @@ class CachedEnergyEvaluator:
         cache: Optional[PostAnsatzCache] = None,
     ):
         if ansatz.num_qubits != hamiltonian.num_qubits:
-            raise ValueError("ansatz/observable width mismatch")
+            raise ValueError(
+                f"ansatz/observable width mismatch: ansatz has {ansatz.num_qubits} qubits, "
+                f"observable {hamiltonian.num_qubits}"
+            )
         self.ansatz = ansatz
         self.hamiltonian = hamiltonian
         self.use_caching = use_caching

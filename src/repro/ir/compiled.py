@@ -146,7 +146,9 @@ class CompiledPauliSum:
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Return ``H @ state`` in one pass per distinct x-mask."""
         if state.shape[0] != self.dim:
-            raise ValueError("state dimension mismatch")
+            raise ValueError(
+                f"state dimension mismatch: expected {self.dim}, got {state.shape[0]}"
+            )
         self._record("apply")
         out = np.zeros(self.dim, dtype=np.complex128)
         for d, g in zip(self.diagonals, self.gathers):
@@ -160,7 +162,9 @@ class CompiledPauliSum:
     def expectation(self, state: np.ndarray) -> complex:
         """<state| H |state> without materializing ``H @ state``."""
         if state.shape[0] != self.dim:
-            raise ValueError("state dimension mismatch")
+            raise ValueError(
+                f"state dimension mismatch: expected {self.dim}, got {state.shape[0]}"
+            )
         self._record("expectation")
         total = 0.0 + 0.0j
         abs2: Optional[np.ndarray] = None

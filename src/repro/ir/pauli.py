@@ -181,7 +181,7 @@ class PauliString:
         n = self.num_qubits
         dim = 1 << n
         if state.shape[0] != dim:
-            raise ValueError("state dimension mismatch")
+            raise ValueError(f"state dimension mismatch: expected {dim}, got {state.shape[0]}")
         idx = basis_indices(n)
         src = idx ^ self.x
         # P|k> = i^c (-1)^{parity(z & k)} |k ^ x>; reading out[j] pulls from
@@ -474,7 +474,7 @@ class PauliSum:
         """
         dim = 1 << self.num_qubits
         if state.shape[0] != dim:
-            raise ValueError("state dimension mismatch")
+            raise ValueError(f"state dimension mismatch: expected {dim}, got {state.shape[0]}")
         out = np.zeros_like(state, dtype=np.complex128)
         idx = basis_indices(self.num_qubits)
         for (x, z), coeff in self.terms.items():

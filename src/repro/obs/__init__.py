@@ -10,8 +10,6 @@ Zero-dependency tracing + metrics + run reports for the whole stack:
   aggregating spans, metrics, and the domain ledgers,
 * :mod:`repro.obs.perf` — the performance observatory: per-rank
   attribution, communication matrix, load imbalance, critical path,
-* :mod:`repro.obs.bench` — schema-versioned benchmark reports and the
-  regression comparator behind ``repro bench-diff``,
 * :mod:`repro.obs.events` — the durable structured event bus (append-
   only, schema-versioned JSONL with rotation and subscribers),
 * :mod:`repro.obs.slo` — per-tenant SLIs / SLO objectives with
@@ -45,7 +43,6 @@ from __future__ import annotations
 import weakref
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.bench import BenchDiff, BenchEntry, BenchReport, compare
 from repro.obs.dashboard import Dashboard
 from repro.obs.events import (
     Event,
@@ -95,10 +92,6 @@ __all__ = [
     "CommMatrix",
     "CriticalPath",
     "critical_path",
-    "BenchReport",
-    "BenchEntry",
-    "BenchDiff",
-    "compare",
     "Event",
     "EventBus",
     "read_events",

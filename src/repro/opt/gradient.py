@@ -111,7 +111,9 @@ class AnsatzObjective:
         """
         params = np.asarray(params, dtype=float)
         if len(params) != self.num_parameters:
-            raise ValueError("parameter count mismatch")
+            raise ValueError(
+                f"parameter count mismatch: expected {self.num_parameters}, got {len(params)}"
+            )
         m = self.num_parameters
         cache = self._get_prefix_cache()
         start = 0

@@ -81,7 +81,10 @@ class BatchedStatevectorSimulator:
         (B, 2^n) amplitude matrix (live buffer).
         """
         if circuit.num_qubits != self.num_qubits:
-            raise ValueError("circuit width mismatch")
+            raise ValueError(
+                f"circuit width mismatch: expected {self.num_qubits} qubits, "
+                f"got {circuit.num_qubits}"
+            )
         missing = set(circuit.parameters) - set(parameter_table)
         if missing:
             raise ValueError(f"missing parameter vectors: {sorted(missing)}")
@@ -118,7 +121,9 @@ class BatchedStatevectorSimulator:
         Returns the (B, 2^n) buffer.
         """
         if plan.num_qubits != self.num_qubits:
-            raise ValueError("plan width mismatch")
+            raise ValueError(
+                f"plan width mismatch: expected {self.num_qubits} qubits, got {plan.num_qubits}"
+            )
         param_rows = np.asarray(param_rows, dtype=float)
         if param_rows.shape != (self.batch_size, plan.num_parameters):
             raise ValueError(
@@ -144,7 +149,10 @@ class BatchedStatevectorSimulator:
         multiply + reduction per distinct x-mask rather than per term.
         """
         if observable.num_qubits != self.num_qubits:
-            raise ValueError("observable width mismatch")
+            raise ValueError(
+                f"observable width mismatch: expected {self.num_qubits} qubits, "
+                f"got {observable.num_qubits}"
+            )
         out = compile_observable(observable).expectations(self.states)
         if np.any(np.abs(out.imag) > 1e-8 * np.maximum(1.0, np.abs(out.real))):
             raise ValueError("non-Hermitian observable")

@@ -99,7 +99,9 @@ class GeneratorEvolution:
         if self._steps is None:
             return spla.expm_multiply(self._sparse * theta, state)
         if state.shape[0] != self._compiled.dim:
-            raise ValueError("state dimension mismatch")
+            raise ValueError(
+                f"state dimension mismatch: expected {self._compiled.dim}, got {state.shape[0]}"
+            )
         out = state.astype(np.complex128)  # always a copy
         for step in self._steps:
             apply_rotation(out, theta, step)

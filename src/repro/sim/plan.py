@@ -689,7 +689,9 @@ class ExecutionPlan:
         """
         params = self._check_params(params)
         if state.shape != (self.dim,):
-            raise ValueError("state dimension mismatch")
+            raise ValueError(
+                f"state dimension mismatch: expected shape ({self.dim},), got {state.shape}"
+            )
         start = 0
         if not reset:
             self._run(state, params, 0, self.num_ops)

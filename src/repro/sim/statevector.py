@@ -68,7 +68,9 @@ class StatevectorSimulator:
         state being restored, §4.1.4)."""
         state = np.asarray(state, dtype=np.complex128)
         if state.shape != (self.dim,):
-            raise ValueError("state dimension mismatch")
+            raise ValueError(
+                f"state dimension mismatch: expected shape ({self.dim},), got {state.shape}"
+            )
         self.state = state.copy() if copy else state
 
     def statevector(self, copy: bool = True) -> np.ndarray:

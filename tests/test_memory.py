@@ -388,34 +388,3 @@ def test_format_bytes():
     assert format_bytes(0) == "0B"
     assert format_bytes(2048) == "2.0KiB"
     assert format_bytes(16 << 30) == "16.0GiB"
-
-
-def test_bench_diff_flags_doubled_peak_bytes():
-    """The acceptance gate: an injected 2x allocation fails bench-diff."""
-    from repro.obs.bench import BenchEntry, BenchReport, compare
-
-    old = BenchReport(
-        entries=[BenchEntry("b::t", wall_s=1.0, peak_bytes=64 << 20)]
-    )
-    new = BenchReport(
-        entries=[BenchEntry("b::t", wall_s=1.0, peak_bytes=128 << 20)]
-    )
-    diff = compare(old, new, threshold=1.5)
-    assert diff.has_regressions
-    (delta,) = diff.regressions
-    assert delta.mem_regressed and not delta.regressed
-    assert "MEM REGRESSED" in diff.render()
-    # below the noise floor nothing flags
-    tiny_old = BenchReport(entries=[BenchEntry("b::t", 1.0, peak_bytes=100)])
-    tiny_new = BenchReport(entries=[BenchEntry("b::t", 1.0, peak_bytes=900)])
-    assert not compare(tiny_old, tiny_new, threshold=1.5).has_regressions
-
-
-def test_bench_counter_deltas_rank_by_relative_change():
-    from repro.obs.bench import BenchEntry, counter_deltas
-
-    old = BenchEntry("b", 1.0, counters={"a_total": 100.0, "b_total": 10.0})
-    new = BenchEntry("b", 1.0, counters={"a_total": 150.0, "b_total": 40.0})
-    rows = counter_deltas(old, new, top_k=5)
-    assert rows[0][0] == "b_total"  # 4x beats 1.5x
-    assert rows[1][0] == "a_total"

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.cache import CachedEnergyEvaluator
+from repro.ir.circuit import Circuit
+from repro.ir.compiled import compile_observable
 from repro.ir.pauli import PauliString, PauliSum
+from repro.opt.gradient import AnsatzObjective
+from repro.sim.batched import BatchedStatevectorSimulator
+from repro.sim.evolution import GeneratorEvolution
+from repro.sim.plan import compile_circuit
+from repro.sim.statevector import StatevectorSimulator
 from repro.utils.linalg import random_statevector
 
 I2 = np.eye(2, dtype=complex)
@@ -106,6 +114,9 @@ _P3 = PauliString.from_label("XYZ")
 _P4 = PauliString.from_label("XYZI")
 _S3 = PauliSum.from_label_dict({"XYZ": 1.0, "ZZI": 0.5})
 _S4 = PauliSum.from_label_dict({"XYZI": 1.0})
+_S2 = PauliSum.from_label_dict({"XY": 1.0})
+_A3 = PauliSum.from_label_dict({"XYI": 1j})
+_STATE2 = np.zeros(4, dtype=np.complex128)  # a 2-qubit state for 3-qubit engines
 
 
 @pytest.mark.parametrize(
@@ -120,6 +131,35 @@ _S4 = PauliSum.from_label_dict({"XYZI": 1.0})
         (lambda: _S3.dot(_S4), "3 vs 4"),
         (lambda: _S3.commutator(_S4), "3 vs 4"),
         (lambda: _S3.to_symplectic().mul(_S4.to_symplectic()), "3 vs 4"),
+        (lambda: _P3.apply(_STATE2), "expected 8, got 4"),
+        (lambda: _S3.apply(_STATE2), "expected 8, got 4"),
+        (lambda: compile_observable(_S3).apply(_STATE2), "expected 8, got 4"),
+        (lambda: compile_observable(_S3).expectation(_STATE2), "expected 8, got 4"),
+        (lambda: GeneratorEvolution(_A3).apply(_STATE2, 0.1), "expected 8, got 4"),
+        (
+            lambda: StatevectorSimulator(3).set_state(_STATE2),
+            r"expected shape \(8,\), got \(4,\)",
+        ),
+        (
+            lambda: compile_circuit(Circuit(3).h(0)).execute(_STATE2.copy()),
+            r"expected shape \(8,\), got \(4,\)",
+        ),
+        (
+            lambda: BatchedStatevectorSimulator(3, 2).run(Circuit(2).h(0), {}),
+            "expected 3 qubits, got 2",
+        ),
+        (
+            lambda: BatchedStatevectorSimulator(3, 2).run_plan(
+                compile_circuit(Circuit(2).h(0)), np.zeros((2, 0))
+            ),
+            "expected 3 qubits, got 2",
+        ),
+        (lambda: BatchedStatevectorSimulator(3, 2).expectations(_S2), "expected 3 qubits, got 2"),
+        (lambda: CachedEnergyEvaluator(Circuit(3).h(0), _S2), "ansatz has 3 qubits, observable 2"),
+        (
+            lambda: AnsatzObjective(np.eye(8)[0], [_A3], _S3).prepare_state([0.1, 0.2]),
+            "expected 1, got 2",
+        ),
     ],
     ids=[
         "from_ops",
@@ -131,11 +171,23 @@ _S4 = PauliSum.from_label_dict({"XYZI": 1.0})
         "dot",
         "commutator",
         "SymplecticPauli.mul",
+        "PauliString.apply",
+        "PauliSum.apply",
+        "CompiledPauliSum.apply",
+        "CompiledPauliSum.expectation",
+        "GeneratorEvolution.apply",
+        "StatevectorSimulator.set_state",
+        "ExecutionPlan.execute",
+        "BatchedStatevectorSimulator.run",
+        "BatchedStatevectorSimulator.run_plan",
+        "BatchedStatevectorSimulator.expectations",
+        "CachedEnergyEvaluator",
+        "AnsatzObjective.prepare_state",
     ],
 )
 def test_bad_input_names_itself(bad_call, message):
-    """A bad Pauli letter names the letter and its qubit; a width
-    mismatch states both widths."""
+    """A bad Pauli letter names the letter and its qubit; a width or
+    dimension mismatch states the expected and the received size."""
     with pytest.raises(ValueError, match=message):
         bad_call()
 

@@ -27,6 +27,8 @@ from repro.chem.tapering import (
     sector_from_reference,
     taper_hamiltonian,
 )
+from repro.chem.uccsd import uccsd_generators
+from repro.ir import symplectic
 from repro.ir.pauli import PauliString, PauliSum
 from repro.ir.symplectic import (
     I_POW_ARR,
@@ -202,28 +204,29 @@ class TestScalarProtocol:
 # -- grouping -----------------------------------------------------------------
 
 
-class TestQWCGrouping:
-    def _random_sum(self, n_terms, n=8, seed=3):
-        rng = np.random.default_rng(seed)
-        ps = PauliSum.zero(n)
-        for _ in range(n_terms):
-            ps.add_term(
-                PauliString(
-                    n,
-                    int(rng.integers(0, 1 << n)),
-                    int(rng.integers(0, 1 << n)),
-                ),
-                complex(rng.normal(), rng.normal()),
-            )
-        return ps
+def _random_sum(n_terms, n=8, seed=3):
+    rng = np.random.default_rng(seed)
+    ps = PauliSum.zero(n)
+    for _ in range(n_terms):
+        ps.add_term(
+            PauliString(
+                n,
+                int(rng.integers(0, 1 << n)),
+                int(rng.integers(0, 1 << n)),
+            ),
+            complex(rng.normal(), rng.normal()),
+        )
+    return ps
 
+
+class TestQWCGrouping:
     @staticmethod
     def _keys(groups):
         return [[(p.x, p.z) for _, p in g] for g in groups]
 
     @pytest.mark.parametrize("n_terms", [20, 120])
     def test_groups_partition_and_commute(self, n_terms):
-        ps = self._random_sum(n_terms)
+        ps = _random_sum(n_terms)
         groups = ps.group_qubitwise_commuting()
         assert self._keys(groups) == self._keys(group_qwc_per_term(ps))
         seen = []
@@ -239,7 +242,7 @@ class TestQWCGrouping:
         """Same groups, same members, same order as the oracle — also
         when many terms tie on |coeff| and only the (x, z) order breaks
         the tie."""
-        ps = self._random_sum(150, seed=11)
+        ps = _random_sum(150, seed=11)
         ties = PauliSum(8, {k: (1.0 if c.real > 0 else -1.0) for k, c in ps.terms.items()})
         for h in (ps, ties):
             assert self._keys(h.group_qubitwise_commuting()) == self._keys(
@@ -254,6 +257,31 @@ class TestQWCGrouping:
         assert self._keys(shuffled.group_qubitwise_commuting()) == self._keys(
             ps.group_qubitwise_commuting()
         )
+
+
+# -- the NumPy < 2 popcount fallback ------------------------------------------
+
+
+def _algebra(a: PauliSum, b: PauliSum):
+    """Product, commutator and QWC groups, with term order and values."""
+    groups = [[(p.x, p.z, c) for c, p in g] for g in a.group_qubitwise_commuting()]
+    return list(a.dot(b).terms.items()), list(a.commutator(b).terms.items()), groups
+
+
+def test_count_set_bits_fallback_matches_native_popcount(monkeypatch):
+    """NumPy < 2 has no ``bitwise_count``; the engine then popcounts with
+    ``count_set_bits``.  Both give the same algebra, bit for bit, on LiH
+    (n <= 32: the packed product) and on a 40-qubit pair (the unpacked
+    row-matrix path)."""
+    mh = build_molecular_hamiltonian(run_rhf(lih()))
+    h = mh.to_qubit("jordan-wigner")
+    a = PauliSum.zero(h.num_qubits)
+    for _, gen in uccsd_generators(h.num_qubits, mh.num_electrons)[:8]:
+        a = a + gen
+    pairs = [(h, a), (_random_sum(60, n=40, seed=1), _random_sum(60, n=40, seed=2))]
+    native = [_algebra(x, y) for x, y in pairs]
+    monkeypatch.setattr(symplectic, "_popcount_elem", count_set_bits)
+    assert [_algebra(x, y) for x, y in pairs] == native
 
 
 # -- x-mask diagonals: Walsh-Hadamard vs the sign-matrix oracle ---------------
