@@ -18,10 +18,9 @@ from repro.core.cafqa import cafqa_search
 from repro.core.scan import scan_potential_energy_surface
 from repro.hpc.ensemble import EnsembleExecutor
 from repro.ir.library import hardware_efficient_ansatz
-from repro.opt.parameter_shift import (
-    batched_parameter_shift_gradient,
-    parameter_shift_gradient,
-)
+from repro.opt.parameter_shift import parameter_shift_gradient
+from repro.sim.batched import reverse_value_and_gradient
+from repro.sim.plan import compile_circuit
 
 
 @pytest.fixture(scope="module")
@@ -31,24 +30,25 @@ def h2_problem(h2_hamiltonian):
 
 
 def test_batched_gradient(benchmark, h2_problem):
-    """§6.2 batch execution: the full parameter-shift gradient as one
-    batched simulation."""
+    """§6.2 batch execution: energies and exact gradients of 8 parameter
+    rows as one block reverse-mode sweep."""
     _, hq = h2_problem
     ansatz = hardware_efficient_ansatz(4, layers=2)
-    rng = np.random.default_rng(0)
-    x = rng.normal(scale=0.2, size=ansatz.num_parameters)
-    benchmark(lambda: batched_parameter_shift_gradient(ansatz, hq, x))
+    rows = np.random.default_rng(0).normal(scale=0.2, size=(8, ansatz.num_parameters))
+    plan = compile_circuit(ansatz)
+    benchmark(lambda: reverse_value_and_gradient(plan, hq, rows))
 
 
 def test_serial_gradient_baseline(benchmark, h2_problem):
-    """One-circuit-at-a-time baseline for the batching comparison."""
+    """One-row-at-a-time baseline for the batching comparison."""
     _, hq = h2_problem
     ansatz = hardware_efficient_ansatz(4, layers=2)
-    rng = np.random.default_rng(0)
-    x = rng.normal(scale=0.2, size=ansatz.num_parameters)
-    g_serial = benchmark(lambda: parameter_shift_gradient(ansatz, hq, x))
-    g_batched = batched_parameter_shift_gradient(ansatz, hq, x)
-    assert np.allclose(g_serial, g_batched, atol=1e-10)
+    rows = np.random.default_rng(0).normal(scale=0.2, size=(8, ansatz.num_parameters))
+    g_serial = benchmark(
+        lambda: [parameter_shift_gradient(ansatz, hq, x) for x in rows]
+    )
+    _, g_batched = reverse_value_and_gradient(compile_circuit(ansatz), hq, rows)
+    assert np.array_equal(g_serial, g_batched)
 
 
 def test_cafqa_bootstrap_quality(benchmark, h2_problem):

@@ -18,8 +18,9 @@ from repro.chem.scf import run_rhf
 from repro.core.cafqa import cafqa_search
 from repro.core.estimator import DirectEstimator
 from repro.ir.library import hardware_efficient_ansatz
-from repro.opt.parameter_shift import batched_parameter_shift_gradient
 from repro.opt.scipy_wrap import LBFGSB
+from repro.sim.batched import reverse_value_and_gradient
+from repro.sim.plan import compile_circuit
 
 
 def main() -> None:
@@ -32,9 +33,12 @@ def main() -> None:
     def energy(p):
         return est.estimate(ansatz.bind(list(p)), hq)
 
+    plan = compile_circuit(ansatz)
+
     def gradient(p):
-        # all 2m shifted evaluations in one batched simulation (§6.2)
-        return batched_parameter_shift_gradient(ansatz, hq, p)
+        # the exact gradient from one reverse-mode sweep (a block of one
+        # row; a fleet of optimizers would stack theirs, §6.2)
+        return reverse_value_and_gradient(plan, hq, np.atleast_2d(p))[1][0]
 
     zero = np.zeros(ansatz.num_parameters)
     print(f"|0...0> start energy:   {energy(zero):+.6f} Ha")

@@ -19,6 +19,7 @@ import numpy as np
 from repro import obs
 from repro.ir.circuit import Circuit
 from repro.ir.pauli import PauliSum
+from repro.sim.batched import reverse_value_and_gradient
 from repro.sim.expectation import (
     expectation_basis_rotated,
     expectation_direct,
@@ -155,6 +156,12 @@ class Estimator(ABC):
             dtype=float,
         )
 
+    def value_and_gradient(self, plan, params, observable: PauliSum):
+        """``(energy, exact gradient)`` at ``params`` as one evaluation, for
+        any plan :func:`repro.sim.batched.reverse_mode_blocker` admits; the
+        default ``None`` means no exact gradient (caching, sampling)."""
+        return None
+
     def _evaluate(self, sim: StatevectorSimulator, observable: PauliSum) -> float:
         """Turn the simulator's current state into an expectation value.
 
@@ -175,6 +182,12 @@ class DirectEstimator(Estimator):
 
     def _evaluate(self, sim: StatevectorSimulator, observable: PauliSum) -> float:
         return expectation_direct(sim.statevector(copy=False), observable)
+
+    def value_and_gradient(self, plan, params, observable: PauliSum):
+        """The one-row reverse-mode sweep."""
+        self.evaluations += 1
+        values, grads = reverse_value_and_gradient(plan, observable, np.atleast_2d(params))
+        return float(values[0]), grads[0]
 
 
 class CachingEstimator(Estimator):

@@ -32,6 +32,7 @@ from repro.core.estimator import DirectEstimator, Estimator
 from repro.opt.base import Optimizer, OptimizeResult
 from repro.opt.gradient import AnsatzObjective
 from repro.opt.scipy_wrap import LBFGSB
+from repro.sim.batched import reverse_mode_blocker
 from repro.sim.plan import compile_circuit
 
 __all__ = ["VQE", "VQEResult"]
@@ -103,18 +104,21 @@ class VQE:
         # check — the disabled-overhead contract)
         self.flight: Optional[FlightRecorder] = None
         self.flight_context = dict(flight_context or {})
-        # circuit-mode fused value+gradient: every energy() call also
-        # computes a central-difference gradient by evaluating all
-        # 2P+1 parameter rows through ONE estimate_plan_many call, and
-        # gradient() returns the cached result.  scipy's quasi-Newton
-        # optimizers request f and g at the same iterates, so the fuse
-        # costs nothing extra sequentially — and hands batch-capable
-        # estimators (the serve-layer evaluation broker) a whole sweep
-        # of compatible rows at once instead of dribbling them out.
+        # circuit-mode fused value+gradient: energy() also computes the
+        # gradient and gradient() returns the cached result.  scipy's
+        # quasi-Newton optimizers request f and g at the same iterates,
+        # so a batch-capable estimator (the serve-layer evaluation
+        # broker) gets one request per iterate.  The gradient is the
+        # estimator's exact one when it offers one, or, with
+        # fd_gradient, central differences over 2P+1 parameter rows in
+        # ONE estimate_plan_many call.
         self.fd_gradient = bool(fd_gradient)
         self.fd_epsilon = float(fd_epsilon)
-        self._fd_cache_x: Optional[np.ndarray] = None
-        self._fd_cache_grad: Optional[np.ndarray] = None
+        self._grad_x: Optional[np.ndarray] = None
+        self._grad: Optional[np.ndarray] = None
+        # the exact gradient is fused only while the optimizer reads it:
+        # a gradient-free optimizer pays for it on its first evaluation
+        self._fuse_exact = False
         self.mode: str
         if generators is not None:
             if reference_state is None:
@@ -164,8 +168,20 @@ class VQE:
             plan = compile_circuit(self.ansatz)
             if self.fd_gradient:
                 return self._fd_energy_and_grad(plan, params)
+            if self._fuse_exact and self._exact_gradient(plan):
+                self._fuse_exact = False  # re-armed when gradient() reads it
+                value, self._grad = self.estimator.value_and_gradient(
+                    plan, params, self.hamiltonian
+                )
+                self._grad_x = params.copy()
+                return value
             return self.estimator.estimate_plan(plan, params, self.hamiltonian)
         return self.estimator.estimate(self.ansatz, self.hamiltonian)
+
+    def _exact_gradient(self, plan) -> bool:
+        """Whether the estimator offers an exact gradient for ``plan``."""
+        offers = type(self.estimator).value_and_gradient is not Estimator.value_and_gradient
+        return not self.fd_gradient and offers and reverse_mode_blocker(plan) is None
 
     def _fd_energy_and_grad(self, plan, params: np.ndarray) -> float:
         """One fused sweep: value at ``params`` plus central differences
@@ -180,27 +196,27 @@ class VQE:
             self.estimator.estimate_plan_many(plan, rows, self.hamiltonian),
             dtype=float,
         )
-        self._fd_cache_x = params.copy()
-        self._fd_cache_grad = (vals[1::2] - vals[2::2]) / (2.0 * eps)
+        self._grad_x = params.copy()
+        self._grad = (vals[1::2] - vals[2::2]) / (2.0 * eps)
         return float(vals[0])
 
     def gradient(self, params: np.ndarray) -> Optional[np.ndarray]:
-        """Analytic gradient (chemistry mode) or the cached fused
-        finite-difference gradient (circuit mode with ``fd_gradient``);
-        ``None`` for plain circuit mode."""
+        """Analytic gradient (chemistry mode), or in circuit mode the
+        cached fused gradient (exact, or central differences with
+        ``fd_gradient``); ``None`` when the circuit-mode estimator offers
+        neither."""
         params = np.atleast_1d(np.asarray(params, dtype=float))
         if self.mode == "chemistry":
             return self.objective.gradient(params)
-        if not self.fd_gradient:
+        hit = self._grad_x is not None and np.array_equal(params, self._grad_x)
+        if not (hit or self.fd_gradient or self._exact_gradient(compile_circuit(self.ansatz))):
             return None
-        if self._fd_cache_x is not None and np.array_equal(
-            params, self._fd_cache_x
-        ):
-            return self._fd_cache_grad.copy()
-        # optimizer asked for a gradient at a point it never evaluated:
-        # run the fused evaluation (fills the cache) and answer from it
-        self.energy(params)
-        return self._fd_cache_grad.copy()
+        self._fuse_exact = True
+        if not hit:
+            # optimizer asked for a gradient at a point it never evaluated:
+            # run the fused evaluation (fills the cache) and answer from it
+            self.energy(params)
+        return self._grad.copy()
 
     def run(self, initial_parameters: Optional[np.ndarray] = None) -> VQEResult:
         """Optimize to the minimum energy (§3.1 step 5)."""
@@ -252,8 +268,9 @@ class VQE:
                 converged=True,
                 mode=self.mode,
             )
-        use_grad = self.mode == "chemistry" or (
-            self.mode == "circuit" and self.fd_gradient
+        self._fuse_exact = True
+        use_grad = self.mode == "chemistry" or self.fd_gradient or self._exact_gradient(
+            compile_circuit(self.ansatz)
         )
         grad = self.gradient if use_grad else None
         res: OptimizeResult = self.optimizer.minimize(self.energy, x0, gradient=grad)

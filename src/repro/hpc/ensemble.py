@@ -148,13 +148,11 @@ class EnsembleExecutor:
         are scheduled over the ensemble.  Returns (gradient, result)."""
         import math as _math
 
-        from repro.opt.parameter_shift import (
-            _parameter_occurrences,
-            supports_parameter_shift,
-        )
+        from repro.opt.parameter_shift import _parameter_occurrences, _shift_rule_violation
 
-        if not supports_parameter_shift(circuit):
-            raise ValueError("circuit does not satisfy the shift rule")
+        violation = _shift_rule_violation(circuit)
+        if violation is not None:
+            raise ValueError(f"parameter-shift rule cannot run: {violation}")
         names = circuit.parameters
         params = np.asarray(params, dtype=float)
         occ = _parameter_occurrences(circuit)

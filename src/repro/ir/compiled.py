@@ -144,19 +144,20 @@ class CompiledPauliSum:
     # -- numerics ------------------------------------------------------------
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        """Return ``H @ state`` in one pass per distinct x-mask."""
-        if state.shape[0] != self.dim:
+        """Return ``H @ state`` in one pass per distinct x-mask; ``state``
+        is one ``(2^n,)`` vector or a ``(…, 2^n)`` block of them."""
+        if state.shape[-1] != self.dim:
             raise ValueError(
-                f"state dimension mismatch: expected {self.dim}, got {state.shape[0]}"
+                f"state dimension mismatch: expected {self.dim}, got {state.shape[-1]}"
             )
         self._record("apply")
-        out = np.zeros(self.dim, dtype=np.complex128)
+        out = np.zeros(state.shape, dtype=np.complex128)
         for d, g in zip(self.diagonals, self.gathers):
             t = d * state
             if g is None:
                 out += t
             else:
-                out += t[g]
+                out += t.take(g, axis=-1)
         return out
 
     def expectation(self, state: np.ndarray) -> complex:

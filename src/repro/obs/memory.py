@@ -369,10 +369,10 @@ def estimate_batched_group_bytes(
 
     The group shares ONE compiled observable, one plan, and one
     Hamiltonian (that is the point of physics-keyed sharing), so only
-    the amplitude block scales with the group: the (B, 2^n) batched
-    statevector plus the stacked parameter rows and result buffers
-    (negligible next to amplitudes).  Priced as one job's total plus
-    ``group_size - 1`` extra amplitude vectors.
+    the amplitude block scales with the group: the reverse-mode sweep's
+    (2B, 2^n) block plus the B-row ``H psi`` it gathers into it.  One
+    job's workspace already holds a one-row sweep's three rows, so the
+    group is one job's total plus ``3 (group_size - 1)`` amplitude rows.
     """
     single = estimate_statevector_job_bytes(
         num_qubits,
@@ -380,5 +380,5 @@ def estimate_batched_group_bytes(
         compiled_passes=compiled_passes,
         generator_terms=generator_terms,
     )["total"]
-    extra = max(0, group_size - 1) * AMPLITUDE_BYTES * (1 << num_qubits)
+    extra = 3 * max(0, group_size - 1) * AMPLITUDE_BYTES * (1 << num_qubits)
     return int(single + extra)

@@ -5,7 +5,6 @@ from repro.opt.base import OptimizeResult, Optimizer
 from repro.opt.gradient import AnsatzObjective, finite_difference_gradient
 from repro.opt.nelder_mead import NelderMead
 from repro.opt.parameter_shift import (
-    batched_parameter_shift_gradient,
     parameter_shift_gradient,
     supports_parameter_shift,
 )
@@ -26,6 +25,5 @@ __all__ = [
     "AnsatzObjective",
     "finite_difference_gradient",
     "parameter_shift_gradient",
-    "batched_parameter_shift_gradient",
     "supports_parameter_shift",
 ]

@@ -21,10 +21,11 @@ resume cycle:
   physics tier), they share one plan object and one observable — one
   group.
 * **execute** — each group's parameter rows are stacked into a
-  ``(B, P)`` block and run as ONE
-  :class:`~repro.sim.batched.BatchedStatevectorSimulator.run_plan`
-  sweep over a ``(B, 2^n)`` amplitude block; all B energies come from
-  one ``CompiledPauliSum.expectations`` call.
+  ``(B, P)`` block.  A gradient group (one row per optimizer iterate)
+  runs as ONE :func:`~repro.sim.batched.reverse_value_and_gradient`
+  sweep over a ``(2B, 2^n)`` block: B energies and B exact gradients.
+  A value-only group runs as one ``BatchedStatevectorSimulator.run_plan``
+  sweep plus one ``CompiledPauliSum.expectations`` call.
 * **resume** — futures resolve, workers wake, campaigns continue to
   their next evaluation.  The coordinator fires the next wave when
   they all block again.
@@ -46,16 +47,13 @@ import numpy as np
 
 from repro import obs
 from repro.core.estimator import Estimator
-from repro.sim.batched import BatchedStatevectorSimulator
+from repro.sim.batched import BatchedStatevectorSimulator, reverse_value_and_gradient
 from repro.sim.expectation import expectation_direct
 
 __all__ = ["EvaluationBroker", "BrokeredEstimator", "OCCUPANCY_BUCKETS"]
 
 # Batch-occupancy histogram buckets: rows per executed group.
 OCCUPANCY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
-# Pooled batched simulators kept per broker ((num_qubits, batch) keys).
-_SIM_POOL_CAP = 16
 
 
 class _EvalFuture:
@@ -66,21 +64,19 @@ class _EvalFuture:
     def __init__(self, broker: "EvaluationBroker"):
         self._broker = broker
         self._done = False
-        self._values: Optional[np.ndarray] = None
+        self._values: Any = None
         self._error: Optional[BaseException] = None
 
-    def _set(
-        self,
-        values: Optional[np.ndarray],
-        error: Optional[BaseException] = None,
-    ) -> None:
+    def _set(self, values, error: Optional[BaseException] = None) -> None:
         # called by the coordinator under the broker lock
         self._values = values
         self._error = error
         self._done = True
 
-    def result(self) -> np.ndarray:
-        """Block until the coordinator resolves this future.
+    def result(self):
+        """Block until the coordinator resolves this future: the
+        submission's ``(k,)`` values, or ``((k,), (k, P))`` values and
+        gradients for a gradient request.
 
         Registers the calling worker as *waiting* so the coordinator
         knows when every live worker has reached its decision point.
@@ -100,15 +96,16 @@ class _EvalFuture:
 
 
 class _EvalRequest:
-    __slots__ = ("seq", "group_key", "plan", "observable", "rows", "tag", "future")
+    __slots__ = ("seq", "group_key", "plan", "observable", "rows", "tag", "gradient", "future")
 
-    def __init__(self, seq, group_key, plan, observable, rows, tag, future):
+    def __init__(self, seq, group_key, plan, observable, rows, tag, gradient, future):
         self.seq = seq
         self.group_key = group_key
         self.plan = plan
         self.observable = observable
         self.rows = rows
         self.tag = tag
+        self.gradient = gradient
         self.future = future
 
 
@@ -132,8 +129,6 @@ class EvaluationBroker:
         self._active = 0
         self._waiting = 0
         self._seq = 0
-        # (num_qubits, batch) -> simulator; insertion order == LRU
-        self._sims: Dict[Tuple[int, int], BatchedStatevectorSimulator] = {}
         # -- stats (coordinator-thread only; read by health snapshots)
         self.waves = 0
         self.groups_executed = 0
@@ -163,18 +158,20 @@ class EvaluationBroker:
         observable,
         group_key: str,
         tag: str = "",
+        gradient: bool = False,
     ) -> _EvalFuture:
         """Enqueue a block of parameter rows for one (plan, observable).
 
         All rows of one submission resolve together (one future), so a
-        whole finite-difference sweep joins a wave atomically.
+        whole finite-difference sweep joins a wave atomically.  With
+        ``gradient`` every row also gets its exact gradient.
         """
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         future = _EvalFuture(self)
         with self._cond:
             self._seq += 1
             self._pending.append(
-                _EvalRequest(self._seq, group_key, plan, observable, rows, tag, future)
+                _EvalRequest(self._seq, group_key, plan, observable, rows, tag, gradient, future)
             )
             self._cond.notify_all()
         return future
@@ -212,50 +209,39 @@ class EvaluationBroker:
 
     # -- execution ------------------------------------------------------------
 
-    def _sim(self, num_qubits: int, batch: int) -> BatchedStatevectorSimulator:
-        key = (num_qubits, batch)
-        sim = self._sims.get(key)
-        if sim is None:
-            sim = BatchedStatevectorSimulator(
-                num_qubits, batch, mem_category="serve.batch"
-            )
-            while len(self._sims) >= _SIM_POOL_CAP:
-                self._sims.pop(next(iter(self._sims)))
-            self._sims[key] = sim
-        else:
-            self._sims.pop(key)
-            self._sims[key] = sim  # refresh LRU recency
-        return sim
-
     def _execute_wave(
         self, wave: List[_EvalRequest]
-    ) -> List[Tuple[_EvalFuture, Optional[np.ndarray], Optional[BaseException]]]:
+    ) -> List[Tuple[_EvalFuture, Any, Optional[BaseException]]]:
         """Group, stack, and execute one wave; never raises — failures
         resolve the affected group's futures with the error."""
         self.waves += 1
         # deterministic grouping: order requests by (key, submission
-        # seq); the id() components only split a (mis)use where one
-        # group key spans distinct plan/observable objects
-        groups: Dict[Tuple[str, int, int], List[_EvalRequest]] = {}
+        # seq); gradient requests form their own group, and the id()
+        # components only split a (mis)use where one group key spans
+        # distinct plan/observable objects
+        groups: Dict[Tuple[str, bool, int, int], List[_EvalRequest]] = {}
         for req in sorted(wave, key=lambda r: (r.group_key, r.seq)):
-            gid = (req.group_key, id(req.plan), id(req.observable))
+            gid = (req.group_key, req.gradient, id(req.plan), id(req.observable))
             groups.setdefault(gid, []).append(req)
-        resolved: List[Tuple[_EvalFuture, Optional[np.ndarray], Optional[BaseException]]] = []
+        resolved: List[Tuple[_EvalFuture, Any, Optional[BaseException]]] = []
         for gid in groups:
             reqs = groups[gid]
             try:
-                values = self._execute_group(reqs)
+                values, grads = self._execute_group(reqs)
             except Exception as err:  # noqa: BLE001 — forwarded to workers
                 resolved.extend((r.future, None, err) for r in reqs)
                 continue
             offset = 0
             for req in reqs:
-                k = req.rows.shape[0]
-                resolved.append((req.future, values[offset : offset + k], None))
-                offset += k
+                part = slice(offset, offset + req.rows.shape[0])
+                answer = values[part] if grads is None else (values[part], grads[part])
+                resolved.append((req.future, answer, None))
+                offset = part.stop
         return resolved
 
-    def _execute_group(self, reqs: List[_EvalRequest]) -> np.ndarray:
+    def _execute_group(self, reqs: List[_EvalRequest]) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The group's stacked values, and its gradients for a gradient
+        group (else ``None``)."""
         plan = reqs[0].plan
         observable = reqs[0].observable
         rows = np.vstack([r.rows for r in reqs])
@@ -288,20 +274,31 @@ class EvaluationBroker:
                     help="Evaluations executed through the broker",
                 )
             out = np.empty(total, dtype=float)
-            # transient stacked rows + result buffer, priced under the
-            # same ledger category as the (B, 2^n) amplitude blocks
-            handle = obs.mem_alloc("serve.batch", rows.nbytes + out.nbytes)
+            grads = np.empty_like(rows) if reqs[0].gradient else None
+            # transient stacked rows + result buffers, priced under the
+            # same ledger category as the amplitude blocks; a gradient
+            # chunk of B rows also holds the sweep's (2B, 2^n) block and
+            # the B-row H psi it gathers into the block's lower half
+            nbytes = rows.nbytes + out.nbytes
+            if grads is not None:
+                nbytes += grads.nbytes + 3 * min(total, self.batch_size) * 16 * plan.dim
+            handle = obs.mem_alloc("serve.batch", nbytes)
             try:
                 for start in range(0, total, self.batch_size):
-                    chunk = rows[start : start + self.batch_size]
-                    sim = self._sim(plan.num_qubits, chunk.shape[0])
-                    sim.run_plan(plan, chunk)
-                    out[start : start + chunk.shape[0]] = sim.expectations(
-                        observable
+                    part = slice(start, start + self.batch_size)
+                    if grads is not None:
+                        out[part], grads[part] = reverse_value_and_gradient(
+                            plan, observable, rows[part]
+                        )
+                        continue
+                    sim = BatchedStatevectorSimulator(
+                        plan.num_qubits, len(rows[part]), mem_category="serve.batch"
                     )
+                    sim.run_plan(plan, rows[part])
+                    out[part] = sim.expectations(observable)
             finally:
                 obs.mem_free(handle)
-        return out
+        return out, grads
 
     # -- introspection --------------------------------------------------------
 
@@ -361,6 +358,15 @@ class BrokeredEstimator(Estimator):
             plan, rows, observable, self.group_key, self.tag
         ).result()
         return np.asarray(values, dtype=float)
+
+    def value_and_gradient(self, plan, params, observable):
+        """One row per optimizer iterate, answered by the group's block
+        reverse-mode sweep."""
+        self.evaluations += 1
+        values, grads = self.broker.submit(
+            plan, params, observable, self.group_key, self.tag, gradient=True
+        ).result()
+        return float(values[0]), grads[0]
 
     def _evaluate(self, sim, observable) -> float:
         return expectation_direct(sim.statevector(copy=False), observable)

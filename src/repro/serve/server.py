@@ -112,8 +112,9 @@ class ServerConfig:
     memory_queue_factor: int = 4
     # cross-campaign batched execution (the evaluation broker): VQE
     # campaigns with identical physics stack their evaluations into
-    # one (B, 2^n) batched-plan sweep per wave.  ``batch_size`` caps
-    # the rows per sweep; ``repro serve --no-batch`` disables the
+    # one reverse-mode sweep over a (2B, 2^n) block per wave (B energies
+    # and B exact gradients).  ``batch_size`` caps the rows per sweep;
+    # ``repro serve --no-batch`` disables the
     # broker entirely (every campaign evaluates synchronously).
     batch_enabled: bool = True
     batch_size: int = 32
@@ -353,11 +354,12 @@ class _JobExecution:
             # circuit mode over the physics-shared trotterized-UCCSD
             # circuit: every same-physics job executes the SAME
             # compiled plan, which is what lets the broker stack their
-            # evaluations; fd_gradient fuses value + gradient into one
-            # 2P+1-row sweep per optimizer iterate.  Batched and
-            # sequential serving both take this exact path (only the
-            # estimator differs), so their trajectories — and final
-            # energies — agree to floating-point noise.
+            # evaluations; each optimizer iterate is one row that comes
+            # back with its energy and exact reverse-mode gradient.
+            # Batched and sequential serving both run the same sweep
+            # (the broker's block of B rows, the direct estimator's one
+            # row), and it is row-wise, so their trajectories — and
+            # final energies — agree.
             estimator = (
                 self.estimator_factory()
                 if self.estimator_factory is not None
@@ -367,7 +369,6 @@ class _JobExecution:
                 self.problem["hamiltonian"],
                 ansatz=ansatz,
                 estimator=estimator,
-                fd_gradient=True,
                 flight_context=flight_context,
             )
         else:

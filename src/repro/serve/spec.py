@@ -279,7 +279,7 @@ def estimate_group_memory(specs) -> int:
     """Predicted peak bytes of a same-physics batch group (the unit the
     group-aware scheduler places).  The members share one compiled
     plan/observable/Hamiltonian, so the batch costs one job's total
-    plus B-1 extra amplitude rows — see
+    plus the extra rows of its reverse-mode sweep block — see
     :func:`repro.obs.memory.estimate_batched_group_bytes`."""
     from repro.obs.memory import estimate_batched_group_bytes
 

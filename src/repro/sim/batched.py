@@ -8,12 +8,9 @@ together as a ``(B, 2^n)`` amplitude matrix, so every gate application
 is one vectorized operation across the whole batch (the NumPy analogue
 of launching concurrent GPU kernels [cCUDA, paper ref 13]).
 
-This is exactly the workload VQE generates: parameter-shift gradients
-need ``2 m`` evaluations of one circuit at shifted angles, optimizer
-line searches need several, and parameter sweeps need hundreds.  The
-companion ``repro.opt.parameter_shift.batched_parameter_shift_gradient``
-and the batching benchmark quantify the win over one-at-a-time
-execution.
+:func:`reverse_value_and_gradient` is the gradient half: B energies and
+B exact gradients from one reverse-mode sweep over a ``(2B, 2^n)``
+block, what the serve tier's evaluation broker runs per wave.
 
 Execution is always through a compiled plan
 (:mod:`repro.sim.plan`) and the one kernel set
@@ -24,7 +21,7 @@ per-row angle vector, static ops broadcast one payload over the batch.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -32,10 +29,72 @@ from repro import obs
 from repro.ir.circuit import Circuit
 from repro.ir.compiled import CompiledPauliSum, compile_observable
 from repro.ir.pauli import PauliSum
-from repro.sim.kernels import apply_op
-from repro.sim.plan import compile_circuit
+from repro.sim.kernels import apply_op, phase_bracket, rotation_bracket, row_dot
+from repro.sim.plan import ExecutionPlan, PlanOp, compile_circuit
 
-__all__ = ["BatchedStatevectorSimulator"]
+__all__ = ["BatchedStatevectorSimulator", "reverse_mode_blocker", "reverse_value_and_gradient"]
+
+
+def reverse_mode_blocker(plan: ExecutionPlan) -> Optional[PlanOp]:
+    """The first parametric op the reverse-mode sweep cannot
+    differentiate, or ``None`` when it can do the whole plan: every
+    parametric op must be a rotation step or a ``p`` gate (the two ops
+    whose generator the sweep brackets)."""
+    for op in plan.ops:
+        if op.is_parametric and op.kind != "rot" and op.gate_name != "p":
+            return op
+    return None
+
+
+def reverse_value_and_gradient(
+    plan: ExecutionPlan, observable: "PauliSum | CompiledPauliSum", rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Energies ``<psi_r|H|psi_r>`` and their exact gradients for the R
+    parameter rows of ``rows`` (shape ``(R, P)``), as ``((R,), (R, P))``.
+
+    One sweep, whatever P: the plan runs forward on the R rows of
+    ``psi``, ``H`` is applied to the block, and the ops are walked
+    backwards, each undone once on ``phi`` (= ``psi``) and ``lam`` (=
+    ``H psi``) stacked as one ``(2R, 2^n)`` block.  Before an op
+    ``exp(theta A)`` is undone it contributes ``2 Re <lam|A|phi>`` to its
+    parameter's derivative.  Every step is row-wise, so a row's result
+    is the same bits whatever else shares the block.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != plan.num_parameters:
+        raise ValueError(
+            f"expected parameter rows of shape (R, {plan.num_parameters}), "
+            f"got {rows.shape}"
+        )
+    blocker = reverse_mode_blocker(plan)
+    if blocker is not None:
+        names = ", ".join(repr(plan.parameters[k]) for k in sorted(blocker.param_deps))
+        raise ValueError(
+            f"reverse mode cannot differentiate gate {blocker.gate_name!r} on qubits "
+            f"{blocker.qubits} (parameter {names}); it takes rotations and p gates only"
+        )
+    n, r = plan.num_qubits, rows.shape[0]
+    block = np.zeros((2 * r, plan.dim), dtype=np.complex128)
+    phi, lam = block[:r], block[r:]
+    phi[:, 0] = 1.0
+    for op in plan.ops:
+        kind, payload = op.resolve(rows)
+        apply_op(phi, kind, payload, op.qubits, n)
+    lam[...] = compile_observable(observable).apply(phi)
+    values = row_dot(phi, lam).real
+    grads = np.zeros_like(rows)
+    doubled = np.concatenate([rows, rows])
+    for op in reversed(plan.ops):
+        if op.kind == "rot" and op.param_refs:
+            # exp(theta A): dU/dtheta = A U
+            grads[:, op.param_refs[0][2]] += 2.0 * rotation_bracket(lam, phi, op.data).real
+        elif op.is_parametric:
+            # p(coeff * theta + offset): dU/dtheta = coeff i |1><1| U
+            _, coeff, k, _ = op.param_refs[0]
+            grads[:, k] += 2.0 * coeff * phase_bracket(lam, phi, op.qubits[0]).real
+        kind, payload = op.resolve(doubled)
+        apply_op(block, kind, payload, op.qubits, n, adjoint=True)
+    return values, grads
 
 
 class BatchedStatevectorSimulator:

@@ -45,6 +45,7 @@ from repro.utils.bitops import basis_indices, parity_mask, xor_indices
 __all__ = [
     "MaskRotation",
     "apply_rotation",
+    "row_dot",
     "rotation_bracket",
     "phase_bracket",
     "lower_gate",
@@ -336,14 +337,25 @@ def apply_rotation(
     block += moved
 
 
-def rotation_bracket(lam: np.ndarray, phi: np.ndarray, step: MaskRotation) -> complex:
-    """``<lam| A |phi>`` for the generator of ``step`` (1-D states)."""
-    moved = phi[xor_indices(phi.shape[0].bit_length() - 1, step.x)] if step.x else phi
-    return complex(np.vdot(lam, step.weights.take(step.classes) * moved))
+def row_dot(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """``<lam|phi>`` along the last axis, one value per leading index.
+
+    A plain sum over each row, so a row's value does not depend on how
+    many rows share the block (``einsum`` and ``vdot`` regroup the sum
+    for long rows)."""
+    return (lam.conj() * phi).sum(axis=-1)
 
 
-def phase_bracket(lam: np.ndarray, phi: np.ndarray, qubit: int) -> complex:
-    """``<lam| i |1><1|_qubit |phi>``: the bracket of the phase gate's
-    generator, ``d/dtheta p(theta) = i |1><1| p(theta)`` (1-D states)."""
-    split = (-1, 2, 1 << qubit)
-    return 1j * complex(np.vdot(lam.reshape(split)[:, 1], phi.reshape(split)[:, 1]))
+def rotation_bracket(lam: np.ndarray, phi: np.ndarray, step: MaskRotation) -> np.ndarray:
+    """``<lam| A |phi>`` for the generator of ``step``, row by row over
+    ``(…, 2^n)`` blocks."""
+    if step.x:
+        phi = phi.take(xor_indices(phi.shape[-1].bit_length() - 1, step.x), axis=-1)
+    return row_dot(lam, step.weights.take(step.classes) * phi)
+
+
+def phase_bracket(lam: np.ndarray, phi: np.ndarray, qubit: int) -> np.ndarray:
+    """``<lam| i |1><1|_qubit |phi>``, row by row: the bracket of the
+    phase gate's generator, ``d/dtheta p(theta) = i |1><1| p(theta)``."""
+    split = lam.shape[:-1] + (-1, 2, 1 << qubit)
+    return 1j * row_dot(lam.reshape(split)[..., 1, :], phi.reshape(split)[..., 1, :]).sum(-1)

@@ -1,5 +1,5 @@
-"""Tests for the batched statevector simulator and batched gradients
-(paper §6.2 batch execution)."""
+"""Tests for the batched statevector simulator and the block reverse-mode
+sweep (paper §6.2 batch execution)."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,20 @@ from repro.ir.circuit import Circuit
 from repro.ir.gates import Parameter
 from repro.ir.library import hardware_efficient_ansatz
 from repro.ir.pauli import PauliSum
-from repro.opt.parameter_shift import (
-    batched_parameter_shift_gradient,
-    parameter_shift_gradient,
-)
-from repro.sim.batched import BatchedStatevectorSimulator
+from repro.opt.parameter_shift import parameter_shift_gradient
+from repro.sim.batched import BatchedStatevectorSimulator, reverse_value_and_gradient
+from repro.sim.plan import compile_circuit
 from repro.sim.statevector import StatevectorSimulator
+
+
+@pytest.fixture(scope="module")
+def h4_problem():
+    """The serve tier's H4 problem: qubit Hamiltonian and UCCSD circuit."""
+    from repro.serve.spec import JobSpec
+    from repro.serve.store import ProblemCache
+
+    problem = ProblemCache().get(JobSpec(tenant="t", molecule="h4"))
+    return problem["hamiltonian"], problem["ansatz"]
 
 
 def reference_states(circuit, parameter_table, batch):
@@ -111,25 +119,60 @@ class TestBatchedSimulator:
         assert np.allclose(norms, 1.0, atol=1e-10)
 
 
-class TestBatchedParameterShift:
+class TestBlockSweep:
+    """``reverse_value_and_gradient``: R energies and R exact gradients
+    from one reverse-mode sweep over a (2R, 2^n) block."""
+
     def test_matches_serial_gradient(self, rng):
+        """HEA: every row of the block equals the hardware two-term rule
+        run with a custom ``estimate``, and its energy equals a direct
+        estimate."""
         from repro.chem.hamiltonian import build_molecular_hamiltonian
         from repro.chem.molecule import h2
         from repro.chem.scf import run_rhf
+        from repro.core.estimator import DirectEstimator
 
         hq = build_molecular_hamiltonian(run_rhf(h2())).to_qubit()
         ansatz = hardware_efficient_ansatz(4, layers=1)
-        x = rng.normal(scale=0.4, size=ansatz.num_parameters)
-        serial = parameter_shift_gradient(ansatz, hq, x)
-        batched = batched_parameter_shift_gradient(ansatz, hq, x)
-        assert np.allclose(serial, batched, atol=1e-10)
+        rows = rng.normal(scale=0.4, size=(4, ansatz.num_parameters))
+        values, grads = reverse_value_and_gradient(compile_circuit(ansatz), hq, rows)
+        est = DirectEstimator()
+        for x, value, grad in zip(rows, values, grads):
+            two_term = parameter_shift_gradient(ansatz, hq, x, estimate=est.estimate)
+            assert np.allclose(grad, two_term, atol=1e-10)
+            assert np.isclose(value, est.estimate(ansatz.bind(list(x)), hq), atol=1e-12)
 
     def test_rejects_unsupported_circuit(self):
-        from repro.chem.uccsd import build_uccsd_circuit
+        """A parametric gate that is neither a rotation step nor ``p``
+        is refused by name, qubits and parameter."""
+        c = Circuit(2).h(0).h(1).add("crz", [0, 1], Parameter("a"))
+        h = PauliSum.from_label_dict({"XX": 1.0})
+        with pytest.raises(ValueError, match=r"'crz' on qubits \(0, 1\) \(parameter 'a'\)"):
+            reverse_value_and_gradient(compile_circuit(c), h, np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="'crz'"):
+            parameter_shift_gradient(c, h, np.zeros(1))
 
-        circuit = build_uccsd_circuit(4, 2).circuit
-        h = PauliSum.from_label_dict({"ZIII": 1.0})
-        with pytest.raises(ValueError):
-            batched_parameter_shift_gradient(
-                circuit, h, np.zeros(circuit.num_parameters)
-            )
+    def test_uccsd_h4_matches_central_differences(self, h4_problem):
+        """UCCSD (parameters shared across gates, refused by the two-term
+        rule) gets its exact gradient; central differences at eps = 1e-6
+        agree to FD's own error."""
+        hq, ansatz = h4_problem
+        plan = compile_circuit(ansatz)
+        x = 0.05 * np.random.default_rng(3).standard_normal(plan.num_parameters)
+        grad = parameter_shift_gradient(ansatz, hq, x)
+        shifts = 1e-6 * np.eye(plan.num_parameters)
+        values, _ = reverse_value_and_gradient(plan, hq, np.concatenate([x + shifts, x - shifts]))
+        central = (values[: plan.num_parameters] - values[plan.num_parameters :]) / 2e-6
+        assert np.max(np.abs(grad - central)) < 1e-7
+
+    def test_block_of_five_equals_five_single_rows(self, h4_problem):
+        """Row-wise to the bit: a row's energy and gradient do not
+        depend on what else shares the block."""
+        hq, ansatz = h4_problem
+        plan = compile_circuit(ansatz)
+        rows = 0.1 * np.random.default_rng(4).standard_normal((5, plan.num_parameters))
+        values, grads = reverse_value_and_gradient(plan, hq, rows)
+        for k in range(5):
+            value, grad = reverse_value_and_gradient(plan, hq, rows[k : k + 1])
+            assert value[0] == values[k]
+            assert np.array_equal(grad[0], grads[k])

@@ -294,6 +294,42 @@ class TestEvaluationBroker:
         assert 0 in results and 1 in errors
         assert isinstance(errors[1], ValueError)
 
+    def test_mixed_wave_runs_value_and_gradient_groups_apart(self, rng):
+        """Value-only and gradient requests under one physics key run as
+        two groups; each future gets its own shape back."""
+        plan, ham = self._setup(rng)
+        broker = EvaluationBroker(batch_size=8)
+        rows = rng.uniform(-1, 1, size=(3, plan.num_parameters))
+        x = rng.uniform(-1, 1, size=plan.num_parameters)
+        values = broker.submit(plan, rows, ham, "phys", tag="j0")
+        both = broker.submit(plan, x, ham, "phys", tag="j1", gradient=True)
+        broker.pump()  # no live workers: runs the one pending wave
+        stats = broker.stats()
+        assert (stats["waves"], stats["groups_executed"]) == (1, 2)
+        assert stats["batched_evals"] == 0 and stats["solo_evals"] == 4
+        ref = _scalar_reference(plan, rows)
+        assert values.result().shape == (3,)
+        assert np.allclose(values.result(), [expectation_direct(s, ham) for s in ref])
+        value, grad = both.result()
+        assert value.shape == (1,) and grad.shape == (1, plan.num_parameters)
+        from repro.opt.parameter_shift import parameter_shift_gradient
+
+        exact = parameter_shift_gradient(plan.source, ham, x)
+        assert np.allclose(grad[0], exact, atol=1e-12)
+
+    def test_gradient_group_failure_reaches_only_its_futures(self, rng):
+        """A gradient group that raises resolves its own futures with
+        the error; the value-only group of the same key still resolves."""
+        plan, ham = self._setup(rng)
+        broker = EvaluationBroker(batch_size=8)
+        x = rng.uniform(-1, 1, size=plan.num_parameters)
+        good = broker.submit(plan, x, ham, "phys")
+        bad = broker.submit(plan, np.append(x, 0.0), ham, "phys", gradient=True)
+        broker.pump()
+        assert good.result().shape == (1,)
+        with pytest.raises(ValueError, match="parameter rows"):
+            bad.result()
+
     def test_pump_with_no_workers_returns(self):
         EvaluationBroker().pump()  # no hang, nothing to do
 
@@ -355,8 +391,9 @@ class TestPhysicsSharing:
         one = estimate_group_memory([spec])
         eight = estimate_group_memory([spec] * 8)
         assert one == estimate_job_memory(spec)
-        # 7 extra amplitude rows, NOT 7 extra full jobs
-        assert eight == one + 7 * 16 * (1 << 4)
+        # 7 extra rows of the sweep's (2B, 2^n) block plus B-row H psi,
+        # NOT 7 extra full jobs
+        assert eight == one + 7 * 3 * 16 * (1 << 4)
         assert eight < 8 * one
 
 
@@ -443,6 +480,35 @@ class TestServeBatched:
                 batched_energies[j.spec.content_key()], abs=1e-10
             )
         solo.close()
+
+    def test_h4_fleet_batched_equals_solo_with_one_row_per_iterate(self, tmp_path):
+        """8 H4 campaigns on exact gradients: the broker's block sweep
+        and --no-batch's one-row sweep give equal energies and identical
+        evaluation counts, and the broker ran one row per evaluation."""
+        runs = {}
+        for name, batch in (("batched", True), ("solo", False)):
+            srv = CampaignServer(
+                str(tmp_path / name), ServerConfig(num_ranks=2, batch_enabled=batch)
+            )
+            _submit_fleet(srv, 8, molecule="h4")
+            srv.run(stop_when_idle=True, max_ticks=40)
+            assert all(j.state == JobState.SUCCEEDED for j in srv.jobs.values())
+            runs[name] = {
+                j.spec.content_key(): (
+                    j.energy,
+                    srv.store.get_result(j.spec.content_key())["evaluations"],
+                )
+                for j in srv.jobs.values()
+            }
+            if batch:
+                stats = srv.broker.stats()
+                evaluations = sum(n for _, n in runs[name].values())
+                assert stats["batched_evals"] + stats["solo_evals"] == evaluations
+                assert stats["max_occupancy"] == 8
+            srv.close()
+        for key, (energy, evaluations) in runs["batched"].items():
+            assert runs["solo"][key][0] == pytest.approx(energy, abs=1e-10)
+            assert runs["solo"][key][1] == evaluations
 
     def test_distinct_seeds_are_distinct_campaigns(self, tmp_path):
         """Seeded jitter makes same-molecule different-seed submissions

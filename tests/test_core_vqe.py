@@ -58,6 +58,24 @@ class TestVQEDriver:
         circ = VQE(hq, ansatz=build_uccsd_circuit(4, 2).circuit, optimizer=Cobyla()).run()
         assert abs(chem.energy - circ.energy) < 1e-4
 
+    @pytest.mark.parametrize("optimizer", ["lbfgsb", "cobyla"])
+    def test_circuit_mode_fuses_exact_gradient_while_read(self, h2_setup, optimizer):
+        """L-BFGS reads a gradient at every iterate, so every evaluation
+        is one value+gradient sweep; COBYLA never reads one, so only its
+        first evaluation pays for it.  Caching estimators offer none."""
+        _, hq, e_fci = h2_setup
+        circuit = build_uccsd_circuit(4, 2).circuit
+        est = make_estimator("direct")
+        sweeps = []
+        offered = est.value_and_gradient
+        est.value_and_gradient = lambda *a: sweeps.append(1) or offered(*a)
+        opt = Cobyla() if optimizer == "cobyla" else None
+        res = VQE(hq, ansatz=circuit, estimator=est, optimizer=opt).run()
+        assert abs(res.energy - e_fci) < 1e-4
+        assert len(sweeps) == (1 if optimizer == "cobyla" else res.num_function_evaluations)
+        vqe = VQE(hq, ansatz=circuit, estimator=make_estimator("caching"))
+        assert vqe.gradient(np.zeros(3)) is None
+
     def test_energy_at_zero_is_hf(self, h2_setup):
         scf, hq, _ = h2_setup
         gens = [a for _, a in uccsd_generators(4, 2)]

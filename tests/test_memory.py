@@ -173,13 +173,17 @@ def test_disabled_ledger_is_noop():
 # -- capacity model vs measured reality ---------------------------------------
 
 
-def _measured_job_peak(molecule: str) -> int:
+def _measured_job_peak(molecule: str, campaigns: int = 1) -> int:
     """Run the serve-path workload of one VQE job (problem build +
     one energy evaluation — the optimizer loop reuses these buffers)
-    and return the ledger peak it produced."""
+    and return the ledger peak it produced.  With ``campaigns`` > 1 a
+    same-physics group then runs one brokered wave: one gradient row
+    per campaign through the block reverse-mode sweep."""
     from repro.core.vqe import VQE
+    from repro.serve.broker import EvaluationBroker
     from repro.serve.spec import JobSpec
     from repro.serve.store import ProblemCache
+    from repro.sim.plan import compile_circuit
 
     gc.collect()  # flush prior tests' buffers before rebasing
     obs.configure(enabled=True)
@@ -192,6 +196,19 @@ def _measured_job_peak(molecule: str) -> int:
         reference_state=problem["reference"],
     )
     vqe.energy(np.zeros(len(problem["generators"])))
+    if campaigns > 1:
+        plan = compile_circuit(problem["ansatz"])
+        broker = EvaluationBroker()
+        rows = 0.02 * np.random.default_rng(0).standard_normal(
+            (campaigns, plan.num_parameters)
+        )
+        futures = [
+            broker.submit(plan, row, problem["hamiltonian"], "phys", gradient=True)
+            for row in rows
+        ]
+        broker.pump()  # no live workers: runs the one pending wave
+        assert all(f.result()[1].shape == (1, plan.num_parameters) for f in futures)
+        assert broker.stats()["max_occupancy"] == campaigns
     return obs.get_memory_ledger().peak_bytes
 
 
@@ -206,6 +223,19 @@ def test_estimate_job_memory_within_ten_percent(molecule):
     assert 0.9 <= ratio <= 1.1, (
         f"{molecule}: predicted {predicted} vs measured {measured} "
         f"({ratio:.3f}x) — capacity model out of calibration"
+    )
+
+
+def test_estimate_group_memory_within_ten_percent():
+    """An 8-campaign H4 group: the block sweep's (16, 2^n) block and
+    8-row H psi are what the group model adds to one job."""
+    from repro.serve.spec import JobSpec, estimate_group_memory
+
+    measured = _measured_job_peak("h4", campaigns=8)
+    predicted = estimate_group_memory([JobSpec(tenant="t", molecule="h4")] * 8)
+    ratio = predicted / measured
+    assert 0.9 <= ratio <= 1.1, (
+        f"h4 x8: predicted {predicted} vs measured {measured} ({ratio:.3f}x)"
     )
 
 

@@ -742,17 +742,18 @@ class TestConsumers:
         )
         np.testing.assert_allclose(fast, slow, atol=1e-10)
 
-    def test_batched_parameter_shift_matches(self):
-        from repro.opt.parameter_shift import (
-            batched_parameter_shift_gradient,
-            parameter_shift_gradient,
-        )
+    def test_block_sweep_matches(self):
+        from repro.opt.parameter_shift import parameter_shift_gradient
+        from repro.sim.batched import reverse_value_and_gradient
 
         circ, h, params = self._setup()
-        np.testing.assert_allclose(
-            batched_parameter_shift_gradient(circ, h, params),
-            parameter_shift_gradient(
-                circ, h, params, estimate=DirectEstimator().estimate
-            ),
-            atol=1e-10,
-        )
+        rows = np.stack([params, params + 0.5, params * -1.0])
+        _, grads = reverse_value_and_gradient(compile_circuit(circ), h, rows)
+        for row, grad in zip(rows, grads):
+            np.testing.assert_allclose(
+                grad,
+                parameter_shift_gradient(
+                    circ, h, row, estimate=DirectEstimator().estimate
+                ),
+                atol=1e-10,
+            )

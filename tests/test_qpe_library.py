@@ -215,9 +215,15 @@ class TestParameterShift:
         assert np.allclose(ps, fd, atol=1e-5)
 
     def test_rejects_reused_parameter(self, h2_problem):
+        """The two-term rule (a custom ``estimate``) refuses a parameter
+        that feeds several gates, naming the gate; the simulator path
+        differentiates the same circuit in reverse mode."""
         from repro.chem.uccsd import build_uccsd_circuit
+        from repro.core.estimator import DirectEstimator
 
         hq, _ = h2_problem
         circuit = build_uccsd_circuit(4, 2).circuit
-        with pytest.raises(ValueError):
-            parameter_shift_gradient(circuit, hq, np.zeros(circuit.num_parameters))
+        x = np.zeros(circuit.num_parameters)
+        with pytest.raises(ValueError, match=r"gate 'r[xyz]' on qubits .* reuses"):
+            parameter_shift_gradient(circuit, hq, x, estimate=DirectEstimator().estimate)
+        assert parameter_shift_gradient(circuit, hq, x).shape == x.shape
