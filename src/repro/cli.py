@@ -800,7 +800,7 @@ _PLAN_STAT_ROWS = [
 
 def _plan_stats_lines() -> List[str]:
     """Human-readable view of the compiled-plan counters (summed over
-    label sets, e.g. the circuit and generator prefix engines)."""
+    label sets)."""
     totals: Dict[str, float] = {}
     for snap in obs.get_registry().snapshot():
         name = snap["name"]

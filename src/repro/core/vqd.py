@@ -9,8 +9,10 @@ Wang & Brierley, 2019) finds state k by minimizing
 
 where the overlap penalties deflate the already-found states out of
 the search space.  With statevector access the overlaps are exact
-inner products, so the method composes directly with the chemistry-
-mode ansatz objective and its adjoint gradients.
+inner products, and the functional is an ordinary energy,
+``<psi|H'|psi>`` with ``H' = H + sum_j beta_j |psi_j><psi_j|``: state k
+is found by the chemistry-mode ansatz objective over ``H'``, whose
+gradient is the same reverse-mode sweep as every other ansatz's.
 
 The deflation weights must exceed the energy gaps; we default to
 ``beta = 2 * (spectral 1-norm bound)`` which always suffices.
@@ -47,6 +49,25 @@ class VQDResult:
         return [e - self.energies[0] for e in self.energies[1:]]
 
 
+class _Deflated:
+    """``H' = H + beta sum_j |psi_j><psi_j|``: the deflated functional
+    is ``<psi|H'|psi>``, so VQD is an ordinary objective over ``H'``."""
+
+    def __init__(self, compiled_h, beta: float, states: Sequence[np.ndarray]):
+        self.compiled_h = compiled_h
+        self.beta = beta
+        self.states = np.array(states)  # (j, 2^n)
+
+    def apply(self, block: np.ndarray) -> np.ndarray:
+        """``H'`` on a ``(2^n,)`` state or a ``(…, 2^n)`` block."""
+        overlaps = self.beta * (block @ self.states.conj().T)  # (…, j)
+        return self.compiled_h.apply(block) + overlaps @ self.states
+
+    def expectation(self, state: np.ndarray) -> complex:
+        overlaps = self.states.conj() @ state
+        return self.compiled_h.expectation(state) + self.beta * np.vdot(overlaps, overlaps)
+
+
 def run_vqd(
     hamiltonian: PauliSum,
     generators: Sequence[PauliSum],
@@ -80,39 +101,16 @@ def run_vqd(
     optimizer = optimizer or LBFGSB(max_iterations=500)
     rng = np.random.default_rng(seed)
 
-    objective = AnsatzObjective(reference_state, list(generators), hamiltonian)
     compiled_h = compile_observable(hamiltonian)
-    m = objective.num_parameters
     found_states: List[np.ndarray] = []
     energies: List[float] = []
     parameters: List[np.ndarray] = []
     nfev = 0
 
     for k in range(num_states):
-
-        def deflated_energy(x: np.ndarray) -> float:
-            state = objective.prepare_state(x)
-            e = float(np.real(np.vdot(state, compiled_h.apply(state))))
-            for prev in found_states:
-                e += beta * float(np.abs(np.vdot(prev, state)) ** 2)
-            return e
-
-        def deflated_gradient(x: np.ndarray) -> np.ndarray:
-            # adjoint gradient of the deflated functional: lambda gains
-            # beta * <prev|psi> |prev> terms alongside H|psi>.
-            psi = objective.prepare_state(x)
-            lam = compiled_h.apply(psi)
-            for prev in found_states:
-                lam = lam + beta * np.vdot(prev, psi) * prev
-            phi = psi
-            grad = np.zeros(m)
-            for j in range(m - 1, -1, -1):
-                ev = objective.evolutions[j]
-                grad[j] = 2.0 * np.real(np.vdot(lam, ev.apply_generator(phi)))
-                phi = ev.apply(phi, -x[j])
-                lam = ev.apply(lam, -x[j])
-            return grad
-
+        deflated = _Deflated(compiled_h, beta, found_states) if found_states else compiled_h
+        objective = AnsatzObjective(reference_state, list(generators), deflated)
+        m = objective.num_parameters
         starts = []
         if initial_parameters is not None and k < len(initial_parameters):
             starts.append(np.asarray(initial_parameters[k], dtype=float))
@@ -123,16 +121,15 @@ def run_vqd(
 
         best = None
         for x0 in starts:
-            res = optimizer.minimize(deflated_energy, x0, gradient=deflated_gradient)
+            res = optimizer.minimize(objective.energy, x0, gradient=objective.gradient)
             nfev += res.nfev
             if best is None or res.fun < best.fun:
                 best = res
         assert best is not None
         state = objective.prepare_state(best.x)
         # report the raw energy, not the deflated functional
-        energy = float(np.real(np.vdot(state, compiled_h.apply(state))))
+        energies.append(float(compiled_h.expectation(state).real))
         found_states.append(state)
-        energies.append(energy)
         parameters.append(best.x)
 
     return VQDResult(

@@ -1,18 +1,23 @@
 """The VQE driver (paper §3.1 workflow, steps 1-5).
 
-Two execution modes, matching how the paper's stack is layered:
+Two ways in, one program underneath:
 
 * **Chemistry mode** (``generators`` + ``reference_state``): the
-  NWQ-Sim fast path.  The ansatz is a product of generator
-  exponentials applied directly to the statevector
-  (``repro.opt.gradient.AnsatzObjective``), expectation values are
-  computed directly from amplitudes (§4.2), and analytic adjoint
-  gradients feed gradient-based optimizers.
+  NWQ-Sim fast path.  The product of generator exponentials is lowered
+  straight to an execution plan (``ExecutionPlan.from_generators``,
+  wrapped by ``repro.opt.gradient.AnsatzObjective``), expectation
+  values are computed directly from amplitudes (§4.2), and exact
+  reverse-mode gradients feed gradient-based optimizers.
 * **Circuit mode** (``ansatz`` circuit + ``estimator``): the portable
   XACC-style path — the parameterized circuit is compiled once to a
   bind-free execution plan (``repro.sim.plan``) and re-executed per
   evaluation through any estimator (direct / caching / sampling),
   which is what the caching and sampling ablations measure.
+
+Both modes run an ``ExecutionPlan`` through the same kernels, and both
+take value and gradient from one reverse-mode sweep
+(``repro.sim.batched.reverse_value_and_gradient``) while the optimizer
+reads gradients (``repro.opt.gradient.GradientFusion``).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from repro.ir.circuit import Circuit
 from repro.ir.pauli import PauliSum
 from repro.core.estimator import DirectEstimator, Estimator
 from repro.opt.base import Optimizer, OptimizeResult
-from repro.opt.gradient import AnsatzObjective
+from repro.opt.gradient import AnsatzObjective, GradientFusion
 from repro.opt.scipy_wrap import LBFGSB
 from repro.sim.batched import reverse_mode_blocker
 from repro.sim.plan import compile_circuit
@@ -104,23 +109,23 @@ class VQE:
         # check — the disabled-overhead contract)
         self.flight: Optional[FlightRecorder] = None
         self.flight_context = dict(flight_context or {})
-        # circuit-mode fused value+gradient: energy() also computes the
-        # gradient and gradient() returns the cached result.  scipy's
-        # quasi-Newton optimizers request f and g at the same iterates,
-        # so a batch-capable estimator (the serve-layer evaluation
-        # broker) gets one request per iterate.  The gradient is the
-        # estimator's exact one when it offers one, or, with
-        # fd_gradient, central differences over 2P+1 parameter rows in
-        # ONE estimate_plan_many call.
+        # circuit mode's gradient, fused with the value (GradientFusion):
+        # the estimator's exact one, or with fd_gradient central
+        # differences over 2P+1 rows in ONE estimate_plan_many call, so a
+        # batch-capable estimator (the serve broker) gets one request per
+        # optimizer iterate
         self.fd_gradient = bool(fd_gradient)
         self.fd_epsilon = float(fd_epsilon)
-        self._grad_x: Optional[np.ndarray] = None
-        self._grad: Optional[np.ndarray] = None
-        # the exact gradient is fused only while the optimizer reads it:
-        # a gradient-free optimizer pays for it on its first evaluation
-        self._fuse_exact = False
+        self._fusion = GradientFusion()
         self.mode: str
         if generators is not None:
+            for name, value in (("ansatz", ansatz), ("estimator", estimator),
+                                ("fd_gradient", fd_gradient or None)):
+                if value is not None:
+                    raise ValueError(
+                        f"VQE got both generators and {name}: chemistry mode runs the "
+                        f"generators on the direct sweep, {name} is a circuit-mode input"
+                    )
             if reference_state is None:
                 raise ValueError("chemistry mode needs a reference state")
             self.objective = AnsatzObjective(
@@ -160,32 +165,34 @@ class VQE:
     def _energy_impl(self, params: np.ndarray) -> float:
         if self.mode == "chemistry":
             return self.objective.energy(params)
-        if self.ansatz.num_parameters:
-            # compile once, re-execute bind-free for every evaluation
-            # (compile_circuit memoizes on the circuit and invalidates
-            # on mutation, so ADAPT-style growing ansaetze recompile
-            # exactly when they change)
-            plan = compile_circuit(self.ansatz)
-            if self.fd_gradient:
-                return self._fd_energy_and_grad(plan, params)
-            if self._fuse_exact and self._exact_gradient(plan):
-                self._fuse_exact = False  # re-armed when gradient() reads it
-                value, self._grad = self.estimator.value_and_gradient(
-                    plan, params, self.hamiltonian
-                )
-                self._grad_x = params.copy()
-                return value
-            return self.estimator.estimate_plan(plan, params, self.hamiltonian)
-        return self.estimator.estimate(self.ansatz, self.hamiltonian)
+        if not self.ansatz.num_parameters:
+            return self.estimator.estimate(self.ansatz, self.hamiltonian)
+        # compile once, re-execute bind-free for every evaluation
+        # (compile_circuit memoizes on the circuit and invalidates on
+        # mutation, so ADAPT-style growing ansaetze recompile exactly
+        # when they change)
+        plan = compile_circuit(self.ansatz)
+        fused = self._fused_sweep(plan)
 
-    def _exact_gradient(self, plan) -> bool:
-        """Whether the estimator offers an exact gradient for ``plan``."""
+        def plain(x: np.ndarray) -> float:
+            return self.estimator.estimate_plan(plan, x, self.hamiltonian)
+
+        return plain(params) if fused is None else self._fusion.value(params, fused, plain)
+
+    def _fused_sweep(self, plan) -> Optional[Callable]:
+        """Circuit mode's value+gradient evaluation for ``plan``: central
+        differences with ``fd_gradient``, else the estimator's exact
+        gradient when it offers one, else ``None``."""
+        if self.fd_gradient:
+            return lambda x: self._fd_value_and_gradient(plan, x)
         offers = type(self.estimator).value_and_gradient is not Estimator.value_and_gradient
-        return not self.fd_gradient and offers and reverse_mode_blocker(plan) is None
+        if offers and reverse_mode_blocker(plan) is None:
+            return lambda x: self.estimator.value_and_gradient(plan, x, self.hamiltonian)
+        return None
 
-    def _fd_energy_and_grad(self, plan, params: np.ndarray) -> float:
-        """One fused sweep: value at ``params`` plus central differences
-        along every coordinate, all through ``estimate_plan_many``."""
+    def _fd_value_and_gradient(self, plan, params: np.ndarray):
+        """Value at ``params`` plus central differences along every
+        coordinate, all in one ``estimate_plan_many`` call."""
         p = self.num_parameters
         eps = self.fd_epsilon
         rows = np.tile(params, (2 * p + 1, 1))
@@ -196,27 +203,25 @@ class VQE:
             self.estimator.estimate_plan_many(plan, rows, self.hamiltonian),
             dtype=float,
         )
-        self._grad_x = params.copy()
-        self._grad = (vals[1::2] - vals[2::2]) / (2.0 * eps)
-        return float(vals[0])
+        return float(vals[0]), (vals[1::2] - vals[2::2]) / (2.0 * eps)
+
+    def _has_gradient(self) -> bool:
+        return self.mode == "chemistry" or (
+            self.ansatz.num_parameters > 0
+            and self._fused_sweep(compile_circuit(self.ansatz)) is not None
+        )
 
     def gradient(self, params: np.ndarray) -> Optional[np.ndarray]:
-        """Analytic gradient (chemistry mode), or in circuit mode the
-        cached fused gradient (exact, or central differences with
-        ``fd_gradient``); ``None`` when the circuit-mode estimator offers
-        neither."""
+        """The exact gradient — in circuit mode the estimator's, or
+        central differences with ``fd_gradient`` — kept from the fused
+        evaluation at ``params`` when there was one; ``None`` when the
+        circuit-mode estimator offers neither."""
         params = np.atleast_1d(np.asarray(params, dtype=float))
         if self.mode == "chemistry":
             return self.objective.gradient(params)
-        hit = self._grad_x is not None and np.array_equal(params, self._grad_x)
-        if not (hit or self.fd_gradient or self._exact_gradient(compile_circuit(self.ansatz))):
+        if not (self._fusion.holds(params) or self._has_gradient()):
             return None
-        self._fuse_exact = True
-        if not hit:
-            # optimizer asked for a gradient at a point it never evaluated:
-            # run the fused evaluation (fills the cache) and answer from it
-            self.energy(params)
-        return self._grad.copy()
+        return self._fusion.gradient(params, self.energy)
 
     def run(self, initial_parameters: Optional[np.ndarray] = None) -> VQEResult:
         """Optimize to the minimum energy (§3.1 step 5)."""
@@ -268,11 +273,7 @@ class VQE:
                 converged=True,
                 mode=self.mode,
             )
-        self._fuse_exact = True
-        use_grad = self.mode == "chemistry" or self.fd_gradient or self._exact_gradient(
-            compile_circuit(self.ansatz)
-        )
-        grad = self.gradient if use_grad else None
+        grad = self.gradient if self._has_gradient() else None
         res: OptimizeResult = self.optimizer.minimize(self.energy, x0, gradient=grad)
         return VQEResult(
             energy=res.fun,

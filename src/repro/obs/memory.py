@@ -317,10 +317,11 @@ def estimate_statevector_job_bytes(
       temporaries, the reference state, the parameter-shift scratch);
     * ``observable`` — compiled-observable diagonals + gather tables
       for the Hamiltonian (``compiled_passes`` when the caller already
-      compiled, else the per-width estimate), plus one single-pass
-      compiled observable per ansatz generator / pool operator
-      (``generator_terms``; each measures 16·dim diagonal + 8·dim
-      gather — exactly what UCCSD excitation operators compile to);
+      compiled, else the per-width estimate), plus, per ansatz
+      generator / pool operator (``generator_terms``), what it costs:
+      ADAPT screening compiles each pool operator to a single-pass
+      observable (16·dim diagonal + 8·dim gather), a VQE plan holds
+      one rotation step per generator (a one-byte class per amplitude);
     * ``prefix_cache`` — parked prefix states of the execution plan
       (ADAPT re-parks per iteration, plain VQE keeps the tail park).
 
@@ -344,9 +345,8 @@ def estimate_statevector_job_bytes(
         # ADAPT screens a pool of candidate generators; the screening
         # path batches pool gradients through extra state copies.
         workspace_states += 1
-    generator_bytes = (
-        max(0, generator_terms) * (AMPLITUDE_BYTES + _GATHER_BYTES) * dim
-    )
+    per_generator = AMPLITUDE_BYTES + _GATHER_BYTES if kind == "adapt" else 1
+    generator_bytes = max(0, generator_terms) * per_generator * dim
     breakdown = {
         "amplitudes": AMPLITUDE_BYTES * dim * max(1, batch_size),
         "workspace": AMPLITUDE_BYTES * dim * max(0, workspace_states),

@@ -181,7 +181,6 @@ def _prefix_parameter_shift_gradient(
             "repro_plan_prefix_ops_skipped_total",
             skipped,
             help="Kernel ops skipped via prefix-state reuse",
-            labels={"engine": "circuit"},
         )
     return grad
 

@@ -284,11 +284,7 @@ class _JobExecution:
         self.estimator_factory = estimator_factory
         # brokered campaigns step in worker threads so their
         # evaluations can interleave into shared batches
-        self.brokered = (
-            estimator_factory is not None
-            and job.spec.kind == "vqe"
-            and problem.get("ansatz") is not None
-        )
+        self.brokered = estimator_factory is not None and job.spec.kind == "vqe"
         self.runner = CampaignRunner(
             ckpt_dir,
             checkpoint_period=config.checkpoint_period,
@@ -349,35 +345,20 @@ class _JobExecution:
             "job_id": self.job.job_id,
             "tenant": self.job.spec.tenant,
         }
-        ansatz = self.problem.get("ansatz")
-        if ansatz is not None:
-            # circuit mode over the physics-shared trotterized-UCCSD
-            # circuit: every same-physics job executes the SAME
-            # compiled plan, which is what lets the broker stack their
-            # evaluations; each optimizer iterate is one row that comes
-            # back with its energy and exact reverse-mode gradient.
-            # Batched and sequential serving both run the same sweep
-            # (the broker's block of B rows, the direct estimator's one
-            # row), and it is row-wise, so their trajectories — and
-            # final energies — agree.
-            estimator = (
-                self.estimator_factory()
-                if self.estimator_factory is not None
-                else None
-            )
-            vqe = VQE(
-                self.problem["hamiltonian"],
-                ansatz=ansatz,
-                estimator=estimator,
-                flight_context=flight_context,
-            )
-        else:
-            vqe = VQE(
-                self.problem["hamiltonian"],
-                generators=self.problem["generators"],
-                reference_state=self.problem["reference"],
-                flight_context=flight_context,
-            )
+        # circuit mode over the physics-shared trotterized-UCCSD circuit:
+        # every same-physics job executes the SAME compiled plan, which
+        # is what lets the broker stack their evaluations; each optimizer
+        # iterate is one row that comes back with its energy and exact
+        # reverse-mode gradient.  Batched and sequential serving both run
+        # the same sweep (the broker's block of B rows, the direct
+        # estimator's one row), and it is row-wise, so their trajectories
+        # — and final energies — agree.
+        vqe = VQE(
+            self.problem["hamiltonian"],
+            ansatz=self.problem["ansatz"],
+            estimator=self.estimator_factory() if self.estimator_factory else None,
+            flight_context=flight_context,
+        )
         x0 = self.warm_x0
         if x0 is not None:
             self.job.warm_started = True

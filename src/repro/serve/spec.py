@@ -223,9 +223,10 @@ _QUBITS_BY_MOLECULE = {"h2": 4, "h4": 8, "lih": 12, "h2o": 14}
 # (STO-3G, no downfolding); drive the dominant term of the capacity
 # model (see repro.obs.memory).
 _PASSES_BY_MOLECULE = {"h2": 2, "h4": 27, "lih": 84, "h2o": 162}
-# UCCSD generator counts (== pool size) per family: each generator
-# compiles to one single-pass observable of 24 * 2^n bytes, which at
-# these widths rivals the Hamiltonian itself.  Unknown molecules use 0
+# UCCSD generator counts (== pool size) per family: ADAPT screening
+# compiles each to one single-pass observable of 24 * 2^n bytes, which
+# at these widths rivals the Hamiltonian itself; a VQE plan holds one
+# rotation step (2^n bytes) per generator.  Unknown molecules use 0
 # — for the oversized-job rejection path the Hamiltonian term alone is
 # already orders of magnitude over any rank budget.
 _GENERATORS_BY_MOLECULE = {"h2": 3, "h4": 26, "lih": 92, "h2o": 140}

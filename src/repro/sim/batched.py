@@ -47,10 +47,13 @@ def reverse_mode_blocker(plan: ExecutionPlan) -> Optional[PlanOp]:
 
 
 def reverse_value_and_gradient(
-    plan: ExecutionPlan, observable: "PauliSum | CompiledPauliSum", rows: np.ndarray
+    plan: ExecutionPlan, observable, rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Energies ``<psi_r|H|psi_r>`` and their exact gradients for the R
     parameter rows of ``rows`` (shape ``(R, P)``), as ``((R,), (R, P))``.
+
+    ``observable`` is a ``PauliSum`` or any Hermitian operator with
+    ``apply`` over ``(…, 2^n)`` blocks (VQD's deflated Hamiltonian).
 
     One sweep, whatever P: the plan runs forward on the R rows of
     ``psi``, ``H`` is applied to the block, and the ops are walked
@@ -80,7 +83,9 @@ def reverse_value_and_gradient(
     for op in plan.ops:
         kind, payload = op.resolve(rows)
         apply_op(phi, kind, payload, op.qubits, n)
-    lam[...] = compile_observable(observable).apply(phi)
+    if isinstance(observable, PauliSum):
+        observable = compile_observable(observable)
+    lam[...] = observable.apply(phi)
     values = row_dot(phi, lam).real
     grads = np.zeros_like(rows)
     doubled = np.concatenate([rows, rows])

@@ -1,25 +1,19 @@
-"""Exact statevector evolution under Pauli-sum generators.
+"""Exact statevector evolution under Pauli-sum generators: the oracle.
 
-The VQE/ADAPT drivers evolve states as products of exponentials
-``exp(theta_k A_k)`` with anti-Hermitian generators ``A_k``.  In the
-x-mask-batched compiled form (``repro.ir.compiled``) the terms sharing
-an x-mask ``x`` act together as ``A_x |k> = d[k] |k ^ x>``: a direct sum
-of anti-Hermitian blocks on the pairs ``{j, j ^ x}`` (1x1 when x = 0)
-with ``A_x^2 = -omega^2``, ``omega[j] = |d[j]|``, so
+``GeneratorEvolution`` applies one ``exp(theta A)``, ``A``
+anti-Hermitian, to a dense state.  VQE, ADAPT and VQD do not use it:
+a generator ansatz is lowered to an :class:`repro.sim.plan.ExecutionPlan`
+(``from_generators``) and runs, and is differentiated, like any other
+plan.  It stays as the exact per-generator reference the tests hold
+those plans to, and it also takes the generators a plan refuses.
 
-    exp(theta A_x) psi = cos(omega theta) o psi
-                         + sin(omega theta) / omega o (A_x psi)
-
-— one gather and a few elementwise passes, exact whether or not the
-terms inside the group commute; the trigonometry is evaluated once per
-*distinct* weight (three for a fermionic excitation).  This is the
-kernel compiled circuit plans run their rotation steps on
-(:func:`repro.sim.kernels.apply_rotation`).  Every UCCSD
-single/double and qubit-pool string has a single x-mask.  A generator
-with several masks is one such step per mask when terms of different
-masks commute, and otherwise falls back to Krylov ``expm_multiply`` on
-the sparse matrix — exact to machine precision either way, so drivers
-can treat this as an oracle.
+Its fast path is the plan's own steps
+(:func:`repro.sim.plan.generator_ops`: one closed-form
+:class:`repro.sim.kernels.MaskRotation` per x-mask group, exact whether
+or not the terms inside a group commute).  When terms of different groups anticommute
+(:func:`repro.sim.plan.mask_clash`) it falls back to Krylov
+``expm_multiply`` on the sparse matrix — exact to machine precision
+either way.
 """
 
 from __future__ import annotations
@@ -33,6 +27,7 @@ import scipy.sparse.linalg as spla
 from repro.ir.compiled import compile_observable
 from repro.ir.pauli import PauliString, PauliSum
 from repro.sim.kernels import MaskRotation, apply_rotation
+from repro.sim.plan import generator_ops, mask_clash
 
 __all__ = ["apply_pauli_rotation", "terms_commute", "GeneratorEvolution"]
 
@@ -49,22 +44,12 @@ def terms_commute(a: PauliSum) -> bool:
     return not a.to_symplectic().anticommutation_matrix().any()
 
 
-def _mask_groups_commute(a: PauliSum) -> bool:
-    """True if every two terms of ``a`` with different x-masks commute
-    (terms sharing a mask may anticommute: their group is exponentiated
-    in closed form as a whole)."""
-    symp = a.to_symplectic()
-    other_mask = (symp.x[:, None, :] != symp.x[None, :, :]).any(axis=-1)
-    return not (symp.anticommutation_matrix() & other_mask).any()
-
-
 class GeneratorEvolution:
     """Prepared applicator for exp(theta * A), A anti-Hermitian.
 
-    Precomputes either the per-x-mask closed-form steps (exact fast
-    path) or the sparse matrix (Krylov path) once, so repeated
-    applications during optimization are cheap.  ``apply`` never writes
-    to its input and always returns a fresh array.
+    Precomputes either the per-x-mask rotation steps (exact fast path)
+    or the sparse matrix (Krylov path) once.  ``apply`` never writes to
+    its input and always returns a fresh array.
     """
 
     def __init__(self, generator: PauliSum):
@@ -72,21 +57,10 @@ class GeneratorEvolution:
             raise ValueError("generator must be anti-Hermitian")
         self.generator = generator
         self.num_qubits = generator.num_qubits
-        # compiled once here: the adjoint sweep calls apply_generator in
-        # a tight loop and should not pay the memoization version check
-        self._compiled = compile_observable(generator)
         self._steps: Optional[List[MaskRotation]] = None
         self._sparse = None
-        if self._compiled.num_passes <= 1 or _mask_groups_commute(generator):
-            # compiled form: A_x |k> = d[k] |k ^ x>, i.e. w[i] = d[i ^ x]
-            self._steps = [
-                MaskRotation(x, *np.unique(d if g is None else d[g], return_inverse=True))
-                for x, d, g in zip(
-                    self._compiled.x_masks,
-                    self._compiled.diagonals,
-                    self._compiled.gathers,
-                )
-            ]
+        if mask_clash(generator) is None:
+            self._steps = [op.data for op in generator_ops(generator, 0)]
         else:
             self._sparse = generator.to_sparse()
 
@@ -98,9 +72,10 @@ class GeneratorEvolution:
         """Return exp(theta * A) @ state."""
         if self._steps is None:
             return spla.expm_multiply(self._sparse * theta, state)
-        if state.shape[0] != self._compiled.dim:
+        dim = 1 << self.num_qubits
+        if state.shape[0] != dim:
             raise ValueError(
-                f"state dimension mismatch: expected {self._compiled.dim}, got {state.shape[0]}"
+                f"state dimension mismatch: expected {dim}, got {state.shape[0]}"
             )
         out = state.astype(np.complex128)  # always a copy
         for step in self._steps:
@@ -108,12 +83,5 @@ class GeneratorEvolution:
         return out
 
     def apply_generator(self, state: np.ndarray) -> np.ndarray:
-        """Return A @ state (used for adjoint gradients).
-
-        Uses the x-mask-batched compiled form, which is cached on the
-        generator itself — UCCSD excitation blocks share one x-mask
-        across all their strings, so this is a single gather + multiply
-        per call, reused across every ADAPT re-optimization that picks
-        the same pool operator.
-        """
-        return self._compiled.apply(state)
+        """Return A @ state (x-mask-batched, memoized on the generator)."""
+        return compile_observable(self.generator).apply(state)

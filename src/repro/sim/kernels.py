@@ -27,8 +27,10 @@ Two entry points sit on top of the per-gate kernels:
   simulation and the reverse-mode gradient all apply gates through it.
 
 ``rot`` is the closed-form exponential of an anti-Hermitian
-single-x-mask operator (:class:`MaskRotation`, :func:`apply_rotation`),
-which ``GeneratorEvolution`` also evolves through.
+single-x-mask operator (:class:`MaskRotation`, :func:`apply_rotation`):
+what the frame pass merges circuit rotations into, what a generator
+ansatz lowers to (``ExecutionPlan.from_generators``), and what the
+``GeneratorEvolution`` test oracle evolves through.
 """
 
 from __future__ import annotations

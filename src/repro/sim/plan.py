@@ -37,6 +37,12 @@ passes:
   single pass.  The emitted tail is the literal gate list, so plans are
   phase-exact.
 
+A generator ansatz ``prod_k exp(theta_k A_k) |ref>`` (chemistry-mode
+VQE, ADAPT, VQD) needs neither pass: ``ExecutionPlan.from_generators``
+emits the reference's ``x`` ops and one rotation step per x-mask group
+of each generator, the steps the frame pass recovers from the
+equivalent Trotterized circuit, without building that circuit.
+
 On top of the flat op list, plans support cross-evaluation
 **prefix-state reuse**: consecutive ``execute`` calls record the last
 parameter vector, and intermediate states are parked at parametric-op
@@ -49,8 +55,9 @@ longest parked prefix instead of replaying the whole circuit.
 
 Consumers: ``StatevectorSimulator.run_plan``, the estimators'
 ``estimate_plan``, ``CachedEnergyEvaluator``, the parameter-shift
-gradients, ``BatchedStatevectorSimulator.run_plan``, and the
-slice-aware ``DistributedStatevector.run_plan``.
+gradients, ``BatchedStatevectorSimulator.run_plan``, the reverse-mode
+sweep, ``repro.opt.gradient.AnsatzObjective``, and the slice-aware
+``DistributedStatevector.run_plan``.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from repro import obs
 from repro.ir.circuit import Circuit
 from repro.ir.clifford import conjugate_pauli
 from repro.ir.gates import GATE_SET, Gate, Parameter
-from repro.ir.pauli import PauliString
+from repro.ir.pauli import PauliString, PauliSum
 from repro.sim import kernels
 from repro.sim.fusion import fuse_circuit
 from repro.utils.bitops import I_POW, popcount
@@ -74,6 +81,8 @@ __all__ = [
     "ExecutionPlan",
     "PlanOp",
     "compile_circuit",
+    "generator_ops",
+    "mask_clash",
     "unbound_parameter_message",
 ]
 
@@ -330,8 +339,9 @@ class _Frame:
 
 
 class _RotationDraft:
-    """A rotation step under construction: Pauli terms sharing the
-    x-mask ``x`` and the parameter slot ``slot`` (``None``: constant)."""
+    """A rotation step under construction: terms ``c X^x Z^z`` sharing
+    the x-mask ``x`` and the parameter slot ``slot`` (``None``:
+    constant), kept as ``(z, c)``."""
 
     def __init__(self, x: int, slot: Optional[int]):
         self.x = x
@@ -428,6 +438,36 @@ def _lower(circuit: Circuit, index_of: Dict[str, int]):
 
 
 # ---------------------------------------------------------------------------
+# Generator lowering
+# ---------------------------------------------------------------------------
+
+
+def generator_ops(generator: PauliSum, slot: int) -> List[PlanOp]:
+    """``exp(theta_slot A)`` for an anti-Hermitian ``A``: one rotation
+    step per x-mask group of its terms (ascending mask), each on the
+    qubits the group touches.  The steps multiply to ``exp(theta A)``
+    exactly when :func:`mask_clash` finds no anticommuting pair."""
+    drafts: Dict[int, _RotationDraft] = {}
+    for (x, z), c in sorted(generator.terms.items()):
+        draft = drafts.setdefault(x, _RotationDraft(x, slot))
+        # P(x, z) = i^{|x & z|} X^x Z^z
+        draft.terms.append((z, c * I_POW[popcount(x & z) & 3]))
+    return [draft.to_op(generator.num_qubits) for draft in drafts.values()]
+
+
+def mask_clash(generator: PauliSum) -> Optional[Tuple[int, int]]:
+    """The x-masks of the first two anticommuting terms of ``generator``
+    in different x-mask groups, or ``None`` (terms sharing a mask may
+    anticommute: their step is exponentiated as a whole)."""
+    terms = list(generator.terms)
+    return next(
+        ((x1, x2) for i, (x1, z1) in enumerate(terms) for x2, z2 in terms[i + 1:]
+         if x1 != x2 and popcount((x1 & z2) ^ (z1 & x2)) & 1),
+        None,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Diagonal-run folding
 # ---------------------------------------------------------------------------
 
@@ -470,7 +510,8 @@ def _fold_diag_run(run: List[PlanOp], n: int, fold_full: bool
 
 
 class ExecutionPlan:
-    """A circuit compiled to a flat list of prepacked kernel ops.
+    """A circuit — or a generator ansatz — compiled to a flat list of
+    prepacked kernel ops.
 
     Plans are immutable snapshots of their source circuit (like
     :class:`repro.ir.compiled.CompiledPauliSum` for observables); use
@@ -487,16 +528,10 @@ class ExecutionPlan:
     def __init__(self, circuit: Circuit, fold_full_diag: bool = True):
         self.source = circuit
         self._source_gates = tuple(circuit.gates)
-        self.num_qubits = circuit.num_qubits
-        self.dim = 1 << circuit.num_qubits
-        self.parameters: List[str] = circuit.parameters
-        self.num_parameters = len(self.parameters)
-        self.source_gate_count = len(circuit.gates)
-        index_of = {name: k for k, name in enumerate(self.parameters)}
+        index_of = {name: k for k, name in enumerate(circuit.parameters)}
 
         (lowered, self.fused_gates_removed, self.frame_gates_absorbed,
          self.rotations_merged) = _lower(circuit, index_of)
-        self.rotation_steps = sum(1 for op in lowered if op.kind == "rot")
 
         self.diag_gates_folded = 0
         ops: List[PlanOp] = []
@@ -505,10 +540,60 @@ class ExecutionPlan:
         ):
             run = list(run)
             if diagonal:
-                run, saved = _fold_diag_run(run, self.num_qubits, fold_full_diag)
+                run, saved = _fold_diag_run(run, circuit.num_qubits, fold_full_diag)
                 self.diag_gates_folded += saved
             ops.extend(run)
+        self._adopt(ops, circuit.num_qubits, circuit.parameters, len(circuit.gates))
 
+    @classmethod
+    def from_generators(
+        cls, generators: Sequence[PauliSum], reference: np.ndarray
+    ) -> "ExecutionPlan":
+        """The plan of ``exp(theta_{m-1} A_{m-1}) ... exp(theta_0 A_0)
+        |ref>``: ``x`` ops preparing the basis state ``reference``, then
+        :func:`generator_ops` of generator k on parameter ``t{k}``.
+        Raises ``ValueError`` naming the reference or generator that
+        cannot be lowered so."""
+        reference = np.asarray(reference)
+        n, nonzero = reference.size.bit_length() - 1, np.flatnonzero(reference)
+        if (reference.shape != (1 << n,) or nonzero.size != 1
+                or not np.isclose(reference[nonzero[0]], 1.0)):
+            raise ValueError(
+                "reference state must be one computational basis state (a single "
+                f"amplitude 1); got shape {reference.shape} with {nonzero.size} "
+                "nonzero amplitude(s)"
+            )
+        ops = [PlanOp("x", (q,)) for q in range(n) if (nonzero[0] >> q) & 1]
+        for k, a in enumerate(generators):
+            clash = mask_clash(a)
+            fault = (
+                f"acts on {a.num_qubits} qubits, the reference on {n}" if a.num_qubits != n
+                else "is not anti-Hermitian" if not a.is_anti_hermitian(atol=1e-9)
+                else "has anticommuting terms in the x-mask groups "
+                f"{clash[0]:#x} and {clash[1]:#x}" if clash else ""
+            )
+            if fault:
+                raise ValueError(f"generator {k} {fault}")
+            ops.extend(generator_ops(a, k))
+        plan = cls.__new__(cls)
+        plan.source, plan._source_gates = None, ()
+        plan.fused_gates_removed = plan.frame_gates_absorbed = 0
+        plan.rotations_merged = plan.diag_gates_folded = 0
+        plan._adopt(ops, n, [f"t{k}" for k in range(len(generators))], 0)
+        return plan
+
+    def _adopt(
+        self, ops: List[PlanOp], num_qubits: int, parameters: List[str],
+        source_gate_count: int,
+    ) -> None:
+        """Take ``ops`` as the plan: sizes, prefix-reuse bookkeeping,
+        memory and compile metrics — whatever lowered them."""
+        self.num_qubits = num_qubits
+        self.dim = 1 << num_qubits
+        self.parameters: List[str] = parameters
+        self.num_parameters = len(parameters)
+        self.source_gate_count = source_gate_count
+        self.rotation_steps = sum(1 for op in ops if op.kind == "rot")
         self._ops = ops
         self.num_ops = len(ops)
         obs.mem_track(self, "plan_data", self.data_bytes())
@@ -573,10 +658,6 @@ class ExecutionPlan:
         return len(gates) != len(self._source_gates) or any(
             a is not b for a, b in zip(gates, self._source_gates)
         )
-
-    def param_op_index(self, k: int) -> int:
-        """First op index that depends on parameter ``k``."""
-        return self.first_use[k]
 
     def data_bytes(self) -> int:
         """Bytes frozen into the plan's prepacked kernel data (dense
@@ -732,7 +813,6 @@ class ExecutionPlan:
                     "repro_plan_prefix_ops_skipped_total",
                     start,
                     help="Kernel ops skipped via prefix-state reuse",
-                    labels={"engine": "circuit"},
                 )
         return state
 

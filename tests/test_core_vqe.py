@@ -58,19 +58,44 @@ class TestVQEDriver:
         circ = VQE(hq, ansatz=build_uccsd_circuit(4, 2).circuit, optimizer=Cobyla()).run()
         assert abs(chem.energy - circ.energy) < 1e-4
 
-    @pytest.mark.parametrize("optimizer", ["lbfgsb", "cobyla"])
-    def test_circuit_mode_fuses_exact_gradient_while_read(self, h2_setup, optimizer):
+    @pytest.mark.parametrize(
+        "mode, optimizer",
+        [
+            pytest.param("circuit", "lbfgsb", id="lbfgsb"),
+            pytest.param("circuit", "cobyla", id="cobyla"),
+            pytest.param("chemistry", "lbfgsb", id="chemistry-lbfgsb"),
+            pytest.param("chemistry", "cobyla", id="chemistry-cobyla"),
+        ],
+    )
+    def test_circuit_mode_fuses_exact_gradient_while_read(
+        self, h2_setup, mode, optimizer, monkeypatch
+    ):
         """L-BFGS reads a gradient at every iterate, so every evaluation
         is one value+gradient sweep; COBYLA never reads one, so only its
-        first evaluation pays for it.  Caching estimators offer none."""
+        first evaluation pays for it.  The same rule holds for the
+        estimator's sweep (circuit mode) and the generator plan's
+        (chemistry mode).  Caching estimators offer no gradient."""
+        from repro.opt import gradient
+
         _, hq, e_fci = h2_setup
         circuit = build_uccsd_circuit(4, 2).circuit
-        est = make_estimator("direct")
         sweeps = []
-        offered = est.value_and_gradient
-        est.value_and_gradient = lambda *a: sweeps.append(1) or offered(*a)
         opt = Cobyla() if optimizer == "cobyla" else None
-        res = VQE(hq, ansatz=circuit, estimator=est, optimizer=opt).run()
+        if mode == "circuit":
+            est = make_estimator("direct")
+            offered = est.value_and_gradient
+            est.value_and_gradient = lambda *a: sweeps.append(1) or offered(*a)
+            vqe = VQE(hq, ansatz=circuit, estimator=est, optimizer=opt)
+        else:
+            sweep = gradient.reverse_value_and_gradient
+            monkeypatch.setattr(
+                gradient, "reverse_value_and_gradient",
+                lambda *a: sweeps.append(1) or sweep(*a),
+            )
+            gens = [a for _, a in uccsd_generators(4, 2)]
+            vqe = VQE(hq, generators=gens, reference_state=hartree_fock_state(4, 2),
+                      optimizer=opt)
+        res = vqe.run()
         assert abs(res.energy - e_fci) < 1e-4
         assert len(sweeps) == (1 if optimizer == "cobyla" else res.num_function_evaluations)
         vqe = VQE(hq, ansatz=circuit, estimator=make_estimator("caching"))

@@ -105,10 +105,18 @@ class TestAnsatzObjective:
             assert np.allclose(adj, fd, atol=1e-5)
 
     def test_energy_and_gradient_consistent(self, h2_objective, rng):
-        x = rng.normal(scale=0.1, size=3)
-        e, g = h2_objective.energy_and_gradient(x)
-        assert np.isclose(e, h2_objective.energy(x), atol=1e-12)
-        assert np.allclose(g, h2_objective.gradient(x), atol=1e-12)
+        """energy() then gradient() at one point read one fused sweep;
+        its value equals <H> on prepare_state, and its gradient the one
+        re-swept when gradient() asks for a point the sweep left."""
+        from repro.ir.compiled import compile_observable
+
+        x, y = rng.normal(scale=0.1, size=(2, 3))
+        e, g = h2_objective.energy(x), h2_objective.gradient(x)
+        h2_objective.energy(y)  # fused: the kept gradient is now y's
+        assert np.array_equal(h2_objective.gradient(x), g)
+        psi = h2_objective.prepare_state(x)
+        h = compile_observable(h2_objective.hamiltonian)
+        assert np.isclose(e, h.expectation(psi).real, rtol=0, atol=1e-12)
 
     def test_parameter_count_checked(self, h2_objective):
         with pytest.raises(ValueError):

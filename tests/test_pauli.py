@@ -6,13 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.cache import CachedEnergyEvaluator
+from repro.core.estimator import DirectEstimator
+from repro.core.vqe import VQE
 from repro.ir.circuit import Circuit
 from repro.ir.compiled import compile_observable
 from repro.ir.pauli import PauliString, PauliSum
 from repro.opt.gradient import AnsatzObjective
 from repro.sim.batched import BatchedStatevectorSimulator
 from repro.sim.evolution import GeneratorEvolution
-from repro.sim.plan import compile_circuit
+from repro.sim.plan import ExecutionPlan, compile_circuit
 from repro.sim.statevector import StatevectorSimulator
 from repro.utils.linalg import random_statevector
 
@@ -117,6 +119,9 @@ _S4 = PauliSum.from_label_dict({"XYZI": 1.0})
 _S2 = PauliSum.from_label_dict({"XY": 1.0})
 _A3 = PauliSum.from_label_dict({"XYI": 1j})
 _STATE2 = np.zeros(4, dtype=np.complex128)  # a 2-qubit state for 3-qubit engines
+_REF3 = np.eye(8)[0]
+# X on qubit 2 and Z on qubit 2 anticommute across two x-mask groups
+_CLASH3 = PauliSum.from_label_dict({"XII": 1j, "ZII": 0.5j})
 
 
 @pytest.mark.parametrize(
@@ -158,7 +163,27 @@ _STATE2 = np.zeros(4, dtype=np.complex128)  # a 2-qubit state for 3-qubit engine
         (lambda: CachedEnergyEvaluator(Circuit(3).h(0), _S2), "ansatz has 3 qubits, observable 2"),
         (
             lambda: AnsatzObjective(np.eye(8)[0], [_A3], _S3).prepare_state([0.1, 0.2]),
-            "expected 1, got 2",
+            r"expects 1 parameter\(s\) \['t0'\], got shape \(2,\)",
+        ),
+        (
+            lambda: VQE(_S3, ansatz=Circuit(3).h(0), generators=[_A3], reference_state=_REF3),
+            "both generators and ansatz",
+        ),
+        (
+            lambda: VQE(_S3, generators=[_A3], reference_state=_REF3, estimator=DirectEstimator()),
+            "both generators and estimator",
+        ),
+        (
+            lambda: VQE(_S3, generators=[_A3], reference_state=_REF3, fd_gradient=True),
+            "both generators and fd_gradient",
+        ),
+        (
+            lambda: ExecutionPlan.from_generators([_A3], np.full(8, 8 ** -0.5)),
+            "one computational basis state .* with 8 nonzero amplitude",
+        ),
+        (
+            lambda: ExecutionPlan.from_generators([_A3, _CLASH3], _REF3),
+            "generator 1 has anticommuting terms in the x-mask groups 0x4 and 0x0",
         ),
     ],
     ids=[
@@ -183,11 +208,17 @@ _STATE2 = np.zeros(4, dtype=np.complex128)  # a 2-qubit state for 3-qubit engine
         "BatchedStatevectorSimulator.expectations",
         "CachedEnergyEvaluator",
         "AnsatzObjective.prepare_state",
+        "VQE-generators-and-ansatz",
+        "VQE-generators-and-estimator",
+        "VQE-generators-and-fd_gradient",
+        "ExecutionPlan.from_generators-reference",
+        "ExecutionPlan.from_generators-clash",
     ],
 )
 def test_bad_input_names_itself(bad_call, message):
     """A bad Pauli letter names the letter and its qubit; a width or
-    dimension mismatch states the expected and the received size."""
+    dimension mismatch states the expected and the received size; a
+    conflicting or unusable ansatz input names itself."""
     with pytest.raises(ValueError, match=message):
         bad_call()
 
