@@ -21,7 +21,10 @@ Drives the real CLI in subprocesses, exactly like an operator would:
    must show zero predicted bytes still queued/running and a ledger
    live set holding only the shared problem cache and pooled
    simulators — never per-job buffers retained after their jobs
-   reached a terminal state.
+   reached a terminal state,
+9. assert the append-only files came through the kill: every finished
+   VQE campaign's ``vqe_params.json`` is its one-line result, and each
+   warm-start family folds to one entry per converged geometry.
 
 Run from the repository root:
 
@@ -46,6 +49,8 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.obs.events import read_events  # noqa: E402
 from repro.serve.journal import Journal  # noqa: E402
+from repro.serve.spec import JobSpec  # noqa: E402
+from repro.serve.store import read_warm_family  # noqa: E402
 
 
 def _cli(*args: str, check: bool = True) -> subprocess.CompletedProcess:
@@ -269,6 +274,43 @@ def main() -> int:
             "restarted server never executed a multi-campaign batch "
             f"group despite 4 same-physics campaigns: {batch}"
         )
+
+    # 10. the append-only files were compacted or fold cleanly after the
+    # kill: a finished VQE campaign's checkpoint log is its one-line
+    # result, and each warm-start family folds to one entry per geometry
+    # its finished (non-dedup) campaigns converged at
+    specs = {
+        r.payload["job_id"]: JobSpec.from_dict(r.payload["spec"])
+        for r in journal
+        if r.type == "admitted"
+    }
+    expected_warm: dict = {}
+    for job in succeeded:
+        if job["kind"] != "vqe" or job["dedup_hit"]:
+            continue
+        spec = specs[job["job_id"]]
+        expected_warm.setdefault(spec.family_key(), set()).add(spec.geometry)
+        log = os.path.join(state_dir, "jobs", job["job_id"], "vqe_params.json")
+        try:
+            with open(log) as fh:
+                lines = fh.read().splitlines()
+            json.loads(lines[0])
+        except (OSError, IndexError, ValueError) as err:
+            failures.append(f"{job['job_id']}: unreadable checkpoint log ({err})")
+            continue
+        if len(lines) != 1:
+            failures.append(
+                f"{job['job_id']}: finished checkpoint log has {len(lines)} lines"
+            )
+    warm_dir = os.path.join(state_dir, "store", "warm")
+    for name in sorted(os.listdir(warm_dir)):
+        family = read_warm_family(os.path.join(warm_dir, name))
+        want = expected_warm.get(name[: -len(".json")], set())
+        if set(family) != want:
+            failures.append(
+                f"warm family {name} folds to geometries {sorted(family, key=str)}, "
+                f"expected {sorted(want, key=str)}"
+            )
 
     top = _cli("top", "--state-dir", state_dir, "--once", "--json", check=False)
     if top.returncode != 0:

@@ -9,7 +9,11 @@ will be interrupted: rank crashes, walltime kills, node drains.  The
   ``checkpoint_period`` iterations — atomically, via temp-file +
   ``os.replace``, like the statevector checkpoints in
   ``repro.sim.checkpoint``.  Plain VQE checkpoints the latest
-  parameter vector every ``checkpoint_period`` energy evaluations.
+  parameter vector every ``checkpoint_period`` energy evaluations by
+  appending one JSON line to ``vqe_params.json`` (flushed, not
+  fsynced); loading takes the last line that parses, so a kill
+  mid-append falls back to the checkpoint before it.  The final save
+  replaces the log with its one-line result, which is plain JSON.
 * **Restart-on-failure.**  An unrecoverable
   :class:`repro.hpc.faults.RankFailure` (injected by a
   ``FaultInjector`` or raised by the distributed substrate) rolls the
@@ -36,7 +40,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import BinaryIO, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -54,6 +58,7 @@ from repro.hpc.comm import SimComm
 from repro.hpc.distributed import DistributedStatevector
 from repro.hpc.faults import FaultInjector, FaultLedger, RankFailure
 from repro.hpc.perfmodel import SimulatedClock
+from repro.utils.jsonl import open_append, parse_lines
 from repro.utils.retry import RetryPolicy
 
 __all__ = [
@@ -137,8 +142,37 @@ class CampaignResult:
 def _atomic_write_json(payload: dict, path: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload) + "\n")
     os.replace(tmp, path)
+
+
+def _parse_checkpoint(path: str) -> Optional[dict]:
+    """The last line of a campaign checkpoint that parses as JSON.
+
+    ``None`` for a missing or empty file (the VQE log is created on its
+    first append); a file with no parseable line is corrupt.
+    """
+    if not os.path.isfile(path):
+        return None
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as err:
+        raise ValueError(f"corrupt campaign checkpoint {path!r}: {err}") from err
+    if not data:
+        return None
+    values = parse_lines(data)
+    if not values:
+        raise ValueError(
+            f"corrupt campaign checkpoint {path!r}: no line parses as JSON"
+        )
+    payload = values[-1]
+    if not isinstance(payload, dict):
+        raise CheckpointSchemaError(
+            f"campaign checkpoint {path!r} is not a JSON object"
+        )
+    _check_schema_version(payload, path)
+    return payload
 
 
 class CampaignRunner:
@@ -192,6 +226,8 @@ class CampaignRunner:
         self.clock = SimulatedClock()
         self.checkpoints_written = 0
         self._crosscheck_comm: Optional[SimComm] = None
+        # append handle on the VQE checkpoint log while run_vqe runs
+        self._vqe_log: Optional[BinaryIO] = None
         os.makedirs(checkpoint_dir, exist_ok=True)
         if obs.enabled():
             # simulated-time span attributes follow the campaign clock
@@ -344,18 +380,9 @@ class CampaignRunner:
 
     def _load_adapt_state(self, adapt: AdaptVQE) -> Optional[AdaptState]:
         path = self._adapt_state_path()
-        if not os.path.isfile(path):
+        payload = _parse_checkpoint(path)
+        if payload is None:
             return None
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (json.JSONDecodeError, OSError) as err:
-            raise ValueError(f"corrupt campaign checkpoint {path!r}: {err}") from err
-        if not isinstance(payload, dict):
-            raise CheckpointSchemaError(
-                f"campaign checkpoint {path!r} is not a JSON object"
-            )
-        _check_schema_version(payload, path)
         _require_fields(
             payload,
             ("iteration", "chosen_indices", "parameters", "energy",
@@ -506,7 +533,10 @@ class CampaignRunner:
                     )
         finally:
             vqe.evaluation_callback = previous_callback
-        self._save_vqe_params(result.optimal_parameters, result.energy, vqe.num_evaluations)
+            self._close_vqe_log()
+        self._save_vqe_params(
+            result.optimal_parameters, result.energy, vqe.num_evaluations, final=True
+        )
         campaign_result = CampaignResult(
             result=result,
             restarts=restarts,
@@ -533,19 +563,30 @@ class CampaignRunner:
     def _vqe_state_path(self) -> str:
         return os.path.join(self.checkpoint_dir, _VQE_STATE_FILE)
 
+    def _close_vqe_log(self) -> None:
+        if self._vqe_log is not None:
+            self._vqe_log.close()
+            self._vqe_log = None
+
     def _save_vqe_params(
-        self, params: np.ndarray, energy: float, eval_index: int
+        self, params: np.ndarray, energy: float, eval_index: int, final: bool = False
     ) -> None:
+        """Append one checkpoint line to the VQE log; the ``final`` save
+        replaces the log with that one line instead."""
+        payload = {
+            "version": _STATE_VERSION,
+            "parameters": [float(x) for x in np.atleast_1d(params)],
+            "energy": float(energy),
+            "eval": int(eval_index),
+        }
         with obs.span("campaign.checkpoint", eval=eval_index):
-            _atomic_write_json(
-                {
-                    "version": _STATE_VERSION,
-                    "parameters": [float(x) for x in np.atleast_1d(params)],
-                    "energy": float(energy),
-                    "eval": int(eval_index),
-                },
-                self._vqe_state_path(),
-            )
+            if final:  # run_vqe has closed the append handle
+                _atomic_write_json(payload, self._vqe_state_path())
+            else:
+                if self._vqe_log is None:
+                    self._vqe_log = open_append(self._vqe_state_path())
+                self._vqe_log.write(json.dumps(payload).encode() + b"\n")
+                self._vqe_log.flush()
         self.checkpoints_written += 1
         obs_events.emit(
             "campaign.checkpoint", kind="vqe", eval=eval_index
@@ -558,17 +599,7 @@ class CampaignRunner:
 
     def _load_vqe_params(self) -> Optional[dict]:
         path = self._vqe_state_path()
-        if not os.path.isfile(path):
-            return None
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (json.JSONDecodeError, OSError) as err:
-            raise ValueError(f"corrupt campaign checkpoint {path!r}: {err}") from err
-        if not isinstance(payload, dict):
-            raise CheckpointSchemaError(
-                f"campaign checkpoint {path!r} is not a JSON object"
-            )
-        _check_schema_version(payload, path)
-        _require_fields(payload, ("parameters", "energy", "eval"), path)
+        payload = _parse_checkpoint(path)
+        if payload is not None:
+            _require_fields(payload, ("parameters", "energy", "eval"), path)
         return payload

@@ -90,11 +90,18 @@ class BatchScheduler:
             raise ValueError("need at least one rank")
         self.num_ranks = num_ranks
         self.machine = get_machine(machine) if isinstance(machine, str) else machine
+        # (gates, qubits) -> cost: a long-lived scheduler (the campaign
+        # server's) prices the same job shapes tick after tick
+        self._costs: Dict[Tuple[int, int], float] = {}
 
     def job_cost(self, job: Job) -> float:
-        return estimate_circuit_time(
-            job.num_gates, job.num_qubits, 1, self.machine
-        ).total
+        key = (job.num_gates, job.num_qubits)
+        cost = self._costs.get(key)
+        if cost is None:
+            cost = self._costs[key] = estimate_circuit_time(
+                job.num_gates, job.num_qubits, 1, self.machine
+            ).total
+        return cost
 
     def schedule(
         self,

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import os
 import threading
 import time
@@ -119,10 +120,41 @@ class ServerConfig:
     batch_enabled: bool = True
     batch_size: int = 32
 
+    def __post_init__(self) -> None:
+        for name in (
+            "num_ranks",
+            "checkpoint_period",
+            "batch_size",
+            "global_queue_limit",
+            "max_job_attempts",
+            "memory_queue_factor",
+        ):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"ServerConfig.{name} must be >= 1, got {value!r}")
+        if self.metrics_snapshot_period < 0:
+            raise ValueError(
+                "ServerConfig.metrics_snapshot_period must be >= 0, got "
+                f"{self.metrics_snapshot_period!r}"
+            )
+
+
+# the JobRecord fields its status.json row (to_dict) is made of
+_ROW_FIELDS = frozenset(
+    {
+        "job_id", "spec", "state", "rank", "attempts", "energy", "detail",
+        "dedup_hit", "warm_started", "resumed", "flight_verdict", "est_bytes",
+    }
+)
+
 
 @dataclass
 class JobRecord:
-    """Server-side view of one job's lifecycle."""
+    """Server-side view of one job's lifecycle.
+
+    Assigning any field its ``status.json`` row shows, inside the
+    journal fold or not, marks that row for re-encoding (``_row_stale``).
+    """
 
     job_id: str
     spec: JobSpec
@@ -141,6 +173,11 @@ class JobRecord:
     next_eligible: float = 0.0
     flight_verdict: Optional[str] = None
     est_bytes: int = 0  # capacity model's predicted peak for this job
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        object.__setattr__(self, name, value)
+        if name in _ROW_FIELDS:
+            object.__setattr__(self, "_row_stale", True)
 
     @property
     def terminal(self) -> bool:
@@ -167,12 +204,28 @@ class JobRecord:
         }
 
 
+# admission seq: the order of ``_ServerState.order`` among live jobs
+_submission_order = operator.attrgetter("submitted_seq")
+
+# journal record type -> the terminal state it folds to (besides "completed")
+_END_STATES = {
+    "failed": JobState.FAILED,
+    "timed_out": JobState.TIMED_OUT,
+    "shed": JobState.SHED,
+}
+
+
 class _ServerState:
     """The journal fold: jobs + fleet facts rebuilt from records.
 
     ``apply`` ignores any record whose ``seq`` has already been
     applied, which makes replay idempotent for overlapping prefixes —
     the property ``tests/test_serve.py`` verifies with Hypothesis.
+
+    ``apply`` is the only place a job's state changes, and it keeps
+    the live index (``live``: the QUEUED and RUNNING jobs by id) and
+    the per-state and per-(tenant, state) counts current, so the tick
+    reads live jobs without scanning every job it has seen.
     """
 
     def __init__(self) -> None:
@@ -181,8 +234,39 @@ class _ServerState:
         self.lost_ranks: set = set()
         self.draining = False
         self.dispatches = 0
-        self.submission_ids: set = set()
+        self.submission_ids: Dict[str, str] = {}  # submission id -> job id
         self.last_seq = 0
+        self.live: Dict[str, Dict[str, JobRecord]] = {
+            JobState.QUEUED: {},
+            JobState.RUNNING: {},
+        }
+        self.counts: Dict[str, int] = {}
+        self.tenant_counts: Dict[str, Dict[str, int]] = {}
+
+    def _count(self, job: JobRecord, delta: int) -> None:
+        """Add ``delta`` (±1) to the counts of the job's current state
+        and put it in (or take it out of) the live index."""
+        state, tenant = job.state, job.spec.tenant
+        per_tenant = self.tenant_counts.setdefault(tenant, {})
+        for counts in (self.counts, per_tenant):
+            n = counts.get(state, 0) + delta
+            if n:
+                counts[state] = n
+            else:
+                del counts[state]
+        if not per_tenant:
+            del self.tenant_counts[tenant]
+        bucket = self.live.get(state)
+        if bucket is not None:
+            if delta > 0:
+                bucket[job.job_id] = job
+            else:
+                del bucket[job.job_id]
+
+    def _move(self, job: JobRecord, state: str) -> None:
+        self._count(job, -1)
+        job.state = state
+        self._count(job, +1)
 
     def apply(self, rec: JournalRecord) -> None:
         if rec.seq <= self.last_seq:
@@ -206,10 +290,14 @@ class _ServerState:
                 detail=p.get("reason", ""),
                 est_bytes=est_bytes,
             )
+            replaced = self.jobs.get(job.job_id)
+            if replaced is not None:
+                self._count(replaced, -1)
             self.jobs[job.job_id] = job
+            self._count(job, +1)
             self.order.append(job.job_id)
             if job.submission_id:
-                self.submission_ids.add(job.submission_id)
+                self.submission_ids[job.submission_id] = job.job_id
             return
         if rec.type == "rank_lost":
             self.lost_ranks.add(int(p["rank"]))
@@ -223,32 +311,24 @@ class _ServerState:
         if job is None:
             return  # record about a job we never saw admitted; ignore
         if rec.type == "started":
-            job.state = JobState.RUNNING
+            self._move(job, JobState.RUNNING)
             job.rank = p.get("rank")
             job.attempts = int(p.get("attempt", job.attempts))
             self.dispatches += 1
         elif rec.type in ("retry", "requeued"):
-            job.state = JobState.QUEUED
+            self._move(job, JobState.QUEUED)
             job.rank = None
             job.attempts = int(p.get("attempt", job.attempts))
             job.detail = p.get("reason", job.detail)
         elif rec.type == "completed":
-            job.state = JobState.SUCCEEDED
+            self._move(job, JobState.SUCCEEDED)
             job.rank = None
             job.energy = p.get("energy")
             job.dedup_hit = bool(p.get("dedup", False))
             job.warm_started = bool(p.get("warm_started", False))
             job.resumed = bool(p.get("resumed", False))
-        elif rec.type == "failed":
-            job.state = JobState.FAILED
-            job.rank = None
-            job.detail = p.get("reason", "")
-        elif rec.type == "timed_out":
-            job.state = JobState.TIMED_OUT
-            job.rank = None
-            job.detail = p.get("reason", "")
-        elif rec.type == "shed":
-            job.state = JobState.SHED
+        elif rec.type in _END_STATES:
+            self._move(job, _END_STATES[rec.type])
             job.rank = None
             job.detail = p.get("reason", "")
 
@@ -439,9 +519,13 @@ class CampaignServer:
         # pairs that disappear (drained/idle tenants) are zeroed rather
         # than frozen at their last value
         self._published_tenant_states: set = set()
-        # job id -> (to_dict() snapshot, its JSON text) as last written
-        # to status.json; a row is re-encoded only when it changed
-        self._status_rows: Dict[str, Tuple[Dict[str, Any], str]] = {}
+        # job id -> its status.json row as last encoded; re-encoded only
+        # when a field of the job was assigned since (JobRecord._row_stale)
+        self._status_rows: Dict[str, str] = {}
+        # placement inputs fixed at admission: one LPT Job per job id,
+        # one scheduler (it memoizes the per-job cost model)
+        self._placement_jobs: Dict[str, Job] = {}
+        self._scheduler = BatchScheduler(self.config.num_ranks, self.config.machine)
         self.ticks = 0
         self.shed_count = 0
         self.dedup_hits = 0
@@ -468,12 +552,9 @@ class CampaignServer:
         # restart never spuriously times out resumed work; the deadline
         # window restarts from recovery, which is the lenient choice.
         now = self._now()
-        for job in self.state.jobs.values():
-            if not job.terminal:
-                job.admitted_at = now
-        in_flight = [
-            j for j in self.state.jobs.values() if j.state == JobState.RUNNING
-        ]
+        for job in self._jobs_in(JobState.QUEUED) + self._jobs_in(JobState.RUNNING):
+            job.admitted_at = now
+        in_flight = self._jobs_in(JobState.RUNNING)
         for job in in_flight:
             # the journal said RUNNING but this is a fresh process: the
             # old run died.  Its checkpoints are on disk; requeue.
@@ -524,30 +605,17 @@ class CampaignServer:
         return self.state.draining
 
     def _jobs_in(self, state: str) -> List[JobRecord]:
-        return [
-            self.state.jobs[jid]
-            for jid in self.state.order
-            if self.state.jobs[jid].state == state
-        ]
+        """The QUEUED or RUNNING jobs, in submission order."""
+        return sorted(self.state.live[state].values(), key=_submission_order)
 
     @property
     def idle(self) -> bool:
-        return not self._jobs_in(JobState.QUEUED) and not self._jobs_in(
-            JobState.RUNNING
-        )
+        counts = self.state.counts
+        return not counts.get(JobState.QUEUED) and not counts.get(JobState.RUNNING)
 
     def _tenant_counts(self, tenant: str) -> Tuple[int, int]:
-        queued = sum(
-            1
-            for j in self.state.jobs.values()
-            if j.spec.tenant == tenant and j.state == JobState.QUEUED
-        )
-        running = sum(
-            1
-            for j in self.state.jobs.values()
-            if j.spec.tenant == tenant and j.state == JobState.RUNNING
-        )
-        return queued, running
+        counts = self.state.tenant_counts.get(tenant, {})
+        return counts.get(JobState.QUEUED, 0), counts.get(JobState.RUNNING, 0)
 
     def _breaker(self, class_key: str) -> CircuitBreaker:
         br = self.breakers.get(class_key)
@@ -570,13 +638,11 @@ class CampaignServer:
         if submission_id and submission_id in self.state.submission_ids:
             # duplicate delivery (inbox re-scan after a crash): return
             # the already-journaled job instead of double-admitting
-            for jid in reversed(self.state.order):
-                if self.state.jobs[jid].submission_id == submission_id:
-                    return self.state.jobs[jid]
+            return self.state.jobs[self.state.submission_ids[submission_id]]
         self._job_counter += 1
         job_id = f"j{self._job_counter:05d}-{spec.content_key()[:8]}"
         tenant_queued, _ = self._tenant_counts(spec.tenant)
-        total_queued = len(self._jobs_in(JobState.QUEUED))
+        total_queued = self.state.counts.get(JobState.QUEUED, 0)
         breaker = self._breaker(spec.class_key())
         try:
             job_bytes: Optional[int] = estimate_job_memory(spec)
@@ -772,16 +838,24 @@ class CampaignServer:
                 priority=job.spec.priority,
                 reason=short,
             )
-            self._job_terminal_metrics(job)
+            self._job_terminal(job)
 
     # -- scheduling + dispatch ------------------------------------------------
 
     def _estimate_job(self, job: JobRecord) -> Job:
-        n = qubits_for_molecule(job.spec.molecule)
-        gates = _uccsd_gates(n) * max(1, job.spec.max_iterations)
-        return Job(job.job_id, n, gates, mem_bytes=job.est_bytes)
+        """The job's LPT placement input, built once per job: it depends
+        only on the spec and the admission-time byte estimate."""
+        est = self._placement_jobs.get(job.job_id)
+        if est is None:
+            n = qubits_for_molecule(job.spec.molecule)
+            gates = _uccsd_gates(n) * max(1, job.spec.max_iterations)
+            est = Job(job.job_id, n, gates, mem_bytes=job.est_bytes)
+            self._placement_jobs[job.job_id] = est
+        return est
 
-    def _plan_placements(self) -> Dict[str, int]:
+    def _plan_placements(
+        self, queued: List[JobRecord], running: List[JobRecord]
+    ) -> Dict[str, int]:
         """LPT-place dispatchable queued jobs over the surviving ranks
         (the re-LPT on rank loss falls out of re-planning here every
         tick with the current alive set)."""
@@ -789,19 +863,13 @@ class CampaignServer:
         if not alive:
             return {}
         now = self._now()
-        running_ranks = {
-            j.rank for j in self._jobs_in(JobState.RUNNING) if j.rank is not None
-        }
-        dispatchable = [
-            j
-            for j in self._jobs_in(JobState.QUEUED)
-            if now >= j.next_eligible
-        ]
+        running_ranks = {j.rank for j in running if j.rank is not None}
+        dispatchable = [j for j in queued if now >= j.next_eligible]
         if not dispatchable:
             return {}
         # highest priority first, then submission order
         dispatchable.sort(key=lambda j: (-j.spec.priority, j.submitted_seq))
-        scheduler = BatchScheduler(self.config.num_ranks, self.config.machine)
+        scheduler = self._scheduler
         if self.broker is not None:
             # LPT over *batch groups*: same-physics VQE jobs must land
             # on one rank to share a batched amplitude block, and the
@@ -848,21 +916,17 @@ class CampaignServer:
 
     def _dispatch(self) -> None:
         now = self._now()
-        running_content = {
-            self.state.jobs[jid].spec.content_key()
-            for jid in self.state.order
-            if self.state.jobs[jid].state == JobState.RUNNING
-        }
-        placements = self._plan_placements()
+        queued = self._jobs_in(JobState.QUEUED)
+        running = self._jobs_in(JobState.RUNNING)
+        running_content = {j.spec.content_key() for j in running}
+        placements = self._plan_placements(queued, running)
         # rank -> physics key of the batch group started there this
         # tick; None marks a rank occupied by non-joinable work (a
         # carried-over running job, an ADAPT step, or no-batch mode)
         busy: Dict[int, Optional[str]] = {
-            j.rank: None
-            for j in self._jobs_in(JobState.RUNNING)
-            if j.rank is not None
+            j.rank: None for j in running if j.rank is not None
         }
-        for job in list(self._jobs_in(JobState.QUEUED)):
+        for job in queued:
             if now < job.next_eligible:
                 continue
             key = job.spec.content_key()
@@ -978,7 +1042,7 @@ class CampaignServer:
                     tenant=job.spec.tenant,
                     reason=reason,
                 )
-                self._job_terminal_metrics(job)
+                self._job_terminal(job)
                 continue
             execution = self.executions.get(job.job_id)
             if execution is None:
@@ -1138,7 +1202,7 @@ class CampaignServer:
                     "repro_serve_dedup_hits_total",
                     help="Jobs completed from the content-addressed store",
                 )
-        self._job_terminal_metrics(job)
+        self._job_terminal(job)
 
     def _handle_failure(self, job: JobRecord, err: Exception) -> None:
         # job.attempts already counts this attempt (set by the
@@ -1195,7 +1259,7 @@ class CampaignServer:
                 attempt=job.attempts,
                 reason=f"{type(err).__name__}: {err}",
             )
-            self._job_terminal_metrics(job)
+            self._job_terminal(job)
 
     def _emit_breaker_transition(
         self, class_key: str, before: str, after: str
@@ -1207,7 +1271,9 @@ class CampaignServer:
                 **{"from": before, "to": after},
             )
 
-    def _job_terminal_metrics(self, job: JobRecord) -> None:
+    def _job_terminal(self, job: JobRecord) -> None:
+        """Bookkeeping for a job that just reached a terminal state."""
+        self._placement_jobs.pop(job.job_id, None)
         if obs.enabled():
             obs.inc(
                 "repro_serve_jobs_total",
@@ -1224,8 +1290,8 @@ class CampaignServer:
             self.state.apply(rec)
             self.events.emit(
                 "server.drain",
-                queued=len(self._jobs_in(JobState.QUEUED)),
-                running=len(self._jobs_in(JobState.RUNNING)),
+                queued=self.state.counts.get(JobState.QUEUED, 0),
+                running=self.state.counts.get(JobState.RUNNING, 0),
             )
 
     def tick(self) -> None:
@@ -1280,12 +1346,8 @@ class CampaignServer:
 
     def health(self) -> Dict[str, Any]:
         """Readiness + fleet + per-tenant view (the ``/healthz`` body)."""
-        by_state: Dict[str, int] = {}
-        tenants: Dict[str, Dict[str, int]] = {}
-        for job in self.state.jobs.values():
-            by_state[job.state] = by_state.get(job.state, 0) + 1
-            t = tenants.setdefault(job.spec.tenant, {})
-            t[job.state] = t.get(job.state, 0) + 1
+        by_state = dict(self.state.counts)
+        tenants = {t: dict(c) for t, c in self.state.tenant_counts.items()}
         alive = self.alive_ranks
         if self.draining:
             status = "draining"
@@ -1300,10 +1362,10 @@ class CampaignServer:
             "rank_memory_bytes": self.config.rank_memory_bytes,
             "fleet_capacity_bytes": len(alive) * self.config.rank_memory_bytes,
             "queued_est_bytes": sum(
-                j.est_bytes for j in self._jobs_in(JobState.QUEUED)
+                j.est_bytes for j in self.state.live[JobState.QUEUED].values()
             ),
             "running_est_bytes": sum(
-                j.est_bytes for j in self._jobs_in(JobState.RUNNING)
+                j.est_bytes for j in self.state.live[JobState.RUNNING].values()
             ),
             "ledger_live_bytes": ledger.live_bytes,
             "ledger_peak_bytes": ledger.peak_bytes,
@@ -1334,17 +1396,15 @@ class CampaignServer:
     def _publish_health(self) -> None:
         health = self.health()
         # {"health": ..., "jobs": [row, ...]} assembled from per-job
-        # encoded rows.  A row is re-encoded when its to_dict() differs
-        # from the one it was encoded from — by comparison, not by an
-        # invalidation hook, because several JobRecord fields are set
-        # outside the journal fold.
+        # encoded rows; a row is re-encoded only when one of its fields
+        # was assigned since it was last encoded
         rows = []
         for jid in self.state.order:
-            row = self.state.jobs[jid].to_dict()
-            cached = self._status_rows.get(jid)
-            if cached is None or cached[0] != row:
-                cached = self._status_rows[jid] = (row, json.dumps(row))
-            rows.append(cached[1])
+            job = self.state.jobs[jid]
+            if job._row_stale or jid not in self._status_rows:
+                self._status_rows[jid] = json.dumps(job.to_dict())
+                object.__setattr__(job, "_row_stale", False)
+            rows.append(self._status_rows[jid])
         tmp = os.path.join(self.state_dir, "status.json.tmp")
         with open(tmp, "w") as fh:
             fh.write(
@@ -1432,12 +1492,9 @@ def load_state_view(state_dir: str) -> Dict[str, Any]:
                 health = json.load(fh).get("health")
         except (json.JSONDecodeError, OSError):
             health = None
-    by_state: Dict[str, int] = {}
-    for job in state.jobs.values():
-        by_state[job.state] = by_state.get(job.state, 0) + 1
     return {
         "jobs": [state.jobs[jid].to_dict() for jid in state.order],
-        "by_state": by_state,
+        "by_state": dict(state.counts),
         "draining": state.draining,
         "lost_ranks": sorted(state.lost_ranks),
         "journal_seq": state.last_seq,

@@ -23,6 +23,7 @@ clear error instead of a silent misparse.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -282,19 +283,24 @@ def estimate_group_memory(specs) -> int:
     plan/observable/Hamiltonian, so the batch costs one job's total
     plus the extra rows of its reverse-mode sweep block — see
     :func:`repro.obs.memory.estimate_batched_group_bytes`."""
-    from repro.obs.memory import estimate_batched_group_bytes
-
     specs = list(specs)
     if not specs:
         return 0
-    spec = specs[0]
-    key = spec.molecule.lower()
+    return _group_memory(specs[0].molecule.lower(), specs[0].kind, len(specs))
+
+
+@functools.lru_cache(maxsize=None)
+def _group_memory(molecule: str, kind: str, size: int) -> int:
+    """The group estimate depends only on (molecule, kind, size), and the
+    server prices every queued group on every tick."""
+    from repro.obs.memory import estimate_batched_group_bytes
+
     return estimate_batched_group_bytes(
-        qubits_for_molecule(spec.molecule),
-        len(specs),
-        kind=spec.kind,
-        compiled_passes=_PASSES_BY_MOLECULE.get(key),
-        generator_terms=_GENERATORS_BY_MOLECULE.get(key, 0),
+        qubits_for_molecule(molecule),
+        size,
+        kind=kind,
+        compiled_passes=_PASSES_BY_MOLECULE.get(molecule),
+        generator_terms=_GENERATORS_BY_MOLECULE.get(molecule, 0),
     )
 
 

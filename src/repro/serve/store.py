@@ -13,7 +13,10 @@ Three tiers, addressed by the hashes of :mod:`repro.serve.spec`:
   parameter vectors indexed by geometry within a molecule family.
   A new geometry starts from its nearest converged neighbor —
   ``repro.core.scan``'s incremental optimization, applied across jobs
-  and tenants instead of within one scan loop.
+  and tenants instead of within one scan loop.  The family file is
+  append-only JSON lines, one ``{"geometry", "parameters"}`` object
+  per completion; :func:`read_warm_family` folds it (last line per
+  geometry wins, unparseable lines such as a torn tail are skipped).
 * **Compiled artifacts** (memory): per content key, the built problem
   (Hamiltonian, pool/generators, reference state) is constructed once
   and shared by every job at that key.  Because the compiled-plan
@@ -41,8 +44,13 @@ import numpy as np
 
 from repro import obs
 from repro.serve.spec import JobSpec, resolve_molecule
+from repro.utils.jsonl import open_append, parse_lines
 
-__all__ = ["ContentStore", "ProblemCache"]
+__all__ = ["ContentStore", "ProblemCache", "read_warm_family"]
+
+# one warm-start family: geometry -> converged parameters, in the order
+# each geometry was last written
+WarmFamily = Dict[Optional[float], List[float]]
 
 
 def _atomic_write_json(payload: dict, path: str) -> None:
@@ -50,6 +58,27 @@ def _atomic_write_json(payload: dict, path: str) -> None:
     with open(tmp, "w") as fh:
         fh.write(json.dumps(payload))  # dumps, not dump: the C encoder
     os.replace(tmp, path)
+
+
+def read_warm_family(path: str) -> WarmFamily:
+    """Fold a warm-start family file: the last entry per geometry wins.
+
+    A line holding a JSON list (the file format before the family became
+    append-only) folds entry by entry; a missing file is an empty family.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return {}
+    family: WarmFamily = {}
+    for value in parse_lines(data):
+        for entry in value if isinstance(value, list) else [value]:
+            if isinstance(entry, dict) and "parameters" in entry:
+                geometry = entry.get("geometry")
+                family.pop(geometry, None)  # re-inserted last: newest order
+                family[geometry] = entry["parameters"]
+    return family
 
 
 class ContentStore:
@@ -70,9 +99,9 @@ class ContentStore:
             for name in os.listdir(self._results_dir)
             if name.endswith(".json")
         }
-        # family key -> warm-start entries, read from disk on first use
-        # and written through on every add
-        self._warm: Dict[str, List[Dict[str, Any]]] = {}
+        # family key -> folded warm-start family, read from disk on first
+        # use and appended through on every add
+        self._warm: Dict[str, WarmFamily] = {}
 
     # -- results --------------------------------------------------------------
 
@@ -107,35 +136,26 @@ class ContentStore:
     def _warm_path(self, family_key: str) -> str:
         return os.path.join(self._warm_dir, f"{family_key}.json")
 
-    def _load_warm(self, family_key: str) -> List[Dict[str, Any]]:
-        entries = self._warm.get(family_key)
-        if entries is None:
-            try:
-                with open(self._warm_path(family_key)) as fh:
-                    entries = json.load(fh)
-            except (json.JSONDecodeError, OSError):
-                entries = []
-            if not isinstance(entries, list):
-                entries = []
-            self._warm[family_key] = entries
-        return entries
+    def _load_warm(self, family_key: str) -> WarmFamily:
+        family = self._warm.get(family_key)
+        if family is None:
+            family = self._warm[family_key] = read_warm_family(
+                self._warm_path(family_key)
+            )
+        return family
 
     def add_warm_start(
         self, family_key: str, geometry: Optional[float], parameters: np.ndarray
     ) -> None:
         """Record a converged parameter vector for its geometry (one
-        entry per geometry, last write wins)."""
-        entries = [
-            e for e in self._load_warm(family_key) if e.get("geometry") != geometry
-        ]
-        entries.append(
-            {
-                "geometry": geometry,
-                "parameters": [float(x) for x in np.atleast_1d(parameters)],
-            }
-        )
-        _atomic_write_json(entries, self._warm_path(family_key))  # type: ignore[arg-type]
-        self._warm[family_key] = entries
+        entry per geometry, last write wins): one appended line."""
+        family = self._load_warm(family_key)
+        values = [float(x) for x in np.atleast_1d(parameters)]
+        line = json.dumps({"geometry": geometry, "parameters": values})
+        with open_append(self._warm_path(family_key)) as fh:
+            fh.write(line.encode() + b"\n")
+        family.pop(geometry, None)
+        family[geometry] = values
 
     def warm_start(
         self, family_key: str, geometry: Optional[float], num_parameters: int
@@ -143,9 +163,9 @@ class ContentStore:
         """Nearest-geometry converged parameters with a matching length,
         or None if the family is empty."""
         entries = [
-            e
-            for e in self._load_warm(family_key)
-            if len(e.get("parameters", [])) == num_parameters
+            (g, p)
+            for g, p in self._load_warm(family_key).items()
+            if len(p) == num_parameters
         ]
         if not entries:
             return None
@@ -154,13 +174,9 @@ class ContentStore:
         else:
             best = min(
                 entries,
-                key=lambda e: (
-                    abs(e["geometry"] - geometry)
-                    if e.get("geometry") is not None
-                    else float("inf")
-                ),
+                key=lambda e: abs(e[0] - geometry) if e[0] is not None else float("inf"),
             )
-        return np.asarray(best["parameters"], dtype=float)
+        return np.asarray(best[1], dtype=float)
 
 
 class ProblemCache:

@@ -266,6 +266,79 @@ class TestVQECampaign:
         assert runner.checkpoints_written > 0
 
 
+class _Killed(Exception):
+    """Stands in for the process dying inside an evaluation."""
+
+
+def _h2_vqe(hq, callback=None):
+    pool = uccsd_pool(4, 2)
+    vqe = VQE(
+        hq,
+        generators=[op.generator for op in pool],
+        reference_state=hartree_fock_state(4, 2),
+    )
+    vqe.evaluation_callback = callback
+    return vqe
+
+
+class TestVQECheckpointLog:
+    """``vqe_params.json`` is an append-only log: one line per
+    checkpoint, the last parseable line is the resume point, and the
+    final save compacts it to one line."""
+
+    KILL_AT = 4
+
+    def _interrupted(self, hq, path):
+        def die(idx, params, energy):
+            if idx == self.KILL_AT:
+                raise _Killed(idx)
+
+        runner = CampaignRunner(str(path), checkpoint_period=1)
+        with pytest.raises(_Killed):
+            runner.run_vqe(_h2_vqe(hq, die))
+        assert runner.checkpoints_written == self.KILL_AT
+        return path / "vqe_params.json"
+
+    def test_resume_after_kill_at_evaluation_k(self, h2_problem, tmp_path):
+        hq, _ = h2_problem
+        baseline = _h2_vqe(hq).run()
+        log = self._interrupted(hq, tmp_path)
+        lines = log.read_text().splitlines()
+        assert [json.loads(line)["eval"] for line in lines] == list(
+            range(1, self.KILL_AT + 1)
+        )
+        resumed = CampaignRunner(str(tmp_path)).run_vqe(_h2_vqe(hq))
+        assert resumed.resumed_from == self.KILL_AT
+        assert resumed.energy == pytest.approx(baseline.energy, abs=1e-8)
+
+    def test_torn_tail_resumes_from_the_line_before(self, h2_problem, tmp_path):
+        hq, _ = h2_problem
+        log = self._interrupted(hq, tmp_path)
+        data = log.read_bytes()
+        log.write_bytes(data[: len(data) - 12])  # killed mid-append of line k
+        resumed = CampaignRunner(str(tmp_path)).run_vqe(_h2_vqe(hq))
+        assert resumed.resumed_from == self.KILL_AT - 1
+
+    def test_file_with_no_valid_line_is_corrupt(self, h2_problem, tmp_path):
+        hq, _ = h2_problem
+        (tmp_path / "vqe_params.json").write_text('{"version": 1, "par\nnot json\n')
+        with pytest.raises(ValueError, match="corrupt campaign checkpoint"):
+            CampaignRunner(str(tmp_path)).run_vqe(_h2_vqe(hq))
+
+    def test_finished_log_is_one_json_line(self, h2_problem, tmp_path):
+        hq, _ = h2_problem
+        self._interrupted(hq, tmp_path)
+        runner = CampaignRunner(str(tmp_path))
+        result = runner.run_vqe(_h2_vqe(hq))
+        text = (tmp_path / "vqe_params.json").read_text()
+        assert len(text.splitlines()) == 1
+        final = json.loads(text)  # a whole-file JSON reader still reads it
+        assert final["eval"] == result.result.num_function_evaluations
+        assert final["parameters"] == [
+            float(x) for x in result.result.optimal_parameters
+        ]
+
+
 class TestRecoveryPerfModel:
     def test_checkpoint_write_time_scales_with_slice(self):
         t_small = checkpoint_write_time(20, 4)

@@ -322,14 +322,52 @@ class TestContentStore:
         store.add_warm_start("fam", 0.7, np.array([0.3]))  # last write wins
         store.add_warm_start("fam", 1.1, np.array([0.5]))
         with open(os.path.join(str(tmp_path), "warm", "fam.json")) as fh:
-            on_disk = json.load(fh)
+            on_disk = [json.loads(line) for line in fh]
+        # append-only: one line per completion, in completion order
         assert on_disk == [
+            {"geometry": 0.7, "parameters": [0.1]},
             {"geometry": 0.7, "parameters": [0.3]},
             {"geometry": 1.1, "parameters": [0.5]},
         ]
         # a second store on the directory answers from the file
         np.testing.assert_allclose(
             ContentStore(str(tmp_path)).warm_start("fam", 0.8, 1), [0.3]
+        )
+
+    def test_reopened_warm_family_is_last_write_wins_past_torn_tail(self, tmp_path):
+        from repro.serve.store import read_warm_family
+
+        store = ContentStore(str(tmp_path))
+        store.add_warm_start("fam", 0.7, np.array([0.1, 0.2]))
+        store.add_warm_start("fam", 1.5, np.array([0.8, 0.9]))
+        store.add_warm_start("fam", 0.7, np.array([0.3, 0.4]))
+        path = os.path.join(str(tmp_path), "warm", "fam.json")
+        with open(path, "a") as fh:
+            fh.write('{"geometry": 1.5, "parameters": [9.0, ')  # killed mid-append
+        reopened = ContentStore(str(tmp_path))
+        assert read_warm_family(path) == {1.5: [0.8, 0.9], 0.7: [0.3, 0.4]}
+        np.testing.assert_allclose(reopened.warm_start("fam", 0.8, 2), [0.3, 0.4])
+        np.testing.assert_allclose(reopened.warm_start("fam", 1.4, 2), [0.8, 0.9])
+        # the next append starts on a line of its own, past the torn bytes
+        reopened.add_warm_start("fam", 1.1, np.array([0.5, 0.6]))
+        assert read_warm_family(path) == {
+            1.5: [0.8, 0.9], 0.7: [0.3, 0.4], 1.1: [0.5, 0.6]
+        }
+        np.testing.assert_allclose(
+            ContentStore(str(tmp_path)).warm_start("fam", None, 2), [0.5, 0.6]
+        )
+
+    def test_whole_file_warm_family_still_reads(self, tmp_path):
+        """A family written as one JSON list folds like appended lines."""
+        path = os.path.join(str(tmp_path), "warm", "fam.json")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w") as fh:
+            json.dump([{"geometry": 0.7, "parameters": [0.1]}], fh)
+        store = ContentStore(str(tmp_path))
+        store.add_warm_start("fam", 1.1, np.array([0.5]))
+        np.testing.assert_allclose(store.warm_start("fam", 0.75, 1), [0.1])
+        np.testing.assert_allclose(
+            ContentStore(str(tmp_path)).warm_start("fam", 1.0, 1), [0.5]
         )
 
     def test_warm_start_picks_nearest_geometry(self, tmp_path):
@@ -1159,3 +1197,121 @@ class TestCommFaultKindMetrics:
         stats.reset()
         assert stats.faults_by_kind == {}
         assert stats.retries_by_kind == {}
+
+
+# -- the live-job index -------------------------------------------------------
+
+
+def _recount(srv):
+    """Every index the tick reads, recomputed by scanning all jobs."""
+    order = list(dict.fromkeys(srv.state.order))
+    jobs = [srv.jobs[jid] for jid in order]
+    by_state, tenants = {}, {}
+    for job in jobs:
+        by_state[job.state] = by_state.get(job.state, 0) + 1
+        per_tenant = tenants.setdefault(job.spec.tenant, {})
+        per_tenant[job.state] = per_tenant.get(job.state, 0) + 1
+    live = {
+        state: [j.job_id for j in jobs if j.state == state]
+        for state in (JobState.QUEUED, JobState.RUNNING)
+    }
+    est = {state: sum(srv.jobs[j].est_bytes for j in ids) for state, ids in live.items()}
+    return by_state, tenants, live, est
+
+
+def _assert_index_matches_scan(srv):
+    by_state, tenants, live, est = _recount(srv)
+    for state, ids in live.items():
+        assert [j.job_id for j in srv._jobs_in(state)] == ids
+    for tenant, counts in tenants.items():
+        assert srv._tenant_counts(tenant) == (
+            counts.get(JobState.QUEUED, 0),
+            counts.get(JobState.RUNNING, 0),
+        )
+    health = srv.health()
+    assert health["jobs"] == by_state
+    assert health["tenants"] == tenants
+    assert health["queue_depth"] == len(live[JobState.QUEUED])
+    assert health["running"] == len(live[JobState.RUNNING])
+    assert health["memory"]["queued_est_bytes"] == est[JobState.QUEUED]
+    assert health["memory"]["running_est_bytes"] == est[JobState.RUNNING]
+    assert srv.idle == (not live[JobState.QUEUED] and not live[JobState.RUNNING])
+    # the journal alone rebuilds the same indexes
+    replayed = _ServerState()
+    for rec in srv.journal.replay():
+        replayed.apply(rec)
+    assert replayed.counts == srv.state.counts
+    assert replayed.tenant_counts == srv.state.tenant_counts
+    for state, bucket in srv.state.live.items():
+        assert sorted(replayed.live[state]) == sorted(bucket)
+
+
+class TestLiveJobIndex:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_index_matches_a_full_scan_under_random_operations(self, tmp_path, seed):
+        import random
+
+        rng = random.Random(seed)
+        clock = {"t": 0.0}
+        config = ServerConfig(
+            num_ranks=3,
+            global_queue_limit=6,
+            default_tenant_policy=TenantPolicy(max_queued=3),
+            clock=lambda: clock["t"],
+            batch_enabled=bool(seed % 2),
+        )
+        srv = CampaignServer(str(tmp_path / "srv"), config)
+        ops = ["submit"] * 5 + ["tick"] * 3 + ["rank_loss", "drain", "reopen"]
+        try:
+            for _ in range(60):
+                op = rng.choice(ops)
+                if op == "submit":
+                    srv.submit(
+                        JobSpec(
+                            tenant=rng.choice(["alice", "bob", "carol"]),
+                            kind=rng.choice(["vqe", "vqe", "adapt"]),
+                            molecule="h2",
+                            geometry=rng.choice([None, 0.7, 0.8, 0.9]),
+                            seed=rng.randrange(3),
+                            max_iterations=2,
+                            deadline_s=rng.choice([None, None, 1.5]),
+                        ),
+                        submission_id=rng.choice([None, f"s{rng.randrange(6)}"]),
+                    )
+                elif op == "tick":
+                    srv.tick()
+                elif op == "rank_loss" and rng.random() < 0.5:
+                    srv.inject_rank_loss(rng.randrange(config.num_ranks))
+                elif op == "drain" and rng.random() < 0.1:
+                    srv.drain()
+                elif op == "reopen":
+                    srv.close()
+                    srv = CampaignServer(srv.state_dir, config)
+                clock["t"] += 0.5
+                _assert_index_matches_scan(srv)
+        finally:
+            srv.close()
+
+
+class TestServerConfigValidation:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "num_ranks",
+            "checkpoint_period",
+            "batch_size",
+            "global_queue_limit",
+            "max_job_attempts",
+            "memory_queue_factor",
+        ],
+    )
+    def test_counts_below_one_are_named(self, name):
+        with pytest.raises(ValueError, match=rf"ServerConfig\.{name} must be >= 1, got 0"):
+            ServerConfig(**{name: 0})
+
+    def test_negative_snapshot_period_is_named(self):
+        with pytest.raises(
+            ValueError, match=r"ServerConfig\.metrics_snapshot_period must be >= 0, got -1"
+        ):
+            ServerConfig(metrics_snapshot_period=-1)
+        assert ServerConfig(metrics_snapshot_period=0).metrics_snapshot_period == 0
