@@ -7,8 +7,9 @@ the 12-qubit downfolded H2O Hamiltonian (the Fig. 5 system) that turns
 ~4.7k term passes into ~140 mask passes per energy/gradient call.
 
 Run under pytest-benchmark for timing curves, or standalone in smoke
-mode (used by CI) to check correctness and the pass-count reduction
-without the benchmark harness:
+mode (used by CI) to check correctness, the pass-count reduction and
+that the observable compiled on the (N = 8, S_z = 0) sector equals the
+full-register one there, without the benchmark harness:
 
     PYTHONPATH=src python benchmarks/bench_expectation_engine.py --smoke
 """
@@ -28,7 +29,7 @@ from repro.utils.linalg import random_statevector
 
 # The naive reference must beat hand-written per-term loops, not a
 # strawman: one vectorized pass per term, no H@psi materialization.
-from repro.utils.bitops import I_POW, basis_indices, count_set_bits, popcount
+from repro.utils.bitops import I_POW, basis_indices, count_set_bits, popcount, sector_indices
 
 MIN_PASS_REDUCTION = 5.0  # H2O actually achieves ~34x
 MIN_SMOKE_SPEEDUP = 3.0   # acceptance floor; measured ~100x locally
@@ -141,6 +142,17 @@ def run_smoke(repeats: int = 3) -> int:
         np.max(np.abs(compiled.apply(state) - naive_apply(state, heff)))
     )
 
+    # the same observable compiled on the (N = 8, S_z = 0) sector: on a
+    # state that lives there it must equal the full-register engine
+    index = sector_indices(heff.num_qubits, 8, 0)
+    sector = CompiledPauliSum(heff, index)
+    in_sector = np.zeros_like(state)
+    in_sector[index] = state[index] / np.linalg.norm(state[index])
+    err_sector_apply = float(np.max(np.abs(
+        sector.apply(in_sector[index]) - compiled.apply(in_sector)[index]
+    )))
+    err_sector_exp = abs(sector.expectation(in_sector[index]) - compiled.expectation(in_sector))
+
     t_naive = _best_of(lambda: naive_expectation(state, heff), repeats)
     t_comp = _best_of(lambda: compiled.expectation(state), repeats)
     speedup = t_naive / t_comp
@@ -161,6 +173,9 @@ def run_smoke(repeats: int = 3) -> int:
             ("speedup", f"{speedup:.1f}x"),
             ("expectation_abs_err", f"{err_exp:.2e}"),
             ("apply_max_abs_err", f"{err_apply:.2e}"),
+            ("sector_passes_x_length", f"{sector.num_passes} x {sector.dim}"),
+            ("sector_apply_max_abs_err", f"{err_sector_apply:.2e}"),
+            ("sector_expectation_abs_err", f"{err_sector_exp:.2e}"),
         ],
         caption="Compiled-observable engine vs naive per-term direct method "
         "(12-qubit downfolded H2O)",
@@ -172,6 +187,10 @@ def run_smoke(repeats: int = 3) -> int:
         failures.append(f"expectation mismatch: {err_exp:.3e} > 1e-10")
     if err_apply > 1e-10:
         failures.append(f"apply mismatch: {err_apply:.3e} > 1e-10")
+    if err_sector_apply > 1e-12:
+        failures.append(f"sector apply mismatch: {err_sector_apply:.3e} > 1e-12")
+    if err_sector_exp > 1e-12:
+        failures.append(f"sector expectation mismatch: {err_sector_exp:.3e} > 1e-12")
     if reduction < MIN_PASS_REDUCTION:
         failures.append(
             f"pass reduction {reduction:.1f}x < {MIN_PASS_REDUCTION}x"
@@ -183,7 +202,8 @@ def run_smoke(repeats: int = 3) -> int:
     if not failures:
         print(
             f"OK: {heff.num_terms} terms -> {compiled.num_passes} passes "
-            f"({reduction:.1f}x), {speedup:.1f}x faster than naive"
+            f"({reduction:.1f}x), {speedup:.1f}x faster than naive; sector "
+            f"{sector.num_passes} passes x {sector.dim} amplitudes equals full"
         )
     return 1 if failures else 0
 

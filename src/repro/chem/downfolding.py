@@ -39,6 +39,7 @@ from repro.chem.hamiltonian import MolecularHamiltonian
 from repro.chem.mappings import jordan_wigner
 from repro.chem.mp2 import MP2Result, run_mp2
 from repro.ir.pauli import PauliString, PauliSum
+from repro.utils.bitops import sector_indices
 
 __all__ = [
     "DownfoldingResult",
@@ -234,8 +235,6 @@ def nonhermitian_downfold_energy(
     equivalence theorem of paper §2) — returned with the iteration
     count.
     """
-    from repro.chem.fci import sector_indices
-
     n_spatial = full_hamiltonian.num_orbitals
     core = sorted(core_orbitals)
     active = sorted(active_orbitals)

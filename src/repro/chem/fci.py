@@ -21,37 +21,9 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from repro.ir.pauli import PauliSum
-from repro.utils.bitops import count_set_bits
+from repro.utils.bitops import sector_indices
 
 __all__ = ["exact_ground_energy", "exact_ground_state", "sector_indices"]
-
-
-def sector_indices(
-    num_qubits: int, num_particles: Optional[int] = None, sz: Optional[float] = None
-) -> np.ndarray:
-    """Basis-state indices with the given particle number and S_z.
-
-    Interleaved spin convention: even qubits are alpha, odd are beta;
-    ``sz`` is (n_alpha - n_beta) / 2.
-    """
-    if num_particles is not None and not 0 <= num_particles <= num_qubits:
-        raise ValueError(
-            f"num_particles={num_particles} does not fit in "
-            f"num_qubits={num_qubits} spin orbitals"
-        )
-    if sz is not None and 2 * sz != round(2 * sz):
-        raise ValueError(f"sz={sz} is not a multiple of 1/2")
-    idx = np.arange(1 << num_qubits, dtype=np.int64)
-    mask = np.ones(idx.shape[0], dtype=bool)
-    if num_particles is not None:
-        mask &= count_set_bits(idx) == num_particles
-    if sz is not None:
-        alpha_mask = sum(1 << q for q in range(0, num_qubits, 2))
-        beta_mask = sum(1 << q for q in range(1, num_qubits, 2))
-        n_a = count_set_bits(idx & alpha_mask)
-        n_b = count_set_bits(idx & beta_mask)
-        mask &= (n_a - n_b) == int(round(2 * sz))
-    return idx[mask]
 
 
 def exact_ground_state(

@@ -30,6 +30,7 @@ from repro.ir.pauli import PauliSum
 from repro.opt.base import Optimizer
 from repro.opt.gradient import AnsatzObjective
 from repro.opt.scipy_wrap import LBFGSB
+from repro.utils.bitops import basis_indices, sector_of
 
 __all__ = [
     "AdaptVQE",
@@ -157,12 +158,25 @@ class AdaptVQE:
     ):
         if not pool:
             raise ValueError("pool is empty")
+        n = hamiltonian.num_qubits
         self.hamiltonian = hamiltonian
-        # One x-mask-batched compilation shared by screening, the inner
-        # objectives (via the PauliSum-attached cache) and initial_state.
-        self._compiled_h = compile_observable(hamiltonian)
         self.pool = list(pool)
         self.reference_state = np.asarray(reference_state, dtype=np.complex128)
+        if self.reference_state.shape != (1 << n,):
+            raise ValueError(
+                f"reference state has shape {self.reference_state.shape}; the "
+                f"{n}-qubit Hamiltonian needs ({1 << n},)"
+            )
+        for op in self.pool:
+            if op.generator.num_qubits != n:
+                raise ValueError(
+                    f"pool operator {op.label!r} acts on {op.generator.num_qubits} "
+                    f"qubits, the Hamiltonian on {n}"
+                )
+        self.index = self._screening_index()
+        # One x-mask-batched compilation shared by screening, the inner
+        # objectives (via the PauliSum-attached cache) and initial_state.
+        self._compiled_h = compile_observable(hamiltonian, self.index)
         self.optimizer = optimizer or LBFGSB(max_iterations=500)
         self.max_iterations = max_iterations
         self.gradient_tolerance = gradient_tolerance
@@ -174,16 +188,35 @@ class AdaptVQE:
             kind="adapt", context=dict(flight_context or {})
         )
 
+    def _screening_index(self) -> np.ndarray:
+        """The index set the pool is screened on: the (N, S_z) sector of
+        a basis-state reference when every pool generator maps it into
+        itself, else the full register."""
+        n = self.hamiltonian.num_qubits
+        nonzero = np.flatnonzero(self.reference_state)
+        if nonzero.size == 1:
+            sector = sector_of(n, int(nonzero[0]))
+            if all(compile_observable(op.generator, sector).closed for op in self.pool):
+                return sector
+        return basis_indices(n)
+
+    def _restrict(self, state: np.ndarray) -> np.ndarray:
+        """A full 2^n state on the screening index set."""
+        return state if self.index.size == state.size else state[self.index]
+
     def pool_gradients(self, state: np.ndarray) -> np.ndarray:
-        """<[H, A_k]> for every candidate, on the given state."""
+        """<[H, A_k]> for every candidate, on the given 2^n state.  The
+        screen runs on :attr:`index`: the state, ``H psi`` restricted to
+        it and every ``A_k psi`` live there."""
         with obs.span("adapt.pool_screening", pool_size=len(self.pool)):
+            state = self._restrict(state)
             h_state = self._compiled_h.apply(state)
             grads = np.empty(len(self.pool))
             for k, op in enumerate(self.pool):
                 # Compiled generator application: a UCCSD excitation
                 # block's strings share one x-mask, so each candidate
                 # screens in a single gather instead of one per string.
-                a_state = compile_observable(op.generator).apply(state)
+                a_state = compile_observable(op.generator, self.index).apply(state)
                 grads[k] = 2.0 * np.real(np.vdot(h_state, a_state))
         return grads
 
@@ -192,7 +225,7 @@ class AdaptVQE:
     def initial_state(self) -> AdaptState:
         """Fresh ADAPT progress at iteration 0 (reference state)."""
         state = self.reference_state.copy()
-        energy = float(np.real(self._compiled_h.expectation(state)))
+        energy = float(np.real(self._compiled_h.expectation(self._restrict(state))))
         return AdaptState(energy=energy, statevector=state)
 
     def prepare_statevector(self, st: AdaptState) -> np.ndarray:

@@ -51,15 +51,17 @@ class VQDResult:
 
 class _Deflated:
     """``H' = H + beta sum_j |psi_j><psi_j|``: the deflated functional
-    is ``<psi|H'|psi>``, so VQD is an ordinary objective over ``H'``."""
+    is ``<psi|H'|psi>``, so VQD is an ordinary objective over ``H'``.
+    ``compiled_h`` and the found ``states`` live on the plan's index
+    set."""
 
     def __init__(self, compiled_h, beta: float, states: Sequence[np.ndarray]):
         self.compiled_h = compiled_h
         self.beta = beta
-        self.states = np.array(states)  # (j, 2^n)
+        self.states = np.array(states)  # (j, dim)
 
     def apply(self, block: np.ndarray) -> np.ndarray:
-        """``H'`` on a ``(2^n,)`` state or a ``(…, 2^n)`` block."""
+        """``H'`` on a ``(dim,)`` state or a ``(…, dim)`` block."""
         overlaps = self.beta * (block @ self.states.conj().T)  # (…, j)
         return self.compiled_h.apply(block) + overlaps @ self.states
 
@@ -101,15 +103,18 @@ def run_vqd(
     optimizer = optimizer or LBFGSB(max_iterations=500)
     rng = np.random.default_rng(seed)
 
-    compiled_h = compile_observable(hamiltonian)
+    objective = AnsatzObjective(reference_state, list(generators), hamiltonian)
+    index = objective.plan.index  # every state found lives on it
+    compiled_h = compile_observable(hamiltonian, index)
     found_states: List[np.ndarray] = []
     energies: List[float] = []
     parameters: List[np.ndarray] = []
     nfev = 0
 
     for k in range(num_states):
-        deflated = _Deflated(compiled_h, beta, found_states) if found_states else compiled_h
-        objective = AnsatzObjective(reference_state, list(generators), deflated)
+        if found_states:
+            deflated = _Deflated(compiled_h, beta, [s[index] for s in found_states])
+            objective = AnsatzObjective(reference_state, list(generators), deflated)
         m = objective.num_parameters
         starts = []
         if initial_parameters is not None and k < len(initial_parameters):
@@ -128,7 +133,7 @@ def run_vqd(
         assert best is not None
         state = objective.prepare_state(best.x)
         # report the raw energy, not the deflated functional
-        energies.append(float(compiled_h.expectation(state).real))
+        energies.append(float(compiled_h.expectation(state[index]).real))
         found_states.append(state)
         parameters.append(best.x)
 

@@ -308,6 +308,7 @@ class DistributedStatevector:
             raise ValueError(
                 f"plan has {plan.num_qubits} qubits, register has {self.num_qubits}"
             )
+        plan.require_full_register(1 << self.num_qubits)
         params = plan._check_params(params)
         if reset:
             self.reset()

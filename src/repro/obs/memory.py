@@ -20,8 +20,9 @@ Two halves:
   observability is off the instrumentation helpers in ``repro.obs``
   hand out handle 0 and every ledger call short-circuits on it.
 * :func:`estimate_statevector_job_bytes` — the predictive capacity
-  model: 2^n amplitudes + workspace copies + compiled-observable
-  passes + plan/prefix overheads, per backend.  ``repro.serve`` wraps
+  model: amplitudes (2^n, or the (N, S_z) sector a number-conserving
+  job runs on) + workspace copies + compiled-observable passes +
+  plan/prefix overheads, per backend.  ``repro.serve`` wraps
   it as ``estimate_job_memory(spec)`` to drive memory-aware admission
   and (time, bytes)-aware placement.
 
@@ -289,10 +290,11 @@ def estimate_compiled_passes(num_qubits: int) -> int:
     return max(1, round(num_qubits**3 / 17))
 
 
-def observable_bytes(num_qubits: int, passes: int) -> int:
-    """Bytes held by a compiled observable: one complex128 diagonal per
-    pass plus one int64 gather table per non-zero x-mask."""
-    dim = 1 << num_qubits
+def observable_bytes(num_qubits: int, passes: int, dim: Optional[int] = None) -> int:
+    """Bytes held by a compiled observable on ``dim`` amplitudes (default
+    all 2^n): one complex128 diagonal per pass plus one int64 gather
+    table per non-zero x-mask."""
+    dim = 1 << num_qubits if dim is None else dim
     gathers = max(0, passes - 1)  # the x=0 pass is gather-free
     return passes * AMPLITUDE_BYTES * dim + gathers * _GATHER_BYTES * dim
 
@@ -306,10 +308,13 @@ def estimate_statevector_job_bytes(
     generator_terms: int = 0,
     prefix_states: int = 2,
     workspace_states: int = 3,
+    sector_dim: Optional[int] = None,
 ) -> Dict[str, int]:
     """Predict the peak ledger bytes of one statevector campaign.
 
-    Components (all scale with dim = 2^n):
+    Components (all scale with dim: 2^n, or ``sector_dim`` when the
+    job's reference and generators close on an (N, S_z) sector, so that
+    its plan, compiled observables and states hold only that sector):
 
     * ``amplitudes`` — the simulator's state buffer(s);
     * ``workspace`` — transient full-vector copies the evaluation hot
@@ -321,7 +326,8 @@ def estimate_statevector_job_bytes(
       generator / pool operator (``generator_terms``), what it costs:
       ADAPT screening compiles each pool operator to a single-pass
       observable (16·dim diagonal + 8·dim gather), a VQE plan holds
-      one rotation step per generator (a one-byte class per amplitude);
+      one rotation step per generator (a one-byte class per amplitude,
+      and on a sector an 8-byte partner as well);
     * ``prefix_cache`` — parked prefix states of the execution plan
       (ADAPT re-parks per iteration, plain VQE keeps the tail park).
 
@@ -335,7 +341,8 @@ def estimate_statevector_job_bytes(
         raise ValueError(
             f"no capacity model for backend {backend!r} yet; 'statevector' only"
         )
-    dim = 1 << num_qubits
+    full = 1 << num_qubits
+    dim = full if sector_dim is None else sector_dim
     passes = (
         compiled_passes
         if compiled_passes is not None
@@ -345,12 +352,15 @@ def estimate_statevector_job_bytes(
         # ADAPT screens a pool of candidate generators; the screening
         # path batches pool gradients through extra state copies.
         workspace_states += 1
-    per_generator = AMPLITUDE_BYTES + _GATHER_BYTES if kind == "adapt" else 1
+    if kind == "adapt":
+        per_generator = AMPLITUDE_BYTES + _GATHER_BYTES
+    else:
+        per_generator = 1 if dim == full else 1 + _GATHER_BYTES
     generator_bytes = max(0, generator_terms) * per_generator * dim
     breakdown = {
         "amplitudes": AMPLITUDE_BYTES * dim * max(1, batch_size),
         "workspace": AMPLITUDE_BYTES * dim * max(0, workspace_states),
-        "observable": observable_bytes(num_qubits, passes) + generator_bytes,
+        "observable": observable_bytes(num_qubits, passes, dim) + generator_bytes,
         "prefix_cache": AMPLITUDE_BYTES * dim * max(0, prefix_states),
     }
     breakdown["total"] = sum(breakdown.values())
@@ -363,6 +373,7 @@ def estimate_batched_group_bytes(
     kind: str = "vqe",
     compiled_passes: Optional[int] = None,
     generator_terms: int = 0,
+    **job_inputs: Any,
 ) -> int:
     """Peak bytes of a batch group of ``group_size`` same-physics jobs
     executing through the evaluation broker.
@@ -373,12 +384,14 @@ def estimate_batched_group_bytes(
     (2B, 2^n) block plus the B-row ``H psi`` it gathers into it.  One
     job's workspace already holds a one-row sweep's three rows, so the
     group is one job's total plus ``3 (group_size - 1)`` amplitude rows.
+    ``job_inputs`` are further arguments of the one-job estimate.
     """
     single = estimate_statevector_job_bytes(
         num_qubits,
         kind=kind,
         compiled_passes=compiled_passes,
         generator_terms=generator_terms,
+        **job_inputs,
     )["total"]
     extra = 3 * max(0, group_size - 1) * AMPLITUDE_BYTES * (1 << num_qubits)
     return int(single + extra)

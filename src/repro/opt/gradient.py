@@ -109,9 +109,15 @@ class AnsatzObjective:
         Anti-Hermitian ``PauliSum`` generators; parameter k multiplies
         generator k.
     hamiltonian:
-        Hermitian observable: a ``PauliSum``, or any operator with
-        ``apply`` over ``(…, 2^n)`` blocks and ``expectation`` on one
-        state (VQD passes its deflated Hamiltonian).
+        Hermitian observable: a ``PauliSum`` (compiled on the plan's
+        index set), or any operator with ``apply`` over ``(…, dim)``
+        blocks and ``expectation`` on one state, ``dim`` being
+        ``plan.dim`` (VQD passes its deflated Hamiltonian).
+
+    The plan holds the (N, S_z) sector of the reference when the
+    generators close on it (:meth:`ExecutionPlan.from_generators`), so
+    energies and gradients run on that sector; :meth:`prepare_state`
+    still returns the full 2^n vector.
     """
 
     def __init__(
@@ -122,19 +128,28 @@ class AnsatzObjective:
     ):
         self.plan = ExecutionPlan.from_generators(generators, reference_state)
         self.hamiltonian = hamiltonian
-        # x-mask-batched: shared across the thousands of energy and
-        # gradient calls one optimization makes (repro.ir.compiled)
-        self._operator = (
-            compile_observable(hamiltonian) if isinstance(hamiltonian, PauliSum)
-            else hamiltonian
-        )
+        self._operator = hamiltonian
+        if isinstance(hamiltonian, PauliSum):
+            if hamiltonian.num_qubits != self.plan.num_qubits:
+                raise ValueError(
+                    f"Hamiltonian acts on {hamiltonian.num_qubits} qubits, the "
+                    f"ansatz on {self.plan.num_qubits}"
+                )
+            # x-mask-batched on the plan's index set: shared across the
+            # thousands of energy and gradient calls one optimization
+            # makes (repro.ir.compiled)
+            self._operator = compile_observable(hamiltonian, self.plan.index)
         self.num_parameters = self.plan.num_parameters
         self._fusion = GradientFusion()
 
     def prepare_state(self, params: np.ndarray) -> np.ndarray:
         """|psi(theta)> = prod_k exp(theta_k A_k) |ref> (k ascending), a
-        fresh array; the plan resumes from its longest parked prefix
+        fresh 2^n array; the plan resumes from its longest parked prefix
         state when only a parameter suffix changed."""
+        return self.plan.embed(self._plan_state(params))
+
+    def _plan_state(self, params: np.ndarray) -> np.ndarray:
+        """|psi(theta)> on the plan's index set, a fresh array."""
         return self.plan.execute(np.empty(self.plan.dim, dtype=np.complex128), params)
 
     def energy(self, params: np.ndarray) -> float:
@@ -150,7 +165,7 @@ class AnsatzObjective:
             return self._fusion.gradient(params, self.energy)
 
     def _energy(self, params: np.ndarray) -> float:
-        return float(self._operator.expectation(self.prepare_state(params)).real)
+        return float(self._operator.expectation(self._plan_state(params)).real)
 
     def _value_and_gradient(self, params: np.ndarray) -> Tuple[float, np.ndarray]:
         values, grads = reverse_value_and_gradient(self.plan, self._operator, params[None])

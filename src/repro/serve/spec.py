@@ -224,6 +224,7 @@ _QUBITS_BY_MOLECULE = {"h2": 4, "h4": 8, "lih": 12, "h2o": 14}
 # (STO-3G, no downfolding); drive the dominant term of the capacity
 # model (see repro.obs.memory).
 _PASSES_BY_MOLECULE = {"h2": 2, "h4": 27, "lih": 84, "h2o": 162}
+_ELECTRONS_BY_MOLECULE = {"h2": 2, "h4": 4, "lih": 4, "h2o": 10}
 # UCCSD generator counts (== pool size) per family: ADAPT screening
 # compiles each to one single-pass observable of 24 * 2^n bytes, which
 # at these widths rivals the Hamiltonian itself; a VQE plan holds one
@@ -253,28 +254,53 @@ def qubits_for_molecule(name: str) -> int:
     return 8
 
 
+def sector_dim_for_molecule(name: str) -> Optional[int]:
+    """Amplitudes of the (N, S_z) sector of a molecule family's
+    Hartree-Fock reference on the serve build path, ``None`` when its
+    electron count is unknown.  The UCCSD pool and generators conserve
+    N and S_z, so a serve job's reference and generators close on this
+    sector and its ansatz runs there."""
+    key = name.lower()
+    electrons = _ELECTRONS_BY_MOLECULE.get(key)
+    if electrons is None and key.startswith("h") and key[1:].isdigit():
+        electrons = int(key[1:])
+    if electrons is None:
+        return None
+    orbitals = qubits_for_molecule(name) // 2
+    return math.comb(orbitals, (electrons + 1) // 2) * math.comb(orbitals, electrons // 2)
+
+
+def _model_inputs(molecule: str, kind: str) -> Dict[str, Any]:
+    """Capacity-model inputs of a serve job.  An ADAPT job runs its
+    UCCSD pool on the reference's sector; a VQE job runs the shared
+    UCCSD circuit plan (circuit plans hold the full register) through
+    the fused value-and-gradient sweep, which parks no prefix states."""
+    inputs: Dict[str, Any] = {
+        "compiled_passes": _PASSES_BY_MOLECULE.get(molecule),
+        "generator_terms": _GENERATORS_BY_MOLECULE.get(molecule, 0),
+    }
+    if kind == "adapt":
+        inputs["sector_dim"] = sector_dim_for_molecule(molecule)
+    else:
+        inputs["prefix_states"] = 0
+    return inputs
+
+
 def estimate_job_memory(spec: "JobSpec") -> int:
     """Predicted peak resident bytes of one job (capacity model).
 
     Wraps :func:`repro.obs.memory.estimate_statevector_job_bytes` with
-    the serve-path calibration: register width from the molecule table
-    and the measured compiled-observable pass count where known.
-    Validated against measured ledger peaks in ``tests/test_memory.py``
-    (±10% at 8–14 qubits).
+    the serve-path calibration: register width from the molecule table,
+    the measured compiled-observable pass count where known, and for an
+    ADAPT job the size of the (N, S_z) sector it runs on.  Validated
+    against measured ledger peaks in ``tests/test_memory.py`` (±10% at
+    8–14 qubits).
     """
     from repro.obs.memory import estimate_statevector_job_bytes
 
-    key = spec.molecule.lower()
     n = qubits_for_molecule(spec.molecule)
-    passes = _PASSES_BY_MOLECULE.get(key)
-    return int(
-        estimate_statevector_job_bytes(
-            n,
-            kind=spec.kind,
-            compiled_passes=passes,
-            generator_terms=_GENERATORS_BY_MOLECULE.get(key, 0),
-        )["total"]
-    )
+    inputs = _model_inputs(spec.molecule.lower(), spec.kind)
+    return int(estimate_statevector_job_bytes(n, kind=spec.kind, **inputs)["total"])
 
 
 def estimate_group_memory(specs) -> int:
@@ -296,11 +322,7 @@ def _group_memory(molecule: str, kind: str, size: int) -> int:
     from repro.obs.memory import estimate_batched_group_bytes
 
     return estimate_batched_group_bytes(
-        qubits_for_molecule(molecule),
-        size,
-        kind=kind,
-        compiled_passes=_PASSES_BY_MOLECULE.get(molecule),
-        generator_terms=_GENERATORS_BY_MOLECULE.get(molecule, 0),
+        qubits_for_molecule(molecule), size, kind=kind, **_model_inputs(molecule, kind)
     )
 
 

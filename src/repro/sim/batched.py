@@ -52,8 +52,9 @@ def reverse_value_and_gradient(
     """Energies ``<psi_r|H|psi_r>`` and their exact gradients for the R
     parameter rows of ``rows`` (shape ``(R, P)``), as ``((R,), (R, P))``.
 
-    ``observable`` is a ``PauliSum`` or any Hermitian operator with
-    ``apply`` over ``(…, 2^n)`` blocks (VQD's deflated Hamiltonian).
+    ``observable`` is a ``PauliSum`` — compiled on the plan's index set
+    — or any Hermitian operator with ``apply`` over ``(…, plan.dim)``
+    blocks (VQD's deflated Hamiltonian).
 
     One sweep, whatever P: the plan runs forward on the R rows of
     ``psi``, ``H`` is applied to the block, and the ops are walked
@@ -79,12 +80,12 @@ def reverse_value_and_gradient(
     n, r = plan.num_qubits, rows.shape[0]
     block = np.zeros((2 * r, plan.dim), dtype=np.complex128)
     phi, lam = block[:r], block[r:]
-    phi[:, 0] = 1.0
+    phi[:, plan.origin] = 1.0
     for op in plan.ops:
         kind, payload = op.resolve(rows)
         apply_op(phi, kind, payload, op.qubits, n)
     if isinstance(observable, PauliSum):
-        observable = compile_observable(observable)
+        observable = compile_observable(observable, plan.index)
     lam[...] = observable.apply(phi)
     values = row_dot(phi, lam).real
     grads = np.zeros_like(rows)
@@ -188,6 +189,7 @@ class BatchedStatevectorSimulator:
             raise ValueError(
                 f"plan width mismatch: expected {self.num_qubits} qubits, got {plan.num_qubits}"
             )
+        plan.require_full_register(self.dim)
         param_rows = np.asarray(param_rows, dtype=float)
         if param_rows.shape != (self.batch_size, plan.num_parameters):
             raise ValueError(

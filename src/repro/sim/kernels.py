@@ -3,8 +3,9 @@
 These are the NumPy analogue of NWQ-Sim's GPU gate kernels (paper
 §4.3): one kernel set that every execution mode calls.  Each kernel
 updates, **in place**, the last axis of ``block`` — one ``(2^n,)``
-state, a ``(B, 2^n)`` batch or one rank's ``(2^L,)`` slice — and takes
-any leading axes unchanged.
+state, a ``(B, 2^n)`` batch or one rank's ``(2^L,)`` slice, or, for a
+rotation step built on an index set, a ``(…, D)`` block over that set
+— and takes any leading axes unchanged.
 
 Static gates address amplitudes through **strided views**, not index
 tables: the last axis is reshaped so that each target qubit becomes an
@@ -42,7 +43,9 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.ir.gates import GATE_SET
-from repro.utils.bitops import basis_indices, parity_mask, xor_indices
+from repro.utils.bitops import (
+    basis_indices, count_set_bits, parity_mask, sector_partners, xor_indices,
+)
 
 __all__ = [
     "MaskRotation",
@@ -262,14 +265,27 @@ class MaskRotation:
     The weights are stored as a class index per amplitude (smallest
     unsigned dtype) plus per-class tables — three classes for a UCCSD
     excitation — instead of 2^n complex values.
+
+    A step built on an **index set** (a sorted subset of the basis, such
+    as an (N, S_z) sector) has class tables of that length and a
+    ``partners`` table: the position of ``index[i] ^ x`` in the set, or
+    ``i`` itself where it leaves the set.  ``partners`` is ``None`` on
+    the full register, which gathers through the shared
+    ``xor_indices`` table instead.  On a set the step closes on (zero
+    weight wherever the partner leaves it) the same formula is exact:
+    those amplitudes turn at rate 0.
     """
 
-    __slots__ = ("x", "classes", "weights", "rates", "directions")
+    __slots__ = ("x", "classes", "weights", "rates", "directions", "partners")
 
-    def __init__(self, x: int, weights: np.ndarray, classes: np.ndarray):
+    def __init__(
+        self, x: int, weights: np.ndarray, classes: np.ndarray,
+        partners: "np.ndarray | None" = None,
+    ):
         self.x = int(x)
         self.weights = weights
         self.classes = classes.astype(np.min_scalar_type(weights.size - 1))
+        self.partners = partners
         rates = np.abs(weights)
         # one entry when every amplitude turns at the same rate (any
         # single-Pauli rotation): cos(theta |w|) is then a scalar per row
@@ -280,10 +296,21 @@ class MaskRotation:
         )
 
     @classmethod
-    def from_terms(cls, x: int, terms, num_qubits: int) -> "MaskRotation":
+    def from_terms(
+        cls, x: int, terms, num_qubits: int, index: "np.ndarray | None" = None
+    ) -> "MaskRotation":
         """From ``w[i] = sum_j c_j (-1)^{|i & z_j|}`` given as ``(z_j, c_j)``
-        pairs: each term splits the classes so far by its parity and
-        classes of equal weight merge again, so no 2^n array is sorted."""
+        pairs, over all 2^n amplitudes or over the sorted basis indices
+        ``index``.  On the full register each term splits the classes so
+        far by its parity and classes of equal weight merge again, so no
+        2^n array is sorted; an index set is a sector, small enough to
+        take ``w`` from one terms x ``len(index)`` sign matrix."""
+        if index is not None:
+            zs = np.array([z for z, _ in terms], dtype=np.int64).reshape(-1, 1)
+            signs = 1.0 - 2.0 * (count_set_bits(index & zs) & 1)
+            w = np.array([c for _, c in terms], dtype=np.complex128) @ signs
+            weights, classes = np.unique(w, return_inverse=True)
+            return cls(x, weights, classes, sector_partners(index, x)[0])
         idx = basis_indices(num_qubits)
         weights = np.zeros(1, dtype=np.complex128)
         classes = np.zeros(idx.size, dtype=np.intp)
@@ -301,7 +328,15 @@ class MaskRotation:
     @property
     def nbytes(self) -> int:
         tables = (self.classes, self.weights, self.rates, self.directions)
-        return sum(t.nbytes for t in tables)
+        extra = 0 if self.partners is None else self.partners.nbytes
+        return sum(t.nbytes for t in tables) + extra
+
+
+def _partners(step: MaskRotation, length: int) -> np.ndarray:
+    """The gather table of ``step`` over a last axis of ``length``."""
+    if step.partners is not None:
+        return step.partners
+    return xor_indices(length.bit_length() - 1, step.x)
 
 
 def apply_rotation(
@@ -313,13 +348,13 @@ def apply_rotation(
 ) -> None:
     """``block <- exp(theta A) block`` in place along the last axis: one
     state and a scalar ``theta``, or a ``(B, D)`` block with ``theta`` of
-    shape ``(B,)``.
+    shape ``(B,)``; ``D`` is the length of the step's index set.
 
     ``source``, when given, is ``psi[..., i ^ x]`` already gathered by
     the caller — a distributed slice gathers it from its partner rank's
     slice under the physical layout and passes the class indices of its
     own amplitudes as ``classes`` — otherwise it is gathered from
-    ``block`` itself.
+    ``block`` itself through the step's partner table.
     """
     if classes is None:
         classes = step.classes
@@ -327,8 +362,7 @@ def apply_rotation(
         if step.x == 0:  # A is diagonal: exp(theta w) itself
             block *= np.exp(np.multiply.outer(theta, step.weights)).take(classes, axis=-1)
             return
-        n = block.shape[-1].bit_length() - 1
-        source = block.take(xor_indices(n, step.x), axis=-1)
+        source = block.take(_partners(step, block.shape[-1]), axis=-1)
     angles = np.multiply.outer(theta, step.rates)
     keep = np.cos(angles)
     if step.rates.size > 1:
@@ -350,9 +384,9 @@ def row_dot(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def rotation_bracket(lam: np.ndarray, phi: np.ndarray, step: MaskRotation) -> np.ndarray:
     """``<lam| A |phi>`` for the generator of ``step``, row by row over
-    ``(…, 2^n)`` blocks."""
+    ``(…, D)`` blocks on the step's index set."""
     if step.x:
-        phi = phi.take(xor_indices(phi.shape[-1].bit_length() - 1, step.x), axis=-1)
+        phi = phi.take(_partners(step, phi.shape[-1]), axis=-1)
     return row_dot(lam, step.weights.take(step.classes) * phi)
 
 

@@ -39,9 +39,19 @@ passes:
 
 A generator ansatz ``prod_k exp(theta_k A_k) |ref>`` (chemistry-mode
 VQE, ADAPT, VQD) needs neither pass: ``ExecutionPlan.from_generators``
-emits the reference's ``x`` ops and one rotation step per x-mask group
-of each generator, the steps the frame pass recovers from the
-equivalent Trotterized circuit, without building that circuit.
+emits one rotation step per x-mask group of each generator, the steps
+the frame pass recovers from the equivalent Trotterized circuit,
+without building that circuit.
+
+Every plan has an **index set** ``plan.index``, the sorted basis
+indices its state holds (``plan.dim`` of them).  A circuit plan holds
+the full register.  A generator plan whose steps all have zero weight
+wherever ``i ^ x`` leaves the (N, S_z) sector of its reference holds
+that sector: its steps carry sector-length class tables and a partner
+table (see :class:`repro.sim.kernels.MaskRotation`), it emits no
+reference ``x`` ops and ``execute`` starts at the reference's position
+``plan.origin``.  Any other generator plan (a qubit pool, say) emits the
+reference's ``x`` ops and holds the full register, as before.
 
 On top of the flat op list, plans support cross-evaluation
 **prefix-state reuse**: consecutive ``execute`` calls record the last
@@ -57,7 +67,9 @@ Consumers: ``StatevectorSimulator.run_plan``, the estimators'
 ``estimate_plan``, ``CachedEnergyEvaluator``, the parameter-shift
 gradients, ``BatchedStatevectorSimulator.run_plan``, the reverse-mode
 sweep, ``repro.opt.gradient.AnsatzObjective``, and the slice-aware
-``DistributedStatevector.run_plan``.
+``DistributedStatevector.run_plan``.  The three simulators hold a full
+register and refuse a sector plan; ``execute`` and the reverse-mode
+sweep take either.
 """
 
 from __future__ import annotations
@@ -71,11 +83,12 @@ import numpy as np
 from repro import obs
 from repro.ir.circuit import Circuit
 from repro.ir.clifford import conjugate_pauli
+from repro.ir.compiled import compile_observable
 from repro.ir.gates import GATE_SET, Gate, Parameter
 from repro.ir.pauli import PauliString, PauliSum
 from repro.sim import kernels
 from repro.sim.fusion import fuse_circuit
-from repro.utils.bitops import I_POW, popcount
+from repro.utils.bitops import I_POW, basis_indices, popcount, sector_of
 
 __all__ = [
     "ExecutionPlan",
@@ -356,12 +369,13 @@ class _RotationDraft:
             and all(popcount(x & (z ^ other)) % 2 == 0 for other, _ in self.terms)
         )
 
-    def to_op(self, n: int) -> PlanOp:
+    def to_op(self, n: int, index: Optional[np.ndarray] = None) -> PlanOp:
         # (X^x Z^z psi)[i] = (-1)^{|(i ^ x) & z|} psi[i ^ x]
         step = kernels.MaskRotation.from_terms(
             self.x,
             [(z, -c if popcount(self.x & z) & 1 else c) for z, c in self.terms],
             n,
+            index,
         )
         support = self.x
         for z, _ in self.terms:
@@ -442,17 +456,20 @@ def _lower(circuit: Circuit, index_of: Dict[str, int]):
 # ---------------------------------------------------------------------------
 
 
-def generator_ops(generator: PauliSum, slot: int) -> List[PlanOp]:
+def generator_ops(
+    generator: PauliSum, slot: int, index: Optional[np.ndarray] = None
+) -> List[PlanOp]:
     """``exp(theta_slot A)`` for an anti-Hermitian ``A``: one rotation
     step per x-mask group of its terms (ascending mask), each on the
-    qubits the group touches.  The steps multiply to ``exp(theta A)``
+    qubits the group touches, over all 2^n amplitudes or over the sorted
+    basis indices ``index``.  The steps multiply to ``exp(theta A)``
     exactly when :func:`mask_clash` finds no anticommuting pair."""
     drafts: Dict[int, _RotationDraft] = {}
     for (x, z), c in sorted(generator.terms.items()):
         draft = drafts.setdefault(x, _RotationDraft(x, slot))
         # P(x, z) = i^{|x & z|} X^x Z^z
         draft.terms.append((z, c * I_POW[popcount(x & z) & 3]))
-    return [draft.to_op(generator.num_qubits) for draft in drafts.values()]
+    return [draft.to_op(generator.num_qubits, index) for draft in drafts.values()]
 
 
 def mask_clash(generator: PauliSum) -> Optional[Tuple[int, int]]:
@@ -550,8 +567,17 @@ class ExecutionPlan:
         cls, generators: Sequence[PauliSum], reference: np.ndarray
     ) -> "ExecutionPlan":
         """The plan of ``exp(theta_{m-1} A_{m-1}) ... exp(theta_0 A_0)
-        |ref>``: ``x`` ops preparing the basis state ``reference``, then
-        :func:`generator_ops` of generator k on parameter ``t{k}``.
+        |ref>``: :func:`generator_ops` of generator k on parameter
+        ``t{k}``.
+
+        The index set is decided by the data alone.  When every
+        generator maps the (N, S_z) sector of the basis state
+        ``reference`` into itself (a number- and spin-conserving ansatz:
+        every rotation step has zero weight wherever ``i ^ x`` leaves
+        the sector), the plan holds only that sector
+        (:func:`repro.utils.bitops.sector_of`) and starts at the
+        reference's position in it; otherwise it holds the full register
+        and starts with ``x`` ops preparing the reference from |0...0>.
         Raises ``ValueError`` naming the reference or generator that
         cannot be lowered so."""
         reference = np.asarray(reference)
@@ -563,7 +589,7 @@ class ExecutionPlan:
                 f"amplitude 1); got shape {reference.shape} with {nonzero.size} "
                 "nonzero amplitude(s)"
             )
-        ops = [PlanOp("x", (q,)) for q in range(n) if (nonzero[0] >> q) & 1]
+        ref = int(nonzero[0])
         for k, a in enumerate(generators):
             clash = mask_clash(a)
             fault = (
@@ -574,22 +600,31 @@ class ExecutionPlan:
             )
             if fault:
                 raise ValueError(f"generator {k} {fault}")
-            ops.extend(generator_ops(a, k))
+        index, start, ops = sector_of(n, ref), ref, []
+        if not all(compile_observable(a, index).closed for a in generators):
+            index, start = None, 0
+            ops = [PlanOp("x", (q,)) for q in range(n) if (ref >> q) & 1]
+        for k, a in enumerate(generators):
+            ops.extend(generator_ops(a, k, index))
         plan = cls.__new__(cls)
         plan.source, plan._source_gates = None, ()
         plan.fused_gates_removed = plan.frame_gates_absorbed = 0
         plan.rotations_merged = plan.diag_gates_folded = 0
-        plan._adopt(ops, n, [f"t{k}" for k in range(len(generators))], 0)
+        plan._adopt(ops, n, [f"t{k}" for k in range(len(generators))], 0, index, start)
         return plan
 
     def _adopt(
         self, ops: List[PlanOp], num_qubits: int, parameters: List[str],
-        source_gate_count: int,
+        source_gate_count: int, index: Optional[np.ndarray] = None, start: int = 0,
     ) -> None:
         """Take ``ops`` as the plan: sizes, prefix-reuse bookkeeping,
-        memory and compile metrics — whatever lowered them."""
+        memory and compile metrics — whatever lowered them.  ``index``
+        is the plan's index set (``None``: the full register) and
+        ``start`` the basis state its state starts in before the ops."""
         self.num_qubits = num_qubits
-        self.dim = 1 << num_qubits
+        self.index = basis_indices(num_qubits) if index is None else index
+        self.dim = self.index.size
+        self.origin = int(np.searchsorted(self.index, start))
         self.parameters: List[str] = parameters
         self.num_parameters = len(parameters)
         self.source_gate_count = source_gate_count
@@ -649,6 +684,34 @@ class ExecutionPlan:
         return self._ops
 
     @property
+    def full_register(self) -> bool:
+        """Whether the plan's state holds all 2^n amplitudes (else only
+        the basis states of :attr:`index`)."""
+        return self.dim == 1 << self.num_qubits
+
+    def embed(self, block: np.ndarray) -> np.ndarray:
+        """The full-register form of a ``(…, dim)`` block of plan states:
+        ``block`` itself on the full register, else a fresh array, zero
+        outside :attr:`index`."""
+        if self.full_register:
+            return block
+        out = np.zeros(block.shape[:-1] + (1 << self.num_qubits,), dtype=block.dtype)
+        out[..., self.index] = block
+        return out
+
+    def require_full_register(self, register_dim: int) -> None:
+        """Raise ``ValueError`` unless the plan holds the full register:
+        an executor with ``register_dim`` amplitudes per state calls
+        this before running it."""
+        if not self.full_register:
+            raise ValueError(
+                f"plan holds the {self.dim}-amplitude symmetry sector of its "
+                f"{self.num_qubits}-qubit register; this executor holds all "
+                f"{register_dim} amplitudes (run it with ExecutionPlan.execute "
+                "or reverse_value_and_gradient)"
+            )
+
+    @property
     def num_parametric_ops(self) -> int:
         return sum(1 for op in self._ops if op.is_parametric)
 
@@ -700,7 +763,7 @@ class ExecutionPlan:
 
     def __repr__(self) -> str:
         return (
-            f"ExecutionPlan(qubits={self.num_qubits}, "
+            f"ExecutionPlan(qubits={self.num_qubits}, dim={self.dim}, "
             f"ops={self.num_ops}/{self.source_gate_count} gates, "
             f"params={self.num_parameters})"
         )
@@ -762,9 +825,10 @@ class ExecutionPlan:
         """Run the plan in place on ``state`` and return it.
 
         With ``reset=True`` (the default) the buffer is initialized to
-        |0...0> — or, when prefix reuse finds a parked intermediate
-        state consistent with ``params``, to that state, skipping its
-        prefix of ops.  With ``reset=False`` the plan is applied to the
+        the plan's start state (|0...0> on the full register, the
+        reference on a sector) — or, when prefix reuse finds a parked
+        intermediate state consistent with ``params``, to that state,
+        skipping its prefix of ops.  With ``reset=False`` the plan is applied to the
         caller's current state and prefix reuse is bypassed (the
         provenance of the state is unknown).
         """
@@ -785,7 +849,7 @@ class ExecutionPlan:
                 self.prefix_ops_skipped += start
             else:
                 state.fill(0)
-                state[0] = 1.0
+                state[self.origin] = 1.0
             i = start
             for pos in self._park_targets(params):  # ends at num_ops
                 if pos < i:

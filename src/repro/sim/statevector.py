@@ -140,6 +140,7 @@ class StatevectorSimulator:
             raise ValueError(
                 f"plan width {plan.num_qubits} != register {self.num_qubits}"
             )
+        plan.require_full_register(self.dim)
         with obs.span(
             "sim.run_plan", ops=plan.num_ops, qubits=self.num_qubits
         ):

@@ -29,6 +29,9 @@ __all__ = [
     "sign_vector",
     "basis_indices",
     "xor_indices",
+    "sector_indices",
+    "sector_of",
+    "sector_partners",
     "clear_index_tables",
 ]
 
@@ -155,7 +158,66 @@ def xor_indices(num_qubits: int, x_mask: int) -> np.ndarray:
     return _frozen(basis_indices(num_qubits) ^ x_mask)
 
 
+# every even bit: the alpha spin orbitals of the interleaved convention
+_ALPHA_BITS = int("01" * 31, 2)
+
+
+def sector_indices(
+    num_qubits: int, num_particles: "int | None" = None, sz: "float | None" = None
+) -> np.ndarray:
+    """Read-only sorted basis-state indices with the given particle
+    number and S_z (either may be ``None``: no constraint).
+
+    Interleaved spin convention: even qubits are alpha, odd are beta;
+    ``sz`` is (n_alpha - n_beta) / 2.  One array per sector, however
+    the arguments are spelled, is shared by the FCI block, the execution
+    plan and the compiled observable.
+    """
+    return _sector_indices(num_qubits, num_particles, sz)
+
+
+@lru_cache(maxsize=64)
+def _sector_indices(num_qubits: int, num_particles, sz) -> np.ndarray:
+    if num_particles is not None and not 0 <= num_particles <= num_qubits:
+        raise ValueError(
+            f"num_particles={num_particles} does not fit in "
+            f"num_qubits={num_qubits} spin orbitals"
+        )
+    if sz is not None and 2 * sz != round(2 * sz):
+        raise ValueError(f"sz={sz} is not a multiple of 1/2")
+    idx = basis_indices(num_qubits)
+    mask = np.ones(idx.shape[0], dtype=bool)
+    if num_particles is not None:
+        mask &= count_set_bits(idx) == num_particles
+    if sz is not None:
+        alpha = count_set_bits(idx & _ALPHA_BITS)
+        beta = count_set_bits(idx & (_ALPHA_BITS << 1))
+        mask &= (alpha - beta) == int(round(2 * sz))
+    return _frozen(idx[mask])
+
+
+def sector_of(num_qubits: int, index: int) -> np.ndarray:
+    """:func:`sector_indices` of the (N, S_z) sector holding the basis
+    state ``index``."""
+    alpha = popcount(index & _ALPHA_BITS)
+    beta = popcount(index & (_ALPHA_BITS << 1))
+    return sector_indices(num_qubits, alpha + beta, (alpha - beta) / 2)
+
+
+def sector_partners(index: np.ndarray, x_mask: int) -> "tuple[np.ndarray, np.ndarray]":
+    """``(partners, inside)`` over a sorted index set: ``partners[i]`` is
+    the position of ``index[i] ^ x_mask`` in ``index``, or ``i`` itself
+    where that basis state lies outside the set (``inside[i]`` False).
+    A table of partners is what a kernel gathers through in place of
+    ``xor_indices`` when the state holds only ``index``."""
+    target = index ^ x_mask
+    found = np.minimum(np.searchsorted(index, target), index.size - 1)
+    inside = index[found] == target
+    return np.where(inside, found, np.arange(index.size)), inside
+
+
 def clear_index_tables() -> None:
     """Drop all cached index tables (frees memory after wide-register runs)."""
     basis_indices.cache_clear()
     xor_indices.cache_clear()
+    _sector_indices.cache_clear()

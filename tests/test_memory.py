@@ -175,8 +175,9 @@ def test_disabled_ledger_is_noop():
 
 def _measured_job_peak(molecule: str, campaigns: int = 1) -> int:
     """Run the serve-path workload of one VQE job (problem build +
-    one energy evaluation — the optimizer loop reuses these buffers)
-    and return the ledger peak it produced.  With ``campaigns`` > 1 a
+    one energy evaluation of the shared circuit, as the server's VQE
+    campaigns run it — the optimizer loop reuses these buffers) and
+    return the ledger peak it produced.  With ``campaigns`` > 1 a
     same-physics group then runs one brokered wave: one gradient row
     per campaign through the block reverse-mode sweep."""
     from repro.core.vqe import VQE
@@ -190,12 +191,8 @@ def _measured_job_peak(molecule: str, campaigns: int = 1) -> int:
     obs.get_memory_ledger().reset()
     spec = JobSpec(tenant="t", molecule=molecule)
     problem = ProblemCache().get(spec)
-    vqe = VQE(
-        problem["hamiltonian"],
-        generators=problem["generators"],
-        reference_state=problem["reference"],
-    )
-    vqe.energy(np.zeros(len(problem["generators"])))
+    vqe = VQE(problem["hamiltonian"], ansatz=problem["ansatz"])
+    vqe.energy(np.zeros(vqe.num_parameters))
     if campaigns > 1:
         plan = compile_circuit(problem["ansatz"])
         broker = EvaluationBroker()
@@ -237,6 +234,28 @@ def test_estimate_group_memory_within_ten_percent():
     assert 0.9 <= ratio <= 1.1, (
         f"h4 x8: predicted {predicted} vs measured {measured} ({ratio:.3f}x)"
     )
+
+
+def test_estimate_sector_adapt_job_within_ten_percent():
+    """A 12-qubit LiH ADAPT job on the serve path screens its pool and
+    re-optimizes on the 225-amplitude (N = 4, S_z = 0) sector: the
+    model priced at the sector dimension meets the ledger peak."""
+    from repro.core.adapt import AdaptVQE
+    from repro.serve.spec import JobSpec, estimate_job_memory, sector_dim_for_molecule
+    from repro.serve.store import ProblemCache
+
+    spec = JobSpec(tenant="t", molecule="lih", kind="adapt")
+    assert sector_dim_for_molecule("lih") == 225
+    gc.collect()
+    obs.configure(enabled=True)
+    obs.get_memory_ledger().reset()
+    problem = ProblemCache().get(spec)
+    adapt = AdaptVQE(problem["hamiltonian"], problem["pool"], problem["reference"])
+    assert adapt.index.size == 225
+    adapt.step(adapt.initial_state())
+    measured = obs.get_memory_ledger().peak_bytes
+    ratio = estimate_job_memory(spec) / measured
+    assert 0.9 <= ratio <= 1.1, f"lih adapt: {ratio:.3f}x of the measured {measured}"
 
 
 def test_estimate_scales_exponentially_and_rejects_unknown_backend():

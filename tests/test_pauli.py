@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.chem.pools import PoolOperator
+from repro.core.adapt import AdaptVQE
 from repro.core.cache import CachedEnergyEvaluator
 from repro.core.estimator import DirectEstimator
 from repro.core.vqe import VQE
+from repro.hpc.distributed import DistributedStatevector
 from repro.ir.circuit import Circuit
 from repro.ir.compiled import compile_observable
 from repro.ir.pauli import PauliString, PauliSum
@@ -122,6 +125,12 @@ _STATE2 = np.zeros(4, dtype=np.complex128)  # a 2-qubit state for 3-qubit engine
 _REF3 = np.eye(8)[0]
 # X on qubit 2 and Z on qubit 2 anticommute across two x-mask groups
 _CLASH3 = PauliSum.from_label_dict({"XII": 1j, "ZII": 0.5j})
+# a same-spin hop on 4 qubits closes on the 2-amplitude sector of |0001>
+_HOP4 = PauliSum.from_string(PauliString.from_ops(4, {0: "X", 2: "Y"}), 0.5j)
+_HOP4 += PauliSum.from_string(PauliString.from_ops(4, {0: "Y", 2: "X"}), -0.5j)
+_SECTOR_PLAN = ExecutionPlan.from_generators([_HOP4], np.eye(16)[1])
+_SECTOR_REFUSED = "plan holds the 2-amplitude symmetry sector of its 4-qubit register; "
+
 
 
 @pytest.mark.parametrize(
@@ -185,6 +194,26 @@ _CLASH3 = PauliSum.from_label_dict({"XII": 1j, "ZII": 0.5j})
             lambda: ExecutionPlan.from_generators([_A3, _CLASH3], _REF3),
             "generator 1 has anticommuting terms in the x-mask groups 0x4 and 0x0",
         ),
+        (
+            lambda: AdaptVQE(_S3, [PoolOperator("a", _A3), PoolOperator("wide", 1j * _S4)], _REF3),
+            "pool operator 'wide' acts on 4 qubits, the Hamiltonian on 3",
+        ),
+        (
+            lambda: AdaptVQE(_S3, [PoolOperator("a", _A3)], _STATE2),
+            r"reference state has shape \(4,\); the 3-qubit Hamiltonian needs \(8,\)",
+        ),
+        (
+            lambda: StatevectorSimulator(4).run_plan(_SECTOR_PLAN, [0.1]),
+            _SECTOR_REFUSED + "this executor holds all 16 amplitudes",
+        ),
+        (
+            lambda: BatchedStatevectorSimulator(4, 2).run_plan(_SECTOR_PLAN, np.zeros((2, 1))),
+            _SECTOR_REFUSED + "this executor holds all 16 amplitudes",
+        ),
+        (
+            lambda: DistributedStatevector(4, 2).run_plan(_SECTOR_PLAN, [0.1]),
+            _SECTOR_REFUSED + "this executor holds all 16 amplitudes",
+        ),
     ],
     ids=[
         "from_ops",
@@ -213,6 +242,11 @@ _CLASH3 = PauliSum.from_label_dict({"XII": 1j, "ZII": 0.5j})
         "VQE-generators-and-fd_gradient",
         "ExecutionPlan.from_generators-reference",
         "ExecutionPlan.from_generators-clash",
+        "AdaptVQE-pool-width",
+        "AdaptVQE-reference-width",
+        "StatevectorSimulator.run_plan-sector",
+        "BatchedStatevectorSimulator.run_plan-sector",
+        "DistributedStatevector.run_plan-sector",
     ],
 )
 def test_bad_input_names_itself(bad_call, message):

@@ -764,36 +764,65 @@ class TestConsumers:
 
 def _uccsd_problem(molecule):
     from repro.chem.hamiltonian import build_molecular_hamiltonian
-    from repro.chem.molecule import h2, h4_chain
+    from repro.chem.molecule import h2, h4_chain, lih
     from repro.chem.scf import run_rhf
 
-    mh = build_molecular_hamiltonian(run_rhf({"h2": h2, "h4": h4_chain}[molecule]()))
+    mh = build_molecular_hamiltonian(
+        run_rhf({"h2": h2, "h4": h4_chain, "lih": lih}[molecule]())
+    )
     return mh.to_qubit(), mh.num_spin_orbitals, mh.num_electrons
+
+
+def _full_register_oracle(gens, reference, hamiltonian, params):
+    """State, energy and gradient of ``prod_k exp(theta_k A_k) |ref>`` on
+    all 2^n amplitudes, one ``GeneratorEvolution`` per generator and the
+    adjoint formula ``dE/dtheta_k = 2 Re <lam_k|A_k|phi_k>``."""
+    from repro.ir.compiled import compile_observable
+    from repro.sim.evolution import GeneratorEvolution
+
+    evolutions = [GeneratorEvolution(a) for a in gens]
+    psi = reference.astype(np.complex128)
+    for ev, theta in zip(evolutions, params):
+        psi = ev.apply(psi, theta)
+    phi, lam = psi, compile_observable(hamiltonian).apply(psi)
+    grad = np.empty(len(gens))
+    for k in reversed(range(len(gens))):
+        grad[k] = 2.0 * np.vdot(lam, evolutions[k].apply_generator(phi)).real
+        phi = evolutions[k].apply(phi, -params[k])
+        lam = evolutions[k].apply(lam, -params[k])
+    return psi, float(np.vdot(psi, compile_observable(hamiltonian).apply(psi)).real), grad
 
 
 class TestGeneratorPlan:
     """``ExecutionPlan.from_generators`` against the circuit it stands
     in for, the per-generator oracle and every executor, to 1e-12
-    including the global phase."""
+    including the global phase.  A number-conserving ansatz runs on the
+    (N, S_z) sector of its reference; embedded in the register it is
+    the full-register state."""
 
     @pytest.mark.parametrize("molecule", ["h2", "h4"])
     def test_equals_compiled_uccsd_circuit(self, molecule, rng):
         from repro.chem.reference import hartree_fock_state
         from repro.chem.uccsd import build_uccsd_circuit, uccsd_generators
         from repro.sim.batched import reverse_value_and_gradient
+        from repro.utils.bitops import sector_indices
 
         hq, n, ne = _uccsd_problem(molecule)
         plan = ExecutionPlan.from_generators(
             [a for _, a in uccsd_generators(n, ne)], hartree_fock_state(n, ne)
         )
+        assert plan.index is sector_indices(n, ne, 0) and not plan.full_register
+        assert not any(op.kind == "x" for op in plan.ops)
         circ = compile_circuit(build_uccsd_circuit(n, ne).circuit)
+        assert circ.full_register
         by_name = [plan.parameters.index(name) for name in circ.parameters]
         rows = rng.normal(scale=0.3, size=(3, plan.num_parameters))
-        got, want = np.empty((2, plan.dim), dtype=np.complex128)
+        got = np.empty(plan.dim, dtype=np.complex128)
+        want = np.empty(circ.dim, dtype=np.complex128)
         for row in rows:
             plan.execute(got, row)
             circ.execute(want, row[by_name])
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(plan.embed(got), want, rtol=0, atol=1e-12)
         values, grads = reverse_value_and_gradient(plan, hq, rows)
         circ_values, circ_grads = reverse_value_and_gradient(circ, hq, rows[:, by_name])
         np.testing.assert_allclose(values, circ_values, rtol=0, atol=1e-12)
@@ -813,18 +842,121 @@ class TestGeneratorPlan:
         return ExecutionPlan.from_generators(gens, reference), gens, reference
 
     def test_equals_generator_evolution_product(self, h2o_pool_plan, rng):
-        from repro.sim.evolution import GeneratorEvolution
-
         plan, gens, reference = h2o_pool_plan
+        assert plan.dim == 225
         params = rng.normal(scale=0.5, size=len(gens))
-        want = reference.astype(np.complex128)
-        for a, theta in zip(gens, params):
-            want = GeneratorEvolution(a).apply(want, theta)
+        # the observable need not conserve N: only P H P enters
+        h = _random_observable(12, 3) + _random_observable(12, 4)
+        want, value, grad = _full_register_oracle(gens, reference, h, params)
         got = plan.execute(np.empty(plan.dim, dtype=np.complex128), params)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(plan.embed(got), want, rtol=0, atol=1e-12)
+        from repro.sim.batched import reverse_value_and_gradient
 
-    def test_batched_and_distributed_executors_agree(self, h2o_pool_plan, rng):
+        values, grads = reverse_value_and_gradient(plan, h, params[None])
+        np.testing.assert_allclose(values, [value], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads[0], grad, rtol=0, atol=1e-12)
+
+    def test_sweep_rows_are_independent(self, h2o_pool_plan, rng):
+        """R = 3 rows in one sector sweep are three R = 1 sweeps, bit
+        for bit."""
+        from repro.sim.batched import reverse_value_and_gradient
+
         plan, gens, _ = h2o_pool_plan
+        h = _random_observable(12, 5)
+        rows = rng.normal(scale=0.5, size=(3, len(gens)))
+        values, grads = reverse_value_and_gradient(plan, h, rows)
+        for r, row in enumerate(rows):
+            value, grad = reverse_value_and_gradient(plan, h, row[None])
+            assert np.array_equal(value, values[r:r + 1])
+            assert np.array_equal(grad, grads[r:r + 1])
+
+    def test_qubit_pool_and_hea_keep_full_register(self):
+        from repro.chem.pools import qubit_pool
+        from repro.chem.reference import hartree_fock_state
+        from repro.ir.library import hardware_efficient_ansatz
+
+        gens = [op.generator for op in qubit_pool(12, 8)[:16]]
+        plan = ExecutionPlan.from_generators(gens, hartree_fock_state(12, 8))
+        assert plan.full_register and plan.dim == 4096 and plan.origin == 0
+        assert sum(op.kind == "x" for op in plan.ops) == 8
+        assert compile_circuit(hardware_efficient_ansatz(6)).full_register
+
+    def test_tapered_lih_matches_full_register_oracle(self, rng):
+        from repro.chem.pools import taper_pool, uccsd_pool
+        from repro.chem.reference import hartree_fock_bitstring
+        from repro.chem.tapering import taper_hamiltonian
+
+        hq, n, ne = _uccsd_problem("lih")
+        hf = hartree_fock_bitstring(n, ne)
+        taper = taper_hamiltonian(hq, reference_index=hf)
+        pool = taper_pool(uccsd_pool(n, ne), taper)
+        gens = [pool[k].generator for k in range(0, len(pool), 4)]
+        reference = np.zeros(1 << taper.tapered_num_qubits, dtype=np.complex128)
+        reference[taper.taper_index(hf)] = 1.0
+        plan = ExecutionPlan.from_generators(gens, reference)
+        params = rng.normal(scale=0.4, size=len(gens))
+        want, value, grad = _full_register_oracle(gens, reference, taper.hamiltonian, params)
+        got = plan.execute(np.empty(plan.dim, dtype=np.complex128), params)
+        np.testing.assert_allclose(plan.embed(got), want, rtol=0, atol=1e-12)
+        from repro.sim.batched import reverse_value_and_gradient
+
+        values, grads = reverse_value_and_gradient(plan, taper.hamiltonian, params[None])
+        np.testing.assert_allclose(values, [value], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads[0], grad, rtol=0, atol=1e-12)
+
+    def test_adapt_lih_matches_full_space_oracle(self):
+        """Four ADAPT iterations on LiH: the sector screen and sector
+        objectives pick the operators, and reach the energies, of a
+        full-space loop written out here."""
+        from repro.chem.pools import uccsd_pool
+        from repro.chem.reference import hartree_fock_state
+        from repro.core.adapt import AdaptVQE
+        from repro.ir.compiled import compile_observable
+        from repro.opt.scipy_wrap import LBFGSB
+
+        hq, n, ne = _uccsd_problem("lih")
+        pool, reference = uccsd_pool(n, ne), hartree_fock_state(n, ne)
+        adapt = AdaptVQE(hq, pool, reference, max_iterations=4, gradient_tolerance=0.0)
+        assert adapt.index.size == 225
+        result = adapt.run()
+
+        h = compile_observable(hq)
+        chosen, params, energies = [], np.zeros(0), []
+        psi = reference.astype(np.complex128)
+        for _ in range(4):
+            h_psi = h.apply(psi)
+            screen = [2.0 * np.vdot(h_psi, compile_observable(op.generator).apply(psi)).real
+                      for op in pool]
+            chosen.append(int(np.argmax(np.abs(screen))))
+            gens = [pool[k].generator for k in chosen]
+
+            def energy(x, gens=gens):
+                return _full_register_oracle(gens, reference, hq, x)[1]
+
+            def gradient(x, gens=gens):
+                return _full_register_oracle(gens, reference, hq, x)[2]
+
+            res = LBFGSB(max_iterations=500).minimize(
+                energy, np.concatenate([params, [0.0]]), gradient=gradient
+            )
+            params, psi = res.x, _full_register_oracle(gens, reference, hq, res.x)[0]
+            energies.append(res.fun)
+        assert result.operator_labels == [pool[k].label for k in chosen]
+        np.testing.assert_allclose(
+            [it.energy for it in result.iterations], energies, rtol=0, atol=1e-10
+        )
+
+    def test_batched_and_distributed_executors_agree(self, rng):
+        """A qubit pool does not close on a sector, so its plan holds the
+        full register and runs under every executor."""
+        from repro.chem.pools import qubit_pool
+        from repro.chem.reference import hartree_fock_state
+
+        pool = qubit_pool(12, 8)
+        gens = [pool[k].generator
+                for k in np.random.default_rng(5).choice(len(pool), 16, replace=False)]
+        plan = ExecutionPlan.from_generators(gens, hartree_fock_state(12, 8))
+        assert plan.full_register
         rows = rng.normal(scale=0.5, size=(3, len(gens)))
         want = [plan.execute(np.empty(plan.dim, dtype=np.complex128), row) for row in rows]
         got = BatchedStatevectorSimulator(plan.num_qubits, len(rows)).run_plan(plan, rows)
