@@ -58,8 +58,8 @@ def test_serve_throughput(benchmark, tmp_path_factory):
         state_dir = str(
             tmp_path_factory.mktemp(f"serve_bench_{runs['n']}")
         )
-        # 2 ranks so the scan partly serializes: the later geometries
-        # warm-start from the earlier ones' converged parameters
+        # the scan's first geometry runs alone; the other three then
+        # share waves and warm-start from its converged parameters
         server = CampaignServer(state_dir, ServerConfig(num_ranks=2))
         t0 = time.perf_counter()
         for spec in specs:
@@ -99,8 +99,10 @@ def test_serve_throughput(benchmark, tmp_path_factory):
     # three tenants submit the same 4-point scan: 4 executions, 8 dedup hits
     assert health["dedup_hits"] == 8
     assert executed == 4
-    # the scan warm-starts after its first geometry converges
+    # the scan warm-starts after its first geometry converges, and its
+    # geometries share one plan, so they share waves
     assert warm >= 1
+    assert health["batch"]["max_occupancy"] >= 2
 
 
 # -- cross-campaign batched execution -----------------------------------------

@@ -41,6 +41,7 @@ __all__ = [
     "observable_bytes",
     "estimate_compiled_passes",
     "AMPLITUDE_BYTES",
+    "TERM_BYTES",
     "LIVE_BYTES_GAUGE",
     "PEAK_BYTES_GAUGE",
     "RANK_MEMORY_GAUGE",
@@ -50,6 +51,8 @@ __all__ = [
 AMPLITUDE_BYTES = 16
 # Gather tables are int64 indices.
 _GATHER_BYTES = 8
+# One packed (mask, coeff) entry of a qubit Hamiltonian's term dict.
+TERM_BYTES = 96
 
 # Gauge names the ledger mirrors into the metrics registry, so
 # out-of-process pollers (metrics.jsonl, ``repro top``) see memory
@@ -373,18 +376,22 @@ def estimate_batched_group_bytes(
     kind: str = "vqe",
     compiled_passes: Optional[int] = None,
     generator_terms: int = 0,
+    hamiltonians: int = 1,
+    hamiltonian_terms: int = 0,
     **job_inputs: Any,
 ) -> int:
-    """Peak bytes of a batch group of ``group_size`` same-physics jobs
+    """Peak bytes of a batch group of ``group_size`` same-plan jobs
     executing through the evaluation broker.
 
-    The group shares ONE compiled observable, one plan, and one
-    Hamiltonian (that is the point of physics-keyed sharing), so only
-    the amplitude block scales with the group: the reverse-mode sweep's
-    (2B, 2^n) block plus the B-row ``H psi`` it gathers into it.  One
-    job's workspace already holds a one-row sweep's three rows, so the
-    group is one job's total plus ``3 (group_size - 1)`` amplitude rows.
-    ``job_inputs`` are further arguments of the one-job estimate.
+    The group shares ONE plan, so the amplitude block scales with the
+    group: the reverse-mode sweep's (2B, 2^n) block plus the B-row
+    ``H psi`` it gathers into it.  One job's workspace already holds a
+    one-row sweep's three rows, so the group is one job's total plus
+    ``3 (group_size - 1)`` amplitude rows.  Jobs at ``hamiltonians``
+    distinct geometries each bring their own Hamiltonian: every one past
+    the first adds its ``hamiltonian_terms`` term entries and its
+    compiled passes.  ``job_inputs`` are further arguments of the
+    one-job estimate.
     """
     single = estimate_statevector_job_bytes(
         num_qubits,
@@ -394,4 +401,12 @@ def estimate_batched_group_bytes(
         **job_inputs,
     )["total"]
     extra = 3 * max(0, group_size - 1) * AMPLITUDE_BYTES * (1 << num_qubits)
+    if hamiltonians > 1:
+        passes = (
+            compiled_passes
+            if compiled_passes is not None
+            else estimate_compiled_passes(num_qubits)
+        )
+        per_hamiltonian = TERM_BYTES * hamiltonian_terms + observable_bytes(num_qubits, passes)
+        extra += (hamiltonians - 1) * per_hamiltonian
     return int(single + extra)

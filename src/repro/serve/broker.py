@@ -16,16 +16,20 @@ resume cycle:
   compatibility key) and blocks on a future.
 * **batch** — the broker coordinator waits until every live worker is
   either blocked on a future or finished, then drains the pending
-  requests and groups them by compatibility key.  Because campaigns
-  with the same physics share one problem dict (``ProblemCache``'s
-  physics tier), they share one plan object and one observable — one
-  group.
+  requests and groups them by compatibility key
+  (``JobSpec.plan_key()``: kind, molecule, basis) and plan object.
+  Every geometry of a molecule runs the same plan object
+  (``ProblemCache``'s UCCSD tier), so a whole scan is one group, each
+  row carrying its own geometry's Hamiltonian; two different plans
+  never share a group.
 * **execute** — each group's parameter rows are stacked into a
   ``(B, P)`` block.  A gradient group (one row per optimizer iterate)
   runs as ONE :func:`~repro.sim.batched.reverse_value_and_gradient`
-  sweep over a ``(2B, 2^n)`` block: B energies and B exact gradients.
+  sweep over a ``(2B, 2^n)`` block: B energies and B exact gradients,
+  each distinct Hamiltonian applied once to the rows that carry it.
   A value-only group runs as one ``BatchedStatevectorSimulator.run_plan``
-  sweep plus one ``CompiledPauliSum.expectations`` call.
+  sweep plus one ``expectations`` call per distinct Hamiltonian on its
+  rows.
 * **resume** — futures resolve, workers wake, campaigns continue to
   their next evaluation.  The coordinator fires the next wave when
   they all block again.
@@ -33,9 +37,9 @@ resume cycle:
 The wave protocol is deterministic by construction: a wave fires only
 when *every* live worker has reached a decision point (blocked or
 finished), so wave composition does not depend on thread scheduling.
-Within a group rows are ordered by (tag, submission sequence), and
-batched plan execution is row-independent, so each campaign's energies
-are bit-identical regardless of who else shared its batch.
+Within a group rows are ordered by (group key, submission sequence),
+and batched plan execution is row-independent, so each campaign's
+energies are bit-identical regardless of who else shared its batch.
 """
 
 from __future__ import annotations
@@ -47,7 +51,14 @@ import numpy as np
 
 from repro import obs
 from repro.core.estimator import Estimator
-from repro.sim.batched import BatchedStatevectorSimulator, reverse_value_and_gradient
+from repro.ir.compiled import compile_observable
+from repro.ir.pauli import PauliSum
+from repro.obs.memory import TERM_BYTES
+from repro.sim.batched import (
+    BatchedStatevectorSimulator,
+    observable_rows,
+    reverse_value_and_gradient,
+)
 from repro.sim.expectation import expectation_direct
 
 __all__ = ["EvaluationBroker", "BrokeredEstimator", "OCCUPANCY_BUCKETS"]
@@ -57,13 +68,17 @@ OCCUPANCY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
 class _EvalFuture:
-    """Resolution slot for one submission (a block of rows)."""
+    """Resolution slot for one submission (a block of rows).
+
+    Its worker sleeps on the future's own event, not on the broker's
+    condition, so resolving a wave of B futures wakes B threads once
+    each, and a submission wakes only the coordinator."""
 
     __slots__ = ("_broker", "_done", "_values", "_error")
 
     def __init__(self, broker: "EvaluationBroker"):
         self._broker = broker
-        self._done = False
+        self._done = threading.Event()
         self._values: Any = None
         self._error: Optional[BaseException] = None
 
@@ -71,7 +86,7 @@ class _EvalFuture:
         # called by the coordinator under the broker lock
         self._values = values
         self._error = error
-        self._done = True
+        self._done.set()
 
     def result(self):
         """Block until the coordinator resolves this future: the
@@ -83,16 +98,15 @@ class _EvalFuture:
         """
         br = self._broker
         with br._cond:
-            if not self._done:
+            if not self._done.is_set():
                 br._waiting += 1
                 br._cond.notify_all()
-                while not self._done:
-                    br._cond.wait()
-                # _waiting is re-zeroed by the coordinator at resolve
-                # time, before any waiter can observe _done
-            if self._error is not None:
-                raise self._error
-            return self._values  # type: ignore[return-value]
+        # _waiting is re-zeroed by the coordinator at resolve time,
+        # before any waiter can observe the event
+        self._done.wait()
+        if self._error is not None:
+            raise self._error
+        return self._values  # type: ignore[return-value]
 
 
 class _EvalRequest:
@@ -217,11 +231,12 @@ class EvaluationBroker:
         self.waves += 1
         # deterministic grouping: order requests by (key, submission
         # seq); gradient requests form their own group, and the id()
-        # components only split a (mis)use where one group key spans
-        # distinct plan/observable objects
-        groups: Dict[Tuple[str, bool, int, int], List[_EvalRequest]] = {}
+        # component keeps two plan objects out of one block even under
+        # one group key.  Observables may differ within a group: each
+        # row carries its own.
+        groups: Dict[Tuple[str, bool, int], List[_EvalRequest]] = {}
         for req in sorted(wave, key=lambda r: (r.group_key, r.seq)):
-            gid = (req.group_key, req.gradient, id(req.plan), id(req.observable))
+            gid = (req.group_key, req.gradient, id(req.plan))
             groups.setdefault(gid, []).append(req)
         resolved: List[Tuple[_EvalFuture, Any, Optional[BaseException]]] = []
         for gid in groups:
@@ -243,8 +258,8 @@ class EvaluationBroker:
         """The group's stacked values, and its gradients for a gradient
         group (else ``None``)."""
         plan = reqs[0].plan
-        observable = reqs[0].observable
         rows = np.vstack([r.rows for r in reqs])
+        observables = [r.observable for r in reqs for _ in range(r.rows.shape[0])]
         total = rows.shape[0]
         if len(reqs) >= 2:
             self.batched_evals += total
@@ -259,6 +274,13 @@ class EvaluationBroker:
             campaigns=len(reqs),
             num_qubits=plan.num_qubits,
         ):
+            out = np.empty(total, dtype=float)
+            grads = np.empty_like(rows) if reqs[0].gradient else None
+            chunks = [
+                slice(start, start + self.batch_size)
+                for start in range(0, total, self.batch_size)
+            ]
+            handle = 0
             if obs.enabled():
                 obs.observe(
                     "repro_serve_batch_occupancy",
@@ -273,29 +295,34 @@ class EvaluationBroker:
                     amount=float(total),
                     help="Evaluations executed through the broker",
                 )
-            out = np.empty(total, dtype=float)
-            grads = np.empty_like(rows) if reqs[0].gradient else None
-            # transient stacked rows + result buffers, priced under the
-            # same ledger category as the amplitude blocks; a gradient
-            # chunk of B rows also holds the sweep's (2B, 2^n) block and
-            # the B-row H psi it gathers into the block's lower half
-            nbytes = rows.nbytes + out.nbytes
-            if grads is not None:
-                nbytes += grads.nbytes + 3 * min(total, self.batch_size) * 16 * plan.dim
-            handle = obs.mem_alloc("serve.batch", nbytes)
+                # transient stacked rows + result buffers, priced under
+                # the same ledger category as the amplitude blocks; a
+                # gradient chunk of B rows also holds the sweep's
+                # (2B, 2^n) block and the B-row H psi it gathers into
+                # the block's lower half.  Every distinct Hamiltonian of
+                # a chunk past its first is one more geometry's terms
+                # and compiled passes.
+                nbytes = rows.nbytes + out.nbytes + max(
+                    _extra_hamiltonian_bytes(plan, observables[part]) for part in chunks
+                )
+                if grads is not None:
+                    nbytes += grads.nbytes + 3 * min(total, self.batch_size) * 16 * plan.dim
+                handle = obs.mem_alloc("serve.batch", nbytes)
             try:
-                for start in range(0, total, self.batch_size):
-                    part = slice(start, start + self.batch_size)
+                for part in chunks:
                     if grads is not None:
                         out[part], grads[part] = reverse_value_and_gradient(
-                            plan, observable, rows[part]
+                            plan, observables[part], rows[part]
                         )
                         continue
+                    chunk = rows[part]
                     sim = BatchedStatevectorSimulator(
-                        plan.num_qubits, len(rows[part]), mem_category="serve.batch"
+                        plan.num_qubits, len(chunk), mem_category="serve.batch"
                     )
-                    sim.run_plan(plan, rows[part])
-                    out[part] = sim.expectations(observable)
+                    sim.run_plan(plan, chunk)
+                    values = out[part]
+                    for observable, sub in observable_rows(observables[part], len(chunk)):
+                        values[sub] = sim.expectations(observable, sub)
             finally:
                 obs.mem_free(handle)
         return out, grads
@@ -322,13 +349,25 @@ class EvaluationBroker:
         }
 
 
+def _extra_hamiltonian_bytes(plan, observables) -> int:
+    """Bytes of the distinct Hamiltonians of one chunk past its first:
+    each geometry's term entries plus its observable compiled on the
+    plan's index set (memoized on the ``PauliSum``, so the sweep reuses
+    it)."""
+    parts = observable_rows(observables, len(observables))[1:]
+    return sum(
+        TERM_BYTES * op.num_terms + compile_observable(op, plan.index).nbytes()
+        for op, _ in parts
+        if isinstance(op, PauliSum)
+    )
+
+
 class BrokeredEstimator(Estimator):
     """Estimator facade that forwards plan evaluations to a broker.
 
     Each campaign worker gets its own instance carrying the campaign's
-    compatibility key (``JobSpec.physics_key()``) and a tag (the job
-    id) that keeps within-group row ordering deterministic.  The
-    zero-parameter and bound-circuit paths fall back to direct local
+    compatibility key (``JobSpec.plan_key()``) and a tag (the job id).
+    The zero-parameter and bound-circuit paths fall back to direct local
     evaluation — they are not worth a wave.
     """
 

@@ -112,10 +112,11 @@ class ServerConfig:
     # ranks sheds memory-hungry queues even when the count bound holds)
     memory_queue_factor: int = 4
     # cross-campaign batched execution (the evaluation broker): VQE
-    # campaigns with identical physics stack their evaluations into
-    # one reverse-mode sweep over a (2B, 2^n) block per wave (B energies
-    # and B exact gradients).  ``batch_size`` caps the rows per sweep;
-    # ``repro serve --no-batch`` disables the
+    # campaigns on one plan (same kind, molecule and basis, any
+    # geometry) stack their evaluations into one reverse-mode sweep
+    # over a (2B, 2^n) block per wave (B energies and B exact
+    # gradients).  ``batch_size`` caps the rows per sweep and the jobs
+    # a rank starts per tick; ``repro serve --no-batch`` disables the
     # broker entirely (every campaign evaluates synchronously).
     batch_enabled: bool = True
     batch_size: int = 32
@@ -425,14 +426,14 @@ class _JobExecution:
             "job_id": self.job.job_id,
             "tenant": self.job.spec.tenant,
         }
-        # circuit mode over the physics-shared trotterized-UCCSD circuit:
-        # every same-physics job executes the SAME compiled plan, which
-        # is what lets the broker stack their evaluations; each optimizer
-        # iterate is one row that comes back with its energy and exact
-        # reverse-mode gradient.  Batched and sequential serving both run
-        # the same sweep (the broker's block of B rows, the direct
-        # estimator's one row), and it is row-wise, so their trajectories
-        # — and final energies — agree.
+        # circuit mode over the shared trotterized-UCCSD circuit: every
+        # job of one molecule, at any geometry, executes the SAME
+        # compiled plan, which is what lets the broker stack their
+        # evaluations; each optimizer iterate is one row that comes back
+        # with its energy and exact reverse-mode gradient.  Batched and
+        # sequential serving both run the same sweep (the broker's block
+        # of B rows, the direct estimator's one row), and it is
+        # row-wise, so their trajectories — and final energies — agree.
         vqe = VQE(
             self.problem["hamiltonian"],
             ansatz=self.problem["ansatz"],
@@ -529,6 +530,9 @@ class CampaignServer:
         self.ticks = 0
         self.shed_count = 0
         self.dedup_hits = 0
+        # content key -> result of every job that succeeded this tick;
+        # their queued duplicates complete before the tick ends
+        self._landed: Dict[str, Dict[str, Any]] = {}
         self.state = _ServerState()
         self._job_counter = 0
         self._recover()
@@ -871,27 +875,31 @@ class CampaignServer:
         dispatchable.sort(key=lambda j: (-j.spec.priority, j.submitted_seq))
         scheduler = self._scheduler
         if self.broker is not None:
-            # LPT over *batch groups*: same-physics VQE jobs must land
-            # on one rank to share a batched amplitude block, and the
-            # group's memory is priced as a batch (one shared plan /
-            # observable / Hamiltonian + B amplitude rows), far below
-            # the sum of standalone estimates
+            # LPT over *batch groups*: same-plan VQE jobs (any geometry)
+            # share one sweep, and a group is priced as a batch (one
+            # shared plan, one Hamiltonian per geometry, B amplitude
+            # rows), far below the sum of standalone estimates.  Each
+            # plan group is cut into chunks of at most batch_size that
+            # spread over the alive ranks.
             groups: Dict[str, List[JobRecord]] = {}
             singles: List[JobRecord] = []
             for j in dispatchable:
                 if j.spec.kind == "vqe":
-                    groups.setdefault(j.spec.physics_key(), []).append(j)
+                    groups.setdefault(j.spec.plan_key(), []).append(j)
                 else:
                     singles.append(j)
             group_list: List[Tuple[List[Job], int]] = []
             for pkey in sorted(groups):
                 members = groups[pkey]
-                group_list.append(
-                    (
-                        [self._estimate_job(j) for j in members],
-                        estimate_group_memory([j.spec for j in members]),
+                size = min(self.config.batch_size, -(-len(members) // len(alive)))
+                for start in range(0, len(members), size):
+                    chunk = members[start : start + size]
+                    group_list.append(
+                        (
+                            [self._estimate_job(j) for j in chunk],
+                            estimate_group_memory([j.spec for j in chunk]),
+                        )
                     )
-                )
             for j in singles:
                 est = self._estimate_job(j)
                 group_list.append(([est], est.mem_bytes))
@@ -919,13 +927,19 @@ class CampaignServer:
         queued = self._jobs_in(JobState.QUEUED)
         running = self._jobs_in(JobState.RUNNING)
         running_content = {j.spec.content_key() for j in running}
+        # VQE families with a job in flight: until one of their
+        # geometries has converged, the rest wait for its parameters
+        # (a warm start) instead of all starting cold in one wave
+        in_flight = {j.spec.family_key() for j in running if j.spec.kind == "vqe"}
         placements = self._plan_placements(queued, running)
-        # rank -> physics key of the batch group started there this
-        # tick; None marks a rank occupied by non-joinable work (a
-        # carried-over running job, an ADAPT step, or no-batch mode)
+        # rank -> plan key of the batch group started there this tick
+        # (None marks a rank occupied by non-joinable work: a
+        # carried-over running job, an ADAPT step, or no-batch mode),
+        # and how many jobs it took; a rank takes at most batch_size
         busy: Dict[int, Optional[str]] = {
             j.rank: None for j in running if j.rank is not None
         }
+        started: Dict[int, int] = {}
         for job in queued:
             if now < job.next_eligible:
                 continue
@@ -941,12 +955,21 @@ class CampaignServer:
             # rather than computing it twice
             if key in running_content:
                 continue
+            family = job.spec.family_key() if job.spec.kind == "vqe" else None
+            if (
+                family in in_flight
+                and self.config.warm_start
+                and not self.store.has_warm_start(family)
+            ):
+                continue
             joinable = self.broker is not None and job.spec.kind == "vqe"
             rank = placements.get(job.job_id)
             if rank is None:
                 continue
             if rank in busy and not (
-                joinable and busy[rank] == job.spec.physics_key()
+                joinable
+                and busy[rank] == job.spec.plan_key()
+                and started[rank] < self.config.batch_size
             ):
                 continue
             # execution gate on the class breaker: an open class holds
@@ -962,8 +985,11 @@ class CampaignServer:
                 # tick.
                 continue
             self._start(job, rank)
-            busy[rank] = job.spec.physics_key() if joinable else None
+            busy[rank] = job.spec.plan_key() if joinable else None
+            started[rank] = started.get(rank, 0) + 1
             running_content.add(key)
+            if family is not None:
+                in_flight.add(family)
 
     def _start(self, job: JobRecord, rank: int) -> None:
         rec = self.journal.append(
@@ -1009,7 +1035,7 @@ class CampaignServer:
         (``None`` routes the job down the synchronous path)."""
         if self.broker is None or job.spec.kind != "vqe":
             return None
-        broker, group_key, tag = self.broker, job.spec.physics_key(), job.job_id
+        broker, group_key, tag = self.broker, job.spec.plan_key(), job.job_id
         return lambda: BrokeredEstimator(broker, group_key, tag=tag)
 
     def _ckpt_dir(self, job: JobRecord) -> str:
@@ -1022,7 +1048,7 @@ class CampaignServer:
 
         Brokered campaigns (batch-enabled VQE) step concurrently in
         worker threads whose evaluations collect at the broker, batch
-        by physics, execute as shared sweeps, and resume — the
+        by plan, execute as shared sweeps, and resume — the
         collect -> batch -> execute -> resume tick.  Everything else
         (ADAPT, no-batch mode) steps synchronously as before.
         """
@@ -1160,6 +1186,7 @@ class CampaignServer:
     ) -> None:
         key = job.spec.content_key()
         self.store.put_result(key, result)
+        self._landed[key] = result
         if job.spec.kind == "vqe" and result.get("parameters"):
             self.store.add_warm_start(
                 job.spec.family_key(),
@@ -1203,6 +1230,17 @@ class CampaignServer:
                     help="Jobs completed from the content-addressed store",
                 )
         self._job_terminal(job)
+
+    def _complete_duplicates(self) -> None:
+        """Complete the queued duplicates (same content key) of results
+        that landed this tick, so that they do not wait a tick more."""
+        if not self._landed:
+            return
+        landed, self._landed = self._landed, {}
+        for job in self._jobs_in(JobState.QUEUED):
+            result = landed.get(job.spec.content_key())
+            if result is not None:
+                self._complete(job, result, dedup=True)
 
     def _handle_failure(self, job: JobRecord, err: Exception) -> None:
         # job.attempts already counts this attempt (set by the
@@ -1303,6 +1341,7 @@ class CampaignServer:
         self._shed_overload()
         self._dispatch()
         self._step_running()
+        self._complete_duplicates()
         self.ticks += 1
         self.events.emit(
             "server.tick",

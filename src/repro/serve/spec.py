@@ -3,18 +3,26 @@
 A :class:`JobSpec` is everything a tenant submits: the physics problem
 (molecule family + geometry + basis), the driver (plain VQE or
 ADAPT-VQE), the solver knobs (iterations, seed), and the service-level
-fields (tenant, priority, deadline).  Two hashes are derived from it:
+fields (tenant, priority, deadline).  Four hashes are derived from it,
+one per role:
 
-* :meth:`JobSpec.content_key` — SHA-256 over the *physics-relevant*
-  fields only.  Two tenants submitting the same problem collide on
-  this key, which is exactly what the content-addressed result store
-  wants: the second submission completes instantly from the first
-  one's stored result, regardless of who asked.
-* :meth:`JobSpec.family_key` — the content key with the geometry
-  parameter removed.  Jobs in one family are the same molecule scanned
-  across geometries, so a converged parameter vector at a nearby
-  geometry is an excellent warm start (``repro.core.scan``'s
+* :meth:`JobSpec.content_key` — **dedup**: SHA-256 over the
+  problem-relevant fields only.  Two tenants submitting the same
+  problem collide on this key, which is exactly what the
+  content-addressed result store wants: the second submission
+  completes from the first one's stored result, regardless of who
+  asked.
+* :meth:`JobSpec.family_key` — **warm start**: the content key with the
+  geometry parameter removed.  Jobs in one family are the same
+  molecule scanned across geometries, so a converged parameter vector
+  at a nearby geometry is an excellent warm start (``repro.core.scan``'s
   incremental-optimization insight, applied fleet-wide).
+* :meth:`JobSpec.physics_key` — **problem alias**: (kind, molecule,
+  geometry, basis), the unit ``ProblemCache`` builds a Hamiltonian for;
+  seeds and solver knobs share it.
+* :meth:`JobSpec.plan_key` — **batching**: (kind, molecule, basis).
+  Every geometry of a molecule runs one ``ExecutionPlan``, so the
+  evaluation broker stacks a whole scan into one sweep.
 
 Specs serialize to plain JSON with a schema version so the write-ahead
 journal and the submission inbox survive software upgrades with a
@@ -56,6 +64,7 @@ _CONTENT_FIELDS = (
 )
 _FAMILY_FIELDS = tuple(f for f in _CONTENT_FIELDS if f != "geometry")
 _PHYSICS_FIELDS = ("kind", "molecule", "geometry", "basis")
+_PLAN_FIELDS = tuple(f for f in _PHYSICS_FIELDS if f != "geometry")
 
 
 class SpecError(ValueError):
@@ -179,14 +188,20 @@ class JobSpec:
         return self._key("_family_key", _FAMILY_FIELDS)
 
     def physics_key(self) -> str:
-        """Batching compatibility key: jobs whose (kind, molecule,
-        geometry, basis) agree share one Hamiltonian, reference state,
-        and ansatz, so their evaluation requests stack into one
-        batched-plan sweep even when seeds, optimizers, or tenants
-        differ.  Coarser than :meth:`content_key` (which also hashes
-        solver knobs) on purpose — the whole point of the evaluation
-        broker is that *distinct* campaigns batch together."""
+        """Problem-alias key: jobs whose (kind, molecule, geometry,
+        basis) agree share one Hamiltonian, reference state and ansatz
+        (``ProblemCache`` builds them once), even when seeds, optimizers
+        or tenants differ."""
         return self._key("_physics_key", _PHYSICS_FIELDS)
+
+    def plan_key(self) -> str:
+        """Batching key: jobs whose (kind, molecule, basis) agree run one
+        ``ExecutionPlan`` at any geometry, so their evaluation requests
+        stack into one sweep, each row with its own Hamiltonian.
+        Coarser than :meth:`physics_key` on purpose — the whole point of
+        the evaluation broker is that *distinct* campaigns, a scan's
+        geometries included, batch together."""
+        return self._key("_plan_key", _PLAN_FIELDS)
 
     def class_key(self) -> str:
         """Failure-domain key for the circuit breaker: jobs of one
@@ -232,6 +247,9 @@ _ELECTRONS_BY_MOLECULE = {"h2": 2, "h4": 4, "lih": 4, "h2o": 10}
 # — for the oversized-job rejection path the Hamiltonian term alone is
 # already orders of magnitude over any rank budget.
 _GENERATORS_BY_MOLECULE = {"h2": 3, "h4": 26, "lih": 92, "h2o": 140}
+# Qubit Hamiltonian term counts on the same path: a batch group holding
+# several geometries holds one term dict per geometry.
+_TERMS_BY_MOLECULE = {"h2": 15, "h4": 185, "lih": 631, "h2o": 1086}
 
 
 def qubits_for_molecule(name: str) -> int:
@@ -304,25 +322,33 @@ def estimate_job_memory(spec: "JobSpec") -> int:
 
 
 def estimate_group_memory(specs) -> int:
-    """Predicted peak bytes of a same-physics batch group (the unit the
+    """Predicted peak bytes of a same-plan batch group (the unit the
     group-aware scheduler places).  The members share one compiled
-    plan/observable/Hamiltonian, so the batch costs one job's total
-    plus the extra rows of its reverse-mode sweep block — see
+    plan, so the batch costs one job's total plus the extra rows of its
+    reverse-mode sweep block, plus one Hamiltonian (terms and compiled
+    passes) per further distinct geometry — see
     :func:`repro.obs.memory.estimate_batched_group_bytes`."""
     specs = list(specs)
     if not specs:
         return 0
-    return _group_memory(specs[0].molecule.lower(), specs[0].kind, len(specs))
+    hamiltonians = len({s.physics_key() for s in specs})
+    return _group_memory(specs[0].molecule.lower(), specs[0].kind, len(specs), hamiltonians)
 
 
 @functools.lru_cache(maxsize=None)
-def _group_memory(molecule: str, kind: str, size: int) -> int:
-    """The group estimate depends only on (molecule, kind, size), and the
-    server prices every queued group on every tick."""
+def _group_memory(molecule: str, kind: str, size: int, hamiltonians: int) -> int:
+    """The group estimate depends only on (molecule, kind, size,
+    Hamiltonians), and the server prices every queued group on every
+    tick."""
     from repro.obs.memory import estimate_batched_group_bytes
 
     return estimate_batched_group_bytes(
-        qubits_for_molecule(molecule), size, kind=kind, **_model_inputs(molecule, kind)
+        qubits_for_molecule(molecule),
+        size,
+        kind=kind,
+        hamiltonians=hamiltonians,
+        hamiltonian_terms=_TERMS_BY_MOLECULE.get(molecule, 0),
+        **_model_inputs(molecule, kind),
     )
 
 

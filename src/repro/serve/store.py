@@ -43,6 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
+from repro.obs.memory import TERM_BYTES
 from repro.serve.spec import JobSpec, resolve_molecule
 from repro.utils.jsonl import open_append, parse_lines
 
@@ -157,6 +158,10 @@ class ContentStore:
         family.pop(geometry, None)
         family[geometry] = values
 
+    def has_warm_start(self, family_key: str) -> bool:
+        """Whether any geometry of the family has converged."""
+        return bool(self._load_warm(family_key))
+
     def warm_start(
         self, family_key: str, geometry: Optional[float], num_parameters: int
     ) -> Optional[np.ndarray]:
@@ -193,15 +198,15 @@ class ProblemCache:
         self._cache: Dict[str, Dict[str, Any]] = {}
         # second tier, keyed by JobSpec.physics_key(): distinct content
         # keys (different seeds / solver knobs) whose physics agree
-        # share ONE problem dict, hence one Hamiltonian object, one
-        # ansatz circuit, one compiled plan, one compiled observable —
-        # which is what lets the evaluation broker stack their
-        # evaluation requests into a single batched sweep.
+        # share ONE problem dict, hence one Hamiltonian object and one
+        # compiled observable.
         self._physics: Dict[str, Dict[str, Any]] = {}
         # third tier, keyed by (spin orbitals, electrons): the UCCSD
         # generators and the trotterized circuit do not depend on the
         # geometry, so every point of a scan carries the SAME Circuit
         # and, through compile_circuit's memo on it, one ExecutionPlan
+        # — which is what lets the evaluation broker stack a whole
+        # scan's evaluation requests into one sweep
         self._uccsd: Dict[Tuple[int, int], Tuple[List[Any], Any]] = {}
         self.builds = 0
         self.hits = 0
@@ -212,7 +217,7 @@ class ProblemCache:
     @staticmethod
     def _problem_bytes(problem: Dict[str, Any]) -> int:
         """Resident bytes of one built problem: the dense reference
-        state plus the Hamiltonian's term dictionary (~96 bytes per
+        state plus the Hamiltonian's term dictionary (``TERM_BYTES`` per
         packed (mask, coeff) entry)."""
         total = 0
         for value in problem.values():
@@ -220,7 +225,7 @@ class ProblemCache:
                 total += value.nbytes
         hq = problem.get("hamiltonian")
         if hq is not None:
-            total += 96 * getattr(hq, "num_terms", 0)
+            total += TERM_BYTES * getattr(hq, "num_terms", 0)
         return total
 
     def get(self, spec: JobSpec) -> Dict[str, Any]:
@@ -295,9 +300,9 @@ class ProblemCache:
                     # compile_circuit memoizes on the circuit object, so
                     # every job carrying it executes the SAME
                     # ExecutionPlan — the compatibility unit the
-                    # evaluation broker batches on (its groups are
-                    # still per physics key: the Hamiltonian differs
-                    # from geometry to geometry).  Lowered here, on the
+                    # evaluation broker batches on (one group per plan
+                    # key; each row brings its own geometry's
+                    # Hamiltonian).  Lowered here, on the
                     # server thread: campaigns start in worker threads,
                     # and those that reach an empty memo together
                     # would each lower the circuit.

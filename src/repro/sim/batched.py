@@ -10,7 +10,9 @@ of launching concurrent GPU kernels [cCUDA, paper ref 13]).
 
 :func:`reverse_value_and_gradient` is the gradient half: B energies and
 B exact gradients from one reverse-mode sweep over a ``(2B, 2^n)``
-block, what the serve tier's evaluation broker runs per wave.
+block, what the serve tier's evaluation broker runs per wave.  The rows
+may carry different Hamiltonians (one per geometry of a scan that
+shares the plan); :func:`observable_rows` splits a block by observable.
 
 Execution is always through a compiled plan
 (:mod:`repro.sim.plan`) and the one kernel set
@@ -21,7 +23,7 @@ per-row angle vector, static ops broadcast one payload over the batch.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -32,7 +34,32 @@ from repro.ir.pauli import PauliSum
 from repro.sim.kernels import apply_op, phase_bracket, rotation_bracket, row_dot
 from repro.sim.plan import ExecutionPlan, PlanOp, compile_circuit
 
-__all__ = ["BatchedStatevectorSimulator", "reverse_mode_blocker", "reverse_value_and_gradient"]
+__all__ = [
+    "BatchedStatevectorSimulator",
+    "observable_rows",
+    "reverse_mode_blocker",
+    "reverse_value_and_gradient",
+]
+
+RowIndex = Union[slice, np.ndarray]
+
+
+def observable_rows(observable, num_rows: int) -> List[Tuple[Any, RowIndex]]:
+    """``(observable, rows)`` pairs that split an R-row block by
+    observable: ``observable`` is one operator for every row or a
+    sequence of R, one per row.  Rows are an index array per distinct
+    operator (by identity, in first-use order), or ``slice(None)`` when
+    one operator covers the whole block."""
+    if not isinstance(observable, (list, tuple)):
+        return [(observable, slice(None))]
+    if len(observable) != num_rows:
+        raise ValueError(f"expected {num_rows} per-row observables, got {len(observable)}")
+    parts: Dict[int, Tuple[Any, List[int]]] = {}
+    for k, op in enumerate(observable):
+        parts.setdefault(id(op), (op, []))[1].append(k)
+    if len(parts) == 1:
+        return [(observable[0], slice(None))]
+    return [(op, np.asarray(rows)) for op, rows in parts.values()]
 
 
 def reverse_mode_blocker(plan: ExecutionPlan) -> Optional[PlanOp]:
@@ -49,12 +76,13 @@ def reverse_mode_blocker(plan: ExecutionPlan) -> Optional[PlanOp]:
 def reverse_value_and_gradient(
     plan: ExecutionPlan, observable, rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Energies ``<psi_r|H|psi_r>`` and their exact gradients for the R
+    """Energies ``<psi_r|H_r|psi_r>`` and their exact gradients for the R
     parameter rows of ``rows`` (shape ``(R, P)``), as ``((R,), (R, P))``.
 
     ``observable`` is a ``PauliSum`` — compiled on the plan's index set
     — or any Hermitian operator with ``apply`` over ``(…, plan.dim)``
-    blocks (VQD's deflated Hamiltonian).
+    blocks (VQD's deflated Hamiltonian); or a sequence of R of them, one
+    per row, each applied once to the rows that carry it.
 
     One sweep, whatever P: the plan runs forward on the R rows of
     ``psi``, ``H`` is applied to the block, and the ops are walked
@@ -84,9 +112,10 @@ def reverse_value_and_gradient(
     for op in plan.ops:
         kind, payload = op.resolve(rows)
         apply_op(phi, kind, payload, op.qubits, n)
-    if isinstance(observable, PauliSum):
-        observable = compile_observable(observable, plan.index)
-    lam[...] = observable.apply(phi)
+    for op, part in observable_rows(observable, r):
+        if isinstance(op, PauliSum):
+            op = compile_observable(op, plan.index)
+        lam[part] = op.apply(phi[part])
     values = row_dot(phi, lam).real
     grads = np.zeros_like(rows)
     doubled = np.concatenate([rows, rows])
@@ -206,9 +235,10 @@ class BatchedStatevectorSimulator:
     # -- observation ---------------------------------------------------------------
 
     def expectations(
-        self, observable: "PauliSum | CompiledPauliSum"
+        self, observable: "PauliSum | CompiledPauliSum", rows: RowIndex = slice(None)
     ) -> np.ndarray:
-        """<psi_b|H|psi_b> for every batch row.
+        """<psi_b|H|psi_b> for every batch row, or for the batch rows
+        ``rows`` selects.
 
         The observable is compiled to its x-mask-batched form (cached
         on the ``PauliSum``), so the whole batch pays one gather +
@@ -219,7 +249,7 @@ class BatchedStatevectorSimulator:
                 f"observable width mismatch: expected {self.num_qubits} qubits, "
                 f"got {observable.num_qubits}"
             )
-        out = compile_observable(observable).expectations(self.states)
+        out = compile_observable(observable).expectations(self.states[rows])
         if np.any(np.abs(out.imag) > 1e-8 * np.maximum(1.0, np.abs(out.real))):
             raise ValueError("non-Hermitian observable")
         return out.real

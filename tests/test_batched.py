@@ -176,3 +176,67 @@ class TestBlockSweep:
             value, grad = reverse_value_and_gradient(plan, hq, rows[k : k + 1])
             assert value[0] == values[k]
             assert np.array_equal(grad[0], grads[k])
+
+
+class TestPerRowObservables:
+    """A scan's geometries share one plan: one sweep carries them all,
+    each row with its own Hamiltonian."""
+
+    @pytest.fixture(scope="class")
+    def h2_scan(self):
+        from repro.serve.spec import JobSpec
+        from repro.serve.store import ProblemCache
+
+        cache = ProblemCache()
+        problems = [
+            cache.get(JobSpec(tenant="t", molecule="h2", geometry=g))
+            for g in (0.6, 0.74, 0.9, 1.2)
+        ]
+        assert len({id(p["ansatz"]) for p in problems}) == 1
+        return compile_circuit(problems[0]["ansatz"]), [p["hamiltonian"] for p in problems]
+
+    def test_four_geometries_equal_eight_solo_sweeps(self, h2_scan):
+        """Row-wise to the bit, values and gradients."""
+        plan, hamiltonians = h2_scan
+        rows = 0.2 * np.random.default_rng(5).standard_normal((8, plan.num_parameters))
+        # interleaved, as the broker stacks jobs in submission order
+        per_row = [hamiltonians[k % 4] for k in range(8)]
+        values, grads = reverse_value_and_gradient(plan, per_row, rows)
+        for k in range(8):
+            value, grad = reverse_value_and_gradient(plan, per_row[k], rows[k : k + 1])
+            assert value[0] == values[k]
+            assert np.array_equal(grad[0], grads[k])
+        with pytest.raises(ValueError, match="8 per-row observables, got 4"):
+            reverse_value_and_gradient(plan, hamiltonians, rows)
+
+    def test_broker_groups_by_plan_not_observable(self, h2_scan):
+        """Under one group key, rows on one plan share a group whatever
+        their Hamiltonians; a second plan object never joins it, and
+        value-only rows form a group of their own."""
+        from repro.serve.broker import EvaluationBroker
+
+        plan, hamiltonians = h2_scan
+        other = compile_circuit(hardware_efficient_ansatz(4, layers=1))
+        rng = np.random.default_rng(6)
+        broker = EvaluationBroker()
+        scan = [
+            (plan, rng.normal(scale=0.2, size=(1, plan.num_parameters)), h)
+            for h in hamiltonians
+        ]
+        hea = (other, rng.normal(scale=0.2, size=(1, other.num_parameters)), hamiltonians[0])
+        futures = [
+            broker.submit(p, x, h, "h2", gradient=True) for p, x, h in scan + [hea]
+        ]
+        value_only = [broker.submit(p, x, h, "h2") for p, x, h in scan]
+        broker.pump()  # no live workers: one wave runs the pending requests
+        stats = broker.stats()
+        assert stats["waves"] == 1
+        assert stats["groups_executed"] == 3
+        assert stats["max_occupancy"] == 4
+        for future, (p, x, h) in zip(futures, scan + [hea]):
+            value, grad = future.result()
+            solo_value, solo_grad = reverse_value_and_gradient(p, h, x)
+            assert np.array_equal(value, solo_value)
+            assert np.array_equal(grad, solo_grad)
+        for future, gradient_future in zip(value_only, futures):
+            assert np.allclose(future.result(), gradient_future.result()[0], atol=1e-12)

@@ -275,6 +275,42 @@ class TestEvaluationBroker:
         for k in range(workers):
             assert results1[k] == results2[k]
 
+    def test_many_workers_stay_in_lockstep_under_fast_switching(self, rng):
+        """More workers than cores, each sleeping on its own future while
+        the interpreter switches threads every microsecond: every round
+        is still one wave carrying every worker's row."""
+        import sys
+
+        plan, ham = self._setup(rng)
+        rounds, workers = 5, 24
+        broker = EvaluationBroker(batch_size=workers)
+
+        def make_worker(k):
+            est = BrokeredEstimator(broker, group_key="phys", tag=f"j{k}")
+            x = np.full(plan.num_parameters, 0.05 * (k + 1))
+            return lambda: [est.estimate_plan(plan, x + 0.01 * r, ham) for r in range(rounds)]
+
+        fns = [make_worker(k) for k in range(workers)]
+        outcome = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: outcome.extend(_run_workers(broker, fns)), daemon=True
+            )
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "broker deadlocked"
+        results, errors = outcome
+        assert not errors and len(results) == workers
+        stats = broker.stats()
+        assert stats["waves"] == rounds
+        assert stats["groups_executed"] == rounds
+        assert stats["max_occupancy"] == workers
+        assert stats["batched_evals"] == rounds * workers
+
     def test_group_failure_reaches_only_its_workers(self, rng):
         """A bad request poisons its own group; other groups in the
         same wave still resolve."""
@@ -395,6 +431,11 @@ class TestPhysicsSharing:
         # NOT 7 extra full jobs
         assert eight == one + 7 * 3 * 16 * (1 << 4)
         assert eight < 8 * one
+        # a second geometry on the same plan adds its Hamiltonian: 15
+        # term entries and 2 compiled passes (two diagonals, one gather)
+        scan = [spec, JobSpec(tenant="t", molecule="h2", geometry=0.9)]
+        two = estimate_group_memory([spec] * 2)
+        assert estimate_group_memory(scan) == two + 15 * 96 + (2 * 16 + 8) * (1 << 4)
 
 
 # -- group-atomic scheduling --------------------------------------------------

@@ -948,10 +948,11 @@ class TestServerEndToEnd:
 # -- per-family structure, per-tick derived values ----------------------------
 
 
-def _mini_scan(tmp_path, name, num_ranks, monkeypatch):
+def _mini_scan(tmp_path, name, num_ranks, monkeypatch, **cfg):
     """40 H2 jobs: 20 distinct geometries from each of two tenants, so
-    half are dedup hits.  Returns the drained server, the SHA-256 key
-    computations and the ExecutionPlan lowerings the scan took."""
+    half are dedup hits.  ``cfg`` are further ``ServerConfig`` fields.
+    Returns the drained server, the SHA-256 key computations and the
+    ExecutionPlan lowerings the scan took."""
     import repro.serve.spec as spec_mod
     import repro.sim.plan as plan_mod
 
@@ -970,6 +971,7 @@ def _mini_scan(tmp_path, name, num_ranks, monkeypatch):
         num_ranks=num_ranks,
         global_queue_limit=64,
         default_tenant_policy=TenantPolicy(max_queued=64),
+        **cfg,
     )
     for k in range(20):
         for tenant in ("alice", "bob"):
@@ -1012,8 +1014,10 @@ class TestScanSharesStructureAndDerivedValues:
         assert lowerings == 1
 
     def test_key_hashing_is_per_job_not_per_tick(self, tmp_path, monkeypatch):
-        slow, sha_slow, _ = _mini_scan(tmp_path, "one-rank", 1, monkeypatch)
-        fast, sha_fast, _ = _mini_scan(tmp_path, "four-ranks", 4, monkeypatch)
+        # a rank starts at most batch_size jobs per tick: with 2, one
+        # rank needs more ticks for the scan than four ranks do
+        slow, sha_slow, _ = _mini_scan(tmp_path, "one-rank", 1, monkeypatch, batch_size=2)
+        fast, sha_fast, _ = _mini_scan(tmp_path, "four-ranks", 4, monkeypatch, batch_size=2)
         assert slow.ticks > fast.ticks  # same jobs, more scheduling rounds
         # _count_sha256 was re-installed by the second scan: each count is its own
         assert sha_slow == sha_fast
@@ -1042,6 +1046,46 @@ class TestScanSharesStructureAndDerivedValues:
         job = reopened.jobs[third.job_id]
         assert job.state == JobState.SUCCEEDED and not job.dedup_hit
         assert job.energy == pytest.approx(energy, abs=1e-8)
+
+
+class TestPlanKeyedScan:
+    """Every geometry of a scan runs one plan, so the broker carries them
+    in shared waves; dedup and warm starts keep their own keys."""
+
+    def test_duplicate_completes_in_the_tick_its_result_lands(self, tmp_path):
+        srv = _server(tmp_path)
+        a = srv.submit(JobSpec(tenant="alice", molecule="h2", geometry=0.8))
+        b = srv.submit(JobSpec(tenant="bob", molecule="h2", geometry=0.8))
+        srv.tick()
+        assert srv.jobs[a.job_id].state == JobState.SUCCEEDED
+        assert srv.jobs[b.job_id].state == JobState.SUCCEEDED
+        assert srv.jobs[b.job_id].dedup_hit
+        assert srv.jobs[b.job_id].energy == srv.jobs[a.job_id].energy
+        assert srv.idle and srv.ticks == 1
+
+    def test_scan_shares_waves_and_reaches_each_ground_energy(self, tmp_path):
+        from repro.chem.fci import exact_ground_energy
+
+        geometries = [round(0.55 + 0.1 * k, 4) for k in range(8)]
+        srv = _server(tmp_path, num_ranks=2)
+        for g in geometries:
+            for tenant in ("alice", "bob"):
+                srv.submit(JobSpec(tenant=tenant, molecule="h2", geometry=g))
+        srv.run(stop_when_idle=True, max_ticks=50)
+        health = srv.health()
+        assert health["batch"]["mean_occupancy"] > 1
+        assert srv.ticks < len(geometries)
+        assert health["dedup_hits"] == len(geometries)
+        for job in srv.jobs.values():
+            assert job.state == JobState.SUCCEEDED
+            hq = srv.problems.get(job.spec)["hamiltonian"]
+            exact = exact_ground_energy(hq, num_particles=2, sz=0)
+            assert abs(job.energy - exact) < 1e-6, (job.spec.geometry, job.energy - exact)
+        srv.close()
+        reopened = CampaignServer(srv.state_dir, srv.config)
+        assert reopened.idle
+        assert reopened.health()["stored_results"] == health["stored_results"]
+        reopened.close()
 
 
 # -- satellite: checkpoint schema guard ---------------------------------------
