@@ -15,7 +15,11 @@ uses synthetic two-body Hamiltonians at 8/12/16/20/28 qubits (same JW
 term census as real active spaces of that size, per Fig. 1).
 
 Run under pytest-benchmark for timing curves, or standalone in smoke
-mode (used by CI) to check correctness and the speedup floors:
+mode (used by CI) to check correctness and the speedup floors.  Smoke
+mode also checks, with no timing floor, that ``hermitian_downfold``
+(which forms only the last-level commutator terms the reference
+projection keeps) gives the oracle's "commute fully, then project"
+effective Hamiltonian:
 
     PYTHONPATH=src python benchmarks/bench_pauli_algebra.py --smoke
 """
@@ -46,6 +50,7 @@ from tests.pauli_oracle import (
     commutator_per_term,
     dot_per_term,
     group_qwc_per_term,
+    hermitian_downfold_oracle,
     map_fermion_operator_per_term,
 )
 
@@ -56,21 +61,41 @@ MIN_JW_SPEEDUP = 5.0        # full-space H2O mapping; measured ~20x
 MIN_TAPERED_QUBITS = 3      # LiH and H2O both lose 4
 TAPER_ENERGY_TOL = 1e-8
 POOL_MAP_TOL = 1e-12        # one-call pool mapping vs the per-operator oracle
+DOWNFOLD_TOL = 1e-12        # packed H_eff vs commute-fully-then-project
+FIG5_CORE, FIG5_ACTIVE = [0], [1, 2, 3, 4, 5, 6]
 
 SWEEP_SPATIAL_ORBITALS = (4, 6, 8, 10, 14)  # -> 8/12/16/20/28 qubits
 
 
-def build_h2o_effective_hamiltonian() -> PauliSum:
-    """The Fig. 5 system: STO-3G H2O, O 1s downfolded out, 12 qubits."""
+def build_h2o_effective_hamiltonian(failures=None) -> PauliSum:
+    """The Fig. 5 system: STO-3G H2O, O 1s downfolded out, 12 qubits.
+
+    With a ``failures`` list, also compare the unchopped H_eff with the
+    oracle's: same term set, coefficients within ``DOWNFOLD_TOL``."""
     from repro.chem.downfolding import hermitian_downfold
 
     scf = run_rhf(h2o())
     mh = build_molecular_hamiltonian(scf)
     downfolded = hermitian_downfold(
-        mh, scf.mo_energies, core_orbitals=[0],
-        active_orbitals=[1, 2, 3, 4, 5, 6],
+        mh, scf.mo_energies, core_orbitals=FIG5_CORE,
+        active_orbitals=FIG5_ACTIVE,
     )
-    return downfolded.effective_hamiltonian.chop(1e-8)
+    heff = downfolded.effective_hamiltonian
+    if failures is not None:
+        oracle = hermitian_downfold_oracle(
+            mh, scf.mo_energies, FIG5_CORE, FIG5_ACTIVE
+        )
+        extra = len(set(heff.terms) ^ set(oracle.terms))
+        err = _max_term_diff(oracle, heff)
+        print(
+            f"H_eff vs oracle: {heff.num_terms} / {oracle.num_terms} terms, "
+            f"{extra} differ, max |dc| {err:.1e}"
+        )
+        if extra:
+            failures.append(f"H_eff term set differs from the oracle's in {extra} terms")
+        if err > DOWNFOLD_TOL:
+            failures.append(f"H_eff vs oracle: {err:.3e} > {DOWNFOLD_TOL}")
+    return heff.chop(1e-8)
 
 
 def _top_slice(h: PauliSum, k: int) -> PauliSum:
@@ -230,7 +255,7 @@ def run_smoke() -> int:
     failures = []
 
     print("building 12-qubit downfolded H2O Hamiltonian ...")
-    heff = build_h2o_effective_hamiltonian()
+    heff = build_h2o_effective_hamiltonian(failures)
     symp = heff.to_symplectic()
 
     # Sum x sum product: full 4747^2 pairs, per-term baseline run once.

@@ -43,6 +43,10 @@ __all__ = [
 CHEMICAL_ACCURACY_HA = 1.594e-3  # 1 kcal/mol in Hartree
 MILLI_HARTREE = 1e-3
 
+# Pool gradients within this relative distance of the largest count as
+# tied (spin partners are exact ties); the lowest pool index is chosen.
+_GRADIENT_TIE_RTOL = 1e-10
+
 
 def convergence_traces(iterations: Sequence["AdaptIteration"]) -> dict:
     """Per-iteration convergence series for run reports / plotting."""
@@ -256,8 +260,13 @@ class AdaptVQE:
         if st.statevector is None:
             st.statevector = self.prepare_statevector(st)
         grads = self.pool_gradients(st.statevector)
-        k_best = int(np.argmax(np.abs(grads)))
-        g_max = float(np.abs(grads[k_best]))
+        magnitudes = np.abs(grads)
+        g_max = float(magnitudes.max())
+        # Spin partners have equal |gradient| in exact arithmetic: the
+        # lowest index among the near-ties wins, not the round-off.
+        k_best = int(
+            np.flatnonzero(magnitudes >= g_max * (1.0 - _GRADIENT_TIE_RTOL))[0]
+        )
         if g_max < self.gradient_tolerance:
             st.converged = True
             return st

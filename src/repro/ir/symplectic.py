@@ -518,34 +518,17 @@ class SymplecticPauli:
         ta, tb = self.num_terms, other.num_terms
         if ta == 0 or tb == 0:
             return SymplecticPauli.zero(self.num_qubits)
-        w = self.num_words
         pa = popcount_words(self.x & self.z)
         pb = popcount_words(other.x & other.z)
         rows_per_chunk = max(1, _PAIR_CHUNK // tb)
         pieces: List[SymplecticPauli] = []
         for start in range(0, ta, rows_per_chunk):
             sl = slice(start, min(start + rows_per_chunk, ta))
-            anti = self.anticommutation_matrix(other, rows=sl)
-            i, j = np.nonzero(anti)
+            i, j = np.nonzero(self.anticommutation_matrix(other, rows=sl))
             if i.size == 0:
                 continue
-            x1 = self.x[sl][i]
-            z1 = self.z[sl][i]
-            x2 = other.x[j]
-            z2 = other.z[j]
-            x3 = x1 ^ x2
-            z3 = z1 ^ z2
-            exponent = (
-                pa[sl][i]
-                + pb[j]
-                - popcount_words(x3 & z3)
-                + 2 * popcount_words(z1 & x2)
-            ) % 4
-            coeffs = (
-                2.0 * self.coeffs[sl][i] * other.coeffs[j]
-            ) * I_POW_ARR[exponent]
             pieces.append(
-                SymplecticPauli(self.num_qubits, x3, z3, coeffs).dedup(
+                self._pair_commutators(other, i + start, j, pa, pb).dedup(
                     threshold
                 )
             )
@@ -554,6 +537,87 @@ class SymplecticPauli:
         if len(pieces) == 1:
             return pieces[0]
         return _concat(pieces).dedup(threshold)
+
+    def commutator_x_clear(
+        self,
+        other: "SymplecticPauli",
+        mask: np.ndarray,
+        threshold: float = 0.0,
+    ) -> "SymplecticPauli":
+        """The rows of ``[self, other]`` with no X/Y on ``mask`` (a packed
+        ``(num_words,)`` uint64 row), without forming the others.
+
+        A product's X part is ``x1 ^ x2``, clear on ``mask`` exactly when
+        the two rows agree there, so the pairs are a join on ``x & mask``:
+        each row of ``self`` meets only the rows of ``other`` with its
+        key, in blocks of at most ~2^20 pairs.  Equal to
+        ``commutator(other)`` with its ``x & mask`` rows dropped and then
+        chopped at ``threshold``.
+        """
+        self._check_compatible(other)
+        ta, tb = self.num_terms, other.num_terms
+        if ta == 0 or tb == 0:
+            return SymplecticPauli.zero(self.num_qubits)
+        mask = np.asarray(mask, dtype=np.uint64)
+        keys = np.concatenate([self.x & mask, other.x & mask])
+        _, group = np.unique(keys, axis=0, return_inverse=True)
+        group = group.reshape(-1)
+        ga, gb = group[:ta], group[ta:]
+        by_group = np.argsort(gb, kind="stable")
+        sizes = np.bincount(gb, minlength=int(group.max()) + 1)
+        first = np.cumsum(sizes) - sizes  # group g is by_group[first[g]:]
+        partners = sizes[ga]
+        reach = np.cumsum(partners)
+        pa = popcount_words(self.x & self.z)
+        pb = popcount_words(other.x & other.z)
+        pieces: List[SymplecticPauli] = []
+        lo = 0
+        while lo < ta:
+            budget = reach[lo] - partners[lo] + _PAIR_CHUNK
+            hi = max(lo + 1, int(np.searchsorted(reach, budget, side="right")))
+            rep = partners[lo:hi]
+            n_pairs = int(rep.sum())
+            if n_pairs:
+                i = np.repeat(np.arange(lo, hi), rep)
+                rank = np.arange(n_pairs) - np.repeat(np.cumsum(rep) - rep, rep)
+                j = by_group[np.repeat(first[ga[lo:hi]], rep) + rank]
+                anti = (
+                    (
+                        popcount_words(self.x[i] & other.z[j])
+                        + popcount_words(self.z[i] & other.x[j])
+                    )
+                    & 1
+                ).astype(bool)
+                i, j = i[anti], j[anti]
+                if i.size:
+                    pieces.append(
+                        self._pair_commutators(other, i, j, pa, pb).dedup()
+                    )
+            lo = hi
+        if not pieces:
+            return SymplecticPauli.zero(self.num_qubits)
+        return _concat(pieces).dedup(threshold)
+
+    def _pair_commutators(
+        self,
+        other: "SymplecticPauli",
+        i: np.ndarray,
+        j: np.ndarray,
+        pa: np.ndarray,
+        pb: np.ndarray,
+    ) -> "SymplecticPauli":
+        """``2 P_i P_j`` for anticommuting row pairs ``(i, j)`` (not
+        deduplicated); ``pa`` / ``pb`` are the rows' ``|x & z|``."""
+        x1 = self.x[i]
+        z1 = self.z[i]
+        x2 = other.x[j]
+        x3 = x1 ^ x2
+        z3 = z1 ^ other.z[j]
+        exponent = (
+            pa[i] + pb[j] - popcount_words(x3 & z3) + 2 * popcount_words(z1 & x2)
+        ) % 4
+        coeffs = (2.0 * self.coeffs[i] * other.coeffs[j]) * I_POW_ARR[exponent]
+        return SymplecticPauli(self.num_qubits, x3, z3, coeffs)
 
     # -- adjacency -----------------------------------------------------------
 

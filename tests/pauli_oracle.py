@@ -3,19 +3,27 @@
 These dict-of-terms loops are the oracle the packed symplectic engine
 (:mod:`repro.ir.symplectic`) is checked against: one Python iteration
 per term pair for products and commutators, a member-by-member
-qubit-wise-commutation test for grouping, and a chain of two-term
-ladder products per fermionic term for the mappings.  They live under
-``tests/`` because nothing in the package runs them; the property tests
-in ``tests/test_symplectic.py`` and the per-term baselines of
-``benchmarks/bench_pauli_algebra.py`` import them from here.
+qubit-wise-commutation test for grouping, a chain of two-term
+ladder products per fermionic term for the mappings, and "commute
+fully, then project" for Hermitian downfolding (the whole BCH series
+in dict arithmetic, then a per-term reference projection).  They live
+under ``tests/`` because nothing in the package runs them; the property
+tests in ``tests/test_symplectic.py``, the downfolding tests and the
+per-term baselines of ``benchmarks/bench_pauli_algebra.py`` import them
+from here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
+from repro.chem.downfolding import external_sigma
 from repro.chem.fermion import FermionOperator
-from repro.chem.mappings import _get_mapper
+from repro.chem.hamiltonian import MolecularHamiltonian
+from repro.chem.mappings import _get_mapper, jordan_wigner
+from repro.chem.mp2 import run_mp2
 from repro.ir.pauli import PauliString, PauliSum
 from repro.utils.bitops import I_POW as _I_POW
 from repro.utils.bitops import popcount as _popcount
@@ -25,6 +33,9 @@ __all__ = [
     "commutator_per_term",
     "group_qwc_per_term",
     "map_fermion_operator_per_term",
+    "project_onto_reference_per_term",
+    "bch_full",
+    "hermitian_downfold_oracle",
 ]
 
 
@@ -138,3 +149,83 @@ def map_fermion_operator_per_term(
             acc = dot_per_term(acc, ladder(orb, dag))
         result = result + acc * coeff
     return result.chop(1e-14)
+
+
+def project_onto_reference_per_term(
+    operator: PauliSum,
+    active_qubits: Sequence[int],
+    occupied_external: Sequence[int],
+) -> PauliSum:
+    """Freeze non-active qubits at their reference occupation.
+
+    Every Pauli term factors as P_active (x) P_external; the external
+    factor is replaced by its reference expectation value:
+    0 for any X/Y factor, (-1)^{#Z on occupied} otherwise.  Active
+    qubits are re-labelled 0..len(active)-1 preserving order.
+    """
+    n = operator.num_qubits
+    act = list(active_qubits)
+    act_set = set(act)
+    occ_ext = set(occupied_external)
+    if occ_ext & act_set:
+        raise ValueError("occupied_external overlaps active qubits")
+    ext_mask = 0
+    for q in range(n):
+        if q not in act_set:
+            ext_mask |= 1 << q
+    occ_mask = 0
+    for q in occ_ext:
+        occ_mask |= 1 << q
+
+    pos = {q: k for k, q in enumerate(act)}
+    out = PauliSum.zero(len(act))
+    for (x, z), coeff in operator.terms.items():
+        if x & ext_mask:
+            continue  # X/Y on a frozen qubit: zero reference expectation
+        sign = -1.0 if bin(z & occ_mask).count("1") % 2 else 1.0
+        new_x = new_z = 0
+        for q in act:
+            bit = 1 << q
+            if x & bit:
+                new_x |= 1 << pos[q]
+            if z & bit:
+                new_z |= 1 << pos[q]
+        out.add_term(PauliString(len(act), new_x, new_z), coeff * sign)
+    return out.chop(1e-14)
+
+
+def bch_full(
+    h: PauliSum, sigma: PauliSum, order: int, threshold: float
+) -> PauliSum:
+    """Truncated BCH series H + [H,s] + 1/2 [[H,s],s] + ... (Eq. 2)."""
+    heff = h
+    nested = h
+    factorial = 1.0
+    for k in range(1, order + 1):
+        nested = nested.commutator(sigma).chop(threshold)
+        factorial *= k
+        heff = heff + nested * (1.0 / factorial)
+    return heff.chop(threshold)
+
+
+def hermitian_downfold_oracle(
+    full_hamiltonian: MolecularHamiltonian,
+    mo_energies: np.ndarray,
+    core_orbitals: Sequence[int],
+    active_orbitals: Sequence[int],
+    order: int = 2,
+    threshold: float = 1e-9,
+) -> PauliSum:
+    """The effective Hamiltonian of ``hermitian_downfold``, built by
+    forming every commutator term on the full register and only then
+    projecting onto the reference."""
+    n_so = full_hamiltonian.num_spin_orbitals
+    active_so = sorted(2 * p + s for p in active_orbitals for s in (0, 1))
+    core_so = sorted(2 * p + s for p in core_orbitals for s in (0, 1))
+    h_q = full_hamiltonian.to_qubit("jordan-wigner")
+    mp2 = run_mp2(full_hamiltonian, np.asarray(mo_energies))
+    sigma_q = jordan_wigner(external_sigma(mp2, active_so), n_so)
+    if sigma_q.num_terms == 0 or order == 0:
+        return project_onto_reference_per_term(h_q, active_so, core_so)
+    heff_full = bch_full(h_q, sigma_q, order, threshold)
+    return project_onto_reference_per_term(heff_full, active_so, core_so)

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.chem.downfolding import hermitian_downfold
 from repro.chem.fci import exact_ground_energy
 from repro.chem.hamiltonian import build_molecular_hamiltonian
-from repro.chem.molecule import h2, h4_chain
+from repro.chem.molecule import h2, h4_chain, lih
 from repro.chem.pools import qubit_pool, uccsd_pool
 from repro.chem.reference import hartree_fock_state
 from repro.chem.scf import run_rhf
 from repro.core.adapt import AdaptVQE
+from repro.ir.pauli import PauliSum
 from repro.opt.gradient import AnsatzObjective, finite_difference_gradient
 
 
@@ -143,3 +145,32 @@ class TestAdaptConvergence:
         res = adapt.run()
         assert res.converged
         assert len(res.iterations) == 0
+
+
+class TestSelectionTies:
+    def test_round_off_does_not_pick_between_ties(self):
+        """Stretched LiH downfolded to 8 qubits: its two pi orbitals
+        (spatial 3 and 4 of the active space) are degenerate, so
+        d(0,1->4,5) and d(0,1->6,7) have equal |gradient| in exact
+        arithmetic.  Scaling H by one ulp or reordering its terms moves
+        only round-off, and the lowest pool index must win every time."""
+        scf = run_rhf(lih(1.9))
+        down = hermitian_downfold(
+            build_molecular_hamiltonian(scf), scf.mo_energies, [0], [1, 2, 3, 4]
+        )
+        h = down.effective_hamiltonian
+        n, n_e = h.num_qubits, down.num_electrons
+        keys = list(h.terms)
+        rng = np.random.default_rng(1)
+        variants = [h, h * (1 + 2.2e-16)] + [
+            PauliSum(n, {keys[i]: h.terms[keys[i]] for i in rng.permutation(len(keys))})
+            for _ in range(2)
+        ]
+        picks = [
+            AdaptVQE(
+                hv, uccsd_pool(n, n_e), hartree_fock_state(n, n_e),
+                max_iterations=3,
+            ).run().operator_labels
+            for hv in variants
+        ]
+        assert picks == [["d(0,1->2,3)", "d(0,1->4,5)", "d(0,1->6,7)"]] * 4

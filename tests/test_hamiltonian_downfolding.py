@@ -21,6 +21,11 @@ from repro.chem.molecule import h2, h2o, h4_chain, lih
 from repro.chem.mp2 import run_mp2
 from repro.chem.scf import run_rhf
 from repro.ir.pauli import PauliString, PauliSum
+from repro.ir.symplectic import pack_masks
+from tests.pauli_oracle import (
+    hermitian_downfold_oracle,
+    project_onto_reference_per_term,
+)
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +177,18 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_onto_reference(op, [0], [0])
 
+    @pytest.mark.parametrize(
+        "active,occupied,match",
+        [
+            ([0, 2], [1], "active_qubits holds qubit 2"),
+            ([0], [-1], "occupied_external holds qubit -1"),
+        ],
+    )
+    def test_out_of_range_qubit_rejected(self, active, occupied, match):
+        op = PauliSum.from_label_dict({"ZZ": 1.0})
+        with pytest.raises(ValueError, match=match):
+            project_onto_reference(op, active, occupied)
+
 
 class TestHermitianDownfolding:
     def test_sigma_antihermitian(self, h2o_system):
@@ -234,3 +251,143 @@ class TestNonHermitianDownfolding:
         e_nh, its = nonhermitian_downfold_energy(mh, [0], [1, 2, 3, 4, 5, 6])
         assert np.isclose(e_nh, e_full, atol=1e-7)
         assert its < 50
+
+
+@pytest.fixture(scope="module")
+def lih_system():
+    scf = run_rhf(lih())
+    return scf, build_molecular_hamiltonian(scf)
+
+
+class TestPartitionValidation:
+    """Bad active spaces fail before any work, naming the argument."""
+
+    @pytest.mark.parametrize(
+        "core,active,match",
+        [
+            ([0], [1, 2, 3, 4, 5, 6], r"active_orbitals holds orbital 6, outside \[0, 6\)"),
+            ([0], [1, 1, 2], r"active_orbitals repeats orbital\(s\) \[1\]"),
+            ([0], [-1, 1], r"active_orbitals holds orbital -1, outside \[0, 6\)"),
+            ([0], [], r"active_orbitals is empty"),
+            (
+                [0, 1], [1, 2],
+                r"core_orbitals \[0, 1\] and active_orbitals \[1, 2\] "
+                r"share orbital\(s\) \[1\]",
+            ),
+            ([7], [1, 2], r"core_orbitals holds orbital 7"),
+            ([0, 0], [1, 2], r"core_orbitals repeats orbital\(s\) \[0\]"),
+            ([0], [1.5, 2], r"active_orbitals holds 1.5, not an integer"),
+        ],
+    )
+    @pytest.mark.parametrize("variant", ["hermitian", "nonhermitian"])
+    def test_bad_partition(self, lih_system, variant, core, active, match):
+        scf, mh = lih_system
+        with pytest.raises(ValueError, match=match):
+            if variant == "hermitian":
+                hermitian_downfold(mh, scf.mo_energies, core, active)
+            else:
+                nonhermitian_downfold_energy(mh, core, active)
+
+    def test_negative_order(self, lih_system):
+        scf, mh = lih_system
+        with pytest.raises(ValueError, match=r"order must be an integer >= 0, got -1"):
+            hermitian_downfold(mh, scf.mo_energies, [0], [1, 2], order=-1)
+
+    @pytest.mark.parametrize("threshold", [-1e-9, float("nan"), float("inf")])
+    def test_bad_threshold(self, lih_system, threshold):
+        scf, mh = lih_system
+        with pytest.raises(ValueError, match=r"threshold must be a finite number >= 0"):
+            hermitian_downfold(
+                mh, scf.mo_energies, [0], [1, 2], threshold=threshold
+            )
+
+
+class TestPackedAgainstOracle:
+    """The packed series (last level formed only where the projection
+    keeps it) against "commute fully, then project"."""
+
+    @pytest.mark.parametrize(
+        "factory,core,active,order",
+        [
+            (h2o, [0], [1, 2, 3, 4, 5, 6], 2),
+            (lambda: lih(1.3), [0], [1, 2, 3, 4, 5], 2),
+            (lambda: lih(1.9), [0], [1, 2, 3, 4], 2),
+            (h2o, [0, 1], [2, 3, 4, 5], 2),
+            (lih, [0], [1, 2, 3, 4, 5], 1),
+            (lih, [0], [1, 2, 3, 4, 5], 3),
+        ],
+        ids=["h2o-fig5", "lih-1.3", "lih-1.9", "h2o-core01", "lih-order1", "lih-order3"],
+    )
+    def test_same_terms_as_oracle(self, factory, core, active, order):
+        scf = run_rhf(factory())
+        mh = build_molecular_hamiltonian(scf)
+        packed = hermitian_downfold(
+            mh, scf.mo_energies, core, active, order=order
+        ).effective_hamiltonian
+        oracle = hermitian_downfold_oracle(
+            mh, scf.mo_energies, core, active, order=order
+        )
+        assert set(packed.terms) == set(oracle.terms)
+        assert max(
+            abs(packed.terms[k] - c) for k, c in oracle.terms.items()
+        ) < 1e-12
+
+
+class TestMultiWord:
+    """70 qubits: two packed words per row."""
+
+    N = 70
+    EXT = list(range(0, 6)) + list(range(60, 68))  # straddles word 0/1
+
+    def _sum(self, rng, terms):
+        ext = sum(1 << q for q in self.EXT)
+        patterns = [0, 1 << 3, (1 << 61) | (1 << 65), (1 << 1) | (1 << 67)]
+        out = {}
+        for _ in range(terms):
+            x = int(rng.integers(0, 1 << 62)) | (int(rng.integers(0, 1 << 8)) << 62)
+            z = int(rng.integers(0, 1 << 62)) | (int(rng.integers(0, 1 << 8)) << 62)
+            x = (x & ~ext) | patterns[int(rng.integers(len(patterns)))]
+            out[x, z] = complex(rng.normal(), rng.normal())
+        return PauliSum(self.N, out)
+
+    @pytest.mark.parametrize("pair_chunk", [None, 64])
+    def test_x_clear_commutator_is_filtered_full_one(self, monkeypatch, pair_chunk):
+        if pair_chunk is not None:  # many join blocks instead of one
+            monkeypatch.setattr("repro.ir.symplectic._PAIR_CHUNK", pair_chunk)
+        rng = np.random.default_rng(7)
+        a = self._sum(rng, 300).to_symplectic()
+        b = self._sum(rng, 120).to_symplectic()
+        ext = sum(1 << q for q in self.EXT)
+        full = {
+            k: c for k, c in a.commutator(b).to_terms_dict().items()
+            if not k[0] & ext
+        }
+        mask = pack_masks([ext], self.N)[0]
+        restricted = a.commutator_x_clear(b, mask).to_terms_dict()
+        assert full and set(restricted) == set(full)
+        assert max(abs(restricted[k] - c) for k, c in full.items()) < 1e-12
+        # the chop applies to the restricted rows only
+        chopped = a.commutator_x_clear(b, mask, threshold=1.0).to_terms_dict()
+        assert set(chopped) == {k for k, c in full.items() if abs(c) > 1.0}
+
+    def test_packed_projection_equals_oracle(self):
+        rng = np.random.default_rng(11)
+        op = self._sum(rng, 2000)
+        # partners that differ only by Z on frozen qubits land on the
+        # same active string, with or without a sign flip
+        ext = sum(1 << q for q in self.EXT)
+        clear = [(k, c) for k, c in op.terms.items() if not k[0] & ext]
+        op = op + PauliSum(
+            self.N,
+            {(x, z ^ (1 << (2 + i % 2))): 0.5 * c for i, ((x, z), c) in enumerate(clear)},
+        )
+        active = [q for q in range(self.N) if q not in self.EXT]
+        occupied = [0, 2, 61, 66]
+        packed = project_onto_reference(op, active, occupied)
+        oracle = project_onto_reference_per_term(op, active, occupied)
+        assert packed.num_qubits == oracle.num_qubits == len(active)
+        assert packed.num_terms > 0
+        assert set(packed.terms) == set(oracle.terms)
+        assert max(
+            abs(packed.terms[k] - c) for k, c in oracle.terms.items()
+        ) < 1e-12
