@@ -16,27 +16,21 @@ Layers (bottom-up):
   end-to-end workflow of Fig. 2
 * :mod:`repro.obs` — unified observability: span tracing (Chrome
   trace-event export), metrics (Prometheus exposition), run reports
+
+Every package ``__init__`` is a name table (:mod:`repro._lazy`): a name
+imports the submodule that defines it on first access.
 """
+
+from repro._lazy import name_table
 
 __version__ = "1.0.0"
 
-from repro import obs
-from repro.ir import Circuit, Gate, Parameter, PauliString, PauliSum
-from repro.obs import MetricsRegistry, RunReport, Tracer
-from repro.sim import StatevectorSimulator, fuse_circuit, get_backend
-
-__all__ = [
-    "__version__",
-    "Circuit",
-    "Gate",
-    "Parameter",
-    "PauliString",
-    "PauliSum",
-    "StatevectorSimulator",
-    "fuse_circuit",
-    "get_backend",
-    "obs",
-    "Tracer",
-    "MetricsRegistry",
-    "RunReport",
-]
+__all__, __getattr__, __dir__ = name_table(
+    __name__,
+    {
+        "ir": ["Circuit", "Gate", "Parameter", "PauliString", "PauliSum"],
+        "obs": ["MetricsRegistry", "RunReport", "Tracer"],
+        "sim": ["StatevectorSimulator", "fuse_circuit", "get_backend"],
+    },
+)
+__all__ = ["__version__", "obs", *__all__]

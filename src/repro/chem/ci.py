@@ -26,7 +26,6 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.chem.hamiltonian import MolecularHamiltonian
 

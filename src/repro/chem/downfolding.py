@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.chem.fermion import FermionOperator
 from repro.chem.hamiltonian import MolecularHamiltonian

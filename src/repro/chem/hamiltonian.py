@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.chem.fermion import FermionOperator
+from repro.chem.mappings import map_fermion_operator
 from repro.chem.mo import MOIntegrals, spin_orbital_tensors, transform_to_mo
 from repro.chem.scf import SCFResult
 from repro.ir.pauli import PauliSum
@@ -122,34 +123,30 @@ class MolecularHamiltonian:
         return spin_orbital_tensors(mo)
 
     def to_fermion_operator(self, threshold: float = 1e-12) -> FermionOperator:
-        """H as a normal-ordered fermionic operator (constant included)."""
+        """H as a normal-ordered fermionic operator (constant included):
+        the constant, then ``h_pq a+_p a_q`` and ``1/2 g_pqrs a+_p a+_q a_s
+        a_r`` over the entries above ``threshold``, in C order."""
         h_so, g_so = self.spin_orbital_tensors()
         n_so = self.num_spin_orbitals
-        op = FermionOperator.identity(self.constant)
-        terms = dict(op.terms)
-        for p in range(n_so):
-            for q in range(n_so):
-                c = h_so[p, q]
-                if abs(c) > threshold:
-                    terms[((p, True), (q, False))] = (
-                        terms.get(((p, True), (q, False)), 0.0) + c
-                    )
-        for p in range(n_so):
-            for q in range(n_so):
-                for r in range(n_so):
-                    for s in range(n_so):
-                        c = 0.5 * g_so[p, q, r, s]
-                        if abs(c) > threshold:
-                            key = ((p, True), (q, True), (s, False), (r, False))
-                            terms[key] = terms.get(key, 0.0) + c
+        cre = [(p, True) for p in range(n_so)]
+        ann = [(p, False) for p in range(n_so)]
+        terms = dict(FermionOperator.identity(self.constant).terms)
+        p, q = np.nonzero(np.abs(h_so) > threshold)
+        keys = [(cre[a], ann[b]) for a, b in zip(p.tolist(), q.tolist())]
+        terms.update(zip(keys, h_so[p, q].tolist()))
+        half = 0.5 * g_so
+        p, q, r, s = np.nonzero(np.abs(half) > threshold)
+        keys = [
+            (cre[a], cre[b], ann[d], ann[c])
+            for a, b, c, d in zip(p.tolist(), q.tolist(), r.tolist(), s.tolist())
+        ]
+        terms.update(zip(keys, half[p, q, r, s].tolist()))
         return FermionOperator(terms)
 
     def to_qubit(
         self, mapping: str = "jordan-wigner", threshold: float = 1e-10
     ) -> PauliSum:
         """Qubit Hamiltonian under the chosen mapping."""
-        from repro.chem.mappings import map_fermion_operator
-
         op = self.to_fermion_operator()
         return map_fermion_operator(op, self.num_spin_orbitals, mapping).chop(
             threshold

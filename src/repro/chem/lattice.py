@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.chem.fermion import FermionOperator
-from repro.chem.mappings import jordan_wigner
+from repro.chem.mappings import jordan_wigner, map_fermion_operator
 from repro.ir.pauli import PauliString, PauliSum
 
 __all__ = [
@@ -114,8 +114,6 @@ def fermi_hubbard_qubit(
     mapping: str = "jordan-wigner",
 ) -> PauliSum:
     """Qubit form of :func:`fermi_hubbard` (2 qubits per site)."""
-    from repro.chem.mappings import map_fermion_operator
-
     op = fermi_hubbard(
         num_sites, tunneling, interaction, chemical_potential, periodic
     )

@@ -6,70 +6,35 @@ resource counting for the scaling figures (Figs. 1, 3), and the
 end-to-end Fig. 2 workflow.
 """
 
-from repro.core.adapt import AdaptIteration, AdaptResult, AdaptState, AdaptVQE
-from repro.core.campaign import CampaignFailedError, CampaignResult, CampaignRunner
-from repro.core.cache import CachedEnergyEvaluator, GateLedger, PostAnsatzCache
-from repro.core.counting import (
-    EnergyEvaluationCost,
-    energy_evaluation_gate_counts,
-    jw_basis_change_gates,
-    jw_pauli_term_count,
-    statevector_memory_bytes,
-    uccsd_gate_count,
-)
-from repro.core.estimator import (
-    CachingEstimator,
-    DirectEstimator,
-    Estimator,
-    SamplingEstimator,
-    make_estimator,
-)
-from repro.core.cafqa import CafqaResult, cafqa_bootstrap_vqe, cafqa_search
-from repro.core.qpe import QPEResult, run_iterative_qpe, run_qpe, run_qpe_trotter
-from repro.core.scan import ScanPoint, ScanResult, scan_potential_energy_surface
-from repro.core.shots import allocate_shots, sampled_energy_with_allocation
-from repro.core.vqd import VQDResult, run_vqd
-from repro.core.vqe import VQE, VQEResult
-from repro.core.workflow import WorkflowResult, run_vqe_workflow
+from repro._lazy import name_table
 
-__all__ = [
-    "VQE",
-    "run_qpe",
-    "run_qpe_trotter",
-    "run_iterative_qpe",
-    "run_vqd",
-    "VQDResult",
-    "allocate_shots",
-    "sampled_energy_with_allocation",
-    "QPEResult",
-    "cafqa_search",
-    "cafqa_bootstrap_vqe",
-    "CafqaResult",
-    "scan_potential_energy_surface",
-    "ScanResult",
-    "ScanPoint",
-    "VQEResult",
-    "AdaptVQE",
-    "AdaptResult",
-    "AdaptIteration",
-    "AdaptState",
-    "CampaignRunner",
-    "CampaignResult",
-    "CampaignFailedError",
-    "PostAnsatzCache",
-    "CachedEnergyEvaluator",
-    "GateLedger",
-    "Estimator",
-    "DirectEstimator",
-    "CachingEstimator",
-    "SamplingEstimator",
-    "make_estimator",
-    "uccsd_gate_count",
-    "jw_pauli_term_count",
-    "jw_basis_change_gates",
-    "statevector_memory_bytes",
-    "energy_evaluation_gate_counts",
-    "EnergyEvaluationCost",
-    "run_vqe_workflow",
-    "WorkflowResult",
-]
+__all__, __getattr__, __dir__ = name_table(
+    __name__,
+    {
+        "vqe": ["VQE", "VQEResult"],
+        "qpe": ["run_qpe", "run_qpe_trotter", "run_iterative_qpe", "QPEResult"],
+        "vqd": ["run_vqd", "VQDResult"],
+        "shots": ["allocate_shots", "sampled_energy_with_allocation"],
+        "cafqa": ["cafqa_search", "cafqa_bootstrap_vqe", "CafqaResult"],
+        "scan": ["scan_potential_energy_surface", "ScanResult", "ScanPoint"],
+        "adapt": ["AdaptVQE", "AdaptResult", "AdaptIteration", "AdaptState"],
+        "campaign": ["CampaignRunner", "CampaignResult", "CampaignFailedError"],
+        "cache": ["PostAnsatzCache", "CachedEnergyEvaluator", "GateLedger"],
+        "estimator": [
+            "Estimator",
+            "DirectEstimator",
+            "CachingEstimator",
+            "SamplingEstimator",
+            "make_estimator",
+        ],
+        "counting": [
+            "uccsd_gate_count",
+            "jw_pauli_term_count",
+            "jw_basis_change_gates",
+            "statevector_memory_bytes",
+            "energy_evaluation_gate_counts",
+            "EnergyEvaluationCost",
+        ],
+        "workflow": ["run_vqe_workflow", "WorkflowResult"],
+    },
+)

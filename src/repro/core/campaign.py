@@ -369,9 +369,6 @@ class CampaignRunner:
                 ).to_dict()
             _atomic_write_json(payload, self._adapt_state_path())
         self.checkpoints_written += 1
-        obs_events.emit(
-            "campaign.checkpoint", kind="adapt", iteration=st.iteration
-        )
         if obs.enabled():
             obs.inc(
                 "repro_campaign_checkpoints_total",
@@ -588,9 +585,6 @@ class CampaignRunner:
                 self._vqe_log.write(json.dumps(payload).encode() + b"\n")
                 self._vqe_log.flush()
         self.checkpoints_written += 1
-        obs_events.emit(
-            "campaign.checkpoint", kind="vqe", eval=eval_index
-        )
         if obs.enabled():
             obs.inc(
                 "repro_campaign_checkpoints_total",

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from repro.ir.circuit import Circuit
 from repro.ir.library import inverse_qft
@@ -54,6 +53,14 @@ class QPEResult:
             f"resolution={self.resolution:.2e}, "
             f"p={self.success_probability:.3f})"
         )
+
+
+def _evolution_unitary(hamiltonian: PauliSum, t: float, e_min: float) -> np.ndarray:
+    """Dense exp(i t (H - e_min)), the controlled unitary of both QPEs."""
+    import scipy.linalg
+
+    h_mat = hamiltonian.to_sparse().toarray()
+    return scipy.linalg.expm(1j * t * (h_mat - e_min * np.eye(h_mat.shape[0])))
 
 
 def run_qpe(
@@ -98,8 +105,7 @@ def run_qpe(
     span = (e_max - e_min) * (1 << num_ancillas) / ((1 << num_ancillas) - 1)
     t = 2.0 * math.pi / span
 
-    h_mat = hamiltonian.to_sparse().toarray()
-    u = scipy.linalg.expm(1j * t * (h_mat - e_min * np.eye(dim)))
+    u = _evolution_unitary(hamiltonian, t, e_min)
 
     # State layout: system qubits 0..n-1, ancillas n..n+m-1.
     m = num_ancillas
@@ -255,8 +261,7 @@ def run_iterative_qpe(
     span = (e_max - e_min) * (1 << m) / ((1 << m) - 1)
     t = 2.0 * math.pi / span
 
-    h_mat = hamiltonian.to_sparse().toarray()
-    u = scipy.linalg.expm(1j * t * (h_mat - e_min * np.eye(dim)))
+    u = _evolution_unitary(hamiltonian, t, e_min)
     # u^(2^k) table
     powers = [u]
     for _ in range(m - 1):

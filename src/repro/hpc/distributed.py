@@ -41,6 +41,7 @@ from repro.utils.retry import RetryPolicy
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Gate
 from repro.ir.pauli import PauliSum
+from repro.ir.symplectic import SymplecticPauli
 from repro.sim import kernels
 from repro.utils.bitops import basis_indices, insert_zero_bit, xor_indices
 
@@ -433,9 +434,6 @@ class DistributedStatevector:
             return program
         for handle in handles:
             obs.mem_free(handle)
-        # imported on first use, as in PauliSum.to_symplectic: not part of `import repro`
-        from repro.ir.symplectic import SymplecticPauli
-
         L = self.local_qubits
         # Diagonals straight in physical positions: a bit permutation of
         # the term masks, so no 2^n index table under a relocated layout.

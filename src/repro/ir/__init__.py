@@ -6,38 +6,24 @@ generators (ansatz builders, observable construction) and execution
 backends (the simulators in ``repro.sim`` / ``repro.hpc``).
 """
 
-from repro.ir.circuit import Circuit
-from repro.ir.library import (
-    controlled_evolution,
-    controlled_pauli_exponential,
-    ghz,
-    hardware_efficient_ansatz,
-    inverse_qft,
-    qft,
-    trotter_evolution,
-)
-from repro.ir.compiled import CompiledPauliSum, compile_observable
-from repro.ir.gates import GATE_SET, Gate, Parameter, gate_matrix
-from repro.ir.pauli import PauliString, PauliSum
-from repro.ir.qasm import from_qasm, to_qasm
+from repro._lazy import name_table
 
-__all__ = [
-    "Circuit",
-    "Gate",
-    "Parameter",
-    "GATE_SET",
-    "gate_matrix",
-    "PauliString",
-    "PauliSum",
-    "CompiledPauliSum",
-    "compile_observable",
-    "from_qasm",
-    "to_qasm",
-    "qft",
-    "inverse_qft",
-    "ghz",
-    "hardware_efficient_ansatz",
-    "trotter_evolution",
-    "controlled_evolution",
-    "controlled_pauli_exponential",
-]
+__all__, __getattr__, __dir__ = name_table(
+    __name__,
+    {
+        "circuit": ["Circuit"],
+        "gates": ["Gate", "Parameter", "GATE_SET", "gate_matrix"],
+        "pauli": ["PauliString", "PauliSum"],
+        "compiled": ["CompiledPauliSum", "compile_observable"],
+        "qasm": ["from_qasm", "to_qasm"],
+        "library": [
+            "qft",
+            "inverse_qft",
+            "ghz",
+            "hardware_efficient_ansatz",
+            "trotter_evolution",
+            "controlled_evolution",
+            "controlled_pauli_exponential",
+        ],
+    },
+)

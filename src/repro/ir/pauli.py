@@ -24,14 +24,17 @@ commutator, grouping, simplification) runs on the packed form of
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.ir.symplectic import SymplecticPauli
 from repro.utils.bitops import I_POW as _I_POW
 from repro.utils.bitops import basis_indices, count_set_bits
 from repro.utils.bitops import popcount as _popcount
+
+if TYPE_CHECKING:  # pragma: no cover - scipy.sparse loads where a matrix is built
+    import scipy.sparse as sp
 
 __all__ = ["PauliString", "PauliSum"]
 
@@ -197,22 +200,31 @@ class PauliString:
         """<state| P |state> without building P's matrix."""
         return complex(np.vdot(state, self.apply(state)))
 
-    def to_sparse(self) -> sp.csr_matrix:
-        """Sparse matrix (one nonzero per row)."""
-        n = self.num_qubits
-        dim = 1 << n
-        cols = basis_indices(n)
-        rows = cols ^ self.x
+    def _entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, values)`` of the one nonzero in each column."""
+        cols = basis_indices(self.num_qubits)
         vals = (1.0 - 2.0 * (count_set_bits(cols & self.z) & 1)).astype(
             np.complex128
         )
         c = self.phase_exponent()
         if c:
             vals *= _I_POW[c]
+        return cols ^ self.x, cols, vals
+
+    def to_sparse(self) -> sp.csr_matrix:
+        """Sparse matrix (one nonzero per row)."""
+        import scipy.sparse as sp
+
+        dim = 1 << self.num_qubits
+        rows, cols, vals = self._entries()
         return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
     def to_matrix(self) -> np.ndarray:
-        return self.to_sparse().toarray()
+        dim = 1 << self.num_qubits
+        rows, cols, vals = self._entries()
+        out = np.zeros((dim, dim), dtype=np.complex128)
+        out[rows, cols] = vals
+        return out
 
     # -- dunder ----------------------------------------------------------------
 
@@ -292,7 +304,6 @@ class PauliSum:
         the compiled form; the returned :class:`SymplecticPauli` is
         immutable by convention — engine operations return new objects.
         """
-        from repro.ir.symplectic import SymplecticPauli
 
         if self._symp is None:
             self._symp = SymplecticPauli.from_pauli_sum(self)
@@ -506,10 +517,12 @@ class PauliSum:
 
     def ground_energy(self, k: int = 1) -> float:
         """Lowest eigenvalue by sparse diagonalization (reference values)."""
+        import scipy.sparse.linalg as spla
+
         mat = self.to_sparse()
         if mat.shape[0] <= 64:
             return float(np.linalg.eigvalsh(mat.toarray())[0])
-        vals = sp.linalg.eigsh(
+        vals = spla.eigsh(
             mat, k=k, which="SA", return_eigenvectors=False, maxiter=5000
         )
         return float(np.min(vals))

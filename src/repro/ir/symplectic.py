@@ -48,12 +48,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import obs
 from repro.utils.bitops import count_set_bits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    import scipy.sparse as sp
+
     from repro.ir.pauli import PauliSum
 
 __all__ = [
@@ -766,6 +767,8 @@ class SymplecticPauli:
         register stays cheap.  ``rows`` must not repeat (a repeated row
         has no single scatter target).
         """
+        import scipy.sparse as sp
+
         dim = 1 << self.num_qubits
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)

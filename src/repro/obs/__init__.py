@@ -43,7 +43,7 @@ from __future__ import annotations
 import weakref
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.dashboard import Dashboard
+from repro._lazy import name_table
 from repro.obs.events import (
     Event,
     EventBus,
@@ -64,17 +64,26 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.perf import (
-    CommMatrix,
-    CriticalPath,
-    ImbalanceStats,
-    PerfAnalysis,
-    RankTimeline,
-    critical_path,
-)
-from repro.obs.report import RunReport, as_plain_dict
-from repro.obs.slo import FLEET, SLOAlert, SLOConfig, SLOEngine, SLOReport
 from repro.obs.trace import NULL_SPAN, SpanRecord, Tracer
+
+# The analysis side (reports, perf attribution, SLOs, the dashboard)
+# runs after a solve or out of process, so it is imported on first use.
+_, __getattr__, __dir__ = name_table(
+    __name__,
+    {
+        "dashboard": ["Dashboard"],
+        "perf": [
+            "CommMatrix",
+            "CriticalPath",
+            "ImbalanceStats",
+            "PerfAnalysis",
+            "RankTimeline",
+            "critical_path",
+        ],
+        "report": ["RunReport", "as_plain_dict"],
+        "slo": ["FLEET", "SLOAlert", "SLOConfig", "SLOEngine", "SLOReport"],
+    },
+)
 
 __all__ = [
     "Tracer",
@@ -155,6 +164,10 @@ def configure(
         _TRACER.clock = clock
     _ENABLED = bool(enabled)
     _TRACER.enabled = _ENABLED
+    if _ENABLED:
+        # an enabled solve ends in collect_report: load the report side
+        # here, in set-up, rather than first inside the solve
+        from repro.obs import perf, report  # noqa: F401
 
 
 def enable() -> None:
@@ -259,6 +272,8 @@ def mem_track(obj: Any, category: str, nbytes: int, rank: Optional[int] = None) 
 
 def collect_report(**kwargs: Any) -> RunReport:
     """Build a :class:`RunReport` from the global tracer/registry."""
+    from repro.obs.report import RunReport
+
     return RunReport.collect(tracer=_TRACER, registry=_REGISTRY, memory=_MEMORY, **kwargs)
 
 

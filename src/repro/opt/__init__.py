@@ -1,29 +1,16 @@
 """Classical optimizers and gradients for the VQE loop."""
 
-from repro.opt.adam import Adam, GradientDescent
-from repro.opt.base import OptimizeResult, Optimizer
-from repro.opt.gradient import AnsatzObjective, finite_difference_gradient
-from repro.opt.nelder_mead import NelderMead
-from repro.opt.parameter_shift import (
-    parameter_shift_gradient,
-    supports_parameter_shift,
-)
-from repro.opt.scipy_wrap import BFGS, Cobyla, LBFGSB, ScipyOptimizer
-from repro.opt.spsa import SPSA
+from repro._lazy import name_table
 
-__all__ = [
-    "Optimizer",
-    "OptimizeResult",
-    "NelderMead",
-    "SPSA",
-    "Adam",
-    "GradientDescent",
-    "ScipyOptimizer",
-    "Cobyla",
-    "LBFGSB",
-    "BFGS",
-    "AnsatzObjective",
-    "finite_difference_gradient",
-    "parameter_shift_gradient",
-    "supports_parameter_shift",
-]
+__all__, __getattr__, __dir__ = name_table(
+    __name__,
+    {
+        "base": ["Optimizer", "OptimizeResult"],
+        "nelder_mead": ["NelderMead"],
+        "spsa": ["SPSA"],
+        "adam": ["Adam", "GradientDescent"],
+        "scipy_wrap": ["ScipyOptimizer", "Cobyla", "LBFGSB", "BFGS"],
+        "gradient": ["AnsatzObjective", "finite_difference_gradient"],
+        "parameter_shift": ["parameter_shift_gradient", "supports_parameter_shift"],
+    },
+)

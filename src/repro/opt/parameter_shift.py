@@ -27,9 +27,13 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Parameter
 from repro.ir.pauli import PauliSum
+from repro.sim.batched import reverse_value_and_gradient
+from repro.sim.expectation import expectation_direct
+from repro.sim.plan import compile_circuit
 
 __all__ = [
     "parameter_shift_gradient",
@@ -88,9 +92,6 @@ def parameter_shift_gradient(
     hardware-faithful two-term rule instead: two evaluations of bound
     circuits per parameter, each parameter in exactly one shift gate.
     """
-    from repro.sim.batched import reverse_value_and_gradient
-    from repro.sim.plan import compile_circuit
-
     names = circuit.parameters
     params = np.asarray(params, dtype=float)
     if params.shape != (len(names),):
@@ -142,10 +143,6 @@ def _prefix_parameter_shift_gradient(
     evaluation copies the base prefix and replays only the suffix —
     ~m * G kernel ops total instead of the naive 2 m G.
     """
-    from repro import obs
-    from repro.sim.expectation import expectation_direct
-    from repro.sim.plan import compile_circuit
-
     names = circuit.parameters
     plan = compile_circuit(circuit)
     base = np.zeros(plan.dim, dtype=np.complex128)

@@ -54,7 +54,10 @@ import numpy as np
 
 from repro import obs
 from repro.obs import events as obs_events
+from repro.core.adapt import AdaptVQE
 from repro.core.campaign import CampaignRunner
+from repro.core.counting import uccsd_gate_count
+from repro.core.vqe import VQE
 from repro.hpc.faults import FaultInjector, FaultSpec
 from repro.hpc.scheduler import BatchScheduler, Job
 from repro.serve.admission import AdmissionController, TenantPolicy
@@ -338,8 +341,6 @@ class _ServerState:
 def _uccsd_gates(num_qubits: int) -> int:
     """UCCSD gate count of one register width: the LPT estimate asks for
     it per queued job per tick, and it only depends on the width."""
-    from repro.core.counting import uccsd_gate_count
-
     return uccsd_gate_count(num_qubits)
 
 
@@ -374,8 +375,6 @@ class _JobExecution:
         self._adapt = None
         self._adapt_state = None
         if job.spec.kind == "adapt":
-            from repro.core.adapt import AdaptVQE
-
             self._adapt = AdaptVQE(
                 problem["hamiltonian"],
                 problem["pool"],
@@ -420,8 +419,6 @@ class _JobExecution:
         return None
 
     def _run_vqe(self) -> Dict[str, Any]:
-        from repro.core.vqe import VQE
-
         flight_context = {
             "job_id": self.job.job_id,
             "tenant": self.job.spec.tenant,

@@ -38,6 +38,8 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from repro.chem.molecule import h2, h2o, h4_chain, lih
+
 __all__ = [
     "SPEC_VERSION",
     "JobState",
@@ -354,8 +356,6 @@ def _group_memory(molecule: str, kind: str, size: int, hamiltonians: int) -> int
 
 def resolve_molecule(name: str, geometry: Optional[float] = None):
     """Build the molecule for a spec (factories take one scan param)."""
-    from repro.chem.molecule import h2, h2o, h4_chain, lih
-
     factories = {"h2": h2, "h2o": h2o, "h4": h4_chain, "lih": lih}
     try:
         factory = factories[name.lower()]

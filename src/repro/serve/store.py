@@ -43,8 +43,14 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
+from repro.chem.hamiltonian import build_molecular_hamiltonian
+from repro.chem.pools import uccsd_pool
+from repro.chem.reference import hartree_fock_state
+from repro.chem.scf import run_rhf
+from repro.chem.uccsd import build_uccsd_circuit, uccsd_generators
 from repro.obs.memory import TERM_BYTES
 from repro.serve.spec import JobSpec, resolve_molecule
+from repro.sim.plan import compile_circuit
 from repro.utils.jsonl import open_append, parse_lines
 
 __all__ = ["ContentStore", "ProblemCache", "read_warm_family"]
@@ -268,13 +274,6 @@ class ProblemCache:
         return problem
 
     def _build(self, spec: JobSpec) -> Dict[str, Any]:
-        from repro.chem.hamiltonian import build_molecular_hamiltonian
-        from repro.chem.pools import uccsd_pool
-        from repro.chem.reference import hartree_fock_state
-        from repro.chem.scf import run_rhf
-        from repro.chem.uccsd import build_uccsd_circuit, uccsd_generators
-        from repro.sim.plan import compile_circuit
-
         with obs.span(
             "serve.build_problem", molecule=spec.molecule, kind=spec.kind
         ):

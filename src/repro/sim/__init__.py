@@ -1,78 +1,45 @@
 """The NWQ-Sim substrate: statevector and density-matrix simulators,
 gate fusion, and expectation-value evaluation strategies."""
 
-from repro.sim.backend import Backend, available_backends, get_backend, register_backend
-from repro.sim.density_matrix import DensityMatrixSimulator
-from repro.sim.expectation import (
-    basis_change_circuit,
-    expectation_basis_rotated,
-    expectation_direct,
-    expectation_sampled,
-)
-from repro.sim.fusion import FusionResult, fuse_circuit
-from repro.sim.noise import (
-    AmplitudeDampingChannel,
-    BitFlipChannel,
-    DepolarizingChannel,
-    NoiseModel,
-    PhaseDampingChannel,
-    PhaseFlipChannel,
-)
-from repro.sim.batched import BatchedStatevectorSimulator
-from repro.sim.checkpoint import (
-    load_distributed,
-    load_statevector,
-    save_distributed,
-    save_statevector,
-)
-from repro.sim.evolution import GeneratorEvolution, apply_pauli_rotation, terms_commute
-from repro.sim.feynman import SchrodingerFeynmanSimulator, schmidt_decompose_gate
-from repro.sim.mitigation import (
-    ReadoutErrorModel,
-    fold_circuit,
-    mitigate_counts,
-    zne_expectation,
-)
-from repro.sim.plan import ExecutionPlan, PlanOp, compile_circuit
-from repro.sim.stabilizer import StabilizerSimulator, is_clifford_angle
-from repro.sim.statevector import StatevectorSimulator
+from repro._lazy import name_table
 
-__all__ = [
-    "StatevectorSimulator",
-    "ExecutionPlan",
-    "PlanOp",
-    "compile_circuit",
-    "BatchedStatevectorSimulator",
-    "StabilizerSimulator",
-    "is_clifford_angle",
-    "GeneratorEvolution",
-    "apply_pauli_rotation",
-    "terms_commute",
-    "save_statevector",
-    "load_statevector",
-    "save_distributed",
-    "load_distributed",
-    "fold_circuit",
-    "zne_expectation",
-    "ReadoutErrorModel",
-    "mitigate_counts",
-    "SchrodingerFeynmanSimulator",
-    "schmidt_decompose_gate",
-    "DensityMatrixSimulator",
-    "fuse_circuit",
-    "FusionResult",
-    "expectation_direct",
-    "expectation_basis_rotated",
-    "expectation_sampled",
-    "basis_change_circuit",
-    "Backend",
-    "get_backend",
-    "register_backend",
-    "available_backends",
-    "NoiseModel",
-    "DepolarizingChannel",
-    "AmplitudeDampingChannel",
-    "PhaseDampingChannel",
-    "BitFlipChannel",
-    "PhaseFlipChannel",
-]
+__all__, __getattr__, __dir__ = name_table(
+    __name__,
+    {
+        "statevector": ["StatevectorSimulator"],
+        "plan": ["ExecutionPlan", "PlanOp", "compile_circuit"],
+        "batched": ["BatchedStatevectorSimulator"],
+        "stabilizer": ["StabilizerSimulator", "is_clifford_angle"],
+        "evolution": ["GeneratorEvolution", "apply_pauli_rotation", "terms_commute"],
+        "checkpoint": [
+            "save_statevector",
+            "load_statevector",
+            "save_distributed",
+            "load_distributed",
+        ],
+        "mitigation": [
+            "fold_circuit",
+            "zne_expectation",
+            "ReadoutErrorModel",
+            "mitigate_counts",
+        ],
+        "feynman": ["SchrodingerFeynmanSimulator", "schmidt_decompose_gate"],
+        "density_matrix": ["DensityMatrixSimulator"],
+        "fusion": ["fuse_circuit", "FusionResult"],
+        "expectation": [
+            "expectation_direct",
+            "expectation_basis_rotated",
+            "expectation_sampled",
+            "basis_change_circuit",
+        ],
+        "backend": ["Backend", "get_backend", "register_backend", "available_backends"],
+        "noise": [
+            "NoiseModel",
+            "DepolarizingChannel",
+            "AmplitudeDampingChannel",
+            "PhaseDampingChannel",
+            "BitFlipChannel",
+            "PhaseFlipChannel",
+        ],
+    },
+)

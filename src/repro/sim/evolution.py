@@ -22,7 +22,6 @@ import math
 from typing import List, Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from repro.ir.compiled import compile_observable
 from repro.ir.pauli import PauliString, PauliSum
@@ -62,7 +61,10 @@ class GeneratorEvolution:
         if mask_clash(generator) is None:
             self._steps = [op.data for op in generator_ops(generator, 0)]
         else:
+            from scipy.sparse.linalg import expm_multiply
+
             self._sparse = generator.to_sparse()
+            self._expm_multiply = expm_multiply
 
     @property
     def exact_factorization(self) -> bool:
@@ -71,7 +73,7 @@ class GeneratorEvolution:
     def apply(self, state: np.ndarray, theta: float) -> np.ndarray:
         """Return exp(theta * A) @ state."""
         if self._steps is None:
-            return spla.expm_multiply(self._sparse * theta, state)
+            return self._expm_multiply(self._sparse * theta, state)
         dim = 1 << self.num_qubits
         if state.shape[0] != dim:
             raise ValueError(

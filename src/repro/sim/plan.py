@@ -57,7 +57,7 @@ On top of the flat op list, plans support cross-evaluation
 **prefix-state reuse**: consecutive ``execute`` calls record the last
 parameter vector, and intermediate states are parked at parametric-op
 boundaries (at most ``PREFIX_BUDGET`` of them, budgeted through
-:class:`repro.core.cache.PostAnsatzCache` device/host accounting).
+:class:`repro.sim.cache.PostAnsatzCache` device/host accounting).
 When only a suffix of the parameters changes — exactly the access
 pattern of parameter-shift gradients (2P shifted evaluations differing
 in one parameter) and ADAPT warm starts — the plan resumes from the
@@ -87,6 +87,7 @@ from repro.ir.compiled import compile_observable
 from repro.ir.gates import GATE_SET, Gate, Parameter
 from repro.ir.pauli import PauliString, PauliSum
 from repro.sim import kernels
+from repro.sim.cache import PostAnsatzCache
 from repro.sim.fusion import fuse_circuit
 from repro.utils.bitops import I_POW, basis_indices, popcount, sector_of
 
@@ -905,8 +906,6 @@ class ExecutionPlan:
     def clear_prefix_cache(self) -> None:
         """Drop parked prefix states (frees memory; never affects
         correctness — only future reuse opportunities)."""
-        from repro.core.cache import PostAnsatzCache  # lazy: avoids cycle
-
         self._prefix_cache = PostAnsatzCache(
             device_capacity_bytes=PREFIX_DEVICE_BYTES,
             max_entries=PREFIX_BUDGET,

@@ -1,33 +1,18 @@
 """Shared utilities: bit manipulation, linear algebra helpers, retries."""
 
-from repro.utils.bitops import (
-    bit_at,
-    count_set_bits,
-    flip_bit,
-    insert_zero_bit,
-    set_bit,
-)
-from repro.utils.linalg import (
-    is_hermitian,
-    is_unitary,
-    kron_all,
-    random_statevector,
-    random_unitary,
-)
-from repro.utils.retry import RetryExhaustedError, RetryPolicy, RetryStats
+from repro._lazy import name_table
 
-__all__ = [
-    "RetryExhaustedError",
-    "RetryPolicy",
-    "RetryStats",
-    "bit_at",
-    "count_set_bits",
-    "flip_bit",
-    "insert_zero_bit",
-    "set_bit",
-    "is_hermitian",
-    "is_unitary",
-    "kron_all",
-    "random_statevector",
-    "random_unitary",
-]
+__all__, __getattr__, __dir__ = name_table(
+    __name__,
+    {
+        "retry": ["RetryExhaustedError", "RetryPolicy", "RetryStats"],
+        "bitops": ["bit_at", "count_set_bits", "flip_bit", "insert_zero_bit", "set_bit"],
+        "linalg": [
+            "is_hermitian",
+            "is_unitary",
+            "kron_all",
+            "random_statevector",
+            "random_unitary",
+        ],
+    },
+)

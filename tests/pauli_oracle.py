@@ -4,8 +4,9 @@ These dict-of-terms loops are the oracle the packed symplectic engine
 (:mod:`repro.ir.symplectic`) is checked against: one Python iteration
 per term pair for products and commutators, a member-by-member
 qubit-wise-commutation test for grouping, a chain of two-term
-ladder products per fermionic term for the mappings, and "commute
-fully, then project" for Hermitian downfolding (the whole BCH series
+ladder products per fermionic term for the mappings, the quadruple
+loop over spin-orbital integrals that built the fermionic Hamiltonian,
+and "commute fully, then project" for Hermitian downfolding (the whole BCH series
 in dict arithmetic, then a per-term reference projection).  They live
 under ``tests/`` because nothing in the package runs them; the property
 tests in ``tests/test_symplectic.py``, the downfolding tests and the
@@ -149,6 +150,31 @@ def map_fermion_operator_per_term(
             acc = dot_per_term(acc, ladder(orb, dag))
         result = result + acc * coeff
     return result.chop(1e-14)
+
+
+def to_fermion_operator_loop(
+    mh: MolecularHamiltonian, threshold: float = 1e-12
+) -> FermionOperator:
+    """``MolecularHamiltonian.to_fermion_operator`` one integral at a
+    time: one-body entries, then two-body entries, in C order."""
+    h_so, g_so = mh.spin_orbital_tensors()
+    n_so = mh.num_spin_orbitals
+    terms = dict(FermionOperator.identity(mh.constant).terms)
+    for p in range(n_so):
+        for q in range(n_so):
+            c = h_so[p, q]
+            if abs(c) > threshold:
+                key = ((p, True), (q, False))
+                terms[key] = terms.get(key, 0.0) + c
+    for p in range(n_so):
+        for q in range(n_so):
+            for r in range(n_so):
+                for s in range(n_so):
+                    c = 0.5 * g_so[p, q, r, s]
+                    if abs(c) > threshold:
+                        key = ((p, True), (q, True), (s, False), (r, False))
+                        terms[key] = terms.get(key, 0.0) + c
+    return FermionOperator(terms)
 
 
 def project_onto_reference_per_term(

@@ -25,6 +25,7 @@ from repro.ir.symplectic import pack_masks
 from tests.pauli_oracle import (
     hermitian_downfold_oracle,
     project_onto_reference_per_term,
+    to_fermion_operator_loop,
 )
 
 
@@ -67,6 +68,15 @@ class TestMolecularHamiltonian:
         _, mh = h2o_system
         with pytest.raises(ValueError):
             mh.active_space([0, 1], [1, 2])
+
+    @pytest.mark.parametrize("factory", [h2, lih, h2o])
+    @pytest.mark.parametrize("threshold", [1e-12, 1e-3])
+    def test_fermion_operator_bit_equal_to_the_loop(self, factory, threshold):
+        """Same keys, same insertion order, same float values."""
+        mh = build_molecular_hamiltonian(run_rhf(factory()))
+        got = mh.to_fermion_operator(threshold).terms
+        want = to_fermion_operator_loop(mh, threshold).terms
+        assert list(got.items()) == list(want.items())
 
     def test_synthetic_symmetries(self):
         mh = synthetic_two_body_hamiltonian(4, seed=3)

@@ -5,7 +5,8 @@ The scalar McMurchie-Davidson routines below (one primitive pair or
 quartet per call, recursion per Hermite index) are the implementation
 ``repro.chem.integrals`` shipped before it was rewritten over arrays;
 they are kept here, arithmetic untouched, as the oracle the array
-engine is compared against.
+engine is compared against.  Their Boys function is scipy's ``hyp1f1``,
+which the engine no longer uses.
 """
 
 import math
@@ -13,11 +14,14 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 import pytest
+from scipy.special import gamma, gammainc, hyp1f1
 
 from repro.chem.basis import build_basis, primitive_norm
 from repro.chem.hamiltonian import build_molecular_hamiltonian
 from repro.chem.integrals import (
     HermitePairs,
+    _boys,
+    _hermite_coulomb as array_hermite_coulomb,
     boys,
     core_hamiltonian,
     dipole_matrices,
@@ -32,6 +36,11 @@ from repro.chem.mp2 import run_mp2
 from repro.chem.scf import run_rhf
 
 # -- scalar oracle ------------------------------------------------------------
+
+
+def _boys_hyp1f1(n, x):
+    """F_n(x) = 1F1(n + 1/2; n + 3/2; -x) / (2n + 1)."""
+    return hyp1f1(n + 0.5, n + 1.5, -np.asarray(x, dtype=float)) / (2 * n + 1)
 
 
 def _hermite_e(
@@ -123,7 +132,7 @@ def _hermite_coulomb(
         return memo[key]
     if t == u == v == 0:
         r2 = float(PC @ PC)
-        val = (-2.0 * p) ** n * boys(n, p * r2)
+        val = (-2.0 * p) ** n * float(_boys_hyp1f1(n, p * r2))
     elif t > 0:
         val = (t - 1) * _hermite_coulomb(t - 2, u, v, n + 1, p, PC, memo) if t > 1 else 0.0
         val += PC[0] * _hermite_coulomb(t - 1, u, v, n + 1, p, PC, memo)
@@ -432,7 +441,48 @@ class TestAgainstScalarOracle:
         assert np.allclose(eri, eri[0, 0, 0, 0], atol=1e-12) and eri[0, 0, 0, 0] > 0
 
 
+# x in [0, 60] dense, plus a log grid down to 1e-12 and up to 1e3
+BOYS_GRID = np.concatenate([np.linspace(0.0, 60.0, 120_001), np.logspace(-12, 3, 3_001)])
+
+
+def _relative(a, b):
+    return np.abs(a - b) / np.abs(b)
+
+
 class TestBoys:
+    @pytest.mark.parametrize("n", range(5))
+    def test_orders_the_integrals_use_match_hyp1f1(self, n):
+        """Orders 0..4 (an s/p basis) to 1e-14 relative, both as the
+        array ``_hermite_coulomb`` reads them and through ``boys``."""
+        ref = _boys_hyp1f1(n, BOYS_GRID)
+        assert _relative(_boys(n, BOYS_GRID), ref).max() <= 1e-14
+        some = BOYS_GRID[::97]
+        public = np.array([boys(n, x) for x in some])
+        assert _relative(public, _boys_hyp1f1(n, some)).max() <= 1e-14
+        if n == 0:  # R^0_000(alpha, X) = F_0(alpha |X|^2)
+            X = np.stack([np.sqrt(BOYS_GRID), np.zeros_like(BOYS_GRID), np.zeros_like(BOYS_GRID)])
+            assert _relative(array_hermite_coulomb((0, 0, 0), 1.0, X), ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_every_order_to_1e13(self, n):
+        """Orders 0..8 to 1e-13 relative.  ``hyp1f1`` itself drifts at
+        high order (1.6e-13 at n = 8, x ~ 49 against 40-digit
+        arithmetic), so the reference there is the better of it and the
+        independent incomplete-gamma form
+        F_n(x) = gamma(n + 1/2) P(n + 1/2, x) / (2 x^(n + 1/2)), which
+        is within 6e-14 everywhere but loses digits at tiny x."""
+        x = BOYS_GRID[BOYS_GRID > 0]
+        with np.errstate(all="ignore"):
+            via_gamma = gamma(n + 0.5) * gammainc(n + 0.5, x) / (2.0 * x ** (n + 0.5))
+        got = _boys(n, x)
+        err = np.fmin(_relative(got, _boys_hyp1f1(n, x)), _relative(got, via_gamma))
+        assert err.max() <= 1e-13
+        assert boys(n, 0.0) == 1.0 / (2 * n + 1)
+
+    def test_order_outside_the_table_rejected(self):
+        with pytest.raises(ValueError, match="Boys order 9"):
+            boys(9, 1.0)
+
     def test_f0_zero(self):
         assert np.isclose(boys(0, 0.0), 1.0)
 
@@ -570,6 +620,19 @@ class TestSCF:
         res = run_rhf(factory())
         assert res.converged
         assert abs(res.energy - energy) < 1e-10
+
+    @pytest.mark.parametrize(
+        "factory, energy",
+        [
+            (h2, -1.116684390004243),
+            (lih, -7.862026961314116),
+            (h2o, -74.96292819059059),
+        ],
+    )
+    def test_energies_pinned_to_the_hyp1f1_engine(self, factory, energy):
+        """The numpy Boys function moves no RHF energy by more than
+        1e-12 Ha from the engine that called scipy's ``hyp1f1``."""
+        assert abs(run_rhf(factory()).energy - energy) < 1e-12
 
     def test_non_finite_coordinate_rejected_up_front(self):
         mol = Molecule([Atom("H", (0.0, 0.0, 0.0)), Atom("H", (0.0, 0.0, float("nan")))])

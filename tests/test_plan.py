@@ -925,9 +925,11 @@ class TestGeneratorPlan:
         psi = reference.astype(np.complex128)
         for _ in range(4):
             h_psi = h.apply(psi)
-            screen = [2.0 * np.vdot(h_psi, compile_observable(op.generator).apply(psi)).real
-                      for op in pool]
-            chosen.append(int(np.argmax(np.abs(screen))))
+            screen = np.abs([2.0 * np.vdot(h_psi, compile_observable(op.generator).apply(psi)).real
+                             for op in pool])
+            # AdaptVQE's rule: spin partners tie exactly, so the lowest
+            # index within 1e-10 of the largest wins, not the round-off
+            chosen.append(int(np.flatnonzero(screen >= screen.max() * (1.0 - 1e-10))[0]))
             gens = [pool[k].generator for k in chosen]
 
             def energy(x, gens=gens):
