@@ -14,10 +14,11 @@ import pytest
 
 from _util import write_table
 from repro.chem.reference import hartree_fock_state
-from repro.ir.clifford import measure_general_group
-from repro.sim.expectation import basis_change_circuit, expectation_direct
-from repro.sim.statevector import StatevectorSimulator
-from repro.utils.bitops import count_set_bits
+from repro.sim.expectation import (
+    expectation_basis_rotated,
+    expectation_direct,
+    measure_general_group,
+)
 
 
 def test_measurement_strategy_ablation(benchmark, h2o_hamiltonian):
@@ -36,27 +37,7 @@ def test_measurement_strategy_ablation(benchmark, h2o_hamiltonian):
     per_term, qwc, gen = benchmark.pedantic(census, rounds=1, iterations=1)
 
     # qubit-wise: single-qubit basis gates per group
-    qwc_gates = 0
-    qwc_value = 0.0
-    sim = StatevectorSimulator(n)
-    idx = np.arange(1 << n, dtype=np.int64)
-    for group in qwc:
-        strings = [p for _, p in group]
-        if all(p.is_identity for p in strings):
-            qwc_value += sum(c.real for c, _ in group)
-            continue
-        circ = basis_change_circuit(strings, n)
-        qwc_gates += len(circ)
-        sim.set_state(state, copy=True)
-        sim.apply_circuit(circ)
-        probs = sim.probabilities()
-        for coeff, pstr in group:
-            if pstr.is_identity:
-                qwc_value += coeff.real
-            else:
-                mask = pstr.x | pstr.z
-                signs = 1.0 - 2.0 * (count_set_bits(idx & mask) & 1)
-                qwc_value += coeff.real * float(np.dot(probs, signs))
+    qwc_value, qwc_gates = expectation_basis_rotated(state, hq, return_gate_count=True)
 
     # general groups: Clifford rotations
     gen_gates = 0

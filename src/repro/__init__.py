@@ -30,7 +30,7 @@ __all__, __getattr__, __dir__ = name_table(
     {
         "ir": ["Circuit", "Gate", "Parameter", "PauliString", "PauliSum"],
         "obs": ["MetricsRegistry", "RunReport", "Tracer"],
-        "sim": ["StatevectorSimulator", "fuse_circuit", "get_backend"],
+        "sim": ["StatevectorSimulator", "fuse_circuit"],
     },
 )
 __all__ = ["__version__", "obs", *__all__]

@@ -18,6 +18,7 @@ and basis-change gates for both caching and non-caching strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro import obs
 from repro.ir.circuit import Circuit
 from repro.ir.pauli import PauliSum
 from repro.sim.cache import PostAnsatzCache
-from repro.sim.expectation import basis_change_circuit, diagonal_expectation
+from repro.sim.expectation import measure, measurement_table, qwc_table
 from repro.sim.plan import compile_circuit
 from repro.sim.statevector import StatevectorSimulator
 
@@ -86,28 +87,24 @@ class CachedEnergyEvaluator:
         self.ledger = GateLedger()
         self._sim = StatevectorSimulator(ansatz.num_qubits)
         if group_terms:
-            self._groups = hamiltonian.group_qubitwise_commuting()
+            self.num_groups = len(hamiltonian.group_qubitwise_commuting())
+            self._table = qwc_table(hamiltonian)
         else:
-            self._groups = [[(c, p)] for c, p in hamiltonian]
-        self._basis_circuits = [
-            basis_change_circuit([p for _, p in g], ansatz.num_qubits)
-            for g in self._groups
-        ]
+            self.num_groups = hamiltonian.num_terms
+            self._table = measurement_table(
+                [[term] for term in hamiltonian], ansatz.num_qubits
+            )
 
-    @property
-    def num_groups(self) -> int:
-        return len(self._groups)
-
-    def _prepare(self, params: np.ndarray) -> np.ndarray:
+    def _run_ansatz(self, params: np.ndarray) -> np.ndarray:
+        """U(params)|0> in the evaluator's register (the live buffer)."""
         if self.ansatz.num_parameters:
-            plan = compile_circuit(self.ansatz)
-            state = self._sim.run_plan(plan, params)
+            state = self._sim.run_plan(compile_circuit(self.ansatz), params)
         else:
             state = self._sim.run(self.ansatz)
         self.ledger.ansatz_executions += 1
         # Fig. 3 counts source gates, however few kernel ops a plan runs
         self.ledger.ansatz_gates += len(self.ansatz)
-        return state.copy()
+        return state
 
     def energy(self, params: np.ndarray) -> float:
         with obs.span(
@@ -117,38 +114,17 @@ class CachedEnergyEvaluator:
 
     def _energy_impl(self, params: np.ndarray) -> float:
         params = np.atleast_1d(np.asarray(params, dtype=float))
-        cached: Optional[np.ndarray] = None
         if self.use_caching:
-            cached = self.cache.get(params)
-            if cached is None:
-                cached = self._prepare(params)
-                self.cache.put(params, cached)
+            state = self.cache.get(params)
+            if state is None:
+                state = self._run_ansatz(params).copy()
+                self.cache.put(params, state)
                 self.ledger.cache_misses += 1
-                if obs.enabled():
-                    obs.inc("repro_cache_misses_total", help="Post-ansatz cache misses")
             else:
                 self.ledger.cache_hits += 1
-                if obs.enabled():
-                    obs.inc("repro_cache_hits_total", help="Post-ansatz cache hits")
-
-        total = 0.0
-        for group, basis in zip(self._groups, self._basis_circuits):
-            strings = [p for _, p in group]
-            if all(p.is_identity for p in strings):
-                total += sum(c.real for c, _ in group)
-                continue
-            if self.use_caching:
-                self._sim.set_state(cached, copy=True)
-            else:
-                self._prepare(params)  # faithful re-execution per group
-            self._sim.apply_circuit(basis)
-            self.ledger.basis_gates += len(basis)
-            probs = self._sim.probabilities()
-            for coeff, pstr in group:
-                if pstr.is_identity:
-                    total += coeff.real
-                else:
-                    total += coeff.real * diagonal_expectation(
-                        probs, pstr.x | pstr.z
-                    )
-        return total
+        else:
+            # faithful re-execution: the ansatz runs again before every group
+            state = partial(self._run_ansatz, params)
+        value, gates = measure(state, self._table, self._sim)
+        self.ledger.basis_gates += gates
+        return value

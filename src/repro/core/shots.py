@@ -20,15 +20,13 @@ shots, against 0.0076 for the true-variance optimum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.ir.pauli import PauliString, PauliSum
-from repro.sim.expectation import basis_change_circuit, diagonal_expectation
+from repro.ir.pauli import PauliSum
+from repro.sim.expectation import measure, qwc_table
 from repro.sim.statevector import StatevectorSimulator
-from repro.utils.bitops import count_set_bits
 
 __all__ = ["allocate_shots", "sampled_energy_with_allocation"]
 
@@ -69,49 +67,19 @@ def sampled_energy_with_allocation(
 
     ``policy`` is ``"variance"`` (sqrt-weighted by the group coefficient
     1-norm squared — the worst-case variance bound, not the group's
-    actual variance) or ``"uniform"``.
+    actual variance) or ``"uniform"``.  Each qubit-wise group's shots
+    are drawn by :func:`repro.sim.expectation.measure`.
     """
-    rng = rng or np.random.default_rng()
-    n = hamiltonian.num_qubits
-    groups = hamiltonian.group_qubitwise_commuting()
-    # identity-only groups are free
-    measurable = []
-    constant = 0.0
-    for g in groups:
-        if all(p.is_identity for _, p in g):
-            constant += sum(c.real for c, _ in g)
-        else:
-            measurable.append(g)
-    if not measurable:
+    table = qwc_table(hamiltonian)
+    constant, groups = table
+    if not groups:  # identity-only groups are free
         return constant
     if policy == "variance":
-        weights = [sum(abs(c) for c, _ in g) ** 2 for g in measurable]
+        weights = [sum(abs(c) for c in g.coeffs) ** 2 for g in groups]
     elif policy == "uniform":
-        weights = [1.0] * len(measurable)
+        weights = [1.0] * len(groups)
     else:
         raise ValueError("policy must be 'variance' or 'uniform'")
     shots = allocate_shots(weights, total_shots)
-
-    sim = StatevectorSimulator(n)
-    total = constant
-    for g, s in zip(measurable, shots):
-        strings = [p for _, p in g]
-        circ = basis_change_circuit(strings, n)
-        sim.set_state(state, copy=True)
-        sim.apply_circuit(circ)
-        samples = sim.sample(s, rng)
-        # One (shots, terms) parity pass for the whole group instead of
-        # a Python loop over members.
-        ident = np.array([p.is_identity for _, p in g])
-        coeffs = np.array([c.real for c, _ in g])
-        total += float(coeffs[ident].sum())
-        z_masks = np.array(
-            [p.x | p.z for _, p in g if not p.is_identity], dtype=np.int64
-        )
-        if z_masks.size:
-            parities = (
-                count_set_bits(samples[:, None] & z_masks[None, :]) & 1
-            )
-            means = 1.0 - 2.0 * parities.mean(axis=0)
-            total += float(coeffs[~ident] @ means)
-    return total
+    sim = StatevectorSimulator(hamiltonian.num_qubits)
+    return measure(state, table, sim, shots, rng)[0]

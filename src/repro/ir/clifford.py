@@ -13,29 +13,28 @@ of distinct measured bases smaller.  This module provides:
 * ``diagonalizing_clifford`` — a circuit C with C P C^dag Z-type for
   every P in a commuting set, built by symplectic elimination:
   S fixes Y factors, CX collapses X supports, CZ clears residual Z's,
-  H converts the surviving X pivot to Z,
-* ``measure_general_group`` — expectation of every group member from
-  one rotated copy of a state.
+  H converts the surviving X pivot to Z.
 
-Used by the measurement-strategy ablation benchmark to quantify what
-smarter grouping buys over the paper's qubit-wise scheme.
+:func:`repro.sim.expectation.measure_general_group` measures a group
+through that circuit; the measurement-strategy ablation benchmark uses
+it to quantify what smarter grouping buys over the paper's qubit-wise
+scheme.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Gate
-from repro.ir.pauli import PauliString, PauliSum
+from repro.ir.pauli import PauliString
 
 __all__ = [
     "conjugate_pauli",
     "conjugate_through_circuit",
     "diagonalizing_clifford",
-    "measure_general_group",
 ]
 
 _SINGLE = {
@@ -178,33 +177,3 @@ def diagonalizing_clifford(
     if any(p.x for p in work):
         raise RuntimeError("diagonalization failed to terminate")
     return circuit
-
-
-def measure_general_group(
-    state: np.ndarray,
-    group: Sequence[Tuple[complex, PauliString]],
-    num_qubits: int,
-) -> Tuple[float, int]:
-    """Sum of coeff * <P> over a generally-commuting group, using one
-    shared Clifford rotation.  Returns (value, circuit gate count)."""
-    from repro.sim.statevector import StatevectorSimulator
-    from repro.utils.bitops import count_set_bits
-
-    strings = [p for _, p in group if not p.is_identity]
-    total = sum(c.real for c, p in group if p.is_identity)
-    if not strings:
-        return total, 0
-    circuit = diagonalizing_clifford(strings, num_qubits)
-    sim = StatevectorSimulator(num_qubits)
-    sim.set_state(state, copy=True)
-    sim.apply_circuit(circuit)
-    probs = sim.probabilities()
-    idx = np.arange(probs.shape[0], dtype=np.int64)
-    for coeff, pstr in group:
-        if pstr.is_identity:
-            continue
-        sign, rotated = conjugate_through_circuit(circuit, 1.0, pstr)
-        assert rotated.x == 0, "rotation failed to diagonalize a member"
-        signs = 1.0 - 2.0 * (count_set_bits(idx & rotated.z) & 1)
-        total += coeff.real * sign * float(np.dot(probs, signs))
-    return total, len(circuit)

@@ -251,8 +251,9 @@ class PauliSum:
     (downfolding) from blowing up.
 
     Expensive derived structures — the qubit-wise-commuting measurement
-    grouping and the compiled x-mask-batched form
-    (:mod:`repro.ir.compiled`) — are memoized on the instance and
+    grouping, its measurement table (:mod:`repro.sim.expectation`) and
+    the compiled x-mask-batched form (:mod:`repro.ir.compiled`) — are
+    memoized on the instance and
     invalidated by the mutating operations ``add_term`` / ``chop``.
     Code that mutates ``terms`` directly must call ``invalidate_caches``
     itself (nothing in this repository does).
@@ -263,6 +264,7 @@ class PauliSum:
         "terms",
         "_version",
         "_qwc_groups",
+        "_qwc_table",
         "_compiled",
         "_symp",
     )
@@ -278,6 +280,7 @@ class PauliSum:
         self._qwc_groups: Optional[
             List[List[Tuple[complex, PauliString]]]
         ] = None
+        self._qwc_table: Optional[object] = None
         self._compiled: Optional[object] = None
         self._symp: Optional[object] = None
 
@@ -294,6 +297,7 @@ class PauliSum:
         mutation."""
         self._version += 1
         self._qwc_groups = None
+        self._qwc_table = None
         self._compiled = None
         self._symp = None
 

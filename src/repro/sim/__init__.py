@@ -32,7 +32,6 @@ __all__, __getattr__, __dir__ = name_table(
             "expectation_sampled",
             "basis_change_circuit",
         ],
-        "backend": ["Backend", "get_backend", "register_backend", "available_backends"],
         "noise": [
             "NoiseModel",
             "DepolarizingChannel",

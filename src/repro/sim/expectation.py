@@ -1,7 +1,6 @@
 """Expectation-value evaluation strategies (paper §4.2).
 
-Three evaluation paths, in decreasing order of "exactness" and
-increasing order of hardware faithfulness:
+Two ways to turn a state into <H>:
 
 ``expectation_direct``
     The paper's direct method: compute <psi|H|psi> from the full
@@ -9,28 +8,28 @@ increasing order of hardware faithfulness:
     circuits, no sampling noise.  This is NWQ-Sim's chemistry-mode
     fast path.
 
-``expectation_basis_rotated``
-    The measurement-faithful path: for each qubit-wise-commuting group
-    of Pauli terms, apply the shared basis-change circuit to a copy of
-    the (cached) post-ansatz state and reduce the diagonal.  Exact like
-    the direct method, but exercises the same circuit suffixes a real
-    device would run — this is the path whose gate count Fig. 3
-    measures.
-
-``expectation_sampled``
-    The traditional baseline the paper compares against (§4.2.1):
-    finite-shot sampling from the rotated state, with statistical
-    error ~ 1/sqrt(shots).
+``measure``
+    The measured expectation, and the only code that rotates a state
+    for measurement.  An observable becomes a *measurement table*: one
+    row per measured group holding the group's basis-change circuit,
+    its real coefficients and the Z-masks its members become after the
+    rotation.  Per row, ``measure`` rotates a copy of the (cached,
+    §4.1) post-ansatz state, takes the exact probabilities or draws
+    shots (§4.2.1), and reduces every member's parity in one pass.
+    ``expectation_basis_rotated`` (the Fig. 3 caching mode),
+    ``expectation_sampled``, ``measure_general_group``, the caching
+    evaluator and the shot-allocation policies are thin callers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs
 from repro.ir.circuit import Circuit
+from repro.ir.clifford import conjugate_through_circuit, diagonalizing_clifford
 from repro.ir.compiled import CompiledPauliSum, compile_observable
 from repro.ir.pauli import PauliString, PauliSum
 from repro.sim.statevector import StatevectorSimulator
@@ -42,7 +41,27 @@ __all__ = [
     "expectation_basis_rotated",
     "expectation_sampled",
     "diagonal_expectation",
+    "MeasuredGroup",
+    "measurement_table",
+    "qwc_table",
+    "measure",
+    "measure_general_group",
 ]
+
+Group = Sequence[Tuple[complex, PauliString]]
+
+
+class MeasuredGroup(NamedTuple):
+    """One measured basis: after ``basis``, member i contributes
+    ``coeffs[i] * <Z^masks[i]>`` (mask 0 is an identity member)."""
+
+    basis: Circuit
+    coeffs: np.ndarray
+    masks: np.ndarray
+
+
+# (sum of the identity-only groups, the groups that need a rotation)
+MeasurementTable = Tuple[float, List[MeasuredGroup]]
 
 
 def basis_change_circuit(group: Sequence[PauliString], num_qubits: int) -> Circuit:
@@ -68,12 +87,22 @@ def basis_change_circuit(group: Sequence[PauliString], num_qubits: int) -> Circu
     return circ
 
 
-def diagonal_expectation(probabilities: np.ndarray, z_mask: int) -> float:
-    """<Z-string> from outcome probabilities: sum_b p_b (-1)^parity(b & mask)."""
-    dim = probabilities.shape[0]
-    idx = basis_indices(dim.bit_length() - 1)
-    signs = 1.0 - 2.0 * (count_set_bits(idx & z_mask) & 1)
-    return float(np.dot(probabilities, signs))
+def diagonal_expectation(weights: np.ndarray, z_masks) -> np.ndarray:
+    """sum_b weights_b (-1)^parity(b & m) for a mask m or an array of
+    masks: <Z^m> when ``weights`` are outcome probabilities.
+
+    All masks share one parity pass over the basis indices, taken in
+    slices of at most 2^20 (index, mask) pairs to bound the temporary.
+    """
+    masks = np.asarray(z_masks, dtype=np.int64)
+    flat = masks.reshape(-1)
+    idx = basis_indices(weights.shape[0].bit_length() - 1)[:, None]
+    step = max(1, (1 << 20) // idx.shape[0])
+    values = np.empty(flat.size)
+    for lo in range(0, flat.size, step):
+        parity = count_set_bits(idx & flat[lo:lo + step]) & 1
+        values[lo:lo + step] = weights @ (1.0 - 2.0 * parity)
+    return values.reshape(masks.shape)
 
 
 def expectation_direct(
@@ -96,15 +125,117 @@ def expectation_direct(
         passes=compiled.num_passes,
     ):
         val = compiled.expectation(state)
-    if obs.enabled():
-        obs.inc(
-            "repro_expectation_evaluations_total",
-            help="Expectation evaluations by method",
-            labels={"method": "direct"},
-        )
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise ValueError(f"non-Hermitian observable: <H> = {val}")
     return float(val.real)
+
+
+# -- the measurement table -------------------------------------------------------
+
+
+def _qwc_rotation(group: Group, num_qubits: int):
+    basis = basis_change_circuit([p for _, p in group], num_qubits)
+    return basis, [(c.real, p.x | p.z) for c, p in group]
+
+
+def _clifford_rotation(group: Group, num_qubits: int):
+    basis = diagonalizing_clifford(
+        [p for _, p in group if not p.is_identity], num_qubits
+    )
+    members = []
+    for coeff, pstr in group:
+        sign, rotated = conjugate_through_circuit(basis, 1.0, pstr)
+        assert rotated.x == 0, "rotation failed to diagonalize a member"
+        members.append((coeff.real * sign, rotated.z))
+    return basis, members
+
+
+def _table(groups: Sequence[Group], num_qubits: int, rotation) -> MeasurementTable:
+    constant = 0.0
+    rows: List[MeasuredGroup] = []
+    for group in groups:
+        for coeff, pstr in group:
+            if abs(coeff.imag) > 1e-10:
+                raise ValueError(
+                    f"non-Hermitian hamiltonian: term {pstr.label()} has "
+                    f"coefficient {coeff}"
+                )
+        if all(p.is_identity for _, p in group):
+            constant += sum(c.real for c, _ in group)
+            continue
+        basis, members = rotation(group, num_qubits)
+        coeffs, masks = zip(*members)
+        rows.append(
+            MeasuredGroup(basis, np.array(coeffs), np.array(masks, dtype=np.int64))
+        )
+    return constant, rows
+
+
+def measurement_table(groups: Sequence[Group], num_qubits: int) -> MeasurementTable:
+    """The table of qubit-wise commuting ``groups``: each is rotated by
+    single-qubit basis changes, and a member keeps its support as its
+    Z-mask.  Groups of identity terms only fold into the constant.
+    Raises ``ValueError`` on a complex coefficient."""
+    return _table(groups, num_qubits, _qwc_rotation)
+
+
+def qwc_table(hamiltonian: PauliSum) -> MeasurementTable:
+    """:func:`measurement_table` of the qubit-wise commuting grouping,
+    memoized on the ``PauliSum`` beside the grouping itself (dropped by
+    ``add_term``/``chop``)."""
+    if hamiltonian._qwc_table is None:
+        hamiltonian._qwc_table = measurement_table(
+            hamiltonian.group_qubitwise_commuting(), hamiltonian.num_qubits
+        )
+    return hamiltonian._qwc_table
+
+
+# -- the measured expectation ----------------------------------------------------
+
+
+def measure(
+    state: Union[np.ndarray, Callable[[], np.ndarray]],
+    table: MeasurementTable,
+    sim: StatevectorSimulator,
+    shots: Union[None, int, Sequence[int]] = None,
+    rng: Optional[np.random.Generator] = None,
+) -> Tuple[float, int]:
+    """``(<H>, basis-change gates run)`` over a measurement table.
+
+    Per row: load a copy of ``state`` into ``sim`` (a callable is
+    called first — the non-caching mode re-prepares the ansatz for
+    every group), apply the row's basis change, then reduce every
+    member's parity against the exact probabilities (``shots`` None)
+    or against ``sim.sample`` draws (``shots`` an int for every row,
+    or one count per row).  Rows draw in table order.
+    """
+    constant, rows = table
+    if shots is not None:
+        if np.any(np.asarray(shots) < 1):
+            raise ValueError(f"shots_per_group must be at least 1, got {np.min(shots)}")
+        rng = rng or np.random.default_rng()
+    per_row = np.broadcast_to(0 if shots is None else shots, (len(rows),))
+    total = constant
+    gates = 0
+    for row, count in zip(rows, per_row):
+        sim.set_state(state() if callable(state) else state, copy=True)
+        sim.apply_circuit(row.basis)
+        gates += len(row.basis)
+        if shots is None:
+            values = diagonal_expectation(sim.probabilities(), row.masks)
+        else:
+            outcomes = np.bincount(sim.sample(int(count), rng), minlength=sim.dim)
+            values = diagonal_expectation(outcomes.astype(float), row.masks) / count
+        total += float(row.coeffs @ values)
+    return total, gates
+
+
+def _simulator(sim: Optional[StatevectorSimulator], num_qubits: int) -> StatevectorSimulator:
+    if sim is None:
+        return StatevectorSimulator(num_qubits)
+    if sim.num_qubits != num_qubits:
+        raise ValueError("simulator width does not match observable")
+    return sim
 
 
 def expectation_basis_rotated(
@@ -115,62 +246,23 @@ def expectation_basis_rotated(
 ) -> "float | Tuple[float, int]":
     """Exact <H> via shared-basis rotations of a cached state.
 
-    For each qubit-wise-commuting group: copy the post-ansatz state,
-    apply the group's basis-change circuit, and reduce each member term
-    against the rotated probability vector.  The returned gate count is
-    the number of *additional* gates beyond the single ansatz execution
-    — the caching-mode cost of Fig. 3.
+    :func:`measure` over the qubit-wise-commuting groups.  The returned
+    gate count is the number of *additional* gates beyond the single
+    ansatz execution — the caching-mode cost of Fig. 3.
 
     ``sim`` lets repeated evaluations (estimators, Fig. 3 sweeps) reuse
     one simulator instead of allocating a fresh 2^n register per call;
-    the measurement grouping itself is memoized on the ``PauliSum``.
+    the measurement table itself is memoized on the ``PauliSum``.
     """
     n = hamiltonian.num_qubits
-    if sim is None:
-        sim = StatevectorSimulator(n)
-    elif sim.num_qubits != n:
-        raise ValueError("simulator width does not match observable")
-    total = 0.0
-    extra_gates = 0
+    sim = _simulator(sim, n)
     rotation_span = obs.span("sim.expectation_basis_rotated", qubits=n)
-    if obs.enabled():
-        obs.inc(
-            "repro_expectation_evaluations_total",
-            help="Expectation evaluations by method",
-            labels={"method": "basis_rotated"},
-        )
     with rotation_span:
-        total, extra_gates = _basis_rotated_sum(sim, state, hamiltonian)
+        total, extra_gates = measure(state, qwc_table(hamiltonian), sim)
     rotation_span.set_attribute("extra_gates", extra_gates)
     if return_gate_count:
         return total, extra_gates
     return total
-
-
-def _basis_rotated_sum(
-    sim: StatevectorSimulator, state: np.ndarray, hamiltonian: PauliSum
-) -> Tuple[float, int]:
-    total = 0.0
-    extra_gates = 0
-    n = hamiltonian.num_qubits
-    for group in hamiltonian.group_qubitwise_commuting():
-        strings = [p for _, p in group]
-        circ = basis_change_circuit(strings, n)
-        identity_only = all(p.is_identity for p in strings)
-        if identity_only:
-            total += sum(c.real for c, _ in group)
-            continue
-        sim.set_state(state, copy=True)
-        sim.apply_circuit(circ)
-        extra_gates += len(circ)
-        probs = sim.probabilities()
-        for coeff, pstr in group:
-            if pstr.is_identity:
-                total += coeff.real
-                continue
-            z_mask = pstr.x | pstr.z  # support becomes Z-type after rotation
-            total += coeff.real * diagonal_expectation(probs, z_mask)
-    return total, extra_gates
 
 
 def expectation_sampled(
@@ -180,42 +272,25 @@ def expectation_sampled(
     rng: Optional[np.random.Generator] = None,
     sim: Optional[StatevectorSimulator] = None,
 ) -> float:
-    """Finite-shot estimate of <H> (the traditional baseline, §4.2.1).
+    """Finite-shot estimate of <H> (the traditional baseline, §4.2.1):
+    :func:`measure` with ``shots_per_group`` draws per qubit-wise group.
 
     ``sim`` lets repeated evaluations reuse one simulator; the
-    measurement grouping is memoized on the ``PauliSum``.
+    measurement table is memoized on the ``PauliSum``.
     """
-    rng = rng or np.random.default_rng()
     n = hamiltonian.num_qubits
-    if sim is None:
-        sim = StatevectorSimulator(n)
-    elif sim.num_qubits != n:
-        raise ValueError("simulator width does not match observable")
-    total = 0.0
-    sampling_span = obs.span(
+    sim = _simulator(sim, n)
+    with obs.span(
         "sim.expectation_sampled", qubits=n, shots_per_group=shots_per_group
-    )
-    if obs.enabled():
-        obs.inc(
-            "repro_expectation_evaluations_total",
-            help="Expectation evaluations by method",
-            labels={"method": "sampled"},
-        )
-    with sampling_span:
-        for group in hamiltonian.group_qubitwise_commuting():
-            strings = [p for _, p in group]
-            if all(p.is_identity for p in strings):
-                total += sum(c.real for c, _ in group)
-                continue
-            circ = basis_change_circuit(strings, n)
-            sim.set_state(state, copy=True)
-            sim.apply_circuit(circ)
-            samples = sim.sample(shots_per_group, rng)
-            for coeff, pstr in group:
-                if pstr.is_identity:
-                    total += coeff.real
-                    continue
-                z_mask = pstr.x | pstr.z
-                signs = 1.0 - 2.0 * (count_set_bits(samples & z_mask) & 1)
-                total += coeff.real * float(np.mean(signs))
-    return total
+    ):
+        return measure(state, qwc_table(hamiltonian), sim, shots_per_group, rng)[0]
+
+
+def measure_general_group(
+    state: np.ndarray, group: Group, num_qubits: int
+) -> Tuple[float, int]:
+    """Sum of coeff * <P> over a generally-commuting group, using one
+    shared Clifford rotation (:func:`repro.ir.clifford.diagonalizing_clifford`).
+    Returns (value, circuit gate count)."""
+    table = _table([group], num_qubits, _clifford_rotation)
+    return measure(state, table, StatevectorSimulator(num_qubits))

@@ -9,11 +9,10 @@ from repro.ir.clifford import (
     conjugate_pauli,
     conjugate_through_circuit,
     diagonalizing_clifford,
-    measure_general_group,
 )
 from repro.ir.gates import Gate
 from repro.ir.pauli import PauliString, PauliSum
-from repro.sim.expectation import expectation_direct
+from repro.sim.expectation import expectation_direct, measure_general_group
 from repro.utils.linalg import random_statevector
 from tests.test_stabilizer_cafqa import random_clifford_circuit
 

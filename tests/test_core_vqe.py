@@ -154,6 +154,21 @@ class TestEstimators:
         est.estimate(bound, hq)
         assert est.extra_gates > 0
 
+    def test_vqe_reaches_same_energy_with_direct_and_caching(self, h2_setup):
+        """The circuit-mode VQE driver is estimator-agnostic: direct and
+        caching estimators agree on the optimized H2 energy."""
+        _, hq, _ = h2_setup
+        ansatz = build_uccsd_circuit(4, 2).circuit
+        energies = {
+            name: VQE(
+                hq, ansatz=ansatz,
+                estimator=make_estimator(name),
+                optimizer=Cobyla(max_iterations=500),
+            ).run().energy
+            for name in ("direct", "caching")
+        }
+        assert np.isclose(energies["direct"], energies["caching"], atol=1e-6)
+
     def test_unknown_estimator(self):
         with pytest.raises(KeyError):
             make_estimator("magic")

@@ -4,6 +4,7 @@ direct, basis-rotated (measurement-faithful), and sampled."""
 import numpy as np
 import pytest
 
+from repro.core.shots import sampled_energy_with_allocation
 from repro.ir.circuit import Circuit
 from repro.ir.pauli import PauliString, PauliSum
 from repro.sim.expectation import (
@@ -149,3 +150,30 @@ class TestStrategyAgreement:
         assert np.isclose(d, r, atol=1e-9)
         zz = PauliString.from_label("ZZ").expectation(state).real
         assert np.isclose(d, 2.5 + zz, atol=1e-9)
+
+
+class TestMeasuredInputValidation:
+    """The measured paths refuse bad input before any rotation or draw."""
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda s, h: expectation_basis_rotated(s, h),
+            lambda s, h: expectation_sampled(s, h, 100, rng=np.random.default_rng(0)),
+            lambda s, h: sampled_energy_with_allocation(s, h, 1000),
+        ],
+        ids=["basis_rotated", "sampled", "allocated"],
+    )
+    def test_non_hermitian_observable_rejected(self, evaluate):
+        state = np.zeros(4, dtype=complex)
+        state[0] = 1.0
+        h = PauliSum.from_label_dict({"ZI": 1 + 0.5j})
+        with pytest.raises(ValueError, match="non-Hermitian hamiltonian: term ZI"):
+            evaluate(state, h)
+
+    @pytest.mark.parametrize("shots", [0, -5])
+    def test_fewer_than_one_shot_rejected(self, shots):
+        state = np.zeros(4, dtype=complex)
+        state[0] = 1.0
+        with pytest.raises(ValueError, match="shots_per_group must be at least 1"):
+            expectation_sampled(state, toy_hamiltonian(), shots_per_group=shots)
