@@ -363,10 +363,10 @@ def nonhermitian_downfold_energy(
     if idx_a.size == 0:
         raise ValueError("active reference block is empty")
 
-    h_aa = h_q.matrix_block(idx_a, idx_a).toarray()
-    h_ax = h_q.matrix_block(idx_a, idx_x).toarray()
-    h_xa = h_q.matrix_block(idx_x, idx_a).toarray()
-    h_xx = h_q.matrix_block(idx_x, idx_x).toarray()
+    h_aa = h_q.matrix_block(idx_a, idx_a)
+    h_ax = h_q.matrix_block(idx_a, idx_x)
+    h_xa = h_q.matrix_block(idx_x, idx_a)
+    h_xx = h_q.matrix_block(idx_x, idx_x)
 
     e = float(energy_guess) if energy_guess is not None else float(
         np.min(np.real(np.diag(h_aa)))

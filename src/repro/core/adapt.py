@@ -29,7 +29,7 @@ from repro.ir.compiled import compile_observable
 from repro.ir.pauli import PauliSum
 from repro.opt.base import Optimizer
 from repro.opt.gradient import AnsatzObjective
-from repro.opt.scipy_wrap import LBFGSB
+from repro.opt.lbfgs import LBFGSB
 from repro.utils.bitops import basis_indices, sector_of
 
 __all__ = [
@@ -140,7 +140,8 @@ class AdaptVQE:
     reference_state:
         Starting state (Hartree–Fock determinant).
     optimizer:
-        Inner optimizer; defaults to L-BFGS-B on adjoint gradients.
+        Inner optimizer; defaults to the numpy L-BFGS
+        (:class:`repro.opt.lbfgs.LBFGSB`) on adjoint gradients.
     gradient_tolerance:
         Stop when the largest pool gradient falls below this.
     energy_tolerance:

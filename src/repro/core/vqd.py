@@ -29,7 +29,7 @@ from repro.ir.compiled import compile_observable
 from repro.ir.pauli import PauliSum
 from repro.opt.base import Optimizer
 from repro.opt.gradient import AnsatzObjective
-from repro.opt.scipy_wrap import LBFGSB
+from repro.opt.lbfgs import LBFGSB
 
 __all__ = ["VQDResult", "run_vqd"]
 
@@ -92,6 +92,9 @@ def run_vqd(
     beta:
         Deflation weight; defaults to twice the Pauli 1-norm of H
         (a rigorous upper bound on any gap).
+    optimizer:
+        Defaults to the numpy L-BFGS (:class:`repro.opt.lbfgs.LBFGSB`)
+        with at most 500 iterations.
     restarts:
         Random restarts per excited state (the deflated landscape has
         more local minima than the ground-state one).

@@ -36,7 +36,7 @@ from repro.ir.pauli import PauliSum
 from repro.core.estimator import DirectEstimator, Estimator
 from repro.opt.base import Optimizer, OptimizeResult
 from repro.opt.gradient import AnsatzObjective, GradientFusion
-from repro.opt.scipy_wrap import LBFGSB
+from repro.opt.lbfgs import LBFGSB
 from repro.sim.batched import reverse_mode_blocker
 from repro.sim.plan import compile_circuit
 
@@ -79,6 +79,10 @@ class VQE:
 
         vqe = VQE(hamiltonian, ansatz=circuit, estimator=make_estimator("caching"))
         result = vqe.run()
+
+    The default ``optimizer`` is the numpy L-BFGS
+    (:class:`repro.opt.lbfgs.LBFGSB`); it takes forward differences
+    when the estimator gives no gradient.
     """
 
     def __init__(

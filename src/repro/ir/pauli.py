@@ -503,33 +503,26 @@ class PauliSum:
         """<state| H |state> (direct, no sampling)."""
         return complex(np.vdot(state, self.apply(state)))
 
-    def matrix_block(self, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
-        """``<rows| H |cols>`` for arrays of basis-state indices, built
-        from the packed symplectic form in O(terms x len(cols)) — the
-        2^n x 2^n matrix is never formed, so symmetry-sector blocks
+    def matrix_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Dense ``<rows| H |cols>`` for arrays of basis-state indices,
+        built from the packed symplectic form in O(terms x len(cols)) —
+        the 2^n x 2^n matrix is never formed, so symmetry-sector blocks
         (FCI, Loewdin partitioning) cost what the sector costs.  See
-        :meth:`repro.ir.symplectic.SymplecticPauli.matrix_block`."""
+        :meth:`repro.ir.symplectic.SymplecticPauli.block_entries`."""
         return self.to_symplectic().matrix_block(rows, cols)
 
     def to_sparse(self) -> sp.csr_matrix:
-        """Sparse matrix of the whole sum (the block over every index)."""
+        """Sparse matrix of the whole sum, from the same entries as
+        :meth:`matrix_block` over every index."""
+        import scipy.sparse as sp
+
         idx = basis_indices(self.num_qubits)
-        return self.matrix_block(idx, idx)
+        r, c, values, shape = self.to_symplectic().block_entries(idx, idx)
+        return sp.csr_matrix((values, (r, c)), shape=shape)
 
     def to_matrix(self) -> np.ndarray:
-        return self.to_sparse().toarray()
-
-    def ground_energy(self, k: int = 1) -> float:
-        """Lowest eigenvalue by sparse diagonalization (reference values)."""
-        import scipy.sparse.linalg as spla
-
-        mat = self.to_sparse()
-        if mat.shape[0] <= 64:
-            return float(np.linalg.eigvalsh(mat.toarray())[0])
-        vals = spla.eigsh(
-            mat, k=k, which="SA", return_eigenvectors=False, maxiter=5000
-        )
-        return float(np.min(vals))
+        idx = basis_indices(self.num_qubits)
+        return self.matrix_block(idx, idx)
 
     # -- measurement grouping (shared bases, §4.1) ---------------------------------
 

@@ -53,8 +53,6 @@ from repro import obs
 from repro.utils.bitops import count_set_bits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    import scipy.sparse as sp
-
     from repro.ir.pauli import PauliSum
 
 __all__ = [
@@ -757,18 +755,26 @@ class SymplecticPauli:
                 d[m] += weights[sub] @ signs
         return masks, d
 
-    def matrix_block(self, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
-        """``<rows| H |cols>`` for arrays of basis-state indices.
+    def matrix_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Dense ``<rows| H |cols>`` for arrays of basis-state indices,
+        scattered from :meth:`block_entries`."""
+        r, c, values, shape = self.block_entries(rows, cols)
+        out = np.zeros(shape, dtype=np.complex128)
+        out[r, c] = values
+        return out
+
+    def block_entries(
+        self, rows: np.ndarray, cols: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, int]]:
+        """``(r, c, values, shape)``: the nonzero entries of ``<rows| H
+        |cols>``, each ``(r, c)`` once.
 
         Each column's amplitudes land on ``cols ^ x``; those that fall
-        in ``rows`` are scattered into one COO assembly.  On a subset
-        of the columns the cost is O(terms x len(cols)) and nothing of
-        size 2^n is allocated, so a symmetry-sector block of a wide
-        register stays cheap.  ``rows`` must not repeat (a repeated row
-        has no single scatter target).
+        in ``rows`` are kept.  On a subset of the columns the cost is
+        O(terms x len(cols)) and nothing of size 2^n is allocated, so a
+        symmetry-sector block of a wide register stays cheap.  ``rows``
+        must not repeat (a repeated row has no single target).
         """
-        import scipy.sparse as sp
-
         dim = 1 << self.num_qubits
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -785,13 +791,14 @@ class SymplecticPauli:
             raise ValueError("rows holds a repeated basis index")
         shape = (rows.size, cols.size)
         if rows.size == 0:  # no slot to clip the search to
-            return sp.csr_matrix(shape, dtype=np.complex128)
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, np.zeros(0, dtype=np.complex128), shape
         every = cols.size == dim and np.array_equal(cols, np.arange(dim))
         masks, d = self.x_mask_diagonals(None if every else cols)
         target = cols[None, :] ^ masks[:, None]
         slot = np.minimum(np.searchsorted(sorted_rows, target), rows.size - 1)
         m, c = np.nonzero((sorted_rows[slot] == target) & (d != 0))
-        return sp.csr_matrix((d[m, c], (by_value[slot[m, c]], c)), shape=shape)
+        return by_value[slot[m, c]], c, d[m, c], shape
 
 
 def _walsh_hadamard(d: np.ndarray) -> None:

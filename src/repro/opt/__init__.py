@@ -9,8 +9,14 @@ __all__, __getattr__, __dir__ = name_table(
         "nelder_mead": ["NelderMead"],
         "spsa": ["SPSA"],
         "adam": ["Adam", "GradientDescent"],
-        "scipy_wrap": ["ScipyOptimizer", "Cobyla", "LBFGSB", "BFGS"],
+        "lbfgs": ["LBFGSB", "LBFGSState"],
+        "scipy_wrap": ["ScipyOptimizer", "Cobyla", "BFGS"],
         "gradient": ["AnsatzObjective", "finite_difference_gradient"],
         "parameter_shift": ["parameter_shift_gradient", "supports_parameter_shift"],
     },
 )
+
+# The drivers' default optimizer loads with the package, so the
+# Optimizer subclasses a default run calls all exist once ``repro.opt``
+# is imported (tools that wrap ``Optimizer`` subclasses see it).
+from repro.opt import lbfgs  # noqa: E402,F401

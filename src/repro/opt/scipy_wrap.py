@@ -1,9 +1,9 @@
 """Adapters exposing SciPy minimizers through the Optimizer interface.
 
-COBYLA and (L-)BFGS are the optimizers the XACC VQE workflow typically
-drives; wrapping them keeps the driver code backend-agnostic while the
-self-contained optimizers (Nelder–Mead, SPSA, Adam) remain available
-where SciPy's are unsuitable.
+COBYLA and BFGS run ``scipy.optimize.minimize``, which is imported on
+the first ``minimize`` call, not with this module.  ``LBFGSB``, the
+drivers' default, is the numpy L-BFGS of :mod:`repro.opt.lbfgs`,
+re-exported here under its historical import path.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 
 from repro.opt.base import OptimizeResult, Optimizer
+from repro.opt.lbfgs import LBFGSB
 
 __all__ = ["ScipyOptimizer", "Cobyla", "LBFGSB", "BFGS"]
 
@@ -33,6 +33,8 @@ class ScipyOptimizer(Optimizer):
         x0: np.ndarray,
         gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> OptimizeResult:
+        from scipy.optimize import minimize as scipy_minimize
+
         history: List[float] = []
 
         def wrapped(x: np.ndarray) -> float:
@@ -66,14 +68,6 @@ class Cobyla(ScipyOptimizer):
 
     def __init__(self, max_iterations: int = 2000, rhobeg: float = 0.5, tol: float = 1e-9):
         super().__init__("COBYLA", max_iterations=max_iterations, tol=tol, rhobeg=rhobeg)
-
-
-class LBFGSB(ScipyOptimizer):
-    """L-BFGS-B with analytic gradients — fastest converger on
-    noiseless (direct-expectation) energy surfaces."""
-
-    def __init__(self, max_iterations: int = 1000, tol: float = 1e-10):
-        super().__init__("L-BFGS-B", max_iterations=max_iterations, tol=tol)
 
 
 class BFGS(ScipyOptimizer):

@@ -11,6 +11,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 import repro
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -112,6 +114,75 @@ def test_adapt_run_imports_nothing_after_construction():
         print(sorted(set(sys.modules) - before))
     """)
     assert out == "[]"
+
+
+SOLVE_MODULES = (
+    "repro.core.vqe, repro.core.adapt, repro.core.workflow, repro.serve, "
+    "repro.chem.fci, repro.opt.scipy_wrap"
+)
+
+
+def test_solve_modules_load_no_scipy_submodule():
+    """The drivers, their default optimizer and the FCI reference."""
+    assert _run(f"import sys, {SOLVE_MODULES}; print({_SCIPY})") == "[]"
+
+
+# molecule -> energy on the default optimizer and FCI, one per driver
+SCIPY_FREE_RUNS = {
+    "circuit_vqe": """
+        from repro.chem.hamiltonian import build_molecular_hamiltonian
+        from repro.chem.molecule import h2
+        from repro.chem.scf import run_rhf
+        from repro.chem.uccsd import build_uccsd_circuit
+        from repro.core.vqe import VQE
+
+        mh = build_molecular_hamiltonian(run_rhf(h2()))
+        ansatz = build_uccsd_circuit(mh.num_spin_orbitals, mh.num_electrons).circuit
+        assert VQE(mh.to_qubit(), ansatz=ansatz).run().energy < -1.13
+    """,
+    "adapt_with_fci_reference": """
+        from repro.chem.fci import exact_ground_energy
+        from repro.chem.hamiltonian import build_molecular_hamiltonian
+        from repro.chem.molecule import h2
+        from repro.chem.pools import uccsd_pool
+        from repro.chem.reference import hartree_fock_state
+        from repro.chem.scf import run_rhf
+        from repro.core.adapt import AdaptVQE
+
+        mh = build_molecular_hamiltonian(run_rhf(h2()))
+        hq, n, ne = mh.to_qubit(), mh.num_spin_orbitals, mh.num_electrons
+        e_fci = exact_ground_energy(hq, num_particles=ne, sz=0)
+        adapt = AdaptVQE(hq, uccsd_pool(n, ne), hartree_fock_state(n, ne),
+                         reference_energy=e_fci)
+        assert abs(adapt.run().energy - e_fci) < 1e-6
+    """,
+    "workflow": """
+        from repro.chem.molecule import h2
+        from repro.core.workflow import run_vqe_workflow
+
+        assert run_vqe_workflow(h2()).error_vs_exact < 1e-6
+    """,
+    "served_job": """
+        import tempfile
+        from repro.serve import CampaignServer, JobSpec, ServerConfig
+
+        with tempfile.TemporaryDirectory() as root:
+            server = CampaignServer(root, ServerConfig(num_ranks=1))
+            job = server.submit(JobSpec(tenant="t", kind="vqe", molecule="h2"))
+            for _ in range(200):
+                if server.idle:
+                    break
+                server.tick()
+            assert server.jobs[job.job_id].state == "succeeded"
+            server.close()
+    """,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCIPY_FREE_RUNS))
+def test_default_solve_loads_no_scipy_submodule(name):
+    code = textwrap.dedent(SCIPY_FREE_RUNS[name])
+    assert _run(f"import sys\n{code}\nprint({_SCIPY})") == "[]"
 
 
 def test_every_exported_name_and_submodule_resolves():
