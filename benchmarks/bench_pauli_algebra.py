@@ -6,8 +6,9 @@ products with popcount phase tracking, commutator adjacency,
 qubitwise-commuting (QWC) grouping, and batched fermion-to-qubit
 mapping.  The per-term dict loops it replaced are the baselines here,
 imported from the test oracle (``tests/pauli_oracle.py``).
-``repro.chem.tapering`` sits on top and removes the Hamiltonian's Z2
-symmetry qubits.
+``find_z2_symmetries`` sits on top: the GF(2) kernel of the
+Hamiltonian's X-block, whose parities narrow the Hartree-Fock
+reference's (N, S_z) sector to its parity set.
 
 Headline numbers come from the Fig. 5 system (12-qubit downfolded H2O,
 4747 terms) and the full-space H2O / LiH Hamiltonians; the size sweep
@@ -43,9 +44,10 @@ from repro.chem.mappings import map_fermion_operator, map_fermion_operators
 from repro.chem.molecule import h2o, lih
 from repro.chem.reference import hartree_fock_bitstring
 from repro.chem.scf import run_rhf
-from repro.chem.tapering import taper_hamiltonian
 from repro.chem.uccsd import excitation_generator, uccsd_excitations
 from repro.ir.pauli import PauliSum
+from repro.ir.symplectic import find_z2_symmetries
+from repro.utils.bitops import clear_index_tables, sector_of
 from tests.pauli_oracle import (
     commutator_per_term,
     dot_per_term,
@@ -58,8 +60,9 @@ from tests.pauli_oracle import (
 MIN_PRODUCT_SPEEDUP = 10.0  # full 4747-term sum x sum; measured ~15x
 MIN_QWC_SPEEDUP = 10.0      # full 4747-term grouping; measured ~25x
 MIN_JW_SPEEDUP = 5.0        # full-space H2O mapping; measured ~20x
-MIN_TAPERED_QUBITS = 3      # LiH and H2O both lose 4
-TAPER_ENERGY_TOL = 1e-8
+MIN_SYMMETRIES = 3          # LiH and H2O both have 4
+MAX_PARITY_FRACTION = 1 / 3  # parity set / (N, S_z) sector; measured 69/225, 133/441
+PARITY_ENERGY_TOL = 1e-8
 POOL_MAP_TOL = 1e-12        # one-call pool mapping vs the per-operator oracle
 DOWNFOLD_TOL = 1e-12        # packed H_eff vs commute-fully-then-project
 FIG5_CORE, FIG5_ACTIVE = [0], [1, 2, 3, 4, 5, 6]
@@ -199,12 +202,21 @@ def test_jw_engine_h2o(benchmark, h2o_hamiltonian):
     assert _max_term_diff(reference, result) < 1e-10
 
 
-def test_taper_h2o_full_space(benchmark, h2o_hamiltonian):
+def _parity_set(h: PauliSum, hf: int):
+    """H's Z2 symmetries and the reference's parity set, from cold
+    caches (both are memoized)."""
+    h.invalidate_caches()
+    clear_index_tables()
+    return sector_of(h.num_qubits, hf, find_z2_symmetries(h))
+
+
+def test_parity_set_h2o_full_space(benchmark, h2o_hamiltonian):
     _, mh = h2o_hamiltonian
     h = mh.to_qubit("jordan-wigner")
     hf = hartree_fock_bitstring(h.num_qubits, mh.num_electrons)
-    result = benchmark(taper_hamiltonian, h, reference_index=hf)
-    assert result.qubits_removed >= MIN_TAPERED_QUBITS
+    index = benchmark(_parity_set, h, hf)
+    assert len(find_z2_symmetries(h)) >= MIN_SYMMETRIES
+    assert index.size <= MAX_PARITY_FRACTION * sector_of(h.num_qubits, hf).size
 
 
 # -- smoke mode (CI) ---------------------------------------------------------
@@ -219,34 +231,39 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _taper_case(name, molecule, failures):
-    """Taper one molecule's full-space Hamiltonian and check the ground
-    energy against the untapered sector-restricted reference."""
+def _parity_case(name, molecule, failures):
+    """Narrow one molecule's HF sector to its parity set under the
+    full-space Hamiltonian's Z2 symmetries and check the lowest
+    eigenvalue on it against the sector's."""
     scf = run_rhf(molecule)
     mh = build_molecular_hamiltonian(scf)
     h = mh.to_qubit("jordan-wigner")
     hf = hartree_fock_bitstring(h.num_qubits, mh.num_electrons)
-    t_taper = _best_of(lambda: taper_hamiltonian(h, reference_index=hf), 3)
-    tapering = taper_hamiltonian(h, reference_index=hf)
-    e_full = exact_ground_energy(h, num_particles=mh.num_electrons, sz=0)
-    e_tapered = exact_ground_energy(tapering.hamiltonian)
-    err = abs(e_full - e_tapered)
-    if tapering.qubits_removed < MIN_TAPERED_QUBITS:
+    t_parity = _best_of(lambda: _parity_set(h, hf), 3)
+    symmetries = len(find_z2_symmetries(h))
+    index, sector = _parity_set(h, hf), sector_of(h.num_qubits, hf)
+    e_sector = exact_ground_energy(h, num_particles=mh.num_electrons, sz=0)
+    e_parity = np.linalg.eigvalsh(h.matrix_block(index, index))[0]
+    err = abs(e_sector - e_parity)
+    if symmetries < MIN_SYMMETRIES:
+        failures.append(f"{name}: only {symmetries} Z2 symmetries < {MIN_SYMMETRIES}")
+    if index.size > MAX_PARITY_FRACTION * sector.size:
         failures.append(
-            f"{name}: only {tapering.qubits_removed} qubits tapered "
-            f"< {MIN_TAPERED_QUBITS}"
+            f"{name}: parity set holds {index.size} of the sector's {sector.size} "
+            f"amplitudes, more than {MAX_PARITY_FRACTION:.3f} of it"
         )
-    if err > TAPER_ENERGY_TOL:
+    if err > PARITY_ENERGY_TOL:
         failures.append(
-            f"{name}: tapered ground energy off by {err:.2e} "
-            f"> {TAPER_ENERGY_TOL}"
+            f"{name}: parity-set ground energy off by {err:.2e} "
+            f"> {PARITY_ENERGY_TOL}"
         )
     return (
         name,
         h.num_qubits,
-        tapering.tapered_num_qubits,
-        tapering.qubits_removed,
-        f"{t_taper:.4f}",
+        symmetries,
+        sector.size,
+        index.size,
+        f"{t_parity:.4f}",
         f"{err:.2e}",
     )
 
@@ -375,17 +392,18 @@ def run_smoke() -> int:
     )
     print("\n" + table)
 
-    # Z2 tapering on full-space molecular Hamiltonians.
-    taper_rows = [
-        _taper_case("LiH", lih(), failures),
-        _taper_case("H2O", h2o(), failures),
+    # Z2 parity sets of full-space molecular Hamiltonians.
+    parity_rows = [
+        _parity_case("LiH", lih(), failures),
+        _parity_case("H2O", h2o(), failures),
     ]
     table = write_table(
-        "pauli_tapering",
-        ["molecule", "qubits", "tapered", "removed", "taper_s", "dE_vs_full"],
-        taper_rows,
-        caption="Z2 qubit tapering: sector from the HF reference, ground "
-        "energy vs the untapered particle-sector eigensolve",
+        "pauli_parity_set",
+        ["molecule", "qubits", "symmetries", "sector", "parity_set", "parity_s",
+         "dE_vs_sector"],
+        parity_rows,
+        caption="Z2 parity sets: the HF reference's (N, S_z) sector narrowed to "
+        "its parity class, ground energy vs the sector eigensolve",
     )
     print("\n" + table)
 
@@ -402,24 +420,23 @@ def run_smoke() -> int:
         t0 = time.perf_counter()
         groups = sh.group_qubitwise_commuting()
         t_qwc = time.perf_counter() - t0
-        shf = hartree_fock_bitstring(n, smh.num_electrons)
         t0 = time.perf_counter()
-        tr = taper_hamiltonian(sh, reference_index=shf)
-        t_tap = time.perf_counter() - t0
+        symmetries = find_z2_symmetries(sh)
+        t_z2 = time.perf_counter() - t0
         sweep_rows.append(
             (
                 n,
                 sh.num_terms,
                 len(groups),
-                tr.qubits_removed,
+                len(symmetries),
                 f"{t_jw:.3f}",
                 f"{t_qwc:.3f}",
-                f"{t_tap:.3f}",
+                f"{t_z2:.3f}",
             )
         )
     table = write_table(
         "pauli_algebra_sweep",
-        ["qubits", "terms", "groups", "tapered", "jw_s", "qwc_s", "taper_s"],
+        ["qubits", "terms", "groups", "symmetries", "jw_s", "qwc_s", "z2_s"],
         sweep_rows,
         caption="Engine scaling on synthetic two-body Hamiltonians "
         "(dense integrals carry exactly the two spin-parity symmetries)",
@@ -431,9 +448,10 @@ def run_smoke() -> int:
     if not failures:
         print(
             f"OK: product {prod_speedup:.1f}x, QWC {qwc_speedup:.1f}x, "
-            f"JW {jw_speedup:.1f}x; LiH/H2O lose "
-            f"{taper_rows[0][3]}/{taper_rows[1][3]} qubits at "
-            f"<= {TAPER_ENERGY_TOL} energy error"
+            f"JW {jw_speedup:.1f}x; LiH/H2O parity sets hold "
+            f"{parity_rows[0][4]}/{parity_rows[1][4]} of "
+            f"{parity_rows[0][3]}/{parity_rows[1][3]} sector amplitudes at "
+            f"<= {PARITY_ENERGY_TOL} energy error"
         )
     return 1 if failures else 0
 

@@ -15,12 +15,12 @@ operator.  Two standard pools are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 from repro.chem.uccsd import uccsd_generators
 from repro.ir.pauli import PauliString, PauliSum
 
-__all__ = ["PoolOperator", "uccsd_pool", "qubit_pool", "taper_pool"]
+__all__ = ["PoolOperator", "uccsd_pool", "qubit_pool"]
 
 
 @dataclass
@@ -73,20 +73,3 @@ def qubit_pool(num_spin_orbitals: int, num_electrons: int) -> List[PoolOperator]
             )
     return pool
 
-
-def taper_pool(pool: Sequence[PoolOperator], taper) -> List[PoolOperator]:
-    """Project a pool into a Z2 symmetry sector.
-
-    ``taper`` is a :class:`repro.chem.tapering.TaperResult`.  Each
-    generator is tapered with ``strict=False`` — Pauli terms that break
-    a symmetry are dropped (they have zero gradient from a symmetric
-    reference state anyway) — and candidates that lose every term
-    vanish from the pool.
-    """
-    out: List[PoolOperator] = []
-    for op in pool:
-        gen = taper.taper_operator(op.generator, strict=False)
-        if len(gen) == 0:
-            continue
-        out.append(PoolOperator(label=op.label, generator=gen))
-    return out

@@ -102,7 +102,6 @@ def _cmd_vqe(args: argparse.Namespace) -> int:
         active_orbitals=active,
         downfold=not args.no_downfold,
         compute_exact=not args.no_exact,
-        taper=args.taper,
     )
     dt = time.perf_counter() - t0
     _note_report(
@@ -111,11 +110,6 @@ def _cmd_vqe(args: argparse.Namespace) -> int:
             "qubits": result.num_qubits,
             "pauli_terms": result.qubit_hamiltonian.num_terms,
             "vqe_energy": result.vqe.energy,
-            "tapered_qubits": (
-                result.tapering.qubits_removed
-                if result.tapering is not None
-                else 0
-            ),
         },
         convergence={"energy": list(result.vqe.history)},
     )
@@ -140,23 +134,12 @@ def _cmd_vqe(args: argparse.Namespace) -> int:
                 "converged": result.vqe.converged,
                 "num_function_evaluations": result.vqe.num_function_evaluations,
                 "wall_time_s": dt,
-                "tapering": (
-                    {
-                        "symmetries": len(result.tapering.symmetries),
-                        "qubits_removed": result.tapering.qubits_removed,
-                        "sector": result.tapering.sector,
-                    }
-                    if result.tapering is not None
-                    else None
-                ),
                 "passed": not failed,
             }
         )
         return 1 if failed else 0
     print(f"molecule:        {molecule}")
     print(f"qubits:          {result.num_qubits}")
-    if result.tapering is not None:
-        print(f"tapering:        {result.tapering.describe()}")
     print(f"Pauli terms:     {result.qubit_hamiltonian.num_terms}")
     print(f"RHF energy:      {result.scf.energy:+.8f} Ha")
     if result.downfolding is not None:
@@ -176,10 +159,9 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     from repro.chem.downfolding import hermitian_downfold
     from repro.chem.fci import exact_ground_energy
     from repro.chem.hamiltonian import build_molecular_hamiltonian
-    from repro.chem.pools import taper_pool, uccsd_pool
-    from repro.chem.reference import hartree_fock_bitstring, hartree_fock_state
+    from repro.chem.pools import uccsd_pool
+    from repro.chem.reference import hartree_fock_state
     from repro.chem.scf import run_rhf
-    from repro.chem.tapering import taper_hamiltonian
     from repro.core.adapt import AdaptVQE, convergence_traces
 
     molecule = _get_molecule(args.molecule)
@@ -198,19 +180,6 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     e_ref = exact_ground_energy(heff, num_particles=n_elec, sz=0)
     pool = uccsd_pool(n_qubits, n_elec)
     reference = hartree_fock_state(n_qubits, n_elec)
-    tapering = None
-    if args.taper:
-        import numpy as np
-
-        hf_index = hartree_fock_bitstring(n_qubits, n_elec)
-        tapering = taper_hamiltonian(heff, reference_index=hf_index)
-        heff = tapering.hamiltonian
-        pool = taper_pool(pool, tapering)
-        n_qubits = heff.num_qubits
-        reference = np.zeros(1 << n_qubits, dtype=np.complex128)
-        reference[tapering.taper_index(hf_index)] = 1.0
-        if not args.json:
-            print(f"tapering: {tapering.describe()}")
     adapt = AdaptVQE(
         heff,
         pool,
@@ -240,15 +209,6 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
                 "final_energy": result.energy,
                 "converged": result.converged,
                 "mha_at_iteration": hit,
-                "tapering": (
-                    {
-                        "symmetries": len(tapering.symmetries),
-                        "qubits_removed": tapering.qubits_removed,
-                        "sector": tapering.sector,
-                    }
-                    if tapering is not None
-                    else None
-                ),
                 "iterations": [
                     {
                         "iteration": it.iteration,
@@ -876,11 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_vqe.add_argument("--core", default="", help="comma-separated core orbitals")
     p_vqe.add_argument("--active", default="", help="comma-separated active orbitals")
     p_vqe.add_argument("--no-downfold", action="store_true")
-    p_vqe.add_argument(
-        "--taper",
-        action="store_true",
-        help="remove Z2 symmetry qubits before VQE (HF sector)",
-    )
     p_vqe.add_argument("--no-exact", action="store_true")
     p_vqe.add_argument("--tol", type=float, default=1e-4)
     p_vqe.add_argument("--json", action="store_true", help="emit JSON on stdout")
@@ -894,14 +849,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_adapt = sub.add_parser("adapt", help="run ADAPT-VQE (Fig. 5)")
     p_adapt.add_argument("molecule")
-    p_adapt.add_argument("--core", default="")
-    p_adapt.add_argument("--active", default="")
+    p_adapt.add_argument("--core", default="", help="comma-separated core orbitals (with --active)")
+    p_adapt.add_argument("--active", default="", help="comma-separated active orbitals (with --core)")
     p_adapt.add_argument("--max-iterations", type=int, default=25)
-    p_adapt.add_argument(
-        "--taper",
-        action="store_true",
-        help="remove Z2 symmetry qubits before ADAPT (HF sector)",
-    )
     p_adapt.add_argument("--json", action="store_true", help="emit JSON on stdout")
     p_adapt.add_argument(
         "--plan-stats",
@@ -1102,6 +1052,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "adapt" and bool(args.core) != bool(args.active):
+        given, missing = ("--core", "--active") if args.core else ("--active", "--core")
+        parser.error(f"adapt: {given} needs {missing} (downfolding takes both)")
     profiling = _setup_obs(args)
     t0 = time.perf_counter()
     try:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from repro.obs.flight import FlightRecorder
 from repro.chem.pools import PoolOperator
 from repro.ir.compiled import compile_observable
 from repro.ir.pauli import PauliSum
+from repro.ir.symplectic import find_z2_symmetries, parity_flips
 from repro.opt.base import Optimizer
 from repro.opt.gradient import AnsatzObjective
 from repro.opt.lbfgs import LBFGSB
@@ -178,7 +179,7 @@ class AdaptVQE:
                     f"pool operator {op.label!r} acts on {op.generator.num_qubits} "
                     f"qubits, the Hamiltonian on {n}"
                 )
-        self.index = self._screening_index()
+        self.index, self._screened = self._screening_index()
         # One x-mask-batched compilation shared by screening, the inner
         # objectives (via the PauliSum-attached cache) and initial_state.
         self._compiled_h = compile_observable(hamiltonian, self.index)
@@ -193,35 +194,50 @@ class AdaptVQE:
             kind="adapt", context=dict(flight_context or {})
         )
 
-    def _screening_index(self) -> np.ndarray:
-        """The index set the pool is screened on: the (N, S_z) sector of
-        a basis-state reference when every pool generator maps it into
-        itself, else the full register."""
+    def _screening_index(self) -> Tuple[np.ndarray, List[int]]:
+        """The index set the pool is screened on, and the pool positions
+        screened there.
+
+        From a basis-state reference, an operator every term of which
+        breaks one of H's Z2 symmetries (:func:`find_z2_symmetries`)
+        moves the state out of its parity class, where ``H psi`` has no
+        weight.  When the other operators map the reference's parity set
+        (its (N, S_z) sector narrowed to that class) into itself, the
+        state never leaves it, so such an operator's gradient is exactly
+        0 at every iteration: it is skipped and the rest are screened on
+        the parity set.  Otherwise every operator is screened, on the
+        sector when all of them map it into itself, else on the full
+        register."""
         n = self.hamiltonian.num_qubits
+        everything = list(range(len(self.pool)))
         nonzero = np.flatnonzero(self.reference_state)
         if nonzero.size == 1:
-            sector = sector_of(n, int(nonzero[0]))
-            if all(compile_observable(op.generator, sector).closed for op in self.pool):
-                return sector
-        return basis_indices(n)
+            ref, masks = int(nonzero[0]), find_z2_symmetries(self.hamiltonian)
+            kept = [k for k, op in enumerate(self.pool) if not all(parity_flips(op.generator, masks))]
+            for index, screened in ((sector_of(n, ref, masks), kept), (sector_of(n, ref), everything)):
+                if all(compile_observable(self.pool[k].generator, index).closed for k in screened):
+                    return index, screened
+        return basis_indices(n), everything
 
     def _restrict(self, state: np.ndarray) -> np.ndarray:
         """A full 2^n state on the screening index set."""
         return state if self.index.size == state.size else state[self.index]
 
     def pool_gradients(self, state: np.ndarray) -> np.ndarray:
-        """<[H, A_k]> for every candidate, on the given 2^n state.  The
-        screen runs on :attr:`index`: the state, ``H psi`` restricted to
-        it and every ``A_k psi`` live there."""
+        """<[H, A_k]> for every candidate, on the given 2^n state: exactly
+        0.0 for the operators that break a Z2 symmetry of H (see
+        :meth:`_screening_index`).  The screen runs on :attr:`index`:
+        the state, ``H psi`` restricted to it and every ``A_k psi`` live
+        there."""
         with obs.span("adapt.pool_screening", pool_size=len(self.pool)):
             state = self._restrict(state)
             h_state = self._compiled_h.apply(state)
-            grads = np.empty(len(self.pool))
-            for k, op in enumerate(self.pool):
+            grads = np.zeros(len(self.pool))
+            for k in self._screened:
                 # Compiled generator application: a UCCSD excitation
                 # block's strings share one x-mask, so each candidate
                 # screens in a single gather instead of one per string.
-                a_state = compile_observable(op.generator, self.index).apply(state)
+                a_state = compile_observable(self.pool[k].generator, self.index).apply(state)
                 grads[k] = 2.0 * np.real(np.vdot(h_state, a_state))
         return grads
 

@@ -30,6 +30,7 @@ from repro.ir.pauli import PauliSum
 from repro.opt.base import Optimizer
 from repro.opt.gradient import AnsatzObjective
 from repro.opt.lbfgs import LBFGSB
+from repro.sim.plan import ExecutionPlan
 
 __all__ = ["VQDResult", "run_vqd"]
 
@@ -107,7 +108,10 @@ def run_vqd(
     rng = np.random.default_rng(seed)
 
     objective = AnsatzObjective(reference_state, list(generators), hamiltonian)
-    index = objective.plan.index  # every state found lives on it
+    # The deflated operator carries no Z2 symmetries, so its plans hold
+    # the index set the generators alone decide; the found states and
+    # H' live on that one.
+    index = ExecutionPlan.from_generators(generators, reference_state).index
     compiled_h = compile_observable(hamiltonian, index)
     found_states: List[np.ndarray] = []
     energies: List[float] = []

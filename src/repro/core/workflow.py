@@ -11,18 +11,15 @@ overridable (the stages are just the public APIs of the subpackages).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from repro import obs
 from repro.chem.downfolding import DownfoldingResult, hermitian_downfold
 from repro.chem.fci import exact_ground_energy
 from repro.chem.hamiltonian import MolecularHamiltonian, build_molecular_hamiltonian
 from repro.chem.molecule import Molecule
-from repro.chem.reference import hartree_fock_bitstring, hartree_fock_state
+from repro.chem.reference import hartree_fock_state
 from repro.chem.scf import SCFResult, run_rhf
-from repro.chem.tapering import TaperResult, taper_hamiltonian
 from repro.chem.uccsd import uccsd_generators
 from repro.core.vqe import VQE, VQEResult
 from repro.ir.pauli import PauliSum
@@ -44,7 +41,6 @@ class WorkflowResult:
     exact_energy: Optional[float]
     num_qubits: int
     num_electrons: int
-    tapering: Optional[TaperResult] = None
 
     @property
     def energy(self) -> float:
@@ -66,18 +62,13 @@ def run_vqe_workflow(
     optimizer: Optional[Optimizer] = None,
     compute_exact: bool = True,
     basis_name: str = "sto-3g",
-    taper: bool = False,
 ) -> WorkflowResult:
     """Run the complete Fig. 2 pipeline on one molecule.
 
     With no active-space arguments the full orbital space is used and
     downfolding reduces to a no-op; with ``core_orbitals`` /
     ``active_orbitals`` the Hamiltonian is downfolded (Hermitian,
-    commutator order ``downfolding_order``) before VQE.  ``taper=True``
-    removes the Hamiltonian's Z2 symmetry qubits before VQE (sector
-    from the Hartree–Fock occupation); the exact reference energy is
-    still computed on the untapered operator so the tapered VQE answer
-    is checked against the full problem.
+    commutator order ``downfolding_order``) before VQE.
     """
     with obs.span("workflow.scf", atoms=len(molecule.atoms)):
         scf = run_rhf(molecule, basis_name)
@@ -115,24 +106,6 @@ def run_vqe_workflow(
     gens = [a for _, a in uccsd_generators(num_qubits, n_electrons)]
     reference = hartree_fock_state(num_qubits, n_electrons)
 
-    tapering: Optional[TaperResult] = None
-    full_qubit_h = qubit_h
-    if taper:
-        with obs.span("workflow.taper", qubits=num_qubits):
-            hf_index = hartree_fock_bitstring(num_qubits, n_electrons)
-            tapering = taper_hamiltonian(qubit_h, reference_index=hf_index)
-            qubit_h = tapering.hamiltonian
-            gens = [
-                g
-                for g in (
-                    tapering.taper_operator(gen, strict=False) for gen in gens
-                )
-                if len(g) > 0
-            ]
-            num_qubits = qubit_h.num_qubits
-            reference = np.zeros(1 << num_qubits, dtype=np.complex128)
-            reference[tapering.taper_index(hf_index)] = 1.0
-
     vqe = VQE(
         qubit_h,
         generators=gens,
@@ -144,7 +117,7 @@ def run_vqe_workflow(
 
     with obs.span("workflow.exact_diagonalization", enabled=compute_exact):
         exact = (
-            exact_ground_energy(full_qubit_h, num_particles=n_electrons, sz=0)
+            exact_ground_energy(qubit_h, num_particles=n_electrons, sz=0)
             if compute_exact
             else None
         )
@@ -158,5 +131,4 @@ def run_vqe_workflow(
         exact_energy=exact,
         num_qubits=num_qubits,
         num_electrons=n_electrons,
-        tapering=tapering,
     )

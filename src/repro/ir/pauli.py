@@ -251,10 +251,11 @@ class PauliSum:
     (downfolding) from blowing up.
 
     Expensive derived structures — the qubit-wise-commuting measurement
-    grouping, its measurement table (:mod:`repro.sim.expectation`) and
-    the compiled x-mask-batched form (:mod:`repro.ir.compiled`) — are
-    memoized on the instance and
-    invalidated by the mutating operations ``add_term`` / ``chop``.
+    grouping, its measurement table (:mod:`repro.sim.expectation`), the
+    compiled x-mask-batched form (:mod:`repro.ir.compiled`) and the Z2
+    symmetries (:func:`repro.ir.symplectic.find_z2_symmetries`) — are
+    memoized on the instance and invalidated by the mutating operations
+    ``add_term`` / ``chop``.
     Code that mutates ``terms`` directly must call ``invalidate_caches``
     itself (nothing in this repository does).
     """
@@ -267,6 +268,7 @@ class PauliSum:
         "_qwc_table",
         "_compiled",
         "_symp",
+        "_z2",
     )
 
     def __init__(
@@ -283,6 +285,7 @@ class PauliSum:
         self._qwc_table: Optional[object] = None
         self._compiled: Optional[object] = None
         self._symp: Optional[object] = None
+        self._z2: Optional[Tuple[int, ...]] = None
 
     # -- derived-structure caches ---------------------------------------------
 
@@ -293,13 +296,14 @@ class PauliSum:
         return self._version
 
     def invalidate_caches(self) -> None:
-        """Drop memoized grouping / compiled / symplectic forms after a
-        mutation."""
+        """Drop memoized grouping / compiled / symplectic forms and Z2
+        symmetries after a mutation."""
         self._version += 1
         self._qwc_groups = None
         self._qwc_table = None
         self._compiled = None
         self._symp = None
+        self._z2 = None
 
     def to_symplectic(self):
         """Packed (X|Z) uint64 bit-matrix view of the whole sum.

@@ -26,8 +26,10 @@ string).  All algebra is then bit arithmetic over whole matrices:
 * greedy QWC grouping — the first-fit scan checks a candidate term
   against *all* existing groups in one vectorized conflict test,
 * GF(2) elimination (``gf2_rref`` / ``gf2_kernel``) over packed rows —
-  the kernel of the stacked Hamiltonian bit-matrix is exactly the Z2
-  symmetry group that :mod:`repro.chem.tapering` tapers away.
+  the kernel of the stacked Hamiltonian X-block is exactly the group of
+  Z-type Z2 symmetries (:func:`find_z2_symmetries`); the plan and ADAPT
+  use them as parity filters on the (N, S_z) index set
+  (:func:`repro.utils.bitops.sector_of`).
 
 This is the only sum-level Pauli algebra in the package:
 :class:`repro.ir.pauli.PauliSum` runs every ``dot`` / ``commutator`` /
@@ -50,7 +52,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.utils.bitops import count_set_bits
+from repro.utils.bitops import count_set_bits, popcount
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ir.pauli import PauliSum
@@ -65,6 +67,8 @@ __all__ = [
     "dedup_rows",
     "gf2_rref",
     "gf2_kernel",
+    "find_z2_symmetries",
+    "parity_flips",
 ]
 
 # Powers of i as an indexable array (fancy indexing over exponent
@@ -892,3 +896,30 @@ def gf2_kernel(rows: np.ndarray, num_bits: int) -> np.ndarray:
             pw, pb = divmod(pivots[int(i)], _WORD_BITS)
             basis[k, pw] |= np.uint64(1 << pb)
     return basis
+
+
+def find_z2_symmetries(hamiltonian: "PauliSum") -> Tuple[int, ...]:
+    """Independent Z-type Z2 symmetries of ``hamiltonian``: the z-masks
+    ``s`` of the generators ``Z^s`` of its symmetry group (empty when it
+    has none; every single-qubit ``Z`` for an empty or diagonal sum).
+
+    ``Z^s`` commutes with a term exactly when the term's x-mask overlaps
+    ``s`` in an even number of bits, so the symmetries are the GF(2)
+    kernel of the stacked X-block.  Molecular Hamiltonians under
+    Jordan-Wigner carry the two spin-sector particle parities, and
+    point-group symmetry of the integrals adds more (four in all on
+    full-space LiH and H2O).  Memoized on the sum under its ``_version``
+    cache protocol, so one Hamiltonian is solved once however many plans
+    ask.
+    """
+    if hamiltonian._z2 is None:
+        kernel = gf2_kernel(hamiltonian.to_symplectic().x, hamiltonian.num_qubits)
+        hamiltonian._z2 = tuple(unpack_masks(kernel))
+    return hamiltonian._z2
+
+
+def parity_flips(op: "PauliSum", z_masks: Sequence[int]) -> List[bool]:
+    """Per term of ``op``: whether it anticommutes with some ``Z^s``,
+    ``s`` in ``z_masks`` — whether it moves every basis state out of its
+    parity class under those masks."""
+    return [any(popcount(x & s) & 1 for s in z_masks) for x, _ in op.terms]

@@ -33,6 +33,7 @@ import numpy as np
 from repro import obs
 from repro.ir.compiled import compile_observable
 from repro.ir.pauli import PauliSum
+from repro.ir.symplectic import find_z2_symmetries
 from repro.sim.batched import reverse_value_and_gradient
 from repro.sim.plan import ExecutionPlan
 
@@ -115,8 +116,10 @@ class AnsatzObjective:
         ``plan.dim`` (VQD passes its deflated Hamiltonian).
 
     The plan holds the (N, S_z) sector of the reference when the
-    generators close on it (:meth:`ExecutionPlan.from_generators`), so
-    energies and gradients run on that sector; :meth:`prepare_state`
+    generators close on it (:meth:`ExecutionPlan.from_generators`),
+    narrowed to the reference's parity class under a ``PauliSum``
+    Hamiltonian's Z2 symmetries when every generator commutes with them,
+    so energies and gradients run on that set; :meth:`prepare_state`
     still returns the full 2^n vector.
     """
 
@@ -126,7 +129,8 @@ class AnsatzObjective:
         generators: Sequence[PauliSum],
         hamiltonian,
     ):
-        self.plan = ExecutionPlan.from_generators(generators, reference_state)
+        z_masks = find_z2_symmetries(hamiltonian) if isinstance(hamiltonian, PauliSum) else ()
+        self.plan = ExecutionPlan.from_generators(generators, reference_state, z_masks)
         self.hamiltonian = hamiltonian
         self._operator = hamiltonian
         if isinstance(hamiltonian, PauliSum):

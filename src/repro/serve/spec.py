@@ -241,10 +241,16 @@ _QUBITS_BY_MOLECULE = {"h2": 4, "h4": 8, "lih": 12, "h2o": 14}
 # (STO-3G, no downfolding); drive the dominant term of the capacity
 # model (see repro.obs.memory).
 _PASSES_BY_MOLECULE = {"h2": 2, "h4": 27, "lih": 84, "h2o": 162}
+# Measured (parity-set amplitudes, screened pool operators) of an ADAPT
+# job: the Hartree-Fock reference's (N, S_z) sector narrowed to its
+# parity class under the Hamiltonian's Z2 symmetries, and the UCCSD
+# operators that commute with them (repro.core.adapt).  Families with no
+# entry are priced on the sector and the full pool, an upper bound.
+_ADAPT_BY_MOLECULE = {"h2": (2, 1), "h4": (20, 14), "lih": (69, 34), "h2o": (133, 48)}
 _ELECTRONS_BY_MOLECULE = {"h2": 2, "h4": 4, "lih": 4, "h2o": 10}
 # UCCSD generator counts (== pool size) per family: ADAPT screening
-# compiles each to one single-pass observable of 24 * 2^n bytes, which
-# at these widths rivals the Hamiltonian itself; a VQE plan holds one
+# compiles each screened one to a single-pass observable of 24 bytes per
+# amplitude, which rivals the Hamiltonian itself; a VQE plan holds one
 # rotation step (2^n bytes) per generator.  Unknown molecules use 0
 # — for the oversized-job rejection path the Hamiltonian term alone is
 # already orders of magnitude over any rank budget.
@@ -291,16 +297,19 @@ def sector_dim_for_molecule(name: str) -> Optional[int]:
 
 
 def _model_inputs(molecule: str, kind: str) -> Dict[str, Any]:
-    """Capacity-model inputs of a serve job.  An ADAPT job runs its
-    UCCSD pool on the reference's sector; a VQE job runs the shared
-    UCCSD circuit plan (circuit plans hold the full register) through
-    the fused value-and-gradient sweep, which parks no prefix states."""
+    """Capacity-model inputs of a serve job.  An ADAPT job screens the
+    UCCSD operators that keep its reference's Z2 parities, on the
+    reference's parity set; a VQE job runs the shared UCCSD circuit plan
+    (circuit plans hold the full register) through the fused
+    value-and-gradient sweep, which parks no prefix states."""
     inputs: Dict[str, Any] = {
         "compiled_passes": _PASSES_BY_MOLECULE.get(molecule),
         "generator_terms": _GENERATORS_BY_MOLECULE.get(molecule, 0),
     }
     if kind == "adapt":
-        inputs["sector_dim"] = sector_dim_for_molecule(molecule)
+        inputs["sector_dim"], inputs["generator_terms"] = _ADAPT_BY_MOLECULE.get(
+            molecule, (sector_dim_for_molecule(molecule), inputs["generator_terms"])
+        )
     else:
         inputs["prefix_states"] = 0
     return inputs
@@ -312,9 +321,9 @@ def estimate_job_memory(spec: "JobSpec") -> int:
     Wraps :func:`repro.obs.memory.estimate_statevector_job_bytes` with
     the serve-path calibration: register width from the molecule table,
     the measured compiled-observable pass count where known, and for an
-    ADAPT job the size of the (N, S_z) sector it runs on.  Validated
-    against measured ledger peaks in ``tests/test_memory.py`` (±10% at
-    8–14 qubits).
+    ADAPT job the size of the parity set it runs on and of the pool it
+    screens.  Validated against measured ledger peaks in
+    ``tests/test_memory.py`` (±10% at 8–14 qubits).
     """
     from repro.obs.memory import estimate_statevector_job_bytes
 

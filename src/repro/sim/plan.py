@@ -47,11 +47,13 @@ Every plan has an **index set** ``plan.index``, the sorted basis
 indices its state holds (``plan.dim`` of them).  A circuit plan holds
 the full register.  A generator plan whose steps all have zero weight
 wherever ``i ^ x`` leaves the (N, S_z) sector of its reference holds
-that sector: its steps carry sector-length class tables and a partner
-table (see :class:`repro.sim.kernels.MaskRotation`), it emits no
-reference ``x`` ops and ``execute`` starts at the reference's position
-``plan.origin``.  Any other generator plan (a qubit pool, say) emits the
-reference's ``x`` ops and holds the full register, as before.
+that sector, narrowed to the reference's parity class under the
+observable's Z2 symmetries when every generator commutes with them
+(see ``from_generators``): its steps carry sector-length class tables
+and a partner table (see :class:`repro.sim.kernels.MaskRotation`), it
+emits no reference ``x`` ops and ``execute`` starts at the reference's
+position ``plan.origin``.  Any other generator plan (a qubit pool, say)
+emits the reference's ``x`` ops and holds the full register, as before.
 
 On top of the flat op list, plans support cross-evaluation
 **prefix-state reuse**: consecutive ``execute`` calls record the last
@@ -86,6 +88,7 @@ from repro.ir.clifford import conjugate_pauli
 from repro.ir.compiled import compile_observable
 from repro.ir.gates import GATE_SET, Gate, Parameter
 from repro.ir.pauli import PauliString, PauliSum
+from repro.ir.symplectic import parity_flips
 from repro.sim import kernels
 from repro.sim.cache import PostAnsatzCache
 from repro.sim.fusion import fuse_circuit
@@ -565,7 +568,8 @@ class ExecutionPlan:
 
     @classmethod
     def from_generators(
-        cls, generators: Sequence[PauliSum], reference: np.ndarray
+        cls, generators: Sequence[PauliSum], reference: np.ndarray,
+        z_masks: Sequence[int] = (),
     ) -> "ExecutionPlan":
         """The plan of ``exp(theta_{m-1} A_{m-1}) ... exp(theta_0 A_0)
         |ref>``: :func:`generator_ops` of generator k on parameter
@@ -579,8 +583,12 @@ class ExecutionPlan:
         (:func:`repro.utils.bitops.sector_of`) and starts at the
         reference's position in it; otherwise it holds the full register
         and starts with ``x`` ops preparing the reference from |0...0>.
-        Raises ``ValueError`` naming the reference or generator that
-        cannot be lowered so."""
+        ``z_masks`` are the observable's Z2 symmetries
+        (:func:`repro.ir.symplectic.find_z2_symmetries`): when every
+        generator term commutes with every one of them, the sector is
+        narrowed to the reference's parity class, which the ansatz
+        never leaves.  Raises ``ValueError`` naming the reference or
+        generator that cannot be lowered so."""
         reference = np.asarray(reference)
         n, nonzero = reference.size.bit_length() - 1, np.flatnonzero(reference)
         if (reference.shape != (1 << n,) or nonzero.size != 1
@@ -601,7 +609,9 @@ class ExecutionPlan:
             )
             if fault:
                 raise ValueError(f"generator {k} {fault}")
-        index, start, ops = sector_of(n, ref), ref, []
+        if any(any(parity_flips(a, z_masks)) for a in generators):
+            z_masks = ()
+        index, start, ops = sector_of(n, ref, z_masks), ref, []
         if not all(compile_observable(a, index).closed for a in generators):
             index, start = None, 0
             ops = [PlanOp("x", (q,)) for q in range(n) if (ref >> q) & 1]

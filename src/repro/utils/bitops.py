@@ -196,12 +196,27 @@ def _sector_indices(num_qubits: int, num_particles, sz) -> np.ndarray:
     return _frozen(idx[mask])
 
 
-def sector_of(num_qubits: int, index: int) -> np.ndarray:
+def sector_of(num_qubits: int, index: int, z_masks: "tuple[int, ...]" = ()) -> np.ndarray:
     """:func:`sector_indices` of the (N, S_z) sector holding the basis
-    state ``index``."""
+    state ``index``, filtered to the states with ``index``'s parity
+    under every z-mask in ``z_masks`` (a Hamiltonian's Z2 symmetries,
+    :func:`repro.ir.symplectic.find_z2_symmetries`).  One read-only
+    array per (sector, parities), shared like :func:`sector_indices`."""
     alpha = popcount(index & _ALPHA_BITS)
     beta = popcount(index & (_ALPHA_BITS << 1))
-    return sector_indices(num_qubits, alpha + beta, (alpha - beta) / 2)
+    sector = (num_qubits, alpha + beta, (alpha - beta) / 2)
+    if not z_masks:
+        return sector_indices(*sector)
+    return _parity_indices(*sector, tuple((s, popcount(index & s) & 1) for s in z_masks))
+
+
+@lru_cache(maxsize=64)
+def _parity_indices(num_qubits: int, num_particles: int, sz: float, parities) -> np.ndarray:
+    idx = sector_indices(num_qubits, num_particles, sz)
+    keep = np.ones(idx.size, dtype=bool)
+    for s, p in parities:
+        keep &= parity_mask(idx, s) == p
+    return _frozen(idx[keep])
 
 
 def sector_partners(index: np.ndarray, x_mask: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -221,3 +236,4 @@ def clear_index_tables() -> None:
     basis_indices.cache_clear()
     xor_indices.cache_clear()
     _sector_indices.cache_clear()
+    _parity_indices.cache_clear()

@@ -52,6 +52,14 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("given, missing", [("--core", "--active"), ("--active", "--core")])
+    def test_adapt_downfolding_needs_core_and_active(self, given, missing, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["adapt", "h2", given, "0", "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{given} needs {missing}" in captured.err and captured.out == ""
+
     def test_tolerance_failure_exit_code(self, capsys):
         rc = main(["vqe", "h2", "--no-downfold", "--tol", "1e-12"])
         # the optimizer converges below 1e-6 but not to 1e-12

@@ -237,9 +237,10 @@ def test_estimate_group_memory_within_ten_percent():
 
 
 def test_estimate_sector_adapt_job_within_ten_percent():
-    """A 12-qubit LiH ADAPT job on the serve path screens its pool and
-    re-optimizes on the 225-amplitude (N = 4, S_z = 0) sector: the
-    model priced at the sector dimension meets the ledger peak."""
+    """A 12-qubit LiH ADAPT job on the serve path screens the 34 pool
+    operators that keep H's Z2 parities and re-optimizes on the
+    69-amplitude parity set of the (N = 4, S_z = 0) sector: the model
+    priced at that set and pool meets the ledger peak."""
     from repro.core.adapt import AdaptVQE
     from repro.serve.spec import JobSpec, estimate_job_memory, sector_dim_for_molecule
     from repro.serve.store import ProblemCache
@@ -251,7 +252,7 @@ def test_estimate_sector_adapt_job_within_ten_percent():
     obs.get_memory_ledger().reset()
     problem = ProblemCache().get(spec)
     adapt = AdaptVQE(problem["hamiltonian"], problem["pool"], problem["reference"])
-    assert adapt.index.size == 225
+    assert adapt.index.size == 69 and len(adapt._screened) == 34
     adapt.step(adapt.initial_state())
     measured = obs.get_memory_ledger().peak_bytes
     ratio = estimate_job_memory(spec) / measured

@@ -881,32 +881,37 @@ class TestGeneratorPlan:
         assert sum(op.kind == "x" for op in plan.ops) == 8
         assert compile_circuit(hardware_efficient_ansatz(6)).full_register
 
-    def test_tapered_lih_matches_full_register_oracle(self, rng):
-        from repro.chem.pools import taper_pool, uccsd_pool
-        from repro.chem.reference import hartree_fock_bitstring
-        from repro.chem.tapering import taper_hamiltonian
+    def test_parity_set_lih_matches_full_register_oracle(self, rng):
+        """LiH's UCCSD operators that keep the Hamiltonian's Z2 parities
+        run on the reference's parity set (69 of the sector's 225
+        amplitudes) and embed to the full-register state."""
+        from repro.chem.pools import uccsd_pool
+        from repro.chem.reference import hartree_fock_bitstring, hartree_fock_state
+        from repro.ir.symplectic import find_z2_symmetries, parity_flips
+        from repro.utils.bitops import sector_of
 
         hq, n, ne = _uccsd_problem("lih")
-        hf = hartree_fock_bitstring(n, ne)
-        taper = taper_hamiltonian(hq, reference_index=hf)
-        pool = taper_pool(uccsd_pool(n, ne), taper)
-        gens = [pool[k].generator for k in range(0, len(pool), 4)]
-        reference = np.zeros(1 << taper.tapered_num_qubits, dtype=np.complex128)
-        reference[taper.taper_index(hf)] = 1.0
-        plan = ExecutionPlan.from_generators(gens, reference)
+        masks = find_z2_symmetries(hq)
+        kept = [op.generator for op in uccsd_pool(n, ne)
+                if not any(parity_flips(op.generator, masks))]
+        gens = kept[::4]
+        reference = hartree_fock_state(n, ne)
+        plan = ExecutionPlan.from_generators(gens, reference, masks)
+        assert plan.index is sector_of(n, hartree_fock_bitstring(n, ne), masks)
+        assert plan.dim == 69
         params = rng.normal(scale=0.4, size=len(gens))
-        want, value, grad = _full_register_oracle(gens, reference, taper.hamiltonian, params)
+        want, value, grad = _full_register_oracle(gens, reference, hq, params)
         got = plan.execute(np.empty(plan.dim, dtype=np.complex128), params)
         np.testing.assert_allclose(plan.embed(got), want, rtol=0, atol=1e-12)
         from repro.sim.batched import reverse_value_and_gradient
 
-        values, grads = reverse_value_and_gradient(plan, taper.hamiltonian, params[None])
+        values, grads = reverse_value_and_gradient(plan, hq, params[None])
         np.testing.assert_allclose(values, [value], rtol=0, atol=1e-12)
         np.testing.assert_allclose(grads[0], grad, rtol=0, atol=1e-12)
 
     def test_adapt_lih_matches_full_space_oracle(self):
-        """Four ADAPT iterations on LiH: the sector screen and sector
-        objectives pick the operators, and reach the energies, of a
+        """Four ADAPT iterations on LiH: the parity-set screen and
+        parity-set objectives pick the operators, and reach the energies, of a
         full-space loop written out here."""
         from repro.chem.pools import uccsd_pool
         from repro.chem.reference import hartree_fock_state
@@ -917,7 +922,7 @@ class TestGeneratorPlan:
         hq, n, ne = _uccsd_problem("lih")
         pool, reference = uccsd_pool(n, ne), hartree_fock_state(n, ne)
         adapt = AdaptVQE(hq, pool, reference, max_iterations=4, gradient_tolerance=0.0)
-        assert adapt.index.size == 225
+        assert adapt.index.size == 69
         result = adapt.run()
 
         h = compile_observable(hq)
@@ -947,6 +952,30 @@ class TestGeneratorPlan:
         np.testing.assert_allclose(
             [it.energy for it in result.iterations], energies, rtol=0, atol=1e-10
         )
+
+    def test_pruned_operators_have_zero_gradient(self):
+        """The ADAPT screen skips the LiH operators that break a Z2
+        parity of H: their screened gradient is exactly 0.0, and on the
+        full register at the ADAPT state it is zero to round-off."""
+        from repro.chem.pools import uccsd_pool
+        from repro.chem.reference import hartree_fock_state
+        from repro.core.adapt import AdaptVQE
+        from repro.ir.compiled import compile_observable
+
+        hq, n, ne = _uccsd_problem("lih")
+        pool = uccsd_pool(n, ne)
+        adapt = AdaptVQE(hq, pool, hartree_fock_state(n, ne), gradient_tolerance=0.0)
+        st = adapt.initial_state()
+        for _ in range(2):
+            adapt.step(st)
+        pruned = sorted(set(range(len(pool))) - set(adapt._screened))
+        assert len(pruned) == len(pool) - 34
+        grads = adapt.pool_gradients(st.statevector)
+        assert all(grads[k] == 0.0 for k in pruned)
+        h_psi = compile_observable(hq).apply(st.statevector)
+        for k in pruned:
+            a_psi = compile_observable(pool[k].generator).apply(st.statevector)
+            assert abs(2.0 * np.vdot(h_psi, a_psi).real) < 1e-12
 
     def test_batched_and_distributed_executors_agree(self, rng):
         """A qubit pool does not close on a sector, so its plan holds the

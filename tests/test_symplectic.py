@@ -1,7 +1,7 @@
-"""Property tests for the packed symplectic Pauli engine and Z2 qubit
-tapering: engine kernels vs the per-term oracle loops
+"""Property tests for the packed symplectic Pauli engine and Z2
+symmetries: engine kernels vs the per-term oracle loops
 (``tests/pauli_oracle.py``), phase conventions, term order, GF(2)
-linear algebra, and tapered-vs-full ground energies."""
+linear algebra, and parity-set vs (N, S_z)-sector ground energies."""
 
 import tracemalloc
 
@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import obs
 from repro.chem.fermion import FermionOperator
 from repro.chem.fci import exact_ground_energy
 from repro.chem.hamiltonian import (
@@ -18,21 +17,16 @@ from repro.chem.hamiltonian import (
     synthetic_two_body_hamiltonian,
 )
 from repro.chem.mappings import map_fermion_operator, map_fermion_operators
-from repro.chem.molecule import h2, lih
+from repro.chem.molecule import h2, h2o, lih
 from repro.chem.reference import hartree_fock_bitstring, hartree_fock_state
 from repro.chem.scf import run_rhf
-from repro.chem.tapering import (
-    TaperingError,
-    find_z2_symmetries,
-    sector_from_reference,
-    taper_hamiltonian,
-)
 from repro.chem.uccsd import uccsd_generators
 from repro.ir import symplectic
 from repro.ir.pauli import PauliString, PauliSum
 from repro.ir.symplectic import (
     I_POW_ARR,
     SymplecticPauli,
+    find_z2_symmetries,
     gf2_kernel,
     gf2_rref,
     pack_masks,
@@ -40,7 +34,7 @@ from repro.ir.symplectic import (
     popcount_words,
     unpack_masks,
 )
-from repro.utils.bitops import count_set_bits
+from repro.utils.bitops import count_set_bits, sector_of
 from tests.pauli_oracle import (
     commutator_per_term,
     dot_per_term,
@@ -507,48 +501,43 @@ class TestBatchedMapping:
             map_fermion_operators(ops, 6)
 
 
-# -- Z2 tapering --------------------------------------------------------------
+# -- Z2 symmetries and the parity set ----------------------------------------
 
 
-class TestTapering:
-    def test_h2_tapers_to_one_qubit(self):
-        scf = run_rhf(h2())
-        mh = build_molecular_hamiltonian(scf)
-        h = mh.to_qubit("jordan-wigner")
-        hf = hartree_fock_bitstring(h.num_qubits, mh.num_electrons)
-        tapering = taper_hamiltonian(h, reference_index=hf)
-        assert tapering.qubits_removed >= 3
-        e_full = exact_ground_energy(h, num_particles=mh.num_electrons, sz=0)
-        e_tapered = exact_ground_energy(tapering.hamiltonian)
-        assert abs(e_full - e_tapered) < 1e-8
+def _full_space(molecule):
+    mh = build_molecular_hamiltonian(run_rhf(molecule))
+    h = mh.to_qubit("jordan-wigner")
+    return h, mh.num_electrons, hartree_fock_bitstring(h.num_qubits, mh.num_electrons)
 
-    def test_lih_tapers_at_least_three_qubits(self):
-        scf = run_rhf(lih())
-        mh = build_molecular_hamiltonian(scf)
-        h = mh.to_qubit("jordan-wigner")
-        hf = hartree_fock_bitstring(h.num_qubits, mh.num_electrons)
-        tapering = taper_hamiltonian(h, reference_index=hf)
-        assert tapering.qubits_removed >= 3
-        e_full = exact_ground_energy(h, num_particles=mh.num_electrons, sz=0)
-        e_tapered = exact_ground_energy(tapering.hamiltonian)
-        assert abs(e_full - e_tapered) < 1e-8
+
+class TestParitySet:
+    """The Hamiltonian's Z-type Z2 symmetries narrow the reference's
+    (N, S_z) sector to its parity class (``sector_of(..., z_masks)``)
+    without moving the ground energy."""
+
+    def test_h2_has_three_symmetries(self):
+        h, ne, hf = _full_space(h2())
+        masks = find_z2_symmetries(h)
+        assert len(masks) >= 3
+        assert sector_of(h.num_qubits, hf, masks).size == 2
+
+    @pytest.mark.parametrize("name", ["lih", "h2o"])
+    def test_parity_set_keeps_ground_energy(self, name):
+        h, ne, hf = _full_space({"lih": lih, "h2o": h2o}[name]())
+        masks = find_z2_symmetries(h)
+        assert len(masks) >= 3
+        index = sector_of(h.num_qubits, hf, masks)
+        assert 3 * index.size <= sector_of(h.num_qubits, hf).size
+        e_parity = np.linalg.eigvalsh(h.matrix_block(index, index))[0]
+        assert abs(e_parity - exact_ground_energy(h, num_particles=ne, sz=0)) < 1e-8
 
     def test_hf_expectation_preserved(self):
-        scf = run_rhf(h2())
-        mh = build_molecular_hamiltonian(scf)
-        h = mh.to_qubit("jordan-wigner")
-        n = h.num_qubits
-        hf = hartree_fock_bitstring(n, mh.num_electrons)
-        tapering = taper_hamiltonian(h, reference_index=hf)
-        state = hartree_fock_state(n, mh.num_electrons)
-        e_before = np.vdot(state, h.to_matrix() @ state).real
-        tn = tapering.tapered_num_qubits
-        tstate = np.zeros(1 << tn, dtype=np.complex128)
-        tstate[tapering.taper_index(hf)] = 1.0
-        e_after = np.vdot(
-            tstate, tapering.hamiltonian.to_matrix() @ tstate
-        ).real
-        assert abs(e_before - e_after) < 1e-10
+        h, ne, hf = _full_space(h2())
+        index = sector_of(h.num_qubits, hf, find_z2_symmetries(h))
+        state = hartree_fock_state(h.num_qubits, ne)
+        e_full = np.vdot(state, h.to_matrix() @ state).real
+        e_block = h.matrix_block(index, index)[np.searchsorted(index, hf)] @ state[index]
+        assert abs(e_full - e_block.real) < 1e-10
 
     def test_synthetic_has_spin_parity_symmetries(self):
         # Dense two-body integrals leave exactly the two spin-parity
@@ -566,39 +555,37 @@ class TestTapering:
         span = {0, alpha, beta, alpha ^ beta}
         assert all(s in span for s in syms)
 
-    def test_sector_from_reference_signs(self):
-        # even overlap -> +1, odd overlap -> -1
-        assert sector_from_reference([0b0011, 0b0101], 0b0011) == [1, -1]
+    def test_parity_set_keeps_reference_parity(self):
+        # every state of the set has the reference's parity under each
+        # mask, and every sector state with those parities is in it
+        sector = sector_of(6, 0b000011)
+        got = sector_of(6, 0b000011, (0b010101, 0b000110))
+        want = [i for i in sector.tolist()
+                if bin(i & 0b010101).count("1") % 2 == 1
+                and bin(i & 0b000110).count("1") % 2 == 1]
+        assert got.tolist() == want and not got.flags.writeable
+        assert sector_of(6, 0b000011, (0b010101, 0b000110)) is got
 
-    def test_strict_raises_on_symmetry_breaking_operator(self):
-        mh = synthetic_two_body_hamiltonian(2)
-        h = mh.to_qubit("jordan-wigner")
-        hf = hartree_fock_bitstring(h.num_qubits, mh.num_electrons)
-        tapering = taper_hamiltonian(h, reference_index=hf)
+    def test_symmetry_breaking_generator_keeps_the_sector(self):
+        from repro.ir.symplectic import parity_flips
+        from repro.sim.plan import ExecutionPlan
+
+        h, ne, hf = _full_space(lih())
+        n, masks = h.num_qubits, find_z2_symmetries(h)
+        gens = [a for _, a in uccsd_generators(n, ne)]
+        breaking = [a for a in gens if all(parity_flips(a, masks))]
+        keeping = [a for a in gens if not any(parity_flips(a, masks))]
+        assert breaking and keeping and len(breaking) + len(keeping) == len(gens)
+        reference = hartree_fock_state(n, ne)
+        assert ExecutionPlan.from_generators(keeping, reference, masks).index is (
+            sector_of(n, hf, masks))
+        assert ExecutionPlan.from_generators(keeping[:2] + breaking[:1], reference, masks).index is (
+            sector_of(n, hf))
+
+    def test_symmetries_memoized_per_version(self):
+        h = synthetic_two_body_hamiltonian(2).to_qubit("jordan-wigner")
+        masks = find_z2_symmetries(h)
+        assert find_z2_symmetries(h) is masks
         # a single X on qubit 0 flips one spin: breaks spin parity
-        bad = PauliSum.from_string(PauliString(h.num_qubits, x=1))
-        with pytest.raises(TaperingError):
-            tapering.taper_operator(bad, strict=True)
-        dropped = tapering.taper_operator(bad, strict=False)
-        assert dropped.num_terms == 0
-
-    def test_taper_emits_obs_counter(self):
-        obs.reset()
-        obs.configure(enabled=True)
-        try:
-            mh = synthetic_two_body_hamiltonian(2)
-            h = mh.to_qubit("jordan-wigner")
-            hf = hartree_fock_bitstring(h.num_qubits, mh.num_electrons)
-            tapering = taper_hamiltonian(h, reference_index=hf)
-            snap = {
-                m["name"]: m["value"]
-                for m in obs.get_registry().snapshot()
-                if m.get("type") == "counter"
-            }
-            assert (
-                snap.get("repro_taper_qubits_removed", 0.0)
-                >= tapering.qubits_removed
-            )
-        finally:
-            obs.disable()
-            obs.reset()
+        h.add_term(PauliString(h.num_qubits, x=1), 0.1)
+        assert len(find_z2_symmetries(h)) < len(masks)
