@@ -47,6 +47,7 @@ from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.chem.molecule import Molecule, h2, h2o, h4_chain, lih
+from repro.utils.files import atomic_write
 
 _MOLECULES = {"h2": h2, "h2o": h2o, "h4": h4_chain, "lih": lih}
 
@@ -68,7 +69,6 @@ def _get_molecule(name: str) -> Molecule:
 def _note_report(
     meta: Optional[Dict[str, Any]] = None,
     comm_stats: Optional[object] = None,
-    cache_stats: Optional[object] = None,
     fault_ledger: Optional[object] = None,
     convergence: Optional[Dict[str, List[float]]] = None,
 ) -> None:
@@ -77,7 +77,6 @@ def _note_report(
         _REPORT_EXTRAS.setdefault("meta", {}).update(meta)
     for key, value in (
         ("comm_stats", comm_stats),
-        ("cache_stats", cache_stats),
         ("fault_ledger", fault_ledger),
         ("convergence", convergence),
     ):
@@ -626,10 +625,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     submission_id = args.submission_id or uuid.uuid4().hex[:12]
     # atomic spool write: the server never sees a half-written file
     path = os.path.join(inbox, f"{submission_id}.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(spec.to_dict(), fh)
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(spec.to_dict()))
     if args.json:
         _emit_json(
             {
@@ -794,7 +790,6 @@ def _finalize_obs(args: argparse.Namespace, wall_time_s: float) -> None:
     report = obs.collect_report(
         meta=meta,
         comm_stats=_REPORT_EXTRAS.get("comm_stats"),
-        cache_stats=_REPORT_EXTRAS.get("cache_stats"),
         fault_ledger=_REPORT_EXTRAS.get("fault_ledger"),
         convergence=_REPORT_EXTRAS.get("convergence"),
         wall_time_s=wall_time_s,

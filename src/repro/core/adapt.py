@@ -333,18 +333,6 @@ class AdaptVQE:
             pool_mean_abs_grad=pool_mean_abs_grad,
             index=st.iteration,
         )
-        if obs.enabled():
-            obs.inc(
-                "repro_adapt_iterations_total", help="ADAPT growth iterations"
-            )
-            obs.gauge_set(
-                "repro_adapt_energy", st.energy, help="Current ADAPT energy (Ha)"
-            )
-            obs.gauge_set(
-                "repro_adapt_max_gradient",
-                g_max,
-                help="Largest pool gradient at the last screening",
-            )
         if verbose:
             err_s = f" dE={err*1000:.4f} mHa" if err is not None else ""
             print(

@@ -58,6 +58,7 @@ from repro.hpc.comm import SimComm
 from repro.hpc.distributed import DistributedStatevector
 from repro.hpc.faults import FaultInjector, FaultLedger, RankFailure
 from repro.hpc.perfmodel import SimulatedClock
+from repro.utils.files import atomic_write
 from repro.utils.jsonl import open_append, parse_lines
 from repro.utils.retry import RetryPolicy
 
@@ -137,13 +138,6 @@ class CampaignResult:
     @property
     def energy(self) -> float:
         return self.result.energy
-
-
-def _atomic_write_json(payload: dict, path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(json.dumps(payload) + "\n")
-    os.replace(tmp, path)
 
 
 def _parse_checkpoint(path: str) -> Optional[dict]:
@@ -265,11 +259,6 @@ class CampaignRunner:
                     restart=restarts,
                     reason=str(err),
                 )
-                if obs.enabled():
-                    obs.inc(
-                        "repro_campaign_restarts_total",
-                        help="Campaign rollbacks after rank failures",
-                    )
                 if restarts > self.max_restarts:
                     raise CampaignFailedError(
                         f"gave up after {restarts} rank failures (last: {err})"
@@ -367,13 +356,8 @@ class CampaignRunner:
                     ),
                     convergence=convergence_traces(st.records),
                 ).to_dict()
-            _atomic_write_json(payload, self._adapt_state_path())
+            atomic_write(self._adapt_state_path(), json.dumps(payload) + "\n")
         self.checkpoints_written += 1
-        if obs.enabled():
-            obs.inc(
-                "repro_campaign_checkpoints_total",
-                help="Campaign checkpoints written",
-            )
 
     def _load_adapt_state(self, adapt: AdaptVQE) -> Optional[AdaptState]:
         path = self._adapt_state_path()
@@ -513,11 +497,6 @@ class CampaignRunner:
                         restart=restarts,
                         reason=str(err),
                     )
-                    if obs.enabled():
-                        obs.inc(
-                            "repro_campaign_restarts_total",
-                            help="Campaign rollbacks after rank failures",
-                        )
                     if restarts > self.max_restarts:
                         raise CampaignFailedError(
                             f"gave up after {restarts} rank failures (last: {err})"
@@ -578,18 +557,13 @@ class CampaignRunner:
         }
         with obs.span("campaign.checkpoint", eval=eval_index):
             if final:  # run_vqe has closed the append handle
-                _atomic_write_json(payload, self._vqe_state_path())
+                atomic_write(self._vqe_state_path(), json.dumps(payload) + "\n")
             else:
                 if self._vqe_log is None:
                     self._vqe_log = open_append(self._vqe_state_path())
                 self._vqe_log.write(json.dumps(payload).encode() + b"\n")
                 self._vqe_log.flush()
         self.checkpoints_written += 1
-        if obs.enabled():
-            obs.inc(
-                "repro_campaign_checkpoints_total",
-                help="Campaign checkpoints written",
-            )
 
     def _load_vqe_params(self) -> Optional[dict]:
         path = self._vqe_state_path()

@@ -16,7 +16,6 @@ from abc import ABC
 
 import numpy as np
 
-from repro import obs
 from repro.ir.circuit import Circuit
 from repro.ir.pauli import PauliSum
 from repro.sim.batched import reverse_value_and_gradient
@@ -39,80 +38,23 @@ __all__ = [
 class Estimator(ABC):
     """Turns a bound circuit + observable into an expectation value.
 
-    Simulators are pooled per register width: a VQE loop calls
-    ``estimate`` thousands of times with the same-width circuit, and
-    re-allocating a 2^n amplitude buffer (plus a second one inside the
-    basis-rotation/sampling paths) per call was pure setup overhead.
-    The pool is byte-capped (``pool_capacity_bytes``): an estimator
-    handed many widths (scans, sweeps) evicts its least-recently-used
-    simulators instead of pinning one amplitude buffer per width
-    forever.
+    The estimator holds one simulator: a VQE loop calls ``estimate``
+    thousands of times at one register width, and re-allocating a 2^n
+    amplitude buffer (plus a second one inside the basis-rotation and
+    sampling paths) per call was pure setup overhead.  A call at a new
+    width replaces it.
     """
 
     name = "abstract"
 
-    def __init__(self, pool_capacity_bytes: int = 1 << 30) -> None:
+    def __init__(self) -> None:
         self.evaluations = 0
-        self._sims: dict = {}  # insertion order == LRU order
-        self.pool_capacity_bytes = pool_capacity_bytes
-        self.pool_bytes = 0
-        self.pool_evictions = 0
-
-    def _publish_pool_gauges(self) -> None:
-        obs.gauge_set(
-            "repro_estimator_pool_size",
-            len(self._sims),
-            help="Simulators pooled per register width",
-            labels={"estimator": self.name},
-        )
-        obs.gauge_set(
-            "repro_estimator_pool_bytes",
-            float(self.pool_bytes),
-            help="Amplitude bytes held by the estimator simulator pool",
-            labels={"estimator": self.name},
-        )
+        self._sim = None
 
     def _simulator(self, num_qubits: int) -> StatevectorSimulator:
-        sim = self._sims.get(num_qubits)
-        if sim is None:
-            sim = StatevectorSimulator(num_qubits)
-            new_bytes = sim.state.nbytes
-            # LRU eviction: never evict below one simulator — the one
-            # we are about to use must stay, however large
-            while (
-                self._sims
-                and self.pool_bytes + new_bytes > self.pool_capacity_bytes
-            ):
-                lru_width = next(iter(self._sims))
-                evicted = self._sims.pop(lru_width)
-                self.pool_bytes -= evicted.state.nbytes
-                self.pool_evictions += 1
-                if obs.enabled():
-                    obs.inc(
-                        "repro_estimator_pool_evictions_total",
-                        help="Pooled simulators evicted by the byte cap",
-                        labels={"estimator": self.name},
-                    )
-            self._sims[num_qubits] = sim
-            self.pool_bytes += new_bytes
-            if obs.enabled():
-                obs.inc(
-                    "repro_estimator_pool_misses_total",
-                    help="Simulator pool misses (new simulator allocated)",
-                    labels={"estimator": self.name},
-                )
-                self._publish_pool_gauges()
-        else:
-            # refresh recency: move the hit width to the MRU end
-            self._sims.pop(num_qubits)
-            self._sims[num_qubits] = sim
-            if obs.enabled():
-                obs.inc(
-                    "repro_estimator_pool_hits_total",
-                    help="Simulator pool hits (reused pooled simulator)",
-                    labels={"estimator": self.name},
-                )
-        return sim
+        if self._sim is None or self._sim.num_qubits != num_qubits:
+            self._sim = StatevectorSimulator(num_qubits)
+        return self._sim
 
     def estimate(self, circuit: Circuit, observable: PauliSum) -> float:
         """Expectation <0|U^dag H U|0>."""
@@ -124,16 +66,11 @@ class Estimator(ABC):
     def estimate_plan(self, plan, params, observable: PauliSum) -> float:
         """Expectation from a compiled :class:`repro.sim.plan.ExecutionPlan`.
 
-        The bind-free fast path of :meth:`estimate`: the pooled
-        simulator executes the plan's prepacked kernel ops directly
-        (with cross-evaluation prefix-state reuse), then the same
-        evaluation strategy runs on the resulting state.  Subclasses
-        that override :meth:`estimate` wholesale (instead of
-        :meth:`_evaluate`) fall back to bind-and-estimate on the plan's
-        source circuit, so custom estimators stay correct.
+        The bind-free fast path of :meth:`estimate`: the simulator
+        executes the plan's prepacked kernel ops directly (with
+        cross-evaluation prefix-state reuse), then the same evaluation
+        strategy runs on the resulting state.
         """
-        if type(self).estimate is not Estimator.estimate:
-            return self.estimate(plan.source.bind(list(params)), observable)
         self.evaluations += 1
         sim = self._simulator(plan.num_qubits)
         sim.run_plan(plan, params)
@@ -165,13 +102,10 @@ class Estimator(ABC):
     def _evaluate(self, sim: StatevectorSimulator, observable: PauliSum) -> float:
         """Turn the simulator's current state into an expectation value.
 
-        Subclasses implement either this hook (and inherit both
-        :meth:`estimate` and the plan fast path) or :meth:`estimate`
-        itself (pre-plan subclasses; plans then fall back to bind).
+        Subclasses implement this hook and inherit both :meth:`estimate`
+        and the plan fast path.
         """
-        raise NotImplementedError(
-            "estimator subclasses implement _evaluate or override estimate"
-        )
+        raise NotImplementedError("estimator subclasses implement _evaluate")
 
 
 class DirectEstimator(Estimator):
@@ -200,8 +134,8 @@ class CachingEstimator(Estimator):
 
     name = "caching"
 
-    def __init__(self, pool_capacity_bytes: int = 1 << 30) -> None:
-        super().__init__(pool_capacity_bytes=pool_capacity_bytes)
+    def __init__(self) -> None:
+        super().__init__()
         self.extra_gates = 0
 
     def _evaluate(self, sim: StatevectorSimulator, observable: PauliSum) -> float:
@@ -218,13 +152,8 @@ class SamplingEstimator(Estimator):
 
     name = "sampling"
 
-    def __init__(
-        self,
-        shots_per_group: int = 4096,
-        seed: int = 7,
-        pool_capacity_bytes: int = 1 << 30,
-    ):
-        super().__init__(pool_capacity_bytes=pool_capacity_bytes)
+    def __init__(self, shots_per_group: int = 4096, seed: int = 7):
+        super().__init__()
         self.shots_per_group = shots_per_group
         self.rng = np.random.default_rng(seed)
 

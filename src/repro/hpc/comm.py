@@ -221,7 +221,6 @@ class SimComm:
         if not obs.enabled():
             return self._with_retry(lambda: self._exchange_attempt(buffers, partners))
         bytes_before = self.stats.point_to_point_bytes
-        retries_before = self.stats.retries
         with obs.span("comm.exchange", category="comm", ranks=self.num_ranks) as sp:
             t0 = time.perf_counter()
             out = self._with_retry(lambda: self._exchange_attempt(buffers, partners))
@@ -231,17 +230,6 @@ class SimComm:
         moved = self.stats.point_to_point_bytes - bytes_before
         sp.set_attribute("bytes", moved)
         sp.set_attribute("sim_time_s", self.clock.now)
-        obs.inc(
-            "repro_comm_exchange_calls_total", help="Pairwise slice exchanges"
-        )
-        obs.inc(
-            "repro_comm_p2p_bytes_total",
-            moved,
-            help="Point-to-point bytes moved (retransmissions included)",
-        )
-        retried = self.stats.retries - retries_before
-        if retried:
-            obs.inc("repro_comm_retries_total", retried, help="Comm-op retries")
         return out
 
     def _exchange_attempt(
@@ -292,7 +280,7 @@ class SimComm:
             out = self._with_retry(lambda: self._allreduce_attempt(values))
             dt = time.perf_counter() - t0
         sp.set_attribute("rank_comm_s", self._attribute_rank_time(dt))
-        self._record_allreduce_metrics(sp, bytes_before)
+        self._annotate_allreduce(sp, bytes_before)
         return out
 
     def _allreduce_attempt(self, values: Sequence[complex]) -> complex:
@@ -320,7 +308,7 @@ class SimComm:
             out = self._with_retry(lambda: self._allreduce_array_attempt(arrays))
             dt = time.perf_counter() - t0
         sp.set_attribute("rank_comm_s", self._attribute_rank_time(dt))
-        self._record_allreduce_metrics(sp, bytes_before)
+        self._annotate_allreduce(sp, bytes_before)
         return out
 
     def _allreduce_array_attempt(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -335,14 +323,10 @@ class SimComm:
         self.stats.allreduce_bytes += out.nbytes * 2 * rounds
         return out
 
-    def _record_allreduce_metrics(self, sp, bytes_before: int) -> None:
+    def _annotate_allreduce(self, sp, bytes_before: int) -> None:
         moved = self.stats.allreduce_bytes - bytes_before
         sp.set_attribute("bytes", moved)
         sp.set_attribute("sim_time_s", self.clock.now)
-        obs.inc("repro_comm_allreduce_calls_total", help="Allreduce collectives")
-        obs.inc(
-            "repro_comm_allreduce_bytes_total", moved, help="Allreduce bytes moved"
-        )
 
     def gather(self, slices: Sequence[np.ndarray]) -> np.ndarray:
         """Concatenate per-rank slices on a (virtual) root."""

@@ -276,16 +276,6 @@ class DistributedStatevector:
         if obs.enabled():
             self._flush_rank_compute(sp, compute_before)
             sp.set_attribute("exchanges", self.exchanges - exchanges_before)
-            obs.inc(
-                "repro_dsv_gates_total",
-                len(circuit.gates),
-                help="Gates applied by the distributed simulator",
-            )
-            obs.inc(
-                "repro_dsv_exchanges_total",
-                self.exchanges - exchanges_before,
-                help="Slice exchanges performed by the distributed simulator",
-            )
 
     def run_plan(self, plan, params: Sequence[float] = (), reset: bool = True) -> None:
         """Execute a compiled :class:`repro.sim.plan.ExecutionPlan`
@@ -327,16 +317,6 @@ class DistributedStatevector:
         if obs.enabled():
             self._flush_rank_compute(sp, compute_before)
             sp.set_attribute("exchanges", self.exchanges - exchanges_before)
-            obs.inc(
-                "repro_dsv_gates_total",
-                plan.num_ops,
-                help="Gates applied by the distributed simulator",
-            )
-            obs.inc(
-                "repro_dsv_exchanges_total",
-                self.exchanges - exchanges_before,
-                help="Slice exchanges performed by the distributed simulator",
-            )
 
     def _apply_plan_op(self, op, params: np.ndarray) -> None:
         if self.comm.fault_injector is not None:
@@ -416,10 +396,6 @@ class DistributedStatevector:
         if obs.enabled():
             self._flush_rank_compute(sp, compute_before)
             sp.set_attribute("exchanges", self.exchanges - exchanges_before)
-            obs.inc(
-                "repro_dsv_expectations_total",
-                help="Distributed direct expectation evaluations",
-            )
         return value
 
     def _observable_program(self, observable: PauliSum) -> list:

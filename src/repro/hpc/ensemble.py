@@ -92,11 +92,6 @@ class EnsembleExecutor:
                 "rank_busy_sim_s",
                 {str(k): t for k, t in sorted(schedule.rank_times.items())},
             )
-            obs.inc(
-                "repro_ensemble_evaluations_total",
-                len(circuits),
-                help="Expectation evaluations dispatched over the ensemble",
-            )
         return EnsembleResult(values=values, schedule=schedule)
 
     def _schedule_with_faults(self, jobs: Sequence[Job]) -> Schedule:

@@ -141,11 +141,6 @@ class BatchScheduler:
         makespan = max(rank_times.values()) if rank_times else 0.0
         sp.set_attribute("makespan_s", makespan)
         if obs.enabled():
-            obs.inc(
-                "repro_sched_jobs_placed_total",
-                len(jobs),
-                help="Jobs placed by the LPT batch scheduler",
-            )
             self._emit_rank_metrics(rank_times)
         failed = [
             k for k in range(self.num_ranks) if k not in set(ranks)
@@ -318,11 +313,6 @@ class BatchScheduler:
                 rank_bytes,
             )
         if obs.enabled():
-            obs.inc(
-                "repro_sched_jobs_rescheduled_total",
-                len(orphans),
-                help="Orphaned jobs re-placed after a rank failure",
-            )
             self._emit_rank_metrics(rank_times, previous)
         makespan = max(rank_times.values()) if rank_times else 0.0
         # work finished on the dead rank before it died still bounds the

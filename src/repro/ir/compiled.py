@@ -125,16 +125,6 @@ class CompiledPauliSum:
             self.gathers = gathers
         self.dim = self.index.size
         obs.mem_track(self, "compiled_observable", self.nbytes())
-        if obs.enabled():
-            obs.inc(
-                "repro_compiled_obs_compiles_total",
-                help="Observable compilations (x-mask batching)",
-            )
-            obs.inc(
-                "repro_compiled_obs_compiled_terms_total",
-                self.num_terms,
-                help="Pauli terms absorbed into compiled observables",
-            )
 
     # -- inspection ----------------------------------------------------------
 
@@ -164,24 +154,6 @@ class CompiledPauliSum:
             f"terms={self.num_terms}, passes={self.num_passes})"
         )
 
-    def _record(self, op: str) -> None:
-        if obs.enabled():
-            obs.inc(
-                "repro_compiled_obs_evaluations_total",
-                help="Compiled-observable evaluations by operation",
-                labels={"op": op},
-            )
-            obs.inc(
-                "repro_compiled_obs_passes_total",
-                self.num_passes,
-                help="Full-vector passes performed by compiled evaluations",
-            )
-            obs.inc(
-                "repro_compiled_obs_passes_saved_total",
-                self.num_terms - self.num_passes,
-                help="Per-term passes avoided by x-mask batching",
-            )
-
     # -- numerics ------------------------------------------------------------
 
     def apply(self, state: np.ndarray) -> np.ndarray:
@@ -191,7 +163,6 @@ class CompiledPauliSum:
             raise ValueError(
                 f"state dimension mismatch: expected {self.dim}, got {state.shape[-1]}"
             )
-        self._record("apply")
         out = np.zeros(state.shape, dtype=np.complex128)
         for d, g in zip(self.diagonals, self.gathers):
             t = d * state
@@ -207,7 +178,6 @@ class CompiledPauliSum:
             raise ValueError(
                 f"state dimension mismatch: expected {self.dim}, got {state.shape[0]}"
             )
-        self._record("expectation")
         total = 0.0 + 0.0j
         abs2: Optional[np.ndarray] = None
         for d, g in zip(self.diagonals, self.gathers):
@@ -227,7 +197,6 @@ class CompiledPauliSum:
         """
         if states.ndim != 2 or states.shape[1] != self.dim:
             raise ValueError(f"expected a (batch, {self.dim}) amplitude matrix")
-        self._record("expectations")
         out = np.zeros(states.shape[0], dtype=np.complex128)
         for d, g in zip(self.diagonals, self.gathers):
             if g is None:
@@ -269,12 +238,6 @@ def compile_observable(
         )
     cached = [c for c in observable._compiled or () if c.source_version == observable.version]
     hit = next((c for c in cached if _same_index(c.index, index)), None)
-    if obs.enabled():
-        obs.inc(
-            "repro_compiled_obs_cache_total",
-            help="Compiled-observable cache lookups by outcome",
-            labels={"outcome": "hit" if hit is not None else "miss"},
-        )
     if hit is not None:
         return hit
     compiled = CompiledPauliSum(observable, None if index.size == 1 << n else index)

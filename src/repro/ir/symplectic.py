@@ -51,7 +51,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.utils.bitops import count_set_bits, popcount
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -295,12 +294,6 @@ class SymplecticPauli:
         self.x = x
         self.z = z
         self.coeffs = coeffs
-        if obs.enabled():
-            obs.inc(
-                "repro_symplectic_rows",
-                x.shape[0],
-                help="Pauli-term rows packed into symplectic bit-matrices",
-            )
 
     # -- constructors --------------------------------------------------------
 

@@ -33,7 +33,7 @@ Typical use::
     obs.enable()                       # or: repro vqe h2 --profile
     with obs.span("sim.run_circuit", gates=128):
         ...
-    obs.inc("repro_sim_circuits_total")
+    obs.inc("repro_vqe_energy_evaluations_total")
     print(obs.get_registry().expose())
     obs.get_tracer().write_chrome_trace("trace.json")
 """

@@ -42,8 +42,6 @@ __all__ = [
     "estimate_compiled_passes",
     "AMPLITUDE_BYTES",
     "TERM_BYTES",
-    "LIVE_BYTES_GAUGE",
-    "PEAK_BYTES_GAUGE",
     "RANK_MEMORY_GAUGE",
 ]
 
@@ -54,13 +52,8 @@ _GATHER_BYTES = 8
 # One packed (mask, coeff) entry of a qubit Hamiltonian's term dict.
 TERM_BYTES = 96
 
-# Gauge names the ledger mirrors into the metrics registry, so
-# out-of-process pollers (metrics.jsonl, ``repro top``) see memory
-# without access to the live ledger object.
-LIVE_BYTES_GAUGE = "repro_memory_live_bytes"
-PEAK_BYTES_GAUGE = "repro_memory_peak_bytes"
-# Per-rank peak watermark, labelled {rank="k"} like the rank-time
-# counters of repro.obs.perf.
+# Per-rank peak watermark the ledger mirrors into the metrics registry,
+# labelled {rank="k"} like the rank-time counters of repro.obs.perf.
 RANK_MEMORY_GAUGE = "repro_rank_memory_peak_bytes"
 
 
@@ -122,7 +115,7 @@ class MemoryLedger:
             if span:
                 self.span_bytes[span] = self.span_bytes.get(span, 0) + nbytes
             self._apply(category, rank, nbytes)
-        self._publish(category, rank)
+        self._publish(rank)
         return handle
 
     def free(self, handle: int) -> int:
@@ -138,7 +131,7 @@ class MemoryLedger:
             self.frees_total += 1
             self.freed_bytes_total += nbytes
             self._apply(category, rank, -nbytes)
-        self._publish(category, rank)
+        self._publish(rank)
         return nbytes
 
     def resize(self, handle: int, nbytes: int) -> None:
@@ -161,7 +154,7 @@ class MemoryLedger:
             else:
                 self.freed_bytes_total -= delta
             self._apply(category, rank, delta)
-        self._publish(category, rank)
+        self._publish(rank)
 
     def _apply(self, category: str, rank: Optional[int], delta: int) -> None:
         self.live_bytes += delta
@@ -176,34 +169,9 @@ class MemoryLedger:
             if rank_live > self.peak_by_rank.get(rank, 0):
                 self.peak_by_rank[rank] = rank_live
 
-    def _publish(self, category: str, rank: Optional[int]) -> None:
-        hook = self.gauge_hook
-        if hook is None:
-            return
-        hook(
-            LIVE_BYTES_GAUGE,
-            float(self.live_bytes),
-            help="Live bytes registered with the memory ledger",
-        )
-        hook(
-            PEAK_BYTES_GAUGE,
-            float(self.peak_bytes),
-            help="Peak bytes registered with the memory ledger",
-        )
-        hook(
-            LIVE_BYTES_GAUGE,
-            float(self.live_by_category.get(category, 0)),
-            help="Live bytes registered with the memory ledger",
-            labels={"category": category},
-        )
-        hook(
-            PEAK_BYTES_GAUGE,
-            float(self.peak_by_category.get(category, 0)),
-            help="Peak bytes registered with the memory ledger",
-            labels={"category": category},
-        )
-        if rank is not None:
-            hook(
+    def _publish(self, rank: Optional[int]) -> None:
+        if rank is not None and self.gauge_hook is not None:
+            self.gauge_hook(
                 RANK_MEMORY_GAUGE,
                 float(self.peak_by_rank.get(rank, 0)),
                 help="Peak ledger bytes attributed to each rank",

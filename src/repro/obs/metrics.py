@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import threading
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from repro.utils.files import atomic_write
 
 # One process-wide lock guards every metric mutation and registry
 # get-or-create.  The campaign server's evaluation broker runs
@@ -33,12 +34,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 # already gate on ``obs.enabled()``.
 _LOCK = threading.Lock()
 
-
-def _atomic_write(path: str, payload: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
 
 __all__ = [
     "Counter",
@@ -57,10 +52,17 @@ _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 
+def _escape(text: str, quote: bool = True) -> str:
+    """Text-format escaping: backslash and newline everywhere, and the
+    double quote inside label values."""
+    text = text.replace("\\", "\\\\").replace("\n", "\\n")
+    return text.replace('"', '\\"') if quote else text
+
+
 def _format_labels(labels: Mapping[str, str]) -> str:
     if not labels:
         return ""
-    inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
+    inner = ",".join(f'{k}="{_escape(v)}"' for k, v in sorted(labels.items()))
     return "{" + inner + "}"
 
 
@@ -318,7 +320,7 @@ class MetricsRegistry:
             if metric.name not in seen_families:
                 seen_families.add(metric.name)
                 if metric.help:
-                    lines.append(f"# HELP {metric.name} {metric.help}")
+                    lines.append(f"# HELP {metric.name} {_escape(metric.help, quote=False)}")
                 lines.append(f"# TYPE {metric.name} {metric.kind}")
             lines.extend(metric.expose())
         return "\n".join(lines) + ("\n" if lines else "")
@@ -335,11 +337,11 @@ class MetricsRegistry:
         (tmp + rename) so out-of-process pollers like ``repro top``
         never read a torn snapshot."""
         payload = "".join(json.dumps(snap) + "\n" for snap in self.snapshot())
-        _atomic_write(path, payload)
+        atomic_write(path, payload)
 
     def write_prometheus(self, path: str) -> None:
         """Prometheus exposition file, written atomically."""
-        _atomic_write(path, self.expose())
+        atomic_write(path, self.expose())
 
     def reset(self) -> None:
         self._metrics.clear()

@@ -6,8 +6,7 @@ JSON-able object:
 * per-span aggregates from the tracer (name, count, total seconds),
 * the metrics registry snapshot,
 * the pre-existing domain ledgers — ``CommStats`` byte counters,
-  ``RetryStats``, the ``FaultLedger``, the cache ``GateLedger`` and
-  ``PostAnsatzCache`` accounting — normalized into plain dicts,
+  ``RetryStats`` and the ``FaultLedger`` — normalized into plain dicts,
 * the performance analysis (``repro.obs.perf``): per-rank timelines,
   the rank-to-rank communication matrix, load-imbalance statistics,
   and the critical path through the span tree,
@@ -19,25 +18,27 @@ The report is attached to driver results (``VQEResult.report``,
 campaign checkpoints, and written/pretty-printed by the CLI
 (``--report-out`` / ``repro report``).
 
-This module imports nothing from ``repro`` outside ``repro.obs`` —
-ledgers are converted by duck typing, so the observability layer stays
+This module imports nothing from ``repro`` outside ``repro.obs`` but
+the standard-library-only ``repro.utils.files`` — ledgers are converted
+by duck typing, so the observability layer stays
 a leaf dependency every other layer may import.
 
 Version history: v1 had no ``perf`` section; v2 added it; v3 added the
 ``flight`` section (convergence flight-recorder verdicts and samples,
 :mod:`repro.obs.flight`); v4 added the ``memory`` section (allocation-
 ledger watermarks, :mod:`repro.obs.memory`).  Loading an older payload
-yields the newer sections empty.
+yields the newer sections empty and ignores its ``cache`` key.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from repro.utils.files import atomic_write
 
 __all__ = ["RunReport", "as_plain_dict", "format_bytes"]
 
@@ -99,7 +100,6 @@ class RunReport:
     spans: List[Dict[str, Any]] = field(default_factory=list)
     metrics: List[Dict[str, Any]] = field(default_factory=list)
     comm: Dict[str, Any] = field(default_factory=dict)
-    cache: Dict[str, Any] = field(default_factory=dict)
     faults: Dict[str, Any] = field(default_factory=dict)
     perf: Dict[str, Any] = field(default_factory=dict)
     flight: Dict[str, Any] = field(default_factory=dict)
@@ -118,7 +118,6 @@ class RunReport:
         tracer: Optional[object] = None,
         registry: Optional[object] = None,
         comm_stats: Optional[object] = None,
-        cache_stats: Optional[object] = None,
         fault_ledger: Optional[object] = None,
         convergence: Optional[Dict[str, List[float]]] = None,
         flight: Optional[Dict[str, Any]] = None,
@@ -164,7 +163,6 @@ class RunReport:
             spans=spans,
             metrics=registry.snapshot(),
             comm=as_plain_dict(comm_stats),
-            cache=as_plain_dict(cache_stats),
             faults=as_plain_dict(fault_ledger),
             perf={} if analysis.is_empty else analysis.to_dict(),
             flight=dict(flight or {}),
@@ -187,7 +185,6 @@ class RunReport:
             "spans": _jsonable(self.spans),
             "metrics": _jsonable(self.metrics),
             "comm": _jsonable(self.comm),
-            "cache": _jsonable(self.cache),
             "faults": _jsonable(self.faults),
             "perf": _jsonable(self.perf),
             "flight": _jsonable(self.flight),
@@ -199,10 +196,7 @@ class RunReport:
         return json.dumps(self.to_dict(), indent=indent)
 
     def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(self.to_json())
-        os.replace(tmp, path)
+        atomic_write(path, self.to_json())
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunReport":
@@ -214,7 +208,6 @@ class RunReport:
             spans=list(payload.get("spans", [])),
             metrics=list(payload.get("metrics", [])),
             comm=dict(payload.get("comm", {})),
-            cache=dict(payload.get("cache", {})),
             faults=dict(payload.get("faults", {})),
             perf=dict(payload.get("perf", {})),
             flight=dict(payload.get("flight", {})),
@@ -307,7 +300,6 @@ class RunReport:
                 )
         for section, data in (
             ("comm", self.comm),
-            ("cache", self.cache),
             ("faults", self.faults),
         ):
             lines.append(f"-- {section} --")

@@ -30,6 +30,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.utils.files import atomic_write
+
 __all__ = ["SpanRecord", "Tracer", "NULL_SPAN"]
 
 
@@ -242,11 +244,7 @@ class Tracer:
 
     def write_chrome_trace(self, path: str) -> None:
         """Serialize :meth:`to_chrome_trace` to ``path`` atomically."""
-        payload = self.to_chrome_trace()
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(self.to_chrome_trace()))
 
     def reset(self) -> None:
         with self._lock:

@@ -29,9 +29,9 @@
   the queued work is re-LPT'd over survivors via ``BatchScheduler``;
   overload sheds the lowest-priority queued jobs; drain mode finishes
   in-flight work while rejecting new submissions.
-* **Observability**: health/readiness and per-tenant counters are
-  published through ``repro.obs`` and mirrored to an atomically
-  written ``status.json`` for out-of-process ``repro status``; every
+* **Observability**: health/readiness is written atomically to
+  ``status.json`` for out-of-process ``repro status``, and live
+  per-tenant job gauges are published through ``repro.obs``; every
   state transition additionally lands on the durable structured event
   bus (``<state_dir>/events.jsonl``, :mod:`repro.obs.events`), which
   feeds the SLO engine and the ``repro top`` dashboard, and periodic
@@ -73,6 +73,7 @@ from repro.serve.spec import (
     qubits_for_molecule,
 )
 from repro.serve.store import ContentStore, ProblemCache
+from repro.utils.files import atomic_write
 from repro.utils.retry import CircuitBreaker, RetryBudget, RetryPolicy
 
 __all__ = ["ServerConfig", "JobRecord", "CampaignServer", "load_state_view"]
@@ -580,12 +581,6 @@ class CampaignServer:
                 requeued=len(in_flight),
                 lost_ranks=sorted(self.state.lost_ranks) or None,
             )
-        if obs.enabled() and in_flight:
-            obs.inc(
-                "repro_serve_jobs_resumed_total",
-                len(in_flight),
-                help="In-flight jobs requeued after a server restart",
-            )
 
     # -- derived views --------------------------------------------------------
 
@@ -688,15 +683,6 @@ class CampaignServer:
             priority=spec.priority,
             reason=decision.reason or None,
         )
-        if obs.enabled():
-            obs.inc(
-                "repro_serve_submissions_total",
-                help="Submissions received, by tenant and outcome",
-                labels={
-                    "tenant": spec.tenant,
-                    "outcome": "admitted" if decision.admitted else "rejected",
-                },
-            )
         return job
 
     def _poll_inbox(self) -> int:
@@ -766,10 +752,6 @@ class CampaignServer:
             alive=len(self.alive_ranks),
             requeued=requeued or None,
         )
-        if obs.enabled():
-            obs.inc(
-                "repro_serve_ranks_lost_total", help="Simulated worker ranks lost"
-            )
 
     def _check_rank_faults(self, rank: int) -> None:
         """Consult the fault injector at dispatch time.  Any rank it
@@ -1221,11 +1203,6 @@ class CampaignServer:
         )
         if dedup:
             self.dedup_hits += 1
-            if obs.enabled():
-                obs.inc(
-                    "repro_serve_dedup_hits_total",
-                    help="Jobs completed from the content-addressed store",
-                )
         self._job_terminal(job)
 
     def _complete_duplicates(self) -> None:
@@ -1274,12 +1251,6 @@ class CampaignServer:
                 delay_s=delay,
                 reason=f"{type(err).__name__}: {err}",
             )
-            if obs.enabled():
-                obs.inc(
-                    "repro_serve_job_retries_total",
-                    help="Job-level retries after execution failures",
-                    labels={"tenant": job.spec.tenant},
-                )
         else:
             rec = self.journal.append(
                 "failed",
@@ -1309,12 +1280,6 @@ class CampaignServer:
     def _job_terminal(self, job: JobRecord) -> None:
         """Bookkeeping for a job that just reached a terminal state."""
         self._placement_jobs.pop(job.job_id, None)
-        if obs.enabled():
-            obs.inc(
-                "repro_serve_jobs_total",
-                help="Jobs reaching a terminal state, by tenant and state",
-                labels={"tenant": job.spec.tenant, "state": job.state},
-            )
 
     # -- drain / lifecycle ----------------------------------------------------
 
@@ -1441,52 +1406,11 @@ class CampaignServer:
                 self._status_rows[jid] = json.dumps(job.to_dict())
                 object.__setattr__(job, "_row_stale", False)
             rows.append(self._status_rows[jid])
-        tmp = os.path.join(self.state_dir, "status.json.tmp")
-        with open(tmp, "w") as fh:
-            fh.write(
-                '{"health": %s, "jobs": [%s]}'
-                % (json.dumps(health), ", ".join(rows))
-            )
-        os.replace(tmp, os.path.join(self.state_dir, "status.json"))
+        atomic_write(
+            os.path.join(self.state_dir, "status.json"),
+            '{"health": %s, "jobs": [%s]}' % (json.dumps(health), ", ".join(rows)),
+        )
         if obs.enabled():
-            obs.gauge_set(
-                "repro_serve_ready",
-                1.0 if health["ready"] else 0.0,
-                help="1 when the server is accepting and executing work",
-            )
-            obs.gauge_set(
-                "repro_serve_queue_depth",
-                float(health["queue_depth"]),
-                help="Queued jobs",
-            )
-            obs.gauge_set(
-                "repro_serve_alive_ranks",
-                float(len(health["alive_ranks"])),
-                help="Surviving worker ranks",
-            )
-            mem = health["memory"]
-            obs.gauge_set(
-                "repro_serve_fleet_memory_bytes",
-                float(mem["fleet_capacity_bytes"]),
-                help="Memory budget of the surviving rank pool",
-            )
-            obs.gauge_set(
-                "repro_serve_queued_est_bytes",
-                float(mem["queued_est_bytes"]),
-                help="Capacity-model predicted bytes of queued jobs",
-            )
-            obs.gauge_set(
-                "repro_serve_running_est_bytes",
-                float(mem["running_est_bytes"]),
-                help="Capacity-model predicted bytes of running jobs",
-            )
-            batch = health["batch"]
-            if batch.get("enabled"):
-                obs.gauge_set(
-                    "repro_serve_batch_occupancy_mean",
-                    float(batch.get("mean_occupancy", 0.0)),
-                    help="Mean evaluation rows per executed batch group",
-                )
             # per-tenant live-state gauges; only non-terminal states are
             # interesting live, and pairs that vanished since the last
             # publish are explicitly zeroed (a drained tenant's queue
@@ -1510,7 +1434,6 @@ class CampaignServer:
                     labels={"tenant": tenant, "state": state},
                 )
             self._published_tenant_states = current
-            obs.inc("repro_serve_ticks_total", help="Server scheduling rounds")
 
 
 def load_state_view(state_dir: str) -> Dict[str, Any]:

@@ -51,6 +51,7 @@ from repro.chem.uccsd import build_uccsd_circuit, uccsd_generators
 from repro.obs.memory import TERM_BYTES
 from repro.serve.spec import JobSpec, resolve_molecule
 from repro.sim.plan import compile_circuit
+from repro.utils.files import atomic_write
 from repro.utils.jsonl import open_append, parse_lines
 
 __all__ = ["ContentStore", "ProblemCache", "read_warm_family"]
@@ -58,13 +59,6 @@ __all__ = ["ContentStore", "ProblemCache", "read_warm_family"]
 # one warm-start family: geometry -> converged parameters, in the order
 # each geometry was last written
 WarmFamily = Dict[Optional[float], List[float]]
-
-
-def _atomic_write_json(payload: dict, path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(json.dumps(payload))  # dumps, not dump: the C encoder
-    os.replace(tmp, path)
 
 
 def read_warm_family(path: str) -> WarmFamily:
@@ -129,7 +123,7 @@ class ContentStore:
     def put_result(self, content_key: str, result: Dict[str, Any]) -> None:
         """Idempotent: re-putting the same key just overwrites with the
         same content (journal replay safety)."""
-        _atomic_write_json(result, self._result_path(content_key))
+        atomic_write(self._result_path(content_key), json.dumps(result))
         self._result_keys.add(content_key)
 
     def has_result(self, content_key: str) -> bool:
@@ -239,11 +233,6 @@ class ProblemCache:
         cached = self._cache.get(key)
         if cached is not None:
             self.hits += 1
-            if obs.enabled():
-                obs.inc(
-                    "repro_serve_problem_cache_hits_total",
-                    help="Problem-cache hits (shared compiled artifacts)",
-                )
             return cached
         pkey = spec.physics_key()
         shared = self._physics.get(pkey)
@@ -252,11 +241,6 @@ class ProblemCache:
             # seed): alias the shared problem, no rebuild, no new bytes
             self._cache[key] = shared
             self.physics_hits += 1
-            if obs.enabled():
-                obs.inc(
-                    "repro_serve_problem_cache_physics_hits_total",
-                    help="Problem-cache physics-tier hits (cross-seed sharing)",
-                )
             return shared
         problem = self._build(spec)
         self._cache[key] = problem
@@ -266,11 +250,6 @@ class ProblemCache:
         if not self._mem:  # late-bound: obs may be enabled after init
             self._mem = obs.mem_track(self, "problem_cache", 0)
         obs.mem_resize(self._mem, self.total_bytes)
-        if obs.enabled():
-            obs.inc(
-                "repro_serve_problem_cache_builds_total",
-                help="Distinct problems built by the campaign server",
-            )
         return problem
 
     def _build(self, spec: JobSpec) -> Dict[str, Any]:

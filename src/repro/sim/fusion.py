@@ -89,13 +89,6 @@ def fuse_circuit(circuit: Circuit, max_qubits: int = 2) -> FusionResult:
         raise ValueError("fusion supports max_qubits of 1 or 2 (paper design point)")
     with obs.span("sim.fuse_circuit", gates=len(circuit), max_qubits=max_qubits):
         result = _fuse(circuit, max_qubits)
-    if obs.enabled():
-        obs.inc("repro_fusion_passes_total", help="Gate-fusion pass executions")
-        obs.inc(
-            "repro_fusion_gates_removed_total",
-            result.original_gates - result.fused_gates,
-            help="Gates eliminated by fusion",
-        )
     return result
 
 

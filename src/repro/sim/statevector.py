@@ -107,15 +107,6 @@ class StatevectorSimulator:
         ):
             for g in circuit.gates:
                 self.apply_gate(g)
-        if obs.enabled():
-            obs.inc(
-                "repro_sim_circuits_total", help="Circuit executions on the dense simulator"
-            )
-            obs.inc(
-                "repro_sim_gates_total",
-                len(circuit.gates),
-                help="Gates applied by the dense simulator",
-            )
         return self.state
 
     def apply_circuit(self, circuit: Circuit) -> np.ndarray:
@@ -146,16 +137,6 @@ class StatevectorSimulator:
         ):
             plan.execute(self.state, params, reset=reset)
         self.gates_applied += plan.num_ops
-        if obs.enabled():
-            obs.inc(
-                "repro_sim_circuits_total",
-                help="Circuit executions on the dense simulator",
-            )
-            obs.inc(
-                "repro_sim_gates_total",
-                plan.num_ops,
-                help="Gates applied by the dense simulator",
-            )
         return self.state
 
     # -- measurement --------------------------------------------------------------

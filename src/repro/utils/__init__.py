@@ -1,4 +1,5 @@
-"""Shared utilities: bit manipulation, linear algebra helpers, retries."""
+"""Shared utilities: bit manipulation, linear algebra helpers, retries,
+atomic file writes."""
 
 from repro._lazy import name_table
 
@@ -6,6 +7,7 @@ __all__, __getattr__, __dir__ = name_table(
     __name__,
     {
         "retry": ["RetryExhaustedError", "RetryPolicy", "RetryStats"],
+        "files": ["atomic_write"],
         "bitops": ["bit_at", "count_set_bits", "flip_bit", "insert_zero_bit", "set_bit"],
         "linalg": [
             "is_hermitian",

@@ -135,12 +135,11 @@ class TestCLIObservability:
         # Prometheus metrics dump
         text = metrics.read_text()
         assert "# TYPE repro_vqe_energy_evaluations_total counter" in text
-        # run report embeds comm/cache/fault sections and convergence
+        # run report embeds comm/fault sections and convergence
         loaded = RunReport.load(str(report))
         assert loaded.meta["command"] == "repro vqe"
         assert loaded.convergence["energy"]
         assert "comm" in loaded.to_dict()
-        assert "cache" in loaded.to_dict()
         assert "faults" in loaded.to_dict()
         # profiling is torn down after the command
         assert not obs.enabled()

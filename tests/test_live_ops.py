@@ -12,6 +12,7 @@ the end-to-end acceptance path: injected stall + deadline-miss burst
 
 import json
 import os
+import re
 
 import pytest
 
@@ -474,6 +475,35 @@ class TestMetricsSatellites:
         assert gauge(JobState.QUEUED) == 0.0
         assert gauge(JobState.RUNNING) == 0.0
         srv.close()
+
+    def test_tenant_label_is_escaped_in_exposition(self, tmp_path):
+        tenant = 'a"b\\c\nd'
+        obs.reset()
+        obs.enable()
+        srv = CampaignServer(str(tmp_path / "srv"), ServerConfig(num_ranks=1))
+        for geometry in (None, 0.9):
+            srv.submit(
+                JobSpec(tenant=tenant, molecule="h2", geometry=geometry, max_iterations=2)
+            )
+        srv.tick()
+        srv.close()
+        path = str(tmp_path / "metrics.prom")
+        obs.get_registry().write_prometheus(path)
+        lines = [
+            line for line in open(path).read().splitlines()
+            if line.startswith("repro_serve_tenant_jobs")
+        ]
+        assert lines  # the queued job's gauge is live
+        sample = re.compile(
+            r'^repro_serve_tenant_jobs\{state="\w+",tenant="((?:[^"\\\n]|\\.)*)"\} \d+$'
+        )
+        for line in lines:  # one line per sample, each well formed
+            match = sample.match(line)
+            assert match, line
+            unescaped = re.sub(
+                r"\\(.)", lambda m: "\n" if m.group(1) == "n" else m.group(1), match.group(1)
+            )
+            assert unescaped == tenant
 
 
 # -- dashboard ----------------------------------------------------------------

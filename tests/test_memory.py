@@ -389,38 +389,6 @@ def test_scheduler_respects_rank_byte_budget():
     assert sum(len(js) for js in tight.assignments.values()) == 4
 
 
-# -- estimator pool (byte-capped LRU) -----------------------------------------
-
-
-def test_estimator_pool_evicts_by_bytes():
-    from repro.core.estimator import DirectEstimator
-
-    # cap fits the 10-qubit simulator (16 KiB) plus slack, not two
-    est = DirectEstimator(pool_capacity_bytes=20 * 1024)
-    sim10 = est._simulator(10)
-    assert est.pool_bytes == sim10.state.nbytes
-    est._simulator(9)  # 8 KiB: evicts the 16 KiB LRU entry
-    assert est.pool_evictions == 1
-    assert 10 not in est._sims and 9 in est._sims
-    # the active width always fits, even alone over the cap
-    est._simulator(12)
-    assert 12 in est._sims
-    assert est.pool_bytes <= 20 * 1024 or list(est._sims) == [12]
-
-
-def test_estimator_pool_lru_refreshes_on_hit():
-    from repro.core.estimator import DirectEstimator
-
-    est = DirectEstimator(pool_capacity_bytes=1 << 20)
-    est._simulator(6)
-    est._simulator(7)
-    est._simulator(6)  # refresh: 7 becomes LRU
-    # room for the incoming 4 KiB simulator after exactly one eviction
-    est.pool_capacity_bytes = 6 * 1024
-    est._simulator(8)
-    assert 7 not in est._sims and 6 in est._sims
-
-
 # -- report v4 / rendering ----------------------------------------------------
 
 

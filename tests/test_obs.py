@@ -312,14 +312,12 @@ class TestRunReport:
         report = obs.collect_report(
             meta={"kind": "test"},
             comm_stats=CommLike(),
-            cache_stats={"hits": 5, "misses": 2},
             fault_ledger=None,
             convergence={"energy": [1.0, 0.5]},
             wall_time_s=0.1,
         )
         assert report.meta["kind"] == "test"
         assert report.comm["retries"] == 3
-        assert report.cache == {"hits": 5, "misses": 2}
         assert report.faults == {}  # key always present, empty ok
         assert report.convergence == {"energy": [1.0, 0.5]}
         assert [s["name"] for s in report.spans] == ["phase"]
@@ -349,6 +347,14 @@ class TestRunReport:
         assert loaded.wall_time_s == 2.0
         assert loaded.version == report.version
 
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_older_payload_with_cache_section_loads(self, version):
+        loaded = RunReport.from_dict(
+            {"version": version, "meta": {"kind": "old"}, "cache": {"hits": 5}}
+        )
+        assert loaded.meta == {"kind": "old"}
+        assert "cache" not in loaded.to_dict()
+
     def test_version_check(self):
         with pytest.raises(ValueError, match="version"):
             RunReport.from_dict({"version": 99})
@@ -358,7 +364,7 @@ class TestRunReport:
         text = report.summary()
         assert "repro test" in text
         assert "-- comm --" in text
-        assert "-- cache --" in text
+        assert "-- cache --" not in text
         assert "-- faults --" in text
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.estimator import DirectEstimator, Estimator
+from repro.core.estimator import DirectEstimator
 from repro.hpc.distributed import DistributedStatevector
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Gate, Parameter
@@ -675,25 +675,8 @@ class TestConsumers:
         via_plan = est.estimate_plan(plan, params, h)
         naive = DirectEstimator().estimate(circ.bind(list(params)), h)
         assert abs(via_plan - naive) < 1e-10
-
-    def test_estimate_plan_falls_back_for_custom_estimators(self):
-        calls = []
-
-        class LoggingEstimator(Estimator):
-            def estimate(self, circuit, observable):
-                calls.append(len(circuit.parameters))
-                sim = StatevectorSimulator(circuit.num_qubits)
-                sim.run(circuit)
-                from repro.sim.expectation import expectation_direct
-
-                return expectation_direct(sim.statevector(copy=False), observable)
-
-        circ, h, params = self._setup()
-        est = LoggingEstimator()
-        got = est.estimate_plan(compile_circuit(circ), params, h)
-        # the override received a *bound* circuit (legacy contract)
-        assert calls == [0]
-        assert abs(got - DirectEstimator().estimate(circ.bind(list(params)), h)) < 1e-10
+        # the estimator holds one simulator: a second width replaces it
+        assert est._simulator(circ.num_qubits + 1).num_qubits == circ.num_qubits + 1
 
     def test_batched_run_plan_matches_scalar(self):
         circ, h, params = self._setup()
