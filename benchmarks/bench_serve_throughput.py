@@ -19,18 +19,15 @@ sharing machinery show up as a throughput drop.
 ``test_serve_batched_throughput`` measures the third sharing effect —
 the cross-campaign evaluation broker: N same-molecule campaigns with
 *distinct* seeds (distinct optimizations, no dedup possible) served
-batched versus ``--no-batch`` sequential ticks.  An "eval" is one
-optimizer iterate: one parameter row that comes back with its energy
-and exact reverse-mode gradient (the broker runs a wave's rows as one
-``(2B, 2^n)`` block sweep; ``--no-batch`` runs each as a one-row
-sweep).  On H2 (4 qubits) that sweep is microseconds, so both modes
-take about the same 0.05-0.1 s for 8-16 campaigns, and what batching
-pays for is the worker threads and wave hand-offs (ROADMAP item 8
-(b)); repeated runs on a 2-core VM put the batched/solo evals/s ratio
-anywhere from 0.2x to 1x.  The ratio is therefore printed as data,
-not gated.  What is asserted is what does not depend on timing: equal
-evaluation counts in both modes, and that the broker really stacked
-the fleet.
+batched (``batch_size=32``) versus sequentially (``batch_size=1``: one
+job per rank per tick, one row per sweep).  An "eval" is one optimizer
+iterate: one parameter row that comes back with its energy and exact
+reverse-mode gradient (the broker runs a wave's rows as one
+``(2B, 2^n)`` block sweep).  On H2 (4 qubits) that sweep is
+microseconds, so the per-wave Python work of the server thread decides
+the evals/s ratio, which is printed as data, not gated.  What is
+asserted is what does not depend on timing: equal evaluation counts in
+both configurations, and that the broker really stacked the fleet.
 """
 
 import time
@@ -108,18 +105,18 @@ def test_serve_throughput(benchmark, tmp_path_factory):
 # -- cross-campaign batched execution -----------------------------------------
 
 
-def _run_fleet(state_dir, n, batch_enabled):
+def _run_fleet(state_dir, n, batch_size):
     """Serve n same-molecule distinct-seed campaigns; return
     (wall_s, total_evals, broker_stats)."""
     server = CampaignServer(
-        str(state_dir), ServerConfig(num_ranks=2, batch_enabled=batch_enabled)
+        str(state_dir), ServerConfig(num_ranks=2, batch_size=batch_size)
     )
     specs = [
         JobSpec(tenant=f"t{k}", kind="vqe", molecule="h2", seed=k)
         for k in range(n)
     ]
     # warm the shared physics tier outside the timed window in both
-    # modes: the chemistry build is a fixed per-problem cost, not the
+    # configurations: the chemistry build is a fixed per-problem cost, not the
     # per-campaign serving cost this benchmark measures
     server.problems.get(specs[0])
     for spec in specs:
@@ -132,7 +129,7 @@ def _run_fleet(state_dir, n, batch_enabled):
         server.store.get_result(j.spec.content_key()).get("evaluations", 0)
         for j in server.jobs.values()
     )
-    stats = server.broker.stats() if server.broker is not None else {}
+    stats = server.broker.stats()
     server.close()
     return wall, evals, stats
 
@@ -146,10 +143,10 @@ def test_serve_batched_throughput(benchmark, tmp_path_factory):
         root = tmp_path_factory.mktemp(f"serve_batched_{runs['n']}")
         out = {}
         for n in fleet_sizes:
-            wb, eb, stats = _run_fleet(root / f"batched{n}", n, True)
-            ws, es, _ = _run_fleet(root / f"solo{n}", n, False)
+            wb, eb, stats = _run_fleet(root / f"batched{n}", n, 32)
+            ws, es, _ = _run_fleet(root / f"solo{n}", n, 1)
             # identical trajectories => identical evaluation counts;
-            # a mismatch means the two modes diverged
+            # a mismatch means the two configurations diverged
             assert eb == es
             out[n] = {
                 "batched_s": wb,
@@ -189,8 +186,8 @@ def test_serve_batched_throughput(benchmark, tmp_path_factory):
             "mean occupancy",
         ],
         rows,
-        caption="Cross-campaign batched serving vs --no-batch sequential "
-        "ticks (same-molecule h2 campaigns, distinct seeds, 2 ranks)",
+        caption="Cross-campaign batched serving (batch size 32) vs sequential "
+        "serving (batch size 1), same-molecule h2 campaigns, distinct seeds, 2 ranks",
     )
     print("\n" + table)
 

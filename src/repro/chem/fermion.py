@@ -18,7 +18,7 @@ Terms are keyed by tuples of ``(orbital, is_creation)`` pairs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["FermionOperator"]
 

@@ -21,7 +21,7 @@ Hamiltonians of the same size — which is all those figures depend on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -11,10 +11,10 @@ Hamiltonians, so the entire VQE/ADAPT/QPE stack applies unchanged.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.chem.fermion import FermionOperator
-from repro.chem.mappings import jordan_wigner, map_fermion_operator
+from repro.chem.mappings import map_fermion_operator
 from repro.ir.pauli import PauliString, PauliSum
 
 __all__ = [

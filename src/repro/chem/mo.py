@@ -18,7 +18,7 @@ Conventions used throughout the chemistry stack:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -8,7 +8,7 @@ the standard test molecules used across the examples and benchmarks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np

@@ -12,7 +12,6 @@ Second-order Moller–Plesset doubles amplitudes serve two roles here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
 import numpy as np
 

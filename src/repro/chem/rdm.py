@@ -23,8 +23,6 @@ mapping, and simulator at once; it is asserted in the tests.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 from repro.chem.fermion import FermionOperator

@@ -9,7 +9,7 @@ sigma_ext), and the reference determinant for UCCSD/ADAPT.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

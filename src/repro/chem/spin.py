@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.chem.fermion import FermionOperator
 from repro.chem.mappings import map_fermion_operators
-from repro.ir.pauli import PauliSum
 
 __all__ = ["s_z_operator", "s_plus_operator", "s_squared_operator", "spin_expectations"]
 

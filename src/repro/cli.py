@@ -562,7 +562,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fault_seed=args.seed,
         fsync=args.fsync,
         rank_memory_bytes=args.rank_memory_bytes,
-        batch_enabled=not args.no_batch,
         batch_size=args.batch_size,
     )
     server = CampaignServer(args.state_dir, config)
@@ -589,7 +588,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if health["shed"]:
         print(f"  shed: {health['shed']}")
     batch = health.get("batch", {})
-    if batch.get("enabled") and batch.get("groups_executed"):
+    if batch.get("groups_executed"):
         print(
             f"  batching: {batch['batched_evals']} batched / "
             f"{batch['solo_evals']} solo evals in "
@@ -961,11 +960,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument(
         "--batch-size", type=int, default=32,
-        help="max campaigns stacked into one batched evaluation sweep",
-    )
-    p_serve.add_argument(
-        "--no-batch", action="store_true",
-        help="disable the cross-campaign evaluation broker (solo ticks)",
+        help="max campaigns stacked into one batched evaluation sweep "
+        "(1: sequential serving)",
     )
     p_serve.add_argument(
         "--fsync", action="store_true",

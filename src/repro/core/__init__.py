@@ -18,7 +18,7 @@ __all__, __getattr__, __dir__ = name_table(
         "cafqa": ["cafqa_search", "cafqa_bootstrap_vqe", "CafqaResult"],
         "scan": ["scan_potential_energy_surface", "ScanResult", "ScanPoint"],
         "adapt": ["AdaptVQE", "AdaptResult", "AdaptIteration", "AdaptState"],
-        "campaign": ["CampaignRunner", "CampaignResult", "CampaignFailedError"],
+        "campaign": ["CampaignRunner", "CampaignResult", "CampaignFailedError", "VQECampaign"],
         "cache": ["PostAnsatzCache", "CachedEnergyEvaluator", "GateLedger"],
         "estimator": [
             "Estimator",

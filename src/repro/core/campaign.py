@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, List, Optional, Sequence, Union
 
 import numpy as np
@@ -58,6 +58,7 @@ from repro.hpc.comm import SimComm
 from repro.hpc.distributed import DistributedStatevector
 from repro.hpc.faults import FaultInjector, FaultLedger, RankFailure
 from repro.hpc.perfmodel import SimulatedClock
+from repro.sim.plan import compile_circuit
 from repro.utils.files import atomic_write
 from repro.utils.jsonl import open_append, parse_lines
 from repro.utils.retry import RetryPolicy
@@ -67,6 +68,7 @@ __all__ = [
     "CheckpointSchemaError",
     "CampaignResult",
     "CampaignRunner",
+    "VQECampaign",
 ]
 
 _ADAPT_STATE_FILE = "adapt_state.json"
@@ -465,25 +467,10 @@ class CampaignRunner:
         this converges to the same minimum as the uninterrupted run.
         """
         t_start = time.perf_counter()
-        saved = self._load_vqe_params()
-        resumed_from = saved["eval"] if saved is not None else None
-        x0 = (
-            np.asarray(saved["parameters"], dtype=float)
-            if saved is not None
-            else initial_parameters
-        )
+        x0, resumed_from = self._vqe_start_point(initial_parameters)
         restarts = 0
         previous_callback = vqe.evaluation_callback
-
-        def checkpoint_callback(idx: int, params: np.ndarray, energy: float) -> None:
-            if self.fault_injector is not None:
-                self.fault_injector.check_campaign_faults(idx)
-            if idx % self.checkpoint_period == 0:
-                self._save_vqe_params(params, energy, idx)
-            if previous_callback is not None:
-                previous_callback(idx, params, energy)
-
-        vqe.evaluation_callback = checkpoint_callback
+        vqe.evaluation_callback = self._vqe_checkpointer(previous_callback)
         try:
             while True:
                 try:
@@ -501,29 +488,11 @@ class CampaignRunner:
                         raise CampaignFailedError(
                             f"gave up after {restarts} rank failures (last: {err})"
                         ) from err
-                    saved = self._load_vqe_params()
-                    x0 = (
-                        np.asarray(saved["parameters"], dtype=float)
-                        if saved is not None
-                        else initial_parameters
-                    )
+                    x0, _ = self._vqe_start_point(initial_parameters)
         finally:
             vqe.evaluation_callback = previous_callback
             self._close_vqe_log()
-        self._save_vqe_params(
-            result.optimal_parameters, result.energy, vqe.num_evaluations, final=True
-        )
-        campaign_result = CampaignResult(
-            result=result,
-            restarts=restarts,
-            checkpoints_written=self.checkpoints_written,
-            iterations_recomputed=0,
-            resumed_from=resumed_from,
-            fault_ledger=(
-                self.fault_injector.ledger if self.fault_injector else None
-            ),
-            simulated_backoff_s=self.clock.now,
-        )
+        campaign_result = self._finish_vqe(vqe, result, restarts, resumed_from)
         if obs.enabled():
             campaign_result.report = self._collect_report(
                 kind="vqe_campaign",
@@ -535,6 +504,50 @@ class CampaignRunner:
                 wall_time_s=time.perf_counter() - t_start,
             )
         return campaign_result
+
+    # -- the VQE checkpoint rule, shared by run_vqe and VQECampaign ---------------
+
+    def _vqe_start_point(self, initial_parameters):
+        """``(x0, resumed_from)``: the last checkpointed parameters and
+        their evaluation index, else ``initial_parameters`` and ``None``."""
+        saved = self._load_vqe_params()
+        if saved is None:
+            return initial_parameters, None
+        return np.asarray(saved["parameters"], dtype=float), saved["eval"]
+
+    def _vqe_checkpointer(self, previous):
+        """The evaluation callback that consults the fault injector and
+        saves every ``checkpoint_period`` evaluations, then calls
+        ``previous``."""
+
+        def checkpoint_callback(idx: int, params: np.ndarray, energy: float) -> None:
+            if self.fault_injector is not None:
+                self.fault_injector.check_campaign_faults(idx)
+            if idx % self.checkpoint_period == 0:
+                self._save_vqe_params(params, energy, idx)
+            if previous is not None:
+                previous(idx, params, energy)
+
+        return checkpoint_callback
+
+    def _finish_vqe(
+        self, vqe: VQE, result: VQEResult, restarts: int, resumed_from: Optional[int]
+    ) -> CampaignResult:
+        """The final save, and the campaign's result."""
+        self._save_vqe_params(
+            result.optimal_parameters, result.energy, vqe.num_evaluations, final=True
+        )
+        return CampaignResult(
+            result=result,
+            restarts=restarts,
+            checkpoints_written=self.checkpoints_written,
+            iterations_recomputed=0,
+            resumed_from=resumed_from,
+            fault_ledger=(
+                self.fault_injector.ledger if self.fault_injector else None
+            ),
+            simulated_backoff_s=self.clock.now,
+        )
 
     def _vqe_state_path(self) -> str:
         return os.path.join(self.checkpoint_dir, _VQE_STATE_FILE)
@@ -571,3 +584,59 @@ class CampaignRunner:
         if payload is not None:
             _require_fields(payload, ("parameters", "energy", "eval"), path)
         return payload
+
+
+class VQECampaign:
+    """A circuit-mode VQE campaign advanced one evaluation at a time.
+
+    Loop ``x = campaign.ask()``, evaluate the energy and its gradient at
+    ``x`` on ``campaign.plan`` and ``campaign.observable``, and
+    ``campaign.tell(value, gradient)`` until ``ask()`` returns ``None``;
+    ``campaign.result`` is then the :class:`CampaignResult` (without a
+    report).  The optimizer is the VQE's L-BFGS, resumed from and
+    checkpointed to the runner's directory as :meth:`CampaignRunner.run_vqe`
+    does; the tell that ends the run makes the final save.  There is no
+    restart loop: an exception from :meth:`tell` ends the campaign, and
+    its caller retries from the last checkpoint after :meth:`close`.
+    """
+
+    def __init__(
+        self,
+        runner: CampaignRunner,
+        vqe: VQE,
+        initial_parameters: Optional[np.ndarray] = None,
+    ):
+        if vqe.ansatz is None:
+            raise ValueError("an ask/tell VQE campaign runs a circuit-mode VQE")
+        self.runner = runner
+        self.vqe = vqe
+        self.plan = compile_circuit(vqe.ansatz)
+        self.observable = vqe.hamiltonian
+        self.result: Optional[CampaignResult] = None
+        x0, self.resumed_from = runner._vqe_start_point(initial_parameters)
+        self._previous_callback = vqe.evaluation_callback
+        vqe.evaluation_callback = runner._vqe_checkpointer(self._previous_callback)
+        self._state = vqe.begin(x0)
+        self._history: List[float] = []
+        self._x: Optional[np.ndarray] = None
+
+    def ask(self) -> Optional[np.ndarray]:
+        """The next parameter row to evaluate, or ``None`` once ended."""
+        self._x = None if self._state.done else self._state.ask()
+        return self._x
+
+    def tell(self, value: float, gradient: np.ndarray) -> None:
+        """Energy and gradient at the row :meth:`ask` gave."""
+        value = float(value)
+        self.vqe.record(self._x, value)
+        self._history.append(value)
+        self._state.tell(value, gradient)
+        if self._state.done:
+            self.close()
+            result = self.vqe.result(self._state.result(self._history))
+            self.result = self.runner._finish_vqe(self.vqe, result, 0, self.resumed_from)
+
+    def close(self) -> None:
+        """Restore the VQE's callback and close the checkpoint log."""
+        self.vqe.evaluation_callback = self._previous_callback
+        self.runner._close_vqe_log()

@@ -82,10 +82,9 @@ class Estimator(ABC):
         """Expectations for many parameter vectors of one plan.
 
         ``rows`` has shape (R, P); returns the R expectation values in
-        order.  The base implementation evaluates sequentially; the
-        serve-layer :class:`repro.serve.broker.BrokeredEstimator`
-        overrides this to submit all R rows atomically so a whole
-        finite-difference sweep lands in one batched-plan execution.
+        order.  ``VQE(fd_gradient=True)`` asks for a whole central-difference
+        sweep (``2P+1`` rows) in one call; every estimator here evaluates
+        the rows one after another.
         """
         rows = np.asarray(rows, dtype=float)
         return np.array(

@@ -23,7 +23,7 @@ reads gradients (``repro.opt.gradient.GradientFusion``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from repro.ir.pauli import PauliSum
 from repro.core.estimator import DirectEstimator, Estimator
 from repro.opt.base import Optimizer, OptimizeResult
 from repro.opt.gradient import AnsatzObjective, GradientFusion
-from repro.opt.lbfgs import LBFGSB
+from repro.opt.lbfgs import LBFGSB, LBFGSState
 from repro.sim.batched import reverse_mode_blocker
 from repro.sim.plan import compile_circuit
 
@@ -115,9 +115,7 @@ class VQE:
         self.flight_context = dict(flight_context or {})
         # circuit mode's gradient, fused with the value (GradientFusion):
         # the estimator's exact one, or with fd_gradient central
-        # differences over 2P+1 rows in ONE estimate_plan_many call, so a
-        # batch-capable estimator (the serve broker) gets one request per
-        # optimizer iterate
+        # differences over 2P+1 rows in ONE estimate_plan_many call
         self.fd_gradient = bool(fd_gradient)
         self.fd_epsilon = float(fd_epsilon)
         self._fusion = GradientFusion()
@@ -153,6 +151,12 @@ class VQE:
         params = np.atleast_1d(np.asarray(params, dtype=float))
         with obs.span("vqe.energy_eval", mode=self.mode):
             e = self._energy_impl(params)
+        self.record(params, e)
+        return e
+
+    def record(self, params: np.ndarray, energy: float) -> None:
+        """Book one evaluation, however it was computed: the count, its
+        metric, the flight record and the evaluation callback."""
         self.num_evaluations += 1
         if obs.enabled():
             obs.inc(
@@ -161,10 +165,9 @@ class VQE:
                 labels={"mode": self.mode},
             )
         if self.flight is not None:
-            self.flight.record(e, params=params, index=self.num_evaluations)
+            self.flight.record(energy, params=params, index=self.num_evaluations)
         if self.evaluation_callback is not None:
-            self.evaluation_callback(self.num_evaluations, params, e)
-        return e
+            self.evaluation_callback(self.num_evaluations, params, energy)
 
     def _energy_impl(self, params: np.ndarray) -> float:
         if self.mode == "chemistry":
@@ -227,8 +230,9 @@ class VQE:
             return None
         return self._fusion.gradient(params, self.energy)
 
-    def run(self, initial_parameters: Optional[np.ndarray] = None) -> VQEResult:
-        """Optimize to the minimum energy (§3.1 step 5)."""
+    def _start(self, initial_parameters: Optional[np.ndarray]) -> np.ndarray:
+        """The checked start point; opens the flight recorder when
+        observability or an event bus is on."""
         x0 = (
             np.zeros(self.num_parameters)
             if initial_parameters is None
@@ -238,11 +242,27 @@ class VQE:
             raise ValueError(
                 f"expected {self.num_parameters} initial parameters, got {x0.shape}"
             )
-        t_start = time.perf_counter()
         if obs.enabled() or obs_events.get_bus() is not None:
             self.flight = FlightRecorder(
                 kind="vqe", context=self.flight_context
             )
+        return x0
+
+    def begin(self, initial_parameters: Optional[np.ndarray] = None) -> LBFGSState:
+        """The optimizer's ask/tell state from the start point, for a
+        caller that evaluates value and gradient itself (the campaign
+        server's batched sweeps) and books each evaluation with
+        :meth:`record`; :meth:`result` then reads the ended state."""
+        if not isinstance(self.optimizer, LBFGSB):
+            raise TypeError(
+                f"ask/tell VQE runs the L-BFGS optimizer, not {type(self.optimizer).__name__}"
+            )
+        return self.optimizer.start(self._start(initial_parameters))
+
+    def run(self, initial_parameters: Optional[np.ndarray] = None) -> VQEResult:
+        """Optimize to the minimum energy (§3.1 step 5)."""
+        t_start = time.perf_counter()
+        x0 = self._start(initial_parameters)
         with obs.span(
             "vqe.run", mode=self.mode, parameters=self.num_parameters
         ):
@@ -265,6 +285,18 @@ class VQE:
             )
         return result
 
+    def result(self, res: OptimizeResult) -> VQEResult:
+        """The :class:`VQEResult` of an ended optimizer run."""
+        return VQEResult(
+            energy=res.fun,
+            optimal_parameters=res.x,
+            history=res.history,
+            num_function_evaluations=res.nfev,
+            num_iterations=res.nit,
+            converged=res.converged,
+            mode=self.mode,
+        )
+
     def _run_impl(self, x0: np.ndarray) -> VQEResult:
         if self.num_parameters == 0:
             e = self.energy(np.zeros(0))
@@ -278,13 +310,4 @@ class VQE:
                 mode=self.mode,
             )
         grad = self.gradient if self._has_gradient() else None
-        res: OptimizeResult = self.optimizer.minimize(self.energy, x0, gradient=grad)
-        return VQEResult(
-            energy=res.fun,
-            optimal_parameters=res.x,
-            history=res.history,
-            num_function_evaluations=res.nfev,
-            num_iterations=res.nit,
-            converged=res.converged,
-            mode=self.mode,
-        )
+        return self.result(self.optimizer.minimize(self.energy, x0, gradient=grad))

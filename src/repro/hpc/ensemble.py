@@ -13,7 +13,7 @@ take, so both the numerics and the projected speedup are real outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 

@@ -12,9 +12,6 @@ an executable circuit.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
-
-import numpy as np
 
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Parameter

@@ -8,7 +8,7 @@ qubits) are combined — commutation through unrelated qubits is free.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Gate, Parameter

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 

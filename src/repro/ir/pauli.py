@@ -23,7 +23,6 @@ commutator, grouping, simplification) runs on the packed form of
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np

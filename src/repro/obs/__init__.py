@@ -41,7 +41,7 @@ Typical use::
 from __future__ import annotations
 
 import weakref
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro._lazy import name_table
 from repro.obs.events import (

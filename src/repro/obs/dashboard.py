@@ -194,7 +194,7 @@ class Dashboard:
                 f" peak {format_bytes(mem.get('ledger_peak_bytes', 0))}"
             )
         batch = snap.get("batch") or {}
-        if batch.get("enabled"):
+        if batch:
             lines.append(
                 "batch:  "
                 f"waves={batch.get('waves', 0)}"
@@ -205,8 +205,6 @@ class Dashboard:
                 f"{batch.get('mean_occupancy', 0)}/"
                 f"{batch.get('max_occupancy', 0)}"
             )
-        elif batch:
-            lines.append("batch:  disabled (--no-batch)")
         # per-tenant table with SLO columns
         slo_tenants = snap["slo"].get("tenants", {})
         tenant_names = sorted(set(snap["tenants"]) | set(slo_tenants) - {FLEET})

@@ -200,8 +200,8 @@ class EventBus:
         self.wall_clock = wall_clock
         self._subscribers: List[Callable[[Event], None]] = []
         self._fh = None
-        # campaigns running in broker worker threads emit concurrently;
-        # the lock keeps seq strictly increasing and lines un-torn
+        # the bus is process-global, so any thread of the process may
+        # emit; the lock keeps seq strictly increasing and lines un-torn
         self._lock = threading.Lock()
         self.seq = 0
         self.emitted = 0

@@ -36,7 +36,7 @@ trace tests pin down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs import events as obs_events

@@ -22,14 +22,14 @@ import json
 import math
 import re
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.utils.files import atomic_write
 
 # One process-wide lock guards every metric mutation and registry
-# get-or-create.  The campaign server's evaluation broker runs
-# campaigns in worker threads that all increment the same counters;
-# a read-modify-write on a float or a dict insert must not tear.
+# get-or-create.  The registry is process-global, so any thread of the
+# process may increment the same counters; a read-modify-write on a
+# float or a dict insert must not tear.
 # Contention is negligible: updates are nanoseconds and the hot paths
 # already gate on ``obs.enabled()``.
 _LOCK = threading.Lock()

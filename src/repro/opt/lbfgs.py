@@ -21,7 +21,8 @@ the unbounded case, step for step, so that its iterates equal what
 :class:`LBFGSState` is the ask/tell core: :meth:`~LBFGSState.ask`
 gives the next point to evaluate and :meth:`~LBFGSState.tell` takes its
 value and gradient.  :class:`LBFGSB` is the :class:`Optimizer` that
-loops over it, with forward differences when no gradient is given.
+loops over it, with forward differences when no gradient is given; the
+campaign server loops over it too, one evaluation per batched wave.
 """
 
 from __future__ import annotations
@@ -53,7 +54,10 @@ class LBFGSState:
     ``state.done``; ``x``, ``fun`` and ``nit`` are then the result and
     ``converged`` says whether a tolerance (not the iteration limit or a
     failure) ended the run.  A value or gradient that is not finite ends
-    the run, not converged, at the last finite iterate.
+    the run, not converged, at the last finite iterate.  A line search
+    that returns to the point just told is answered from that point's
+    value and gradient, so every point :meth:`ask` gives is a new
+    evaluation.
     """
 
     def __init__(self, x0: np.ndarray, max_iterations: int = 1000, tol: float = 1e-10):
@@ -92,6 +96,24 @@ class LBFGSState:
         g = np.array(gradient, dtype=float).reshape(-1)
         if g.shape != self.x.shape:
             raise ValueError(f"gradient has shape {g.shape}, expected {self.x.shape}")
+        x = self._trial
+        self._tell(f, g)
+        while not self.done and (self._trial == x).all():
+            self._tell(f, g)
+
+    def result(self, history: List[float]) -> OptimizeResult:
+        """The run's :class:`OptimizeResult`; ``history`` is every value
+        the caller evaluated, so ``nfev`` counts them."""
+        return OptimizeResult(
+            x=self.x,
+            fun=self.fun,
+            nfev=len(history),
+            nit=self.nit,
+            converged=self.converged,
+            history=history,
+        )
+
+    def _tell(self, f: float, g: np.ndarray) -> None:
         if not (math.isfinite(f) and np.isfinite(g).all()):
             if not self._started:
                 self.fun, self.grad = f, g
@@ -351,37 +373,28 @@ class LBFGSB(Optimizer):
         self.max_iterations = max_iterations
         self.tol = tol
 
+    def start(self, x0: np.ndarray) -> LBFGSState:
+        """An ask/tell run from ``x0`` under this optimizer's settings."""
+        return LBFGSState(x0, self.max_iterations, self.tol)
+
     def minimize(
         self,
         fun: Callable[[np.ndarray], float],
         x0: np.ndarray,
         gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> OptimizeResult:
-        state = LBFGSState(x0, self.max_iterations, self.tol)
+        state = self.start(x0)
         history: List[float] = []
 
         def value(x: np.ndarray) -> float:
             history.append(float(fun(x)))
             return history[-1]
 
-        last: Optional[Tuple[np.ndarray, float, np.ndarray]] = None
         while not state.done:
             x = state.ask()
-            if last is not None and (x == last[0]).all():
-                f, g = last[1], last[2]  # a search may return to its last trial
-            else:
-                f = value(x)
-                g = _forward_difference(value, x, f) if gradient is None else gradient(x)
-                last = (x, f, g)
-            state.tell(f, g)
-        return OptimizeResult(
-            x=state.x,
-            fun=state.fun,
-            nfev=len(history),
-            nit=state.nit,
-            converged=state.converged,
-            history=history,
-        )
+            f = value(x)
+            state.tell(f, _forward_difference(value, x, f) if gradient is None else gradient(x))
+        return state.result(history)
 
 
 def _forward_difference(

@@ -8,7 +8,7 @@ adaptive initial simplex.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List
 
 import numpy as np
 

@@ -22,7 +22,7 @@ one per role:
   seeds and solver knobs share it.
 * :meth:`JobSpec.plan_key` — **batching**: (kind, molecule, basis).
   Every geometry of a molecule runs one ``ExecutionPlan``, so the
-  evaluation broker stacks a whole scan into one sweep.
+  evaluation broker stacks a whole scan's rows into one sweep per wave.
 
 Specs serialize to plain JSON with a schema version so the write-ahead
 journal and the submission inbox survive software upgrades with a
@@ -198,8 +198,8 @@ class JobSpec:
 
     def plan_key(self) -> str:
         """Batching key: jobs whose (kind, molecule, basis) agree run one
-        ``ExecutionPlan`` at any geometry, so their evaluation requests
-        stack into one sweep, each row with its own Hamiltonian.
+        ``ExecutionPlan`` at any geometry, so the broker stacks their
+        parameter rows into one sweep, each row with its own Hamiltonian.
         Coarser than :meth:`physics_key` on purpose — the whole point of
         the evaluation broker is that *distinct* campaigns, a scan's
         geometries included, batch together."""

@@ -26,7 +26,10 @@ Three tiers, addressed by the hashes of :mod:`repro.serve.spec`:
   per distinct problem per server process.  What does not depend on
   the geometry (UCCSD generators, the ansatz circuit and so its plan)
   is built once per (spin orbitals, electrons) and shared by every
-  problem of that shape: a bond scan pays per point only for numbers.
+  problem of that shape: a bond scan pays per point only for numbers,
+  and the evaluation broker runs the whole scan on one plan.  A VQE
+  plan the broker's reverse-mode sweep cannot differentiate is refused
+  at build, naming the molecule.
 
 The results tier keeps the set of stored keys and the warm tier its
 families in memory (both seeded from disk, both written through), so
@@ -50,6 +53,7 @@ from repro.chem.scf import run_rhf
 from repro.chem.uccsd import build_uccsd_circuit, uccsd_generators
 from repro.obs.memory import TERM_BYTES
 from repro.serve.spec import JobSpec, resolve_molecule
+from repro.sim.batched import reverse_mode_blocker
 from repro.sim.plan import compile_circuit
 from repro.utils.files import atomic_write
 from repro.utils.jsonl import open_append, parse_lines
@@ -206,7 +210,7 @@ class ProblemCache:
         # geometry, so every point of a scan carries the SAME Circuit
         # and, through compile_circuit's memo on it, one ExecutionPlan
         # — which is what lets the evaluation broker stack a whole
-        # scan's evaluation requests into one sweep
+        # scan's parameter rows into one sweep
         self._uccsd: Dict[Tuple[int, int], Tuple[List[Any], Any]] = {}
         self.builds = 0
         self.hits = 0
@@ -280,11 +284,17 @@ class ProblemCache:
                     # ExecutionPlan — the compatibility unit the
                     # evaluation broker batches on (one group per plan
                     # key; each row brings its own geometry's
-                    # Hamiltonian).  Lowered here, on the
-                    # server thread: campaigns start in worker threads,
-                    # and those that reach an empty memo together
-                    # would each lower the circuit.
-                    compile_circuit(circuit)
+                    # Hamiltonian).  The broker takes every value with
+                    # its gradient from one reverse-mode sweep, so a
+                    # plan that sweep cannot differentiate is refused
+                    # here, before any job runs it.
+                    blocker = reverse_mode_blocker(compile_circuit(circuit))
+                    if blocker is not None:
+                        raise ValueError(
+                            f"served VQE on {spec.molecule!r}: the UCCSD plan has a "
+                            f"{blocker.gate_name!r} gate the reverse-mode sweep "
+                            "cannot differentiate"
+                        )
                     structure = self._uccsd[n_so, n_e] = (
                         [a for _, a in uccsd_generators(n_so, n_e)],
                         circuit,

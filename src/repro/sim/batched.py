@@ -10,7 +10,8 @@ of launching concurrent GPU kernels [cCUDA, paper ref 13]).
 
 :func:`reverse_value_and_gradient` is the gradient half: B energies and
 B exact gradients from one reverse-mode sweep over a ``(2B, 2^n)``
-block, what the serve tier's evaluation broker runs per wave.  The rows
+block, what the serve tier's evaluation broker runs on each
+``batch_size`` chunk of a wave's rows, one row per campaign.  The rows
 may carry different Hamiltonians (one per geometry of a scan that
 shares the plan); :func:`observable_rows` splits a block by observable.
 

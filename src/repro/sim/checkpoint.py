@@ -23,7 +23,7 @@ import json
 import os
 import shutil
 import zipfile
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

@@ -11,15 +11,13 @@ statevectors, once per side), and noise enters through Kraus channels
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Gate
 from repro.ir.pauli import PauliSum
-from repro.sim import kernels
 from repro.sim.noise import NoiseChannel, NoiseModel
 
 __all__ = ["DensityMatrixSimulator"]

@@ -24,7 +24,7 @@ path count and per-path memory that make the trade-off explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

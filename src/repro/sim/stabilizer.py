@@ -23,7 +23,7 @@ tracking through ``PauliString.mul``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

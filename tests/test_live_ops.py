@@ -36,11 +36,14 @@ from repro.serve import CampaignServer, JobSpec, JobState, ServerConfig
 
 @pytest.fixture(autouse=True)
 def _clean_obs():
-    """Isolate the process-global observability state per test."""
+    """Isolate the process-global observability state per test: off,
+    with an empty registry and no event bus, before and after."""
     obs.disable()
+    obs.reset()
     obs_events.set_bus(None)
     yield
     obs.disable()
+    obs.reset()
     obs_events.set_bus(None)
 
 
@@ -478,7 +481,6 @@ class TestMetricsSatellites:
 
     def test_tenant_label_is_escaped_in_exposition(self, tmp_path):
         tenant = 'a"b\\c\nd'
-        obs.reset()
         obs.enable()
         srv = CampaignServer(str(tmp_path / "srv"), ServerConfig(num_ranks=1))
         for geometry in (None, 0.9):

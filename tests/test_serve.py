@@ -1302,7 +1302,7 @@ class TestLiveJobIndex:
             global_queue_limit=6,
             default_tenant_policy=TenantPolicy(max_queued=3),
             clock=lambda: clock["t"],
-            batch_enabled=bool(seed % 2),
+            batch_size=32 if seed % 2 else 1,
         )
         srv = CampaignServer(str(tmp_path / "srv"), config)
         ops = ["submit"] * 5 + ["tick"] * 3 + ["rank_loss", "drain", "reopen"]
