@@ -22,9 +22,12 @@ Drives the real CLI in subprocesses, exactly like an operator would:
    live set holding only the shared problem cache and pooled
    simulators — never per-job buffers retained after their jobs
    reached a terminal state,
-9. assert the append-only files came through the kill: every finished
-   VQE campaign's ``vqe_params.json`` is its one-line result, and each
-   warm-start family folds to one entry per converged geometry.
+9. assert the checkpoint files came through the kill: every finished
+   VQE campaign's ``vqe_params.json`` is its one-line result, every
+   finished ADAPT campaign's ``adapt_state.json`` parses and holds the
+   journalled energy at a converged or ``max_iterations`` state (its
+   final save), and each warm-start family folds to one entry per
+   converged geometry.
 
 Run from the repository root:
 
@@ -118,6 +121,31 @@ def _wait_for_journal(state_dir: str, record_type: str, timeout_s: float) -> boo
                 pass
         time.sleep(0.1)
     return False
+
+
+def _adapt_state_failures(state_dir: str, job_id: str, spec, energy) -> list:
+    """What is wrong with a finished ADAPT job's final checkpoint: it
+    must parse, hold the journalled energy, and be converged or at the
+    job's ``max_iterations``."""
+    path = os.path.join(state_dir, "jobs", job_id, "adapt_state.json")
+    try:
+        with open(path) as fh:
+            state = json.load(fh)
+    except (OSError, ValueError) as err:
+        return [f"{job_id}: unreadable adapt_state.json ({err})"]
+    failures = []
+    if state.get("energy") != energy:
+        failures.append(
+            f"{job_id}: adapt_state.json energy {state.get('energy')!r} != "
+            f"journalled {energy!r}"
+        )
+    if not (state.get("converged") or state.get("iteration") == spec.max_iterations):
+        failures.append(
+            f"{job_id}: final adapt_state.json is neither converged nor at "
+            f"max_iterations {spec.max_iterations} (iteration "
+            f"{state.get('iteration')!r})"
+        )
+    return failures
 
 
 def main() -> int:
@@ -273,20 +301,31 @@ def main() -> int:
             f"group despite 4 same-physics campaigns: {batch}"
         )
 
-    # 10. the append-only files were compacted or fold cleanly after the
+    # 10. the checkpoint files were compacted or fold cleanly after the
     # kill: a finished VQE campaign's checkpoint log is its one-line
-    # result, and each warm-start family folds to one entry per geometry
-    # its finished (non-dedup) campaigns converged at
+    # result, a finished ADAPT campaign's state is its final save, and
+    # each warm-start family folds to one entry per geometry its
+    # finished (non-dedup) campaigns converged at
     specs = {
         r.payload["job_id"]: JobSpec.from_dict(r.payload["spec"])
         for r in journal
         if r.type == "admitted"
     }
+    journalled = {
+        r.payload["job_id"]: r.payload["energy"]
+        for r in journal
+        if r.type == "completed"
+    }
     expected_warm: dict = {}
     for job in succeeded:
-        if job["kind"] != "vqe" or job["dedup_hit"]:
+        if job["dedup_hit"]:
             continue
         spec = specs[job["job_id"]]
+        if job["kind"] == "adapt":
+            failures += _adapt_state_failures(
+                state_dir, job["job_id"], spec, journalled[job["job_id"]]
+            )
+            continue
         expected_warm.setdefault(spec.family_key(), set()).add(spec.geometry)
         log = os.path.join(state_dir, "jobs", job["job_id"], "vqe_params.json")
         try:

@@ -28,7 +28,7 @@ from repro.chem.pools import PoolOperator
 from repro.ir.compiled import compile_observable
 from repro.ir.pauli import PauliSum
 from repro.ir.symplectic import find_z2_symmetries, parity_flips
-from repro.opt.base import Optimizer
+from repro.opt.base import OptimizeResult, Optimizer
 from repro.opt.gradient import AnsatzObjective
 from repro.opt.lbfgs import LBFGSB
 from repro.utils.bitops import basis_indices, sector_of
@@ -94,6 +94,17 @@ class AdaptState:
     records: List[AdaptIteration] = field(default_factory=list)
     converged: bool = False
     statevector: Optional[np.ndarray] = None
+
+
+@dataclass
+class Growth:
+    """A growth iteration between :meth:`AdaptVQE.grow` and
+    :meth:`AdaptVQE.settle`."""
+
+    objective: AnsatzObjective
+    x0: np.ndarray
+    max_gradient: float
+    pool_mean_abs_grad: float
 
 
 @dataclass
@@ -263,17 +274,23 @@ class AdaptVQE:
         return objective.prepare_state(st.parameters)
 
     def step(self, st: AdaptState, verbose: bool = False) -> AdaptState:
-        """One ADAPT growth iteration, in place: screen the pool on the
-        current state, append the largest-gradient operator, re-optimize
-        all parameters (warm-started).  Sets ``st.converged`` instead of
-        growing when the pool gradient (or the energy error) is below
-        tolerance."""
+        """One ADAPT growth iteration, in place: :meth:`grow`, re-optimize
+        all parameters from the warm start, :meth:`settle`."""
         if st.converged:
             return st
         with obs.span("adapt.step", iteration=st.iteration + 1):
-            return self._step_impl(st, verbose)
+            growth = self.grow(st)
+            if growth is not None:
+                objective, x0 = growth.objective, growth.x0
+                with obs.span("adapt.reoptimize", iteration=st.iteration, parameters=len(x0)):
+                    res = self.optimizer.minimize(objective.energy, x0, gradient=objective.gradient)
+                self.settle(st, growth, res, verbose)
+        return st
 
-    def _step_impl(self, st: AdaptState, verbose: bool) -> AdaptState:
+    def grow(self, st: AdaptState) -> Optional["Growth"]:
+        """Screen the pool on the current state and append the
+        largest-gradient operator, in place; ``None``, with
+        ``st.converged`` set, when that gradient is below tolerance."""
         if st.statevector is None:
             st.statevector = self.prepare_statevector(st)
         grads = self.pool_gradients(st.statevector)
@@ -286,30 +303,27 @@ class AdaptVQE:
         )
         if g_max < self.gradient_tolerance:
             st.converged = True
-            return st
-        pool_mean_abs_grad = float(np.mean(np.abs(grads)))
-
+            return None
         st.iteration += 1
         st.chosen_indices.append(k_best)
-        params = np.concatenate([st.parameters, [0.0]])  # warm start
-
         objective = AnsatzObjective(
             self.reference_state,
             [self.pool[k].generator for k in st.chosen_indices],
             self.hamiltonian,
         )
-        with obs.span(
-            "adapt.reoptimize",
-            iteration=st.iteration,
-            parameters=len(params),
-        ):
-            res = self.optimizer.minimize(
-                objective.energy, params, gradient=objective.gradient
-            )
+        warm_start = np.concatenate([st.parameters, [0.0]])
+        return Growth(objective, warm_start, g_max, float(np.mean(magnitudes)))
+
+    def settle(
+        self, st: AdaptState, growth: "Growth", res: OptimizeResult, verbose: bool = False
+    ) -> None:
+        """Take the re-optimized parameters and energy of ``res`` and
+        record the iteration, in place; ``st.converged`` is set when the
+        energy error is below ``energy_tolerance``."""
         st.parameters = res.x
         st.energy = res.fun
-        st.statevector = objective.prepare_state(st.parameters)
-
+        st.statevector = growth.objective.prepare_state(st.parameters)
+        label = self.pool[st.chosen_indices[-1]].label
         err = (
             abs(st.energy - self.reference_energy)
             if self.reference_energy is not None
@@ -318,8 +332,8 @@ class AdaptVQE:
         st.records.append(
             AdaptIteration(
                 iteration=st.iteration,
-                selected_label=self.pool[k_best].label,
-                max_gradient=g_max,
+                selected_label=label,
+                max_gradient=growth.max_gradient,
                 energy=st.energy,
                 error_vs_reference=err,
                 num_parameters=len(st.parameters),
@@ -328,16 +342,16 @@ class AdaptVQE:
         self.flight.record(
             st.energy,
             params=st.parameters,
-            grad_norm=g_max,
+            grad_norm=growth.max_gradient,
             pool_size=len(self.pool),
-            pool_mean_abs_grad=pool_mean_abs_grad,
+            pool_mean_abs_grad=growth.pool_mean_abs_grad,
             index=st.iteration,
         )
         if verbose:
             err_s = f" dE={err*1000:.4f} mHa" if err is not None else ""
             print(
-                f"[adapt {st.iteration:3d}] +{self.pool[k_best].label:24s} "
-                f"|g|={g_max:.2e} E={st.energy:.8f}{err_s}"
+                f"[adapt {st.iteration:3d}] +{label:24s} "
+                f"|g|={growth.max_gradient:.2e} E={st.energy:.8f}{err_s}"
             )
         if (
             self.energy_tolerance is not None
@@ -345,7 +359,6 @@ class AdaptVQE:
             and err < self.energy_tolerance
         ):
             st.converged = True
-        return st
 
     def result(self, st: AdaptState) -> AdaptResult:
         """Package a (finished or in-flight) state as an AdaptResult."""

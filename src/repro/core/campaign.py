@@ -40,7 +40,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import BinaryIO, List, Optional, Sequence, Union
+from typing import BinaryIO, Optional, Sequence, Union
 
 import numpy as np
 
@@ -64,6 +64,7 @@ from repro.utils.jsonl import open_append, parse_lines
 from repro.utils.retry import RetryPolicy
 
 __all__ = [
+    "AdaptCampaign",
     "CampaignFailedError",
     "CheckpointSchemaError",
     "CampaignResult",
@@ -250,9 +251,7 @@ class CampaignRunner:
                         # is lost and the campaign rolls back
                         self.fault_injector.check_campaign_faults(st.iteration + 1)
                     adapt.step(st, verbose=verbose)
-                    if st.converged or st.iteration % self.checkpoint_period == 0:
-                        self._save_adapt_state(st)
-                        self._distributed_crosscheck(adapt, st)
+                    self._adapt_checkpoint(adapt, st)
             except RankFailure as err:
                 restarts += 1
                 obs_events.emit(
@@ -273,24 +272,12 @@ class CampaignRunner:
                         f"[campaign] {err}; rolled back to iteration "
                         f"{st.iteration}, restart {restarts}/{self.max_restarts}"
                     )
-        self._save_adapt_state(st)
-        result = adapt.result(st)
-        campaign_result = CampaignResult(
-            result=result,
-            restarts=restarts,
-            checkpoints_written=self.checkpoints_written,
-            iterations_recomputed=recomputed,
-            resumed_from=resumed_from,
-            fault_ledger=(
-                self.fault_injector.ledger if self.fault_injector else None
-            ),
-            simulated_backoff_s=self.clock.now,
-        )
+        campaign_result = self._finish_adapt(adapt, st, restarts, recomputed, resumed_from)
         if obs.enabled():
             campaign_result.report = self._collect_report(
                 kind="adapt_campaign",
                 result=campaign_result,
-                convergence=convergence_traces(result.iterations),
+                convergence=convergence_traces(campaign_result.result.iterations),
                 flight=adapt.flight.to_dict(),
                 wall_time_s=time.perf_counter() - t_start,
             )
@@ -323,6 +310,26 @@ class CampaignRunner:
             flight=flight,
             wall_time_s=wall_time_s,
         )
+
+    # -- the ADAPT checkpoint rule, shared by run_adapt and AdaptCampaign --------
+
+    def _adapt_checkpoint(self, adapt: AdaptVQE, st: AdaptState) -> None:
+        """After a growth iteration: save (and cross-check) when the run
+        converged or every ``checkpoint_period`` iterations."""
+        if st.converged or st.iteration % self.checkpoint_period == 0:
+            self._save_adapt_state(st)
+            self._distributed_crosscheck(adapt, st)
+
+    def _finish_adapt(self, adapt: AdaptVQE, st: AdaptState, restarts: int, recomputed: int,
+                      resumed_from: Optional[int]) -> CampaignResult:
+        """The final save, and the campaign's result."""
+        self._save_adapt_state(st)
+        return self._campaign_result(adapt.result(st), restarts, recomputed, resumed_from)
+
+    def _campaign_result(self, result, restarts, recomputed, resumed_from) -> CampaignResult:
+        ledger = self.fault_injector.ledger if self.fault_injector else None
+        return CampaignResult(result, restarts, self.checkpoints_written, recomputed,
+                              resumed_from, ledger, self.clock.now)
 
     def _adapt_state_path(self) -> str:
         return os.path.join(self.checkpoint_dir, _ADAPT_STATE_FILE)
@@ -396,16 +403,7 @@ class CampaignRunner:
             records=records,
             converged=bool(payload["converged"]),
         )
-        st.statevector = adapt.prepare_statevector(st)
         return st
-
-    # public aliases used by the campaign server (repro.serve) to drive
-    # stepwise executions through the same checkpoint machinery
-    def load_adapt_state(self, adapt: AdaptVQE) -> Optional[AdaptState]:
-        return self._load_adapt_state(adapt)
-
-    def save_adapt_state(self, st: AdaptState) -> None:
-        self._save_adapt_state(st)
 
     # -- distributed cross-check --------------------------------------------------
 
@@ -537,17 +535,7 @@ class CampaignRunner:
         self._save_vqe_params(
             result.optimal_parameters, result.energy, vqe.num_evaluations, final=True
         )
-        return CampaignResult(
-            result=result,
-            restarts=restarts,
-            checkpoints_written=self.checkpoints_written,
-            iterations_recomputed=0,
-            resumed_from=resumed_from,
-            fault_ledger=(
-                self.fault_injector.ledger if self.fault_injector else None
-            ),
-            simulated_backoff_s=self.clock.now,
-        )
+        return self._campaign_result(result, restarts, 0, resumed_from)
 
     def _vqe_state_path(self) -> str:
         return os.path.join(self.checkpoint_dir, _VQE_STATE_FILE)
@@ -586,19 +574,43 @@ class CampaignRunner:
         return payload
 
 
-class VQECampaign:
-    """A circuit-mode VQE campaign advanced one evaluation at a time.
+class _AskTell:
+    """The campaigns' ask/tell core: loop ``x = campaign.ask()``, evaluate
+    energy and gradient at ``x`` on ``campaign.plan`` and
+    ``campaign.observable``, ``campaign.tell(value, gradient)``, until
+    ``ask()`` gives ``None``.  One L-BFGS run at a time; ``_ended`` takes
+    each finished run.  An exception from ``ask`` or ``tell`` ends the
+    campaign; its caller retries from the last checkpoint after
+    :meth:`close`."""
 
-    Loop ``x = campaign.ask()``, evaluate the energy and its gradient at
-    ``x`` on ``campaign.plan`` and ``campaign.observable``, and
-    ``campaign.tell(value, gradient)`` until ``ask()`` returns ``None``;
-    ``campaign.result`` is then the :class:`CampaignResult` (without a
-    report).  The optimizer is the VQE's L-BFGS, resumed from and
+    plan = observable = _state = None
+    result: Optional[CampaignResult] = None
+
+    def _begin(self, state) -> None:
+        self._state, self._history, self._x = state, [], None
+
+    def ask(self) -> Optional[np.ndarray]:
+        """The next parameter row to evaluate, or ``None``."""
+        self._x = None if self._state is None else self._state.ask()
+        return self._x
+
+    def tell(self, value: float, gradient: np.ndarray) -> None:
+        """Energy and gradient at the row :meth:`ask` gave."""
+        self._history.append(float(value))
+        self._state.tell(value, gradient)
+        if self._state.done:
+            state, self._state = self._state, None
+            self._ended(state.result(self._history))
+
+    def close(self) -> None:
+        """Release what the campaign holds open."""
+
+
+class VQECampaign(_AskTell):
+    """A circuit-mode VQE campaign: the VQE's L-BFGS, resumed from and
     checkpointed to the runner's directory as :meth:`CampaignRunner.run_vqe`
-    does; the tell that ends the run makes the final save.  There is no
-    restart loop: an exception from :meth:`tell` ends the campaign, and
-    its caller retries from the last checkpoint after :meth:`close`.
-    """
+    does.  The tell that ends the run makes the final save and sets
+    ``result`` (a :class:`CampaignResult` without a report)."""
 
     def __init__(
         self,
@@ -612,31 +624,70 @@ class VQECampaign:
         self.vqe = vqe
         self.plan = compile_circuit(vqe.ansatz)
         self.observable = vqe.hamiltonian
-        self.result: Optional[CampaignResult] = None
         x0, self.resumed_from = runner._vqe_start_point(initial_parameters)
         self._previous_callback = vqe.evaluation_callback
         vqe.evaluation_callback = runner._vqe_checkpointer(self._previous_callback)
-        self._state = vqe.begin(x0)
-        self._history: List[float] = []
-        self._x: Optional[np.ndarray] = None
-
-    def ask(self) -> Optional[np.ndarray]:
-        """The next parameter row to evaluate, or ``None`` once ended."""
-        self._x = None if self._state.done else self._state.ask()
-        return self._x
+        self._begin(vqe.begin(x0))
 
     def tell(self, value: float, gradient: np.ndarray) -> None:
-        """Energy and gradient at the row :meth:`ask` gave."""
-        value = float(value)
-        self.vqe.record(self._x, value)
-        self._history.append(value)
-        self._state.tell(value, gradient)
-        if self._state.done:
-            self.close()
-            result = self.vqe.result(self._state.result(self._history))
-            self.result = self.runner._finish_vqe(self.vqe, result, 0, self.resumed_from)
+        self.vqe.record(self._x, float(value))
+        super().tell(value, gradient)
+
+    def _ended(self, res) -> None:
+        self.close()
+        result = self.vqe.result(res)
+        self.result = self.runner._finish_vqe(self.vqe, result, 0, self.resumed_from)
 
     def close(self) -> None:
         """Restore the VQE's callback and close the checkpoint log."""
         self.vqe.evaluation_callback = self._previous_callback
         self.runner._close_vqe_log()
+
+
+class AdaptCampaign(_AskTell):
+    """An ADAPT-VQE campaign, resumed from and checkpointed to the
+    runner's directory as :meth:`CampaignRunner.run_adapt` does.  A
+    growth iteration is :meth:`AdaptVQE.grow` (``plan`` becomes the grown
+    ansatz's), an ask/tell run of the ADAPT optimizer (an
+    :class:`~repro.opt.lbfgs.LBFGSB`) from the warm start, and
+    :meth:`AdaptVQE.settle`; ``ask()`` then gives ``None`` once, so each
+    pump until ``None`` grows one iteration.  ``result`` is set only when
+    the run converges or reaches ``max_iterations``."""
+
+    def __init__(self, runner: CampaignRunner, adapt: AdaptVQE):
+        self.runner = runner
+        self.adapt = adapt
+        self.observable = adapt.hamiltonian
+        st = runner._load_adapt_state(adapt)
+        self.resumed_from = st.iteration if st is not None else None
+        self.state = st or adapt.initial_state()
+        self._settled = False
+
+    def ask(self) -> Optional[np.ndarray]:
+        if self._settled:  # the caller's turn ends with the iteration
+            self._settled = False
+        elif self._state is None and self.result is None:
+            self._advance()
+        return super().ask()
+
+    def _advance(self) -> None:
+        """Start the next growth iteration or, once the run has
+        converged or reached ``max_iterations``, make the final save and
+        set ``result``."""
+        adapt, st = self.adapt, self.state
+        if not st.converged and st.iteration < adapt.max_iterations:
+            self._growth = adapt.grow(st)
+            if self._growth is not None:
+                self.plan = self._growth.objective.plan
+                self._begin(adapt.optimizer.start(self._growth.x0))
+                return
+            self.runner._adapt_checkpoint(adapt, st)
+        self.result = self.runner._finish_adapt(adapt, st, 0, 0, self.resumed_from)
+
+    def _ended(self, res) -> None:
+        self.adapt.settle(self.state, self._growth, res)
+        self.runner._adapt_checkpoint(self.adapt, self.state)
+        if self.state.converged or self.state.iteration >= self.adapt.max_iterations:
+            self._advance()
+        else:
+            self._settled = True

@@ -3,21 +3,24 @@
 The paper's central scaling lesson is that VQE throughput comes from
 amortizing state preparation and expectation evaluation across many
 concurrent evaluations, not from accelerating any single one.  The
-broker applies it across the campaign server's running VQE campaigns:
+broker applies it across the campaign server's running campaigns:
 ten tenants optimizing the same molecule share one statevector sweep
 per optimizer step instead of paying for ten.
 
 Every campaign is an L-BFGS ask/tell state
-(:class:`repro.core.campaign.VQECampaign`), and :meth:`EvaluationBroker.pump`
-runs them on the calling thread, one wave at a time, until every one
-has ended:
+(:class:`repro.core.campaign.VQECampaign` or ``AdaptCampaign``), and
+:meth:`EvaluationBroker.pump` runs them on the calling thread, one wave
+at a time, until every one has ended its turn (a VQE campaign its run,
+an ADAPT campaign one growth iteration):
 
 * **collect** — each live campaign's ``ask()``: its next parameter row.
 * **group** — rows are grouped by (plan key, plan object); the plan key
   is ``JobSpec.plan_key()`` (kind, molecule, basis).  Every geometry of
   a molecule runs the same plan object (``ProblemCache``'s UCCSD tier),
   so a whole scan is one group, each row carrying its own geometry's
-  Hamiltonian; two different plans never share a group.
+  Hamiltonian; two different plans never share a group.  An ADAPT
+  campaign carries its own plan, the grown ansatz's, which changes
+  with every growth iteration, so it is a group of its own.
 * **execute** — each group's rows run as
   :func:`~repro.sim.batched.reverse_value_and_gradient` sweeps of at most
   ``batch_size`` rows: one ``(2B, 2^n)`` block gives B energies and B
@@ -75,19 +78,28 @@ class EvaluationBroker:
 
         ``campaigns`` holds ``(plan_key, campaign)`` pairs; a campaign
         has ``plan``, ``observable``, ``ask()`` (a parameter row, or
-        ``None`` once it has ended) and ``tell(value, gradient)``.
-        Returns two lists in campaign order: the exception that ended
-        each campaign — its group's sweep or its own ``tell`` raised —
-        or ``None`` for a campaign that finished; and the seconds from
-        the pump's start to each campaign's last tell or failure.
+        ``None`` once it has ended its turn) and ``tell(value,
+        gradient)``.  Returns two lists in campaign order: the exception
+        that ended each campaign — its group's sweep or its own ``ask``
+        or ``tell`` raised — or ``None``; and the seconds from the
+        pump's start to each campaign's last tell or failure (or its
+        first ``ask``, when that gave no row).
         """
         errors: List[Optional[Exception]] = [None] * len(campaigns)
         ended = [0.0] * len(campaigns)
         t0 = time.perf_counter()
         live = range(len(campaigns))
         while True:
-            asks = [(i, campaigns[i][1].ask()) for i in live]
-            asks = [(i, x) for i, x in asks if x is not None]
+            asks = []
+            for i in live:
+                try:
+                    x = campaigns[i][1].ask()
+                except Exception as err:  # noqa: BLE001 — ends this campaign
+                    errors[i], x = err, None
+                if x is not None:
+                    asks.append((i, x))
+                elif errors[i] is not None or not ended[i]:  # failed, or no tell yet
+                    ended[i] = time.perf_counter() - t0
             if not asks:
                 return errors, ended
             self.waves += 1

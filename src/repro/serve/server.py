@@ -12,12 +12,13 @@
   queue per tenant and globally, rejects with explicit backpressure,
   and fails fast on job classes whose circuit breaker is open.
 * **Execution** interleaves all running campaigns on the server
-  thread: one ADAPT iteration per tick per job, and every running VQE
-  campaign, an L-BFGS ask/tell state with evaluation-level checkpoints
-  (``repro.core.campaign.VQECampaign``), advanced to its end by the
-  evaluation broker's batched waves (:mod:`repro.serve.broker`), so N
-  campaigns are genuinely in flight at once and a kill can land
-  mid-anything.
+  thread.  Every job is an ask/tell campaign
+  (``repro.core.campaign.VQECampaign`` with evaluation-level
+  checkpoints, ``AdaptCampaign`` with iteration-level ones), and each
+  tick the evaluation broker's batched waves (:mod:`repro.serve.broker`)
+  advance every running VQE campaign to its end and every running
+  ADAPT campaign by one growth iteration, so N campaigns are genuinely
+  in flight at once and a kill can land mid-anything.
 * **Crash safety**: every transition is written to the write-ahead
   journal first; restart replays the journal (idempotently — records
   are sequence-numbered), reloads terminal results from the
@@ -49,14 +50,14 @@ import operator
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import obs
 from repro.obs import events as obs_events
 from repro.core.adapt import AdaptVQE
-from repro.core.campaign import CampaignRunner, VQECampaign
+from repro.core.campaign import AdaptCampaign, CampaignRunner, VQECampaign
 from repro.core.counting import uccsd_gate_count
 from repro.core.vqe import VQE
 from repro.hpc.faults import FaultInjector, FaultSpec
@@ -99,7 +100,6 @@ class ServerConfig:
     retry_seed: int = 0
     default_timeout_s: Optional[float] = None
     warm_start: bool = True
-    adapt_energy_tolerance: float = 1e-6
     adapt_gradient_tolerance: float = 1e-4
     fault_specs: List[FaultSpec] = field(default_factory=list)
     fault_seed: int = 0
@@ -137,11 +137,10 @@ class ServerConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"ServerConfig.{name} must be >= 1, got {value!r}")
-        if self.metrics_snapshot_period < 0:
-            raise ValueError(
-                "ServerConfig.metrics_snapshot_period must be >= 0, got "
-                f"{self.metrics_snapshot_period!r}"
-            )
+        for name in ("max_restarts", "metrics_snapshot_period", "adapt_gradient_tolerance"):
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails too
+                raise ValueError(f"ServerConfig.{name} must be >= 0, got {value!r}")
 
 
 # the JobRecord fields its status.json row (to_dict) is made of
@@ -346,14 +345,9 @@ def _uccsd_gates(num_qubits: int) -> int:
 
 
 class _JobExecution:
-    """Volatile driver of one running campaign (checkpoints persist).
-
-    :meth:`step` advances one unit of work; a dict result means *done*.
-    An ADAPT campaign steps one iteration at a time.  A VQE campaign's
-    step opens it (``campaign``, resumed from its checkpoint or started
-    warm or from seeded jitter); the broker's waves then run it to its
-    end, and :meth:`result` reads it.
-    """
+    """Volatile driver of one running job (checkpoints persist): opens
+    its ADAPT or VQE campaign for the broker to pump, and reads the
+    result."""
 
     def __init__(
         self,
@@ -364,100 +358,60 @@ class _JobExecution:
         warm_x0: Optional[np.ndarray],
     ):
         self.job = job
-        self.problem = problem
-        self.config = config
-        self.warm_x0 = warm_x0
-        self.runner = CampaignRunner(
+        runner = CampaignRunner(
             ckpt_dir,
             checkpoint_period=config.checkpoint_period,
             max_restarts=config.max_restarts,
         )
-        self.campaign: Optional[VQECampaign] = None
-        self._adapt = None
-        self._adapt_state = None
+        flight_context = {"job_id": job.job_id, "tenant": job.spec.tenant}
         if job.spec.kind == "adapt":
-            self._adapt = AdaptVQE(
+            adapt = AdaptVQE(
                 problem["hamiltonian"],
                 problem["pool"],
                 problem["reference"],
                 max_iterations=job.spec.max_iterations,
                 gradient_tolerance=config.adapt_gradient_tolerance,
-                energy_tolerance=config.adapt_energy_tolerance,
-                flight_context={
-                    "job_id": job.job_id,
-                    "tenant": job.spec.tenant,
-                },
+                flight_context=flight_context,
             )
-            loaded = self.runner.load_adapt_state(self._adapt)
-            self.job.resumed = loaded is not None
-            self._adapt_state = loaded or self._adapt.initial_state()
-
-    def step(self) -> Optional[Dict[str, Any]]:
-        """Advance one unit of work; a dict result means *done*."""
-        if self._adapt is not None:
-            return self._step_adapt()
-        self._open_vqe()
-        return None
-
-    def _step_adapt(self) -> Optional[Dict[str, Any]]:
-        st = self._adapt_state
-        if not st.converged and st.iteration < self._adapt.max_iterations:
-            with obs.span(
-                "serve.job_step", job=self.job.job_id, iteration=st.iteration + 1
-            ):
-                self._adapt.step(st)
-            if st.converged or st.iteration % self.config.checkpoint_period == 0:
-                self.runner.save_adapt_state(st)
-        if st.converged or st.iteration >= self._adapt.max_iterations:
-            self.runner.save_adapt_state(st)
-            result = self._adapt.result(st)
-            return {
-                "energy": float(result.energy),
-                "parameters": [float(x) for x in st.parameters],
-                "iterations": int(st.iteration),
-                "kind": "adapt",
-                "flight_verdict": self._adapt.flight.verdict,
-            }
-        return None
-
-    def _open_vqe(self) -> None:
-        # circuit mode over the shared trotterized-UCCSD circuit: every
-        # job of one molecule, at any geometry, executes the SAME
-        # compiled plan, which is what lets the broker stack their
-        # evaluations; each optimizer iterate is one row that comes back
-        # with its energy and exact reverse-mode gradient, and the sweep
-        # is row-wise, so any batch_size gives the same trajectory.
-        vqe = VQE(
-            self.problem["hamiltonian"],
-            ansatz=self.problem["ansatz"],
-            flight_context={
-                "job_id": self.job.job_id,
-                "tenant": self.job.spec.tenant,
-            },
-        )
-        x0 = self.warm_x0
-        if x0 is not None:
-            self.job.warm_started = True
-        elif vqe.num_parameters:
-            # seeded multi-start jitter: distinct seeds explore
-            # distinct basins deterministically, so same-molecule
-            # campaigns submitted with different seeds are genuinely
-            # independent optimizations (not one trajectory replayed
-            # N times) — the honest workload for batched serving
-            rng = np.random.default_rng(self.job.spec.seed)
-            x0 = 0.02 * rng.standard_normal(vqe.num_parameters)
-        self.campaign = VQECampaign(self.runner, vqe, initial_parameters=x0)
-        self.job.resumed = self.campaign.resumed_from is not None
+            self.campaign: Union[AdaptCampaign, VQECampaign] = AdaptCampaign(runner, adapt)
+        else:
+            # circuit mode over the shared trotterized-UCCSD circuit:
+            # every job of one molecule, at any geometry, executes the
+            # SAME compiled plan, which is what lets the broker stack
+            # their evaluations; each optimizer iterate is one row that
+            # comes back with its energy and exact reverse-mode gradient,
+            # and the sweep is row-wise, so any batch_size gives the
+            # same trajectory.
+            vqe = VQE(problem["hamiltonian"], ansatz=problem["ansatz"],
+                      flight_context=flight_context)
+            x0 = warm_x0
+            if x0 is not None:
+                job.warm_started = True
+            elif vqe.num_parameters:
+                # seeded multi-start jitter: distinct seeds explore
+                # distinct basins deterministically, so same-molecule
+                # campaigns submitted with different seeds are genuinely
+                # independent optimizations (not one trajectory replayed
+                # N times) — the honest workload for batched serving
+                rng = np.random.default_rng(job.spec.seed)
+                x0 = 0.02 * rng.standard_normal(vqe.num_parameters)
+            self.campaign = VQECampaign(runner, vqe, initial_parameters=x0)
+        job.resumed = self.campaign.resumed_from is not None
 
     def result(self) -> Dict[str, Any]:
-        """The result of a VQE campaign the broker has run to its end."""
-        vqe_result = self.campaign.result.result
-        flight = self.campaign.vqe.flight
+        """The result of a campaign that has one."""
+        result, kind = self.campaign.result.result, self.job.spec.kind
+        if kind == "adapt":
+            parameters, flight = result.parameters, self.campaign.adapt.flight
+            count = {"iterations": int(self.campaign.state.iteration)}
+        else:
+            parameters, flight = result.optimal_parameters, self.campaign.vqe.flight
+            count = {"evaluations": int(result.num_function_evaluations)}
         return {
-            "energy": float(vqe_result.energy),
-            "parameters": [float(x) for x in vqe_result.optimal_parameters],
-            "evaluations": int(vqe_result.num_function_evaluations),
-            "kind": "vqe",
+            "energy": float(result.energy),
+            "parameters": [float(x) for x in parameters],
+            **count,
+            "kind": kind,
             "flight_verdict": flight.verdict if flight is not None else None,
         }
 
@@ -898,7 +852,7 @@ class CampaignServer:
         placements = self._plan_placements(queued, running)
         # rank -> plan key of the batch group started there this tick
         # (None marks a rank occupied by non-joinable work: a
-        # carried-over running job or an ADAPT step), and how many jobs
+        # carried-over running job or an ADAPT campaign), and how many jobs
         # it took; a rank takes at most batch_size
         busy: Dict[int, Optional[str]] = {
             j.rank: None for j in running if j.rank is not None
@@ -991,13 +945,7 @@ class CampaignServer:
                     job.spec.geometry,
                     len(problem["generators"]),
                 )
-            execution = _JobExecution(
-                job,
-                problem,
-                self._ckpt_dir(job),
-                self.config,
-                warm_x0,
-            )
+            execution = _JobExecution(job, problem, self._ckpt_dir(job), self.config, warm_x0)
         except Exception as err:  # noqa: BLE001 — fails the job, not the server
             self._handle_failure(job, err)
             return None
@@ -1010,14 +958,12 @@ class CampaignServer:
     # -- stepping + completion ------------------------------------------------
 
     def _step_running(self) -> None:
-        """Advance every running campaign, all on the server thread.
-
-        Each steps once in dispatch order: an ADAPT iteration, or the
-        opening of a VQE campaign.  The VQE campaigns opened then run to
-        their end in the broker's batched waves, and their completions
-        and failures are journalled after, in dispatch order.
-        """
-        runnable: List[Tuple[JobRecord, _JobExecution]] = []
+        """Advance every running campaign on the server thread: the
+        broker pumps them, in dispatch order, a VQE campaign to its end
+        and an ADAPT campaign by one growth iteration; then completions
+        and failures are journalled in dispatch order, and a campaign
+        with no result yet stays RUNNING."""
+        running: List[Tuple[JobRecord, _JobExecution]] = []
         for job in list(self._jobs_in(JobState.RUNNING)):
             now = self._now()
             reason = self._deadline_violation(job, now)
@@ -1040,44 +986,21 @@ class CampaignServer:
             # this is a safety net)
             execution = self.executions.get(job.job_id) or self._open(job, warm=False)
             if execution is not None:
-                runnable.append((job, execution))
-        for job, execution in runnable:
-            self._step_one(job, execution)
-        # getattr: tests monkeypatch executions with bare stubs
-        opened = [
-            (job, execution)
-            for job, execution in runnable
-            if getattr(execution, "campaign", None) is not None
-        ]
-        if opened:
-            self._pump(opened)
-
-    def _step_one(self, job: JobRecord, execution: _JobExecution) -> None:
-        t0 = time.perf_counter()
-        try:
-            result = execution.step()
-        except Exception as err:  # noqa: BLE001 — any failure retries
-            job.exec_s += time.perf_counter() - t0
-            self._handle_failure(job, err)
+                running.append((job, execution))
+        if not running:
             return
-        job.exec_s += time.perf_counter() - t0
-        if result is not None:
-            self._finish_success(job, execution, result)
-
-    def _pump(self, opened: List[Tuple[JobRecord, _JobExecution]]) -> None:
-        """Run the opened VQE campaigns to their end in batched waves."""
-        with obs.span("serve.batch_tick", campaigns=len(opened)):
+        with obs.span("serve.batch_tick", campaigns=len(running)):
             errors, ended_s = self.broker.pump(
-                [(job.spec.plan_key(), execution.campaign) for job, execution in opened]
+                [(job.spec.plan_key(), execution.campaign) for job, execution in running]
             )
-        for (job, execution), err, spent in zip(opened, errors, ended_s):
+        for (job, execution), err, spent in zip(running, errors, ended_s):
             # each job is charged the pump's time up to its own end
             job.exec_s += spent
-            if err is None:
-                self._finish_success(job, execution, execution.result())
-            else:
+            if err is not None:
                 execution.campaign.close()
                 self._handle_failure(job, err)
+            elif execution.campaign.result is not None:
+                self._finish_success(job, execution.result())
 
     def _deadline_violation(self, job: JobRecord, now: float) -> Optional[str]:
         if (
@@ -1097,9 +1020,7 @@ class CampaignServer:
             return f"execution budget exceeded ({job.exec_s:.3f}s > {timeout}s)"
         return None
 
-    def _finish_success(
-        self, job: JobRecord, execution: _JobExecution, result: Dict[str, Any]
-    ) -> None:
+    def _finish_success(self, job: JobRecord, result: Dict[str, Any]) -> None:
         key = job.spec.content_key()
         self.store.put_result(key, result)
         self._landed[key] = result

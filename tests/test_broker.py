@@ -241,6 +241,26 @@ class TestEvaluationBroker:
         assert isinstance(errors[1], ValueError) and errors[2] is errors[1]
         assert isinstance(errors[3], OSError)
 
+    def test_ask_failure_ends_only_its_campaign(self, rng):
+        """An ask() that raises (an ADAPT screen, say) ends that campaign
+        alone, as a raising tell does: the pump goes on for the rest."""
+        plan, ham = self._setup(rng)
+        broker = EvaluationBroker(batch_size=8)
+        x = rng.uniform(-1, 1, size=plan.num_parameters)
+
+        class Breaks(RowCampaign):
+            def ask(self):
+                if self.values:
+                    raise RuntimeError("pool screen failed")
+                return super().ask()
+
+        good = RowCampaign(plan, ham, [x, x + 0.1, x + 0.2])
+        breaks = Breaks(plan, ham, [x, x + 0.1])
+        errors, ended_s = broker.pump([("p", breaks), ("p", good)])
+        assert isinstance(errors[0], RuntimeError) and errors[1] is None
+        assert (len(breaks.values), len(good.values)) == (1, 3)
+        assert 0.0 < ended_s[0] <= ended_s[1]
+
     def test_rejects_silly_batch_size(self):
         with pytest.raises(ValueError):
             EvaluationBroker(batch_size=0)
@@ -520,13 +540,13 @@ class TestServeBatched:
 
     def test_serving_starts_no_thread(self, tmp_path, monkeypatch):
         """Batched serving runs on the server thread alone: with thread
-        start refused, an H2 fleet is served through several ticks (the
-        scan's warm starts hold geometries back a tick) to the energies
-        of an unpatched server."""
+        start refused, an H2 fleet and an ADAPT job are served through
+        several ticks (the scan's warm starts hold geometries back a
+        tick) to the energies of an unpatched server."""
         specs = [
             JobSpec(tenant=f"t{k % 3}", molecule="h2", geometry=g)
             for k, g in enumerate((0.7, 0.8, 0.9, 1.0, 0.7, 0.9))
-        ]
+        ] + [JobSpec(tenant="t0", kind="adapt", molecule="h2", max_iterations=2)]
 
         def serve(name):
             srv = CampaignServer(str(tmp_path / name), ServerConfig(num_ranks=2))

@@ -17,9 +17,15 @@ from repro.chem.pools import uccsd_pool
 from repro.chem.reference import hartree_fock_state
 from repro.chem.scf import run_rhf
 from repro.core.adapt import AdaptVQE
-from repro.core.campaign import CampaignFailedError, CampaignResult, CampaignRunner
+from repro.core.campaign import (
+    AdaptCampaign,
+    CampaignFailedError,
+    CampaignResult,
+    CampaignRunner,
+)
 from repro.core.vqe import VQE
 from repro.hpc.faults import FaultInjector, FaultSpec, RankFailure
+from repro.serve.broker import EvaluationBroker
 from repro.hpc.perfmodel import (
     campaign_runtime_with_failures,
     checkpoint_write_time,
@@ -84,6 +90,54 @@ class TestStepwiseAdapt:
         before = (st.iteration, list(st.chosen_indices))
         adapt.step(st)
         assert (st.iteration, list(st.chosen_indices)) == before
+
+
+class TestAdaptCampaign:
+    def test_pumped_campaign_equals_run_adapt(self, h4_problem, tmp_path):
+        """The ask/tell ADAPT campaign, pumped by the broker, grows one
+        iteration per pump and reaches run_adapt's answer and final
+        checkpoint bit for bit."""
+        hq, e_ref = h4_problem
+        ref = CampaignRunner(str(tmp_path / "ref")).run_adapt(
+            _make_adapt(hq, e_ref, 8, 4, max_iterations=3)
+        )
+        campaign = AdaptCampaign(
+            CampaignRunner(str(tmp_path / "ask")),
+            _make_adapt(hq, e_ref, 8, 4, max_iterations=3),
+        )
+        broker = EvaluationBroker()
+        grown = []
+        while campaign.result is None:
+            assert broker.pump([("adapt", campaign)])[0] == [None]
+            grown.append(campaign.state.iteration)
+        assert grown == [1, 2, 3]
+        got, want = campaign.result.result, ref.result
+        assert got.energy == want.energy
+        assert np.array_equal(got.parameters, want.parameters)
+        assert got.operator_labels == want.operator_labels
+        assert [r.energy for r in got.iterations] == [r.energy for r in want.iterations]
+        saved = []
+        for name in ("ref", "ask"):
+            with open(tmp_path / name / "adapt_state.json") as fh:
+                saved.append(json.load(fh))
+        assert saved[0] == saved[1]
+
+    def test_gradient_convergence_ends_on_the_next_ask(self, h2_problem, tmp_path):
+        """A run whose screen finds every gradient below tolerance ends
+        in ask(): no row, a result, and the final save."""
+        hq, e_ref = h2_problem
+        adapt = _make_adapt(hq, e_ref, 4, 2)
+        adapt.energy_tolerance = None
+        campaign = AdaptCampaign(CampaignRunner(str(tmp_path)), adapt)
+        broker = EvaluationBroker()
+        while campaign.result is None:
+            broker.pump([("adapt", campaign)])
+        result = campaign.result.result
+        assert result.converged
+        assert result.energy == adapt.run().energy
+        assert campaign.ask() is None
+        with open(tmp_path / "adapt_state.json") as fh:
+            assert json.load(fh)["converged"]
 
 
 class TestCampaignResume:

@@ -420,6 +420,35 @@ class TestAdmission:
 # -- server: fast paths (no chemistry) ----------------------------------------
 
 
+def _stub_execution(fail=None, result=None):
+    """A stand-in ``_JobExecution`` class whose campaign's ``ask()``
+    raises ``RuntimeError(fail)`` or gives no row, and whose result
+    (when given) completes the job after the pump."""
+
+    class Campaign:
+        plan = observable = None
+
+        def __init__(self):
+            self.result = result
+
+        def ask(self):
+            if fail is not None:
+                raise RuntimeError(fail)
+            return None
+
+        def close(self):
+            pass
+
+    class Stub:
+        def __init__(self, *args, **kwargs):
+            self.campaign = Campaign()
+
+        def result(self):
+            return self.campaign.result
+
+    return Stub
+
+
 def _server(tmp_path, name="srv", **cfg):
     cfg.setdefault("num_ranks", 2)
     return CampaignServer(str(tmp_path / name), ServerConfig(**cfg))
@@ -570,14 +599,7 @@ class TestServerDegradation:
         srv = _server(tmp_path, num_ranks=2)
         import repro.serve.server as server_mod
 
-        class Idle:
-            def __init__(self, *a, **kw):
-                pass
-
-            def step(self):
-                return None
-
-        monkeypatch.setattr(server_mod, "_JobExecution", Idle)
+        monkeypatch.setattr(server_mod, "_JobExecution", _stub_execution())
         monkeypatch.setattr(srv.problems, "get", lambda spec: {})
         srv.submit(JobSpec(tenant="t", molecule="h2"))
         srv.submit(JobSpec(tenant="t", molecule="h4"))
@@ -629,15 +651,8 @@ class TestServerRetryAndBreaker:
 
         import repro.serve.server as server_mod
 
-        class Boom:
-            def __init__(self, *a, **kw):
-                pass
-
-            def step(self):
-                raise RuntimeError("injected execution failure")
-
-        monkeypatch.setattr(server_mod, "_JobExecution", Boom)
-        # also skip problem building (Boom never uses it)
+        monkeypatch.setattr(server_mod, "_JobExecution", _stub_execution(fail="injected execution failure"))
+        # also skip problem building (the stub never uses it)
         monkeypatch.setattr(srv.problems, "get", lambda spec: {})
         srv.tick()
         assert srv.jobs[job.job_id].state == JobState.QUEUED  # retry scheduled
@@ -658,14 +673,7 @@ class TestServerRetryAndBreaker:
         )
         import repro.serve.server as server_mod
 
-        class Boom:
-            def __init__(self, *a, **kw):
-                pass
-
-            def step(self):
-                raise RuntimeError("boom")
-
-        monkeypatch.setattr(server_mod, "_JobExecution", Boom)
+        monkeypatch.setattr(server_mod, "_JobExecution", _stub_execution(fail="boom"))
         monkeypatch.setattr(srv.problems, "get", lambda spec: {})
         for _ in range(2):
             srv.submit(JobSpec(tenant="t", molecule="h2"))
@@ -711,14 +719,7 @@ class TestServerRetryAndBreaker:
         )
         import repro.serve.server as server_mod
 
-        class Boom:
-            def __init__(self, *a, **kw):
-                pass
-
-            def step(self):
-                raise RuntimeError("boom")
-
-        monkeypatch.setattr(server_mod, "_JobExecution", Boom)
+        monkeypatch.setattr(server_mod, "_JobExecution", _stub_execution(fail="boom"))
         monkeypatch.setattr(srv.problems, "get", lambda spec: {})
         srv.submit(JobSpec(tenant="t", molecule="h2"))
         srv.tick()
@@ -744,14 +745,7 @@ class TestServerRetryAndBreaker:
         )
         import repro.serve.server as server_mod
 
-        class Boom:
-            def __init__(self, *a, **kw):
-                pass
-
-            def step(self):
-                raise RuntimeError("boom")
-
-        monkeypatch.setattr(server_mod, "_JobExecution", Boom)
+        monkeypatch.setattr(server_mod, "_JobExecution", _stub_execution(fail="boom"))
         monkeypatch.setattr(srv.problems, "get", lambda spec: {})
         job = srv.submit(JobSpec(tenant="t", molecule="h2"))
         srv.tick()  # attempt 1 fails; one retry token spent
@@ -777,14 +771,8 @@ class TestServerDeadlines:
         srv.jobs[job.job_id].exec_s = 1.0  # pretend we burned the budget
         import repro.serve.server as server_mod
 
-        class Slow:
-            def __init__(self, *a, **kw):
-                pass
-
-            def step(self):
-                return None  # never finishes
-
-        monkeypatch.setattr(server_mod, "_JobExecution", Slow)
+        # never finishes
+        monkeypatch.setattr(server_mod, "_JobExecution", _stub_execution())
         monkeypatch.setattr(srv.problems, "get", lambda spec: {})
         srv.tick()  # dispatch
         srv.tick()  # budget check fires before the next step
@@ -804,14 +792,9 @@ class TestServerDeadlines:
         srv2 = CampaignServer(srv.state_dir, srv.config)
         import repro.serve.server as server_mod
 
-        class Instant:
-            def __init__(self, *a, **kw):
-                pass
-
-            def step(self):
-                return {"energy": -1.0, "kind": "vqe"}
-
-        monkeypatch.setattr(server_mod, "_JobExecution", Instant)
+        monkeypatch.setattr(
+            server_mod, "_JobExecution", _stub_execution(result={"energy": -1.0, "kind": "vqe"})
+        )
         monkeypatch.setattr(srv2.problems, "get", lambda spec: {})
         srv2.tick()
         assert srv2.jobs[job.job_id].state == JobState.SUCCEEDED
@@ -943,6 +926,94 @@ class TestServerEndToEnd:
         assert view["jobs"][0]["energy"] == pytest.approx(
             next(iter(srv.jobs.values())).energy
         )
+
+
+# -- served ADAPT: an ask/tell campaign on the broker's pump ------------------
+
+
+def _adapt_state(srv, job):
+    with open(os.path.join(srv.state_dir, "jobs", job.job_id, "adapt_state.json")) as fh:
+        return json.load(fh)
+
+
+class TestServedAdapt:
+    @pytest.mark.parametrize("batch_size", [1, 32])
+    def test_answers_equal_adapt_run_bit_for_bit(self, tmp_path, batch_size):
+        """H2 and H4 ADAPT jobs served beside VQE jobs, in the same ticks,
+        give AdaptVQE.run()'s energies, parameters, iteration counts and
+        selected operators exactly, at any batch size."""
+        from repro.core.adapt import AdaptVQE
+        from repro.serve.store import ProblemCache
+
+        cfg = ServerConfig(num_ranks=2, batch_size=batch_size)
+        srv = CampaignServer(str(tmp_path / "srv"), cfg)
+        adapt_specs = [
+            JobSpec(tenant="a", kind="adapt", molecule="h2", max_iterations=3),
+            JobSpec(tenant="c", kind="adapt", molecule="h4", max_iterations=2),
+        ]
+        jobs = [srv.submit(s) for s in adapt_specs]
+        srv.submit(JobSpec(tenant="b", molecule="h2", geometry=0.9))
+        srv.submit(JobSpec(tenant="d", molecule="h4", seed=1))
+        srv.run(stop_when_idle=True, max_ticks=20)
+        assert all(j.state == JobState.SUCCEEDED for j in srv.jobs.values())
+        cache = ProblemCache()
+        for spec, job in zip(adapt_specs, jobs):
+            problem = cache.get(spec)
+            want = AdaptVQE(
+                problem["hamiltonian"],
+                problem["pool"],
+                problem["reference"],
+                max_iterations=spec.max_iterations,
+                gradient_tolerance=cfg.adapt_gradient_tolerance,
+            ).run()
+            got = srv.store.get_result(spec.content_key())
+            assert got["energy"] == want.energy
+            assert got["parameters"] == [float(x) for x in want.parameters]
+            assert got["iterations"] == len(want.iterations)
+            labels = [r["selected_label"] for r in _adapt_state(srv, job)["records"]]
+            assert labels == want.operator_labels
+        srv.close()
+
+    def test_grows_one_iteration_per_tick(self, tmp_path):
+        """With a zero gradient tolerance, a 3-iteration H2 job grows one
+        iteration per tick and completes on tick 3."""
+        srv = _server(tmp_path, adapt_gradient_tolerance=0.0)
+        job = srv.submit(JobSpec(tenant="t", kind="adapt", molecule="h2", max_iterations=3))
+        states, grown = [], []
+        for _ in range(3):
+            srv.tick()
+            states.append(srv.jobs[job.job_id].state)
+            grown.append(_adapt_state(srv, job)["iteration"])
+        assert states == [JobState.RUNNING, JobState.RUNNING, JobState.SUCCEEDED]
+        assert grown == [1, 2, 3]
+        srv.close()
+
+    def test_kill_after_one_tick_resumes_at_iteration_one(self, tmp_path):
+        """A kill after tick 1 leaves the iteration-1 checkpoint; the
+        restarted server resumes from it, grows iteration 2 on its first
+        tick, and ends where an uninterrupted server does."""
+        cfg = dict(adapt_gradient_tolerance=0.0)
+        spec = JobSpec(tenant="t", kind="adapt", molecule="h2", max_iterations=3)
+        control = _server(tmp_path, name="control", **cfg)
+        control.submit(spec)
+        control.run(stop_when_idle=True, max_ticks=10)
+        want = control.store.get_result(spec.content_key())
+        control.close()
+
+        srv = _server(tmp_path, **cfg)
+        job = srv.submit(spec)
+        srv.tick()
+        srv.close()  # kill -9
+        assert _adapt_state(srv, job)["iteration"] == 1
+        srv2 = CampaignServer(srv.state_dir, srv.config)
+        srv2.tick()
+        campaign = srv2.executions[job.job_id].campaign
+        assert (campaign.resumed_from, campaign.state.iteration) == (1, 2)
+        srv2.run(stop_when_idle=True, max_ticks=10)
+        assert srv2.jobs[job.job_id].state == JobState.SUCCEEDED
+        assert srv2.jobs[job.job_id].resumed
+        assert srv2.store.get_result(spec.content_key()) == want
+        srv2.close()
 
 
 # -- per-family structure, per-tick derived values ----------------------------
@@ -1116,28 +1187,28 @@ class TestCheckpointSchemaGuard:
 
         self._write(tmp_path, {"version": 99})
         with pytest.raises(CheckpointSchemaError, match="upgrade"):
-            CampaignRunner(str(tmp_path)).load_adapt_state(self._adapt(tmp_path))
+            CampaignRunner(str(tmp_path))._load_adapt_state(self._adapt(tmp_path))
 
     def test_stale_version_rejected(self, tmp_path):
         from repro.core.campaign import CampaignRunner, CheckpointSchemaError
 
         self._write(tmp_path, {"version": 0})
         with pytest.raises(CheckpointSchemaError, match="stale"):
-            CampaignRunner(str(tmp_path)).load_adapt_state(self._adapt(tmp_path))
+            CampaignRunner(str(tmp_path))._load_adapt_state(self._adapt(tmp_path))
 
     def test_missing_fields_rejected(self, tmp_path):
         from repro.core.campaign import CampaignRunner, CheckpointSchemaError
 
         self._write(tmp_path, {"version": 1, "iteration": 1})
         with pytest.raises(CheckpointSchemaError, match="missing required"):
-            CampaignRunner(str(tmp_path)).load_adapt_state(self._adapt(tmp_path))
+            CampaignRunner(str(tmp_path))._load_adapt_state(self._adapt(tmp_path))
 
     def test_non_dict_payload_rejected(self, tmp_path):
         from repro.core.campaign import CampaignRunner, CheckpointSchemaError
 
         (tmp_path / "adapt_state.json").write_text("[1, 2, 3]")
         with pytest.raises(CheckpointSchemaError):
-            CampaignRunner(str(tmp_path)).load_adapt_state(self._adapt(tmp_path))
+            CampaignRunner(str(tmp_path))._load_adapt_state(self._adapt(tmp_path))
 
     def test_vqe_params_missing_field_rejected(self, tmp_path):
         from repro.core.campaign import CampaignRunner, CheckpointSchemaError
@@ -1352,6 +1423,21 @@ class TestServerConfigValidation:
     def test_counts_below_one_are_named(self, name):
         with pytest.raises(ValueError, match=rf"ServerConfig\.{name} must be >= 1, got 0"):
             ServerConfig(**{name: 0})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_restarts", -1),
+            ("adapt_gradient_tolerance", -1e-4),
+            ("adapt_gradient_tolerance", float("nan")),
+        ],
+    )
+    def test_negative_or_nan_values_are_named(self, name, value):
+        with pytest.raises(
+            ValueError, match=rf"ServerConfig\.{name} must be >= 0, got {value!r}"
+        ):
+            ServerConfig(**{name: value})
+        assert getattr(ServerConfig(**{name: 0}), name) == 0
 
     def test_negative_snapshot_period_is_named(self):
         with pytest.raises(
