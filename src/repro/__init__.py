@@ -4,7 +4,7 @@ Simulation on Leading HPC Systems" (SC-W 2023).
 Layers (bottom-up):
 
 * :mod:`repro.ir` — circuit IR, gate library, Pauli algebra (XACC role)
-* :mod:`repro.sim` — statevector / density-matrix simulators, gate
+* :mod:`repro.sim` — statevector simulators, execution plans, gate
   fusion, direct expectation (NWQ-Sim role)
 * :mod:`repro.hpc` — distributed partitioned statevector, simulated
   communicator, machine performance models (Perlmutter/Summit role)

@@ -167,7 +167,7 @@ def map_fermion_operators(
     (:func:`repro.ir.symplectic.dedup_rows`) sums duplicates within each
     operator and leaves the operators as contiguous runs, which split
     back into one :class:`PauliSum` each, terms in ascending ``(x, z)``
-    order.  Mapping a whole list (a UCCSD pool, every RDM element) pays
+    order.  Mapping a whole list (a UCCSD pool, say) pays
     the array set-up once instead of once per operator.
     """
     mapper = _get_mapper(mapping, num_modes)

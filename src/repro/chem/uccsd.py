@@ -44,38 +44,15 @@ __all__ = [
 
 
 def uccsd_excitations(
-    num_spin_orbitals: int, num_electrons: int, generalized: bool = False
+    num_spin_orbitals: int, num_electrons: int
 ) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int, int, int]]]:
-    """Spin-preserving single and double excitations.
-
-    Standard UCCSD (default): excitations from the HF-occupied spin
-    orbitals (the lowest ``num_electrons``, interleaved convention)
-    into the virtuals.  With ``generalized=True`` the occupied/virtual
-    restriction is dropped (UCCGSD): all orbital pairs participate,
-    which enlarges the reachable manifold — needed e.g. by VQD excited
-    -state searches.
+    """Spin-preserving single and double excitations from the
+    HF-occupied spin orbitals (the lowest ``num_electrons``, interleaved
+    convention) into the virtuals.
 
     Returns (singles, doubles): singles as (i, a), doubles as
     (i, j, a, b) with i<j, a<b, total spin projection conserved.
     """
-    n = num_spin_orbitals
-    if generalized:
-        singles = [
-            (i, a) for i in range(n) for a in range(i + 1, n) if (i - a) % 2 == 0
-        ]
-        doubles = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for a in range(n):
-                    for b in range(a + 1, n):
-                        if (a, b) <= (i, j):
-                            continue  # avoid duplicate/adjoint pairs
-                        if {i, j} & {a, b}:
-                            continue
-                        spin_change = (i % 2) + (j % 2) - (a % 2) - (b % 2)
-                        if spin_change == 0:
-                            doubles.append((i, j, a, b))
-        return singles, doubles
     occ = list(range(num_electrons))
     virt = list(range(num_electrons, num_spin_orbitals))
     singles = [(i, a) for i in occ for a in virt if (i - a) % 2 == 0]
@@ -104,17 +81,14 @@ def excitation_generator(excitation: Sequence[int]) -> FermionOperator:
 
 
 def uccsd_generators(
-    num_spin_orbitals: int, num_electrons: int, generalized: bool = False
+    num_spin_orbitals: int, num_electrons: int
 ) -> List[Tuple[Tuple[int, ...], PauliSum]]:
-    """All UCCSD (or UCCGSD with ``generalized=True``) generators
-    mapped to qubit operators.
+    """All UCCSD generators mapped to qubit operators.
 
     Each entry is ``(excitation_indices, A)`` with ``A``
     anti-Hermitian; ``exp(theta A)`` is the ansatz factor.
     """
-    singles, doubles = uccsd_excitations(
-        num_spin_orbitals, num_electrons, generalized
-    )
+    singles, doubles = uccsd_excitations(num_spin_orbitals, num_electrons)
     excitations = list(singles) + list(doubles)
     mapped = map_fermion_operators(
         [excitation_generator(exc) for exc in excitations], num_spin_orbitals

@@ -13,9 +13,6 @@ __all__, __getattr__, __dir__ = name_table(
     {
         "vqe": ["VQE", "VQEResult"],
         "qpe": ["run_qpe", "run_qpe_trotter", "run_iterative_qpe", "QPEResult"],
-        "vqd": ["run_vqd", "VQDResult"],
-        "shots": ["allocate_shots", "sampled_energy_with_allocation"],
-        "cafqa": ["cafqa_search", "cafqa_bootstrap_vqe", "CafqaResult"],
         "scan": ["scan_potential_energy_surface", "ScanResult", "ScanPoint"],
         "adapt": ["AdaptVQE", "AdaptResult", "AdaptIteration", "AdaptState"],
         "campaign": ["CampaignRunner", "CampaignResult", "CampaignFailedError", "VQECampaign"],

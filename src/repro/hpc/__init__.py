@@ -32,6 +32,5 @@ __all__, __getattr__, __dir__ = name_table(
             "campaign_runtime_with_failures",
         ],
         "scheduler": ["BatchScheduler", "Job", "Schedule"],
-        "ensemble": ["EnsembleExecutor", "EnsembleResult"],
     },
 )

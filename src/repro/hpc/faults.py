@@ -20,7 +20,7 @@ scheduler degradation) is testable and benchmarkable:
 Hook points: ``SimComm.exchange`` / ``SimComm.allreduce`` (comm scope),
 ``DistributedStatevector.apply_gate`` (gate scope), the
 ``CampaignRunner`` iteration loop (campaign scope), and
-``EnsembleExecutor`` job dispatch (batch scope).
+``CampaignServer`` job dispatch (batch scope).
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ class FaultInjector:
                 self.crashed_ranks.add(rank)
                 raise RankFailure(rank, iteration, "campaign")
 
-    # -- batch-scope hook (called by EnsembleExecutor) -----------------------------
+    # -- batch-scope hook (called by CampaignServer) ------------------------------
 
     def check_batch_faults(self, job_index: int, rank: int) -> Optional[int]:
         """Evaluate batch-scope crash specs as job ``job_index`` runs

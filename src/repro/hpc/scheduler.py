@@ -19,7 +19,6 @@ from repro import obs
 from repro.obs.perf import RANK_SCHED_BUSY_COUNTER
 from repro.hpc.cluster import Machine, get_machine
 from repro.hpc.perfmodel import estimate_circuit_time
-from repro.ir.circuit import Circuit
 
 __all__ = ["Job", "Schedule", "BatchScheduler"]
 
@@ -38,17 +37,13 @@ class Job:
     num_gates: int
     mem_bytes: int = 0
 
-    @classmethod
-    def from_circuit(cls, name: str, circuit: Circuit) -> "Job":
-        return cls(name=name, num_qubits=circuit.num_qubits, num_gates=len(circuit))
-
 
 @dataclass
 class Schedule:
     """Assignment of jobs to ranks with simulated timing.
 
     ``failed_ranks`` lists ranks that died and were degraded out; the
-    makespan/speedup then describe the surviving ensemble (including
+    makespan/speedup then describe the surviving ranks (including
     any work redone on survivors).
     """
 

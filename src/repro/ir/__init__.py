@@ -1,4 +1,4 @@
-"""Circuit IR, gate library, Pauli algebra, QASM I/O, compiler passes.
+"""Circuit IR, gate library, Pauli algebra, compiled observables.
 
 This subpackage plays the role the XACC framework plays in the paper:
 the hardware-agnostic program representation sitting between algorithm
@@ -15,7 +15,6 @@ __all__, __getattr__, __dir__ = name_table(
         "gates": ["Gate", "Parameter", "GATE_SET", "gate_matrix"],
         "pauli": ["PauliString", "PauliSum"],
         "compiled": ["CompiledPauliSum", "compile_observable"],
-        "qasm": ["from_qasm", "to_qasm"],
         "library": [
             "qft",
             "inverse_qft",

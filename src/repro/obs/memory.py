@@ -22,7 +22,7 @@ Two halves:
 * :func:`estimate_statevector_job_bytes` — the predictive capacity
   model: amplitudes (2^n, or the (N, S_z) sector a number-conserving
   job runs on) + workspace copies + compiled-observable passes +
-  plan/prefix overheads, per backend.  ``repro.serve`` wraps
+  plan/prefix overheads.  ``repro.serve`` wraps
   it as ``estimate_job_memory(spec)`` to drive memory-aware admission
   and (time, bytes)-aware placement.
 
@@ -273,7 +273,6 @@ def observable_bytes(num_qubits: int, passes: int, dim: Optional[int] = None) ->
 def estimate_statevector_job_bytes(
     num_qubits: int,
     kind: str = "vqe",
-    backend: str = "statevector",
     batch_size: int = 1,
     compiled_passes: Optional[int] = None,
     generator_terms: int = 0,
@@ -308,10 +307,6 @@ def estimate_statevector_job_bytes(
     """
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
-    if backend != "statevector":
-        raise ValueError(
-            f"no capacity model for backend {backend!r} yet; 'statevector' only"
-        )
     full = 1 << num_qubits
     dim = full if sector_dim is None else sector_dim
     passes = (

@@ -48,7 +48,7 @@ __all__ = [
 # Counter families the HPC substrate emits with a {rank="k"} label.
 RANK_COMPUTE_COUNTER = "repro_rank_compute_seconds_total"
 RANK_COMM_COUNTER = "repro_rank_comm_seconds_total"
-# Simulated-schedule busy time per rank (LPT scheduler / ensemble).
+# Simulated-schedule busy time per rank (LPT batch scheduler).
 RANK_SCHED_BUSY_COUNTER = "repro_sched_rank_busy_sim_seconds_total"
 # Peak ledger bytes per rank (repro.obs.memory mirrors this gauge).
 RANK_MEMORY_GAUGE = "repro_rank_memory_peak_bytes"

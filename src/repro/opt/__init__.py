@@ -6,11 +6,7 @@ __all__, __getattr__, __dir__ = name_table(
     __name__,
     {
         "base": ["Optimizer", "OptimizeResult"],
-        "nelder_mead": ["NelderMead"],
-        "spsa": ["SPSA"],
-        "adam": ["Adam", "GradientDescent"],
         "lbfgs": ["LBFGSB", "LBFGSState"],
-        "scipy_wrap": ["ScipyOptimizer", "Cobyla", "BFGS"],
         "gradient": ["AnsatzObjective", "finite_difference_gradient"],
         "parameter_shift": ["parameter_shift_gradient", "supports_parameter_shift"],
     },

@@ -113,7 +113,7 @@ class AnsatzObjective:
         Hermitian observable: a ``PauliSum`` (compiled on the plan's
         index set), or any operator with ``apply`` over ``(…, dim)``
         blocks and ``expectation`` on one state, ``dim`` being
-        ``plan.dim`` (VQD passes its deflated Hamiltonian).
+        ``plan.dim``.
 
     The plan holds the (N, S_z) sector of the reference when the
     generators close on it (:meth:`ExecutionPlan.from_generators`),

@@ -1,4 +1,4 @@
-"""L-BFGS in numpy: the default optimizer of VQE, ADAPT-VQE and VQD.
+"""L-BFGS in numpy: the default optimizer of VQE and ADAPT-VQE.
 
 Every problem these drivers minimize is unconstrained, so this is
 L-BFGS-B 3.0 (Byrd, Lu, Nocedal & Zhu; Morales & Nocedal) restricted to

@@ -81,27 +81,28 @@ class EvaluationBroker:
         ``None`` once it has ended its turn) and ``tell(value,
         gradient)``.  Returns two lists in campaign order: the exception
         that ended each campaign — its group's sweep or its own ``ask``
-        or ``tell`` raised — or ``None``; and the seconds from the
-        pump's start to each campaign's last tell or failure (or its
-        first ``ask``, when that gave no row).
+        or ``tell`` raised — or ``None``; and the seconds charged to
+        each campaign: its own ``ask`` and ``tell`` calls plus its
+        group's sweep in every wave it took part in, so that other
+        groups' sweeps in the same waves are not charged to it.
         """
         errors: List[Optional[Exception]] = [None] * len(campaigns)
-        ended = [0.0] * len(campaigns)
-        t0 = time.perf_counter()
+        charged = [0.0] * len(campaigns)
+        clock = time.perf_counter
         live = range(len(campaigns))
         while True:
             asks = []
             for i in live:
+                t0 = clock()
                 try:
                     x = campaigns[i][1].ask()
                 except Exception as err:  # noqa: BLE001 — ends this campaign
                     errors[i], x = err, None
+                charged[i] += clock() - t0
                 if x is not None:
                     asks.append((i, x))
-                elif errors[i] is not None or not ended[i]:  # failed, or no tell yet
-                    ended[i] = time.perf_counter() - t0
             if not asks:
-                return errors, ended
+                return errors, charged
             self.waves += 1
             # one group per (plan key, plan object), keys in sorted
             # order, campaigns in their given order within a group
@@ -112,21 +113,25 @@ class EvaluationBroker:
             live = []
             for members in groups.values():
                 group = [campaigns[i][1] for i, _ in members]
+                t0 = clock()
                 try:
                     values, grads = self._execute_group(group, [x for _, x in members])
                 except Exception as err:  # noqa: BLE001 — ends the group's campaigns
+                    sweep_s = clock() - t0
                     for i, _ in members:
                         errors[i] = err
-                        ended[i] = time.perf_counter() - t0
+                        charged[i] += sweep_s
                     continue
+                sweep_s = clock() - t0
                 for row, (i, _) in enumerate(members):
+                    t0 = clock()
                     try:
                         campaigns[i][1].tell(values[row], grads[row])
                     except Exception as err:  # noqa: BLE001 — ends this campaign
                         errors[i] = err
                     else:
                         live.append(i)
-                    ended[i] = time.perf_counter() - t0
+                    charged[i] += sweep_s + clock() - t0
             live.sort()
 
     def _execute_group(

@@ -88,7 +88,6 @@ class ServerConfig:
     num_ranks: int = 4
     machine: str = "perlmutter"
     checkpoint_period: int = 1
-    max_restarts: int = 3
     max_job_attempts: int = 3
     global_queue_limit: int = 64
     default_tenant_policy: TenantPolicy = field(default_factory=TenantPolicy)
@@ -137,7 +136,7 @@ class ServerConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"ServerConfig.{name} must be >= 1, got {value!r}")
-        for name in ("max_restarts", "metrics_snapshot_period", "adapt_gradient_tolerance"):
+        for name in ("metrics_snapshot_period", "adapt_gradient_tolerance"):
             value = getattr(self, name)
             if not value >= 0:  # NaN fails too
                 raise ValueError(f"ServerConfig.{name} must be >= 0, got {value!r}")
@@ -358,11 +357,7 @@ class _JobExecution:
         warm_x0: Optional[np.ndarray],
     ):
         self.job = job
-        runner = CampaignRunner(
-            ckpt_dir,
-            checkpoint_period=config.checkpoint_period,
-            max_restarts=config.max_restarts,
-        )
+        runner = CampaignRunner(ckpt_dir, checkpoint_period=config.checkpoint_period)
         flight_context = {"job_id": job.job_id, "tenant": job.spec.tenant}
         if job.spec.kind == "adapt":
             adapt = AdaptVQE(
@@ -990,11 +985,11 @@ class CampaignServer:
         if not running:
             return
         with obs.span("serve.batch_tick", campaigns=len(running)):
-            errors, ended_s = self.broker.pump(
+            errors, charged_s = self.broker.pump(
                 [(job.spec.plan_key(), execution.campaign) for job, execution in running]
             )
-        for (job, execution), err, spent in zip(running, errors, ended_s):
-            # each job is charged the pump's time up to its own end
+        for (job, execution), err, spent in zip(running, errors, charged_s):
+            # each job is charged its own asks, tells and group sweeps
             job.exec_s += spent
             if err is not None:
                 execution.campaign.close()

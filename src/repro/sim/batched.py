@@ -82,8 +82,8 @@ def reverse_value_and_gradient(
 
     ``observable`` is a ``PauliSum`` — compiled on the plan's index set
     — or any Hermitian operator with ``apply`` over ``(…, plan.dim)``
-    blocks (VQD's deflated Hamiltonian); or a sequence of R of them, one
-    per row, each applied once to the rows that carry it.
+    blocks; or a sequence of R of them, one per row, each applied once
+    to the rows that carry it.
 
     One sweep, whatever P: the plan runs forward on the R rows of
     ``psi``, ``H`` is applied to the block, and the ops are walked

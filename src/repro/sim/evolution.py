@@ -1,7 +1,7 @@
 """Exact statevector evolution under Pauli-sum generators: the oracle.
 
 ``GeneratorEvolution`` applies one ``exp(theta A)``, ``A``
-anti-Hermitian, to a dense state.  VQE, ADAPT and VQD do not use it:
+anti-Hermitian, to a dense state.  VQE and ADAPT do not use it:
 a generator ansatz is lowered to an :class:`repro.sim.plan.ExecutionPlan`
 (``from_generators``) and runs, and is differentiated, like any other
 plan.  It stays as the exact per-generator reference the tests hold

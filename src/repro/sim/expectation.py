@@ -17,8 +17,8 @@ Two ways to turn a state into <H>:
     §4.1) post-ansatz state, takes the exact probabilities or draws
     shots (§4.2.1), and reduces every member's parity in one pass.
     ``expectation_basis_rotated`` (the Fig. 3 caching mode),
-    ``expectation_sampled``, ``measure_general_group``, the caching
-    evaluator and the shot-allocation policies are thin callers.
+    ``expectation_sampled``, ``measure_general_group`` and the caching
+    evaluator are thin callers.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def measure(
     state: Union[np.ndarray, Callable[[], np.ndarray]],
     table: MeasurementTable,
     sim: StatevectorSimulator,
-    shots: Union[None, int, Sequence[int]] = None,
+    shots: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> Tuple[float, int]:
     """``(<H>, basis-change gates run)`` over a measurement table.
@@ -206,26 +206,25 @@ def measure(
     called first — the non-caching mode re-prepares the ansatz for
     every group), apply the row's basis change, then reduce every
     member's parity against the exact probabilities (``shots`` None)
-    or against ``sim.sample`` draws (``shots`` an int for every row,
-    or one count per row).  Rows draw in table order.
+    or against ``shots`` ``sim.sample`` draws.  Rows draw in table
+    order.
     """
     constant, rows = table
     if shots is not None:
-        if np.any(np.asarray(shots) < 1):
-            raise ValueError(f"shots_per_group must be at least 1, got {np.min(shots)}")
+        if shots < 1:
+            raise ValueError(f"shots_per_group must be at least 1, got {shots}")
         rng = rng or np.random.default_rng()
-    per_row = np.broadcast_to(0 if shots is None else shots, (len(rows),))
     total = constant
     gates = 0
-    for row, count in zip(rows, per_row):
+    for row in rows:
         sim.set_state(state() if callable(state) else state, copy=True)
         sim.apply_circuit(row.basis)
         gates += len(row.basis)
         if shots is None:
             values = diagonal_expectation(sim.probabilities(), row.masks)
         else:
-            outcomes = np.bincount(sim.sample(int(count), rng), minlength=sim.dim)
-            values = diagonal_expectation(outcomes.astype(float), row.masks) / count
+            outcomes = np.bincount(sim.sample(int(shots), rng), minlength=sim.dim)
+            values = diagonal_expectation(outcomes.astype(float), row.masks) / shots
         total += float(row.coeffs @ values)
     return total, gates
 

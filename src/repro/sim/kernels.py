@@ -55,8 +55,6 @@ __all__ = [
     "phase_bracket",
     "lower_gate",
     "apply_op",
-    "apply_1q",
-    "apply_2q",
     "apply_diag_1q",
     "apply_diag_2q",
     "apply_x",
@@ -158,16 +156,6 @@ def apply_kq_dense(
         )
     v = _qubit_view(block, qubits, n)
     v[...] = (matrix @ v.reshape(dim, -1)).reshape(v.shape)
-
-
-def apply_1q(block: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> None:
-    """Apply a dense 2x2 unitary to ``qubit``."""
-    apply_kq_dense(block, matrix, (qubit,), n)
-
-
-def apply_2q(block: np.ndarray, matrix: np.ndarray, q0: int, q1: int, n: int) -> None:
-    """Apply a dense 4x4 unitary to ``(q0, q1)``."""
-    apply_kq_dense(block, matrix, (q0, q1), n)
 
 
 # -- gate -> (kind, payload) --------------------------------------------------

@@ -38,7 +38,7 @@ passes:
   phase-exact.
 
 A generator ansatz ``prod_k exp(theta_k A_k) |ref>`` (chemistry-mode
-VQE, ADAPT, VQD) needs neither pass: ``ExecutionPlan.from_generators``
+VQE, ADAPT) needs neither pass: ``ExecutionPlan.from_generators``
 emits one rotation step per x-mask group of each generator, the steps
 the frame pass recovers from the equivalent Trotterized circuit,
 without building that circuit.

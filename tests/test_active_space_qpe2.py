@@ -1,14 +1,13 @@
-"""Tests for automatic active-space selection, controlled evolution,
-gate-level QPE, and general commuting grouping."""
+"""Tests for controlled evolution, gate-level QPE, and general
+commuting grouping."""
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from repro.chem.active_space import mp2_natural_occupations, select_active_space
 from repro.chem.fci import exact_ground_energy
 from repro.chem.hamiltonian import build_molecular_hamiltonian
-from repro.chem.molecule import h2, h2o, lih
+from repro.chem.molecule import h2, h2o
 from repro.chem.reference import hartree_fock_circuit
 from repro.chem.scf import run_rhf
 from repro.core.qpe import run_qpe_trotter
@@ -20,54 +19,6 @@ from repro.ir.pauli import PauliString, PauliSum
 def h2o_system():
     scf = run_rhf(h2o())
     return scf, build_molecular_hamiltonian(scf)
-
-
-class TestActiveSpaceSelection:
-    def test_natural_occupations_physical(self, h2o_system):
-        scf, mh = h2o_system
-        occ = mp2_natural_occupations(mh, scf.mo_energies)
-        assert occ.shape == (7,)
-        # occupied stay near 2, virtuals near 0, everything in [0, 2]
-        assert np.all(occ >= -1e-9) and np.all(occ <= 2 + 1e-9)
-        assert np.all(occ[:5] > 1.9)
-        assert np.all(occ[5:] < 0.1)
-
-    def test_particle_number_conserved(self, h2o_system):
-        """MP2 density depletion equals virtual population."""
-        scf, mh = h2o_system
-        occ = mp2_natural_occupations(mh, scf.mo_energies)
-        assert np.isclose(occ.sum(), mh.num_electrons, atol=1e-10)
-
-    def test_reproduces_paper_h2o_partition(self, h2o_system):
-        """The automatic selection must recover the paper's hand-picked
-        Fig. 5 partition: O 1s core, 6 active orbitals, 8 electrons."""
-        scf, mh = h2o_system
-        sel = select_active_space(mh, scf.mo_energies, 6)
-        assert sel.core_orbitals == [0]
-        assert sel.active_orbitals == [1, 2, 3, 4, 5, 6]
-        assert sel.frozen_virtuals == []
-        assert sel.num_active_electrons == 8
-
-    def test_core_is_deepest_orbital(self, h2o_system):
-        """Whatever the size, the O 1s (most inert) freezes first."""
-        scf, mh = h2o_system
-        for size in (4, 5, 6):
-            sel = select_active_space(mh, scf.mo_energies, size)
-            assert 0 in sel.core_orbitals
-
-    def test_lih_partition_sane(self):
-        scf = run_rhf(lih())
-        mh = build_molecular_hamiltonian(scf)
-        sel = select_active_space(mh, scf.mo_energies, 5)
-        assert sel.core_orbitals == [0]  # Li 1s frozen
-        assert sel.num_active_electrons == 2
-
-    def test_bad_size_rejected(self, h2o_system):
-        scf, mh = h2o_system
-        with pytest.raises(ValueError):
-            select_active_space(mh, scf.mo_energies, 0)
-        with pytest.raises(ValueError):
-            select_active_space(mh, scf.mo_energies, 99)
 
 
 class TestControlledEvolution:

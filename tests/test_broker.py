@@ -11,6 +11,7 @@ broker's ledger/stats surfaces.
 
 import os
 import threading
+import time
 import types
 
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.hpc.scheduler import BatchScheduler, Job
 from repro.ir.circuit import Circuit
+from repro.ir.compiled import compile_observable
 from repro.ir.gates import Parameter
 from repro.ir.library import hardware_efficient_ansatz
 from repro.ir.pauli import PauliSum
@@ -191,8 +193,9 @@ class TestEvaluationBroker:
 
     def test_waves_run_until_the_longest_campaign_ends(self, rng):
         """One wave per round: campaigns that end early leave the later
-        waves (and are timed to their own end), and batch_size only cuts
-        a group into sweeps, which the occupancy stats count."""
+        waves (and are charged only the waves they took part in), and
+        batch_size only cuts a group into sweeps, which the occupancy
+        stats count."""
         plan, ham = self._setup(rng)
         runs = {}
         for batch_size in (1, 8):
@@ -202,9 +205,9 @@ class TestEvaluationBroker:
                             * np.ones(plan.num_parameters))
                 for k in range(3)
             ]
-            errors, ended_s = broker.pump([("phys", c) for c in group])
+            errors, charged_s = broker.pump([("phys", c) for c in group])
             assert errors == [None] * 3
-            assert 0.0 < ended_s[0] <= ended_s[1] <= ended_s[2]
+            assert 0.0 < charged_s[0] <= charged_s[1] <= charged_s[2]
             runs[batch_size] = [c.values for c in group]
             stats = broker.stats()
             assert stats["waves"] == 3
@@ -256,10 +259,40 @@ class TestEvaluationBroker:
 
         good = RowCampaign(plan, ham, [x, x + 0.1, x + 0.2])
         breaks = Breaks(plan, ham, [x, x + 0.1])
-        errors, ended_s = broker.pump([("p", breaks), ("p", good)])
+        errors, charged_s = broker.pump([("p", breaks), ("p", good)])
         assert isinstance(errors[0], RuntimeError) and errors[1] is None
         assert (len(breaks.values), len(good.values)) == (1, 3)
-        assert 0.0 < ended_s[0] <= ended_s[1]
+        assert 0.0 < charged_s[0] <= charged_s[1]
+
+    def test_each_campaign_is_charged_only_its_own_sweeps(self, rng):
+        """Two groups share three waves; the slow group's sweeps (a 50 ms
+        observable apply each) are charged to the slow campaign alone."""
+        delay = 0.05
+
+        class SlowObservable:
+            def __init__(self, hamiltonian, plan):
+                self.compiled = compile_observable(hamiltonian, plan.index)
+
+            def apply(self, block):
+                time.sleep(delay)
+                return self.compiled.apply(block)
+
+        plan_slow, ham_slow = self._setup(rng, num_qubits=2)
+        plan_fast, ham_fast = self._setup(rng, num_qubits=3)
+        slow = RowCampaign(
+            plan_slow,
+            SlowObservable(ham_slow, plan_slow),
+            rng.uniform(-1, 1, size=(3, plan_slow.num_parameters)),
+        )
+        fast = RowCampaign(
+            plan_fast, ham_fast, rng.uniform(-1, 1, size=(3, plan_fast.num_parameters))
+        )
+        broker = EvaluationBroker(batch_size=8)
+        errors, charged_s = broker.pump([("a-slow", slow), ("b-fast", fast)])
+        assert errors == [None, None]
+        assert broker.stats()["waves"] == 3
+        assert charged_s[0] >= 3 * delay
+        assert charged_s[1] < delay
 
     def test_rejects_silly_batch_size(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Tests for Clifford conjugation and simultaneous diagonalization of
 general commuting Pauli groups."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,25 @@ from repro.ir.gates import Gate
 from repro.ir.pauli import PauliString, PauliSum
 from repro.sim.expectation import expectation_direct, measure_general_group
 from repro.utils.linalg import random_statevector
-from tests.test_stabilizer_cafqa import random_clifford_circuit
+
+
+def random_clifford_circuit(n: int, num_gates: int, seed: int) -> Circuit:
+    rng = np.random.default_rng(seed)
+    names = ["h", "s", "sdg", "x", "y", "z"]
+    c = Circuit(n)
+    for _ in range(num_gates):
+        r = rng.random()
+        if r < 0.3 and n >= 2:
+            c.append(Gate("cx", tuple(int(x) for x in rng.choice(n, 2, replace=False))))
+        elif r < 0.4 and n >= 2:
+            c.append(Gate("cz", tuple(int(x) for x in rng.choice(n, 2, replace=False))))
+        elif r < 0.7:
+            c.append(Gate(str(rng.choice(names)), (int(rng.integers(n)),)))
+        else:
+            k = int(rng.integers(4))
+            axis = str(rng.choice(["rx", "ry", "rz"]))
+            c.append(Gate(axis, (int(rng.integers(n)),), (k * math.pi / 2,)))
+    return c
 
 
 def random_commuting_set(n, k, seed):

@@ -22,7 +22,7 @@ from repro.core.counting import (
 from repro.core.estimator import make_estimator
 from repro.core.vqe import VQE
 from repro.ir.pauli import PauliSum
-from repro.opt.scipy_wrap import Cobyla
+from tests.scipy_oracle import ScipyOptimizer
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ class TestVQEDriver:
     def test_circuit_mode_reaches_fci(self, h2_setup):
         _, hq, e_fci = h2_setup
         ansatz = build_uccsd_circuit(4, 2)
-        vqe = VQE(hq, ansatz=ansatz.circuit, optimizer=Cobyla())
+        vqe = VQE(hq, ansatz=ansatz.circuit)
         res = vqe.run()
         assert abs(res.energy - e_fci) < 1e-4
         assert res.mode == "circuit"
@@ -55,7 +55,7 @@ class TestVQEDriver:
         _, hq, _ = h2_setup
         gens = [a for _, a in uccsd_generators(4, 2)]
         chem = VQE(hq, generators=gens, reference_state=hartree_fock_state(4, 2)).run()
-        circ = VQE(hq, ansatz=build_uccsd_circuit(4, 2).circuit, optimizer=Cobyla()).run()
+        circ = VQE(hq, ansatz=build_uccsd_circuit(4, 2).circuit).run()
         assert abs(chem.energy - circ.energy) < 1e-4
 
     @pytest.mark.parametrize(
@@ -80,7 +80,9 @@ class TestVQEDriver:
         _, hq, e_fci = h2_setup
         circuit = build_uccsd_circuit(4, 2).circuit
         sweeps = []
-        opt = Cobyla() if optimizer == "cobyla" else None
+        opt = None
+        if optimizer == "cobyla":  # never reads a gradient
+            opt = ScipyOptimizer("COBYLA", max_iterations=2000, rhobeg=0.5)
         if mode == "circuit":
             est = make_estimator("direct")
             offered = est.value_and_gradient
@@ -163,7 +165,7 @@ class TestEstimators:
             name: VQE(
                 hq, ansatz=ansatz,
                 estimator=make_estimator(name),
-                optimizer=Cobyla(max_iterations=500),
+                optimizer=ScipyOptimizer("COBYLA", max_iterations=500, rhobeg=0.5),
             ).run().energy
             for name in ("direct", "caching")
         }

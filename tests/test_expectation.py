@@ -4,7 +4,6 @@ direct, basis-rotated (measurement-faithful), and sampled."""
 import numpy as np
 import pytest
 
-from repro.core.shots import sampled_energy_with_allocation
 from repro.ir.circuit import Circuit
 from repro.ir.pauli import PauliString, PauliSum
 from repro.sim.expectation import (
@@ -160,9 +159,8 @@ class TestMeasuredInputValidation:
         [
             lambda s, h: expectation_basis_rotated(s, h),
             lambda s, h: expectation_sampled(s, h, 100, rng=np.random.default_rng(0)),
-            lambda s, h: sampled_energy_with_allocation(s, h, 1000),
         ],
-        ids=["basis_rotated", "sampled", "allocated"],
+        ids=["basis_rotated", "sampled"],
     )
     def test_non_hermitian_observable_rejected(self, evaluate):
         state = np.zeros(4, dtype=complex)

@@ -1,13 +1,12 @@
 """Tests for the fault-injection layer: specs, ledger, retry policy,
 faulty communicator, distributed execution under faults, and graceful
-scheduler/ensemble degradation."""
+scheduler degradation."""
 
 import numpy as np
 import pytest
 
 from repro.hpc.comm import SimComm
 from repro.hpc.distributed import DistributedStatevector
-from repro.hpc.ensemble import EnsembleExecutor
 from repro.hpc.faults import (
     FaultInjector,
     FaultSpec,
@@ -17,9 +16,7 @@ from repro.hpc.faults import (
 from repro.hpc.perfmodel import SimulatedClock
 from repro.hpc.scheduler import BatchScheduler, Job
 from repro.ir.circuit import Circuit
-from repro.ir.library import hardware_efficient_ansatz
 from repro.ir.pauli import PauliSum
-from repro.sim.statevector import StatevectorSimulator
 from repro.utils.retry import RetryExhaustedError, RetryPolicy
 from tests.test_statevector import random_circuit
 
@@ -378,50 +375,43 @@ class TestSchedulerDegradation:
             scheduler.reschedule_after_failure(healthy, 5)
 
 
-class TestEnsembleDegradation:
-    def _setup(self):
-        n = 4
-        ansatz = hardware_efficient_ansatz(n, layers=1)
-        rng = np.random.default_rng(3)
-        circuits = [
-            ansatz.bind(list(rng.uniform(-1, 1, ansatz.num_parameters)))
-            for _ in range(8)
-        ]
-        h = PauliSum.from_label_dict({"ZIII": 1.0, "IZII": 0.5, "XXII": 0.25})
-        return circuits, h
+class TestBatchScopeCrash:
+    """``check_batch_faults``, the hook the campaign server calls once
+    per dispatch: it names the rank that died and never raises."""
 
-    def test_values_unchanged_by_rank_death(self):
-        circuits, h = self._setup()
-        clean = EnsembleExecutor(4).evaluate(circuits, h)
+    def test_fires_at_its_step_once_and_records_the_rank(self):
         injector = FaultInjector(
             [FaultSpec("rank_crash", scope="batch", at_step=2)], seed=0
         )
-        faulty = EnsembleExecutor(4, fault_injector=injector).evaluate(circuits, h)
-        assert np.allclose(faulty.values, clean.values, atol=0.0)
-        assert len(faulty.failed_ranks) == 1
+        dead = [injector.check_batch_faults(k, rank=k % 4) for k in range(6)]
+        assert dead == [None, None, 2, None, None, None]
         assert injector.ledger.count("rank_crash") == 1
+        assert injector.crashed_ranks == {2}
 
-    def test_degraded_schedule_accounting(self):
-        circuits, h = self._setup()
-        clean = EnsembleExecutor(4).evaluate(circuits, h)
+    def test_dead_rank_leaves_the_degraded_schedule(self):
+        jobs = [Job(f"j{k}", 18, 500 + 100 * (k % 5)) for k in range(8)]
+        scheduler = BatchScheduler(4)
+        clean = scheduler.schedule(jobs)
         injector = FaultInjector(
             [FaultSpec("rank_crash", scope="batch", at_step=0)], seed=0
         )
-        faulty = EnsembleExecutor(4, fault_injector=injector).evaluate(circuits, h)
-        assert faulty.makespan >= clean.makespan
-        assert faulty.speedup <= clean.speedup
-        dead = faulty.failed_ranks[0]
-        assert dead not in faulty.schedule.assignments
+        dead = injector.check_batch_faults(0, rank=1)
+        assert dead == 1
+        degraded = scheduler.reschedule_after_failure(clean, dead)
+        assert dead not in degraded.assignments
+        assert degraded.makespan >= clean.makespan
+        assert degraded.speedup <= clean.speedup
+        # the spec is spent: the survivors run on
+        assert injector.check_batch_faults(0, rank=1) is None
 
-    def test_pre_crashed_rank_excluded_upfront(self):
-        circuits, h = self._setup()
+    def test_rank_filter_and_other_scopes_do_not_fire(self):
         injector = FaultInjector(
-            [FaultSpec("rank_crash", scope="batch", at_step=0)], seed=0
+            [
+                FaultSpec("rank_crash", scope="batch", rank=3, probability=1.0),
+                FaultSpec("rank_crash", scope="campaign", at_step=0),
+            ],
+            seed=0,
         )
-        executor = EnsembleExecutor(4, fault_injector=injector)
-        first = executor.evaluate(circuits, h)
-        dead = first.failed_ranks[0]
-        second = executor.evaluate(circuits, h)
-        # the crash spec is exhausted; the dead rank stays excluded
-        assert dead not in second.schedule.assignments
-        assert second.failed_ranks == first.failed_ranks
+        assert injector.check_batch_faults(0, rank=0) is None
+        assert injector.check_batch_faults(1, rank=3) == 3
+        assert injector.ledger.count("rank_crash") == 1

@@ -20,7 +20,6 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 PACKAGES = (
     "repro",
     "repro.ir",
-    "repro.ir.passes",
     "repro.sim",
     "repro.hpc",
     "repro.chem",

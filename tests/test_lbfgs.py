@@ -4,10 +4,10 @@
 problem here it must find what ``scipy.optimize.minimize(method=
 "L-BFGS-B")`` finds — the same minimizer, and on the VQE and ADAPT
 problems the drivers run, the same evaluation and iteration counts.
-The oracle is the scipy adapter ``ScipyOptimizer("L-BFGS-B")``, the
-default optimizer before the numpy one.  Sector eigenvalues from
-``exact_ground_state``'s Lanczos branch are held to ``eigsh`` and
-``eigh``.
+The oracle is the scipy adapter ``ScipyOptimizer("L-BFGS-B")``
+(``tests/scipy_oracle.py``), the default optimizer before the numpy
+one.  Sector eigenvalues from ``exact_ground_state``'s Lanczos branch
+are held to ``eigsh`` and ``eigh``.
 """
 
 import numpy as np
@@ -25,8 +25,8 @@ from repro.ir.compiled import compile_observable
 from repro.ir.pauli import PauliSum
 from repro.opt.base import Optimizer
 from repro.opt.lbfgs import LBFGSB
-from repro.opt.scipy_wrap import ScipyOptimizer
 from repro.utils.bitops import sector_indices
+from tests.scipy_oracle import ScipyOptimizer
 
 
 def scipy_lbfgsb(max_iterations=1000, tol=1e-10):

@@ -28,7 +28,6 @@ from repro.chem.molecule import h2, h2o, h4_chain
 from repro.chem.scf import run_rhf
 from repro.core.cache import CachedEnergyEvaluator
 from repro.core.estimator import make_estimator
-from repro.core.shots import sampled_energy_with_allocation
 from repro.ir.circuit import Circuit
 from repro.ir.library import hardware_efficient_ansatz
 from repro.ir.pauli import PauliSum
@@ -54,8 +53,6 @@ PINNED = {
         'sampled': -0.5115097330465065,
         'sampling_estimator': (-0.5145873186357901, -0.5200501043836065),
         'caching_estimator_gates': 24,
-        ('allocated', 'variance'): -0.5156717937537831,
-        ('allocated', 'uniform'): -0.5134073653819351,
     },
     'h4': {
         'qwc': (-0.5395690733300399, 513),
@@ -68,8 +65,6 @@ PINNED = {
         'sampled': -0.5461774214832015,
         'sampling_estimator': (-0.5747491124628609, -0.5784227327737397),
         'caching_estimator_gates': 513,
-        ('allocated', 'variance'): -0.5285105551483622,
-        ('allocated', 'uniform'): -0.5878519697269806,
     },
     'h2o': {
         'qwc': (-68.7520200288723, 12461),
@@ -82,8 +77,6 @@ PINNED = {
         'sampled': -68.8123787365308,
         'sampling_estimator': (-68.75572311228972, -68.83708765139811),
         'caching_estimator_gates': 12461,
-        ('allocated', 'variance'): -68.81511173618111,
-        ('allocated', 'uniform'): -68.52444107201474,
     },
 }
 
@@ -177,12 +170,3 @@ def test_sampled_pinned(system):
         system.state, system.hamiltonian, 500, rng=np.random.default_rng(5)
     )
     assert abs(value - PINNED[system.name]["sampled"]) < 1e-12
-
-
-@pytest.mark.parametrize("policy", ["variance", "uniform"])
-def test_allocated_shots_pinned(system, policy):
-    value = sampled_energy_with_allocation(
-        system.state, system.hamiltonian, 50_000, policy=policy,
-        rng=np.random.default_rng(3),
-    )
-    assert abs(value - PINNED[system.name][("allocated", policy)]) < 1e-12

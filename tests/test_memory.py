@@ -257,12 +257,10 @@ def test_estimate_sector_adapt_job_within_ten_percent():
     assert 0.9 <= ratio <= 1.1, f"lih adapt: {ratio:.3f}x of the measured {measured}"
 
 
-def test_estimate_scales_exponentially_and_rejects_unknown_backend():
+def test_estimate_scales_exponentially():
     small = estimate_statevector_job_bytes(8)["total"]
     big = estimate_statevector_job_bytes(20)["total"]
     assert big > small * 1000
-    with pytest.raises(ValueError):
-        estimate_statevector_job_bytes(8, backend="density_matrix")
     assert observable_bytes(4, 2) == 2 * 16 * 16 + 1 * 8 * 16
 
 

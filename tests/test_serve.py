@@ -1427,7 +1427,6 @@ class TestServerConfigValidation:
     @pytest.mark.parametrize(
         "name, value",
         [
-            ("max_restarts", -1),
             ("adapt_gradient_tolerance", -1e-4),
             ("adapt_gradient_tolerance", float("nan")),
         ],
