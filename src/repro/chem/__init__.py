@@ -8,13 +8,6 @@ __all__, __getattr__, __dir__ = name_table(
     __name__,
     {
         "molecule": ["Atom", "Molecule", "h2", "h2o", "h4_chain", "lih", "beh2", "hydrogen_fluoride"],
-        "properties": ["dipole_moment", "AU_TO_DEBYE"],
-        "lattice": [
-            "transverse_field_ising",
-            "heisenberg_xxz",
-            "fermi_hubbard",
-            "fermi_hubbard_qubit",
-        ],
         "basis": ["BasisFunction", "build_basis"],
         "ci": ["run_ci", "CIResult", "davidson", "enumerate_determinants", "cisd_determinants"],
         "scf": ["SCFResult", "run_rhf"],

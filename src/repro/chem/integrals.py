@@ -48,7 +48,6 @@ __all__ = [
     "nuclear_attraction_matrix",
     "eri_tensor",
     "core_hamiltonian",
-    "dipole_matrices",
 ]
 
 # Grid points (primitive pair x primitive pair) per ERI block; larger
@@ -357,23 +356,3 @@ def eri_tensor(bfs: Basis) -> np.ndarray:
             if tuv1 != tuv2:
                 g += block.T
     return g[tab.index[:, :, None, None], tab.index]
-
-
-def dipole_matrices(
-    bfs: Basis, origin: Sequence[float] = (0.0, 0.0, 0.0)
-) -> np.ndarray:
-    """Electric-dipole integral matrices: shape (3, n, n), one matrix
-    per Cartesian direction, relative to ``origin`` (Bohr).  The 1-D
-    moment integral is E_1^{ij} + (P - origin) E_0^{ij}; the other two
-    dimensions contribute plain overlaps."""
-    tab = _pairs(bfs)
-    origin = np.asarray(origin, dtype=float)
-    e0, e1 = tab.e[0], tab.e[1]
-    return np.array(
-        [
-            tab.contract(
-                tab.norm * _with_axis(e0, d, e1[d] + (tab.P[d] - origin[d]) * e0[d])
-            )
-            for d in range(3)
-        ]
-    )

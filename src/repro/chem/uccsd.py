@@ -166,9 +166,6 @@ class UCCSDAnsatz:
     def num_parameters(self) -> int:
         return len(self.generators)
 
-    def parameter_names(self) -> List[str]:
-        return [f"t{k}" for k in range(len(self.generators))]
-
 
 def build_uccsd_circuit(
     num_spin_orbitals: int,

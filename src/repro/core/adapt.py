@@ -5,20 +5,25 @@ energy gradient at theta = 0,
 
     dE/dtheta_k |_0 = <psi| [H, A_k] |psi> = 2 Re <H psi | A_k psi>,
 
-is evaluated on the *current* state (two operator applications per
-candidate — no circuits), the largest-|gradient| operator is appended,
-and all parameters are re-optimized warm-started from the previous
-optimum.  This is exactly the loop whose convergence Fig. 5 plots for
-the downfolded 6-orbital H2O system: energy error vs iteration, one
-added layer per iteration, chemical accuracy (1 mHa) around
-iteration 16.
+is evaluated on the *current* state, the largest-|gradient| operator
+is appended, and all parameters are re-optimized warm-started from the
+previous optimum.  This is exactly the loop whose convergence Fig. 5
+plots for the downfolded 6-orbital H2O system: energy error vs
+iteration, one added layer per iteration, chemical accuracy (1 mHa)
+around iteration 16.
+
+The pool is lowered once, as a plan's generators are
+(``ExecutionPlan.from_generators``), so a candidate's gradient is the
+reverse-mode sweep's own bracket, ``2 Re kernels.rotation_bracket(H psi,
+psi, step)`` summed over its rotation steps, against one ``H psi`` per
+screen: no circuits, and no pool operator compiled as an observable.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +36,8 @@ from repro.ir.symplectic import find_z2_symmetries, parity_flips
 from repro.opt.base import OptimizeResult, Optimizer
 from repro.opt.gradient import AnsatzObjective
 from repro.opt.lbfgs import LBFGSB
-from repro.utils.bitops import basis_indices, sector_of
+from repro.sim.kernels import rotation_bracket
+from repro.sim.plan import ExecutionPlan
 
 __all__ = [
     "AdaptVQE",
@@ -123,15 +129,6 @@ class AdaptResult:
     reference_energy: Optional[float]
     report: Optional[object] = None
 
-    @property
-    def energy_errors(self) -> List[float]:
-        """|E_k - E_ref| per iteration (the Fig. 5 y-axis)."""
-        return [
-            it.error_vs_reference
-            for it in self.iterations
-            if it.error_vs_reference is not None
-        ]
-
     def iterations_to_accuracy(self, accuracy_ha: float = MILLI_HARTREE) -> Optional[int]:
         """First iteration whose error is below ``accuracy_ha`` (None if never)."""
         for it in self.iterations:
@@ -190,7 +187,23 @@ class AdaptVQE:
                     f"pool operator {op.label!r} acts on {op.generator.num_qubits} "
                     f"qubits, the Hamiltonian on {n}"
                 )
-        self.index, self._screened = self._screening_index()
+        # From a basis-state reference, an operator every term of which
+        # breaks one of H's Z2 symmetries (find_z2_symmetries) moves the
+        # state out of its parity class, where H psi has no weight.  When
+        # no operator breaks one only in part, the others keep the state
+        # in that class, so such an operator's gradient is exactly 0 at
+        # every iteration and it is not screened.
+        masks = find_z2_symmetries(hamiltonian)
+        flips = [parity_flips(op.generator, masks) for op in self.pool]
+        mixed = any(any(f) and not all(f) for f in flips)
+        self._screened = [k for k, f in enumerate(flips) if mixed or not any(f)]
+        # The screened operators lowered once, as a plan's generators
+        # are: the plan's index set (their parity set, sector or full
+        # register) is the one the screen runs on.
+        self._pool_plan = ExecutionPlan.from_generators(
+            [self.pool[k].generator for k in self._screened], self.reference_state, masks
+        )
+        self.index = self._pool_plan.index
         # One x-mask-batched compilation shared by screening, the inner
         # objectives (via the PauliSum-attached cache) and initial_state.
         self._compiled_h = compile_observable(hamiltonian, self.index)
@@ -205,51 +218,23 @@ class AdaptVQE:
             kind="adapt", context=dict(flight_context or {})
         )
 
-    def _screening_index(self) -> Tuple[np.ndarray, List[int]]:
-        """The index set the pool is screened on, and the pool positions
-        screened there.
-
-        From a basis-state reference, an operator every term of which
-        breaks one of H's Z2 symmetries (:func:`find_z2_symmetries`)
-        moves the state out of its parity class, where ``H psi`` has no
-        weight.  When the other operators map the reference's parity set
-        (its (N, S_z) sector narrowed to that class) into itself, the
-        state never leaves it, so such an operator's gradient is exactly
-        0 at every iteration: it is skipped and the rest are screened on
-        the parity set.  Otherwise every operator is screened, on the
-        sector when all of them map it into itself, else on the full
-        register."""
-        n = self.hamiltonian.num_qubits
-        everything = list(range(len(self.pool)))
-        nonzero = np.flatnonzero(self.reference_state)
-        if nonzero.size == 1:
-            ref, masks = int(nonzero[0]), find_z2_symmetries(self.hamiltonian)
-            kept = [k for k, op in enumerate(self.pool) if not all(parity_flips(op.generator, masks))]
-            for index, screened in ((sector_of(n, ref, masks), kept), (sector_of(n, ref), everything)):
-                if all(compile_observable(self.pool[k].generator, index).closed for k in screened):
-                    return index, screened
-        return basis_indices(n), everything
-
     def _restrict(self, state: np.ndarray) -> np.ndarray:
         """A full 2^n state on the screening index set."""
         return state if self.index.size == state.size else state[self.index]
 
     def pool_gradients(self, state: np.ndarray) -> np.ndarray:
-        """<[H, A_k]> for every candidate, on the given 2^n state: exactly
-        0.0 for the operators that break a Z2 symmetry of H (see
-        :meth:`_screening_index`).  The screen runs on :attr:`index`:
-        the state, ``H psi`` restricted to it and every ``A_k psi`` live
-        there."""
+        """<[H, A_k]> = 2 Re <H psi| A_k |psi> for every candidate, on the
+        given 2^n state: the sum of the sweep's rotation brackets over
+        A_k's rotation steps, exactly 0.0 for the operators that are not
+        screened (see ``__init__``).  The screen runs on :attr:`index`."""
         with obs.span("adapt.pool_screening", pool_size=len(self.pool)):
             state = self._restrict(state)
             h_state = self._compiled_h.apply(state)
             grads = np.zeros(len(self.pool))
-            for k in self._screened:
-                # Compiled generator application: a UCCSD excitation
-                # block's strings share one x-mask, so each candidate
-                # screens in a single gather instead of one per string.
-                a_state = compile_observable(self.pool[k].generator, self.index).apply(state)
-                grads[k] = 2.0 * np.real(np.vdot(h_state, a_state))
+            for op in self._pool_plan.ops:
+                if op.kind == "rot":
+                    k = self._screened[op.param_refs[0][2]]
+                    grads[k] += 2.0 * rotation_bracket(h_state, state, op.data).real
         return grads
 
     # -- stepwise interface (checkpointable campaign loop) ----------------------

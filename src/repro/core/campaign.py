@@ -7,8 +7,7 @@ will be interrupted: rank crashes, walltime kills, node drains.  The
 * **Periodic checkpointing.**  ADAPT progress (pool indices,
   parameters, per-iteration records) is serialized to JSON every
   ``checkpoint_period`` iterations — atomically, via temp-file +
-  ``os.replace``, like the statevector checkpoints in
-  ``repro.sim.checkpoint``.  Plain VQE checkpoints the latest
+  ``os.replace``.  Plain VQE checkpoints the latest
   parameter vector every ``checkpoint_period`` energy evaluations by
   appending one JSON line to ``vqe_params.json`` (flushed, not
   fsynced); loading takes the last line that parses, so a kill

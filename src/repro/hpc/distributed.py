@@ -159,9 +159,6 @@ class DistributedStatevector:
 
     # -- layout management -----------------------------------------------------------
 
-    def _physical(self, logical: int) -> int:
-        return self.layout[logical]
-
     def _swap_physical(self, local_pos: int, global_pos: int) -> None:
         """Swap index bits (local_pos, global_pos) of the physical
         addressing: a pairwise half-slice exchange between partners."""
@@ -366,9 +363,6 @@ class DistributedStatevector:
     def norm(self) -> float:
         parts = [complex(np.vdot(s, s)) for s in self.slices]
         return float(np.sqrt(self.comm.allreduce(parts).real))
-
-    def probabilities_local(self) -> List[np.ndarray]:
-        return [np.abs(s) ** 2 for s in self.slices]
 
     def expectation(self, observable: PauliSum) -> float:
         """<psi|H|psi> with distributed direct evaluation.

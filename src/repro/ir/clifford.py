@@ -23,7 +23,7 @@ scheme.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -94,23 +94,6 @@ def conjugate_through_circuit(
     for g in circuit.gates:
         sign, pauli = conjugate_pauli(g, sign, pauli)
     return sign, pauli
-
-
-def _gf2_independent(strings: List[PauliString], n: int) -> List[int]:
-    """Indices of a maximal GF(2)-independent subset (symplectic reps)."""
-    pivots: Dict[int, int] = {}
-    chosen: List[int] = []
-    for idx, p in enumerate(strings):
-        v = p.x | (p.z << n)
-        while v:
-            msb = v.bit_length() - 1
-            if msb in pivots:
-                v ^= pivots[msb]
-            else:
-                pivots[msb] = v
-                chosen.append(idx)
-                break
-    return chosen
 
 
 def diagonalizing_clifford(

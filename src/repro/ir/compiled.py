@@ -36,11 +36,14 @@ consumer: the energy, the gradient brackets and ADAPT's screen only
 pair vectors that live in the sector, so ``H`` itself need not
 conserve N.  A mask with no entry left is no pass.
 
-Compiled forms are cached on the source :class:`PauliSum` per index
-set (invalidated by ``add_term``/``chop``) via
-:func:`compile_observable`, so every consumer — the estimators, the
-adjoint-gradient sweep, ADAPT pool screening, batched simulation —
-shares one compilation per observable and index set per campaign.
+What is compiled is a Hamiltonian: an ansatz generator or ADAPT pool
+operator is lowered to rotation steps instead
+(:func:`repro.sim.plan.generator_ops`).  Compiled forms are cached on
+the source :class:`PauliSum` per index set (invalidated by
+``add_term``/``chop``) via :func:`compile_observable`, so every
+consumer — the estimators, the adjoint-gradient sweep, ADAPT's
+``H psi``, batched simulation — shares one compilation per observable
+and index set per campaign.
 Full-register compile cost is one n-level Walsh-Hadamard transform per
 distinct x-mask (``num_passes * n * 2^n``, whatever the term count — a
 few naive ``apply`` calls' worth), a sector's is one terms x ``D`` sign
@@ -67,8 +70,7 @@ class CompiledPauliSum:
     on the sorted basis indices ``index`` (default: all 2^n).
 
     ``dim`` is the length of the index set, the length of every state
-    it takes; ``closed`` is whether the sum maps the set into itself
-    (nothing had to be zeroed).  Instances are immutable snapshots:
+    it takes.  Instances are immutable snapshots:
     they do not track later mutations of the source sum.  Use
     :func:`compile_observable` to get the memoized (auto-invalidated)
     compiled form.
@@ -78,7 +80,6 @@ class CompiledPauliSum:
         "num_qubits",
         "index",
         "dim",
-        "closed",
         "num_terms",
         "x_masks",
         "diagonals",
@@ -93,7 +94,6 @@ class CompiledPauliSum:
         self.num_terms = pauli_sum.num_terms
         self.source_version = pauli_sum.version
         symp = pauli_sum.to_symplectic()
-        self.closed = True
         if index is None:
             # One in-place Walsh-Hadamard transform per distinct x-mask
             # over the packed symplectic form (x = 0, the gather-free
@@ -115,7 +115,6 @@ class CompiledPauliSum:
             keep, gathers = [], []
             for m, x in enumerate(masks.tolist()):
                 partners, inside = sector_partners(index, x)
-                self.closed &= not np.any(d[m, ~inside])
                 d[m, ~inside] = 0.0
                 if d[m].any():
                     keep.append(m)

@@ -486,9 +486,9 @@ class PauliSum:
         """Return ``H @ state`` summing vectorized per-term applications.
 
         This is the naive one-pass-per-term reference path; hot loops
-        (VQE energies/gradients, ADAPT screening) should go through
-        :func:`repro.ir.compiled.compile_observable`, which batches
-        terms by shared x-mask into one pass per distinct mask.
+        over a Hamiltonian (VQE and ADAPT energies and gradients) go
+        through :func:`repro.ir.compiled.compile_observable`, which
+        batches terms by shared x-mask into one pass per distinct mask.
         """
         dim = 1 << self.num_qubits
         if state.shape[0] != dim:

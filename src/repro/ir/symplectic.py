@@ -634,27 +634,6 @@ class SymplecticPauli:
         ) & 1
         return parity.astype(bool)
 
-    def commutation_matrix(
-        self, other: Optional["SymplecticPauli"] = None
-    ) -> np.ndarray:
-        """Boolean matrix of pairwise *commutation*."""
-        return ~self.anticommutation_matrix(other)
-
-    def qubitwise_commutation_matrix(
-        self, other: Optional["SymplecticPauli"] = None
-    ) -> np.ndarray:
-        """Boolean matrix of pairwise qubitwise commutation: True when
-        on every shared qubit the letters agree or one is identity."""
-        other = self if other is None else other
-        self._check_compatible(other)
-        occ1 = (self.x | self.z)[:, None, :]
-        occ2 = (other.x | other.z)[None, :, :]
-        differ = (self.x[:, None, :] ^ other.x[None, :, :]) | (
-            self.z[:, None, :] ^ other.z[None, :, :]
-        )
-        conflict = occ1 & occ2 & differ
-        return ~(conflict != 0).any(axis=-1)
-
     # -- qubitwise-commuting grouping ----------------------------------------
 
     def group_qubitwise(self) -> List[List[int]]:

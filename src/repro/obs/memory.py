@@ -292,12 +292,10 @@ def estimate_statevector_job_bytes(
       temporaries, the reference state, the parameter-shift scratch);
     * ``observable`` — compiled-observable diagonals + gather tables
       for the Hamiltonian (``compiled_passes`` when the caller already
-      compiled, else the per-width estimate), plus, per ansatz
-      generator / pool operator (``generator_terms``), what it costs:
-      ADAPT screening compiles each pool operator to a single-pass
-      observable (16·dim diagonal + 8·dim gather), a VQE plan holds
-      one rotation step per generator (a one-byte class per amplitude,
-      and on a sector an 8-byte partner as well);
+      compiled, else the per-width estimate), plus one rotation step
+      per ansatz generator or screened ADAPT pool operator
+      (``generator_terms``): a one-byte class per amplitude, and on a
+      sector an 8-byte partner as well;
     * ``prefix_cache`` — parked prefix states of the execution plan
       (ADAPT re-parks per iteration, plain VQE keeps the tail park).
 
@@ -318,10 +316,7 @@ def estimate_statevector_job_bytes(
         # ADAPT screens a pool of candidate generators; the screening
         # path batches pool gradients through extra state copies.
         workspace_states += 1
-    if kind == "adapt":
-        per_generator = AMPLITUDE_BYTES + _GATHER_BYTES
-    else:
-        per_generator = 1 if dim == full else 1 + _GATHER_BYTES
+    per_generator = 1 if dim == full else 1 + _GATHER_BYTES
     generator_bytes = max(0, generator_terms) * per_generator * dim
     breakdown = {
         "amplitudes": AMPLITUDE_BYTES * dim * max(1, batch_size),

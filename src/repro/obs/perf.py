@@ -413,12 +413,6 @@ class PerfAnalysis:
     rank_memory_bytes: Dict[int, float] = field(default_factory=dict)
 
     @property
-    def has_rank_data(self) -> bool:
-        return bool(
-            self.timelines or self.sched_busy_sim_s or self.rank_memory_bytes
-        )
-
-    @property
     def is_empty(self) -> bool:
         return not (
             self.timelines

@@ -69,10 +69,6 @@ class SpanRecord:
     sim_start_s: Optional[float] = None
     sim_duration_s: Optional[float] = None
 
-    @property
-    def end_us(self) -> float:
-        return self.start_us + self.duration_us
-
 
 class _Span:
     """Live (open) span; becomes a :class:`SpanRecord` on exit."""

@@ -110,39 +110,40 @@ class AnsatzObjective:
         Anti-Hermitian ``PauliSum`` generators; parameter k multiplies
         generator k.
     hamiltonian:
-        Hermitian observable: a ``PauliSum`` (compiled on the plan's
-        index set), or any operator with ``apply`` over ``(…, dim)``
-        blocks and ``expectation`` on one state, ``dim`` being
-        ``plan.dim``.
+        Hermitian ``PauliSum`` observable, compiled on the plan's index
+        set.
 
     The plan holds the (N, S_z) sector of the reference when the
     generators close on it (:meth:`ExecutionPlan.from_generators`),
-    narrowed to the reference's parity class under a ``PauliSum``
-    Hamiltonian's Z2 symmetries when every generator commutes with them,
-    so energies and gradients run on that set; :meth:`prepare_state`
-    still returns the full 2^n vector.
+    narrowed to the reference's parity class under the Hamiltonian's Z2
+    symmetries when every generator commutes with them, so energies and
+    gradients run on that set; :meth:`prepare_state` still returns the
+    full 2^n vector.
     """
 
     def __init__(
         self,
         reference_state: np.ndarray,
         generators: Sequence[PauliSum],
-        hamiltonian,
+        hamiltonian: PauliSum,
     ):
-        z_masks = find_z2_symmetries(hamiltonian) if isinstance(hamiltonian, PauliSum) else ()
-        self.plan = ExecutionPlan.from_generators(generators, reference_state, z_masks)
+        if not isinstance(hamiltonian, PauliSum):
+            raise ValueError(
+                f"hamiltonian must be a PauliSum, not {type(hamiltonian).__name__}"
+            )
+        self.plan = ExecutionPlan.from_generators(
+            generators, reference_state, find_z2_symmetries(hamiltonian)
+        )
+        if hamiltonian.num_qubits != self.plan.num_qubits:
+            raise ValueError(
+                f"Hamiltonian acts on {hamiltonian.num_qubits} qubits, the "
+                f"ansatz on {self.plan.num_qubits}"
+            )
         self.hamiltonian = hamiltonian
-        self._operator = hamiltonian
-        if isinstance(hamiltonian, PauliSum):
-            if hamiltonian.num_qubits != self.plan.num_qubits:
-                raise ValueError(
-                    f"Hamiltonian acts on {hamiltonian.num_qubits} qubits, the "
-                    f"ansatz on {self.plan.num_qubits}"
-                )
-            # x-mask-batched on the plan's index set: shared across the
-            # thousands of energy and gradient calls one optimization
-            # makes (repro.ir.compiled)
-            self._operator = compile_observable(hamiltonian, self.plan.index)
+        # x-mask-batched on the plan's index set: shared across the
+        # thousands of energy and gradient calls one optimization makes
+        # (repro.ir.compiled)
+        self._operator = compile_observable(hamiltonian, self.plan.index)
         self.num_parameters = self.plan.num_parameters
         self._fusion = GradientFusion()
 

@@ -248,12 +248,12 @@ _PASSES_BY_MOLECULE = {"h2": 2, "h4": 27, "lih": 84, "h2o": 162}
 # entry are priced on the sector and the full pool, an upper bound.
 _ADAPT_BY_MOLECULE = {"h2": (2, 1), "h4": (20, 14), "lih": (69, 34), "h2o": (133, 48)}
 _ELECTRONS_BY_MOLECULE = {"h2": 2, "h4": 4, "lih": 4, "h2o": 10}
-# UCCSD generator counts (== pool size) per family: ADAPT screening
-# compiles each screened one to a single-pass observable of 24 bytes per
-# amplitude, which rivals the Hamiltonian itself; a VQE plan holds one
-# rotation step (2^n bytes) per generator.  Unknown molecules use 0
-# — for the oversized-job rejection path the Hamiltonian term alone is
-# already orders of magnitude over any rank budget.
+# UCCSD generator counts (== pool size) per family: a VQE plan holds
+# one rotation step (2^n bytes) per generator, and ADAPT lowers each
+# screened pool operator to one rotation step on its parity set the same
+# way.  Unknown molecules use 0 — for the oversized-job rejection path
+# the Hamiltonian term alone is already orders of magnitude over any
+# rank budget.
 _GENERATORS_BY_MOLECULE = {"h2": 3, "h4": 26, "lih": 92, "h2o": 140}
 # Qubit Hamiltonian term counts on the same path: a batch group holding
 # several geometries holds one term dict per geometry.

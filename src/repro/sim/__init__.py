@@ -10,13 +10,6 @@ __all__, __getattr__, __dir__ = name_table(
         "plan": ["ExecutionPlan", "PlanOp", "compile_circuit"],
         "batched": ["BatchedStatevectorSimulator"],
         "evolution": ["GeneratorEvolution", "apply_pauli_rotation", "terms_commute"],
-        "checkpoint": [
-            "save_statevector",
-            "load_statevector",
-            "save_distributed",
-            "load_distributed",
-        ],
-        "feynman": ["SchrodingerFeynmanSimulator", "schmidt_decompose_gate"],
         "fusion": ["fuse_circuit", "FusionResult"],
         "expectation": [
             "expectation_direct",

@@ -23,7 +23,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.ir.compiled import compile_observable
 from repro.ir.pauli import PauliString, PauliSum
 from repro.sim.kernels import MaskRotation, apply_rotation
 from repro.sim.plan import generator_ops, mask_clash
@@ -85,5 +84,6 @@ class GeneratorEvolution:
         return out
 
     def apply_generator(self, state: np.ndarray) -> np.ndarray:
-        """Return A @ state (x-mask-batched, memoized on the generator)."""
-        return compile_observable(self.generator).apply(state)
+        """Return A @ state, one pass per Pauli term (the reference path
+        of :meth:`repro.ir.pauli.PauliSum.apply`)."""
+        return self.generator.apply(state)

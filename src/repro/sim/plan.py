@@ -85,7 +85,6 @@ import numpy as np
 from repro import obs
 from repro.ir.circuit import Circuit
 from repro.ir.clifford import conjugate_pauli
-from repro.ir.compiled import compile_observable
 from repro.ir.gates import GATE_SET, Gate, Parameter
 from repro.ir.pauli import PauliString, PauliSum
 from repro.ir.symplectic import parity_flips
@@ -476,6 +475,15 @@ def generator_ops(
     return [draft.to_op(generator.num_qubits, index) for draft in drafts.values()]
 
 
+def _closes(step: kernels.MaskRotation) -> bool:
+    """Whether ``step`` maps its index set into itself: zero weight
+    wherever the partner of an amplitude leaves the set."""
+    if step.partners is None or step.x == 0:
+        return True
+    outside = step.partners == np.arange(step.partners.size)
+    return not step.weights[step.classes[outside]].any()
+
+
 def mask_clash(generator: PauliSum) -> Optional[Tuple[int, int]]:
     """The x-masks of the first two anticommuting terms of ``generator``
     in different x-mask groups, or ``None`` (terms sharing a mask may
@@ -611,12 +619,12 @@ class ExecutionPlan:
                 raise ValueError(f"generator {k} {fault}")
         if any(any(parity_flips(a, z_masks)) for a in generators):
             z_masks = ()
-        index, start, ops = sector_of(n, ref, z_masks), ref, []
-        if not all(compile_observable(a, index).closed for a in generators):
+        index, start = sector_of(n, ref, z_masks), ref
+        ops = [op for k, a in enumerate(generators) for op in generator_ops(a, k, index)]
+        if not all(_closes(op.data) for op in ops):
             index, start = None, 0
             ops = [PlanOp("x", (q,)) for q in range(n) if (ref >> q) & 1]
-        for k, a in enumerate(generators):
-            ops.extend(generator_ops(a, k, index))
+            ops += [op for k, a in enumerate(generators) for op in generator_ops(a, k)]
         plan = cls.__new__(cls)
         plan.source, plan._source_gates = None, ()
         plan.fused_gates_removed = plan.frame_gates_absorbed = 0

@@ -6,11 +6,12 @@ import pytest
 from repro.chem.downfolding import hermitian_downfold
 from repro.chem.fci import exact_ground_energy
 from repro.chem.hamiltonian import build_molecular_hamiltonian
-from repro.chem.molecule import h2, h4_chain, lih
+from repro.chem.molecule import h2, h2o, h4_chain, lih
 from repro.chem.pools import qubit_pool, uccsd_pool
 from repro.chem.reference import hartree_fock_state
 from repro.chem.scf import run_rhf
 from repro.core.adapt import AdaptVQE
+from repro.ir.compiled import compile_observable
 from repro.ir.pauli import PauliSum
 from repro.opt.gradient import AnsatzObjective, finite_difference_gradient
 
@@ -58,6 +59,53 @@ class TestPoolGradients:
         for lbl, g in zip(labels, grads):
             if lbl.startswith("s("):
                 assert abs(g) < 1e-8
+
+
+@pytest.fixture(scope="module", params=["h2o", "lih"])
+def screen_problem(request):
+    """(H, electrons): Fig. 5's 12-qubit downfolded H2O, or 12-qubit
+    LiH on all its spin orbitals."""
+    if request.param == "h2o":
+        scf = run_rhf(h2o())
+        down = hermitian_downfold(
+            build_molecular_hamiltonian(scf), scf.mo_energies,
+            core_orbitals=[0], active_orbitals=[1, 2, 3, 4, 5, 6],
+        )
+        return down.effective_hamiltonian.chop(1e-8), down.num_electrons
+    mh = build_molecular_hamiltonian(run_rhf(lih()))
+    return mh.to_qubit(), mh.num_electrons
+
+
+class TestBracketScreen:
+    """The screen is the sweep's rotation bracket on the pool plan's
+    index set; the oracle is 2 Re <H psi|A_k psi> on all 2^n amplitudes
+    with every operator compiled as an observable."""
+
+    def test_matches_full_register_oracle(self, screen_problem):
+        h, n_e = screen_problem
+        n = h.num_qubits
+        pool = uccsd_pool(n, n_e)
+        adapt = AdaptVQE(h, pool, hartree_fock_state(n, n_e), gradient_tolerance=0.0)
+        assert adapt.index.size < 1 << n
+        st = adapt.initial_state()
+        for iteration in range(3):  # at HF, then after 1 and 2 iterations
+            assert st.iteration == iteration
+            psi = st.statevector
+            h_psi = compile_observable(h).apply(psi)
+            want = [
+                2.0 * np.vdot(h_psi, compile_observable(op.generator).apply(psi)).real
+                for op in pool
+            ]
+            np.testing.assert_allclose(adapt.pool_gradients(psi), want, rtol=0, atol=1e-12)
+            adapt.step(st)
+
+    def test_run_compiles_no_pool_operator(self):
+        mh = build_molecular_hamiltonian(run_rhf(lih()))
+        n, n_e = mh.num_spin_orbitals, mh.num_electrons
+        pool = uccsd_pool(n, n_e)
+        result = AdaptVQE(mh.to_qubit(), pool, hartree_fock_state(n, n_e), max_iterations=3).run()
+        assert len(result.iterations) == 3
+        assert not any(op.generator._compiled for op in pool)
 
 
 class TestAdaptConvergence:

@@ -1,25 +1,10 @@
-"""Tests for the remaining extensions: warm-started PES scans,
-molecular properties, and checkpointing."""
-
-import os
+"""Tests for the §6.2 warm-started potential-energy-surface scan."""
 
 import numpy as np
 import pytest
 
-from repro.chem.molecule import h2, h2o
-from repro.chem.properties import AU_TO_DEBYE, dipole_moment
-from repro.chem.scf import run_rhf
+from repro.chem.molecule import h2
 from repro.core.scan import scan_potential_energy_surface
-from repro.hpc.distributed import DistributedStatevector
-from repro.ir.circuit import Circuit
-from repro.sim.checkpoint import (
-    load_distributed,
-    load_statevector,
-    save_distributed,
-    save_statevector,
-)
-from repro.sim.statevector import StatevectorSimulator
-from tests.test_statevector import random_circuit
 
 
 class TestScan:
@@ -66,89 +51,3 @@ class TestScan:
         warm_tail = sum(p.function_evaluations for p in warm.points[1:])
         cold_tail = sum(p.function_evaluations for p in cold.points[1:])
         assert warm_tail < cold_tail
-
-
-class TestDipole:
-    @pytest.fixture(scope="class")
-    def water_scf(self):
-        return run_rhf(h2o())
-
-    def test_h2o_magnitude(self, water_scf):
-        _, mag = dipole_moment(water_scf)
-        # literature RHF/STO-3G water dipole: ~1.71-1.73 Debye
-        assert 1.5 < mag * AU_TO_DEBYE < 1.9
-
-    def test_points_along_symmetry_axis(self, water_scf):
-        mu, _ = dipole_moment(water_scf)
-        # our water geometry has its C2 axis along z
-        assert abs(mu[0]) < 1e-8 and abs(mu[1]) < 1e-8
-        assert mu[2] > 0
-
-    def test_origin_independent_for_neutral(self, water_scf):
-        mu1, _ = dipole_moment(water_scf)
-        mu2, _ = dipole_moment(water_scf, origin=(0.5, -1.0, 2.0))
-        assert np.allclose(mu1, mu2, atol=1e-8)
-
-    def test_h2_dipole_zero(self):
-        _, mag = dipole_moment(run_rhf(h2()))
-        assert mag < 1e-8
-
-
-class TestCheckpoint:
-    def test_statevector_roundtrip(self, tmp_path, rng):
-        c = random_circuit(5, 30, 3)
-        sim = StatevectorSimulator(5)
-        sim.run(c)
-        path = os.path.join(tmp_path, "ckpt.npz")
-        save_statevector(sim, path)
-        restored = load_statevector(path)
-        assert restored.num_qubits == 5
-        assert restored.gates_applied == sim.gates_applied
-        assert np.allclose(restored.state, sim.state)
-
-    def test_resume_continues_correctly(self, tmp_path):
-        """Split a circuit at a checkpoint; the result must match an
-        uninterrupted run."""
-        c = random_circuit(4, 40, 8)
-        first = Circuit(4, c.gates[:20])
-        second = Circuit(4, c.gates[20:])
-        sim = StatevectorSimulator(4)
-        sim.run(first)
-        path = os.path.join(tmp_path, "mid.npz")
-        save_statevector(sim, path)
-        resumed = load_statevector(path)
-        resumed.apply_circuit(second)
-        full = StatevectorSimulator(4)
-        full.run(c)
-        assert np.allclose(resumed.state, full.state, atol=1e-10)
-
-    def test_corruption_detected(self, tmp_path):
-        sim = StatevectorSimulator(3)
-        path = os.path.join(tmp_path, "bad.npz")
-        sim.state[0] = 0.5  # denormalized on purpose
-        save_statevector(sim, path)
-        with pytest.raises(ValueError):
-            load_statevector(path)
-
-    def test_distributed_roundtrip(self, tmp_path):
-        c = random_circuit(6, 25, 4)
-        dsv = DistributedStatevector(6, 4)
-        dsv.run(c)
-        directory = os.path.join(tmp_path, "dist")
-        save_distributed(dsv, directory)
-        restored = load_distributed(directory)
-        assert restored.layout == dsv.layout
-        assert np.allclose(restored.gather(), dsv.gather(), atol=1e-12)
-
-    def test_distributed_resume(self, tmp_path):
-        c = random_circuit(6, 30, 5)
-        first = Circuit(6, c.gates[:15])
-        second = Circuit(6, c.gates[15:])
-        dsv = DistributedStatevector(6, 2)
-        dsv.run(first)
-        directory = os.path.join(tmp_path, "dist2")
-        save_distributed(dsv, directory)
-        resumed = load_distributed(directory)
-        resumed.run(second, reset=False)
-        ref = StatevectorSimulator(6).run(c).copy()
-        assert np.allclose(resumed.gather(), ref, atol=1e-9)

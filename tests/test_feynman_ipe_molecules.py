@@ -1,8 +1,6 @@
-"""Tests for the Schrödinger–Feynman simulator, iterative QPE, and the
-extra benchmark molecules."""
+"""Tests for iterative QPE and the extra benchmark molecules."""
 
 import numpy as np
-import pytest
 
 from repro.chem.fci import exact_ground_energy
 from repro.chem.hamiltonian import build_molecular_hamiltonian
@@ -10,85 +8,7 @@ from repro.chem.molecule import beh2, h2, hydrogen_fluoride
 from repro.chem.reference import hartree_fock_state
 from repro.chem.scf import run_rhf
 from repro.core.qpe import run_iterative_qpe
-from repro.ir.circuit import Circuit
-from repro.ir.gates import gate_matrix
 from repro.ir.pauli import PauliSum
-from repro.sim.feynman import SchrodingerFeynmanSimulator, schmidt_decompose_gate
-from repro.sim.statevector import StatevectorSimulator
-from tests.test_statevector import random_circuit
-
-
-class TestSchmidtDecomposition:
-    @pytest.mark.parametrize(
-        "name,params,rank",
-        [("cx", (), 2), ("cz", (), 2), ("rzz", (0.7,), 2), ("swap", (), 4)],
-    )
-    def test_known_ranks(self, name, params, rank):
-        m = gate_matrix(name, *params)
-        terms = schmidt_decompose_gate(m)
-        assert len(terms) == rank
-        rebuilt = sum(np.kron(b, a) for a, b in terms)
-        assert np.allclose(rebuilt, m, atol=1e-10)
-
-    def test_product_gate_rank_one(self):
-        # RZ (x) RX is a product operator: Schmidt rank 1
-        m = np.kron(gate_matrix("rx", 0.5), gate_matrix("rz", 0.3))
-        assert len(schmidt_decompose_gate(m)) == 1
-
-    def test_rzz_small_angle_rank(self):
-        # rzz(theta) = cos(t/2) II - i sin(t/2) ZZ: rank 2 for any t != 0
-        m = gate_matrix("rzz", 1e-3)
-        assert len(schmidt_decompose_gate(m)) == 2
-
-    def test_shape_validated(self):
-        with pytest.raises(ValueError):
-            schmidt_decompose_gate(np.eye(2))
-
-
-class TestSchrodingerFeynman:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_dense(self, seed):
-        n = 6
-        c = random_circuit(n, 20, seed)
-        ref = StatevectorSimulator(n).run(c).copy()
-        sf = SchrodingerFeynmanSimulator(n, cut=3)
-        assert np.allclose(sf.run(c), ref, atol=1e-8)
-
-    def test_no_cross_gates_single_path(self):
-        c = Circuit(4).h(0).cx(0, 1).h(2).cx(2, 3)
-        sf = SchrodingerFeynmanSimulator(4, cut=2)
-        state = sf.run(c)
-        assert sf.accounting.num_paths == 1
-        assert sf.accounting.num_cross_gates == 0
-        ref = StatevectorSimulator(4).run(c).copy()
-        assert np.allclose(state, ref, atol=1e-10)
-
-    def test_path_count_multiplies(self):
-        # two CX across the cut: 2 * 2 = 4 paths
-        c = Circuit(4).h(0).cx(1, 2).cx(0, 3)
-        sf = SchrodingerFeynmanSimulator(4, cut=2)
-        sf.run(c)
-        assert sf.accounting.num_cross_gates == 2
-        assert sf.accounting.num_paths == 4
-
-    def test_memory_per_path_halves_register(self):
-        sf = SchrodingerFeynmanSimulator(8, cut=4)
-        sf.run(Circuit(8).h(0))
-        # two 2^4 complex vectors instead of one 2^8
-        assert sf.accounting.bytes_per_path == 2 * (1 << 4) * 16
-
-    def test_bad_cut_rejected(self):
-        with pytest.raises(ValueError):
-            SchrodingerFeynmanSimulator(4, cut=0)
-        with pytest.raises(ValueError):
-            SchrodingerFeynmanSimulator(4, cut=4)
-
-    def test_cut_position_irrelevant_to_result(self):
-        c = random_circuit(6, 15, 9)
-        ref = StatevectorSimulator(6).run(c).copy()
-        for cut in (2, 3, 4):
-            sf = SchrodingerFeynmanSimulator(6, cut=cut)
-            assert np.allclose(sf.run(c), ref, atol=1e-8)
 
 
 class TestIterativeQPE:
@@ -136,16 +56,3 @@ class TestExtraMolecules:
         assert res.converged
         # literature RHF/STO-3G HF: about -98.57 Ha
         assert np.isclose(res.energy, -98.57, atol=0.02)
-
-    def test_beh2_dipole_zero_by_symmetry(self):
-        from repro.chem.properties import dipole_moment
-
-        _, mag = dipole_moment(run_rhf(beh2()))
-        assert mag < 1e-6
-
-    def test_hf_molecule_dipole(self):
-        from repro.chem.properties import AU_TO_DEBYE, dipole_moment
-
-        _, mag = dipole_moment(run_rhf(hydrogen_fluoride()))
-        # RHF/STO-3G HF dipole: ~1.25 Debye
-        assert 0.8 < mag * AU_TO_DEBYE < 1.6

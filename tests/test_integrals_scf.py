@@ -24,7 +24,6 @@ from repro.chem.integrals import (
     _hermite_coulomb as array_hermite_coulomb,
     boys,
     core_hamiltonian,
-    dipole_matrices,
     eri_tensor,
     kinetic_matrix,
     nuclear_attraction_matrix,
@@ -239,36 +238,6 @@ def _eri_prim(
     return pref * total
 
 
-def _dipole_prim(
-    a: float,
-    lmn1: Tuple[int, int, int],
-    A: np.ndarray,
-    b: float,
-    lmn2: Tuple[int, int, int],
-    B: np.ndarray,
-    origin: np.ndarray,
-    direction: int,
-) -> float:
-    """<prim_a| (r - origin)_direction |prim_b>.
-
-    McMurchie-Davidson: the 1-D moment integral is
-    E_1^{ij} + (P - C) E_0^{ij}, times sqrt(pi/p); the other two
-    dimensions contribute plain overlaps.
-    """
-    p = a + b
-    P = (a * A + b * B) / p
-    total = 1.0
-    for d in range(3):
-        memo: Dict = {}
-        if d == direction:
-            e1 = _hermite_e(lmn1[d], lmn2[d], 1, A[d] - B[d], a, b, memo)
-            e0 = _hermite_e(lmn1[d], lmn2[d], 0, A[d] - B[d], a, b, memo)
-            total *= e1 + (P[d] - origin[d]) * e0
-        else:
-            total *= _hermite_e(lmn1[d], lmn2[d], 0, A[d] - B[d], a, b, memo)
-    return total * (math.pi / p) ** 1.5
-
-
 def _oracle_matrix(bfs, prim_fn) -> np.ndarray:
     """Contract ``prim_fn(a, fi, b, fj)`` over the primitives of i >= j."""
     n = len(bfs)
@@ -309,23 +278,6 @@ def oracle_nuclear(bfs, molecule) -> np.ndarray:
             )
             for Z, C in nuclei
         ),
-    )
-
-
-def oracle_dipole(bfs, origin) -> np.ndarray:
-    origin = np.asarray(origin, dtype=float)
-    return np.array(
-        [
-            _oracle_matrix(
-                bfs,
-                lambda a, fi, b, fj: _dipole_prim(
-                    a, fi.lmn, np.asarray(fi.center),
-                    b, fj.lmn, np.asarray(fj.center),
-                    origin, d,
-                ),
-            )
-            for d in range(3)
-        ]
     )
 
 
@@ -405,11 +357,6 @@ class TestAgainstScalarOracle:
         assert np.abs(nuclear_attraction_matrix(bfs, molecule) - v).max() < 1e-12
         h = oracle_kinetic(bfs) + v
         assert np.abs(core_hamiltonian(bfs, molecule) - h).max() < 1e-12
-
-    def test_dipole(self, system):
-        _, bfs = system
-        origin = (0.1, -0.2, 0.3)
-        assert np.abs(dipole_matrices(bfs, origin) - oracle_dipole(bfs, origin)).max() < 1e-12
 
     def test_eri(self, system):
         _, bfs = system

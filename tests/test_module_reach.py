@@ -18,37 +18,31 @@ function body included, with relative imports resolved.  Importing
 ``name_table(...)`` are not edges: a name table lists what a package
 re-exports, not what anything runs.
 
-``KEPT_UNREACHED`` names the modules that are still unreached but kept
-for now, each with the tests that exercise it.  The list may only
-shrink: a module on it that gets a consumer or is deleted must leave
-it, and no module may join it.
+The same holds one level down: every function, method and class
+defined in ``src/repro`` (dunders aside) is named somewhere other than
+its own definition, in the code or a string of ``src/``, ``tests/``,
+``benchmarks/`` or ``examples/``.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
+from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterable, Set
+from typing import Dict, Iterable, List, Set
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 BENCHMARKS = ROOT / "benchmarks"
 TRACE = BENCHMARKS / "ladder" / "trace.py"
+# Trees whose code and strings may name a src/repro callable.
+NAMING_TREES = ("src", "tests", "benchmarks", "examples")
 
 ROOT_MODULES = ("repro.__main__", "repro.cli", "repro.serve")
 _TARGET = re.compile(r"^(repro(?:\.\w+)+):")
-
-# Unreached modules kept with their tests until a later change deletes
-# them or gives them a consumer; see the module docstring.
-KEPT_UNREACHED = frozenset(
-    {
-        "repro.chem.lattice",
-        "repro.chem.properties",
-        "repro.sim.checkpoint",
-        "repro.sim.feynman",
-    }
-)
 
 
 def _modules() -> Dict[str, Path]:
@@ -127,6 +121,35 @@ def unreached_modules() -> Dict[str, int]:
     }
 
 
+def _words(path: Path) -> Counter:
+    """Identifier occurrences in the code and the strings of ``path``
+    (comments are not read)."""
+    words: Counter = Counter()
+    for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+        if tok.type == tokenize.NAME:
+            words[tok.string] += 1
+        elif tok.type == tokenize.STRING:
+            words.update(re.findall(r"[A-Za-z_]\w*", tok.string))
+    return words
+
+
+def unnamed_callables() -> Dict[str, List[str]]:
+    """Non-dunder ``def``/``class`` names of ``src/repro`` that occur
+    nowhere but at their own definitions -> those definitions."""
+    words: Counter = Counter()
+    for tree in NAMING_TREES:
+        for path in (ROOT / tree).rglob("*.py"):
+            words += _words(path)
+    defined: Dict[str, List[str]] = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    where = f"{path.relative_to(ROOT)}:{node.lineno}"
+                    defined.setdefault(node.name, []).append(where)
+    return {name: sites for name, sites in sorted(defined.items()) if words[name] <= len(sites)}
+
+
 def test_relative_imports_resolve(tmp_path):
     pkg = tmp_path / "repro" / "sim"
     pkg.mkdir(parents=True)
@@ -161,9 +184,7 @@ def test_a_submodule_import_reaches_its_packages():
 
 def test_every_src_module_is_reached():
     assert set(ROOT_MODULES) <= set(_modules())
-    unreached = {
-        name: lines for name, lines in unreached_modules().items() if name not in KEPT_UNREACHED
-    }
+    unreached = unreached_modules()
     assert not unreached, (
         f"{len(unreached)} src/repro modules ({sum(unreached.values())} lines) are reached "
         "by no command, served job, benchmark or ladder trace target:\n"
@@ -171,9 +192,17 @@ def test_every_src_module_is_reached():
     )
 
 
-def test_kept_unreached_list_only_shrinks():
-    known = _modules()
-    gone = sorted(KEPT_UNREACHED - set(known))
-    assert not gone, f"deleted modules still listed in KEPT_UNREACHED: {gone}"
-    reached = sorted(KEPT_UNREACHED - set(unreached_modules()))
-    assert not reached, f"modules now reached, drop them from KEPT_UNREACHED: {reached}"
+def test_strings_name_callables_and_comments_do_not(tmp_path):
+    script = tmp_path / "s.py"
+    script.write_text('# helper\nTARGET = "repro.x:Cls.method"\ndef helper():\n    pass\n')
+    words = _words(script)
+    assert words["helper"] == 1 and words["method"] == 1 and words["Cls"] == 1
+
+
+def test_every_src_callable_is_named():
+    unnamed = unnamed_callables()
+    assert not unnamed, (
+        f"{len(unnamed)} src/repro functions or classes are named only at their "
+        "own definition:\n" + "\n".join(f"  {n} ({', '.join(s)})" for n, s in unnamed.items())
+    )
+

@@ -176,6 +176,10 @@ _SECTOR_REFUSED = "plan holds the 2-amplitude symmetry sector of its 4-qubit reg
             r"expects 1 parameter\(s\) \['t0'\], got shape \(2,\)",
         ),
         (
+            lambda: AnsatzObjective(_REF3, [_A3], compile_observable(_S3)),
+            "hamiltonian must be a PauliSum, not CompiledPauliSum",
+        ),
+        (
             lambda: VQE(_S3, ansatz=Circuit(3).h(0), generators=[_A3], reference_state=_REF3),
             "both generators and ansatz",
         ),
@@ -238,6 +242,7 @@ _SECTOR_REFUSED = "plan holds the 2-amplitude symmetry sector of its 4-qubit reg
         "BatchedStatevectorSimulator.expectations",
         "CachedEnergyEvaluator",
         "AnsatzObjective.prepare_state",
+        "AnsatzObjective-hamiltonian-type",
         "VQE-generators-and-ansatz",
         "VQE-generators-and-estimator",
         "VQE-generators-and-fd_gradient",
