@@ -17,7 +17,10 @@ term census as real active spaces of that size, per Fig. 1).
 
 Run under pytest-benchmark for timing curves, or standalone in smoke
 mode (used by CI) to check correctness and the speedup floors.  Smoke
-mode also checks, with no timing floor, that ``hermitian_downfold``
+mode also records the traced (tracemalloc) peak of the 4747^2 product,
+which folds pair blocks into a running sum and must stay under
+``MAX_PRODUCT_PEAK_MIB``, and checks, with no timing floor, that
+``hermitian_downfold``
 (which forms only the last-level commutator terms the reference
 projection keeps) gives the oracle's "commute fully, then project"
 effective Hamiltonian:
@@ -27,6 +30,7 @@ effective Hamiltonian:
 
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +69,7 @@ MAX_PARITY_FRACTION = 1 / 3  # parity set / (N, S_z) sector; measured 69/225, 13
 PARITY_ENERGY_TOL = 1e-8
 POOL_MAP_TOL = 1e-12        # one-call pool mapping vs the per-operator oracle
 DOWNFOLD_TOL = 1e-12        # packed H_eff vs commute-fully-then-project
+MAX_PRODUCT_PEAK_MIB = 128  # traced peak of the 4747^2 product; measured ~74
 FIG5_CORE, FIG5_ACTIVE = [0], [1, 2, 3, 4, 5, 6]
 
 SWEEP_SPATIAL_ORBITALS = (4, 6, 8, 10, 14)  # -> 8/12/16/20/28 qubits
@@ -291,6 +296,16 @@ def run_smoke() -> int:
         failures.append(
             f"product speedup {prod_speedup:.1f}x < {MIN_PRODUCT_SPEEDUP}x"
         )
+    tracemalloc.start()
+    try:
+        symp.mul(symp)
+        prod_peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    if prod_peak_mib > MAX_PRODUCT_PEAK_MIB:
+        failures.append(
+            f"product traced peak {prod_peak_mib:.0f} MiB > {MAX_PRODUCT_PEAK_MIB} MiB"
+        )
 
     # Commutator with a 64-term probe (the ADAPT gradient shape).
     probe = _top_slice(heff, 64)
@@ -353,7 +368,7 @@ def run_smoke() -> int:
         [
             (
                 "sum x sum product",
-                f"{heff.num_terms}^2 pairs (12q H2O)",
+                f"{heff.num_terms}^2 pairs (12q H2O), traced peak {prod_peak_mib:.0f} MiB",
                 f"{t_prod_pt:.3f}",
                 f"{t_prod_en:.3f}",
                 f"{prod_speedup:.1f}x",
@@ -447,7 +462,8 @@ def run_smoke() -> int:
         print(f"FAIL: {f}")
     if not failures:
         print(
-            f"OK: product {prod_speedup:.1f}x, QWC {qwc_speedup:.1f}x, "
+            f"OK: product {prod_speedup:.1f}x ({prod_peak_mib:.0f} MiB traced peak), "
+            f"QWC {qwc_speedup:.1f}x, "
             f"JW {jw_speedup:.1f}x; LiH/H2O parity sets hold "
             f"{parity_rows[0][4]}/{parity_rows[1][4]} of "
             f"{parity_rows[0][3]}/{parity_rows[1][3]} sector amplitudes at "

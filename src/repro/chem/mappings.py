@@ -23,13 +23,20 @@ matrix; Bravyi–Kitaev is the Seeley–Richard–Love block-doubling matrix
 
 from __future__ import annotations
 
-from typing import Dict, List, Literal, Sequence, Tuple
+from typing import Dict, Iterator, List, Literal, Sequence, Tuple
 
 import numpy as np
 
 from repro.chem.fermion import FermionOperator
 from repro.ir.pauli import PauliSum
-from repro.ir.symplectic import dedup_rows, pack_masks, pauli_mul_batch, unpack_masks
+from repro.ir.symplectic import (
+    Rows,
+    fold_blocks,
+    pack_masks,
+    pauli_mul_batch,
+    row_blocks,
+    unpack_masks,
+)
 
 __all__ = [
     "jordan_wigner",
@@ -160,74 +167,33 @@ def map_fermion_operators(
     ``num_modes`` qubits in one pass — the one fermion-to-qubit path.
 
     Every ladder term of every operator is bucketed by its length ``k``
-    and each bucket expanded at once: a (terms, 2^k, words) symplectic
-    batch doubled per ladder factor by
+    and each bucket expanded in blocks of at most
+    :func:`repro.ir.symplectic.row_blocks`' pair budget: a
+    (terms, 2^k, words) symplectic batch doubled per ladder factor by
     :func:`repro.ir.symplectic.pauli_mul_batch`, each row tagged with the
-    operator it came from.  One sort on (owner, x, z)
-    (:func:`repro.ir.symplectic.dedup_rows`) sums duplicates within each
-    operator and leaves the operators as contiguous runs, which split
-    back into one :class:`PauliSum` each, terms in ascending ``(x, z)``
-    order.  Mapping a whole list (a UCCSD pool, say) pays
-    the array set-up once instead of once per operator.
+    operator it came from.  :func:`repro.ir.symplectic.fold_blocks` sums
+    the blocks on (owner, x, z) into one running result, so memory is
+    O(block + output) whatever the operator count, and the operators
+    come back as contiguous runs, which split into one :class:`PauliSum`
+    each, terms in ascending ``(x, z)`` order.  Mapping a whole list (a
+    UCCSD pool, say) pays the array set-up once instead of once per
+    operator.
     """
     mapper = _get_mapper(mapping, num_modes)
-    words = mapper._fx.shape[1]
     buckets: Dict[int, list] = {}
     for owner, op in enumerate(ops):
         for term, coeff in op:
             buckets.setdefault(len(term), []).append((owner, term, coeff))
     if not buckets:
         return [PauliSum.zero(num_modes) for _ in ops]
-
     # The owner column costs a byte per expanded row when ops < 256.
     owner_dtype = np.min_scalar_type(len(ops))
-    pieces = []
-    for k, entries in buckets.items():
-        m = len(entries)
-        owners = np.array([owner for owner, _, _ in entries], dtype=owner_dtype)
-        # Per-factor choice arrays: (m, k) index tables into the mapper's
-        # packed factor rows, plus the dagger sign on the z^F choice.
-        orbs = np.array(
-            [[orb for orb, _ in term] for _, term, _ in entries], dtype=np.int64
-        ).reshape(m, k)
-        if k and orbs.max() >= num_modes:
-            row = int(np.argmax(orbs.max(axis=1)))
-            raise ValueError(
-                f"operator {owners[row]} touches orbital {orbs[row].max()} "
-                f">= num_modes {num_modes}"
-            )
-        signs = np.array(
-            [[1.0 if dag else -1.0 for _, dag in term] for _, term, _ in entries]
-        ).reshape(m, k)
-        coeffs = np.array([c for _, _, c in entries], dtype=np.complex128)
-        # Running batch product, doubling per ladder factor.
-        bx = np.zeros((m, 1, words), dtype=np.uint64)
-        bz = np.zeros((m, 1, words), dtype=np.uint64)
-        bc = np.ones((m, 1), dtype=np.complex128)
-        for t in range(k):
-            p = orbs[:, t]
-            fx = mapper._fx[p][:, None, :]
-            out = [
-                pauli_mul_batch(bx, bz, bc, fx, fz[:, None, :], fc[:, None])
-                for fz, fc in (
-                    (mapper._fz0[p], mapper._fc0[p]),
-                    (mapper._fz1[p], mapper._fc1[p] * signs[:, t]),
-                )
-            ]
-            bx = np.concatenate([o[0] for o in out], axis=1)
-            bz = np.concatenate([o[1] for o in out], axis=1)
-            bc = np.concatenate([o[2] for o in out], axis=1)
-        pieces.append(
-            (
-                bx.reshape(-1, words),
-                bz.reshape(-1, words),
-                (bc * coeffs[:, None]).reshape(-1),
-                np.repeat(owners, 1 << k),
-            )
-        )
-
-    x, z, c, owner = (np.concatenate([p[i] for p in pieces]) for i in range(4))
-    x, z, c, owner = dedup_rows(num_modes, x, z, c, 1e-14, owner)
+    blocks = (
+        block
+        for k, entries in buckets.items()
+        for block in _expand_bucket(mapper, k, entries, owner_dtype)
+    )
+    x, z, c, owner = fold_blocks(num_modes, blocks, 1e-14)
     keys = list(zip(unpack_masks(x), unpack_masks(z)))
     cs = c.tolist()
     bounds = np.searchsorted(owner, np.arange(len(ops) + 1)).tolist()
@@ -235,6 +201,54 @@ def map_fermion_operators(
         PauliSum(num_modes, dict(zip(keys[lo:hi], cs[lo:hi])))
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
+
+
+def _expand_bucket(mapper: _Mapper, k: int, entries: list, owner_dtype) -> Iterator[Rows]:
+    """The Pauli rows of one bucket of length-``k`` ladder terms
+    ``(owner, term, coeff)``, ``2^k`` per term, as owned blocks."""
+    m = len(entries)
+    words = mapper._fx.shape[1]
+    owners = np.array([owner for owner, _, _ in entries], dtype=owner_dtype)
+    # Per-factor choice arrays: (m, k) index tables into the mapper's
+    # packed factor rows, plus the dagger sign on the z^F choice.
+    orbs = np.array(
+        [[orb for orb, _ in term] for _, term, _ in entries], dtype=np.int64
+    ).reshape(m, k)
+    if k and orbs.max() >= mapper.n:
+        row = int(np.argmax(orbs.max(axis=1)))
+        raise ValueError(
+            f"operator {owners[row]} touches orbital {orbs[row].max()} "
+            f">= num_modes {mapper.n}"
+        )
+    signs = np.array(
+        [[1.0 if dag else -1.0 for _, dag in term] for _, term, _ in entries]
+    ).reshape(m, k)
+    coeffs = np.array([c for _, _, c in entries], dtype=np.complex128)
+    for sl in row_blocks(m, 1 << k):
+        # Running batch product, doubling per ladder factor.
+        rows = sl.stop - sl.start
+        bx = np.zeros((rows, 1, words), dtype=np.uint64)
+        bz = np.zeros((rows, 1, words), dtype=np.uint64)
+        bc = np.ones((rows, 1), dtype=np.complex128)
+        for t in range(k):
+            p = orbs[sl, t]
+            fx = mapper._fx[p][:, None, :]
+            out = [
+                pauli_mul_batch(bx, bz, bc, fx, fz[:, None, :], fc[:, None])
+                for fz, fc in (
+                    (mapper._fz0[p], mapper._fc0[p]),
+                    (mapper._fz1[p], mapper._fc1[p] * signs[sl, t]),
+                )
+            ]
+            bx = np.concatenate([o[0] for o in out], axis=1)
+            bz = np.concatenate([o[1] for o in out], axis=1)
+            bc = np.concatenate([o[2] for o in out], axis=1)
+        yield (
+            bx.reshape(-1, words),
+            bz.reshape(-1, words),
+            (bc * coeffs[sl, None]).reshape(-1),
+            np.repeat(owners[sl], 1 << k),
+        )
 
 
 def map_fermion_operator(

@@ -73,25 +73,16 @@ def spin_orbital_tensors(
     ``g_so[P,Q,R,S] = <PQ|RS>`` physicists' notation of shape (2n,)*4.
     """
     n = mo.num_orbitals
-    n_so = 2 * n
-    h_so = np.zeros((n_so, n_so))
-    # h_so[P,Q] = h[p,q] if same spin
-    for p in range(n):
-        for q in range(n):
-            h_so[2 * p, 2 * q] = mo.h_mo[p, q]
-            h_so[2 * p + 1, 2 * q + 1] = mo.h_mo[p, q]
-
-    g_so = np.zeros((n_so, n_so, n_so, n_so))
-    # <PQ|RS> = (PR|QS) * delta(sP,sR) * delta(sQ,sS)
-    eri = mo.eri_mo
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    val = eri[p, r, q, s]
-                    if val == 0.0:
-                        continue
-                    for sp in (0, 1):
-                        for sq in (0, 1):
-                            g_so[2 * p + sp, 2 * q + sq, 2 * r + sp, 2 * s + sq] = val
+    h_so = np.zeros((2 * n, 2 * n))
+    g_so = np.zeros((2 * n,) * 4)
+    # Views indexed [p, sp, q, sq, ...]: spin orbital P = 2p + sp.
+    h_view = h_so.reshape(n, 2, n, 2)
+    g_view = g_so.reshape((n, 2) * 4)
+    # <PQ|RS> = (PR|QS) * delta(sP,sR) * delta(sQ,sS), one strided
+    # assignment per spin pair.
+    phys = mo.eri_mo.transpose(0, 2, 1, 3)
+    for sp in (0, 1):
+        h_view[:, sp, :, sp] = mo.h_mo
+        for sq in (0, 1):
+            g_view[:, sp, :, sq, :, sp, :, sq] = phys
     return h_so, g_so

@@ -19,8 +19,10 @@ with the phase convention of :mod:`repro.ir.pauli` kept exactly:
 string).  All algebra is then bit arithmetic over whole matrices:
 
 * sum×sum product / commutator — one broadcasted XOR plus popcount
-  phase bookkeeping per (chunked) pair block, followed by a single
-  lexicographic dedup-and-sum instead of per-pair dict updates,
+  phase bookkeeping per pair block, folded into a running sorted sum
+  (:func:`fold_blocks`) instead of per-pair dict updates, so memory is
+  O(block + output), not O(pairs); a commutator keeps a 12-byte key per
+  anticommuting pair for one exact sort first (:meth:`_pair_sums`),
 * commutation / anticommutation / qubitwise-commutation adjacency —
   boolean matrices from word-AND + popcount parity,
 * greedy QWC grouping — the first-fit scan checks a candidate term
@@ -36,8 +38,8 @@ This is the only sum-level Pauli algebra in the package:
 ``group_qubitwise_commuting`` / ``simplify`` here, at every size, and
 memoizes the packed form under its ``_version`` cache protocol;
 :func:`repro.chem.mappings.map_fermion_operators` expands ladder
-products with :func:`pauli_mul_batch` and collapses them with the same
-dedup.  Nothing here mutates a source sum.
+products with :func:`pauli_mul_batch` and sums them with the same
+fold.  Nothing here mutates a source sum.
 
 Term order is defined once: dedup (and so every product, commutator
 and mapping) emits rows in ascending ``(x, z)`` order, the masks read
@@ -47,7 +49,7 @@ in that order — a sum's measurement groups depend only on its terms.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +66,8 @@ __all__ = [
     "parity_words",
     "pauli_mul_batch",
     "dedup_rows",
+    "row_blocks",
+    "fold_blocks",
     "gf2_rref",
     "gf2_kernel",
     "find_z2_symmetries",
@@ -77,16 +81,19 @@ I_POW_ARR = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j], dtype=np.complex128)
 _WORD_BITS = 64
 _WORD_MASK = (1 << 64) - 1
 
-# Pair-block budget for the chunked outer products: bounds peak memory
-# of a product at ~100 MB of transients regardless of operand size.
-_PAIR_CHUNK = 1 << 20
+# Pairs per block of every pair loop (products, commutators, the x-clear
+# join, the fermion mapping's ladder expansion): a block holds ~100 bytes
+# per pair in transients and fold_blocks keeps one block plus the running
+# sum, so a join's peak is O(block + output).  Measured on Fig. 5 H2O,
+# 2^16 / 2^17 / 2^18: hermitian_downfold's traced peak 9.2 / 10.7 / 16.7
+# MiB; the 4747^2 H_eff product 74 / 79 / 86 MiB in 3.6 / 3.5 / 3.1 s.
+_PAIR_CHUNK = 1 << 16
 
-# The packed (n <= 32) product path spends ~48 bytes of transients per
-# pair, so it affords larger blocks — fewer chunk sorts per product.
-_PACKED_PAIR_CHUNK = 1 << 22
-
-_SHIFT32 = np.uint64(32)
-_MASK32 = np.uint64(0xFFFFFFFF)
+# Anticommuting pairs per key sort in the commutators (~20 bytes each
+# while sorted): a join up to this size gets exactly the sums of one
+# dedup_rows call, which the downfolded Hamiltonians' measurement groups
+# depend on through their coefficient ties.
+_SORT_PAIRS = 1 << 20
 
 # Elements in flight while building x-mask diagonals: a butterfly block
 # small enough to stay in cache, and the terms x columns sign matrix of
@@ -95,23 +102,8 @@ _WHT_BLOCK = 1 << 13
 _SIGN_CHUNK = 1 << 18
 
 
-def _dedup_packed(
-    packed: np.ndarray, coeffs: np.ndarray, threshold: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sort packed uint64 row keys (``(x << 32) | z`` and the like),
-    sum coefficients of equal keys (``np.add.reduceat`` over run
-    boundaries), drop ``|coeff| <= threshold``.  Returns
-    ``(unique_keys, coeffs)`` in ascending key order — the same (x, z)
-    order the general row-matrix path produces."""
-    order = np.argsort(packed)
-    srt = packed[order]
-    boundary = np.empty(len(srt), dtype=bool)
-    boundary[0] = True
-    np.not_equal(srt[1:], srt[:-1], out=boundary[1:])
-    idx = np.flatnonzero(boundary)
-    summed = np.add.reduceat(coeffs[order], idx)
-    keep = np.abs(summed) > threshold
-    return srt[idx][keep], summed[keep]
+# One (x, z, coeffs, owner) row set; owner None for a single sum.
+Rows = Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
 def _key_columns(x: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -127,53 +119,110 @@ def dedup_rows(
     coeffs: np.ndarray,
     threshold: float = 0.0,
     owner: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Rows:
     """Sort non-empty rows by ``(owner, x, z)``, sum the coefficients of
     equal rows and drop ``|coeff| <= threshold``.
 
     ``owner`` (non-negative ints, ``None`` = one sum) says which of
     several sums a row belongs to, so they all dedup in one sort and come
     back as contiguous runs, each in ascending ``(x, z)`` order.  Returns
-    ``(x, z, coeffs, owner)``.  When the whole key fits in one uint64 —
-    a one-word register and few owners; always for one sum of <= 32
-    qubits — that is a single argsort of ``(owner << 2n) | (x << n) | z``;
-    wider keys take a typed ``np.lexsort`` over the columns (not
-    ``np.unique(axis=0)``, which sorts a void view with per-row memcmp
-    and dominates large products).
+    ``(x, z, coeffs, owner)`` (``owner`` ``None`` when given ``None``).
+    When the whole key fits in one uint64 — a one-word register and few
+    owners; always for one sum of <= 32 qubits — that is a single argsort
+    of ``(owner << 2n) | (x << n) | z``; wider keys take a typed
+    ``np.lexsort`` over the columns (not ``np.unique(axis=0)``, which
+    sorts a void view with per-row memcmp and dominates large products).
     """
     n = num_qubits
-    owner_bits = 0 if owner is None else int(owner.max()).bit_length()
+    owner_bits = 0 if owner is None else int(owner.max(initial=0)).bit_length()
     if 2 * n + owner_bits <= 64:
         key = x[:, 0] << np.uint64(n)
         key |= z[:, 0]
         if owner_bits:
             key |= owner.astype(np.uint64) << np.uint64(2 * n)
-        key, coeffs = _dedup_packed(key, coeffs, threshold)
-        low = np.uint64((1 << n) - 1)
-        owner = (
-            (key >> np.uint64(2 * n)).astype(np.int64)
-            if owner_bits
-            else np.zeros(len(key), dtype=np.int64)
-        )
-        return (
-            ((key >> np.uint64(n)) & low)[:, None],
-            (key & low)[:, None],
-            coeffs,
-            owner,
-        )
-    w = x.shape[1]
-    if owner is None:
-        owner = np.zeros(len(coeffs), dtype=np.uint8)
-    order = np.lexsort(_key_columns(x, z) + (owner,))
-    srt = np.concatenate([x, z, owner[:, None].astype(np.uint64)], axis=1)[order]
-    boundary = np.empty(len(srt), dtype=bool)
-    boundary[0] = True
-    np.any(srt[1:] != srt[:-1], axis=1, out=boundary[1:])
+        order = np.argsort(key)
+        srt = key[order]
+        boundary = np.empty(len(srt), dtype=bool)
+        np.not_equal(srt[1:], srt[:-1], out=boundary[1:])
+    else:
+        key = np.zeros(len(coeffs), dtype=np.uint8) if owner is None else owner
+        order = np.lexsort(_key_columns(x, z) + (key,))
+        srt = np.concatenate([x, z, key[:, None].astype(np.uint64)], axis=1)[order]
+        boundary = np.empty(len(srt), dtype=bool)
+        np.any(srt[1:] != srt[:-1], axis=1, out=boundary[1:])
+    boundary[:1] = True
     idx = np.flatnonzero(boundary)
     summed = np.add.reduceat(coeffs[order], idx)
     keep = np.abs(summed) > threshold
-    uniq = srt[idx][keep]
-    return uniq[:, :w], uniq[:, w : 2 * w], summed[keep], uniq[:, -1].astype(np.int64)
+    srt = srt[idx][keep]
+    if srt.ndim == 1:  # unpack the uint64 keys
+        low = np.uint64((1 << n) - 1)
+        own = None if owner is None else (srt >> np.uint64(2 * n)).astype(np.int64)
+        return ((srt >> np.uint64(n)) & low)[:, None], (srt & low)[:, None], summed[keep], own
+    w = x.shape[1]
+    own = None if owner is None else srt[:, -1].astype(np.int64)
+    return srt[:, :w], srt[:, w : 2 * w], summed[keep], own
+
+
+def row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Slices of ``range(rows)`` that expand to at most ``_PAIR_CHUNK``
+    pairs when each row meets ``width`` partners (one row per slice when
+    a single row exceeds it)."""
+    step = max(1, _PAIR_CHUNK // max(1, width))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
+def fold_blocks(num_qubits: int, blocks: Iterable[Rows], threshold: float = 0.0) -> Rows:
+    """Sum the rows of ``(x, z, coeffs, owner)`` blocks as one
+    :func:`dedup_rows` call over their concatenation would, in
+    O(block + output) memory.
+
+    Consecutive blocks are joined up to ``_PAIR_CHUNK`` rows (a small sum
+    is one block and one sort), deduplicated with no threshold and held
+    pending; whenever the pending rows outnumber the running sorted
+    result they are merged into it (one dedup of their concatenation),
+    so the merges cost a constant factor over the block dedups.
+    ``threshold`` is applied once, to the final sums, so no row depends
+    on how the pairs were blocked.  ``blocks`` must not be empty.
+    """
+    def dedup(rows: Rows, threshold: float = 0.0) -> Rows:
+        return dedup_rows(num_qubits, *rows[:3], threshold, rows[3])
+
+    parts: List[Rows] = []
+    held = pending = 0
+    for part in map(dedup, _joined(blocks)):  # map() drops each block once sorted
+        parts.append(part)
+        pending += len(part[2])
+        if not held:  # the first rows are the running result
+            held, pending = pending, 0
+        elif pending > held:
+            parts = [dedup(_concat(parts))]
+            held, pending = len(parts[0][2]), 0
+    return dedup(_concat(parts), threshold)
+
+
+def _joined(blocks: Iterable[Rows]) -> Iterator[Rows]:
+    """Runs of consecutive blocks, concatenated up to ``_PAIR_CHUNK``
+    rows each (a larger block stays alone)."""
+    run: List[Rows] = []
+    rows = 0
+    for block in blocks:
+        if run and rows + len(block[2]) > _PAIR_CHUNK:
+            yield _concat(run)
+            rows = 0
+        run.append(block)
+        rows += len(block[2])
+    yield _concat(run)
+
+
+def _concat(parts: List[Rows]) -> Rows:
+    """Empty ``parts`` into one row set (``owner`` ``None`` stays)."""
+    if len(parts) == 1:
+        return parts.pop()
+    cols = [None if col[0] is None else np.concatenate(col) for col in zip(*parts)]
+    parts.clear()
+    return tuple(cols)
 
 
 def _num_words(num_qubits: int) -> int:
@@ -379,8 +428,6 @@ class SymplecticPauli:
         """Collapse duplicate (x, z) rows (coefficients summed) and
         drop rows with ``|coeff| <= threshold``; rows come back in
         ascending ``(x, z)`` order (:func:`dedup_rows`)."""
-        if self.num_terms == 0:
-            return SymplecticPauli.zero(self.num_qubits)
         x, z, coeffs, _ = dedup_rows(
             self.num_qubits, self.x, self.z, self.coeffs, threshold
         )
@@ -410,129 +457,46 @@ class SymplecticPauli:
         self, other: "SymplecticPauli", threshold: float = 0.0
     ) -> "SymplecticPauli":
         """Operator product ``self @ other``: every row pair multiplied
-        with phase tracking, then one global dedup-and-sum.
+        with phase tracking, in blocks of at most ``_PAIR_CHUNK`` pairs
+        summed by :func:`fold_blocks` and chopped at ``threshold`` once.
 
-        Runs in pair chunks of ~2^20 so a 4747x4747 product stays
-        within a bounded transient footprint.
+        A 4747x4747 product holds one block and its running result
+        (~390k rows), never its 22.5M pairs.
         """
         self._check_compatible(other)
-        ta, tb = self.num_terms, other.num_terms
-        if ta == 0 or tb == 0:
+        if self.num_terms == 0 or other.num_terms == 0:
             return SymplecticPauli.zero(self.num_qubits)
-        if self.num_qubits <= 32:
-            return self._mul_packed(other, threshold)
-        w = self.num_words
-        # |x & z| popcounts of both operands, hoisted out of the chunk loop.
-        pa = popcount_words(self.x & self.z)
-        pb = popcount_words(other.x & other.z)
-        rows_per_chunk = max(1, _PAIR_CHUNK // tb)
-        pieces: List[SymplecticPauli] = []
-        for start in range(0, ta, rows_per_chunk):
-            sl = slice(start, min(start + rows_per_chunk, ta))
-            x1 = self.x[sl][:, None, :]
-            z1 = self.z[sl][:, None, :]
-            x3 = x1 ^ other.x[None, :, :]
-            z3 = z1 ^ other.z[None, :, :]
-            exponent = (
-                pa[sl][:, None]
-                + pb[None, :]
-                - popcount_words(x3 & z3)
-                + 2 * popcount_words(z1 & other.x[None, :, :])
-            ) % 4
-            coeffs = (
-                self.coeffs[sl][:, None] * other.coeffs[None, :]
-            ) * I_POW_ARR[exponent]
-            piece = SymplecticPauli(
-                self.num_qubits,
-                x3.reshape(-1, w),
-                z3.reshape(-1, w),
-                coeffs.ravel(),
-            )
-            # Dedup inside the chunk so the accumulated pieces stay small.
-            pieces.append(piece.dedup(threshold))
-        if len(pieces) == 1:
-            return pieces[0]
-        return _concat(pieces).dedup(threshold)
 
-    def _mul_packed(
-        self, other: "SymplecticPauli", threshold: float
-    ) -> "SymplecticPauli":
-        """Product specialization for n <= 32: each term is one packed
-        ``(x << 32) | z`` uint64, so the pair XOR, the phase popcounts
-        and the dedup sort all run on single uint64 arrays instead of
-        separate (x, z) row matrices."""
-        ta, tb = self.num_terms, other.num_terms
-        p1 = (self.x[:, 0] << _SHIFT32) | self.z[:, 0]
-        p2 = (other.x[:, 0] << _SHIFT32) | other.z[:, 0]
-        pa = _popcount_elem((p1 >> _SHIFT32) & p1).astype(np.int64)
-        pb = _popcount_elem((p2 >> _SHIFT32) & p2).astype(np.int64)
-        z1 = self.z[:, 0]
-        x2 = other.x[:, 0]
-        rows_per_chunk = max(1, _PACKED_PAIR_CHUNK // tb)
-        packed_pieces: List[np.ndarray] = []
-        coeff_pieces: List[np.ndarray] = []
-        for start in range(0, ta, rows_per_chunk):
-            sl = slice(start, min(start + rows_per_chunk, ta))
-            pp = p1[sl][:, None] ^ p2[None, :]
-            # x3 & z3 of every pair, still packed: the x field shifted
-            # down onto the z field.
-            xz3 = (pp >> _SHIFT32) & pp
-            z1x2 = z1[sl][:, None] & x2[None, :]
-            exponent = (
-                pa[sl][:, None]
-                + pb[None, :]
-                - _popcount_elem(xz3).astype(np.int64)
-                + 2 * _popcount_elem(z1x2).astype(np.int64)
-            ) % 4
-            coeffs = (
-                self.coeffs[sl][:, None] * other.coeffs[None, :]
-            ) * I_POW_ARR[exponent]
-            up, uc = _dedup_packed(pp.ravel(), coeffs.ravel(), threshold)
-            packed_pieces.append(up)
-            coeff_pieces.append(uc)
-        if len(packed_pieces) == 1:
-            up, uc = packed_pieces[0], coeff_pieces[0]
-        else:
-            up, uc = _dedup_packed(
-                np.concatenate(packed_pieces),
-                np.concatenate(coeff_pieces),
-                threshold,
+        def block(sl: slice) -> Rows:  # mapped, so its temporaries die young
+            x3, z3, coeffs = pauli_mul_batch(
+                self.x[sl][:, None], self.z[sl][:, None], self.coeffs[sl][:, None],
+                other.x[None], other.z[None], other.coeffs[None],
             )
-        return SymplecticPauli(
-            self.num_qubits,
-            (up >> _SHIFT32)[:, None],
-            (up & _MASK32)[:, None],
-            uc,
-        )
+            w = self.num_words
+            return x3.reshape(-1, w), z3.reshape(-1, w), coeffs.ravel(), None
+
+        return self._folded(map(block, row_blocks(self.num_terms, other.num_terms)), threshold)
+
+    def _folded(self, blocks: Iterable[Rows], threshold: float) -> "SymplecticPauli":
+        x, z, coeffs, _ = fold_blocks(self.num_qubits, blocks, threshold)
+        return SymplecticPauli(self.num_qubits, x, z, coeffs)
 
     def commutator(
         self, other: "SymplecticPauli", threshold: float = 0.0
     ) -> "SymplecticPauli":
         """[self, other]: only anticommuting row pairs contribute, each
-        with ``2 * P1 P2``."""
+        with ``2 * P1 P2``, found in blocks of at most ``_PAIR_CHUNK``
+        pairs and summed by :meth:`_pair_sums` and :func:`fold_blocks`."""
         self._check_compatible(other)
-        ta, tb = self.num_terms, other.num_terms
-        if ta == 0 or tb == 0:
+        if self.num_terms == 0 or other.num_terms == 0:
             return SymplecticPauli.zero(self.num_qubits)
-        pa = popcount_words(self.x & self.z)
-        pb = popcount_words(other.x & other.z)
-        rows_per_chunk = max(1, _PAIR_CHUNK // tb)
-        pieces: List[SymplecticPauli] = []
-        for start in range(0, ta, rows_per_chunk):
-            sl = slice(start, min(start + rows_per_chunk, ta))
+
+        def block(sl: slice) -> Tuple[np.ndarray, np.ndarray]:
             i, j = np.nonzero(self.anticommutation_matrix(other, rows=sl))
-            if i.size == 0:
-                continue
-            pieces.append(
-                self._pair_commutators(other, i + start, j, pa, pb).dedup(
-                    threshold
-                )
-            )
-        if not pieces:
-            return SymplecticPauli.zero(self.num_qubits)
-        if len(pieces) == 1:
-            return pieces[0]
-        return _concat(pieces).dedup(threshold)
+            return i + sl.start, j
+
+        pairs = map(block, row_blocks(self.num_terms, other.num_terms))
+        return self._folded(self._pair_sums(other, pairs), threshold)
 
     def commutator_x_clear(
         self,
@@ -546,14 +510,21 @@ class SymplecticPauli:
         A product's X part is ``x1 ^ x2``, clear on ``mask`` exactly when
         the two rows agree there, so the pairs are a join on ``x & mask``:
         each row of ``self`` meets only the rows of ``other`` with its
-        key, in blocks of at most ~2^20 pairs.  Equal to
-        ``commutator(other)`` with its ``x & mask`` rows dropped and then
-        chopped at ``threshold``.
+        key, in blocks of at most ``_PAIR_CHUNK`` pairs summed as in
+        :meth:`commutator`.  Equal to ``commutator(other)`` with its
+        ``x & mask`` rows dropped and then chopped at ``threshold``.
         """
         self._check_compatible(other)
-        ta, tb = self.num_terms, other.num_terms
-        if ta == 0 or tb == 0:
+        if self.num_terms == 0 or other.num_terms == 0:
             return SymplecticPauli.zero(self.num_qubits)
+        return self._folded(self._pair_sums(other, self._x_clear_pairs(other, mask)), threshold)
+
+    def _x_clear_pairs(
+        self, other: "SymplecticPauli", mask: np.ndarray
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The anticommuting pairs of the ``x & mask`` join in blocks (a
+        generator, so its tables are freed before the pairs are summed)."""
+        ta = self.num_terms
         mask = np.asarray(mask, dtype=np.uint64)
         keys = np.concatenate([self.x & mask, other.x & mask])
         _, group = np.unique(keys, axis=0, return_inverse=True)
@@ -564,56 +535,94 @@ class SymplecticPauli:
         first = np.cumsum(sizes) - sizes  # group g is by_group[first[g]:]
         partners = sizes[ga]
         reach = np.cumsum(partners)
-        pa = popcount_words(self.x & self.z)
-        pb = popcount_words(other.x & other.z)
-        pieces: List[SymplecticPauli] = []
         lo = 0
         while lo < ta:
             budget = reach[lo] - partners[lo] + _PAIR_CHUNK
             hi = max(lo + 1, int(np.searchsorted(reach, budget, side="right")))
             rep = partners[lo:hi]
-            n_pairs = int(rep.sum())
-            if n_pairs:
-                i = np.repeat(np.arange(lo, hi), rep)
-                rank = np.arange(n_pairs) - np.repeat(np.cumsum(rep) - rep, rep)
-                j = by_group[np.repeat(first[ga[lo:hi]], rep) + rank]
-                anti = (
-                    (
-                        popcount_words(self.x[i] & other.z[j])
-                        + popcount_words(self.z[i] & other.x[j])
-                    )
-                    & 1
-                ).astype(bool)
-                i, j = i[anti], j[anti]
-                if i.size:
-                    pieces.append(
-                        self._pair_commutators(other, i, j, pa, pb).dedup()
-                    )
+            i = np.repeat(np.arange(lo, hi), rep)
+            # pair k of row i is by_group[first[ga[i]] + rank of k in i]
+            j = np.repeat(first[ga[lo:hi]] - (np.cumsum(rep) - rep), rep)
+            j += np.arange(len(j))
+            j = by_group[j]
+            anti = (
+                popcount_words(self.x[i] & other.z[j])
+                + popcount_words(self.z[i] & other.x[j])
+            ) & 1
+            anti = anti.astype(bool)
+            i, j = i[anti], j[anti]
+            yield i, j
             lo = hi
-        if not pieces:
-            return SymplecticPauli.zero(self.num_qubits)
-        return _concat(pieces).dedup(threshold)
 
-    def _pair_commutators(
-        self,
-        other: "SymplecticPauli",
-        i: np.ndarray,
-        j: np.ndarray,
-        pa: np.ndarray,
-        pb: np.ndarray,
-    ) -> "SymplecticPauli":
-        """``2 P_i P_j`` for anticommuting row pairs ``(i, j)`` (not
-        deduplicated); ``pa`` / ``pb`` are the rows' ``|x & z|``."""
-        x1 = self.x[i]
-        z1 = self.z[i]
-        x2 = other.x[j]
-        x3 = x1 ^ x2
-        z3 = z1 ^ other.z[j]
-        exponent = (
-            pa[i] + pb[j] - popcount_words(x3 & z3) + 2 * popcount_words(z1 & x2)
-        ) % 4
-        coeffs = (2.0 * self.coeffs[i] * other.coeffs[j]) * I_POW_ARR[exponent]
-        return SymplecticPauli(self.num_qubits, x3, z3, coeffs)
+    def _pair_sums(
+        self, other: "SymplecticPauli", pairs: Iterable[Tuple[np.ndarray, np.ndarray]]
+    ) -> Iterator[Rows]:
+        """``2 P_i P_j`` over the anticommuting pairs ``(i, j)`` that
+        ``pairs`` yields, summed per ``_SORT_PAIRS`` pairs: each pair keeps
+        its packed ``(x << n) | z`` key and index (~12 bytes) until one
+        argsort of them all, so the sums are, to the bit, those of one
+        :func:`dedup_rows` call over the pairs' rows (:meth:`_key_sum`).
+        Registers too wide for one key word yield the rows themselves."""
+        n, tb = self.num_qubits, other.num_terms
+        if 2 * n > 64:
+            for i, j in pairs:
+                x3, z3, coeffs = pauli_mul_batch(
+                    self.x[i], self.z[i], 2.0 * self.coeffs[i],
+                    other.x[j], other.z[j], other.coeffs[j],
+                )
+                yield x3, z3, coeffs, None
+            return
+        narrow = np.min_scalar_type(self.num_terms * tb)
+        keys: List[np.ndarray] = []
+        index: List[np.ndarray] = []
+        count = 0
+        for i, j in pairs:
+            x3 = self.x[i, 0] ^ other.x[j, 0]
+            keys.append((x3 << np.uint64(n)) | (self.z[i, 0] ^ other.z[j, 0]))
+            index.append((i * tb + j).astype(narrow))
+            count += len(i)
+            if count >= _SORT_PAIRS:
+                yield self._key_sum(other, keys, index)
+                count = 0
+        if keys:
+            yield self._key_sum(other, keys, index)
+
+    def _key_sum(
+        self, other: "SymplecticPauli", keys_list: List[np.ndarray], index_list: List[np.ndarray]
+    ) -> Rows:
+        """Empty the key and index lists of :meth:`_pair_sums` into one
+        deduplicated row set: coefficients are formed and summed in key
+        order a few blocks of rows at a time, cut between equal keys."""
+        n, tb = self.num_qubits, other.num_terms
+        keys = np.concatenate(keys_list)
+        keys_list.clear()
+        index = np.concatenate(index_list)
+        index_list.clear()
+        if not len(keys):
+            return keys[:, None], keys[:, None], np.zeros(0, dtype=np.complex128), None
+        order = np.argsort(keys)
+        keys.sort()  # == keys[order], without a second array
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        # A sorted row's coefficient costs ~4x a block pair's transients.
+        cuts = np.arange(0, len(keys), max(1, _PAIR_CHUNK // 4))
+        edges = np.unique(starts[np.searchsorted(starts, cuts, side="right") - 1])
+        pa = popcount_words(self.x & self.z)
+        pb = popcount_words(other.x & other.z)
+        summed = []
+        for lo, hi in zip(edges, np.append(edges[1:], len(keys))):
+            i, j = np.divmod(index[order[lo:hi]], tb)
+            k = keys[lo:hi]
+            # pauli_mul_batch's phase rule, x3 and z3 read off the key
+            e = pa[i] + pb[j]
+            e -= _popcount_elem((k >> np.uint64(n)) & k)
+            e += 2 * _popcount_elem(self.z[i, 0] & other.x[j, 0])
+            coeffs = self.coeffs[i] * other.coeffs[j]
+            coeffs *= 2.0 * I_POW_ARR[e % 4]
+            s0, s1 = np.searchsorted(starts, [lo, hi])
+            summed.append(np.add.reduceat(coeffs, starts[s0:s1] - lo))
+        del order, index
+        x, z = np.divmod(keys[starts], np.uint64(1 << n))
+        return x[:, None], z[:, None], np.concatenate(summed), None
 
     # -- adjacency -----------------------------------------------------------
 
@@ -793,16 +802,6 @@ def _walsh_hadamard(d: np.ndarray) -> None:
             a += b
             b[...] = t
             h *= 2
-
-
-def _concat(pieces: List[SymplecticPauli]) -> SymplecticPauli:
-    first = pieces[0]
-    return SymplecticPauli(
-        first.num_qubits,
-        np.concatenate([p.x for p in pieces], axis=0),
-        np.concatenate([p.z for p in pieces], axis=0),
-        np.concatenate([p.coeffs for p in pieces]),
-    )
 
 
 # -- GF(2) linear algebra on packed rows --------------------------------------

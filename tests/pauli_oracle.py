@@ -5,9 +5,10 @@ These dict-of-terms loops are the oracle the packed symplectic engine
 per term pair for products and commutators, a member-by-member
 qubit-wise-commutation test for grouping, a chain of two-term
 ladder products per fermionic term for the mappings, the quadruple
-loop over spin-orbital integrals that built the fermionic Hamiltonian,
-and "commute fully, then project" for Hermitian downfolding (the whole BCH series
-in dict arithmetic, then a per-term reference projection).  They live
+loops that expanded the MO integrals to spin orbitals and built the
+fermionic Hamiltonian from them, and "commute fully, then project" for
+Hermitian downfolding (the whole BCH series in dict arithmetic, then a
+per-term reference projection).  They live
 under ``tests/`` because nothing in the package runs them; the property
 tests in ``tests/test_symplectic.py``, the downfolding tests and the
 per-term baselines of ``benchmarks/bench_pauli_algebra.py`` import them
@@ -24,6 +25,7 @@ from repro.chem.downfolding import external_sigma
 from repro.chem.fermion import FermionOperator
 from repro.chem.hamiltonian import MolecularHamiltonian
 from repro.chem.mappings import _get_mapper, jordan_wigner
+from repro.chem.mo import MOIntegrals
 from repro.chem.mp2 import run_mp2
 from repro.ir.pauli import PauliString, PauliSum
 from repro.utils.bitops import I_POW as _I_POW
@@ -34,6 +36,7 @@ __all__ = [
     "commutator_per_term",
     "group_qwc_per_term",
     "map_fermion_operator_per_term",
+    "spin_orbital_tensors_loop",
     "project_onto_reference_per_term",
     "bch_full",
     "hermitian_downfold_oracle",
@@ -175,6 +178,31 @@ def to_fermion_operator_loop(
                         key = ((p, True), (q, True), (s, False), (r, False))
                         terms[key] = terms.get(key, 0.0) + c
     return FermionOperator(terms)
+
+
+def spin_orbital_tensors_loop(mo: MOIntegrals) -> Tuple[np.ndarray, np.ndarray]:
+    """``chem.mo.spin_orbital_tensors`` one integral at a time:
+    ``h_so[2p+s, 2q+s] = h[p, q]`` and ``g_so[2p+sp, 2q+sq, 2r+sp,
+    2s+sq] = (pr|qs)`` over the n^4 x 4 spatial/spin index loop."""
+    n = mo.num_orbitals
+    h_so = np.zeros((2 * n, 2 * n))
+    for p in range(n):
+        for q in range(n):
+            h_so[2 * p, 2 * q] = mo.h_mo[p, q]
+            h_so[2 * p + 1, 2 * q + 1] = mo.h_mo[p, q]
+    g_so = np.zeros((2 * n,) * 4)
+    eri = mo.eri_mo
+    for p in range(n):
+        for q in range(n):
+            for r in range(n):
+                for s in range(n):
+                    val = eri[p, r, q, s]
+                    if val == 0.0:
+                        continue
+                    for sp in (0, 1):
+                        for sq in (0, 1):
+                            g_so[2 * p + sp, 2 * q + sq, 2 * r + sp, 2 * s + sq] = val
+    return h_so, g_so
 
 
 def project_onto_reference_per_term(

@@ -1,6 +1,8 @@
 """Tests for Hamiltonian assembly, active spaces, FCI references, and
 both downfolding variants (the paper's §2)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,15 +18,18 @@ from repro.chem.hamiltonian import (
     build_molecular_hamiltonian,
     synthetic_two_body_hamiltonian,
 )
-from repro.chem.mappings import jordan_wigner
+from repro.chem.mappings import jordan_wigner, map_fermion_operators
+from repro.chem.mo import spin_orbital_tensors, transform_to_mo
 from repro.chem.molecule import h2, h2o, h4_chain, lih
 from repro.chem.mp2 import run_mp2
 from repro.chem.scf import run_rhf
+from repro.chem.uccsd import excitation_generator, uccsd_excitations
 from repro.ir.pauli import PauliString, PauliSum
 from repro.ir.symplectic import pack_masks
 from tests.pauli_oracle import (
     hermitian_downfold_oracle,
     project_onto_reference_per_term,
+    spin_orbital_tensors_loop,
     to_fermion_operator_loop,
 )
 
@@ -77,6 +82,12 @@ class TestMolecularHamiltonian:
         got = mh.to_fermion_operator(threshold).terms
         want = to_fermion_operator_loop(mh, threshold).terms
         assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize("factory", [h2, lih, h2o])
+    def test_spin_orbital_tensors_match_loop(self, factory):
+        mo = transform_to_mo(run_rhf(factory()))
+        for got, want in zip(spin_orbital_tensors(mo), spin_orbital_tensors_loop(mo)):
+            assert np.array_equal(got, want)
 
     def test_synthetic_symmetries(self):
         mh = synthetic_two_body_hamiltonian(4, seed=3)
@@ -401,3 +412,75 @@ class TestMultiWord:
         assert max(
             abs(packed.terms[k] - c) for k, c in oracle.terms.items()
         ) < 1e-12
+
+
+class TestBlockedJoins:
+    """Every pair loop forms at most ``_PAIR_CHUNK`` pairs at a time and
+    sums them into one running result, so the Fig. 5 H2O joins give the
+    same terms at any block size and the downfold never holds a whole
+    join's pair transients."""
+
+    FIG5 = ([0], [1, 2, 3, 4, 5, 6])
+
+    @pytest.fixture(scope="class")
+    def operands(self, h2o_system):
+        scf, mh = h2o_system
+        n = mh.num_spin_orbitals
+        mp2 = run_mp2(mh, scf.mo_energies)
+        sigma = jordan_wigner(external_sigma(mp2, list(range(2, n))), n)
+        heff = hermitian_downfold(mh, scf.mo_energies, *self.FIG5).effective_hamiltonian
+        # the 300 heaviest terms after the identity (|c| ~ 75 would
+        # swamp an absolute tolerance on the product)
+        heavy = sorted(heff.terms.items(), key=lambda kv: -abs(kv[1]))[1:301]
+        singles, doubles = uccsd_excitations(12, 8)
+        pool = [excitation_generator(e) for e in list(singles) + list(doubles)]
+        return {
+            "h": mh.to_qubit().to_symplectic(),
+            "sigma": sigma.to_symplectic(),
+            "heavy": PauliSum(12, dict(heavy)).to_symplectic(),
+            "ops": [mh.to_fermion_operator()] + pool,
+            "frozen": pack_masks([0b11], n)[0],
+        }
+
+    @staticmethod
+    def _joins(o):
+        """Each join as a ``{(x, z): coeff}`` dict (the mapping one per
+        operator).  Sums that cancel exactly leave rounding residues
+        (|c| ~ 1e-18) that depend on the summation order, so the joins
+        chop at 1e-12: once, on the final sums."""
+        level1 = o["h"].commutator(o["sigma"], 1e-12)
+        return {
+            "commutator": level1.to_terms_dict(),
+            "commutator_x_clear": level1.commutator_x_clear(
+                o["sigma"], o["frozen"], 1e-12
+            ).to_terms_dict(),
+            "mul": o["heavy"].mul(o["heavy"], 1e-12).to_terms_dict(),
+            **{
+                f"map[{k}]": ps.terms
+                for k, ps in enumerate(map_fermion_operators(o["ops"], 14))
+            },
+        }
+
+    def test_same_terms_at_any_block_size(self, operands, monkeypatch):
+        default = self._joins(operands)
+        monkeypatch.setattr("repro.ir.symplectic._PAIR_CHUNK", 64)
+        small = self._joins(operands)
+        assert len(default["commutator_x_clear"]) > 1000
+        for name, want in default.items():
+            got = small[name]
+            assert want and set(got) == set(want), name
+            assert max(abs(got[k] - c) for k, c in want.items()) < 1e-12, name
+
+    def test_downfold_traced_peak_is_bounded(self, h2o_system):
+        """The level-2 join's 567k pairs are formed a block at a time and
+        its 290k anticommuting ones kept as 12-byte keys; forming the
+        whole join at once traced 33 MiB here."""
+        scf, mh = h2o_system
+        hermitian_downfold(mh, scf.mo_energies, *self.FIG5)  # warm caches
+        tracemalloc.start()
+        try:
+            hermitian_downfold(mh, scf.mo_energies, *self.FIG5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20

@@ -157,6 +157,40 @@ class TestEngineMatchesPerTerm:
         )
 
 
+class TestChopOnce:
+    """``threshold`` chops the final sums, never a block's partial sums:
+    with two-pair blocks every result term below is the sum of two
+    pairs from different blocks, each under the threshold alone."""
+
+    @staticmethod
+    def _operands(n):
+        """0.3 X_0 + 0.3 X_0 Z_{n-1} and Z_0 + Z_0 Z_{n-1}."""
+        last = 1 << (n - 1)
+        a = PauliSum(n, {(1, 0): 0.3, (1, last): 0.3}).to_symplectic()
+        b = PauliSum(n, {(0, 1): 1.0, (0, 1 | last): 1.0}).to_symplectic()
+        return a, b
+
+    @pytest.mark.parametrize("n", [2, 40])  # one uint64 key / the column sort
+    def test_commutator(self, monkeypatch, n):
+        a, b = self._operands(n)
+        exact = a.commutator(b).to_terms_dict()
+        assert len(exact) == 2
+        assert all(abs(abs(c) - 1.2) < 1e-12 for c in exact.values())
+        monkeypatch.setattr("repro.ir.symplectic._PAIR_CHUNK", 2)
+        chopped = a.commutator(b, threshold=1.08).to_terms_dict()
+        assert set(chopped) == set(exact)
+
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_product(self, monkeypatch, n):
+        a, b = self._operands(n)
+        exact = a.mul(b).to_terms_dict()
+        assert len(exact) == 2
+        assert all(abs(abs(c) - 0.6) < 1e-12 for c in exact.values())
+        monkeypatch.setattr("repro.ir.symplectic._PAIR_CHUNK", 2)
+        chopped = a.mul(b, threshold=0.5).to_terms_dict()
+        assert set(chopped) == set(exact)
+
+
 # -- operator protocol (scalar algebra) ---------------------------------------
 
 
