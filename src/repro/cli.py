@@ -748,8 +748,6 @@ _PLAN_STAT_ROWS = [
     ("repro_plan_diag_gates_folded_total", "diagonal gates folded"),
     ("repro_plan_executions_total", "plan executions"),
     ("repro_plan_ops_executed_total", "kernel ops executed"),
-    ("repro_plan_prefix_resumes_total", "prefix-state resumes"),
-    ("repro_plan_prefix_ops_skipped_total", "ops skipped via prefix reuse"),
 ]
 
 
@@ -836,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vqe.add_argument(
         "--plan-stats",
         action="store_true",
-        help="print compiled-circuit-plan counters (ops, fusion, prefix reuse)",
+        help="print compiled-circuit-plan counters (ops, fusion, executions)",
     )
     _add_obs_args(p_vqe)
     p_vqe.set_defaults(func=_cmd_vqe)
@@ -850,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt.add_argument(
         "--plan-stats",
         action="store_true",
-        help="print compiled-circuit-plan counters (ops, fusion, prefix reuse)",
+        help="print compiled-circuit-plan counters (ops, fusion, executions)",
     )
     _add_obs_args(p_adapt)
     p_adapt.set_defaults(func=_cmd_adapt)

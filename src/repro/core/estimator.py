@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.ir.circuit import Circuit
 from repro.ir.pauli import PauliSum
-from repro.sim.batched import reverse_value_and_gradient
+from repro.sim.batched import BatchedStatevectorSimulator, reverse_value_and_gradient
 from repro.sim.expectation import (
     expectation_basis_rotated,
     expectation_direct,
@@ -67,9 +67,8 @@ class Estimator(ABC):
         """Expectation from a compiled :class:`repro.sim.plan.ExecutionPlan`.
 
         The bind-free fast path of :meth:`estimate`: the simulator
-        executes the plan's prepacked kernel ops directly (with
-        cross-evaluation prefix-state reuse), then the same evaluation
-        strategy runs on the resulting state.
+        executes the plan's prepacked kernel ops directly, then the same
+        evaluation strategy runs on the resulting state.
         """
         self.evaluations += 1
         sim = self._simulator(plan.num_qubits)
@@ -83,14 +82,23 @@ class Estimator(ABC):
 
         ``rows`` has shape (R, P); returns the R expectation values in
         order.  ``VQE(fd_gradient=True)`` asks for a whole central-difference
-        sweep (``2P+1`` rows) in one call; every estimator here evaluates
-        the rows one after another.
+        sweep (``2P+1`` rows) in one call.  The rows run as one block
+        through :meth:`BatchedStatevectorSimulator.run_plan`; each row's
+        state is then copied into this estimator's simulator and
+        evaluated there, so the count and every estimator's tallies
+        are those of R :meth:`estimate_plan` calls.  A parametric gate
+        with no batched form (``u3``) raises the batched executor's
+        ``ValueError``.
         """
         rows = np.asarray(rows, dtype=float)
-        return np.array(
-            [self.estimate_plan(plan, row, observable) for row in rows],
-            dtype=float,
-        )
+        sim = self._simulator(plan.num_qubits)
+        block = BatchedStatevectorSimulator(plan.num_qubits, len(rows)).run_plan(plan, rows)
+        values = np.empty(len(rows))
+        for r, state in enumerate(block):
+            self.evaluations += 1
+            sim.state[:] = state
+            values[r] = self._evaluate(sim, observable)
+        return values
 
     def value_and_gradient(self, plan, params, observable: PauliSum):
         """``(energy, exact gradient)`` at ``params`` as one evaluation, for

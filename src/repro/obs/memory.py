@@ -12,17 +12,17 @@ Two halves:
   large buffer registers with (category, nbytes, owner span, rank):
   statevector amplitude buffers, distributed slices and exchange
   scratch, compiled-observable diagonals, execution-plan frozen data,
-  parked prefix states, and the serve-layer problem cache.  The ledger
-  maintains live bytes, per-category/per-rank peak watermarks, and
-  per-span attribution; it folds into ``RunReport`` v4 and the
+  cached post-ansatz states, and the serve-layer problem cache.  The
+  ledger maintains live bytes, per-category/per-rank peak watermarks,
+  and per-span attribution; it folds into ``RunReport`` v4 and the
   per-rank memory view of :mod:`repro.obs.perf`.  Like the tracer and
   the event bus it follows the enable/no-op discipline: when
   observability is off the instrumentation helpers in ``repro.obs``
   hand out handle 0 and every ledger call short-circuits on it.
 * :func:`estimate_statevector_job_bytes` — the predictive capacity
   model: amplitudes (2^n, or the (N, S_z) sector a number-conserving
-  job runs on) + workspace copies + compiled-observable passes +
-  plan/prefix overheads.  ``repro.serve`` wraps
+  job runs on) + workspace copies + compiled-observable passes and
+  rotation-step tables.  ``repro.serve`` wraps
   it as ``estimate_job_memory(spec)`` to drive memory-aware admission
   and (time, bytes)-aware placement.
 
@@ -276,7 +276,6 @@ def estimate_statevector_job_bytes(
     batch_size: int = 1,
     compiled_passes: Optional[int] = None,
     generator_terms: int = 0,
-    prefix_states: int = 2,
     workspace_states: int = 3,
     sector_dim: Optional[int] = None,
 ) -> Dict[str, int]:
@@ -295,9 +294,7 @@ def estimate_statevector_job_bytes(
       compiled, else the per-width estimate), plus one rotation step
       per ansatz generator or screened ADAPT pool operator
       (``generator_terms``): a one-byte class per amplitude, and on a
-      sector an 8-byte partner as well;
-    * ``prefix_cache`` — parked prefix states of the execution plan
-      (ADAPT re-parks per iteration, plain VQE keeps the tail park).
+      sector an 8-byte partner as well.
 
     Returns the per-component breakdown plus ``total``.  Validated
     against measured ledger peaks at 8-14 qubits in
@@ -322,7 +319,6 @@ def estimate_statevector_job_bytes(
         "amplitudes": AMPLITUDE_BYTES * dim * max(1, batch_size),
         "workspace": AMPLITUDE_BYTES * dim * max(0, workspace_states),
         "observable": observable_bytes(num_qubits, passes, dim) + generator_bytes,
-        "prefix_cache": AMPLITUDE_BYTES * dim * max(0, prefix_states),
     }
     breakdown["total"] = sum(breakdown.values())
     return breakdown

@@ -5,8 +5,8 @@ into an energy function and its exact gradient.  It runs no engine of
 its own: the generators are lowered to an
 :class:`repro.sim.plan.ExecutionPlan` (``from_generators``), the same
 program a compiled circuit is, so states come from ``plan.execute``
-(with the plan's prefix-state reuse) and gradients from the one
-reverse-mode sweep :func:`repro.sim.batched.reverse_value_and_gradient`.
+and gradients from the one reverse-mode sweep
+:func:`repro.sim.batched.reverse_value_and_gradient`.
 For E(theta) = <ref|U^dag H U|ref>, U = U_m ... U_1,
 U_k = exp(theta_k A_k), the sweep computes
 
@@ -149,8 +149,7 @@ class AnsatzObjective:
 
     def prepare_state(self, params: np.ndarray) -> np.ndarray:
         """|psi(theta)> = prod_k exp(theta_k A_k) |ref> (k ascending), a
-        fresh 2^n array; the plan resumes from its longest parked prefix
-        state when only a parameter suffix changed."""
+        fresh 2^n array from one full execution of the plan."""
         return self.plan.embed(self._plan_state(params))
 
     def _plan_state(self, params: np.ndarray) -> np.ndarray:

@@ -27,12 +27,10 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro import obs
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Parameter
 from repro.ir.pauli import PauliSum
 from repro.sim.batched import reverse_value_and_gradient
-from repro.sim.expectation import expectation_direct
 from repro.sim.plan import compile_circuit
 
 __all__ = [
@@ -122,62 +120,5 @@ def parameter_shift_gradient(
         e_down = estimate(circuit.bind(down), hamiltonian)
         # d(angle)/dp = coeff; chain rule restores it.
         grad[k] = 0.5 * (e_up - e_down) * pref.coeff
-    return grad
-
-
-def _prefix_parameter_shift_gradient(
-    circuit: Circuit,
-    hamiltonian: PauliSum,
-    params: np.ndarray,
-    occ: Dict[str, List[Parameter]],
-) -> np.ndarray:
-    """Shifted-evaluation path with explicit prefix reuse (the middle
-    rung the benchmark measures between naive bind+run and the
-    reverse-mode sweep).
-
-    Each shift-eligible parameter appears in exactly one gate, so the
-    shifted evaluations for parameter k share the op prefix up to that
-    gate with the unshifted circuit.  A base state is advanced through
-    the plan once (op position ``first_use[k]`` per parameter, ascending
-    by construction of ``Circuit.parameters``), and every shifted
-    evaluation copies the base prefix and replays only the suffix —
-    ~m * G kernel ops total instead of the naive 2 m G.
-    """
-    names = circuit.parameters
-    plan = compile_circuit(circuit)
-    base = np.zeros(plan.dim, dtype=np.complex128)
-    base[0] = 1.0
-    work = np.empty_like(base)
-    pos = 0
-    skipped = 0
-    grad = np.zeros(len(names))
-    for k, name in enumerate(names):
-        (pref,) = occ[name]
-        if pref.coeff == 0:
-            continue
-        fk = plan.first_use[k]
-        plan.execute_slice(base, params, pos, fk)
-        pos = fk
-        shift = math.pi / (2.0 * pref.coeff)
-        energies = []
-        for sign in (1.0, -1.0):
-            shifted = params.copy()
-            shifted[k] += sign * shift
-            work[:] = base
-            plan.execute_slice(work, shifted, fk)
-            energies.append(expectation_direct(work, hamiltonian))
-            skipped += fk
-        grad[k] = 0.5 * (energies[0] - energies[1]) * pref.coeff
-    if skipped and obs.enabled():
-        obs.inc(
-            "repro_plan_prefix_resumes_total",
-            2 * len(names),
-            help="Plan executions resumed from a parked prefix state",
-        )
-        obs.inc(
-            "repro_plan_prefix_ops_skipped_total",
-            skipped,
-            help="Kernel ops skipped via prefix-state reuse",
-        )
     return grad
 

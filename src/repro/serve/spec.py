@@ -301,7 +301,7 @@ def _model_inputs(molecule: str, kind: str) -> Dict[str, Any]:
     UCCSD operators that keep its reference's Z2 parities, on the
     reference's parity set; a VQE job runs the shared UCCSD circuit plan
     (circuit plans hold the full register) through the fused
-    value-and-gradient sweep, which parks no prefix states."""
+    value-and-gradient sweep."""
     inputs: Dict[str, Any] = {
         "compiled_passes": _PASSES_BY_MOLECULE.get(molecule),
         "generator_terms": _GENERATORS_BY_MOLECULE.get(molecule, 0),
@@ -310,8 +310,6 @@ def _model_inputs(molecule: str, kind: str) -> Dict[str, Any]:
         inputs["sector_dim"], inputs["generator_terms"] = _ADAPT_BY_MOLECULE.get(
             molecule, (sector_dim_for_molecule(molecule), inputs["generator_terms"])
         )
-    else:
-        inputs["prefix_states"] = 0
     return inputs
 
 

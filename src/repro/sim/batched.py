@@ -166,7 +166,6 @@ class BatchedStatevectorSimulator:
         self,
         circuit: Circuit,
         parameter_table: Mapping[str, np.ndarray],
-        reset: bool = True,
     ) -> np.ndarray:
         """Execute the circuit template with per-row parameters.
 
@@ -195,14 +194,9 @@ class BatchedStatevectorSimulator:
         rows = np.empty((self.batch_size, plan.num_parameters))
         for k, name in enumerate(plan.parameters):
             rows[:, k] = table[name]
-        return self.run_plan(plan, rows, reset=reset)
+        return self.run_plan(plan, rows)
 
-    def run_plan(
-        self,
-        plan,
-        param_rows: np.ndarray,
-        reset: bool = True,
-    ) -> np.ndarray:
+    def run_plan(self, plan, param_rows: np.ndarray) -> np.ndarray:
         """Execute a compiled :class:`repro.sim.plan.ExecutionPlan` with
         per-row parameter vectors.
 
@@ -226,8 +220,7 @@ class BatchedStatevectorSimulator:
                 f"expected param_rows of shape "
                 f"({self.batch_size}, {plan.num_parameters})"
             )
-        if reset:
-            self.reset()
+        self.reset()
         for op in plan.ops:
             kind, payload = op.resolve(param_rows)
             apply_op(self.states, kind, payload, op.qubits, self.num_qubits)

@@ -1,4 +1,4 @@
-"""Compiled circuit execution: bind-free plans with prefix-state reuse.
+"""Compiled circuit execution: bind-free plans.
 
 ``compile_circuit`` lowers a (possibly parameterized) circuit once to a
 flat list of ops, so that the thousands of energy and gradient
@@ -55,20 +55,11 @@ emits no reference ``x`` ops and ``execute`` starts at the reference's
 position ``plan.origin``.  Any other generator plan (a qubit pool, say)
 emits the reference's ``x`` ops and holds the full register, as before.
 
-On top of the flat op list, plans support cross-evaluation
-**prefix-state reuse**: consecutive ``execute`` calls record the last
-parameter vector, and intermediate states are parked at parametric-op
-boundaries (at most ``PREFIX_BUDGET`` of them, budgeted through
-:class:`repro.sim.cache.PostAnsatzCache` device/host accounting).
-When only a suffix of the parameters changes — exactly the access
-pattern of parameter-shift gradients (2P shifted evaluations differing
-in one parameter) and ADAPT warm starts — the plan resumes from the
-longest parked prefix instead of replaying the whole circuit.
-
-Consumers: ``StatevectorSimulator.run_plan``, the estimators'
-``estimate_plan``, ``CachedEnergyEvaluator``, the parameter-shift
-gradients, ``BatchedStatevectorSimulator.run_plan``, the reverse-mode
-sweep, ``repro.opt.gradient.AnsatzObjective``, and the slice-aware
+Consumers: ``StatevectorSimulator.run_plan`` (the estimators'
+``estimate_plan``, ``CachedEnergyEvaluator``),
+``BatchedStatevectorSimulator.run_plan`` (the estimators'
+``estimate_plan_many``), the reverse-mode sweep (the parameter-shift
+gradient, ``repro.opt.gradient.AnsatzObjective``), and the slice-aware
 ``DistributedStatevector.run_plan``.  The three simulators hold a full
 register and refuse a sector plan; ``execute`` and the reverse-mode
 sweep take either.
@@ -89,7 +80,6 @@ from repro.ir.gates import GATE_SET, Gate, Parameter
 from repro.ir.pauli import PauliString, PauliSum
 from repro.ir.symplectic import parity_flips
 from repro.sim import kernels
-from repro.sim.cache import PostAnsatzCache
 from repro.sim.fusion import fuse_circuit
 from repro.utils.bitops import I_POW, basis_indices, popcount, sector_of
 
@@ -105,11 +95,6 @@ __all__ = [
 # Widest register for which a run of wide-support diagonal gates is
 # folded into one dense 2^n diagonal (16 MiB of complex128 at 20).
 FULL_DIAG_FOLD_MAX_QUBITS = 20
-
-# Prefix-state reuse: how many intermediate states one plan may park,
-# and the device-tier byte budget of the cache that holds them.
-PREFIX_BUDGET = 8
-PREFIX_DEVICE_BYTES = 1 << 30
 
 # Rotation gates exp(-i theta/2 Q): the local (x, z) bits of Q.
 _ROTATION_AXES: Dict[str, Tuple[int, int]] = {
@@ -153,7 +138,7 @@ class PlanOp:
       of a ``gate`` op (a rotation step's slot has coefficient 1 and
       offset 0: its coefficients live in the step's weights);
     * ``param_deps`` — parameter indices this op depends on (empty for
-      static ops), used by prefix-reuse bookkeeping;
+      static ops);
     * ``source_gates`` — how many source gates this op absorbs.
     """
 
@@ -545,9 +530,10 @@ class ExecutionPlan:
     Plans are immutable snapshots of their source circuit (like
     :class:`repro.ir.compiled.CompiledPauliSum` for observables); use
     :func:`compile_circuit` for the memoized, auto-invalidating entry
-    point.  ``execute(state, params)`` is a tight loop over the op
-    ops through :func:`repro.sim.kernels.apply_op` — zero ``Gate``
-    construction, zero ``bind`` copies per call.
+    point.  ``execute(state, params)`` is a tight loop over the ops
+    through :func:`repro.sim.kernels.apply_op` — zero ``Gate``
+    construction, zero ``bind`` copies per call, and no state kept
+    between calls: every execution starts from the plan's start state.
 
     ``fold_full_diag=False`` keeps runs of wide-support diagonal gates
     unfolded instead of one 2^n diagonal; every executor takes either
@@ -636,10 +622,10 @@ class ExecutionPlan:
         self, ops: List[PlanOp], num_qubits: int, parameters: List[str],
         source_gate_count: int, index: Optional[np.ndarray] = None, start: int = 0,
     ) -> None:
-        """Take ``ops`` as the plan: sizes, prefix-reuse bookkeeping,
-        memory and compile metrics — whatever lowered them.  ``index``
-        is the plan's index set (``None``: the full register) and
-        ``start`` the basis state its state starts in before the ops."""
+        """Take ``ops`` as the plan: sizes, memory and compile metrics —
+        whatever lowered them.  ``index`` is the plan's index set
+        (``None``: the full register) and ``start`` the basis state its
+        state starts in before the ops."""
         self.num_qubits = num_qubits
         self.index = basis_indices(num_qubits) if index is None else index
         self.dim = self.index.size
@@ -651,33 +637,6 @@ class ExecutionPlan:
         self._ops = ops
         self.num_ops = len(ops)
         obs.mem_track(self, "plan_data", self.data_bytes())
-
-        # -- prefix-reuse bookkeeping ---------------------------------------
-        # first op index touching each parameter
-        self.first_use: List[int] = [self.num_ops] * self.num_parameters
-        for i, op in enumerate(ops):
-            for k in op.param_deps:
-                if i < self.first_use[k]:
-                    self.first_use[k] = i
-        # park boundaries: entries of parametric ops, plus the end
-        boundaries = sorted({i for i, op in enumerate(ops) if op.param_deps})
-        boundaries.append(self.num_ops)
-        self._boundaries = boundaries
-        # parameters whose value the state at each boundary depends on
-        deps_before: Dict[int, Tuple[int, ...]] = {}
-        seen: set = set()
-        bi = 0
-        for i in range(self.num_ops + 1):
-            while bi < len(boundaries) and boundaries[bi] == i:
-                deps_before[i] = tuple(sorted(seen))
-                bi += 1
-            if i < self.num_ops:
-                seen |= ops[i].param_deps
-        self._deps_before = deps_before
-
-        self.clear_prefix_cache()
-        self.prefix_resumes = 0
-        self.prefix_ops_skipped = 0
 
         if obs.enabled():
             obs.inc("repro_plan_compile_total", help="Circuit-plan compilations")
@@ -763,7 +722,6 @@ class ExecutionPlan:
         step; ``fused_gates_removed`` is still what <= 2-qubit fusion
         removed, now from the residue only (about 0 on UCCSD, where the
         frame leaves nothing to fuse)."""
-        cache = self._prefix_cache
         return {
             "source_gates": self.source_gate_count,
             "ops": self.num_ops,
@@ -773,11 +731,6 @@ class ExecutionPlan:
             "rotations_merged": self.rotations_merged,
             "fused_gates_removed": self.fused_gates_removed,
             "diag_gates_folded": self.diag_gates_folded,
-            "prefix_resumes": self.prefix_resumes,
-            "prefix_ops_skipped": self.prefix_ops_skipped,
-            "prefix_cache_hits": cache.hits,
-            "prefix_cache_misses": cache.misses,
-            "prefix_cache_entries": len(cache),
         }
 
     def __repr__(self) -> str:
@@ -800,136 +753,31 @@ class ExecutionPlan:
             )
         return params
 
-    def _prefix_key(self, pos: int, params: np.ndarray) -> np.ndarray:
-        deps = self._deps_before[pos]
-        key = np.empty(1 + len(deps))
-        key[0] = float(pos)
-        for j, k in enumerate(deps):
-            key[1 + j] = params[k]
-        return key
-
-    def _find_resume(self, params: np.ndarray):
-        cache = self._prefix_cache
-        # only positions with a state parked right now can hit
-        for pos in sorted({int(key[0]) for key in cache.keys()}, reverse=True):
-            snap = cache.get(self._prefix_key(pos, params))
-            if snap is not None:
-                return pos, snap
-        return None
-
-    def _park_targets(self, params: np.ndarray) -> Tuple[int, ...]:
-        targets = {self.num_ops}
-        last = self._last_params
-        if last is not None and last.shape == params.shape:
-            changed = np.nonzero(params != last)[0]
-            if changed.size:
-                first_op = min(self.first_use[int(c)] for c in changed)
-                # largest boundary <= the earliest affected op
-                best = 0
-                for b in self._boundaries:
-                    if b <= first_op:
-                        best = b
-                    else:
-                        break
-                if best > 0:
-                    targets.add(best)
-        return tuple(sorted(targets))
-
-    def execute(
-        self,
-        state: np.ndarray,
-        params: Sequence[float] = (),
-        reset: bool = True,
-    ) -> np.ndarray:
-        """Run the plan in place on ``state`` and return it.
-
-        With ``reset=True`` (the default) the buffer is initialized to
-        the plan's start state (|0...0> on the full register, the
-        reference on a sector) — or, when prefix reuse finds a parked
-        intermediate state consistent with ``params``, to that state,
-        skipping its prefix of ops.  With ``reset=False`` the plan is applied to the
-        caller's current state and prefix reuse is bypassed (the
-        provenance of the state is unknown).
-        """
+    def execute(self, state: np.ndarray, params: Sequence[float] = ()) -> np.ndarray:
+        """Run the plan in place on ``state`` and return it: the buffer
+        is set to the plan's start state (|0...0> on the full register,
+        the reference on a sector) and every op is applied to it."""
         params = self._check_params(params)
         if state.shape != (self.dim,):
             raise ValueError(
                 f"state dimension mismatch: expected shape ({self.dim},), got {state.shape}"
             )
-        start = 0
-        if not reset:
-            self._run(state, params, 0, self.num_ops)
-        else:
-            resume = self._find_resume(params)
-            if resume is not None:
-                start, snap = resume
-                state[:] = snap
-                self.prefix_resumes += 1
-                self.prefix_ops_skipped += start
-            else:
-                state.fill(0)
-                state[self.origin] = 1.0
-            i = start
-            for pos in self._park_targets(params):  # ends at num_ops
-                if pos < i:
-                    continue
-                self._run(state, params, i, pos)
-                i = pos
-                if pos < self.num_ops or i > start:
-                    self._prefix_cache.put(self._prefix_key(pos, params), state.copy())
-            self._last_params = params.copy()
+        state.fill(0)
+        state[self.origin] = 1.0
+        n, apply_op = self.num_qubits, kernels.apply_op
+        for op in self._ops:
+            kind, payload = op.resolve(params)
+            apply_op(state, kind, payload, op.qubits, n)
         if obs.enabled():
             obs.inc(
                 "repro_plan_executions_total", help="Compiled-plan executions"
             )
             obs.inc(
                 "repro_plan_ops_executed_total",
-                self.num_ops - start,
+                self.num_ops,
                 help="Kernel ops executed by compiled plans",
             )
-            if start:
-                obs.inc(
-                    "repro_plan_prefix_resumes_total",
-                    help="Plan executions resumed from a parked prefix state",
-                )
-                obs.inc(
-                    "repro_plan_prefix_ops_skipped_total",
-                    start,
-                    help="Kernel ops skipped via prefix-state reuse",
-                )
         return state
-
-    def execute_slice(
-        self,
-        state: np.ndarray,
-        params: Sequence[float],
-        start: int,
-        stop: Optional[int] = None,
-    ) -> np.ndarray:
-        """Run ops ``[start, stop)`` on the caller's state — the
-        explicit-prefix form the parameter-shift gradient drives."""
-        params = self._check_params(params)
-        stop = self.num_ops if stop is None else stop
-        if not (0 <= start <= stop <= self.num_ops):
-            raise ValueError(f"invalid op range [{start}, {stop})")
-        self._run(state, params, start, stop)
-        return state
-
-    def _run(self, state: np.ndarray, params: np.ndarray, start: int, stop: int) -> None:
-        n, apply_op = self.num_qubits, kernels.apply_op
-        for op in self._ops[start:stop]:
-            kind, payload = op.resolve(params)
-            apply_op(state, kind, payload, op.qubits, n)
-
-    def clear_prefix_cache(self) -> None:
-        """Drop parked prefix states (frees memory; never affects
-        correctness — only future reuse opportunities)."""
-        self._prefix_cache = PostAnsatzCache(
-            device_capacity_bytes=PREFIX_DEVICE_BYTES,
-            max_entries=PREFIX_BUDGET,
-            mem_category="prefix_cache",
-        )
-        self._last_params: Optional[np.ndarray] = None
 
 
 def compile_circuit(circuit: Circuit, fold_full_diag: bool = True) -> ExecutionPlan:

@@ -114,18 +114,14 @@ class StatevectorSimulator:
         basis rotations on top of a cached state)."""
         return self.run(circuit, reset=False)
 
-    def run_plan(
-        self,
-        plan,
-        params: Sequence[float] = (),
-        reset: bool = True,
-    ) -> np.ndarray:
+    def run_plan(self, plan, params: Sequence[float] = ()) -> np.ndarray:
         """Execute a compiled :class:`repro.sim.plan.ExecutionPlan` with
-        the given parameter vector; returns the live statevector.
+        the given parameter vector from the plan's start state; returns
+        the live statevector.
 
         The bind-free fast path of :meth:`run`: no ``Gate`` objects, no
         circuit copies — the plan's ops run directly on the simulator's
-        buffer, with prefix-state reuse when ``reset``.
+        buffer.
         """
         if plan.num_qubits != self.num_qubits:
             raise ValueError(
@@ -135,7 +131,7 @@ class StatevectorSimulator:
         with obs.span(
             "sim.run_plan", ops=plan.num_ops, qubits=self.num_qubits
         ):
-            plan.execute(self.state, params, reset=reset)
+            plan.execute(self.state, params)
         self.gates_applied += plan.num_ops
         return self.state
 

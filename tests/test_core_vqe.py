@@ -8,7 +8,7 @@ from repro.chem.hamiltonian import (
     build_molecular_hamiltonian,
     synthetic_two_body_hamiltonian,
 )
-from repro.chem.molecule import h2
+from repro.chem.molecule import h2, h4_chain
 from repro.chem.reference import hartree_fock_state
 from repro.chem.scf import run_rhf
 from repro.chem.uccsd import build_uccsd_circuit, uccsd_generators
@@ -21,7 +21,10 @@ from repro.core.counting import (
 )
 from repro.core.estimator import make_estimator
 from repro.core.vqe import VQE
+from repro.ir.circuit import Circuit
+from repro.ir.gates import Parameter
 from repro.ir.pauli import PauliSum
+from repro.sim.plan import compile_circuit
 from tests.scipy_oracle import ScipyOptimizer
 
 
@@ -176,6 +179,46 @@ class TestEstimators:
             make_estimator("magic")
 
 
+@pytest.fixture(scope="module")
+def h4_fd_rows():
+    """The H4 UCCSD circuit plan and one central-difference sweep's
+    2P+1 rows, laid out as ``VQE(fd_gradient=True)`` asks for them."""
+    mh = build_molecular_hamiltonian(run_rhf(h4_chain()))
+    plan = compile_circuit(build_uccsd_circuit(mh.num_spin_orbitals, mh.num_electrons).circuit)
+    p = plan.num_parameters
+    rows = np.tile(np.random.default_rng(0).uniform(-0.2, 0.2, p), (2 * p + 1, 1))
+    for k in range(p):
+        rows[1 + 2 * k, k] += 1e-6
+        rows[2 + 2 * k, k] -= 1e-6
+    return plan, rows, mh.to_qubit()
+
+
+class TestFiniteDifferenceRows:
+    """``estimate_plan_many`` runs its rows as one batched block and is,
+    bit for bit, a loop of ``estimate_plan``."""
+
+    @pytest.mark.parametrize(
+        "name, kwargs, nrows",
+        [("direct", {}, None), ("caching", {}, 9),
+         ("sampling", {"shots_per_group": 64, "seed": 3}, 9)],
+    )
+    def test_equals_a_loop_of_estimate_plan(self, h4_fd_rows, name, kwargs, nrows):
+        plan, rows, h = h4_fd_rows
+        rows = rows[:nrows]
+        block, loop = make_estimator(name, **kwargs), make_estimator(name, **kwargs)
+        values = block.estimate_plan_many(plan, rows, h)
+        expected = np.array([loop.estimate_plan(plan, row, h) for row in rows])
+        assert np.array_equal(values, expected)
+        assert block.evaluations == loop.evaluations == len(rows)
+        assert getattr(block, "extra_gates", 0) == getattr(loop, "extra_gates", 0)
+
+    def test_parametric_u3_is_refused_by_name(self):
+        circ = Circuit(2).add("u3", [0], Parameter("a"), 0.4, -1.1).add("cx", [0, 1])
+        h = PauliSum.from_label_dict({"ZZ": 1.0})
+        with pytest.raises(ValueError, match="parameterized gate 'u3'"):
+            VQE(h, ansatz=circ, fd_gradient=True).run()
+
+
 class TestPostAnsatzCache:
     def test_hit_miss_accounting(self):
         cache = PostAnsatzCache()
@@ -191,6 +234,18 @@ class TestPostAnsatzCache:
             cache.put(np.array([float(k)]), np.ones(4, dtype=complex))
         assert len(cache) == 2
         assert cache.get(np.array([0.0])) is None  # evicted
+
+    def test_hit_refreshes_recency(self):
+        """A hit makes its state the most recently used: the next
+        insert evicts the other one."""
+        cache = PostAnsatzCache(max_entries=2)
+        a, b, c = (np.array([float(k)]) for k in range(3))
+        cache.put(a, np.ones(4, dtype=complex))
+        cache.put(b, np.ones(4, dtype=complex))
+        assert cache.get(a) is not None
+        cache.put(c, np.ones(4, dtype=complex))
+        assert cache.get(a) is not None
+        assert cache.get(b) is None  # least recently used
 
     def test_device_capacity_spill(self):
         """States beyond device capacity are host-resident (§4.1.4)."""

@@ -33,8 +33,6 @@ READERS = {
     "repro_plan_diag_gates_folded_total": _PLAN_STATS,
     "repro_plan_executions_total": _PLAN_STATS,
     "repro_plan_ops_executed_total": _PLAN_STATS,
-    "repro_plan_prefix_resumes_total": _PLAN_STATS,
-    "repro_plan_prefix_ops_skipped_total": _PLAN_STATS,
     "repro_plan_cache_total": _PLAN_STATS,
     "repro_comm_faults_total": "tests/test_serve.py::TestCommFaultKindMetrics",
     "repro_comm_retries_by_kind_total": "tests/test_serve.py::TestCommFaultKindMetrics",

@@ -1,9 +1,7 @@
 """Compiled circuit plans (repro.sim.plan) and the one kernel set under
 them (repro.sim.kernels): every executor against gate-by-gate
-simulation, prefix-reuse correctness and invalidation, the >=3-qubit
-dense fallback, and the plan wiring through estimators and gradients."""
-
-from unittest import mock
+simulation, invalidation, the >=3-qubit dense fallback, and the plan
+wiring through estimators and gradients."""
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ from repro.ir.circuit import Circuit
 from repro.ir.gates import Gate, Parameter
 from repro.ir.pauli import PauliSum
 from repro.sim import kernels
-from repro.sim import plan as plan_module
 from repro.sim.batched import BatchedStatevectorSimulator
 from repro.sim.plan import ExecutionPlan, compile_circuit, unbound_parameter_message
 from repro.sim.statevector import StatevectorSimulator
@@ -174,11 +171,10 @@ class TestPlanEquivalence:
     @given(parameterized_circuits(), st.data(), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_matches_naive_bind_run(self, circ, data, fold_full):
-        with mock.patch.object(plan_module, "PREFIX_BUDGET", 3):
-            plan = ExecutionPlan(circ, fold_full_diag=fold_full)
+        plan = ExecutionPlan(circ, fold_full_diag=fold_full)
         state = np.empty(plan.dim, dtype=np.complex128)
         # several evaluations against one plan: some fresh vectors, some
-        # single-parameter perturbations (the prefix-reuse pattern)
+        # single-parameter perturbations (the parameter-shift pattern)
         params = np.array(
             [data.draw(angles) for _ in range(plan.num_parameters)]
         )
@@ -203,21 +199,6 @@ class TestPlanEquivalence:
         sim = StatevectorSimulator(circ.num_qubits)
         got = sim.run_plan(plan, params).copy()
         np.testing.assert_allclose(got, _naive_state(circ, params), atol=1e-10)
-
-    def test_execute_slice_composes(self):
-        circ = Circuit(3)
-        for q in range(3):
-            circ.h(q)
-            circ.rz(Parameter(f"a{q}"), q)
-            circ.cx(q, (q + 1) % 3)
-        plan = ExecutionPlan(circ)
-        params = np.array([0.3, -1.1, 2.2])
-        state = np.zeros(plan.dim, dtype=np.complex128)
-        state[0] = 1.0
-        cut = plan.first_use[1]
-        plan.execute_slice(state, params, 0, cut)
-        plan.execute_slice(state, params, cut)
-        np.testing.assert_allclose(state, _naive_state(circ, params), atol=1e-10)
 
 
 # -- the Pauli-frame pass -----------------------------------------------------
@@ -245,12 +226,6 @@ class TestFramePass:
         state = np.empty(plan.dim, dtype=np.complex128)
         plan.execute(state, params)
         # not up to a global phase: the same amplitudes
-        np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
-        cut = data.draw(st.integers(0, plan.num_ops))
-        state[:] = 0.0
-        state[0] = 1.0
-        plan.execute_slice(state, params, 0, cut)
-        plan.execute_slice(state, params, cut)
         np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
 
     @given(parameterized_circuits(parametric_u3=False), st.data())
@@ -491,7 +466,7 @@ class TestKernelSet:
             kernels.apply_op(np.ones(8, dtype=np.complex128), "swap", None, (0, 1), 3)
 
 
-# -- prefix reuse and invalidation -------------------------------------------
+# -- invalidation -------------------------------------------------------------
 
 
 def _shift_circuit(m=4, n=3):
@@ -500,79 +475,6 @@ def _shift_circuit(m=4, n=3):
         circ.ry(Parameter(f"t{k}"), k % n)
         circ.cx(k % n, (k + 1) % n)
     return circ
-
-
-class TestPrefixReuse:
-    def test_shift_pattern_resumes_and_stays_exact(self):
-        circ = _shift_circuit()
-        plan = ExecutionPlan(circ)
-        base = np.linspace(0.1, 0.7, plan.num_parameters)
-        state = np.empty(plan.dim, dtype=np.complex128)
-        plan.execute(state, base)
-        for k in range(plan.num_parameters):
-            for sign in (1.0, -1.0):
-                shifted = base.copy()
-                shifted[k] += sign * np.pi / 2
-                plan.execute(state, shifted)
-                np.testing.assert_allclose(
-                    state, _naive_state(circ, shifted), atol=1e-10
-                )
-            # re-parking the base between up/down shifts guarantees a
-            # resume for every down-shift at least
-            plan.execute(state, base)
-        assert plan.prefix_resumes > 0
-        assert plan.prefix_ops_skipped > 0
-
-    def test_resume_probes_only_parked_positions(self):
-        """A miss is a parked state whose parameters do not match — not
-        one of the plan's boundaries with nothing parked at it."""
-        with mock.patch.object(plan_module, "PREFIX_BUDGET", 2):
-            plan = ExecutionPlan(_shift_circuit(m=12))
-        state = np.empty(plan.dim, dtype=np.complex128)
-        plan.execute(state, np.zeros(plan.num_parameters))
-        assert plan.stats()["prefix_cache_misses"] == 0  # nothing parked yet
-        for k in range(1, 6):
-            plan.execute(state, np.full(plan.num_parameters, 0.1 * k))
-        assert plan.stats()["prefix_cache_misses"] <= 5 * 2  # budget per call
-
-    def test_tiny_budget_still_exact(self):
-        circ = _shift_circuit()
-        with mock.patch.object(plan_module, "PREFIX_BUDGET", 1):
-            plan = ExecutionPlan(circ)
-        state = np.empty(plan.dim, dtype=np.complex128)
-        rng = np.random.default_rng(7)
-        for _ in range(6):
-            params = rng.uniform(-2, 2, plan.num_parameters)
-            plan.execute(state, params)
-            np.testing.assert_allclose(
-                state, _naive_state(circ, params), atol=1e-10
-            )
-
-    def test_reset_false_bypasses_prefix_cache(self):
-        circ = _shift_circuit()
-        plan = ExecutionPlan(circ)
-        params = np.full(plan.num_parameters, 0.4)
-        state = np.empty(plan.dim, dtype=np.complex128)
-        plan.execute(state, params)  # parks the final state
-        custom = np.zeros(plan.dim, dtype=np.complex128)
-        custom[1] = 1.0
-        expect = custom.copy()
-        plan.execute(custom, params, reset=False)
-        # reference: apply the bound circuit to |001>
-        sim = StatevectorSimulator(circ.num_qubits)
-        sim.set_state(expect)
-        sim.apply_circuit(circ.bind(list(params)))
-        np.testing.assert_allclose(custom, sim.statevector(), atol=1e-10)
-
-    def test_clear_prefix_cache(self):
-        circ = _shift_circuit()
-        plan = ExecutionPlan(circ)
-        params = np.full(plan.num_parameters, 0.2)
-        state = np.empty(plan.dim, dtype=np.complex128)
-        plan.execute(state, params)
-        plan.clear_prefix_cache()
-        plan.execute(state, params)
-        np.testing.assert_allclose(state, _naive_state(circ, params), atol=1e-10)
 
 
 class TestInvalidation:
