@@ -4,7 +4,7 @@ Drives the real CLI in subprocesses, exactly like an operator would:
 
 1. spool submissions from three tenants (``repro submit``),
 2. start ``repro serve`` with an injected rank crash and durable
-   (fsync) journaling, let campaigns get in flight,
+   (fsync) journaling, let campaigns get in flight and one finish,
 3. ``SIGKILL`` the server — no atexit handlers, no flushing,
 4. spool more submissions while the server is down,
 5. restart the server and let it drain the backlog,
@@ -22,11 +22,14 @@ Drives the real CLI in subprocesses, exactly like an operator would:
    live set holding only the shared problem cache and pooled
    simulators — never per-job buffers retained after their jobs
    reached a terminal state,
-9. assert the checkpoint files came through the kill: every finished
-   VQE campaign's ``vqe_params.json`` is its one-line result, every
-   finished ADAPT campaign's ``adapt_state.json`` parses and holds the
-   journalled energy at a converged or ``max_iterations`` state (its
-   final save), and each warm-start family folds to one entry per
+9. assert the restarted server batched the same-molecule campaigns,
+10. assert the checkpoint log came through the kill: a copy taken
+   between the kill and the restart, and the log after the final
+   drain, fold every finished VQE campaign to its final save and
+   every finished ADAPT campaign to a final save holding the
+   journalled energy at a converged or ``max_iterations`` state; the
+   restart's compaction left no line of a job that was terminal when
+   it ran; and each warm-start family folds to one entry per
    converged geometry.
 
 Run from the repository root:
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -50,10 +54,12 @@ import time
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
+from repro.core.campaign import CheckpointLog  # noqa: E402
 from repro.obs.events import read_events  # noqa: E402
 from repro.serve.journal import Journal  # noqa: E402
 from repro.serve.spec import JobSpec  # noqa: E402
 from repro.serve.store import read_warm_family  # noqa: E402
+from repro.utils.jsonl import parse_lines  # noqa: E402
 
 
 def _cli(*args: str, check: bool = True) -> subprocess.CompletedProcess:
@@ -123,25 +129,30 @@ def _wait_for_journal(state_dir: str, record_type: str, timeout_s: float) -> boo
     return False
 
 
-def _adapt_state_failures(state_dir: str, job_id: str, spec, energy) -> list:
-    """What is wrong with a finished ADAPT job's final checkpoint: it
-    must parse, hold the journalled energy, and be converged or at the
+def _final_save_failures(log: CheckpointLog, job_id: str, spec, energy) -> list:
+    """What is wrong with a finished job's fold in the checkpoint log: a
+    VQE job's latest line must be its final save, and an ADAPT job's
+    state must hold the journalled energy and be converged or at the
     job's ``max_iterations``."""
-    path = os.path.join(state_dir, "jobs", job_id, "adapt_state.json")
+    kinds = ("adapt",) if spec.kind == "adapt" else ("vqe", "vqe_final")
     try:
-        with open(path) as fh:
-            state = json.load(fh)
-    except (OSError, ValueError) as err:
-        return [f"{job_id}: unreadable adapt_state.json ({err})"]
+        state = log.load(job_id, kinds)
+    except ValueError as err:
+        return [f"{job_id}: unreadable checkpoint ({err})"]
+    if state is None:
+        return [f"{job_id}: no checkpoint line in {log.path}"]
     failures = []
     if state.get("energy") != energy:
         failures.append(
-            f"{job_id}: adapt_state.json energy {state.get('energy')!r} != "
+            f"{job_id}: checkpoint energy {state.get('energy')!r} != "
             f"journalled {energy!r}"
         )
-    if not (state.get("converged") or state.get("iteration") == spec.max_iterations):
+    if spec.kind != "adapt":
+        if log.latest(job_id, kinds) != "vqe_final":
+            failures.append(f"{job_id}: latest VQE line is not the final save")
+    elif not (state.get("converged") or state.get("iteration") == spec.max_iterations):
         failures.append(
-            f"{job_id}: final adapt_state.json is neither converged nor at "
+            f"{job_id}: final ADAPT state is neither converged nor at "
             f"max_iterations {spec.max_iterations} (iteration "
             f"{state.get('iteration')!r})"
         )
@@ -149,7 +160,10 @@ def _adapt_state_failures(state_dir: str, job_id: str, spec, energy) -> list:
 
 
 def main() -> int:
-    state_dir = tempfile.mkdtemp(prefix="repro-soak-")
+    work_dir = tempfile.mkdtemp(prefix="repro-soak-")
+    state_dir = os.path.join(work_dir, "state")
+    checkpoints = os.path.join(state_dir, "checkpoints.jsonl")
+    at_kill = os.path.join(work_dir, "checkpoints-at-kill.jsonl")
     print(f"soak state: {state_dir}")
 
     # 1. three tenants spool a mixed workload before the server starts
@@ -169,6 +183,11 @@ def main() -> int:
         if not _wait_for_journal(state_dir, "rank_lost", timeout_s=60):
             print("FAIL: injected rank crash never fired")
             return 1
+        # and one job has finished, so the kill leaves a final save whose
+        # lines the restart's compaction must drop
+        if not _wait_for_journal(state_dir, "completed", timeout_s=120):
+            print("FAIL: no job completed before the kill")
+            return 1
         # 3. kill -9: no graceful shutdown of any kind
         server.send_signal(signal.SIGKILL)
         server.wait(timeout=30)
@@ -177,6 +196,11 @@ def main() -> int:
         if server.poll() is None:
             server.kill()
             server.wait(timeout=30)
+
+    # the restart compacts the checkpoint log: keep what the kill left,
+    # so that jobs finished before it still have their final saves checked
+    if os.path.isfile(checkpoints):
+        shutil.copyfile(checkpoints, at_kill)
 
     # 4. the outage doesn't stop tenants from spooling more work —
     # including four same-molecule campaigns with distinct seeds, which
@@ -301,11 +325,12 @@ def main() -> int:
             f"group despite 4 same-physics campaigns: {batch}"
         )
 
-    # 10. the checkpoint files were compacted or fold cleanly after the
-    # kill: a finished VQE campaign's checkpoint log is its one-line
-    # result, a finished ADAPT campaign's state is its final save, and
-    # each warm-start family folds to one entry per geometry its
-    # finished (non-dedup) campaigns converged at
+    # 10. the checkpoint log came through the kill: every finished
+    # (non-dedup) job folds to its final save — in the copy taken at the
+    # kill for jobs that were terminal when the restart compacted the
+    # log, in the drained log for the rest — the compaction left no
+    # line of those terminal jobs, and each warm-start family folds to
+    # one entry per geometry its finished VQE campaigns converged at
     specs = {
         r.payload["job_id"]: JobSpec.from_dict(r.payload["spec"])
         for r in journal
@@ -316,29 +341,31 @@ def main() -> int:
         for r in journal
         if r.type == "completed"
     }
+    restart_seq = next(r.seq for r in journal if r.type == "recovered")
+    terminal_at_restart = {
+        r.payload["job_id"]
+        for r in journal
+        if r.seq < restart_seq
+        and r.type in ("completed", "failed", "timed_out", "shed", "rejected")
+    }
+    before, after = CheckpointLog(at_kill), CheckpointLog(checkpoints)
     expected_warm: dict = {}
     for job in succeeded:
         if job["dedup_hit"]:
             continue
-        spec = specs[job["job_id"]]
-        if job["kind"] == "adapt":
-            failures += _adapt_state_failures(
-                state_dir, job["job_id"], spec, journalled[job["job_id"]]
-            )
-            continue
-        expected_warm.setdefault(spec.family_key(), set()).add(spec.geometry)
-        log = os.path.join(state_dir, "jobs", job["job_id"], "vqe_params.json")
-        try:
-            with open(log) as fh:
-                lines = fh.read().splitlines()
-            json.loads(lines[0])
-        except (OSError, IndexError, ValueError) as err:
-            failures.append(f"{job['job_id']}: unreadable checkpoint log ({err})")
-            continue
-        if len(lines) != 1:
-            failures.append(
-                f"{job['job_id']}: finished checkpoint log has {len(lines)} lines"
-            )
+        job_id = job["job_id"]
+        spec = specs[job_id]
+        log = before if job_id in terminal_at_restart else after
+        failures += _final_save_failures(log, job_id, spec, journalled[job_id])
+        if spec.kind != "adapt":
+            expected_warm.setdefault(spec.family_key(), set()).add(spec.geometry)
+    with open(checkpoints, "rb") as fh:
+        kept = {line.get("key") for line in parse_lines(fh.read()) if isinstance(line, dict)}
+    stale = sorted(kept & terminal_at_restart)
+    if stale:
+        failures.append(f"compaction kept lines of jobs terminal at the restart: {stale}")
+    before.close()
+    after.close()
     warm_dir = os.path.join(state_dir, "store", "warm")
     for name in sorted(os.listdir(warm_dir)):
         family = read_warm_family(os.path.join(warm_dir, name))

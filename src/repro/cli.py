@@ -533,6 +533,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.core.campaign import CheckpointSchemaError
     from repro.hpc.faults import FaultSpec
     from repro.serve import CampaignServer, ServerConfig, TenantPolicy
 
@@ -564,7 +565,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rank_memory_bytes=args.rank_memory_bytes,
         batch_size=args.batch_size,
     )
-    server = CampaignServer(args.state_dir, config)
+    try:
+        server = CampaignServer(args.state_dir, config)
+    except CheckpointSchemaError as err:  # e.g. an earlier version's layout
+        print(f"repro serve: {err}", file=sys.stderr)
+        return 1
     try:
         server.run(
             max_ticks=args.max_ticks,
@@ -746,8 +751,6 @@ _PLAN_STAT_ROWS = [
     ("repro_plan_rotations_merged_total", "rotations merged into steps"),
     ("repro_plan_fused_gates_removed_total", "gates removed by fusion"),
     ("repro_plan_diag_gates_folded_total", "diagonal gates folded"),
-    ("repro_plan_executions_total", "plan executions"),
-    ("repro_plan_ops_executed_total", "kernel ops executed"),
 ]
 
 
@@ -834,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vqe.add_argument(
         "--plan-stats",
         action="store_true",
-        help="print compiled-circuit-plan counters (ops, fusion, executions)",
+        help="print compiled-circuit-plan counters (ops, frame, fusion)",
     )
     _add_obs_args(p_vqe)
     p_vqe.set_defaults(func=_cmd_vqe)
@@ -848,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt.add_argument(
         "--plan-stats",
         action="store_true",
-        help="print compiled-circuit-plan counters (ops, fusion, executions)",
+        help="print compiled-circuit-plan counters (ops, frame, fusion)",
     )
     _add_obs_args(p_adapt)
     p_adapt.set_defaults(func=_cmd_adapt)

@@ -19,8 +19,8 @@ loses at most the record being written.  Records carry:
 
 The journal is the source of truth for job lifecycle; bulky state
 (checkpointed parameters, converged results) lives next door in the
-content-addressed store and the per-job checkpoint directories, which
-the journal references by key.
+shared checkpoint log and the content-addressed store, keyed by job id
+and content key.
 """
 
 from __future__ import annotations

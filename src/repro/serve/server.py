@@ -23,8 +23,11 @@
   journal first; restart replays the journal (idempotently — records
   are sequence-numbered), reloads terminal results from the
   content-addressed store, and requeues in-flight jobs, which resume
-  from their ``CampaignRunner`` checkpoints with no completed work
-  redone.
+  from their checkpoints with no completed work redone.  Every job
+  checkpoints into one shared log (``<state_dir>/checkpoints.jsonl``,
+  :class:`repro.core.campaign.CheckpointLog`, keyed by job id), which
+  the restart rewrites to the last line of each job still in flight;
+  no file or directory is created per job.
 * **Deadlines, retries, degradation**: per-job deadlines/timeouts are
   enforced between steps; failures retry under a shared
   ``RetryPolicy`` guarded by a global ``RetryBudget`` and per-class
@@ -57,7 +60,14 @@ import numpy as np
 from repro import obs
 from repro.obs import events as obs_events
 from repro.core.adapt import AdaptVQE
-from repro.core.campaign import AdaptCampaign, CampaignRunner, VQECampaign
+from repro.core.campaign import (
+    CHECKPOINT_LOG,
+    AdaptCampaign,
+    CampaignRunner,
+    CheckpointLog,
+    VQECampaign,
+    refuse_old_layout,
+)
 from repro.core.counting import uccsd_gate_count
 from repro.core.vqe import VQE
 from repro.hpc.faults import FaultInjector, FaultSpec
@@ -352,12 +362,14 @@ class _JobExecution:
         self,
         job: JobRecord,
         problem: Dict[str, Any],
-        ckpt_dir: str,
+        checkpoints: CheckpointLog,
         config: ServerConfig,
         warm_x0: Optional[np.ndarray],
     ):
         self.job = job
-        runner = CampaignRunner(ckpt_dir, checkpoint_period=config.checkpoint_period)
+        runner = CampaignRunner(
+            log=checkpoints, key=job.job_id, checkpoint_period=config.checkpoint_period
+        )
         flight_context = {"job_id": job.job_id, "tenant": job.spec.tenant}
         if job.spec.kind == "adapt":
             adapt = AdaptVQE(
@@ -418,6 +430,9 @@ class CampaignServer:
         self.state_dir = state_dir
         self.config = config or ServerConfig()
         os.makedirs(state_dir, exist_ok=True)
+        refuse_old_layout(
+            os.path.join(state_dir, "jobs"), os.path.join(state_dir, "store", "results")
+        )
         self.inbox_dir = os.path.join(state_dir, "inbox")
         os.makedirs(self.inbox_dir, exist_ok=True)
         self._now = self.config.clock or time.monotonic
@@ -476,6 +491,12 @@ class CampaignServer:
         self.state = _ServerState()
         self._job_counter = 0
         self._recover()
+        # every campaign's checkpoints, keyed by job id: rewritten once
+        # here to the last line of each job still in flight (recovery
+        # has requeued every RUNNING job)
+        ckpt_path = os.path.join(state_dir, CHECKPOINT_LOG)
+        CheckpointLog.compact(ckpt_path, self.state.live[JobState.QUEUED])
+        self.checkpoints = CheckpointLog(ckpt_path)
 
     # -- recovery -------------------------------------------------------------
 
@@ -931,24 +952,19 @@ class CampaignServer:
                 and self.config.warm_start
                 and job.spec.kind == "vqe"
                 and problem.get("generators")
-                and not os.path.isfile(
-                    os.path.join(self._ckpt_dir(job), "vqe_params.json")
-                )
+                and not self.checkpoints.has(job.job_id)
             ):
                 warm_x0 = self.store.warm_start(
                     job.spec.family_key(),
                     job.spec.geometry,
                     len(problem["generators"]),
                 )
-            execution = _JobExecution(job, problem, self._ckpt_dir(job), self.config, warm_x0)
+            execution = _JobExecution(job, problem, self.checkpoints, self.config, warm_x0)
         except Exception as err:  # noqa: BLE001 — fails the job, not the server
             self._handle_failure(job, err)
             return None
         self.executions[job.job_id] = execution
         return execution
-
-    def _ckpt_dir(self, job: JobRecord) -> str:
-        return os.path.join(self.state_dir, "jobs", job.job_id)
 
     # -- stepping + completion ------------------------------------------------
 
@@ -1133,6 +1149,7 @@ class CampaignServer:
     def _job_terminal(self, job: JobRecord) -> None:
         """Bookkeeping for a job that just reached a terminal state."""
         self._placement_jobs.pop(job.job_id, None)
+        self.checkpoints.forget_campaign(job.job_id)
 
     # -- drain / lifecycle ----------------------------------------------------
 
@@ -1194,6 +1211,8 @@ class CampaignServer:
 
     def close(self) -> None:
         self.journal.close()
+        self.checkpoints.close()
+        self.store.close()
         self.events.close()  # also un-installs the global bus
 
     # -- health / status ------------------------------------------------------

@@ -2,13 +2,17 @@
 
 Three tiers, addressed by the hashes of :mod:`repro.serve.spec`:
 
-* **Results** (disk, ``results/<content_key>.json``): the terminal
-  output of a job keyed by its physics content.  A second submission
-  of the same problem — same or different tenant — completes
-  immediately from the stored result (a *dedup hit*): replaying work
-  the fleet has already paid for would be the opposite of throughput.
-  Writes are atomic (temp + ``os.replace``) and idempotent, so journal
-  replay can re-put a result without harm.
+* **Results** (disk, ``results.jsonl``): the terminal output of a job
+  keyed by its physics content, one ``{"key", "result"}`` line appended
+  and flushed per completed job.  A second submission of the same
+  problem — same or different tenant — completes immediately from the
+  stored result (a *dedup hit*): replaying work the fleet has already
+  paid for would be the opposite of throughput.  The log is folded at
+  open (the last line that parses per key wins) into a key → byte range
+  index, so memory does not grow with the results' size; a torn or
+  garbled line reads as absent and its job recomputes.  Re-putting a
+  key appends a line that wins, so journal replay can re-put a result
+  without harm.
 * **Warm starts** (disk, ``warm/<family_key>.json``): converged
   parameter vectors indexed by geometry within a molecule family.
   A new geometry starts from its nearest converged neighbor —
@@ -31,17 +35,18 @@ Three tiers, addressed by the hashes of :mod:`repro.serve.spec`:
   plan the broker's reverse-mode sweep cannot differentiate is refused
   at build, naming the molecule.
 
-The results tier keeps the set of stored keys and the warm tier its
-families in memory (both seeded from disk, both written through), so
-the per-tick question "is this queued job already solved?" costs a set
-lookup and only a hit opens a file.
+The results log and every warm family file stay open, for appends,
+until :meth:`ContentStore.close`: a completed job costs appended lines,
+never a file creation.  The per-tick question "is this queued job
+already solved?" is a lookup in the results index, and only a hit
+reads the disk.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,14 +60,17 @@ from repro.obs.memory import TERM_BYTES
 from repro.serve.spec import JobSpec, resolve_molecule
 from repro.sim.batched import reverse_mode_blocker
 from repro.sim.plan import compile_circuit
-from repro.utils.files import atomic_write
-from repro.utils.jsonl import open_append, parse_lines
+from repro.utils.jsonl import KeyedLog, open_append, parse_lines
 
 __all__ = ["ContentStore", "ProblemCache", "read_warm_family"]
 
 # one warm-start family: geometry -> converged parameters, in the order
 # each geometry was last written
 WarmFamily = Dict[Optional[float], List[float]]
+
+
+def _result_key(line: Dict[str, Any]) -> str:
+    return line["key"]
 
 
 def read_warm_family(path: str) -> WarmFamily:
@@ -91,50 +99,45 @@ class ContentStore:
 
     def __init__(self, root: str):
         self.root = root
-        self._results_dir = os.path.join(root, "results")
         self._warm_dir = os.path.join(root, "warm")
-        os.makedirs(self._results_dir, exist_ok=True)
         os.makedirs(self._warm_dir, exist_ok=True)
-        # content keys with a result file: whatever an earlier server
-        # left here, plus every put_result of this one.  The dispatch
-        # loop asks about every queued job on every tick, and nearly
-        # all of those are misses; they are answered from this set.
-        self._result_keys = {
-            name[: -len(".json")]
-            for name in os.listdir(self._results_dir)
-            if name.endswith(".json")
-        }
+        # content key -> byte range of its result line: whatever an
+        # earlier server left here, plus every put_result of this one.
+        # The dispatch loop asks about every queued job on every tick,
+        # and nearly all of those are misses; they are answered here.
+        self._results = KeyedLog(os.path.join(root, "results.jsonl"), _result_key)
         # family key -> folded warm-start family, read from disk on first
         # use and appended through on every add
         self._warm: Dict[str, WarmFamily] = {}
+        # family key -> append handle on its file, open until close()
+        self._warm_handles: Dict[str, BinaryIO] = {}
+
+    def close(self) -> None:
+        """Release the open log handles (a later write reopens them)."""
+        self._results.close()
+        for fh in self._warm_handles.values():
+            fh.close()
+        self._warm_handles.clear()
 
     # -- results --------------------------------------------------------------
 
-    def _result_path(self, content_key: str) -> str:
-        return os.path.join(self._results_dir, f"{content_key}.json")
-
     def get_result(self, content_key: str) -> Optional[Dict[str, Any]]:
-        if content_key not in self._result_keys:
-            return None
-        try:
-            with open(self._result_path(content_key)) as fh:
-                return json.load(fh)
-        except (json.JSONDecodeError, OSError):
-            # a torn result write is treated as absent: the journal
-            # still holds the lifecycle, the job will simply recompute
-            return None
+        # a torn or garbled result line is treated as absent: the
+        # journal still holds the lifecycle, the job will simply recompute
+        line = self._results.get(content_key)
+        result = None if line is None else line.get("result")
+        return result if isinstance(result, dict) else None
 
     def put_result(self, content_key: str, result: Dict[str, Any]) -> None:
-        """Idempotent: re-putting the same key just overwrites with the
-        same content (journal replay safety)."""
-        atomic_write(self._result_path(content_key), json.dumps(result))
-        self._result_keys.add(content_key)
+        """Idempotent: re-putting the same key appends a line with the
+        same content, which wins (journal replay safety)."""
+        self._results.append({"key": content_key, "result": result})
 
     def has_result(self, content_key: str) -> bool:
-        return content_key in self._result_keys
+        return content_key in self._results
 
     def num_results(self) -> int:
-        return len(self._result_keys)
+        return len(self._results)
 
     # -- warm starts ----------------------------------------------------------
 
@@ -157,11 +160,13 @@ class ContentStore:
         family = self._load_warm(family_key)
         values = [float(x) for x in np.atleast_1d(parameters)]
         line = json.dumps({"geometry": geometry, "parameters": values})
-        with open_append(self._warm_path(family_key)) as fh:
-            fh.write(line.encode() + b"\n")
+        fh = self._warm_handles.get(family_key)
+        if fh is None:
+            fh = self._warm_handles[family_key] = open_append(self._warm_path(family_key))
+        fh.write(line.encode() + b"\n")
+        fh.flush()
         family.pop(geometry, None)
         family[geometry] = values
-
     def has_warm_start(self, family_key: str) -> bool:
         """Whether any geometry of the family has converged."""
         return bool(self._load_warm(family_key))

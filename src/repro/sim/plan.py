@@ -768,15 +768,6 @@ class ExecutionPlan:
         for op in self._ops:
             kind, payload = op.resolve(params)
             apply_op(state, kind, payload, op.qubits, n)
-        if obs.enabled():
-            obs.inc(
-                "repro_plan_executions_total", help="Compiled-plan executions"
-            )
-            obs.inc(
-                "repro_plan_ops_executed_total",
-                self.num_ops,
-                help="Kernel ops executed by compiled plans",
-            )
         return state
 
 

@@ -22,6 +22,7 @@ from repro.core.campaign import (
     CampaignFailedError,
     CampaignResult,
     CampaignRunner,
+    CheckpointLog,
 )
 from repro.core.vqe import VQE
 from repro.hpc.faults import FaultInjector, FaultSpec, RankFailure
@@ -48,6 +49,20 @@ def h4_problem():
     hq = build_molecular_hamiltonian(scf).to_qubit()
     e_fci = exact_ground_energy(hq, num_particles=4, sz=0)
     return hq, e_fci
+
+
+def _fold(path, kinds=("adapt",)):
+    """A standalone runner's checkpoint state in ``path``, as loaded."""
+    log = CheckpointLog(str(path / "checkpoints.jsonl"))
+    try:
+        return log.load(None, kinds)
+    finally:
+        log.close()
+
+
+def _write_line(path, state, kind="adapt"):
+    line = {"key": None, "kind": kind, "state": state}
+    (path / "checkpoints.jsonl").write_text(json.dumps(line) + "\n")
 
 
 def _make_adapt(hq, e_ref, n, n_elec, max_iterations=8):
@@ -116,10 +131,7 @@ class TestAdaptCampaign:
         assert np.array_equal(got.parameters, want.parameters)
         assert got.operator_labels == want.operator_labels
         assert [r.energy for r in got.iterations] == [r.energy for r in want.iterations]
-        saved = []
-        for name in ("ref", "ask"):
-            with open(tmp_path / name / "adapt_state.json") as fh:
-                saved.append(json.load(fh))
+        saved = [_fold(tmp_path / name) for name in ("ref", "ask")]
         assert saved[0] == saved[1]
 
     def test_gradient_convergence_ends_on_the_next_ask(self, h2_problem, tmp_path):
@@ -136,8 +148,7 @@ class TestAdaptCampaign:
         assert result.converged
         assert result.energy == adapt.run().energy
         assert campaign.ask() is None
-        with open(tmp_path / "adapt_state.json") as fh:
-            assert json.load(fh)["converged"]
+        assert _fold(tmp_path)["converged"]
 
 
 class TestCampaignResume:
@@ -173,7 +184,7 @@ class TestCampaignResume:
 
     def test_corrupt_campaign_checkpoint_rejected(self, h2_problem, tmp_path):
         hq, e_ref = h2_problem
-        (tmp_path / "adapt_state.json").write_text("{not json")
+        (tmp_path / "checkpoints.jsonl").write_text("{not json")
         with pytest.raises(ValueError, match="corrupt campaign checkpoint"):
             CampaignRunner(str(tmp_path)).run_adapt(_make_adapt(hq, e_ref, 4, 2))
 
@@ -188,7 +199,7 @@ class TestCampaignResume:
             "converged": False,
             "records": [],
         }
-        (tmp_path / "adapt_state.json").write_text(json.dumps(payload))
+        _write_line(tmp_path, payload)
         with pytest.raises(ValueError, match="outside the pool"):
             CampaignRunner(str(tmp_path)).run_adapt(_make_adapt(hq, e_ref, 4, 2))
 
@@ -336,9 +347,10 @@ def _h2_vqe(hq, callback=None):
 
 
 class TestVQECheckpointLog:
-    """``vqe_params.json`` is an append-only log: one line per
-    checkpoint, the last parseable line is the resume point, and the
-    final save compacts it to one line."""
+    """A VQE campaign's checkpoints are lines of the runner's
+    ``checkpoints.jsonl``: one ``vqe`` line per checkpoint, the last
+    parseable line is the resume point, and the final save appends one
+    ``vqe_final`` line."""
 
     KILL_AT = 4
 
@@ -351,14 +363,14 @@ class TestVQECheckpointLog:
         with pytest.raises(_Killed):
             runner.run_vqe(_h2_vqe(hq, die))
         assert runner.checkpoints_written == self.KILL_AT
-        return path / "vqe_params.json"
+        return path / "checkpoints.jsonl"
 
     def test_resume_after_kill_at_evaluation_k(self, h2_problem, tmp_path):
         hq, _ = h2_problem
         baseline = _h2_vqe(hq).run()
         log = self._interrupted(hq, tmp_path)
         lines = log.read_text().splitlines()
-        assert [json.loads(line)["eval"] for line in lines] == list(
+        assert [json.loads(line)["state"]["eval"] for line in lines] == list(
             range(1, self.KILL_AT + 1)
         )
         resumed = CampaignRunner(str(tmp_path)).run_vqe(_h2_vqe(hq))
@@ -375,7 +387,7 @@ class TestVQECheckpointLog:
 
     def test_file_with_no_valid_line_is_corrupt(self, h2_problem, tmp_path):
         hq, _ = h2_problem
-        (tmp_path / "vqe_params.json").write_text('{"version": 1, "par\nnot json\n')
+        (tmp_path / "checkpoints.jsonl").write_text('{"key": null, "ki\nnot json\n')
         with pytest.raises(ValueError, match="corrupt campaign checkpoint"):
             CampaignRunner(str(tmp_path)).run_vqe(_h2_vqe(hq))
 
@@ -384,9 +396,11 @@ class TestVQECheckpointLog:
         self._interrupted(hq, tmp_path)
         runner = CampaignRunner(str(tmp_path))
         result = runner.run_vqe(_h2_vqe(hq))
-        text = (tmp_path / "vqe_params.json").read_text()
-        assert len(text.splitlines()) == 1
-        final = json.loads(text)  # a whole-file JSON reader still reads it
+        last = (tmp_path / "checkpoints.jsonl").read_text().splitlines()[-1]
+        line = json.loads(last)  # the final save is one JSON line
+        assert (line["key"], line["kind"]) == (None, "vqe_final")
+        final = line["state"]
+        assert _fold(tmp_path, ("vqe", "vqe_final")) == final
         assert final["eval"] == result.result.num_function_evaluations
         assert final["parameters"] == [
             float(x) for x in result.result.optimal_parameters

@@ -31,8 +31,6 @@ READERS = {
     "repro_plan_rotations_merged_total": _PLAN_STATS,
     "repro_plan_fused_gates_removed_total": _PLAN_STATS,
     "repro_plan_diag_gates_folded_total": _PLAN_STATS,
-    "repro_plan_executions_total": _PLAN_STATS,
-    "repro_plan_ops_executed_total": _PLAN_STATS,
     "repro_plan_cache_total": _PLAN_STATS,
     "repro_comm_faults_total": "tests/test_serve.py::TestCommFaultKindMetrics",
     "repro_comm_retries_by_kind_total": "tests/test_serve.py::TestCommFaultKindMetrics",

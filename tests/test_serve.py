@@ -299,22 +299,28 @@ class TestContentStore:
     def test_torn_result_read_as_absent(self, tmp_path):
         store = ContentStore(str(tmp_path))
         store.put_result("k", {"energy": -1.0})
-        path = os.path.join(str(tmp_path), "results", "k.json")
-        with open(path, "w") as fh:
-            fh.write('{"ener')  # torn write
+        path = os.path.join(str(tmp_path), "results.jsonl")
+        os.truncate(path, os.path.getsize(path) - 6)  # torn write
         assert store.get_result("k") is None
 
     def test_reopened_store_sees_earlier_results_and_torn_files(self, tmp_path):
         first = ContentStore(str(tmp_path))
         first.put_result("whole", {"energy": -1.0})
         first.put_result("torn", {"energy": -2.0})
-        with open(os.path.join(str(tmp_path), "results", "torn.json"), "w") as fh:
-            fh.write('{"ener')
+        first.close()
+        path = os.path.join(str(tmp_path), "results.jsonl")
+        os.truncate(path, os.path.getsize(path) - 6)  # killed mid-append
         reopened = ContentStore(str(tmp_path))
         assert reopened.get_result("whole") == {"energy": -1.0}
-        assert reopened.get_result("torn") is None  # listed, unreadable: absent
+        assert reopened.get_result("torn") is None  # torn line: absent
         assert reopened.get_result("never-written") is None
-        assert reopened.num_results() == 2
+        assert reopened.num_results() == 1  # a torn line holds no key
+        reopened.put_result("torn", {"energy": -2.0})  # the job recomputed
+        reopened.close()
+        again = ContentStore(str(tmp_path))
+        assert again.get_result("torn") == {"energy": -2.0}
+        assert again.num_results() == 2
+        again.close()
 
     def test_warm_index_is_written_through(self, tmp_path):
         store = ContentStore(str(tmp_path))
@@ -932,8 +938,14 @@ class TestServerEndToEnd:
 
 
 def _adapt_state(srv, job):
-    with open(os.path.join(srv.state_dir, "jobs", job.job_id, "adapt_state.json")) as fh:
-        return json.load(fh)
+    """The job's ADAPT state as the server's checkpoint log folds it."""
+    from repro.core.campaign import CheckpointLog
+
+    log = CheckpointLog(os.path.join(srv.state_dir, "checkpoints.jsonl"))
+    try:
+        return log.load(job.job_id, ("adapt",))
+    finally:
+        log.close()
 
 
 class TestServedAdapt:
@@ -1107,11 +1119,10 @@ class TestScanSharesStructureAndDerivedValues:
         assert job.state == JobState.SUCCEEDED and job.dedup_hit
         assert job.energy == energy
         assert reopened.problems.builds == 0  # nothing was recomputed
-        # a result file truncated under the server still reads as absent:
+        # a result line truncated under the server still reads as absent:
         # the next identical submission recomputes instead of failing
-        path = reopened.store._result_path(job.spec.content_key())
-        with open(path, "w") as fh:
-            fh.write('{"ener')
+        path = os.path.join(srv.state_dir, "store", "results.jsonl")
+        os.truncate(path, os.path.getsize(path) - 6)
         third = reopened.submit(JobSpec(tenant="carol", molecule="h2", geometry=0.8))
         reopened.run(stop_when_idle=True, max_ticks=30)
         job = reopened.jobs[third.job_id]
@@ -1179,8 +1190,10 @@ class TestCheckpointSchemaGuard:
             max_iterations=2,
         )
 
-    def _write(self, tmp_path, payload):
-        (tmp_path / "adapt_state.json").write_text(json.dumps(payload))
+    @staticmethod
+    def _write(tmp_path, payload, kind="adapt"):
+        line = {"key": None, "kind": kind, "state": payload}
+        (tmp_path / "checkpoints.jsonl").write_text(json.dumps(line) + "\n")
 
     def test_future_version_rejected(self, tmp_path):
         from repro.core.campaign import CampaignRunner, CheckpointSchemaError
@@ -1206,7 +1219,7 @@ class TestCheckpointSchemaGuard:
     def test_non_dict_payload_rejected(self, tmp_path):
         from repro.core.campaign import CampaignRunner, CheckpointSchemaError
 
-        (tmp_path / "adapt_state.json").write_text("[1, 2, 3]")
+        self._write(tmp_path, [1, 2, 3])
         with pytest.raises(CheckpointSchemaError):
             CampaignRunner(str(tmp_path))._load_adapt_state(self._adapt(tmp_path))
 
@@ -1215,9 +1228,7 @@ class TestCheckpointSchemaGuard:
         from repro.core.vqe import VQE
         from repro.serve.store import ProblemCache
 
-        (tmp_path / "vqe_params.json").write_text(
-            json.dumps({"version": 1, "parameters": [0.1]})  # no energy/eval
-        )
+        self._write(tmp_path, {"version": 1, "parameters": [0.1]}, kind="vqe")  # no energy/eval
         problem = ProblemCache().get(JobSpec(tenant="t", kind="vqe"))
         vqe = VQE(
             problem["hamiltonian"],
@@ -1231,6 +1242,183 @@ class TestCheckpointSchemaGuard:
         from repro.core.campaign import CheckpointSchemaError
 
         assert issubclass(CheckpointSchemaError, ValueError)
+
+
+# -- state as lines in long-lived logs ----------------------------------------
+
+
+class _Killed(BaseException):
+    """Stands in for the server process dying where it is raised."""
+
+
+def _state_paths(state_dir):
+    """Every file and directory under a state directory, relative."""
+    found = set()
+    for root, dirs, files in os.walk(state_dir):
+        for name in dirs + files:
+            found.add(os.path.relpath(os.path.join(root, name), state_dir))
+    return found
+
+
+def _log_lines(srv):
+    with open(os.path.join(srv.state_dir, "checkpoints.jsonl")) as fh:
+        return [json.loads(line) for line in fh]
+
+
+class TestStateLogs:
+    """A served job's disk state is lines appended to logs the server
+    keeps open: no directory or file is created per job."""
+
+    @staticmethod
+    def _scan(tmp_path, n):
+        srv = _server(tmp_path, name=f"scan{n}")
+        for k in range(n):
+            srv.submit(JobSpec(tenant="t", molecule="h2", geometry=round(0.6 + 0.1 * k, 4)))
+        srv.run(stop_when_idle=True, max_ticks=60)
+        assert all(j.state == JobState.SUCCEEDED for j in srv.jobs.values())
+        srv.close()
+        return _state_paths(srv.state_dir)
+
+    def test_state_paths_do_not_grow_with_the_job_count(self, tmp_path):
+        two, six = self._scan(tmp_path, 2), self._scan(tmp_path, 6)
+        assert two == six
+        assert {"checkpoints.jsonl", "journal.jsonl", "store/results.jsonl"} <= six
+
+    def test_kill_between_final_line_and_completed_record(self, tmp_path, monkeypatch):
+        """A job whose final checkpoint line landed but whose completion
+        was never journalled resumes from that line to the same energy."""
+        spec = JobSpec(tenant="t", molecule="h2", geometry=0.8)
+        control = _server(tmp_path, name="control")
+        control.submit(spec)
+        control.run(stop_when_idle=True, max_ticks=30)
+        want = next(iter(control.jobs.values())).energy
+        control.close()
+
+        srv = _server(tmp_path)
+        job = srv.submit(spec)
+
+        def die(*args, **kwargs):
+            raise _Killed
+
+        monkeypatch.setattr(CampaignServer, "_finish_success", die)
+        with pytest.raises(_Killed):
+            srv.tick()
+        srv.close()  # kill -9 before the "completed" record
+        monkeypatch.undo()
+        assert _log_lines(srv)[-1]["kind"] == "vqe_final"
+        assert srv.jobs[job.job_id].state == JobState.RUNNING
+
+        srv2 = CampaignServer(srv.state_dir, srv.config)
+        srv2.run(stop_when_idle=True, max_ticks=30)
+        resumed = srv2.jobs[job.job_id]
+        assert resumed.state == JobState.SUCCEEDED and resumed.resumed
+        assert resumed.energy == want
+        srv2.close()
+
+    def test_startup_compaction_keeps_only_in_flight_jobs_last_line(self, tmp_path):
+        srv = _server(tmp_path, adapt_gradient_tolerance=0.0)
+        running = srv.submit(
+            JobSpec(tenant="a", kind="adapt", molecule="h2", max_iterations=3)
+        )
+        done = srv.submit(JobSpec(tenant="b", molecule="h2", geometry=0.9))
+        srv.tick()
+        srv.tick()
+        assert srv.jobs[running.job_id].state == JobState.RUNNING
+        assert srv.jobs[done.job_id].state == JobState.SUCCEEDED
+        srv.close()  # kill -9
+        before = _log_lines(srv)
+        assert {line["key"] for line in before} == {running.job_id, done.job_id}
+        last = [line for line in before if line["key"] == running.job_id][-1]
+        assert last["state"]["iteration"] == 2
+
+        srv2 = CampaignServer(srv.state_dir, srv.config)
+        assert _log_lines(srv2) == [last]
+        srv2.run(stop_when_idle=True, max_ticks=10)
+        assert srv2.jobs[running.job_id].state == JobState.SUCCEEDED
+        srv2.close()
+        # a restart with no job in flight leaves an empty log
+        CampaignServer(srv.state_dir, srv.config).close()
+        assert _log_lines(srv2) == []
+
+    @pytest.mark.parametrize("log", ["checkpoints", "results", "warm"])
+    def test_torn_tail_is_skipped_and_the_next_append_starts_a_line(self, tmp_path, log):
+        from repro.core.campaign import CheckpointLog
+        from repro.serve.store import read_warm_family
+
+        root = str(tmp_path)
+        geometry = {"a": 0.5, "b": 0.9}
+        if log == "checkpoints":
+            path = os.path.join(root, "checkpoints.jsonl")
+
+            def reopen():
+                return CheckpointLog(path)
+
+            def write(lg, key, value):
+                lg.save(key, "vqe", {"v": value})
+
+            def read(lg, key):
+                line = lg.get((key, "vqe"))
+                return None if line is None else line["state"]["v"]
+
+        elif log == "results":
+            path = os.path.join(root, "results.jsonl")
+
+            def reopen():
+                return ContentStore(root)
+
+            def write(store, key, value):
+                store.put_result(key, {"v": value})
+
+            def read(store, key):
+                result = store.get_result(key)
+                return None if result is None else result["v"]
+
+        else:
+            path = os.path.join(root, "warm", "fam.json")
+
+            def reopen():
+                return ContentStore(root)
+
+            def write(store, key, value):
+                store.add_warm_start("fam", geometry[key], np.array([value]))
+
+            def read(store, key):
+                parameters = read_warm_family(path).get(geometry[key])
+                return None if parameters is None else parameters[0]
+
+        first = reopen()
+        write(first, "a", 1)
+        write(first, "b", 2)
+        first.close()
+        os.truncate(path, os.path.getsize(path) - 4)  # killed mid-append of "b"
+        second = reopen()
+        assert (read(second, "a"), read(second, "b")) == (1, None)
+        write(second, "b", 3)
+        second.close()
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == 3  # a, the torn b, then b on a line of its own
+        json.loads(lines[2])
+        third = reopen()
+        assert read(third, "b") == 3
+        third.close()
+
+    def test_old_layout_is_refused_naming_the_path(self, tmp_path):
+        from repro.core.campaign import CampaignRunner, CheckpointSchemaError
+
+        for sub in ("jobs", os.path.join("store", "results")):
+            state_dir = tmp_path / sub.replace(os.sep, "-")
+            os.makedirs(state_dir / sub)
+            with pytest.raises(CheckpointSchemaError, match="drain") as err:
+                CampaignServer(str(state_dir), ServerConfig(num_ranks=1))
+            assert str(state_dir / sub) in str(err.value)
+        for name in ("vqe_params.json", "adapt_state.json"):
+            ckpt = tmp_path / name.split(".")[0]
+            os.makedirs(ckpt)
+            (ckpt / name).write_text("{}")
+            with pytest.raises(CheckpointSchemaError, match="fresh") as err:
+                CampaignRunner(str(ckpt))
+            assert str(ckpt / name) in str(err.value)
 
 
 # -- satellite: per-fault-kind comm metrics -----------------------------------
