@@ -572,34 +572,41 @@ class SymplecticPauli:
                 )
                 yield x3, z3, coeffs, None
             return
-        narrow = np.min_scalar_type(self.num_terms * tb)
-        keys: List[np.ndarray] = []
-        index: List[np.ndarray] = []
-        count = 0
+        # one key and one index buffer, filled block by block and grown
+        # in place (ndarray.resize, by a quarter) when a block does not
+        # fit, rather than blocks gathered and concatenated: the Fig. 5
+        # downfold's peak RSS then no longer moves by ~2 MiB with where
+        # the allocator happened to place the blocks
+        keys = np.empty(_PAIR_CHUNK, dtype=np.uint64)
+        index = np.empty(_PAIR_CHUNK, dtype=np.min_scalar_type(self.num_terms * tb))
+        count, pending = 0, False
         for i, j in pairs:
-            x3 = self.x[i, 0] ^ other.x[j, 0]
-            keys.append((x3 << np.uint64(n)) | (self.z[i, 0] ^ other.z[j, 0]))
-            index.append((i * tb + j).astype(narrow))
-            count += len(i)
+            end = count + len(i)
+            if end > len(keys):
+                size = max(end, len(keys) + len(keys) // 4)
+                keys.resize(size, refcheck=False)
+                index.resize(size, refcheck=False)
+            # no view of the buffers outlives a block: resize moves them
+            np.bitwise_xor(self.x[i, 0], other.x[j, 0], out=keys[count:end])
+            keys[count:end] <<= np.uint64(n)
+            keys[count:end] |= self.z[i, 0] ^ other.z[j, 0]
+            index[count:end] = i * tb + j
+            count, pending = end, True
             if count >= _SORT_PAIRS:
-                yield self._key_sum(other, keys, index)
-                count = 0
-        if keys:
-            yield self._key_sum(other, keys, index)
+                yield self._key_sum(other, keys[:count], index[:count])
+                count, pending = 0, False
+        if pending:
+            yield self._key_sum(other, keys[:count], index[:count])
 
-    def _key_sum(
-        self, other: "SymplecticPauli", keys_list: List[np.ndarray], index_list: List[np.ndarray]
-    ) -> Rows:
-        """Empty the key and index lists of :meth:`_pair_sums` into one
-        deduplicated row set: coefficients are formed and summed in key
-        order a few blocks of rows at a time, cut between equal keys."""
+    def _key_sum(self, other: "SymplecticPauli", keys: np.ndarray, index: np.ndarray) -> Rows:
+        """Sum the pairs of one filled stretch of :meth:`_pair_sums`'
+        buffers (``keys`` is sorted in place) into one deduplicated row
+        set: coefficients are formed and summed in key order a few
+        blocks of rows at a time, cut between equal keys."""
         n, tb = self.num_qubits, other.num_terms
-        keys = np.concatenate(keys_list)
-        keys_list.clear()
-        index = np.concatenate(index_list)
-        index_list.clear()
         if not len(keys):
-            return keys[:, None], keys[:, None], np.zeros(0, dtype=np.complex128), None
+            none = np.zeros((0, 1), dtype=np.uint64)
+            return none, none.copy(), np.zeros(0, dtype=np.complex128), None
         order = np.argsort(keys)
         keys.sort()  # == keys[order], without a second array
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])

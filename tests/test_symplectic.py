@@ -125,6 +125,17 @@ class TestEngineMatchesPerTerm:
         assert _terms_close(commutator_per_term(a, b), engine)
         assert _ascending(engine)
 
+    def test_commutator_across_sort_batches_and_buffer_growth(self, monkeypatch):
+        """A join past ``_SORT_PAIRS`` pairs is summed in several sorts,
+        its key buffer grown and refilled block by block: the sums still
+        match the per-term oracle."""
+        monkeypatch.setattr("repro.ir.symplectic._PAIR_CHUNK", 8)
+        monkeypatch.setattr("repro.ir.symplectic._SORT_PAIRS", 40)
+        a, b = _random_sum(60, seed=5), _random_sum(40, seed=6)
+        engine = a.commutator(b)
+        assert _terms_close(commutator_per_term(a, b), engine)
+        assert _ascending(engine)
+
     def test_phase_convention_vs_pauli_string(self):
         rng = np.random.default_rng(7)
         n = 9
