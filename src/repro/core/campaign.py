@@ -59,7 +59,6 @@ from repro.hpc.comm import SimComm
 from repro.hpc.distributed import DistributedStatevector
 from repro.hpc.faults import FaultInjector, FaultLedger, RankFailure
 from repro.hpc.perfmodel import SimulatedClock
-from repro.sim.plan import compile_circuit
 from repro.utils.files import atomic_write
 from repro.utils.jsonl import KeyedLog, parse_line
 from repro.utils.retry import RetryPolicy
@@ -710,12 +709,12 @@ class _AskTell:
 
 
 class VQECampaign(_AskTell):
-    """A circuit-mode VQE campaign: the VQE's L-BFGS, resumed from and
-    checkpointed to the runner's log as :meth:`CampaignRunner.run_vqe`
-    does.  The tell that ends the run makes the final save and sets
-    ``result`` (a :class:`CampaignResult` without a report); a campaign
-    whose latest line is its final save has ``result`` set at once,
-    from that save."""
+    """A chemistry-mode VQE campaign: the VQE's L-BFGS on its
+    objective's plan, resumed from and checkpointed to the runner's log
+    as :meth:`CampaignRunner.run_vqe` does.  The tell that ends the run
+    makes the final save and sets ``result`` (a :class:`CampaignResult`
+    without a report); a campaign whose latest line is its final save
+    has ``result`` set at once, from that save."""
 
     def __init__(
         self,
@@ -723,11 +722,11 @@ class VQECampaign(_AskTell):
         vqe: VQE,
         initial_parameters: Optional[np.ndarray] = None,
     ):
-        if vqe.ansatz is None:
-            raise ValueError("an ask/tell VQE campaign runs a circuit-mode VQE")
+        if vqe.objective is None:
+            raise ValueError("an ask/tell VQE campaign runs a chemistry-mode VQE")
         self.runner = runner
         self.vqe = vqe
-        self.plan = compile_circuit(vqe.ansatz)
+        self.plan = vqe.objective.plan
         self.observable = vqe.hamiltonian
         x0, self.resumed_from = runner._vqe_start_point(initial_parameters)
         self._previous_callback = vqe.evaluation_callback

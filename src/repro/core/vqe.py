@@ -7,7 +7,9 @@ Two ways in, one program underneath:
   straight to an execution plan (``ExecutionPlan.from_generators``,
   wrapped by ``repro.opt.gradient.AnsatzObjective``), expectation
   values are computed directly from amplitudes (§4.2), and exact
-  reverse-mode gradients feed gradient-based optimizers.
+  reverse-mode gradients feed gradient-based optimizers.  A caller
+  that already lowered the generators passes that ``plan`` too (the
+  campaign server shares one per molecule shape).
 * **Circuit mode** (``ansatz`` circuit + ``estimator``): the portable
   XACC-style path — the parameterized circuit is compiled once to a
   bind-free execution plan (``repro.sim.plan``) and re-executed per
@@ -38,7 +40,7 @@ from repro.opt.base import Optimizer, OptimizeResult
 from repro.opt.gradient import AnsatzObjective, GradientFusion
 from repro.opt.lbfgs import LBFGSB, LBFGSState
 from repro.sim.batched import reverse_mode_blocker
-from repro.sim.plan import compile_circuit
+from repro.sim.plan import ExecutionPlan, compile_circuit
 
 __all__ = ["VQE", "VQEResult"]
 
@@ -92,6 +94,7 @@ class VQE:
         estimator: Optional[Estimator] = None,
         generators: Optional[Sequence[PauliSum]] = None,
         reference_state: Optional[np.ndarray] = None,
+        plan: Optional[ExecutionPlan] = None,
         optimizer: Optional[Optimizer] = None,
         evaluation_callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
         flight_context: Optional[Dict[str, Any]] = None,
@@ -131,12 +134,14 @@ class VQE:
             if reference_state is None:
                 raise ValueError("chemistry mode needs a reference state")
             self.objective = AnsatzObjective(
-                reference_state, list(generators), hamiltonian
+                reference_state, list(generators), hamiltonian, plan=plan
             )
             self.mode = "chemistry"
             self.num_parameters = self.objective.num_parameters
             self.ansatz = None
             self.estimator = None
+        elif plan is not None:
+            raise ValueError("a lowered plan is a chemistry-mode input: pass its generators")
         elif ansatz is not None:
             self.ansatz = ansatz
             self.estimator = estimator or DirectEstimator()

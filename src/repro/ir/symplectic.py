@@ -98,8 +98,16 @@ _SORT_PAIRS = 1 << 20
 # Elements in flight while building x-mask diagonals: a butterfly block
 # small enough to stay in cache, and the terms x columns sign matrix of
 # the subset path (int64 popcount temporaries, ~40 bytes per element).
+# Small x-mask groups share one sign block of at most _SIGN_RUN
+# elements; a group past _SIGN_CHUNK is cut into blocks of that size.
 _WHT_BLOCK = 1 << 13
+_SIGN_RUN = 1 << 12
 _SIGN_CHUNK = 1 << 18
+
+
+def _sign_block(cols: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """``(-1)^{parity(cols[c] & zs[t])}`` as a terms x columns float block."""
+    return 1.0 - 2.0 * (count_set_bits(cols[None, :] & zs[:, None]) & 1)
 
 
 # One (x, z, coeffs, owner) row set; owner None for a single sum.
@@ -735,16 +743,26 @@ class SymplecticPauli:
         cols = np.asarray(cols, dtype=np.int64)
         order = np.argsort(inverse, kind="stable")
         bounds = np.searchsorted(inverse[order], np.arange(len(masks) + 1))
+        weights, zs = weights[order], zs[order]
         d = np.zeros((len(masks), cols.size), dtype=np.complex128)
-        chunk = max(1, _SIGN_CHUNK // max(1, cols.size))
-        for m in range(len(masks)):
-            group = order[bounds[m] : bounds[m + 1]]
-            for lo in range(0, group.size, chunk):
-                sub = group[lo : lo + chunk]
-                signs = 1.0 - 2.0 * (
-                    count_set_bits(cols[None, :] & zs[sub, None]) & 1
-                )
-                d[m] += weights[sub] @ signs
+        width = max(1, cols.size)
+        run, chunk = max(1, _SIGN_RUN // width), max(1, _SIGN_CHUNK // width)
+        m = 0
+        while m < len(masks):
+            # the whole groups from m whose terms fit one small block
+            # share it; a lone group keeps blocks of up to `chunk` terms
+            stop = int(np.searchsorted(bounds, bounds[m] + run, side="right")) - 1
+            stop = max(stop, m + 1)
+            lo, hi = bounds[m], bounds[stop]
+            step = chunk if stop == m + 1 else hi - lo
+            for start in range(lo, hi, step):
+                end = min(start + step, hi)
+                signs = _sign_block(cols, zs[start:end])
+                for k in range(m, stop):
+                    a, b = max(bounds[k], start), min(bounds[k + 1], end)
+                    if a < b:
+                        d[k] += weights[a:b] @ signs[a - start : b - start]
+            m = stop
         return masks, d
 
     def matrix_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

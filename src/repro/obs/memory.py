@@ -332,35 +332,43 @@ def estimate_batched_group_bytes(
     generator_terms: int = 0,
     hamiltonians: int = 1,
     hamiltonian_terms: int = 0,
+    sector_dim: Optional[int] = None,
     **job_inputs: Any,
 ) -> int:
     """Peak bytes of a batch group of ``group_size`` same-plan jobs
     executing through the evaluation broker.
 
     The group shares ONE plan, so the amplitude block scales with the
-    group: the reverse-mode sweep's (2B, 2^n) block plus the B-row
-    ``H psi`` it gathers into it.  One job's workspace already holds a
-    one-row sweep's three rows, so the group is one job's total plus
-    ``3 (group_size - 1)`` amplitude rows.  Jobs at ``hamiltonians``
+    group: the reverse-mode sweep's (2B, dim) block plus the B-row
+    ``H psi`` it gathers into it, ``dim`` the plan's amplitudes (2^n, or
+    ``sector_dim``).  One job's workspace already holds a one-row
+    sweep's three rows, so the group is one job's total plus
+    ``3 (group_size - 1)`` amplitude rows, each with its stacked
+    parameters, gradient (one float per generator each) and value.  Jobs at ``hamiltonians``
     distinct geometries each bring their own Hamiltonian: every one past
     the first adds its ``hamiltonian_terms`` term entries and its
-    compiled passes.  ``job_inputs`` are further arguments of the
-    one-job estimate.
+    compiled passes on the plan's amplitudes.  ``job_inputs`` are
+    further arguments of the one-job estimate.
     """
     single = estimate_statevector_job_bytes(
         num_qubits,
         kind=kind,
         compiled_passes=compiled_passes,
         generator_terms=generator_terms,
+        sector_dim=sector_dim,
         **job_inputs,
     )["total"]
-    extra = 3 * max(0, group_size - 1) * AMPLITUDE_BYTES * (1 << num_qubits)
+    dim = 1 << num_qubits if sector_dim is None else sector_dim
+    row_bytes = 3 * AMPLITUDE_BYTES * dim + 8 * (2 * max(0, generator_terms) + 1)
+    extra = max(0, group_size - 1) * row_bytes
     if hamiltonians > 1:
         passes = (
             compiled_passes
             if compiled_passes is not None
             else estimate_compiled_passes(num_qubits)
         )
-        per_hamiltonian = TERM_BYTES * hamiltonian_terms + observable_bytes(num_qubits, passes)
+        per_hamiltonian = TERM_BYTES * hamiltonian_terms + observable_bytes(
+            num_qubits, passes, dim
+        )
         extra += (hamiltonians - 1) * per_hamiltonian
     return int(single + extra)

@@ -112,13 +112,17 @@ class AnsatzObjective:
     hamiltonian:
         Hermitian ``PauliSum`` observable, compiled on the plan's index
         set.
+    plan:
+        The generators already lowered from the reference
+        (:meth:`ExecutionPlan.from_generators`), e.g. one plan shared by
+        many objectives; the objective then lowers nothing itself.
 
     The plan holds the (N, S_z) sector of the reference when the
     generators close on it (:meth:`ExecutionPlan.from_generators`),
     narrowed to the reference's parity class under the Hamiltonian's Z2
-    symmetries when every generator commutes with them, so energies and
-    gradients run on that set; :meth:`prepare_state` still returns the
-    full 2^n vector.
+    symmetries when every generator commutes with them and the
+    objective lowers the plan itself, so energies and gradients run on
+    that set; :meth:`prepare_state` still returns the full 2^n vector.
     """
 
     def __init__(
@@ -126,14 +130,22 @@ class AnsatzObjective:
         reference_state: np.ndarray,
         generators: Sequence[PauliSum],
         hamiltonian: PauliSum,
+        plan: Optional[ExecutionPlan] = None,
     ):
         if not isinstance(hamiltonian, PauliSum):
             raise ValueError(
                 f"hamiltonian must be a PauliSum, not {type(hamiltonian).__name__}"
             )
-        self.plan = ExecutionPlan.from_generators(
-            generators, reference_state, find_z2_symmetries(hamiltonian)
-        )
+        if plan is None:
+            plan = ExecutionPlan.from_generators(
+                generators, reference_state, find_z2_symmetries(hamiltonian)
+            )
+        elif plan.num_parameters != len(generators):
+            raise ValueError(
+                f"the plan takes {plan.num_parameters} parameters, "
+                f"the ansatz has {len(generators)} generators"
+            )
+        self.plan = plan
         if hamiltonian.num_qubits != self.plan.num_qubits:
             raise ValueError(
                 f"Hamiltonian acts on {hamiltonian.num_qubits} qubits, the "

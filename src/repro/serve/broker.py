@@ -16,14 +16,15 @@ an ADAPT campaign one growth iteration):
 * **collect** — each live campaign's ``ask()``: its next parameter row.
 * **group** — rows are grouped by (plan key, plan object); the plan key
   is ``JobSpec.plan_key()`` (kind, molecule, basis).  Every geometry of
-  a molecule runs the same plan object (``ProblemCache``'s UCCSD tier),
-  so a whole scan is one group, each row carrying its own geometry's
-  Hamiltonian; two different plans never share a group.  An ADAPT
+  a molecule runs the same plan object (``ProblemCache``'s UCCSD sector
+  plan), so a whole scan is one group, each row carrying its own
+  geometry's Hamiltonian; two different plans never share a group.  An ADAPT
   campaign carries its own plan, the grown ansatz's, which changes
   with every growth iteration, so it is a group of its own.
 * **execute** — each group's rows run as
   :func:`~repro.sim.batched.reverse_value_and_gradient` sweeps of at most
-  ``batch_size`` rows: one ``(2B, 2^n)`` block gives B energies and B
+  ``batch_size`` rows: one ``(2B, D)`` block, ``D`` the plan's
+  amplitudes (a VQE plan's (N, S_z) sector), gives B energies and B
   exact gradients, each distinct Hamiltonian applied once to the rows
   that carry it.
 * **tell** — each campaign gets its row's value and gradient and moves
@@ -155,7 +156,7 @@ class EvaluationBroker:
             if obs.enabled():
                 # transient stacked rows + result buffers, priced under
                 # the same ledger category as the amplitude blocks; a
-                # chunk of B rows also holds the sweep's (2B, 2^n) block
+                # chunk of B rows also holds the sweep's (2B, D) block
                 # and the B-row H psi it gathers into the block's lower
                 # half.  Every distinct Hamiltonian of a chunk past its
                 # first is one more geometry's terms and compiled passes.

@@ -11,7 +11,8 @@ loses at most the record being written.  Records carry:
   twice (or re-reading an overlapping journal after a crash) cannot
   double-apply a transition.  ``tests/test_serve.py`` pins this with a
   Hypothesis property.
-* ``crc`` — CRC-32 of the canonical record body.  A torn final line
+* ``crc`` — CRC-32 of the canonical record body, the first key of
+  the line, so the rest of the line is that body.  A torn final line
   (the classic crash-mid-append artifact) is detected, dropped on
   replay, and truncated away before the next append so it can never
   merge with a later record; corruption *before* the tail is a real
@@ -42,6 +43,11 @@ def _canonical(body: Dict[str, Any]) -> str:
     return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
+# "crc" sorts before every other key, so a line is this prefix, the
+# checksum, a comma, and the canonical body without its opening brace
+_CRC_PREFIX = '{"crc":'
+
+
 @dataclass
 class JournalRecord:
     """One journaled state transition."""
@@ -51,23 +57,22 @@ class JournalRecord:
     payload: Dict[str, Any] = field(default_factory=dict)
 
     def to_line(self) -> str:
-        body = {"seq": self.seq, "type": self.type, "payload": self.payload}
-        blob = _canonical(body)
-        crc = zlib.crc32(blob.encode())
-        body["crc"] = crc
-        return json.dumps(body, sort_keys=True, separators=(",", ":"))
+        """The canonical body with its CRC-32 spliced in as the first
+        key: one encoding per record."""
+        blob = _canonical({"seq": self.seq, "type": self.type, "payload": self.payload})
+        return "%s%d,%s" % (_CRC_PREFIX, zlib.crc32(blob.encode()), blob[1:])
 
     @classmethod
     def from_line(cls, line: str) -> "JournalRecord":
-        obj = json.loads(line)
-        if not isinstance(obj, dict):
-            raise ValueError("journal record is not an object")
-        crc = obj.pop("crc", None)
-        blob = _canonical(
-            {"seq": obj["seq"], "type": obj["type"], "payload": obj["payload"]}
-        )
-        if crc != zlib.crc32(blob.encode()):
+        """Check the CRC against the line's own text after the ``"crc"``
+        field, then parse the line once."""
+        comma = line.find(",", len(_CRC_PREFIX))
+        if not line.startswith(_CRC_PREFIX) or comma < 0:
+            raise ValueError("journal record does not start with its checksum")
+        crc = line[len(_CRC_PREFIX) : comma]
+        if not crc.isdigit() or int(crc) != zlib.crc32(("{" + line[comma + 1 :]).encode()):
             raise ValueError("journal record checksum mismatch")
+        obj = json.loads(line)
         return cls(seq=int(obj["seq"]), type=str(obj["type"]), payload=obj["payload"])
 
 

@@ -128,10 +128,10 @@ class ServerConfig:
     # cross-campaign batched execution (the evaluation broker): VQE
     # campaigns on one plan (same kind, molecule and basis, any
     # geometry) stack their evaluations into one reverse-mode sweep
-    # over a (2B, 2^n) block per wave (B energies and B exact
-    # gradients).  ``batch_size`` caps the rows per sweep and the jobs
-    # a rank starts per tick; 1 is sequential serving (one job per rank
-    # per tick, one row per sweep).
+    # over a (2B, D) block per wave, D the plan's sector amplitudes (B
+    # energies and B exact gradients).  ``batch_size`` caps the rows
+    # per sweep and the jobs a rank starts per tick; 1 is sequential
+    # serving (one job per rank per tick, one row per sweep).
     batch_size: int = 32
 
     def __post_init__(self) -> None:
@@ -382,14 +382,15 @@ class _JobExecution:
             )
             self.campaign: Union[AdaptCampaign, VQECampaign] = AdaptCampaign(runner, adapt)
         else:
-            # circuit mode over the shared trotterized-UCCSD circuit:
-            # every job of one molecule, at any geometry, executes the
-            # SAME compiled plan, which is what lets the broker stack
-            # their evaluations; each optimizer iterate is one row that
-            # comes back with its energy and exact reverse-mode gradient,
-            # and the sweep is row-wise, so any batch_size gives the
-            # same trajectory.
-            vqe = VQE(problem["hamiltonian"], ansatz=problem["ansatz"],
+            # chemistry mode on the shared UCCSD sector plan: every job
+            # of one molecule, at any geometry, runs the SAME plan
+            # object, which is what lets the broker stack their
+            # evaluations; each optimizer iterate is one row that comes
+            # back with its energy and exact reverse-mode gradient, and
+            # the sweep is row-wise, so any batch_size gives the same
+            # trajectory.
+            vqe = VQE(problem["hamiltonian"], generators=problem["generators"],
+                      reference_state=problem["reference"], plan=problem["plan"],
                       flight_context=flight_context)
             x0 = warm_x0
             if x0 is not None:
@@ -942,7 +943,7 @@ class CampaignServer:
 
     def _open(self, job: JobRecord, warm: bool) -> Optional[_JobExecution]:
         """Build a running job's problem and execution object.  A build
-        that raises (say, a plan the sweep cannot differentiate) is a
+        that raises (say, generators no plan can lower) is a
         failed attempt, not a failed tick; returns ``None`` then."""
         try:
             problem = self.problems.get(job.spec)

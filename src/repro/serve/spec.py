@@ -238,8 +238,10 @@ class JobSpec:
 
 _QUBITS_BY_MOLECULE = {"h2": 4, "h4": 8, "lih": 12, "h2o": 14}
 # Measured compiled-observable pass counts on the serve build path
-# (STO-3G, no downfolding); drive the dominant term of the capacity
-# model (see repro.obs.memory).
+# (STO-3G, no downfolding), on the Hartree-Fock reference's (N, S_z)
+# sector that served VQE runs on (the same counts as on the full
+# register); they drive the dominant term of the capacity model (see
+# repro.obs.memory).
 _PASSES_BY_MOLECULE = {"h2": 2, "h4": 27, "lih": 84, "h2o": 162}
 # Measured (parity-set amplitudes, screened pool operators) of an ADAPT
 # job: the Hartree-Fock reference's (N, S_z) sector narrowed to its
@@ -249,7 +251,7 @@ _PASSES_BY_MOLECULE = {"h2": 2, "h4": 27, "lih": 84, "h2o": 162}
 _ADAPT_BY_MOLECULE = {"h2": (2, 1), "h4": (20, 14), "lih": (69, 34), "h2o": (133, 48)}
 _ELECTRONS_BY_MOLECULE = {"h2": 2, "h4": 4, "lih": 4, "h2o": 10}
 # UCCSD generator counts (== pool size) per family: a VQE plan holds
-# one rotation step (2^n bytes) per generator, and ADAPT lowers each
+# one rotation step per generator on its sector, and ADAPT lowers each
 # screened pool operator to one rotation step on its parity set the same
 # way.  Unknown molecules use 0 — for the oversized-job rejection path
 # the Hamiltonian term alone is already orders of magnitude over any
@@ -297,20 +299,20 @@ def sector_dim_for_molecule(name: str) -> Optional[int]:
 
 
 def _model_inputs(molecule: str, kind: str) -> Dict[str, Any]:
-    """Capacity-model inputs of a serve job.  An ADAPT job screens the
-    UCCSD operators that keep its reference's Z2 parities, on the
-    reference's parity set; a VQE job runs the shared UCCSD circuit plan
-    (circuit plans hold the full register) through the fused
-    value-and-gradient sweep."""
-    inputs: Dict[str, Any] = {
-        "compiled_passes": _PASSES_BY_MOLECULE.get(molecule),
-        "generator_terms": _GENERATORS_BY_MOLECULE.get(molecule, 0),
-    }
+    """Capacity-model inputs of a serve job.  A VQE job runs the shared
+    UCCSD sector plan (one rotation step per generator on the
+    reference's (N, S_z) sector) through the reverse-mode sweep; an
+    ADAPT job screens the UCCSD operators that keep its reference's Z2
+    parities, on the reference's parity set."""
+    dim = sector_dim_for_molecule(molecule)
+    generators = _GENERATORS_BY_MOLECULE.get(molecule, 0)
     if kind == "adapt":
-        inputs["sector_dim"], inputs["generator_terms"] = _ADAPT_BY_MOLECULE.get(
-            molecule, (sector_dim_for_molecule(molecule), inputs["generator_terms"])
-        )
-    return inputs
+        dim, generators = _ADAPT_BY_MOLECULE.get(molecule, (dim, generators))
+    return {
+        "compiled_passes": _PASSES_BY_MOLECULE.get(molecule),
+        "generator_terms": generators,
+        "sector_dim": dim,
+    }
 
 
 def estimate_job_memory(spec: "JobSpec") -> int:
@@ -318,9 +320,10 @@ def estimate_job_memory(spec: "JobSpec") -> int:
 
     Wraps :func:`repro.obs.memory.estimate_statevector_job_bytes` with
     the serve-path calibration: register width from the molecule table,
-    the measured compiled-observable pass count where known, and for an
-    ADAPT job the size of the parity set it runs on and of the pool it
-    screens.  Validated against measured ledger peaks in
+    the measured compiled-observable pass count where known, the size of
+    the amplitude set the job runs on (a VQE job's (N, S_z) sector, an
+    ADAPT job's parity set) and the generators it lowers or screens.
+    Validated against measured ledger peaks in
     ``tests/test_memory.py`` (±10% at 8–14 qubits).
     """
     from repro.obs.memory import estimate_statevector_job_bytes

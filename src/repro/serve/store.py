@@ -28,12 +28,15 @@ Three tiers, addressed by the hashes of :mod:`repro.serve.spec`:
   engines memoize on the *object*, sharing the objects is what makes
   their caches hit across jobs — the expensive compile happens once
   per distinct problem per server process.  What does not depend on
-  the geometry (UCCSD generators, the ansatz circuit and so its plan)
-  is built once per (spin orbitals, electrons) and shared by every
-  problem of that shape: a bond scan pays per point only for numbers,
-  and the evaluation broker runs the whole scan on one plan.  A VQE
-  plan the broker's reverse-mode sweep cannot differentiate is refused
-  at build, naming the molecule.
+  the geometry (the UCCSD generators, their plan and the ansatz
+  circuit) is built once per (spin orbitals, electrons) and shared by
+  every problem of that shape: a bond scan pays per point only for
+  numbers, and the evaluation broker runs the whole scan on one plan.
+  That plan is the generators lowered onto the Hartree-Fock
+  reference's (N, S_z) sector (``ExecutionPlan.from_generators``, no
+  Z2 masks: those belong to one geometry's Hamiltonian); the circuit
+  is kept for callers that compile it, never compiled here.
+  Generators no plan can lower fail the build, naming the molecule.
 
 The results log and every warm family file stay open, for appends,
 until :meth:`ContentStore.close`: a completed job costs appended lines,
@@ -55,11 +58,10 @@ from repro.chem.hamiltonian import build_molecular_hamiltonian
 from repro.chem.pools import uccsd_pool
 from repro.chem.reference import hartree_fock_state
 from repro.chem.scf import run_rhf
-from repro.chem.uccsd import build_uccsd_circuit, uccsd_generators
+from repro.chem.uccsd import build_uccsd_circuit
 from repro.obs.memory import TERM_BYTES
 from repro.serve.spec import JobSpec, resolve_molecule
-from repro.sim.batched import reverse_mode_blocker
-from repro.sim.plan import compile_circuit
+from repro.sim.plan import ExecutionPlan
 from repro.utils.jsonl import KeyedLog, open_append, parse_lines
 
 __all__ = ["ContentStore", "ProblemCache", "read_warm_family"]
@@ -197,10 +199,11 @@ class ProblemCache:
     """In-memory cache of built problems, keyed by spec content.
 
     ``get(spec)`` returns a dict holding the qubit Hamiltonian, the
-    reference state, and (per kind) the UCCSD generators or the ADAPT
-    pool — built once per distinct content key and shared, so the
-    compiled-observable/compiled-plan memoization downstream hits
-    across every job of the same problem.
+    reference state, and per kind the ADAPT pool, or the UCCSD
+    ``generators``, their sector ``plan`` and the ``ansatz`` circuit —
+    built once per distinct content key and shared, so the
+    compiled-observable memoization downstream hits across every job
+    of the same problem, and every VQE job of one shape runs one plan.
     """
 
     def __init__(self) -> None:
@@ -211,12 +214,11 @@ class ProblemCache:
         # compiled observable.
         self._physics: Dict[str, Dict[str, Any]] = {}
         # third tier, keyed by (spin orbitals, electrons): the UCCSD
-        # generators and the trotterized circuit do not depend on the
-        # geometry, so every point of a scan carries the SAME Circuit
-        # and, through compile_circuit's memo on it, one ExecutionPlan
-        # — which is what lets the evaluation broker stack a whole
-        # scan's parameter rows into one sweep
-        self._uccsd: Dict[Tuple[int, int], Tuple[List[Any], Any]] = {}
+        # generators, their sector plan and the trotterized circuit do
+        # not depend on the geometry, so every point of a scan carries
+        # the SAME ExecutionPlan — which is what lets the evaluation
+        # broker stack a whole scan's parameter rows into one sweep
+        self._uccsd: Dict[Tuple[int, int], Tuple[List[Any], Any, ExecutionPlan]] = {}
         self.builds = 0
         self.hits = 0
         self.physics_hits = 0
@@ -283,28 +285,20 @@ class ProblemCache:
             else:
                 structure = self._uccsd.get((n_so, n_e))
                 if structure is None:
-                    circuit = build_uccsd_circuit(n_so, n_e).circuit
-                    # compile_circuit memoizes on the circuit object, so
-                    # every job carrying it executes the SAME
-                    # ExecutionPlan — the compatibility unit the
-                    # evaluation broker batches on (one group per plan
-                    # key; each row brings its own geometry's
-                    # Hamiltonian).  The broker takes every value with
-                    # its gradient from one reverse-mode sweep, so a
-                    # plan that sweep cannot differentiate is refused
-                    # here, before any job runs it.
-                    blocker = reverse_mode_blocker(compile_circuit(circuit))
-                    if blocker is not None:
-                        raise ValueError(
-                            f"served VQE on {spec.molecule!r}: the UCCSD plan has a "
-                            f"{blocker.gate_name!r} gate the reverse-mode sweep "
-                            "cannot differentiate"
-                        )
-                    structure = self._uccsd[n_so, n_e] = (
-                        [a for _, a in uccsd_generators(n_so, n_e)],
-                        circuit,
-                    )
-                problem["generators"], problem["ansatz"] = structure
+                    ansatz = build_uccsd_circuit(n_so, n_e)
+                    generators = [a for _, a in ansatz.generators]
+                    # one sector plan per shape, with no Z2 masks (those
+                    # belong to one geometry's Hamiltonian): every job of
+                    # the molecule, at any geometry, runs this SAME plan
+                    # object — the compatibility unit the evaluation
+                    # broker batches on, each row bringing its own
+                    # geometry's Hamiltonian
+                    try:
+                        plan = ExecutionPlan.from_generators(generators, problem["reference"])
+                    except ValueError as err:
+                        raise ValueError(f"served VQE on {spec.molecule!r}: {err}") from err
+                    structure = self._uccsd[n_so, n_e] = (generators, ansatz.circuit, plan)
+                problem["generators"], problem["ansatz"], problem["plan"] = structure
         return problem
 
     def __len__(self) -> int:

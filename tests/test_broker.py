@@ -323,10 +323,10 @@ class TestEvaluationBroker:
 
 
 def _blocked_uccsd(n_so, n_e):
-    """A stand-in UCCSD build whose plan the reverse-mode sweep cannot
-    differentiate (a parametric ``crz``)."""
-    circuit = Circuit(n_so).add("crz", [0, 1], Parameter("t"))
-    return types.SimpleNamespace(circuit=circuit)
+    """A stand-in UCCSD build whose generator no plan can lower (it is
+    Hermitian, not anti-Hermitian)."""
+    generator = PauliSum.from_label_dict({"XY" + "I" * (n_so - 2): 1.0})
+    return types.SimpleNamespace(circuit=Circuit(n_so), generators=[((0, 1), generator)])
 
 
 class TestPhysicsSharing:
@@ -346,12 +346,36 @@ class TestPhysicsSharing:
         assert cache.physics_hits == 1
         assert a.get("ansatz") is not None
 
-    def test_plan_the_sweep_cannot_differentiate_fails_at_build(self, monkeypatch):
-        """Every served evaluation is a reverse-mode row, so a VQE plan
-        with a gate that sweep cannot differentiate is refused when the
-        problem is built, naming the molecule."""
+    def test_every_geometry_shares_one_sector_plan(self):
+        """Served VQE runs the UCCSD generators lowered once per shape to
+        the (N, S_z) sector: no Z2 masks, so every geometry gets the
+        same plan object; the circuit is kept but not compiled."""
+        cache = ProblemCache()
+        a = cache.get(JobSpec(tenant="t", molecule="h4"))
+        b = cache.get(JobSpec(tenant="t", molecule="h4", geometry=1.1))
+        assert a["plan"] is b["plan"] and a["ansatz"] is b["ansatz"]
+        assert a["plan"].dim == 36 and a["plan"].num_parameters == len(a["generators"]) == 26
+        assert a["plan"].rotation_steps == a["plan"].num_ops
+
+    @pytest.mark.parametrize("molecule", ["h2", "h4", "lih"])
+    def test_sector_plan_matches_the_circuit(self, molecule):
+        """The served plan and the compiled UCCSD circuit, the oracle,
+        give the same energies and gradients at random rows."""
+        from repro.sim.batched import reverse_value_and_gradient
+
+        problem = ProblemCache().get(JobSpec(tenant="t", molecule=molecule))
+        hq, plan = problem["hamiltonian"], problem["plan"]
+        circuit_plan = compile_circuit(problem["ansatz"])
+        assert circuit_plan.parameters == plan.parameters
+        rows = np.random.default_rng(7).uniform(-0.3, 0.3, size=(5, plan.num_parameters))
+        values, grads = reverse_value_and_gradient(plan, hq, rows)
+        want_values, want_grads = reverse_value_and_gradient(circuit_plan, hq, rows)
+        assert np.max(np.abs(values - want_values)) < 1e-12
+        assert np.max(np.abs(grads - want_grads)) < 1e-12
+
+    def test_unlowerable_generators_fail_at_build_naming_the_molecule(self, monkeypatch):
         monkeypatch.setattr("repro.serve.store.build_uccsd_circuit", _blocked_uccsd)
-        with pytest.raises(ValueError, match="'h2'.*'crz'"):
+        with pytest.raises(ValueError, match="'h2'.*anti-Hermitian"):
             ProblemCache().get(JobSpec(tenant="t", molecule="h2"))
 
     def test_unbuildable_problem_fails_the_job_not_the_tick(self, tmp_path, monkeypatch):
@@ -406,15 +430,16 @@ class TestPhysicsSharing:
         one = estimate_group_memory([spec])
         eight = estimate_group_memory([spec] * 8)
         assert one == estimate_job_memory(spec)
-        # 7 extra rows of the sweep's (2B, 2^n) block plus B-row H psi,
-        # NOT 7 extra full jobs
-        assert eight == one + 7 * 3 * 16 * (1 << 4)
+        # 7 extra rows of the sweep's (2B, D) block plus B-row H psi on
+        # the D = 4 amplitudes of H2's sector, each with its 3
+        # parameters, 3 gradient entries and value: NOT 7 extra full jobs
+        assert eight == one + 7 * (3 * 16 * 4 + 8 * (2 * 3 + 1))
         assert eight < 8 * one
         # a second geometry on the same plan adds its Hamiltonian: 15
         # term entries and 2 compiled passes (two diagonals, one gather)
         scan = [spec, JobSpec(tenant="t", molecule="h2", geometry=0.9)]
         two = estimate_group_memory([spec] * 2)
-        assert estimate_group_memory(scan) == two + 15 * 96 + (2 * 16 + 8) * (1 << 4)
+        assert estimate_group_memory(scan) == two + 15 * 96 + (2 * 16 + 8) * 4
 
 
 # -- group-atomic scheduling --------------------------------------------------

@@ -106,6 +106,27 @@ class TestVQEDriver:
         vqe = VQE(hq, ansatz=circuit, estimator=make_estimator("caching"))
         assert vqe.gradient(np.zeros(3)) is None
 
+    def test_chemistry_mode_runs_a_given_plan(self, h2_setup):
+        """A plan lowered once and passed in is the one the objective
+        runs, with the energies of the plan VQE would lower itself; a
+        plan for other generators is refused."""
+        from repro.sim.plan import ExecutionPlan
+
+        _, hq, _ = h2_setup
+        gens = [a for _, a in uccsd_generators(4, 2)]
+        ref = hartree_fock_state(4, 2)
+        shared = ExecutionPlan.from_generators(gens, ref)
+        given = VQE(hq, generators=gens, reference_state=ref, plan=shared)
+        own = VQE(hq, generators=gens, reference_state=ref)
+        assert given.objective.plan is shared and shared.dim == 4
+        assert own.objective.plan is not shared
+        x = np.array([0.1, -0.2, 0.3])
+        assert abs(given.energy(x) - own.energy(x)) < 1e-12
+        with pytest.raises(ValueError, match="2 generators"):
+            VQE(hq, generators=gens[:2], reference_state=ref, plan=shared)
+        with pytest.raises(ValueError, match="chemistry-mode"):
+            VQE(hq, ansatz=build_uccsd_circuit(4, 2).circuit, plan=shared)
+
     def test_energy_at_zero_is_hf(self, h2_setup):
         scf, hq, _ = h2_setup
         gens = [a for _, a in uccsd_generators(4, 2)]

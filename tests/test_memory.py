@@ -174,17 +174,15 @@ def test_disabled_ledger_is_noop():
 
 
 def _measured_job_peak(molecule: str, campaigns: int = 1) -> int:
-    """Run the serve-path workload of one VQE job (problem build +
-    one energy evaluation of the shared circuit, as the server's VQE
-    campaigns run it — the optimizer loop reuses these buffers) and
-    return the ledger peak it produced.  With ``campaigns`` > 1 a
-    same-physics group then runs one broker wave: one gradient row
-    per campaign through the block reverse-mode sweep."""
+    """Run the serve-path workload of a VQE job and return the ledger
+    peak it produced: the problem build, a chemistry-mode VQE on the
+    problem's shared sector plan, and one broker wave of ``campaigns``
+    same-physics rows through the block reverse-mode sweep (the
+    optimizer loop reuses these buffers)."""
     from repro.core.vqe import VQE
     from repro.serve.broker import EvaluationBroker
     from repro.serve.spec import JobSpec
     from repro.serve.store import ProblemCache
-    from repro.sim.plan import compile_circuit
     from tests.row_campaign import RowCampaign
 
     gc.collect()  # flush prior tests' buffers before rebasing
@@ -192,18 +190,20 @@ def _measured_job_peak(molecule: str, campaigns: int = 1) -> int:
     obs.get_memory_ledger().reset()
     spec = JobSpec(tenant="t", molecule=molecule)
     problem = ProblemCache().get(spec)
-    vqe = VQE(problem["hamiltonian"], ansatz=problem["ansatz"])
-    vqe.energy(np.zeros(vqe.num_parameters))
-    if campaigns > 1:
-        plan = compile_circuit(problem["ansatz"])
-        broker = EvaluationBroker()
-        rows = 0.02 * np.random.default_rng(0).standard_normal(
-            (campaigns, plan.num_parameters)
-        )
-        group = [RowCampaign(plan, problem["hamiltonian"], row) for row in rows]
-        assert broker.pump([("phys", c) for c in group])[0] == [None] * campaigns
-        assert all(c.gradients[0].shape == (plan.num_parameters,) for c in group)
-        assert broker.stats()["max_occupancy"] == campaigns
+    vqe = VQE(
+        problem["hamiltonian"],
+        generators=problem["generators"],
+        reference_state=problem["reference"],
+        plan=problem["plan"],
+    )
+    plan = vqe.objective.plan
+    assert plan is problem["plan"]
+    broker = EvaluationBroker()
+    rows = 0.02 * np.random.default_rng(0).standard_normal((campaigns, plan.num_parameters))
+    group = [RowCampaign(plan, vqe.hamiltonian, row) for row in rows]
+    assert broker.pump([("phys", c) for c in group])[0] == [None] * campaigns
+    assert all(c.gradients[0].shape == (plan.num_parameters,) for c in group)
+    assert broker.stats()["max_occupancy"] == campaigns
     return obs.get_memory_ledger().peak_bytes
 
 
@@ -222,8 +222,9 @@ def test_estimate_job_memory_within_ten_percent(molecule):
 
 
 def test_estimate_group_memory_within_ten_percent():
-    """An 8-campaign H4 group: the block sweep's (16, 2^n) block and
-    8-row H psi are what the group model adds to one job."""
+    """An 8-campaign H4 group: the block sweep's (16, D) block and
+    8-row H psi on the 36-amplitude sector are what the group model
+    adds to one job."""
     from repro.serve.spec import JobSpec, estimate_group_memory
 
     measured = _measured_job_peak("h4", campaigns=8)

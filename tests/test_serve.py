@@ -10,6 +10,7 @@ graceful degradation on rank loss.
 
 import json
 import os
+import shutil
 import zlib
 
 import numpy as np
@@ -33,6 +34,28 @@ from repro.serve import (
     load_state_view,
 )
 from repro.serve.server import _ServerState
+
+
+# A state directory the server wrote while served VQE still ran the
+# trotterized UCCSD circuit on the full register: an H2 job completed,
+# then the server was killed with two seeded H4 campaigns 7
+# evaluations into their optimizations (every evaluation checkpointed).
+_INFLIGHT_STATE = os.path.join(os.path.dirname(__file__), "data", "inflight_vqe_state")
+# the energies that server reached when it resumed the directory
+_INFLIGHT_ENERGIES = {
+    "j00001-25b1b29a": -1.1361894507163097,
+    "j00002-5aefb236": -2.1802818054937814,
+    "j00003-25c386f4": -2.1802818055570072,
+    "j00004-14e1b8a4": -1.1205602924336862,
+}
+
+
+def _two_pass_line(rec):
+    """The journal line as encoded body-then-line: the CRC of the
+    canonical body, then the body re-encoded with it."""
+    body = {"seq": rec.seq, "type": rec.type, "payload": rec.payload}
+    body["crc"] = zlib.crc32(json.dumps(body, sort_keys=True, separators=(",", ":")).encode())
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
 def _count_sha256(monkeypatch, spec_mod):
@@ -230,6 +253,40 @@ class TestJournal:
                 separators=(",", ":"),
             ).encode()
         )
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            {"k": "v"},
+            {"job_id": "j1", "energy": -1.1361894507163097, "parameters": [0.1, -2e-17]},
+            {"spec": JobSpec(tenant="t\u00e9", molecule="h4").to_dict(), "none": None},
+            {"nested": {"b": [1, {"z": True, "a": False}], "a": 3}, "reason": 'say "x"\n'},
+        ],
+    )
+    def test_line_equals_the_two_pass_encoding(self, payload):
+        """One encoding per record writes the same bytes as encoding the
+        body, then encoding it again with its CRC."""
+        rec = JournalRecord(seq=12345, type="completed", payload=payload)
+        assert rec.to_line() == _two_pass_line(rec)
+        assert JournalRecord.from_line(rec.to_line()) == rec
+
+    def test_journal_written_before_replays_line_for_line(self):
+        path = os.path.join(_INFLIGHT_STATE, "journal.jsonl")
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        records = Journal(path).replay()
+        assert len(records) == len(lines) == 8
+        assert [r.to_line() for r in records] == lines
+
+    def test_flipped_payload_byte_is_refused(self):
+        with open(os.path.join(_INFLIGHT_STATE, "journal.jsonl")) as fh:
+            line = fh.readline().rstrip("\n")
+        start = line.index('"payload":')
+        for at in range(start, line.index('"seq":')):
+            bad = line[:at] + chr(ord(line[at]) ^ 1) + line[at + 1 :]
+            with pytest.raises(ValueError):
+                JournalRecord.from_line(bad)
 
     @given(
         records=st.lists(
@@ -1035,19 +1092,28 @@ def _mini_scan(tmp_path, name, num_ranks, monkeypatch, **cfg):
     """40 H2 jobs: 20 distinct geometries from each of two tenants, so
     half are dedup hits.  ``cfg`` are further ``ServerConfig`` fields.
     Returns the drained server, the SHA-256 key computations and the
-    ExecutionPlan lowerings the scan took."""
+    ExecutionPlan lowerings the scan took: ``"circuit"`` per
+    ``ExecutionPlan.__init__``, ``"generators"`` per ``from_generators``."""
     import repro.serve.spec as spec_mod
     import repro.sim.plan as plan_mod
 
     sha_calls = _count_sha256(monkeypatch, spec_mod)
     lowerings = []
     lower = plan_mod.ExecutionPlan.__init__
+    from_generators = plan_mod.ExecutionPlan.from_generators
 
     def counting_init(self, *args, **kwargs):
-        lowerings.append(1)
+        lowerings.append("circuit")
         lower(self, *args, **kwargs)
 
+    def counting_from_generators(*args, **kwargs):
+        lowerings.append("generators")
+        return from_generators(*args, **kwargs)
+
     monkeypatch.setattr(plan_mod.ExecutionPlan, "__init__", counting_init)
+    monkeypatch.setattr(
+        plan_mod.ExecutionPlan, "from_generators", staticmethod(counting_from_generators)
+    )
     srv = _server(
         tmp_path,
         name=name,
@@ -1061,7 +1127,7 @@ def _mini_scan(tmp_path, name, num_ranks, monkeypatch, **cfg):
             srv.submit(JobSpec(tenant=tenant, molecule="h2", geometry=round(0.6 + 0.04 * k, 4)))
     srv.run(stop_when_idle=True, max_ticks=200)
     assert all(j.state == JobState.SUCCEEDED for j in srv.jobs.values())
-    return srv, len(sha_calls), len(lowerings)
+    return srv, len(sha_calls), lowerings
 
 
 class TestScanSharesStructureAndDerivedValues:
@@ -1085,16 +1151,17 @@ class TestScanSharesStructureAndDerivedValues:
     def test_distinct_geometries_share_one_ansatz_and_one_plan(
         self, tmp_path, monkeypatch
     ):
-        from repro.sim.plan import compile_circuit
-
         srv, _, lowerings = _mini_scan(tmp_path, "srv", 2, monkeypatch)
         problems = [srv.problems.get(j.spec) for j in srv.jobs.values()]
         assert srv.problems.builds == 20
         assert len({id(p["hamiltonian"]) for p in problems}) == 20
         assert len({id(p["ansatz"]) for p in problems}) == 1
         assert len({id(p["generators"]) for p in problems}) == 1
-        assert len({id(compile_circuit(p["ansatz"])) for p in problems}) == 1
-        assert lowerings == 1
+        assert len({id(p["plan"]) for p in problems}) == 1
+        assert problems[0]["plan"].dim == 4  # H2's (N = 2, S_z = 0) sector
+        # one generator lowering for the 20 geometries, and no circuit
+        # compiled while serving
+        assert lowerings == ["generators"]
 
     def test_key_hashing_is_per_job_not_per_tick(self, tmp_path, monkeypatch):
         # a rank starts at most batch_size jobs per tick: with 2, one
@@ -1314,6 +1381,22 @@ class TestStateLogs:
         assert resumed.state == JobState.SUCCEEDED and resumed.resumed
         assert resumed.energy == want
         srv2.close()
+
+    def test_inflight_checkpoints_from_the_full_register_server_resume(self, tmp_path):
+        """Checkpoints keep the t0..t{P-1} parameter order and meaning,
+        so campaigns killed in flight under the circuit resume on the
+        sector plan to the energies the circuit reached."""
+        state_dir = str(tmp_path / "srv")
+        shutil.copytree(_INFLIGHT_STATE, state_dir)
+        srv = CampaignServer(state_dir, ServerConfig(num_ranks=2))
+        srv.run(stop_when_idle=True, max_ticks=60)
+        assert set(srv.jobs) == set(_INFLIGHT_ENERGIES)
+        for job_id, energy in _INFLIGHT_ENERGIES.items():
+            job = srv.jobs[job_id]
+            assert job.state == JobState.SUCCEEDED
+            assert abs(job.energy - energy) < 1e-10
+        assert srv.jobs["j00002-5aefb236"].resumed and srv.jobs["j00003-25c386f4"].resumed
+        srv.close()
 
     def test_startup_compaction_keeps_only_in_flight_jobs_last_line(self, tmp_path):
         srv = _server(tmp_path, adapt_gradient_tolerance=0.0)

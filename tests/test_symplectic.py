@@ -326,10 +326,12 @@ def test_count_set_bits_fallback_matches_native_popcount(monkeypatch):
 # -- x-mask diagonals: Walsh-Hadamard vs the sign-matrix oracle ---------------
 
 
-def sign_matrix_diagonals(symp: SymplecticPauli):
-    """The full-range oracle: the terms x 2^n sign matrix per x-mask
-    that ``x_mask_diagonals`` evaluated before it became a transform."""
-    cols = np.arange(1 << symp.num_qubits, dtype=np.int64)
+def sign_matrix_diagonals(symp: SymplecticPauli, cols=None):
+    """The oracle: one terms x columns sign matrix per x-mask (all 2^n
+    columns by default), as ``x_mask_diagonals`` evaluated before it
+    became a transform and before x-mask groups shared sign blocks."""
+    if cols is None:
+        cols = np.arange(1 << symp.num_qubits, dtype=np.int64)
     xs = symp.x[:, 0].astype(np.int64)
     zs = symp.z[:, 0].astype(np.int64)
     weights = symp.coeffs * I_POW_ARR[popcount_words(symp.x & symp.z) % 4]
@@ -399,6 +401,51 @@ class TestXMaskDiagonals:
         for x, row in zip(masks.tolist(), d):
             rebuilt[k ^ x, k] = row
         np.testing.assert_allclose(rebuilt, dense, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _grouped(sizes, coeffs, n=8):
+        """Terms in x-mask groups of the given sizes (mask k + 1 for
+        group k), seeded z-masks, and ``coeffs(count)`` coefficients."""
+        xs = [k + 1 for k, size in enumerate(sizes) for _ in range(size)]
+        rng = np.random.default_rng(len(sizes))
+        zs = rng.integers(0, 1 << n, size=len(xs)).tolist()
+        return SymplecticPauli(n, pack_masks(xs, n), pack_masks(zs, n), coeffs(len(xs)))
+
+    def test_grouped_sign_blocks_equal_the_per_mask_loop(self, monkeypatch):
+        """On a subset of columns, small x-mask groups share one sign
+        block and a group past the chunk is cut into chunks; either way
+        each diagonal is the per-mask loop's, bit for bit (exact sums
+        when a group is cut)."""
+        cols = sector_of(8, 0b1111, ())
+        heights = []
+        sign_block = symplectic._sign_block
+
+        def recording(c, zs):
+            heights.append(zs.size)
+            return sign_block(c, zs)
+
+        monkeypatch.setattr(symplectic, "_sign_block", recording)
+        rng = np.random.default_rng(3)
+        sizes = rng.integers(1, 6, size=40).tolist()
+        symp = self._grouped(
+            sizes, lambda k: rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        )
+        masks, d = symp.x_mask_diagonals(cols)
+        ref_masks, ref = sign_matrix_diagonals(symp, cols)
+        assert masks.tolist() == ref_masks.tolist()
+        assert np.array_equal(d, ref)
+        assert sum(heights) == sum(sizes) and len(heights) < len(sizes)  # merged
+        # cut: 4-term chunks, 6-term runs; quarter-integer sums are exact
+        heights.clear()
+        monkeypatch.setattr(symplectic, "_SIGN_CHUNK", 4 * cols.size)
+        monkeypatch.setattr(symplectic, "_SIGN_RUN", 6 * cols.size)
+        symp = self._grouped(
+            [1, 1, 1, 10, 2, 2],
+            lambda k: (rng.integers(-8, 8, size=k) + 1j * rng.integers(-8, 8, size=k)) / 4,
+        )
+        masks, d = symp.x_mask_diagonals(cols)
+        assert heights == [3, 4, 4, 2, 4]
+        assert np.array_equal(d, sign_matrix_diagonals(symp, cols)[1])
 
     def test_zero_sum_has_no_masks(self):
         masks, d = SymplecticPauli.zero(3).x_mask_diagonals()
